@@ -6,8 +6,7 @@ use tklus_bench::{standard_corpus, Flags};
 use tklus_index::{baseline::build_centralized, build_index, IndexBuildConfig};
 
 fn bench_build_scaling(c: &mut Criterion) {
-    let corpus =
-        standard_corpus(&Flags { posts: 10_000, seed: 0x7B1D5, queries: 1, ..Flags::default() });
+    let corpus = standard_corpus(&Flags { posts: 10_000, seed: 0x7B1D5, queries: 1 });
     let mut group = c.benchmark_group("index_build");
     group.sample_size(10);
     for &nodes in &[1usize, 2, 3, 4] {

@@ -11,8 +11,7 @@ use tklus_model::Semantics;
 use tklus_text::TextPipeline;
 
 fn bench_retrieval(c: &mut Criterion) {
-    let corpus =
-        standard_corpus(&Flags { posts: 10_000, seed: 0x7B1D5, queries: 1, ..Flags::default() });
+    let corpus = standard_corpus(&Flags { posts: 10_000, seed: 0x7B1D5, queries: 1 });
     let (hybrid, _) = build_index(corpus.posts(), &IndexBuildConfig::default());
     let irtree = IrTree::build(corpus.posts());
     let pipeline = TextPipeline::new();

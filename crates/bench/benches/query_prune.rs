@@ -8,7 +8,7 @@ use tklus_core::{BoundsMode, Ranking};
 use tklus_model::Semantics;
 
 fn bench_query_prune(c: &mut Criterion) {
-    let flags = Flags { posts: 10_000, seed: 0x7B1D5, queries: 5, ..Flags::default() };
+    let flags = Flags { posts: 10_000, seed: 0x7B1D5, queries: 5 };
     let corpus = standard_corpus(&flags);
     let engine = build_engine(&corpus, 4);
     let specs: Vec<_> = query_workload(&corpus)

@@ -8,8 +8,7 @@ use tklus_graph::build_thread;
 use tklus_model::TweetId;
 
 fn bench_thread_build(c: &mut Criterion) {
-    let corpus =
-        standard_corpus(&Flags { posts: 10_000, seed: 0x7B1D5, queries: 1, ..Flags::default() });
+    let corpus = standard_corpus(&Flags { posts: 10_000, seed: 0x7B1D5, queries: 1 });
     // Roots with the largest reply fan-out make the most expensive threads.
     let mut db = MetadataDb::from_posts(corpus.posts(), 0);
     let mut roots: Vec<(usize, TweetId)> = corpus

@@ -179,7 +179,7 @@ fn main() {
     }
 
     // Hand-rolled JSON, same discipline as BENCH_qps.json: flat scalar
-    // lines `json_number_field` can read back.
+    // lines.
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"ingest_throughput\",\n");

@@ -1,15 +1,11 @@
 //! Query throughput of one shared engine under concurrent clients, plus
-//! the flat-vs-block single-thread latency comparison.
+//! the single-thread latency of the same workload.
 //!
 //! Two measurements, emitted together as `results/BENCH_qps.json`:
 //!
-//! 1. **Single-thread median latency**, flat layout vs block layout, over
-//!    the Section VI-B1 workload. This is the credible number on any host:
-//!    it needs no spare cores. The `--baseline` regression gate compares
-//!    the *block/flat ratio* (fail when it worsens by more than 10% over
-//!    the checked-in baseline): both medians come from the same run on the
-//!    same host, so CPU speed and background load cancel — an absolute-µs
-//!    gate would measure the CI runner, not the code.
+//! 1. **Single-thread median latency** over the Section VI-B1 workload,
+//!    end to end and for the fetch+combine stages. This is the credible
+//!    number on any host: it needs no spare cores.
 //! 2. **Multi-client / batch QPS sweep** ([1, 2, 4, 8] threads against one
 //!    shared engine). A scaling curve measured on a starved host is noise
 //!    presented as signal, so the sweep only runs when the host has at
@@ -18,18 +14,13 @@
 
 use std::time::Instant;
 use tklus_bench::{
-    banner, build_engine, build_engine_with_format, csv_row, json_number_field, parse_flags,
-    query_workload, standard_corpus, to_query,
+    banner, build_engine, csv_row, parse_flags, query_workload, standard_corpus, to_query,
 };
 use tklus_core::{BoundsMode, Ranking, TklusEngine};
-use tklus_index::PostingsFormat;
 use tklus_model::{Semantics, TklusQuery};
 
 /// Minimum host cores for the multi-client sweep to be trustworthy.
 const MIN_SWEEP_CORES: usize = 4;
-
-/// Relative regression the `--baseline` gate tolerates before failing.
-const GATE_TOLERANCE: f64 = 0.10;
 
 /// Aggregate QPS of `clients` threads each running `per_client` queries
 /// round-robin over the workload against one shared engine.
@@ -67,7 +58,7 @@ fn run_batch(engine: &TklusEngine, requests: &[(TklusQuery, Ranking)], total: us
 }
 
 /// Median latency (µs) of the single-threaded workload, end-to-end and
-/// for the fetch+combine stages the block layout targets.
+/// for the fetch+combine stages.
 struct SingleThread {
     e2e_us: f64,
     fetch_combine_us: f64,
@@ -131,25 +122,18 @@ fn main() {
         })
         .collect();
 
-    // -- Section 1: single-thread flat vs block median latency. ----------
+    // -- Section 1: single-thread median latency. -------------------------
     let rounds = flags.queries.clamp(2, 10);
-    let flat_engine = build_engine_with_format(&corpus, 4, PostingsFormat::Flat);
-    let flat = run_single_thread(&flat_engine, &requests, rounds);
-    drop(flat_engine);
-    let block_engine = build_engine_with_format(&corpus, 4, PostingsFormat::Block);
-    let block = run_single_thread(&block_engine, &requests, rounds);
-    drop(block_engine);
+    let engine = build_engine(&corpus, 4);
+    let single = run_single_thread(&engine, &requests, rounds);
 
-    println!("{:<16} {:>14} {:>18}", "layout", "median e2e us", "fetch+combine us");
-    for (name, st) in [("flat", &flat), ("block", &block)] {
-        println!("{:<16} {:>14.1} {:>18.1}", name, st.e2e_us, st.fetch_combine_us);
-        csv_row(&[
-            "single-thread".into(),
-            name.to_string(),
-            format!("{:.1}", st.e2e_us),
-            format!("{:.1}", st.fetch_combine_us),
-        ]);
-    }
+    println!("{:>14} {:>18}", "median e2e us", "fetch+combine us");
+    println!("{:>14.1} {:>18.1}", single.e2e_us, single.fetch_combine_us);
+    csv_row(&[
+        "single-thread".into(),
+        format!("{:.1}", single.e2e_us),
+        format!("{:.1}", single.fetch_combine_us),
+    ]);
 
     // -- Section 2: multi-client / batch sweep, gated on host cores. -----
     let per_client = flags.queries.max(10) * 6;
@@ -162,7 +146,6 @@ fn main() {
     if sweep_valid {
         // Client threads supply all the concurrency here, so the engine
         // itself runs each query sequentially (parallelism 1).
-        let engine = build_engine(&corpus, 4);
         run_clients(&engine, &requests, 1, requests.len().min(per_client));
 
         println!("{:<16} {:>10} {:>12}", "mode", "threads", "qps");
@@ -202,8 +185,7 @@ fn main() {
 
     // Hand-rolled JSON (serde is a no-op stand-in in this workspace; the
     // format below is flat enough — one scalar per line — that string
-    // assembly is the simpler dependency surface, and `json_number_field`
-    // can read it back for the regression gate).
+    // assembly is the simpler dependency surface).
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"qps_throughput\",\n");
@@ -213,18 +195,11 @@ fn main() {
     json.push_str(&format!("  \"workload_queries\": {},\n", requests.len()));
     json.push_str(&format!("  \"single_thread_rounds\": {rounds},\n"));
     json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    json.push_str(&format!("  \"single_thread_flat_median_latency_us\": {:.1},\n", flat.e2e_us));
-    json.push_str(&format!("  \"single_thread_block_median_latency_us\": {:.1},\n", block.e2e_us));
+    json.push_str(&format!("  \"single_thread_median_latency_us\": {:.1},\n", single.e2e_us));
     json.push_str(&format!(
-        "  \"single_thread_flat_median_fetch_combine_us\": {:.1},\n",
-        flat.fetch_combine_us
+        "  \"single_thread_median_fetch_combine_us\": {:.1},\n",
+        single.fetch_combine_us
     ));
-    json.push_str(&format!(
-        "  \"single_thread_block_median_fetch_combine_us\": {:.1},\n",
-        block.fetch_combine_us
-    ));
-    let ratio = block.e2e_us / flat.e2e_us.max(1e-9);
-    json.push_str(&format!("  \"single_thread_block_over_flat_ratio\": {ratio:.4},\n"));
     json.push_str("  \"multi_client_sweep\": {\n");
     json.push_str(&format!("    \"valid\": {sweep_valid},\n"));
     if sweep_valid {
@@ -255,28 +230,4 @@ fn main() {
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write("results/BENCH_qps.json", &json).expect("write results/BENCH_qps.json");
     println!("wrote results/BENCH_qps.json");
-
-    // -- Regression gate against a checked-in baseline. ------------------
-    if let Some(path) = &flags.baseline {
-        let baseline_json =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        let key = "single_thread_block_over_flat_ratio";
-        let baseline = json_number_field(&baseline_json, key)
-            .unwrap_or_else(|| panic!("baseline {path} has no numeric field {key:?}"));
-        let limit = baseline * (1.0 + GATE_TOLERANCE);
-        let delta_pct = (ratio / baseline - 1.0) * 100.0;
-        println!(
-            "gate: block/flat single-thread median ratio {ratio:.4} vs baseline \
-             {baseline:.4} ({delta_pct:+.1}%, limit {limit:.4})"
-        );
-        if ratio > limit {
-            eprintln!(
-                "REGRESSION: block/flat single-thread median latency ratio {ratio:.4} \
-                 exceeds baseline {baseline:.4} by more than {:.0}%",
-                GATE_TOLERANCE * 100.0
-            );
-            std::process::exit(1);
-        }
-        println!("gate: within tolerance");
-    }
 }

@@ -21,18 +21,15 @@ pub struct Flags {
     pub seed: u64,
     /// Queries sampled per configuration point.
     pub queries: usize,
-    /// Baseline `BENCH_*.json` to gate regressions against (benches that
-    /// support a gate exit non-zero when they regress past it).
-    pub baseline: Option<String>,
 }
 
 impl Default for Flags {
     fn default() -> Self {
-        Self { posts: 20_000, seed: 0x7B1D5, queries: 10, baseline: None }
+        Self { posts: 20_000, seed: 0x7B1D5, queries: 10 }
     }
 }
 
-/// Parses `--posts N --seed N --queries N [--baseline PATH]` from
+/// Parses `--posts N --seed N --queries N` from
 /// `std::env::args`. Unknown flags abort with a usage message.
 pub fn parse_flags() -> Flags {
     let mut flags = Flags::default();
@@ -48,31 +45,11 @@ pub fn parse_flags() -> Flags {
             "--posts" => flags.posts = value(i) as usize,
             "--seed" => flags.seed = value(i),
             "--queries" => flags.queries = value(i) as usize,
-            "--baseline" => {
-                flags.baseline = Some(
-                    args.get(i + 1)
-                        .unwrap_or_else(|| panic!("flag --baseline needs a path value"))
-                        .clone(),
-                );
-            }
-            other => panic!(
-                "unknown flag {other}; supported: --posts N --seed N --queries N --baseline PATH"
-            ),
+            other => panic!("unknown flag {other}; supported: --posts N --seed N --queries N"),
         }
         i += 2;
     }
     flags
-}
-
-/// Pulls a numeric field out of a flat hand-rolled `BENCH_*.json` (the
-/// workspace has no JSON parser dependency; benches emit one scalar per
-/// line, so a line scan is exact for the files we write ourselves).
-pub fn json_number_field(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    json.lines().find_map(|line| {
-        let rest = line.trim().strip_prefix(&needle)?;
-        rest.trim().trim_end_matches(',').parse().ok()
-    })
 }
 
 /// The standard synthetic corpus for a flag set.
@@ -94,18 +71,8 @@ pub fn standard_corpus(flags: &Flags) -> Corpus {
 /// which the paper's own "Mexican restaurant" example assumes. The table
 /// is still a few kilobytes.
 pub fn build_engine(corpus: &Corpus, geohash_len: usize) -> TklusEngine {
-    build_engine_with_format(corpus, geohash_len, tklus_index::PostingsFormat::default())
-}
-
-/// [`build_engine`] with an explicit postings layout, for flat-vs-block
-/// comparisons.
-pub fn build_engine_with_format(
-    corpus: &Corpus,
-    geohash_len: usize,
-    postings_format: tklus_index::PostingsFormat,
-) -> TklusEngine {
     let config = EngineConfig {
-        index: IndexBuildConfig { geohash_len, postings_format, ..IndexBuildConfig::default() },
+        index: IndexBuildConfig { geohash_len, ..IndexBuildConfig::default() },
         hot_keywords: 200,
         ..EngineConfig::default()
     };
@@ -155,7 +122,7 @@ mod tests {
 
     #[test]
     fn standard_corpus_is_sized_and_deterministic() {
-        let flags = Flags { posts: 500, seed: 1, queries: 2, ..Flags::default() };
+        let flags = Flags { posts: 500, seed: 1, queries: 2 };
         let a = standard_corpus(&flags);
         let b = standard_corpus(&flags);
         assert!(a.len() >= 500);
@@ -164,24 +131,14 @@ mod tests {
 
     #[test]
     fn workload_has_90_queries() {
-        let flags = Flags { posts: 1000, seed: 2, queries: 2, ..Flags::default() };
+        let flags = Flags { posts: 1000, seed: 2, queries: 2 };
         let corpus = standard_corpus(&flags);
         assert_eq!(query_workload(&corpus).len(), 90);
     }
 
     #[test]
-    fn json_number_field_reads_flat_scalars() {
-        let json = "{\n  \"bench\": \"qps\",\n  \"host_cores\": 4,\n  \
-                    \"single_thread_block_median_latency_us\": 123.5,\n}\n";
-        assert_eq!(json_number_field(json, "host_cores"), Some(4.0));
-        assert_eq!(json_number_field(json, "single_thread_block_median_latency_us"), Some(123.5));
-        assert_eq!(json_number_field(json, "bench"), None);
-        assert_eq!(json_number_field(json, "missing"), None);
-    }
-
-    #[test]
     fn engine_answers_workload_queries() {
-        let flags = Flags { posts: 1500, seed: 3, queries: 2, ..Flags::default() };
+        let flags = Flags { posts: 1500, seed: 3, queries: 2 };
         let corpus = standard_corpus(&flags);
         let engine = build_engine(&corpus, 4);
         let specs = query_workload(&corpus);

@@ -150,10 +150,8 @@ const USAGE: &str = "usage:
                     [--compact]
   tklus build-index [--corpus FILE.tsv | --posts N --seed S]
                     --out DIR [--geohash-len 4] [--nodes 3]
-                    [--postings-format flat|block]
   tklus shard-split [--corpus FILE.tsv | --posts N --seed S]
                     --out DIR [--shards 4] [--geohash-len 4] [--nodes 3]
-                    [--postings-format flat|block]
   tklus stats       [--corpus FILE.tsv] [--posts N] [--seed S]
                     [--metrics] [--format prometheus|json]
   tklus query       --lat L --lon L --radius KM --keywords a,b[,c]
@@ -162,7 +160,7 @@ const USAGE: &str = "usage:
                     [--shards N] [--since T --until T] [--now T --half-life H]
                     [--timeout-ms MS] [--max-cells N] [--fail-on-degraded]
                     [--threads N] [--cover-cache N] [--postings-cache N]
-                    [--thread-cache N] [--metrics] [--postings-format flat|block]
+                    [--thread-cache N] [--metrics]
   tklus serve       [--corpus FILE.tsv] [--posts N] [--seed S]
                     [--mode sim|threaded] [--requests N] [--load-seed S]
                     [--mean-interarrival-ms MS] [--deadline-ms MS]
@@ -223,19 +221,6 @@ fn corpus_from(args: &Args) -> Result<Corpus, CliError> {
         seed,
         ..GenConfig::default()
     }))
-}
-
-/// Parses `--postings-format flat|block` (defaults to the build default,
-/// block; DESIGN.md §13).
-fn postings_format_from(args: &Args) -> Result<tklus_index::PostingsFormat, CliError> {
-    match args.get_str("postings-format") {
-        None => Ok(tklus_index::PostingsFormat::default()),
-        Some("flat") => Ok(tklus_index::PostingsFormat::Flat),
-        Some("block") => Ok(tklus_index::PostingsFormat::Block),
-        Some(other) => {
-            Err(ArgError(format!("--postings-format must be flat|block, got {other:?}")).into())
-        }
-    }
 }
 
 fn cmd_generate(raw: Vec<String>) -> Result<(), CliError> {
@@ -325,21 +310,12 @@ fn ingest_into_wal(corpus: &Corpus, dir: &str, compact: bool) -> Result<(), CliE
 
 fn cmd_build_index(raw: Vec<String>) -> Result<(), CliError> {
     let args = Args::parse(raw)?;
-    args.check_known(&[
-        "corpus",
-        "posts",
-        "seed",
-        "out",
-        "geohash-len",
-        "nodes",
-        "postings-format",
-    ])?;
+    args.check_known(&["corpus", "posts", "seed", "out", "geohash-len", "nodes"])?;
     let out: String = args.require("out")?;
     let corpus = corpus_from(&args)?;
     let config = tklus_index::IndexBuildConfig {
         geohash_len: args.get_or("geohash-len", 4)?,
         nodes: args.get_or("nodes", 3)?,
-        postings_format: postings_format_from(&args)?,
         ..tklus_index::IndexBuildConfig::default()
     };
     let (index, report) = tklus_index::build_index(corpus.posts(), &config);
@@ -357,16 +333,7 @@ fn cmd_build_index(raw: Vec<String>) -> Result<(), CliError> {
 /// manifest and runs scatter-gather automatically.
 fn cmd_shard_split(raw: Vec<String>) -> Result<(), CliError> {
     let args = Args::parse(raw)?;
-    args.check_known(&[
-        "corpus",
-        "posts",
-        "seed",
-        "out",
-        "shards",
-        "geohash-len",
-        "nodes",
-        "postings-format",
-    ])?;
+    args.check_known(&["corpus", "posts", "seed", "out", "shards", "geohash-len", "nodes"])?;
     let out: String = args.require("out")?;
     let n: usize = args.get_or("shards", 4)?;
     if n == 0 {
@@ -376,7 +343,6 @@ fn cmd_shard_split(raw: Vec<String>) -> Result<(), CliError> {
     let config = tklus_index::IndexBuildConfig {
         geohash_len: args.get_or("geohash-len", 4)?,
         nodes: args.get_or("nodes", 3)?,
-        postings_format: postings_format_from(&args)?,
         ..tklus_index::IndexBuildConfig::default()
     };
     let plan = ShardedEngine::plan_for(&corpus, n, config.geohash_len);
@@ -482,7 +448,6 @@ fn cmd_query(raw: Vec<String>) -> Result<(), CliError> {
         "postings-cache",
         "thread-cache",
         "metrics",
-        "postings-format",
     ])?;
     let lat: f64 = args.require("lat")?;
     let lon: f64 = args.require("lon")?;
@@ -547,19 +512,8 @@ fn cmd_query(raw: Vec<String>) -> Result<(), CliError> {
     };
 
     let corpus = corpus_from(&args)?;
-    // `--postings-format` only shapes a freshly built engine; with
-    // `--index` the loaded directory dictates the layout.
-    let index_config = tklus_index::IndexBuildConfig {
-        postings_format: postings_format_from(&args)?,
-        ..tklus_index::IndexBuildConfig::default()
-    };
-    let engine_config = EngineConfig {
-        hot_keywords: 200,
-        parallelism: threads,
-        caches,
-        index: index_config,
-        ..EngineConfig::default()
-    };
+    let engine_config =
+        EngineConfig { hot_keywords: 200, parallelism: threads, caches, ..EngineConfig::default() };
     // Scatter-gather path: `--shards N` over a freshly built corpus, or a
     // `--index` directory carrying a sharded (format v3) manifest.
     let shards_flag = args.get::<usize>("shards")?;

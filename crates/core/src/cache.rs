@@ -8,13 +8,10 @@
 //!    geohash circle cover of Algorithms 4/5 line 1. Repeated queries
 //!    around the same hot spot (the Zipf-shaped reality of query logs)
 //!    skip the quadtree descent entirely.
-//! 2. **Postings cache** — `(Geohash, TermId) → CachedPostings`, holding
-//!    *decoded* postings above the DFS and its page layer in whichever
-//!    layout the index was built with: a flat [`PostingsList`] or a
-//!    [`BlockPostings`] whose payload blocks stay packed until a set
-//!    operation touches them (DESIGN.md §13). A hit saves both the DFS
-//!    read and the wire decode/validation, and the `Arc` inside either
-//!    variant lets every concurrent query share one decoded copy.
+//! 2. **Postings cache** — `(Geohash, TermId) → Arc<PostingsList>`,
+//!    holding *decoded* postings above the DFS and its page layer. A hit
+//!    saves both the DFS read and the varint decode, and the `Arc` lets
+//!    every concurrent query share one decoded copy.
 //! 3. **Thread cache** — `TweetId → f64`, memoizing the popularity φ(p)
 //!    of Definition 4 for the thread rooted at a tweet. Thread
 //!    construction is the dominant per-candidate I/O cost (Section V-B);
@@ -38,22 +35,10 @@
 
 use std::sync::Arc;
 use tklus_geo::{CoverKey, Geohash};
-use tklus_index::{BlockPostings, PostingsList};
+use tklus_index::PostingsList;
 use tklus_model::TweetId;
 use tklus_storage::{CacheLayerStats, ShardedLruCache};
 use tklus_text::TermId;
-
-/// A decoded postings value in whichever layout the index carries
-/// ([`tklus_index::PostingsFormat`]); the cache holds exactly the layout
-/// the fetch path produced so a hit never re-encodes or converts.
-#[derive(Clone)]
-pub enum CachedPostings {
-    /// Fully materialized `(tweet, tf)` pairs (format `flat`).
-    Flat(Arc<PostingsList>),
-    /// Block-compressed postings with lazily unpacked payloads (format
-    /// `block`).
-    Block(Arc<BlockPostings>),
-}
 
 /// Entry budgets for the three cache layers (0 = layer disabled).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,7 +66,7 @@ pub struct CacheStats {
 /// querying it.
 pub struct QueryCaches {
     pub(crate) cover: ShardedLruCache<CoverKey, Arc<Vec<Geohash>>>,
-    pub(crate) postings: ShardedLruCache<(Geohash, TermId), CachedPostings>,
+    pub(crate) postings: ShardedLruCache<(Geohash, TermId), Arc<PostingsList>>,
     pub(crate) thread: ShardedLruCache<TweetId, f64>,
 }
 

@@ -19,11 +19,10 @@ use crate::metadata::{MetadataDb, MetadataStoreFactory};
 use crate::obs::EngineMetrics;
 use crate::query::{
     max::try_query_max,
-    sum::{try_query_sum, try_sum_rows},
-    Completeness, PartialSumOutcome, QueryContext, QueryOutcome, QueryStats, RankedUser,
-    StageClock,
+    sum::{try_blend_users, try_query_sum, try_sum_rows},
+    top_k, Completeness, PartialSumOutcome, QueryContext, QueryOutcome, QueryStats, RankedUser,
+    StageClock, SumRow,
 };
-use crate::scratch::ScratchPool;
 use std::time::Instant;
 use tklus_geo::Point;
 use tklus_graph::{try_build_thread, upper_bound_popularity, SocialNetwork};
@@ -135,9 +134,6 @@ pub struct TklusEngine {
     scoring: ScoringConfig,
     parallelism: usize,
     caches: QueryCaches,
-    /// Pooled per-query scratch allocations (block unpack buffers, the
-    /// candidate accumulator), recycled across queries.
-    scratch: ScratchPool,
     /// `Some` when built with `EngineConfig::metrics` (the default).
     obs: Option<EngineMetrics>,
 }
@@ -223,7 +219,6 @@ impl TklusEngine {
             scoring: config.scoring,
             parallelism: config.parallelism.max(1),
             caches,
-            scratch: ScratchPool::new(),
             obs: config.metrics.then(EngineMetrics::new),
         })
     }
@@ -382,15 +377,7 @@ impl TklusEngine {
         if terms.is_empty() {
             return Ok(self.finish(empty()));
         }
-        let ctx = QueryContext {
-            index: &self.index,
-            db: &self.db,
-            caches: &self.caches,
-            scoring: &self.scoring,
-            scratch: &self.scratch,
-            parallelism,
-            timings: self.obs.is_some(),
-        };
+        let ctx = self.context(parallelism);
         let result = match ranking {
             Ranking::Sum => try_query_sum(&ctx, q, &terms),
             Ranking::Max(mode) => try_query_max(&ctx, &self.bounds, mode, q, &terms),
@@ -405,6 +392,17 @@ impl TklusEngine {
                 }
                 Err(e)
             }
+        }
+    }
+
+    fn context(&self, parallelism: usize) -> QueryContext<'_> {
+        QueryContext {
+            index: &self.index,
+            db: &self.db,
+            caches: &self.caches,
+            scoring: &self.scoring,
+            parallelism,
+            timings: self.obs.is_some(),
         }
     }
 
@@ -443,15 +441,7 @@ impl TklusEngine {
         if terms.is_empty() {
             return Ok(self.finish_partial(empty()));
         }
-        let ctx = QueryContext {
-            index: &self.index,
-            db: &self.db,
-            caches: &self.caches,
-            scoring: &self.scoring,
-            scratch: &self.scratch,
-            parallelism: self.parallelism,
-            timings: self.obs.is_some(),
-        };
+        let ctx = self.context(self.parallelism);
         let start = Instant::now();
         let mut clock = StageClock::new(ctx.timings, start);
         match try_sum_rows(&ctx, q, &terms, start, &mut clock) {
@@ -477,11 +467,28 @@ impl TklusEngine {
         outcome
     }
 
+    /// The gather half of Algorithm 4 (lines 23–27 and the final ranking)
+    /// over rows gathered from one or more [`Self::try_partial_sum`]-shaped
+    /// sources and merged into tweet-id order ([`merge_sum_rows`]): the
+    /// per-user fold in row order, the distance blend over this engine's
+    /// metadata database, and the top-`q.k` ranking — the very code
+    /// [`Self::try_query`] runs, so a gatherer whose engine holds the full
+    /// corpus metadata reproduces the monolithic Sum answer bit for bit.
+    ///
+    /// [`merge_sum_rows`]: crate::merge_sum_rows
+    pub fn try_rank_sum_rows(
+        &self,
+        q: &TklusQuery,
+        rows: &[SumRow],
+    ) -> Result<Vec<RankedUser>, EngineError> {
+        let (users, _page_reads) = try_blend_users(&self.context(self.parallelism), q, rows)?;
+        Ok(top_k(users, q.k))
+    }
+
     /// Definition 10's user distance score δ(u, q) for one user, computed
-    /// over the user's posts in this engine's metadata database. This is
-    /// exactly the per-user blend input of Algorithm 4's lines 25–27, so a
-    /// scatter-gather router holding engines over the full corpus gets
-    /// bitwise the same δ the monolithic engine blends with.
+    /// over the user's posts in this engine's metadata database — the
+    /// per-user blend input, for callers that score users outside the Sum
+    /// fold (the ingest store's Maximum-score live merge).
     pub fn try_user_distance_score(
         &self,
         center: &Point,
@@ -948,6 +955,28 @@ mod tests {
             Semantics::Or,
         );
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn max_ranking_with_k_usize_max_returns_every_in_radius_user() {
+        // `k` arrives unchecked from `POST /query`; the running top-k set
+        // must be bounded by it, never sized from it.
+        let (engine, _) = TklusEngine::build(&corpus(), &EngineConfig::default());
+        let q = tklus_model::TklusQuery::new(
+            Point::new_unchecked(43.7, -79.4),
+            10.0,
+            vec!["hotel".into()],
+            usize::MAX,
+            Semantics::Or,
+        )
+        .unwrap();
+        for mode in [BoundsMode::HotKeywords, BoundsMode::Global] {
+            let (top, stats) = engine.query(&q, Ranking::Max(mode));
+            let mut users: Vec<UserId> = top.iter().map(|u| u.user).collect();
+            users.sort();
+            assert_eq!(users, vec![UserId(1), UserId(2)], "{mode:?}");
+            assert_eq!(stats.threads_pruned, 0, "{mode:?}: a set that never fills prunes nothing");
+        }
     }
 
     #[test]

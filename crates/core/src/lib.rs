@@ -15,9 +15,6 @@
 //! * [`cache`] — the multi-level query cache hierarchy: memoized circle
 //!   covers, decoded postings lists, and thread popularities, each a
 //!   size-bounded lock-striped LRU layer with hit/miss accounting.
-//! * [`scratch`] — the pooled per-query scratch allocator: block unpack
-//!   buffers and the candidate accumulator, recycled across queries so the
-//!   block-compressed hot path (DESIGN.md §13) stays allocation-free.
 //! * [`query`] — Algorithm 4 (Sum-score ranking) and Algorithm 5
 //!   (Maximum-score ranking with upper-bound pruning).
 //! * [`engine`] — [`engine::TklusEngine`], the end-to-end facade: build the
@@ -40,7 +37,6 @@ pub mod metadata;
 mod obs;
 pub mod query;
 pub mod score;
-pub mod scratch;
 
 pub use bounds::{BoundsMode, BoundsTable};
 pub use cache::{CacheConfig, CacheStats, QueryCaches};
@@ -48,6 +44,6 @@ pub use engine::{EngineConfig, Ranking, TklusEngine};
 pub use error::EngineError;
 pub use metadata::{MetaRow, MetadataDb, MetadataStoreFactory};
 pub use query::{
-    top_k, Completeness, PartialSumOutcome, QueryOutcome, QueryStats, RankedUser, StageTimings,
-    SumRow,
+    sum::merge_sum_rows, top_k, Completeness, PartialSumOutcome, QueryOutcome, QueryStats,
+    RankedUser, StageTimings, SumRow,
 };

@@ -76,8 +76,9 @@ struct TopK {
 }
 
 impl TopK {
+    /// `k` is a request field: it bounds the set, never sizes it.
     fn new(k: usize) -> Self {
-        Self { k, users: HashMap::with_capacity(k + 1) }
+        Self { k, users: HashMap::new() }
     }
 
     fn is_full(&self) -> bool {
@@ -176,8 +177,7 @@ pub(crate) fn try_query_max(
     } else {
         Completeness::Complete
     };
-    let mut scratch = ctx.scratch.checkout();
-    let cands = candidates(&fetch, query.semantics, &mut scratch)?;
+    let cands = candidates(&fetch, query.semantics);
 
     let mut stats = QueryStats {
         cover_cells: fetch.cells,
@@ -325,7 +325,6 @@ pub(crate) fn try_query_max(
         }
     }
 
-    scratch.recycle_candidates(cands);
     stats.stages.threads = clock.lap();
     // Algorithm 5 interleaves scoring with the prune loop above, so the
     // whole loop is attributed to `threads` and `scoring` stays zero.

@@ -8,17 +8,15 @@
 pub mod max;
 pub mod sum;
 
-use crate::cache::{CachedPostings, QueryCaches};
+use crate::cache::QueryCaches;
 use crate::error::EngineError;
 use crate::metadata::MetadataDb;
-use crate::scratch::{QueryScratch, ScratchPool};
 use std::sync::Arc;
 use std::time::Instant;
 use tklus_geo::{circle_cover, CoverKey, Geohash, Point};
 use tklus_graph::try_build_thread;
 use tklus_index::{
-    intersect_sum, intersect_winnow_blocks, union_sum, union_sum_blocks, BlockPostings,
-    DecodeError, HybridIndex, IndexError, PostingsFormat, PostingsList, PostingsLocation,
+    intersect_sum, union_sum, HybridIndex, IndexError, PostingsList, PostingsLocation,
 };
 use tklus_model::{QueryBudget, ScoringConfig, Semantics, TweetId, UserId};
 use tklus_text::TermId;
@@ -307,28 +305,12 @@ pub(crate) struct FetchTally {
     pub fetch_time: std::time::Duration,
 }
 
-/// The per-keyword postings a query fetched, in whichever layout the
-/// index stores ([`PostingsFormat`]). The whole downstream pipeline
-/// dispatches on this once, in [`candidates`]; block postings stay packed
-/// here — only the set operations unpack them, block by block, into
-/// pooled scratch buffers.
-pub(crate) enum FetchedLists {
-    /// Fully materialized lists (format `flat`, the pre-block layout).
-    Flat(Vec<Vec<Arc<PostingsList>>>),
-    /// Block-compressed lists with lazily unpacked payloads.
-    Block(Vec<Vec<Arc<BlockPostings>>>),
-}
-
-/// What one [`QueryContext::fetch_lists`] pass returns: per-keyword lists
-/// plus the (cells processed, lists retrieved, DFS bytes) tallies.
-type FetchedRaw<T> = (Vec<Vec<T>>, usize, usize, u64);
-
 /// The result of the postings-retrieval phase (Algorithms 4/5 lines 1–7):
 /// per-keyword postings plus the cost accounting the stats report.
 pub(crate) struct Fetched {
     /// Postings grouped by query keyword, each keyword's lists in cover
     /// order.
-    pub per_keyword: FetchedLists,
+    pub per_keyword: Vec<Vec<Arc<PostingsList>>>,
     /// Cover cells processed (may trail the full cover under a budget).
     pub cells: usize,
     /// Postings lists retrieved (cache hits included).
@@ -344,7 +326,6 @@ pub(crate) struct QueryContext<'a> {
     pub db: &'a MetadataDb,
     pub caches: &'a QueryCaches,
     pub scoring: &'a ScoringConfig,
-    pub scratch: &'a ScratchPool,
     pub parallelism: usize,
     /// Record per-stage wall-clock spans (engine `metrics` flag).
     pub timings: bool,
@@ -365,13 +346,9 @@ impl QueryContext<'_> {
     /// postings) are never cached: the in-memory forward lookup already
     /// answers them for free.
     ///
-    /// With a `budget`, cells are processed one at a time (each cell's
-    /// misses fetched before the next cell starts) so the deadline check
-    /// between cells reflects real work done; the per-keyword list order is
-    /// the same as the batch path's, so a budget that admits the whole
-    /// cover yields bitwise-identical results. Returns the fetch (whose
-    /// `cells` counts *processed* cells), the cache tally, and the cover's
-    /// total cell count.
+    /// Returns the fetch (whose `cells` counts *processed* cells, which a
+    /// `budget` may cut short), the cache tally, and the cover's total
+    /// cell count.
     pub(crate) fn try_fetch(
         &self,
         center: &Point,
@@ -409,53 +386,13 @@ impl QueryContext<'_> {
         let cells_total = cover.len();
         tally.cover_time = clock.lap();
 
-        // One dispatch on the index's postings layout; everything below it
-        // is layout-generic, so both layouts share one fetch discipline
-        // (and the postings cache holds exactly the layout fetched).
-        let fetch = match self.index.postings_format() {
-            PostingsFormat::Flat => {
-                let (per_keyword, cells, lists, bytes) = self.fetch_lists(
-                    &cover,
-                    terms,
-                    budget,
-                    &mut tally,
-                    |cached| match cached {
-                        CachedPostings::Flat(list) => Some(list),
-                        CachedPostings::Block(_) => None,
-                    },
-                    |list| CachedPostings::Flat(Arc::clone(list)),
-                    |loc| self.index.try_read_postings(loc).map(|(l, b)| (Arc::new(l), b)),
-                )?;
-                Fetched { per_keyword: FetchedLists::Flat(per_keyword), cells, lists, bytes }
-            }
-            PostingsFormat::Block => {
-                let (per_keyword, cells, lists, bytes) = self.fetch_lists(
-                    &cover,
-                    terms,
-                    budget,
-                    &mut tally,
-                    |cached| match cached {
-                        CachedPostings::Block(list) => Some(list),
-                        CachedPostings::Flat(_) => None,
-                    },
-                    |list| CachedPostings::Block(Arc::clone(list)),
-                    |loc| self.index.try_read_block_postings(loc).map(|(l, b)| (Arc::new(l), b)),
-                )?;
-                Fetched { per_keyword: FetchedLists::Block(per_keyword), cells, lists, bytes }
-            }
-        };
+        let fetch = self.fetch_lists(&cover, terms, budget, &mut tally)?;
         tally.fetch_time = clock.lap();
         Ok((fetch, tally, cells_total))
     }
 
-    /// The layout-generic fetch: probe the postings cache, send the misses
-    /// to the DFS, file everything per keyword in cover order. `T` is the
-    /// decoded-list handle (`Arc<PostingsList>` or `Arc<BlockPostings>`);
-    /// `unwrap_cached`/`wrap_cached` bridge it to the shared cache value
-    /// (a cached value of the other layout — impossible while the engine's
-    /// format is build-time fixed — would simply refetch as a miss), and
-    /// `read` is the layout's DFS read. Returns
-    /// `(per_keyword, cells_processed, lists, bytes)`.
+    /// Probes the postings cache, sends the misses to the DFS, and files
+    /// everything per keyword in cover order.
     ///
     /// Unbudgeted, misses are batched: probe everything first (reserving a
     /// slot per list so hits and later-fetched misses land in deterministic
@@ -467,23 +404,19 @@ impl QueryContext<'_> {
     /// real work done; both paths produce the same per-keyword list order,
     /// so a budget that admits the whole cover yields bitwise-identical
     /// results.
-    #[allow(clippy::too_many_arguments)]
-    fn fetch_lists<T, R>(
+    fn fetch_lists(
         &self,
         cover: &[Geohash],
         terms: &[TermId],
         budget: Option<&CellBudget>,
         tally: &mut FetchTally,
-        unwrap_cached: impl Fn(CachedPostings) -> Option<T>,
-        wrap_cached: impl Fn(&T) -> CachedPostings,
-        read: R,
-    ) -> Result<FetchedRaw<T>, EngineError>
-    where
-        T: Send,
-        R: Fn(PostingsLocation) -> Result<(T, u64), IndexError> + Sync,
-    {
+    ) -> Result<Fetched, EngineError> {
+        let read = |loc: PostingsLocation| -> Result<(Arc<PostingsList>, u64), IndexError> {
+            self.index.try_read_postings(loc).map(|(list, bytes)| (Arc::new(list), bytes))
+        };
         if let Some(budget) = budget {
-            let mut per_keyword: Vec<Vec<T>> = terms.iter().map(|_| Vec::new()).collect();
+            let mut per_keyword: Vec<Vec<Arc<PostingsList>>> =
+                terms.iter().map(|_| Vec::new()).collect();
             let mut lists = 0usize;
             let mut bytes = 0u64;
             let mut processed = 0usize;
@@ -494,9 +427,7 @@ impl QueryContext<'_> {
                 for (ki, &term) in terms.iter().enumerate() {
                     let Some(loc) = self.index.forward().lookup(cell, term) else { continue };
                     lists += 1;
-                    if let Some(list) =
-                        self.caches.postings.get(&(cell, term)).and_then(&unwrap_cached)
-                    {
+                    if let Some(list) = self.caches.postings.get(&(cell, term)) {
                         tally.postings_hits += 1;
                         per_keyword[ki].push(list);
                         continue;
@@ -506,23 +437,24 @@ impl QueryContext<'_> {
                     }
                     let (list, b) = read(loc)?;
                     bytes += b;
-                    self.caches.postings.insert((cell, term), wrap_cached(&list));
+                    self.caches.postings.insert((cell, term), Arc::clone(&list));
                     per_keyword[ki].push(list);
                 }
                 processed += 1;
             }
-            return Ok((per_keyword, processed, lists, bytes));
+            return Ok(Fetched { per_keyword, cells: processed, lists, bytes });
         }
 
         // Probe the postings cache in (keyword, cover-cell) order.
-        let mut per_keyword: Vec<Vec<Option<T>>> = terms.iter().map(|_| Vec::new()).collect();
+        let mut per_keyword: Vec<Vec<Option<Arc<PostingsList>>>> =
+            terms.iter().map(|_| Vec::new()).collect();
         let mut misses: Vec<(usize, usize, (Geohash, TermId), PostingsLocation)> = Vec::new();
         let mut lists = 0usize;
         for (ki, &term) in terms.iter().enumerate() {
             for &cell in cover.iter() {
                 let Some(loc) = self.index.forward().lookup(cell, term) else { continue };
                 lists += 1;
-                match self.caches.postings.get(&(cell, term)).and_then(&unwrap_cached) {
+                match self.caches.postings.get(&(cell, term)) {
                     Some(list) => {
                         tally.postings_hits += 1;
                         per_keyword[ki].push(Some(list));
@@ -539,20 +471,19 @@ impl QueryContext<'_> {
         }
 
         misses.sort_by_key(|&(_, _, _, loc)| (loc.partition, loc.offset));
-        let fetched: Vec<Result<(T, u64), IndexError>> =
-            parallel_map(&misses, self.parallelism, |&(_, _, _, loc)| read(loc));
+        let fetched = parallel_map(&misses, self.parallelism, |&(_, _, _, loc)| read(loc));
         let mut bytes = 0u64;
         for (&(ki, slot, key, _), fetched) in misses.iter().zip(fetched) {
             let (list, b) = fetched?;
             bytes += b;
-            self.caches.postings.insert(key, wrap_cached(&list));
+            self.caches.postings.insert(key, Arc::clone(&list));
             per_keyword[ki][slot] = Some(list);
         }
-        let per_keyword: Vec<Vec<T>> = per_keyword
+        let per_keyword = per_keyword
             .into_iter()
             .map(|lists| lists.into_iter().map(|l| l.expect("every slot filled")).collect())
             .collect();
-        Ok((per_keyword, cover.len(), lists, bytes))
+        Ok(Fetched { per_keyword, cells: cover.len(), lists, bytes })
     }
 
     /// Definition 4's thread popularity φ(p) for the thread rooted at
@@ -585,107 +516,23 @@ impl QueryContext<'_> {
 /// * OR — union of every list; a tweet's count sums over all keywords.
 /// * AND — per-keyword union across cover cells, then intersection across
 ///   keywords (a tweet must contain every keyword), counts summed.
-///
-/// Both layouts compute the same `P` (the oracle suite asserts bitwise
-/// identity); they differ in *how*. The flat path materializes per-keyword
-/// unions. The block path never materializes a full list: OR k-way merges
-/// the blocks directly into `scratch`-backed buffers; AND seeds the
-/// accumulator from the *smallest* keyword's union and winnows it through
-/// each remaining keyword in ascending size order — galloping over skip
-/// tables and unpacking only blocks that can still intersect, so a rare
-/// keyword prunes a common one's postings without ever decoding most of
-/// them. Occurrence counts are summed `u32`s, so keyword order cannot
-/// change the result. The returned vector is the scratch's pooled buffer;
-/// callers hand it back via [`QueryScratch::recycle_candidates`].
-///
-/// A block that fails to unpack here means post-fetch corruption (the wire
-/// envelope was already validated at read time) and surfaces as a typed
-/// [`IndexError::CorruptPostings`], never a panic.
-pub(crate) fn candidates(
-    fetch: &Fetched,
-    semantics: Semantics,
-    scratch: &mut QueryScratch,
-) -> Result<Vec<(TweetId, u32)>, EngineError> {
-    match &fetch.per_keyword {
-        FetchedLists::Flat(per_keyword) => Ok(match semantics {
-            Semantics::Or => {
-                let all: Vec<Arc<PostingsList>> =
-                    per_keyword.iter().flatten().map(Arc::clone).collect();
-                union_sum(&all)
-            }
-            Semantics::And => {
-                let groups: Vec<Vec<(TweetId, u32)>> =
-                    per_keyword.iter().map(|lists| union_sum(lists)).collect();
-                if groups.iter().any(Vec::is_empty) {
-                    Vec::new()
-                } else {
-                    intersect_sum(&groups)
-                }
-            }
-        }),
-        FetchedLists::Block(per_keyword) => {
-            let mut out = scratch.take_candidates();
-            match block_candidates(per_keyword, semantics, &mut scratch.blocks, &mut out) {
-                Ok(()) => Ok(out),
-                Err(e) => {
-                    scratch.recycle_candidates(out);
-                    Err(corrupt_block(e))
-                }
-            }
-        }
-    }
-}
-
-/// The block-native combine behind [`candidates`], writing into `out`.
-fn block_candidates(
-    per_keyword: &[Vec<Arc<BlockPostings>>],
-    semantics: Semantics,
-    blocks: &mut tklus_index::BlockScratch,
-    out: &mut Vec<(TweetId, u32)>,
-) -> Result<(), DecodeError> {
-    fn as_refs(lists: &[Arc<BlockPostings>]) -> Vec<&BlockPostings> {
-        lists.iter().map(Arc::as_ref).collect()
-    }
+pub(crate) fn candidates(fetch: &Fetched, semantics: Semantics) -> Vec<(TweetId, u32)> {
     match semantics {
         Semantics::Or => {
-            let all: Vec<&BlockPostings> = per_keyword.iter().flatten().map(Arc::as_ref).collect();
-            union_sum_blocks(&all, blocks, out)
+            let all: Vec<&PostingsList> =
+                fetch.per_keyword.iter().flatten().map(Arc::as_ref).collect();
+            union_sum(&all)
         }
         Semantics::And => {
-            // A keyword whose lists hold no postings empties the result
-            // (same rule as the flat path's empty per-keyword union).
-            let sizes: Vec<usize> =
-                per_keyword.iter().map(|ls| ls.iter().map(|l| l.len()).sum()).collect();
-            if sizes.contains(&0) {
-                out.clear();
-                return Ok(());
+            let groups: Vec<Vec<(TweetId, u32)>> =
+                fetch.per_keyword.iter().map(|lists| union_sum(lists)).collect();
+            if groups.iter().any(Vec::is_empty) {
+                Vec::new()
+            } else {
+                intersect_sum(&groups)
             }
-            // Seed from the smallest keyword, winnow through the rest
-            // ascending: the accumulator only ever shrinks, so every later
-            // gallop works over the tightest candidate set available.
-            let mut order: Vec<usize> = (0..per_keyword.len()).collect();
-            order.sort_by_key(|&ki| sizes[ki]);
-            let (&base, rest) = order.split_first().expect("terms are non-empty");
-            union_sum_blocks(&as_refs(&per_keyword[base]), blocks, out)?;
-            for &ki in rest {
-                if out.is_empty() {
-                    return Ok(());
-                }
-                intersect_winnow_blocks(out, &as_refs(&per_keyword[ki]), blocks)?;
-            }
-            Ok(())
         }
     }
-}
-
-/// Maps a block-decode failure discovered *after* the wire envelope
-/// validated (i.e. inside a set operation) onto the index error taxonomy.
-fn corrupt_block(e: DecodeError) -> EngineError {
-    EngineError::Index(IndexError::CorruptPostings {
-        file: "block payload (post-fetch)".to_string(),
-        offset: 0,
-        detail: e.to_string(),
-    })
 }
 
 /// Maps `f` over `items` across up to `parallelism` scoped threads,
@@ -735,59 +582,18 @@ pub fn top_k(mut users: Vec<RankedUser>, k: usize) -> Vec<RankedUser> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tklus_index::PostingsList;
 
-    fn fetch_flat(per_keyword: Vec<Vec<Vec<(u64, u32)>>>) -> Fetched {
-        Fetched {
-            per_keyword: FetchedLists::Flat(
-                per_keyword
-                    .into_iter()
-                    .map(|lists| {
-                        lists
-                            .into_iter()
-                            .map(|l| Arc::new(l.into_iter().collect::<PostingsList>()))
-                            .collect()
-                    })
-                    .collect(),
-            ),
-            cells: 0,
-            lists: 0,
-            bytes: 0,
-        }
-    }
-
-    fn fetch_block(per_keyword: Vec<Vec<Vec<(u64, u32)>>>) -> Fetched {
-        Fetched {
-            per_keyword: FetchedLists::Block(
-                per_keyword
-                    .into_iter()
-                    .map(|lists| {
-                        lists
-                            .into_iter()
-                            .map(|l| {
-                                let list = l.into_iter().collect::<PostingsList>();
-                                Arc::new(BlockPostings::from_list(&list))
-                            })
-                            .collect()
-                    })
-                    .collect(),
-            ),
-            cells: 0,
-            lists: 0,
-            bytes: 0,
-        }
-    }
-
-    /// Runs [`candidates`] over both layouts of the same lists, asserts
-    /// they agree, and returns the shared result.
     fn cands(per_keyword: Vec<Vec<Vec<(u64, u32)>>>, semantics: Semantics) -> Vec<(TweetId, u32)> {
-        let mut scratch = QueryScratch::default();
-        let flat = candidates(&fetch_flat(per_keyword.clone()), semantics, &mut scratch)
-            .expect("flat combine is infallible");
-        let block = candidates(&fetch_block(per_keyword), semantics, &mut scratch)
-            .expect("well-formed blocks decode");
-        assert_eq!(flat, block, "layouts must agree ({semantics:?})");
-        block
+        let per_keyword = per_keyword
+            .into_iter()
+            .map(|lists| {
+                lists
+                    .into_iter()
+                    .map(|l| Arc::new(l.into_iter().collect::<PostingsList>()))
+                    .collect()
+            })
+            .collect();
+        candidates(&Fetched { per_keyword, cells: 0, lists: 0, bytes: 0 }, semantics)
     }
 
     #[test]
@@ -822,18 +628,16 @@ mod tests {
 
     #[test]
     fn and_seeds_from_smallest_keyword_without_changing_counts() {
-        // Keyword 1 is far smaller than keyword 0, so the block path seeds
-        // from it and winnows with keyword 0; counts must still sum over
-        // *all* keywords regardless of that order.
+        // Keyword 1 is far smaller than keyword 0, so the intersection
+        // starts from it and gallops through keyword 0; counts must still
+        // sum over *all* keywords regardless of that order.
         let big: Vec<(u64, u32)> = (0..400).map(|i| (i, 1)).collect();
         let got = cands(vec![vec![big], vec![vec![(7, 5), (399, 2)]]], Semantics::And);
         assert_eq!(got, vec![(TweetId(7), 6), (TweetId(399), 3)]);
     }
 
     #[test]
-    fn block_candidates_span_many_blocks() {
-        // Three keywords, each > one 128-posting block, intersecting on a
-        // sparse stride — exercises seek/gallop across block boundaries.
+    fn three_long_keywords_intersect_on_a_sparse_stride() {
         let k0: Vec<(u64, u32)> = (0..1000).map(|i| (i * 2, 1)).collect();
         let k1: Vec<(u64, u32)> = (0..700).map(|i| (i * 3, 2)).collect();
         let k2: Vec<(u64, u32)> = (0..500).map(|i| (i * 4, 3)).collect();

@@ -14,11 +14,13 @@
 //! results.
 //!
 //! The pipeline is split at the per-user fold: [`try_sum_rows`] produces
-//! the scored candidate rows in tweet-id order, and [`try_query_sum`]
+//! the scored candidate rows in tweet-id order, and [`try_blend_users`]
 //! folds them into user Sum scores and blends with distance. The split is
-//! what lets the sharded router (`tklus-shard`) gather rows from disjoint
-//! shard engines, merge them by tweet id, and run the *same* sequential
-//! fold — reproducing the monolithic result bit for bit.
+//! what lets a gatherer — the sharded router over disjoint shard engines,
+//! the ingest store over sealed ∪ live — merge row streams by tweet id
+//! ([`merge_sum_rows`]) and run the *same* sequential fold through
+//! [`crate::TklusEngine::try_rank_sum_rows`], reproducing the monolithic
+//! result bit for bit.
 //!
 //! Storage and index failures anywhere along the path — postings fetch,
 //! metadata row lookup, thread walk, user scan — propagate as typed
@@ -75,8 +77,7 @@ pub(crate) fn try_sum_rows(
     } else {
         Completeness::Complete
     };
-    let mut scratch = ctx.scratch.checkout();
-    let cands = candidates(&fetch, query.semantics, &mut scratch)?;
+    let cands = candidates(&fetch, query.semantics);
 
     let mut stats = QueryStats {
         cover_cells: fetch.cells,
@@ -131,26 +132,65 @@ pub(crate) fn try_sum_rows(
         }
         rows.push(SumRow { tweet: tid, user: uid, rho: rs });
     }
-    scratch.recycle_candidates(cands);
     stats.metadata_page_reads = page_reads;
     stats.stages.threads = clock.lap();
     Ok((rows, stats, completeness))
 }
 
-/// The per-user distance blend (lines 25–27): each user's Sum score ρ
-/// blends with their distance score δ (Definition 10) into the final
-/// `score(u, q)`. Users are visited in id order for deterministic I/O
-/// patterns; the blend fans out across `parallelism` workers. Returns the
-/// unranked users and the metadata page reads incurred.
+/// K-way merges row slices (each sorted by tweet id ascending) into one
+/// tid-ascending stream, keeping the **first** row of any duplicated tweet
+/// id. Disjoint sources never duplicate a tweet; the dedup guards
+/// hand-built overlapping shard sets (and any future plan bug) from
+/// double-counting a tweet's score into its user's sum.
+pub fn merge_sum_rows<'a>(lists: impl Iterator<Item = &'a [SumRow]>) -> Vec<SumRow> {
+    let lists: Vec<&[SumRow]> = lists.collect();
+    let mut idx = vec![0usize; lists.len()];
+    let mut merged: Vec<SumRow> = Vec::with_capacity(lists.iter().map(|l| l.len()).sum());
+    loop {
+        let mut next: Option<usize> = None;
+        for (li, list) in lists.iter().enumerate() {
+            if let Some(row) = list.get(idx[li]) {
+                let beats = match next {
+                    None => true,
+                    Some(best_li) => row.tweet < lists[best_li][idx[best_li]].tweet,
+                };
+                if beats {
+                    next = Some(li);
+                }
+            }
+        }
+        let Some(li) = next else { break };
+        let row = lists[li][idx[li]];
+        idx[li] += 1;
+        if merged.last().is_some_and(|last| last.tweet == row.tweet) {
+            continue; // duplicate tweet across sources: count it once
+        }
+        merged.push(row);
+    }
+    merged
+}
+
+/// The per-user fold and distance blend (lines 23–27). Per-user Sum
+/// scores accumulate sequentially in `rows` order — tweet-id order, so
+/// float addition order never depends on scheduling or on how many
+/// sources the rows were gathered from — then each user's ρ blends with
+/// their distance score δ (Definition 10) into the final `score(u, q)`.
+/// Users are visited in id order for deterministic I/O patterns; the
+/// blend fans out across `parallelism` workers. Returns the unranked
+/// users and the metadata page reads incurred.
 pub(crate) fn try_blend_users(
     ctx: &QueryContext<'_>,
     query: &TklusQuery,
-    users: HashMap<UserId, f64>,
+    rows: &[SumRow],
 ) -> Result<(Vec<RankedUser>, u64), EngineError> {
     let db = ctx.db;
     let config = ctx.scoring;
     let center = &query.location;
     let radius_km = query.radius_km;
+    let mut users: HashMap<UserId, f64> = HashMap::new();
+    for row in rows {
+        *users.entry(row.user).or_insert(0.0) += row.rho;
+    }
     let mut entries: Vec<(UserId, f64)> = users.into_iter().collect();
     entries.sort_by_key(|e| e.0);
     let ranked: Vec<(u64, Result<RankedUser, EngineError>)> =
@@ -192,14 +232,7 @@ pub(crate) fn try_query_sum(
     let mut clock = StageClock::new(ctx.timings, start);
     let (rows, mut stats, completeness) = try_sum_rows(ctx, query, terms, start, &mut clock)?;
 
-    // Fold half: per-user Sum scores accumulate sequentially in candidate
-    // order, so float addition order never depends on scheduling.
-    let mut users: HashMap<UserId, f64> = HashMap::new();
-    for row in &rows {
-        *users.entry(row.user).or_insert(0.0) += row.rho;
-    }
-
-    let (users_ranked, blend_reads) = try_blend_users(ctx, query, users)?;
+    let (users_ranked, blend_reads) = try_blend_users(ctx, query, &rows)?;
     stats.metadata_page_reads += blend_reads;
     stats.stages.scoring = clock.lap();
 

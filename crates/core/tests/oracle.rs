@@ -8,12 +8,10 @@
 //! agree on what a "keyword" is).
 //!
 //! The suite drives ≥2000 randomized (corpus, query, ranking, semantics)
-//! cases through the full engine in four configurations — caches off,
-//! caches on with a cold cache, caches on re-querying warm, and the
-//! pre-block `flat` postings layout — and requires every run to return
-//! the oracle's ranked users with scores within 1e-9, with the cached and
-//! flat-layout runs *bit-identical* to the uncached block run (the
-//! postings layout is a storage decision, never a semantic one).
+//! cases through the full engine in three configurations — caches off,
+//! caches on with a cold cache, caches on re-querying warm — and requires
+//! every run to return the oracle's ranked users with scores within 1e-9,
+//! with the cached runs *bit-identical* to the uncached run.
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
@@ -21,17 +19,8 @@ use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use tklus_core::{BoundsMode, CacheConfig, EngineConfig, Ranking, TklusEngine};
 use tklus_geo::Point;
-use tklus_index::{IndexBuildConfig, PostingsFormat};
 use tklus_model::{Corpus, Post, ScoringConfig, Semantics, TklusQuery, TweetId, UserId};
 use tklus_text::TextPipeline;
-
-/// An engine config whose index stores the pre-block flat postings layout.
-fn flat_config() -> EngineConfig {
-    EngineConfig {
-        index: IndexBuildConfig { postings_format: PostingsFormat::Flat, ..Default::default() },
-        ..EngineConfig::default()
-    }
-}
 
 const WORDS: [&str; 8] = ["hotel", "pizza", "cafe", "museum", "sushi", "beach", "coffee", "club"];
 
@@ -237,7 +226,6 @@ proptest! {
         let cached_cfg = EngineConfig { caches, ..EngineConfig::default() };
         let (engine_off, _) = TklusEngine::build(&corpus, &plain);
         let (engine_on, _) = TklusEngine::build(&corpus, &cached_cfg);
-        let (engine_flat, _) = TklusEngine::build(&corpus, &flat_config());
         let keywords: Vec<String> =
             kw_idx.iter().map(|&i| WORDS[i as usize].to_string()).collect();
 
@@ -258,7 +246,6 @@ proptest! {
                 let (off, _) = engine_off.query(&q, ranking);
                 let (cold, _) = engine_on.query(&q, ranking);
                 let (warm, _) = engine_on.query(&q, ranking);
-                let (flat, _) = engine_flat.query(&q, ranking);
 
                 // Engine (uncached) vs oracle: same users, scores to 1e-9.
                 prop_assert_eq!(off.len(), want.len(), "{:?}/{:?}", ranking, semantics);
@@ -269,15 +256,15 @@ proptest! {
                         "{} vs {} ({:?}/{:?})", g.score, w.1, ranking, semantics
                     );
                 }
-                // Cached runs (cold and warm) and the flat-layout engine
-                // vs the uncached block engine: bit-identical.
-                for other in [&cold, &warm, &flat] {
+                // Cached runs (cold and warm) vs the uncached engine:
+                // bit-identical.
+                for other in [&cold, &warm] {
                     prop_assert_eq!(other.len(), off.len());
                     for (c, o) in other.iter().zip(&off) {
                         prop_assert_eq!(c.user, o.user, "{:?}/{:?}", ranking, semantics);
                         prop_assert_eq!(
                             c.score.to_bits(), o.score.to_bits(),
-                            "variant {} vs block-uncached {} ({:?}/{:?})",
+                            "variant {} vs uncached {} ({:?}/{:?})",
                             c.score, o.score, ranking, semantics
                         );
                     }
@@ -315,7 +302,6 @@ proptest! {
             ..EngineConfig::default()
         };
         let (engine_on, _) = TklusEngine::build(&corpus, &cached_cfg);
-        let (engine_flat, _) = TklusEngine::build(&corpus, &flat_config());
 
         // The keyword appears twice: verbatim plus a case variant —
         // Definition 6 must count it once.
@@ -339,17 +325,17 @@ proptest! {
 
         for (ranking, use_max) in [(Ranking::Sum, false), (Ranking::Max(BoundsMode::HotKeywords), true)] {
             let want = oracle_top_k(&corpus, &q, use_max, &EngineConfig::default().scoring);
-            let (block_run, _) = engine_off.query(&q, ranking);
-            for engine in [&engine_off, &engine_on, &engine_flat] {
+            let (uncached, _) = engine_off.query(&q, ranking);
+            for engine in [&engine_off, &engine_on] {
                 let (got, _) = engine.query(&q, ranking);
                 prop_assert_eq!(got.len(), want.len(), "{:?} window={:?}", ranking, window);
-                for ((g, w), b) in got.iter().zip(&want).zip(&block_run) {
+                for ((g, w), b) in got.iter().zip(&want).zip(&uncached) {
                     prop_assert_eq!(g.user, w.0, "{:?}", ranking);
                     prop_assert!(
                         (g.score - w.1).abs() < 1e-9,
                         "{} vs {} ({:?})", g.score, w.1, ranking
                     );
-                    // Layout and caching are invisible to the bit.
+                    // Caching is invisible to the bit.
                     prop_assert_eq!(g.score.to_bits(), b.score.to_bits(), "{:?}", ranking);
                 }
             }

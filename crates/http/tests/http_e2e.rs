@@ -187,6 +187,28 @@ fn batch_answers_every_query_in_order() {
 }
 
 #[test]
+fn huge_k_answers_200_and_the_server_keeps_serving() {
+    // `k` reaches the engine unchecked. A Maximum-score query that sized
+    // its running top-k set from it aborted the whole process (allocation
+    // failure), taking every other connection with it.
+    let engine = engine();
+    let (body, _) = query_body(&engine);
+    let handle = start(engine, ServeConfig::default(), HttpConfig::default());
+    let huge = body.replace("\"k\":5}", "\"k\":1000000000000000,\"ranking\":\"max_hot\"}");
+    assert_ne!(huge, body);
+
+    let (status, _, resp) = post(handle.addr(), "/query", &huge);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&resp));
+    let json = serde_json::from_str(std::str::from_utf8(&resp).unwrap()).expect("json body");
+    assert_eq!(json.get("completeness").and_then(|c| c.as_str()), Some("complete"));
+    assert!(!json.get("users").and_then(|u| u.as_array()).expect("users array").is_empty());
+
+    let (status, _, health) = request(handle.addr(), "GET /health HTTP/1.1\r\n\r\n");
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&health));
+    handle.shutdown();
+}
+
+#[test]
 fn health_and_metrics_render_over_sockets() {
     let engine = engine();
     let (body, _) = query_body(&engine);

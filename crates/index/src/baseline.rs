@@ -10,7 +10,6 @@
 //! paper's "distributed construction scales better" claim is testable
 //! rather than quoted.
 
-use crate::block::{BlockPostings, PostingsFormat};
 use crate::build::IndexBuildReport;
 use crate::forward::{ForwardIndex, PostingsLocation};
 use crate::inverted::HybridIndex;
@@ -58,12 +57,9 @@ pub fn build_centralized(
         let term_id = vocab.intern(term);
         vocab.add_occurrences(term_id, list.postings().iter().map(|p| p.tf as u64).sum());
         postings_total += list.len() as u64;
-        // Same default encoding as the distributed build, so index sizes
-        // stay directly comparable.
-        let bytes = match PostingsFormat::default() {
-            PostingsFormat::Flat => list.encode(),
-            PostingsFormat::Block => BlockPostings::from_list(&list).encode(),
-        };
+        // Same encoding as the distributed build, so index sizes stay
+        // directly comparable.
+        let bytes = list.encode();
         entries.push((
             (*gh, term_id),
             PostingsLocation { partition: 0, offset: file.len() as u64, len: bytes.len() as u32 },
@@ -84,7 +80,7 @@ pub fn build_centralized(
         index_bytes: dfs.total_bytes(),
         distinct_terms: vocab.len() as u64,
     };
-    (HybridIndex::new(forward, vocab, dfs, geohash_len, PostingsFormat::default()), report)
+    (HybridIndex::new(forward, vocab, dfs, geohash_len), report)
 }
 
 #[cfg(test)]

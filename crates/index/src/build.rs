@@ -1,10 +1,9 @@
 //! Index construction: the MapReduce job of Algorithms 2 and 3 plus the
 //! driver that lays partitions out on the DFS and builds the forward index.
 
-use crate::block::{BlockPostings, PostingsFormat};
 use crate::forward::{ForwardIndex, PostingsLocation};
 use crate::inverted::HybridIndex;
-use crate::posting::{Posting, PostingsList};
+use crate::posting::{Posting, PostingsFormat, PostingsList};
 use std::time::{Duration, Instant};
 use tklus_geo::{encode, Geohash};
 use tklus_mapreduce::{run_job, JobConfig, Mapper, RangePartitioner, Reducer};
@@ -25,8 +24,8 @@ pub struct IndexBuildConfig {
     pub block_size: usize,
     /// DFS replication factor for partition files (1 = no replicas).
     pub replication: usize,
-    /// On-DFS postings encoding (block-compressed by default; `Flat` keeps
-    /// the pre-block delta-varint layout as a comparison baseline).
+    /// The one postings layout. Nothing reads this field: it stays only
+    /// because the frozen `benchmark/` prints it (ROADMAP open items).
     pub postings_format: PostingsFormat,
 }
 
@@ -37,7 +36,7 @@ impl Default for IndexBuildConfig {
             nodes: 3,
             block_size: 64 * 1024,
             replication: 1,
-            postings_format: PostingsFormat::Block,
+            postings_format: PostingsFormat::Flat,
         }
     }
 }
@@ -175,10 +174,7 @@ pub fn build_index(posts: &[Post], config: &IndexBuildConfig) -> (HybridIndex, I
             let occurrences: u64 = list.postings().iter().map(|p| p.tf as u64).sum();
             vocab.add_occurrences(term_id, occurrences);
             postings_total += list.len() as u64;
-            let bytes = match config.postings_format {
-                PostingsFormat::Flat => list.encode(),
-                PostingsFormat::Block => BlockPostings::from_list(list).encode(),
-            };
+            let bytes = list.encode();
             entries.push((
                 (*gh, term_id),
                 PostingsLocation {
@@ -207,7 +203,7 @@ pub fn build_index(posts: &[Post], config: &IndexBuildConfig) -> (HybridIndex, I
         index_bytes: dfs.total_bytes(),
         distinct_terms: vocab.len() as u64,
     };
-    let index = HybridIndex::new(forward, vocab, dfs, config.geohash_len, config.postings_format);
+    let index = HybridIndex::new(forward, vocab, dfs, config.geohash_len);
     (index, report)
 }
 

@@ -8,7 +8,6 @@
 //! a partition are as sequential as the key layout allows — the locality
 //! the paper's sorted `⟨geohash, term⟩` organization is designed to give.
 
-use crate::block::{BlockPostings, PostingsFormat};
 use crate::forward::{ForwardIndex, PostingsLocation};
 use crate::posting::PostingsList;
 use std::sync::Arc;
@@ -62,7 +61,6 @@ pub struct HybridIndex {
     vocab: Vocab,
     dfs: Dfs,
     geohash_len: usize,
-    postings_format: PostingsFormat,
 }
 
 /// Result of the postings-retrieval phase for one query.
@@ -85,16 +83,9 @@ pub struct QueryFetch {
 
 impl HybridIndex {
     /// Assembles an index from its parts (normally via
-    /// [`crate::build::build_index`]). `postings_format` must match the
-    /// encoding the partition files were actually written with.
-    pub fn new(
-        forward: ForwardIndex,
-        vocab: Vocab,
-        dfs: Dfs,
-        geohash_len: usize,
-        postings_format: PostingsFormat,
-    ) -> Self {
-        Self { forward, vocab, dfs, geohash_len, postings_format }
+    /// [`crate::build::build_index`]).
+    pub fn new(forward: ForwardIndex, vocab: Vocab, dfs: Dfs, geohash_len: usize) -> Self {
+        Self { forward, vocab, dfs, geohash_len }
     }
 
     /// DFS file name of partition `i`.
@@ -122,11 +113,6 @@ impl HybridIndex {
         self.geohash_len
     }
 
-    /// The on-DFS postings encoding of this index's partition files.
-    pub fn postings_format(&self) -> PostingsFormat {
-        self.postings_format
-    }
-
     /// Fetches the postings list for one `⟨geohash, term⟩` key.
     pub fn postings(&self, geohash: Geohash, term: TermId) -> Option<PostingsList> {
         let loc = self.forward.lookup(geohash, term)?;
@@ -150,59 +136,22 @@ impl HybridIndex {
 
     /// Fallible [`Self::read_postings`]: an unreadable partition range or
     /// undecodable bytes surface as a typed [`IndexError`] instead of a
-    /// panic. On a block-format index the list is fully unpacked — the
-    /// compatibility bridge for flat consumers; the block-native pipeline
-    /// uses [`Self::try_read_block_postings`] instead.
+    /// panic.
     pub fn try_read_postings(
         &self,
         loc: PostingsLocation,
     ) -> Result<(PostingsList, u64), IndexError> {
-        match self.postings_format {
-            PostingsFormat::Flat => {
-                let (raw, file) = self.read_raw(loc)?;
-                let bytes = raw.len() as u64;
-                let (list, _) =
-                    PostingsList::decode(&raw).map_err(|e| Self::corrupt(file, loc.offset, e))?;
-                Ok((list, bytes))
-            }
-            PostingsFormat::Block => {
-                let (blocks, bytes) = self.try_read_block_postings(loc)?;
-                let file = Self::partition_file(loc.partition);
-                let list =
-                    blocks.to_postings_list().map_err(|e| Self::corrupt(file, loc.offset, e))?;
-                Ok((list, bytes))
-            }
-        }
-    }
-
-    /// Reads and decodes a block-compressed postings list at a directory
-    /// location without unpacking its payloads. Only valid on an index
-    /// whose [`Self::postings_format`] is [`PostingsFormat::Block`];
-    /// reading a flat partition this way surfaces as a typed corruption
-    /// error, never a misparse, because the block layout's structural
-    /// validation rejects flat bytes.
-    pub fn try_read_block_postings(
-        &self,
-        loc: PostingsLocation,
-    ) -> Result<(BlockPostings, u64), IndexError> {
-        let (raw, file) = self.read_raw(loc)?;
-        let bytes = raw.len() as u64;
-        let (blocks, _) =
-            BlockPostings::decode(&raw).map_err(|e| Self::corrupt(file, loc.offset, e))?;
-        Ok((blocks, bytes))
-    }
-
-    fn read_raw(&self, loc: PostingsLocation) -> Result<(Vec<u8>, String), IndexError> {
         let file = Self::partition_file(loc.partition);
         let raw = self
             .dfs
             .read_at(&file, loc.offset, loc.len as usize)
             .map_err(|source| IndexError::Dfs { file: file.clone(), source })?;
-        Ok((raw, file))
-    }
-
-    fn corrupt(file: String, offset: u64, e: crate::posting::DecodeError) -> IndexError {
-        IndexError::CorruptPostings { file, offset, detail: e.to_string() }
+        let (list, _) = PostingsList::decode(&raw).map_err(|e| IndexError::CorruptPostings {
+            file,
+            offset: loc.offset,
+            detail: e.to_string(),
+        })?;
+        Ok((list, raw.len() as u64))
     }
 
     /// The postings-retrieval phase of Algorithms 4/5: computes the geohash

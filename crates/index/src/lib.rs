@@ -21,7 +21,6 @@
 //! construction-scaling experiment.
 
 pub mod baseline;
-pub mod block;
 pub mod build;
 pub mod forward;
 pub mod inverted;
@@ -29,10 +28,6 @@ pub mod irtree;
 pub mod persist;
 pub mod posting;
 
-pub use block::{
-    intersect_winnow_blocks, union_sum_blocks, BlockPostings, BlockScratch, BlockSkip,
-    PostingsFormat, BLOCK_LEN,
-};
 pub use build::{build_index, IndexBuildConfig, IndexBuildReport};
 pub use forward::{ForwardIndex, PostingsLocation};
 pub use inverted::{HybridIndex, IndexError, IndexKey, QueryFetch};
@@ -42,4 +37,6 @@ pub use persist::{
     save_sharded_dir_refs, shard_dir_name, LoadReport, PersistError, PERSIST_FORMAT_VERSION,
     SHARDED_FORMAT_VERSION,
 };
-pub use posting::{intersect_gallop, intersect_sum, union_sum, DecodeError, Posting, PostingsList};
+pub use posting::{
+    intersect_gallop, intersect_sum, union_sum, DecodeError, Posting, PostingsFormat, PostingsList,
+};

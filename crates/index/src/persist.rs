@@ -20,9 +20,9 @@
 //! reported rather than aborting the load (editor swap files, `.DS_Store`,
 //! and the like are not corruption).
 
-use crate::block::PostingsFormat;
 use crate::forward::{ForwardIndex, PostingsLocation};
 use crate::inverted::HybridIndex;
+use crate::posting::PostingsFormat;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use tklus_geo::Geohash;
@@ -32,16 +32,20 @@ use tklus_text::{TermId, Vocab};
 /// On-disk format version written to (and required from) `meta.tsv`.
 ///
 /// Version history:
-/// * **1** — flat delta-varint postings only; no `postings_format` line.
-///   Still readable: a v1 directory loads with
-///   [`PostingsFormat::Flat`] (the only encoding v1 ever wrote).
-/// * **2** — adds the mandatory `postings_format` meta line
-///   (`flat` | `block`) and the block-compressed partition encoding.
+/// * **1** — no `postings_format` line. Nothing has written it since
+///   version 2 appeared; refused as a [`PersistError::VersionMismatch`].
+/// * **2** — adds the mandatory `postings_format` meta line. `flat` is the
+///   one value this build writes and reads; a directory naming any other
+///   layout (the retired `block` encoding) is refused as a
+///   [`PersistError::UnsupportedPostingsFormat`].
 pub const PERSIST_FORMAT_VERSION: u32 = 2;
 
-/// The one format version before [`PERSIST_FORMAT_VERSION`] that this
-/// build still reads (compat path).
-const PERSIST_FORMAT_VERSION_V1: u32 = 1;
+/// The `postings_format` value of `meta.tsv` for a layout.
+fn postings_format_tag(format: PostingsFormat) -> &'static str {
+    match format {
+        PostingsFormat::Flat => "flat",
+    }
+}
 
 /// Errors from index persistence.
 #[derive(Debug)]
@@ -57,6 +61,11 @@ pub enum PersistError {
         found: String,
         /// The version this build reads.
         expected: u32,
+    },
+    /// `meta.tsv` names a postings layout this build does not read.
+    UnsupportedPostingsFormat {
+        /// The `postings_format` value found.
+        found: String,
     },
     /// A partition file's bytes do not match their recorded checksum.
     PartitionCorrupt {
@@ -82,6 +91,11 @@ impl std::fmt::Display for PersistError {
             PersistError::VersionMismatch { found, expected } => write!(
                 f,
                 "index format version mismatch: directory has {found}, this build reads {expected}"
+            ),
+            PersistError::UnsupportedPostingsFormat { found } => write!(
+                f,
+                "index directory holds {found:?} postings, this build reads only {:?}",
+                postings_format_tag(PostingsFormat::Flat)
             ),
             PersistError::PartitionCorrupt { file, expected, actual } => write!(
                 f,
@@ -132,7 +146,7 @@ pub fn save_dir(index: &HybridIndex, dir: &Path) -> Result<(), PersistError> {
     // interpreting anything else.
     let mut meta = BufWriter::new(std::fs::File::create(dir.join("meta.tsv"))?);
     writeln!(meta, "format\t{PERSIST_FORMAT_VERSION}")?;
-    writeln!(meta, "postings_format\t{}", index.postings_format())?;
+    writeln!(meta, "postings_format\t{}", postings_format_tag(PostingsFormat::Flat))?;
     writeln!(meta, "geohash_len\t{}", index.geohash_len())?;
     writeln!(meta, "nodes\t{}", index.dfs().node_count())?;
     meta.flush()?;
@@ -192,33 +206,20 @@ pub fn load_dir_with_report(dir: &Path) -> Result<(HybridIndex, LoadReport), Per
             _ => return Err(corrupt(format!("meta line {line:?}"))),
         }
     }
-    let version = match format {
-        Some(v) => match v.parse::<u32>() {
-            Ok(n) if n == PERSIST_FORMAT_VERSION || n == PERSIST_FORMAT_VERSION_V1 => n,
-            _ => {
-                return Err(PersistError::VersionMismatch {
-                    found: v,
-                    expected: PERSIST_FORMAT_VERSION,
-                })
-            }
-        },
-        None => {
+    match format {
+        Some(v) if v.parse::<u32>() == Ok(PERSIST_FORMAT_VERSION) => {}
+        found => {
             return Err(PersistError::VersionMismatch {
-                found: "no format line".to_string(),
+                found: found.unwrap_or_else(|| "no format line".to_string()),
                 expected: PERSIST_FORMAT_VERSION,
             })
         }
-    };
-    // v1 directories predate the postings_format line and only ever held
-    // flat-encoded partitions; v2 must say which encoding it wrote.
-    let postings_format = match (version, postings_format) {
-        (PERSIST_FORMAT_VERSION_V1, None) => PostingsFormat::Flat,
-        (PERSIST_FORMAT_VERSION_V1, Some(_)) => {
-            return Err(corrupt("format 1 directory carries a postings_format line"))
-        }
-        (_, Some(v)) => v.parse::<PostingsFormat>().map_err(corrupt)?,
-        (_, None) => return Err(corrupt("missing postings_format")),
-    };
+    }
+    match postings_format {
+        Some(v) if v == postings_format_tag(PostingsFormat::Flat) => {}
+        Some(found) => return Err(PersistError::UnsupportedPostingsFormat { found }),
+        None => return Err(corrupt("missing postings_format")),
+    }
     let geohash_len = geohash_len.ok_or_else(|| corrupt("missing geohash_len"))?;
     let nodes = nodes.ok_or_else(|| corrupt("missing nodes"))?;
 
@@ -306,7 +307,7 @@ pub fn load_dir_with_report(dir: &Path) -> Result<(HybridIndex, LoadReport), Per
     if let Some(missing) = expected.keys().find(|file| !seen.contains(*file)) {
         return Err(PersistError::MissingPartition { file: missing.clone() });
     }
-    Ok((HybridIndex::new(forward, vocab, dfs, geohash_len, postings_format), report))
+    Ok((HybridIndex::new(forward, vocab, dfs, geohash_len), report))
 }
 
 /// On-disk format version of a *sharded* index directory (`manifest.tsv`).
@@ -315,7 +316,7 @@ pub fn load_dir_with_report(dir: &Path) -> Result<(HybridIndex, LoadReport), Per
 /// * **3** — a sharded directory: `manifest.tsv` names the shard count and
 ///   the `N-1` geohash boundaries of the contiguous prefix ranges, and each
 ///   shard's index lives in a `shard-NNN/` subdirectory in the v2
-///   monolithic layout. A v2 (or v1) monolithic directory — no
+///   monolithic layout. A v2 monolithic directory — no
 ///   `manifest.tsv` — still loads via [`load_sharded_dir_with_report`] as a
 ///   single full-range shard.
 pub const SHARDED_FORMAT_VERSION: u32 = 3;
@@ -368,7 +369,7 @@ pub fn save_sharded_dir_refs(
     Ok(())
 }
 
-/// Loads a sharded (v3) *or* monolithic (v2/v1) index directory as a list
+/// Loads a sharded (v3) *or* monolithic (v2) index directory as a list
 /// of shard indexes plus their range boundaries. A monolithic directory
 /// loads as one shard covering the whole keyspace (no boundaries) — the
 /// forward-compat path that lets every pre-sharding index keep working.
@@ -379,7 +380,7 @@ pub fn load_sharded_dir_with_report(
 ) -> Result<(Vec<HybridIndex>, Vec<Geohash>, LoadReport), PersistError> {
     let manifest_path = dir.join("manifest.tsv");
     if !manifest_path.exists() {
-        // Monolithic v2/v1 directory: one full-range shard.
+        // Monolithic v2 directory: one full-range shard.
         let (index, report) = load_dir_with_report(dir)?;
         return Ok((vec![index], Vec::new(), report));
     }
@@ -576,75 +577,81 @@ mod tests {
     }
 
     #[test]
-    fn v1_directory_loads_as_flat_compat() {
-        // A v1 directory is exactly a flat-format save minus the
-        // postings_format meta line: rewrite the meta that way and the
-        // compat path must load it, flagged flat, answering queries
-        // identically to the in-memory flat index.
-        let (index, _) = build_index(
-            &posts(),
-            &IndexBuildConfig {
-                postings_format: crate::block::PostingsFormat::Flat,
-                ..Default::default()
-            },
+    fn block_directory_is_refused_with_a_typed_error() {
+        // What builds that still had the block layout wrote by default: a
+        // v2 meta naming it. Its partition bytes must never be parsed as
+        // flat postings.
+        let dir = saved_dir("v2-block");
+        let meta = std::fs::read_to_string(dir.join("meta.tsv")).unwrap();
+        assert!(meta.contains("postings_format\tflat\n"), "{meta}");
+        std::fs::write(
+            dir.join("meta.tsv"),
+            meta.replace("postings_format\tflat", "postings_format\tblock"),
+        )
+        .unwrap();
+        let err = load_err(&dir);
+        assert!(
+            matches!(&err, PersistError::UnsupportedPostingsFormat { found } if found == "block"),
+            "{err}"
         );
-        let dir = tmp_dir("v1-compat");
-        save_dir(&index, &dir).unwrap();
+        // A v2 meta with no postings_format line at all is corrupt.
+        std::fs::write(dir.join("meta.tsv"), meta.replace("postings_format\tflat\n", "")).unwrap();
+        let err = load_err(&dir);
+        assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v1_directory_is_refused_with_a_typed_error() {
+        // A v1 directory is a flat save whose meta says `format 1` and
+        // has no postings_format line.
+        let dir = saved_dir("v1");
         let meta = std::fs::read_to_string(dir.join("meta.tsv")).unwrap();
         std::fs::write(
             dir.join("meta.tsv"),
             meta.replace("format\t2", "format\t1").replace("postings_format\tflat\n", ""),
         )
         .unwrap();
-        let loaded = load_dir(&dir).unwrap();
-        assert_eq!(loaded.postings_format(), crate::block::PostingsFormat::Flat);
-        let center = Point::new_unchecked(43.68, -79.45);
-        let hotel = index.vocab().get("hotel").unwrap();
-        let f1 = index.fetch_for_query(&center, 30.0, &[hotel], DistanceMetric::Euclidean);
-        let f2 = loaded.fetch_for_query(&center, 30.0, &[hotel], DistanceMetric::Euclidean);
-        assert_eq!(f1.per_keyword, f2.per_keyword);
-
-        // A v1 directory claiming a postings_format is contradictory: v1
-        // never wrote one. Typed corruption, not a silent misparse.
-        let meta = std::fs::read_to_string(dir.join("meta.tsv")).unwrap();
-        std::fs::write(dir.join("meta.tsv"), format!("{meta}postings_format\tblock\n")).unwrap();
         let err = load_err(&dir);
-        assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
+        assert!(
+            matches!(&err, PersistError::VersionMismatch { found, expected: 2 } if found == "1"),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn v2_requires_valid_postings_format() {
-        let dir = saved_dir("v2-format-line");
-        let meta = std::fs::read_to_string(dir.join("meta.tsv")).unwrap();
-        // Unknown encoding name.
+    fn hand_assembled_flat_v2_directory_loads_and_answers() {
+        // Every byte below is format 2 as `save_dir` has written it for a
+        // flat index since that format appeared — two "hotel" tweets (ids
+        // 5 and 7, tf 1 and 2) in Toronto cell dpz8. No call into this
+        // build's writer, so a change to the on-disk layout fails here.
+        let dir = tmp_dir("hand-v2");
+        std::fs::create_dir_all(dir.join("partitions")).unwrap();
         std::fs::write(
             dir.join("meta.tsv"),
-            meta.replace("postings_format\tblock", "postings_format\tgzip"),
+            "format\t2\npostings_format\tflat\ngeohash_len\t4\nnodes\t1\n",
         )
         .unwrap();
-        let err = load_err(&dir);
-        assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
-        // Missing line entirely.
-        std::fs::write(dir.join("meta.tsv"), meta.replace("postings_format\tblock\n", "")).unwrap();
-        let err = load_err(&dir);
-        assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        std::fs::write(dir.join("vocab.tsv"), "0\t3\thotel\n").unwrap();
+        std::fs::write(dir.join("forward.tsv"), "dpz8\t0\t0\t0\t5\n").unwrap();
+        // varint count 2, then (id delta, tf) pairs: (5, 1), (2, 2).
+        std::fs::write(dir.join("partitions").join("part-00000"), [2u8, 5, 1, 2, 2]).unwrap();
+        std::fs::write(dir.join("checksums.tsv"), "part-00000\t56c63dd6\n").unwrap();
 
-    #[test]
-    fn roundtrip_preserves_postings_format() {
-        for format in [crate::block::PostingsFormat::Flat, crate::block::PostingsFormat::Block] {
-            let (index, _) = build_index(
-                &posts(),
-                &IndexBuildConfig { postings_format: format, ..Default::default() },
-            );
-            let dir = tmp_dir(&format!("fmt-{format}"));
-            save_dir(&index, &dir).unwrap();
-            let loaded = load_dir(&dir).unwrap();
-            assert_eq!(loaded.postings_format(), format);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let (index, report) = load_dir_with_report(&dir).unwrap();
+        assert_eq!(report.partitions_loaded, 1);
+        assert_eq!(index.geohash_len(), 4);
+        let hotel = index.vocab().get("hotel").unwrap();
+        assert_eq!(index.vocab().frequency(hotel), 3);
+        let center = Point::new_unchecked(43.67, -79.39);
+        let fetch = index.fetch_for_query(&center, 5.0, &[hotel], DistanceMetric::Euclidean);
+        assert_eq!(fetch.lists, 1);
+        assert_eq!(fetch.bytes, 5);
+        let got: Vec<(u64, u32)> =
+            fetch.per_keyword[0][0].postings().iter().map(|p| (p.id.0, p.tf)).collect();
+        assert_eq!(got, vec![(5, 1), (7, 2)]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

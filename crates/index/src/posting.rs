@@ -8,6 +8,17 @@
 
 use tklus_model::TweetId;
 
+/// The layout of a postings list on the DFS, in the cache and in the
+/// engine: the paper's flat id-sorted `⟨TID, TF⟩` list
+/// ([`PostingsList::encode`]). One variant; the name survives as the tag
+/// `persist.rs` writes to, and requires from, `meta.tsv`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PostingsFormat {
+    /// One delta-varint pair per posting, decoded front to back.
+    #[default]
+    Flat,
+}
+
 /// One posting: a tweet and the query-relevant term's frequency in it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Posting {
@@ -70,12 +81,14 @@ impl PostingsList {
     pub fn decode(bytes: &[u8]) -> Result<(Self, usize), DecodeError> {
         let mut pos = 0usize;
         let count = read_varint(bytes, &mut pos)?;
-        let mut postings = Vec::with_capacity(count as usize);
+        // A posting is at least two bytes, so a count the input cannot
+        // hold must not size the allocation.
+        let mut postings = Vec::with_capacity((count as usize).min(bytes.len() / 2));
         let mut prev = 0u64;
         for _ in 0..count {
             let delta = read_varint(bytes, &mut pos)?;
             let tf = read_varint(bytes, &mut pos)?;
-            let id = prev + delta;
+            let id = prev.checked_add(delta).ok_or(DecodeError::Overflow)?;
             let tf = u32::try_from(tf).map_err(|_| DecodeError::Overflow)?;
             postings.push(Posting { id: TweetId(id), tf });
             prev = id;
@@ -90,18 +103,13 @@ impl FromIterator<(u64, u32)> for PostingsList {
     }
 }
 
-/// Malformed postings bytes (flat or block layout).
+/// Malformed postings bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     /// Input ended inside a varint or before a declared payload.
     Truncated,
-    /// A term frequency exceeded `u32`, or an id/offset exceeded `u64`.
+    /// A term frequency exceeded `u32`, or an id exceeded `u64`.
     Overflow,
-    /// A block header field is internally inconsistent (block sizing,
-    /// packed widths, payload extents, skip cross-checks).
-    BadBlockHeader(&'static str),
-    /// Block id ranges are not strictly increasing.
-    NonMonotonic,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -109,17 +117,13 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => f.write_str("postings bytes truncated"),
             DecodeError::Overflow => f.write_str("postings value overflows its type"),
-            DecodeError::BadBlockHeader(detail) => {
-                write!(f, "inconsistent postings block header: {detail}")
-            }
-            DecodeError::NonMonotonic => f.write_str("postings block ids not strictly increasing"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -131,7 +135,7 @@ pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
+fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -315,6 +319,24 @@ mod tests {
         let bytes = l.encode();
         assert_eq!(PostingsList::decode(&bytes[..bytes.len() - 1]), Err(DecodeError::Truncated));
         assert_eq!(PostingsList::decode(&[]), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn decode_rejects_a_count_or_id_the_input_cannot_hold() {
+        // Count u64::MAX over three bytes of body: typed, and no
+        // allocation sized from the count.
+        let mut bytes = Vec::new();
+        write_varint(&mut bytes, u64::MAX);
+        bytes.extend_from_slice(&[1, 1, 1]);
+        assert_eq!(PostingsList::decode(&bytes), Err(DecodeError::Truncated));
+        // Two postings whose id deltas sum past u64.
+        let mut bytes = Vec::new();
+        write_varint(&mut bytes, 2);
+        for delta in [u64::MAX, 1] {
+            write_varint(&mut bytes, delta);
+            write_varint(&mut bytes, 1);
+        }
+        assert_eq!(PostingsList::decode(&bytes), Err(DecodeError::Overflow));
     }
 
     #[test]

@@ -38,8 +38,8 @@ use std::time::Instant;
 use parking_lot::Mutex;
 use tklus_core::score::{tweet_keyword_score, upper_bound_user_score, user_score};
 use tklus_core::{
-    top_k, BoundsMode, Completeness, EngineConfig, EngineError, PartialSumOutcome, QueryStats,
-    RankedUser, Ranking, SumRow, TklusEngine,
+    merge_sum_rows, top_k, BoundsMode, Completeness, EngineConfig, EngineError, PartialSumOutcome,
+    QueryStats, RankedUser, Ranking, TklusEngine,
 };
 use tklus_geo::{circle_cover, encode, Geohash};
 use tklus_graph::{build_thread, SocialNetwork};
@@ -675,8 +675,9 @@ impl ShardedEngine {
     }
 
     /// Sum-score scatter-gather: per-shard tid-ordered partial rows, k-way
-    /// merged with duplicate-tweet elimination, folded in global tweet-id
-    /// order (the monolithic fold order), then distance-blended and ranked.
+    /// merged with duplicate-tweet elimination into global tweet-id order
+    /// (the monolithic fold order), then folded, distance-blended and
+    /// ranked by [`TklusEngine::try_rank_sum_rows`].
     fn scatter_sum(&self, q: &TklusQuery, fanout: &[usize], cells_total: usize) -> ShardedOutcome {
         let mut failed: Vec<ShardId> = Vec::new();
         let mut healthy: Vec<(usize, PartialSumOutcome)> = Vec::new();
@@ -692,12 +693,15 @@ impl ShardedEngine {
             }
         }
 
-        // The distance blend reads through a healthy shard's metadata
-        // database; if that too faults, drop the shard and redo the merge
-        // without it (its rows must not survive its failure).
+        // The fold, distance blend and ranking run on the first healthy
+        // shard's engine (every shard holds the full corpus metadata, so
+        // any healthy one gives the monolithic bytes); if that too faults,
+        // drop the shard and redo the merge without it (its rows must not
+        // survive its failure).
         let users: Vec<RankedUser> = loop {
+            let Some(&(rank_sid, _)) = healthy.first() else { break Vec::new() };
             let merged = merge_sum_rows(healthy.iter().map(|(_, p)| p.rows.as_slice()));
-            match self.blend_sum(q, &healthy, merged) {
+            match self.shards[rank_sid].engine.try_rank_sum_rows(q, &merged) {
                 Ok(users) => break users,
                 Err(_) => {
                     let (sid, _) = healthy.remove(0);
@@ -717,39 +721,12 @@ impl ShardedEngine {
         let completeness =
             consensus(failed, healthy.iter().map(|(_, p)| &p.completeness), cells_total);
         ShardedOutcome {
-            users: top_k(users, q.k),
+            users,
             stats,
             completeness,
             fanout: fanout.len(),
             skipped_by_bound: Vec::new(),
         }
-    }
-
-    /// Folds merged rows per user and blends in the distance score through
-    /// the first healthy shard (every shard holds the full corpus
-    /// metadata, so any healthy one gives the monolithic bytes).
-    fn blend_sum(
-        &self,
-        q: &TklusQuery,
-        healthy: &[(usize, PartialSumOutcome)],
-        merged: Vec<SumRow>,
-    ) -> Result<Vec<RankedUser>, EngineError> {
-        let Some(&(blend_sid, _)) = healthy.first() else {
-            return Ok(Vec::new());
-        };
-        let engine = &self.shards[blend_sid].engine;
-        let mut users: HashMap<UserId, f64> = HashMap::new();
-        for row in &merged {
-            *users.entry(row.user).or_insert(0.0) += row.rho;
-        }
-        let mut entries: Vec<(UserId, f64)> = users.into_iter().collect();
-        entries.sort_by_key(|e| e.0);
-        let mut ranked = Vec::with_capacity(entries.len());
-        for (uid, rho) in entries {
-            let delta = engine.try_user_distance_score(&q.location, q.radius_km, uid)?;
-            ranked.push(RankedUser { user: uid, score: user_score(rho, delta, engine.scoring()) });
-        }
-        Ok(ranked)
     }
 
     /// Maximum-score scatter-gather: dispatch in descending Definition 11
@@ -843,39 +820,6 @@ fn kth_floor(best: &HashMap<UserId, f64>, k: usize) -> Option<f64> {
     let ranked: Vec<RankedUser> =
         best.iter().map(|(&user, &score)| RankedUser { user, score }).collect();
     top_k(ranked, k).last().map(|ru| ru.score)
-}
-
-/// K-way merges per-shard row slices (each sorted by tweet id ascending)
-/// into one tid-ascending stream, keeping the **first** row of any
-/// duplicated tweet id. Disjoint plans never duplicate a tweet; the dedup
-/// guards hand-built overlapping shard sets (and any future plan bug) from
-/// double-counting a tweet's score into its user's sum.
-fn merge_sum_rows<'a>(lists: impl Iterator<Item = &'a [SumRow]>) -> Vec<SumRow> {
-    let lists: Vec<&[SumRow]> = lists.collect();
-    let mut idx = vec![0usize; lists.len()];
-    let mut merged: Vec<SumRow> = Vec::with_capacity(lists.iter().map(|l| l.len()).sum());
-    loop {
-        let mut next: Option<usize> = None;
-        for (li, list) in lists.iter().enumerate() {
-            if let Some(row) = list.get(idx[li]) {
-                let beats = match next {
-                    None => true,
-                    Some(best_li) => row.tweet < lists[best_li][idx[best_li]].tweet,
-                };
-                if beats {
-                    next = Some(li);
-                }
-            }
-        }
-        let Some(li) = next else { break };
-        let row = lists[li][idx[li]];
-        idx[li] += 1;
-        if merged.last().is_some_and(|last| last.tweet == row.tweet) {
-            continue; // duplicate tweet across shards: count it once
-        }
-        merged.push(row);
-    }
-    merged
 }
 
 /// Folds per-shard completeness and the failed-shard list into the merged

@@ -1,7 +1,7 @@
 //! Shard-count invariance oracle.
 //!
 //! The scatter-gather contract is that sharding is invisible: for any
-//! corpus, query, semantics, ranking, postings layout, cache temperature,
+//! corpus, query, semantics, ranking, cache temperature,
 //! and shard count `N`, the sharded engine returns the monolithic engine's
 //! ranked users **bitwise** (same users, same `f64` score bits, same
 //! completeness verdict). This suite drives randomized cases through
@@ -9,7 +9,6 @@
 //! shard matrix uses) against a monolithic reference engine:
 //!
 //! * Sum and Max (both bounds modes) × Or/And semantics,
-//! * block and flat postings layouts,
 //! * a cold then a warm query against cache-enabled sharded engines
 //!   (the monolithic reference runs uncached — so the comparison also
 //!   re-proves cache invisibility, now across the router),
@@ -21,7 +20,6 @@
 use proptest::prelude::*;
 use tklus_core::{BoundsMode, CacheConfig, Completeness, EngineConfig, Ranking, TklusEngine};
 use tklus_geo::Point;
-use tklus_index::{IndexBuildConfig, PostingsFormat};
 use tklus_model::{Corpus, Post, QueryBudget, Semantics, TklusQuery, TweetId, UserId};
 use tklus_shard::{ShardCompleteness, ShardedEngine, ShardedOutcome};
 
@@ -92,10 +90,9 @@ fn materialize(raw: &[RawPost]) -> Corpus {
 }
 
 /// Sharded engine config: caches on (so the warm re-query is a real cache
-/// pass) over the given postings layout.
-fn sharded_config(format: PostingsFormat) -> EngineConfig {
+/// pass).
+fn sharded_config() -> EngineConfig {
     EngineConfig {
-        index: IndexBuildConfig { postings_format: format, ..Default::default() },
         caches: CacheConfig { cover: 8, postings: 32, thread: 64 },
         ..EngineConfig::default()
     }
@@ -138,9 +135,9 @@ fn assert_bitwise(
 }
 
 proptest! {
-    // 36 corpora × 2 semantics × 3 rankings × |N| shard counts × 2 layouts
-    // × cold+warm = ~3456 sharded-vs-monolithic comparisons at the default
-    // ladder (864 distinct query cases).
+    // 36 corpora × 2 semantics × 3 rankings × |N| shard counts × 2 scatter
+    // widths × cold+warm = ~3456 sharded-vs-monolithic comparisons at the
+    // default ladder (864 distinct query cases).
     #![proptest_config(ProptestConfig::with_cases(36))]
 
     #[test]
@@ -155,16 +152,12 @@ proptest! {
         let keywords: Vec<String> =
             kw_idx.iter().map(|&i| WORDS[i as usize].to_string()).collect();
 
-        let mut sharded: Vec<(usize, ShardedEngine, ShardedEngine)> = shard_counts()
+        let mut sharded: Vec<(usize, ShardedEngine)> = shard_counts()
             .into_iter()
             .map(|n| {
-                let block = ShardedEngine::try_build(
-                    &corpus, n, &sharded_config(PostingsFormat::default()),
-                ).expect("sharded build");
-                let flat = ShardedEngine::try_build(
-                    &corpus, n, &sharded_config(PostingsFormat::Flat),
-                ).expect("sharded flat build");
-                (n, block, flat)
+                let engine =
+                    ShardedEngine::try_build(&corpus, n, &sharded_config()).expect("sharded build");
+                (n, engine)
             })
             .collect();
 
@@ -182,25 +175,22 @@ proptest! {
                 Ranking::Max(BoundsMode::HotKeywords),
             ] {
                 let want = mono.try_query(&q, ranking).unwrap();
-                for (n, block, flat) in &mut sharded {
+                for (n, engine) in &mut sharded {
                     let n = *n;
-                    for (engine, layout) in [(&mut *block, "block"), (&mut *flat, "flat")] {
-                        // Scatter-width invariance: the sequential loop
-                        // (width 1) and the scoped-thread scatter (width 4)
-                        // must both reproduce the monolithic answer bitwise.
-                        for par in [1usize, 4] {
-                            engine.set_scatter_parallelism(par);
-                            for temp in ["cold", "warm"] {
-                                let got = engine.query(&q, ranking);
-                                let label = format!(
-                                    "N={n} par={par} {layout} {temp} {ranking:?} {semantics:?}"
-                                );
-                                assert_bitwise(&got, &want.users, &want.completeness, &label)?;
-                                prop_assert!(
-                                    got.fanout + got.skipped_by_bound.len() <= engine.n_shards(),
-                                    "fanout accounting: {}", label
-                                );
-                            }
+                    // Scatter-width invariance: the sequential loop
+                    // (width 1) and the scoped-thread scatter (width 4)
+                    // must both reproduce the monolithic answer bitwise.
+                    for par in [1usize, 4] {
+                        engine.set_scatter_parallelism(par);
+                        for temp in ["cold", "warm"] {
+                            let got = engine.query(&q, ranking);
+                            let label =
+                                format!("N={n} par={par} {temp} {ranking:?} {semantics:?}");
+                            assert_bitwise(&got, &want.users, &want.completeness, &label)?;
+                            prop_assert!(
+                                got.fanout + got.skipped_by_bound.len() <= engine.n_shards(),
+                                "fanout accounting: {}", label
+                            );
                         }
                     }
                 }
@@ -239,9 +229,8 @@ proptest! {
         q.budget = Some(QueryBudget { timeout_ms: None, max_cells: Some(max_cells) });
 
         for n in shard_counts() {
-            let mut engine = ShardedEngine::try_build(
-                &corpus, n, &sharded_config(PostingsFormat::default()),
-            ).expect("sharded build");
+            let mut engine =
+                ShardedEngine::try_build(&corpus, n, &sharded_config()).expect("sharded build");
             // Budgeted queries only run Sum (the Max bound-skip could skip
             // a shard the monolithic budget *would* have walked; the skip
             // proof assumes complete shard answers, so the router's Sum

@@ -46,7 +46,7 @@ pub use fs::{SimFs, StdFs, WalFs};
 pub use log::{
     parse_segment_name, replay, segment_name, FsyncPolicy, RecoveryReport, WalConfig, WalWriter,
 };
-pub use memtable::{MemtableIndex, DEFAULT_PACK_THRESHOLD};
+pub use memtable::MemtableIndex;
 pub use record::{decode_record, encode_record, WalRecord};
 pub use store::{
     parse_seal_name, seal_name, BoundsAudit, CompactionReport, CompactionStrategy, CompactorHandle,

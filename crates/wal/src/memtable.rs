@@ -7,16 +7,8 @@
 //! seen, and the whole point of the delta is to answer for them before
 //! any index rebuild.
 //!
-//! Small memtables keep each list as a flat id-sorted `Vec` — cheapest
-//! to build, trivially correct. Once the memtable grows past
-//! [`MemtableIndex::pack_threshold`] posts (a sustained firehose between
-//! compactions), each hot list graduates to the §13 block-postings codec
-//! ([`tklus_index::BlockPostings`]): fresh inserts land in a short flat
-//! tail, and once the tail reaches a block's worth it is merged into the
-//! packed run. Candidate assembly then unions still-packed blocks
-//! ([`tklus_index::union_sum_blocks`]) instead of re-sorting flat rows,
-//! so live-candidate formation stops degrading linearly with memtable
-//! size.
+//! Each list is a plain id-sorted `Vec`; compaction drains the memtable
+//! long before a list is worth compressing.
 //!
 //! [`MemtableIndex::candidates`] mirrors the sealed engine's candidate
 //! formation exactly — per-cell exact lookups over the query's circle
@@ -24,99 +16,27 @@
 //! intersected (any keyword that normalizes away empties an AND query) —
 //! so the ingest store can merge sealed and live candidates into one
 //! tweet-id-ordered stream and reproduce a from-scratch engine's answers
-//! bit for bit (the snapshot-equality oracle in `tests/` asserts this,
-//! on both sides of the packing threshold).
+//! bit for bit (the snapshot-equality oracle in `tests/` asserts this).
 
 use std::collections::BTreeMap;
 use tklus_geo::Geohash;
-use tklus_index::{union_sum_blocks, BlockPostings, BlockScratch, DecodeError, Posting, BLOCK_LEN};
 use tklus_model::{Semantics, TweetId, UserId};
 
-/// Default memtable size (posts) past which lists pack into block
-/// postings. Below it every list stays a flat `Vec` — the codec's framing
-/// is pure overhead for a memtable that compaction drains every few
-/// hundred posts.
-pub const DEFAULT_PACK_THRESHOLD: usize = 4096;
-
-/// One term-in-cell postings delta: an immutable packed run plus a flat
-/// id-sorted tail of fresh inserts.
-#[derive(Debug, Default, Clone)]
-struct DeltaList {
-    /// Block-compressed older postings (§13 codec), id-disjoint from the
-    /// tail. `None` until the list first graduates.
-    packed: Option<BlockPostings>,
-    /// Fresh inserts, id-sorted. Merged into `packed` once it reaches a
-    /// block's worth (and the memtable is past the pack threshold).
-    tail: Vec<(TweetId, u32)>,
-}
-
-impl DeltaList {
-    /// Merges the packed run and the tail into one packed run. On a
-    /// decode error (never produced by lists this module built — but the
-    /// codec is honest about its fallibility) the list is left exactly as
-    /// it was: flat-plus-packed still answers correctly, just unpacked.
-    fn pack(&mut self) -> Result<(), DecodeError> {
-        let mut merged: Vec<Posting> = match &self.packed {
-            Some(blocks) => blocks.to_postings_list()?.postings().to_vec(),
-            None => Vec::new(),
-        };
-        // Tail ids interleave arbitrarily with the packed run (replay is
-        // sequence-ordered, not id-ordered), so merge the two sorted
-        // streams rather than appending.
-        let tail = std::mem::take(&mut self.tail);
-        let mut out: Vec<Posting> = Vec::with_capacity(merged.len() + tail.len());
-        let mut old = merged.drain(..).peekable();
-        for (id, tf) in tail {
-            while old.peek().is_some_and(|p| p.id < id) {
-                out.push(old.next().expect("peeked"));
-            }
-            // An equal id cannot arise (the store rejects duplicate tweet
-            // ids before they reach the memtable); if it ever did, the
-            // tail — the newer write — wins.
-            if old.peek().is_some_and(|p| p.id == id) {
-                old.next();
-            }
-            out.push(Posting { id, tf });
-        }
-        out.extend(old);
-        self.packed = Some(BlockPostings::from_postings(&out));
-        Ok(())
-    }
-}
-
 /// In-memory postings over the live (unsealed) posts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MemtableIndex {
-    /// term → cell → postings delta. Term-first keying: one `&str` lookup
-    /// per term, then cheap per-cell probes over the cover — no per-cell
-    /// key allocation.
-    postings: BTreeMap<String, BTreeMap<Geohash, DeltaList>>,
+    /// term → cell → id-sorted `(tweet, tf)` postings. Term-first keying:
+    /// one `&str` lookup per term, then cheap per-cell probes over the
+    /// cover — no per-cell key allocation.
+    postings: BTreeMap<String, BTreeMap<Geohash, Vec<(TweetId, u32)>>>,
     /// Live posts: tweet → author.
     posts: BTreeMap<TweetId, UserId>,
-    /// Memtable size (posts) past which lists graduate to block postings.
-    pack_threshold: usize,
-}
-
-impl Default for MemtableIndex {
-    fn default() -> Self {
-        Self {
-            postings: BTreeMap::new(),
-            posts: BTreeMap::new(),
-            pack_threshold: DEFAULT_PACK_THRESHOLD,
-        }
-    }
 }
 
 impl MemtableIndex {
-    /// An empty memtable with the default pack threshold.
+    /// An empty memtable.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty memtable that packs lists once `threshold` posts are live
-    /// (`usize::MAX` disables packing — every list stays flat).
-    pub fn with_pack_threshold(threshold: usize) -> Self {
-        Self { pack_threshold: threshold, ..Self::default() }
     }
 
     /// Number of live posts.
@@ -147,16 +67,6 @@ impl MemtableIndex {
         users
     }
 
-    /// How many term-in-cell lists currently hold a packed run — the
-    /// delta index actually engaged (tests assert the threshold works).
-    pub fn packed_lists(&self) -> usize {
-        self.postings
-            .values()
-            .flat_map(|cells| cells.values())
-            .filter(|list| list.packed.is_some())
-            .count()
-    }
-
     /// Absorbs one post: `cell` is its geohash at the sealed index's
     /// encoding length, `terms` the pipeline's `(term, tf)` counts
     /// ([`tklus_core::TklusEngine::term_counts`]). Posts may arrive in any
@@ -164,17 +74,11 @@ impl MemtableIndex {
     /// postings stay id-sorted by insertion position.
     pub fn insert(&mut self, tid: TweetId, uid: UserId, cell: Geohash, terms: &[(String, u32)]) {
         self.posts.insert(tid, uid);
-        let graduate = self.posts.len() >= self.pack_threshold;
         for (term, tf) in terms {
             let list = self.postings.entry(term.clone()).or_default().entry(cell).or_default();
-            match list.tail.binary_search_by_key(&tid, |e| e.0) {
-                Ok(at) => list.tail[at].1 = *tf,
-                Err(at) => list.tail.insert(at, (tid, *tf)),
-            }
-            if graduate && list.tail.len() >= BLOCK_LEN {
-                // A failed pack (unreachable for self-built lists) leaves
-                // the list flat and correct; the next insert retries.
-                let _ = list.pack();
+            match list.binary_search_by_key(&tid, |e| e.0) {
+                Ok(at) => list[at].1 = *tf,
+                Err(at) => list.insert(at, (tid, *tf)),
             }
         }
     }
@@ -191,14 +95,13 @@ impl MemtableIndex {
     /// normalized away). OR unions all lists summing tf; AND unions per
     /// keyword then intersects, and any `None` keyword empties the whole
     /// AND query (the sealed engine's contract). Returns id-sorted
-    /// `(tweet, tf)` rows. Errs only on a packed-block decode failure —
-    /// which a list this module built cannot produce.
+    /// `(tweet, tf)` rows.
     pub fn candidates(
         &self,
         cover: &[Geohash],
         keywords: &[Option<String>],
         semantics: Semantics,
-    ) -> Result<Vec<(TweetId, u32)>, DecodeError> {
+    ) -> Vec<(TweetId, u32)> {
         // Dedup normalized keywords (the sealed path's resolve contract:
         // "Hotels" and "hotel" contribute one term).
         let mut terms: Vec<&str> = Vec::new();
@@ -206,85 +109,43 @@ impl MemtableIndex {
             match kw {
                 Some(t) if !terms.contains(&t.as_str()) => terms.push(t),
                 Some(_) => {}
-                None if semantics == Semantics::And => return Ok(Vec::new()),
+                None if semantics == Semantics::And => return Vec::new(),
                 None => {}
             }
         }
-        if terms.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut scratch = BlockScratch::new();
         match semantics {
             Semantics::Or => {
                 let mut acc: BTreeMap<TweetId, u32> = BTreeMap::new();
                 for term in &terms {
-                    for (tid, tf) in self.term_postings(cover, term, &mut scratch)? {
+                    for (tid, tf) in self.term_postings(cover, term) {
                         *acc.entry(tid).or_insert(0) += tf;
                     }
                 }
-                Ok(acc.into_iter().collect())
+                acc.into_iter().collect()
             }
             Semantics::And => {
-                let mut groups: Vec<Vec<(TweetId, u32)>> = Vec::with_capacity(terms.len());
-                for term in &terms {
-                    let group = self.term_postings(cover, term, &mut scratch)?;
-                    if group.is_empty() {
-                        return Ok(Vec::new());
-                    }
-                    groups.push(group);
+                let groups: Vec<Vec<(TweetId, u32)>> =
+                    terms.iter().map(|term| self.term_postings(cover, term)).collect();
+                if groups.iter().any(Vec::is_empty) {
+                    Vec::new()
+                } else {
+                    tklus_index::intersect_sum(&groups)
                 }
-                Ok(tklus_index::intersect_sum(&groups))
             }
         }
     }
 
     /// One keyword's postings across the cover, id-sorted. A live post
     /// appears in exactly one cell, so the per-cell lists are disjoint:
-    /// the packed runs union block-wise (§13), the flat tails chain and
-    /// sort, and the two sorted streams merge.
-    fn term_postings(
-        &self,
-        cover: &[Geohash],
-        term: &str,
-        scratch: &mut BlockScratch,
-    ) -> Result<Vec<(TweetId, u32)>, DecodeError> {
+    /// chain and sort.
+    fn term_postings(&self, cover: &[Geohash], term: &str) -> Vec<(TweetId, u32)> {
         let Some(cells) = self.postings.get(term) else {
-            return Ok(Vec::new());
+            return Vec::new();
         };
-        let mut packed: Vec<&BlockPostings> = Vec::new();
-        let mut flat: Vec<(TweetId, u32)> = Vec::new();
-        for cell in cover {
-            let Some(list) = cells.get(cell) else { continue };
-            if let Some(blocks) = &list.packed {
-                packed.push(blocks);
-            }
-            flat.extend_from_slice(&list.tail);
-        }
-        flat.sort_by_key(|e| e.0);
-        if packed.is_empty() {
-            return Ok(flat);
-        }
-        let mut from_blocks = Vec::new();
-        union_sum_blocks(&packed, scratch, &mut from_blocks)?;
-        if flat.is_empty() {
-            return Ok(from_blocks);
-        }
-        // Merge the packed and tail streams. Ids are disjoint (a post's
-        // ⟨term, cell⟩ entry lives in exactly one of the two), but merge
-        // defensively: on an equal id the tail — the newer write — wins.
-        let mut out = Vec::with_capacity(from_blocks.len() + flat.len());
-        let mut blocks_it = from_blocks.into_iter().peekable();
-        for (id, tf) in flat {
-            while blocks_it.peek().is_some_and(|&(bid, _)| bid < id) {
-                out.push(blocks_it.next().expect("peeked"));
-            }
-            if blocks_it.peek().is_some_and(|&(bid, _)| bid == id) {
-                blocks_it.next();
-            }
-            out.push((id, tf));
-        }
-        out.extend(blocks_it);
-        Ok(out)
+        let mut out: Vec<(TweetId, u32)> =
+            cover.iter().filter_map(|cell| cells.get(cell)).flatten().copied().collect();
+        out.sort_by_key(|e| e.0);
+        out
     }
 }
 
@@ -311,25 +172,22 @@ mod tests {
     #[test]
     fn or_unions_and_sorts_by_id() {
         let (m, c) = table();
-        let cands = m
-            .candidates(&[c], &[Some("hotel".into()), Some("coffe".into())], Semantics::Or)
-            .unwrap();
+        let cands =
+            m.candidates(&[c], &[Some("hotel".into()), Some("coffe".into())], Semantics::Or);
         assert_eq!(cands, vec![(TweetId(2), 1), (TweetId(5), 3), (TweetId(9), 3)]);
     }
 
     #[test]
     fn and_intersects_and_none_keyword_empties() {
         let (m, c) = table();
-        let both = m
-            .candidates(&[c], &[Some("hotel".into()), Some("coffe".into())], Semantics::And)
-            .unwrap();
+        let both =
+            m.candidates(&[c], &[Some("hotel".into()), Some("coffe".into())], Semantics::And);
         assert_eq!(both, vec![(TweetId(5), 3)]);
-        let with_stopword = m
-            .candidates(&[c], &[Some("hotel".into()), None, Some("coffe".into())], Semantics::And)
-            .unwrap();
+        let with_stopword =
+            m.candidates(&[c], &[Some("hotel".into()), None, Some("coffe".into())], Semantics::And);
         assert!(with_stopword.is_empty());
         // OR just drops the normalized-away keyword.
-        let or = m.candidates(&[c], &[Some("hotel".into()), None], Semantics::Or).unwrap();
+        let or = m.candidates(&[c], &[Some("hotel".into()), None], Semantics::Or);
         assert_eq!(or.len(), 2);
     }
 
@@ -338,14 +196,12 @@ mod tests {
         let (mut m, c) = table();
         let far = cell(-33.87, 151.21);
         m.insert(TweetId(11), UserId(3), far, &[("hotel".into(), 1)]);
-        let near = m.candidates(&[c], &[Some("hotel".into())], Semantics::Or).unwrap();
+        let near = m.candidates(&[c], &[Some("hotel".into())], Semantics::Or);
         assert!(near.iter().all(|&(tid, _)| tid != TweetId(11)));
-        let both_cells = m.candidates(&[c, far], &[Some("hotel".into())], Semantics::Or).unwrap();
+        let both_cells = m.candidates(&[c, far], &[Some("hotel".into())], Semantics::Or);
         assert!(both_cells.iter().any(|&(tid, _)| tid == TweetId(11)));
-        let dup = m
-            .candidates(&[c], &[Some("hotel".into()), Some("hotel".into())], Semantics::Or)
-            .unwrap();
-        assert_eq!(dup, m.candidates(&[c], &[Some("hotel".into())], Semantics::Or).unwrap());
+        let dup = m.candidates(&[c], &[Some("hotel".into()), Some("hotel".into())], Semantics::Or);
+        assert_eq!(dup, m.candidates(&[c], &[Some("hotel".into())], Semantics::Or));
     }
 
     #[test]
@@ -356,73 +212,6 @@ mod tests {
         assert!(m.contains(TweetId(5)));
         m.clear();
         assert!(m.is_empty());
-        assert!(m.candidates(&[], &[Some("hotel".into())], Semantics::Or).unwrap().is_empty());
-    }
-
-    /// Past the threshold the hot lists pack into block postings, and
-    /// candidate formation stays bitwise-identical to a flat memtable fed
-    /// the same inserts — in both OR and AND, across interleaved id
-    /// orders and multiple cells.
-    #[test]
-    fn packed_lists_answer_identically_to_flat() {
-        let near = cell(43.70, -79.42);
-        let far = cell(-33.87, 151.21);
-        let mut packed = MemtableIndex::with_pack_threshold(64);
-        let mut flat = MemtableIndex::with_pack_threshold(usize::MAX);
-        // Interleave ids so tails merge into packed runs mid-range, and
-        // spread posts over two cells and three terms.
-        for i in 0..600u64 {
-            let id = TweetId((i * 7919) % 6000);
-            if packed.contains(id) {
-                continue;
-            }
-            let c = if i % 3 == 0 { far } else { near };
-            let mut terms: Vec<(String, u32)> = vec![("hotel".into(), (i % 4 + 1) as u32)];
-            if i % 2 == 0 {
-                terms.push(("coffe".into(), (i % 3 + 1) as u32));
-            }
-            if i % 5 == 0 {
-                terms.push(("beach".into(), 1));
-            }
-            packed.insert(id, UserId(i % 17), c, &terms);
-            flat.insert(id, UserId(i % 17), c, &terms);
-        }
-        assert!(packed.packed_lists() > 0, "threshold never engaged the block codec");
-        assert_eq!(flat.packed_lists(), 0);
-        let kws = |names: &[&str]| -> Vec<Option<String>> {
-            names.iter().map(|n| Some((*n).to_string())).collect()
-        };
-        for cover in [vec![near], vec![far], vec![near, far]] {
-            for semantics in [Semantics::Or, Semantics::And] {
-                for keywords in
-                    [kws(&["hotel"]), kws(&["hotel", "coffe"]), kws(&["coffe", "beach"])]
-                {
-                    let got = packed.candidates(&cover, &keywords, semantics).unwrap();
-                    let want = flat.candidates(&cover, &keywords, semantics).unwrap();
-                    assert_eq!(got, want, "cover {cover:?} {semantics:?} {keywords:?}");
-                }
-            }
-        }
-    }
-
-    /// Inserts after a list packs land in the tail and still answer.
-    #[test]
-    fn tail_after_packing_still_merges() {
-        let c = cell(43.70, -79.42);
-        let mut m = MemtableIndex::with_pack_threshold(1);
-        for i in 0..(BLOCK_LEN as u64 + 10) {
-            m.insert(TweetId(i * 2), UserId(1), c, &[("hotel".into(), 1)]);
-        }
-        assert!(m.packed_lists() > 0);
-        // A fresh id below, between, and above the packed range.
-        m.insert(TweetId(1), UserId(2), c, &[("hotel".into(), 5)]);
-        m.insert(TweetId(9), UserId(2), c, &[("hotel".into(), 4)]);
-        m.insert(TweetId(100_000), UserId(2), c, &[("hotel".into(), 3)]);
-        let rows = m.candidates(&[c], &[Some("hotel".into())], Semantics::Or).unwrap();
-        assert_eq!(rows.len(), BLOCK_LEN + 13);
-        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "rows must stay id-sorted");
-        assert!(rows.contains(&(TweetId(1), 5)));
-        assert!(rows.contains(&(TweetId(9), 4)));
-        assert!(rows.contains(&(TweetId(100_000), 3)));
+        assert!(m.candidates(&[], &[Some("hotel".into())], Semantics::Or).is_empty());
     }
 }

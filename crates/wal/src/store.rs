@@ -28,8 +28,9 @@
 //!
 //! * Sum: sealed [`TklusEngine::try_partial_sum`] rows and memtable rows
 //!   (scored by the identical per-candidate sequence) merge by tweet id —
-//!   the monolithic fold order — then fold, blend, and rank exactly as
-//!   Algorithm 4 does.
+//!   the monolithic fold order — and
+//!   [`TklusEngine::try_rank_sum_rows`] folds, blends, and ranks them with
+//!   Algorithm 4's own code.
 //! * Max: the sealed top-k and the exhaustively-scored memtable users
 //!   merge by per-user maximum. Exact because `user_score` is monotone in
 //!   its keyword part (so per-user max of scores equals score of max ρ)
@@ -98,7 +99,7 @@ use crate::error::WalError;
 use crate::frame::{decode_step, encode_frame, FrameStep};
 use crate::fs::WalFs;
 use crate::log::{parse_segment_name, replay, RecoveryReport, WalConfig, WalWriter};
-use crate::memtable::{MemtableIndex, DEFAULT_PACK_THRESHOLD};
+use crate::memtable::MemtableIndex;
 use crate::record::{decode_record, encode_record, WalRecord};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -106,7 +107,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tklus_core::score::{tweet_keyword_score, user_score};
-use tklus_core::{top_k, EngineConfig, RankedUser, Ranking, TklusEngine};
+use tklus_core::{merge_sum_rows, top_k, EngineConfig, RankedUser, Ranking, SumRow, TklusEngine};
 use tklus_geo::{circle_cover, encode, Geohash};
 use tklus_model::{Corpus, Post, TklusQuery, TweetId, UserId};
 use tklus_storage::crc32;
@@ -151,9 +152,6 @@ pub struct StoreConfig {
     pub compact_interval: Duration,
     /// Compaction scheduling (off-latch incremental by default).
     pub strategy: CompactionStrategy,
-    /// Memtable delta index: pack a term/cell list into §13 block
-    /// postings once this many posts are live (`usize::MAX` disables).
-    pub delta_index_threshold: usize,
 }
 
 impl Default for StoreConfig {
@@ -164,7 +162,6 @@ impl Default for StoreConfig {
             compact_threshold: 1024,
             compact_interval: Duration::from_millis(20),
             strategy: CompactionStrategy::Incremental,
-            delta_index_threshold: DEFAULT_PACK_THRESHOLD,
         }
     }
 }
@@ -487,7 +484,7 @@ impl IngestStore {
         let groups: Vec<char> = sealed.iter().map(|r| Self::post_group(&engine, &r.post)).collect();
         let mut inner = Inner {
             engine,
-            memtable: MemtableIndex::with_pack_threshold(config.delta_index_threshold),
+            memtable: MemtableIndex::new(),
             wal,
             acked: sealed,
             groups,
@@ -532,16 +529,28 @@ impl IngestStore {
         Ok(engine)
     }
 
-    /// Appends `rec` to the acked set and applies it to the live state;
-    /// on apply failure falls back to a full rebuild (see the module docs).
+    /// Appends `rec` to the acked set and applies it to the live state as
+    /// a one-record [`Self::replay_suffix`]; on apply failure falls back
+    /// to a full rebuild (see the module docs).
     fn admit(&self, inner: &mut Inner, rec: WalRecord) -> Result<u64, WalError> {
         let seq = rec.seq;
-        inner.by_id.insert(rec.post.id, inner.acked.len());
+        let at = inner.acked.len();
+        inner.by_id.insert(rec.post.id, at);
         inner.groups.push(Self::post_group(&inner.engine, &rec.post));
+        if let Some(reply) = rec.post.in_reply_to {
+            *inner.fanout.entry(reply.target).or_insert(0) += 1;
+        }
         inner.acked.push(rec);
         inner.max_seq = inner.max_seq.max(seq);
-        let at = inner.acked.len() - 1;
-        match self.apply_live(inner, at) {
+        let applied = Self::replay_suffix(
+            &mut inner.engine,
+            &mut inner.memtable,
+            &inner.acked,
+            &inner.by_id,
+            &inner.fanout,
+            at,
+        );
+        match applied {
             Ok(()) => Ok(seq),
             Err(_) => match self.rebuild_live(inner) {
                 Ok(()) => Ok(seq),
@@ -553,50 +562,12 @@ impl IngestStore {
         }
     }
 
-    /// Applies `inner.acked[at]` to the engine metadata, bounds, and
-    /// memtable. Must only be called with the record already in `acked`:
-    /// on error the caller rebuilds from that set.
-    fn apply_live(&self, inner: &mut Inner, at: usize) -> Result<(), WalError> {
-        let rec = inner.acked[at].clone();
-        let post = &rec.post;
-        inner.engine.try_insert_metadata(post)?;
-
-        // Loosen-only bound refresh: the new post grows every ancestor's
-        // thread, so each ancestor's φ may rise; raise the hot bound of
-        // every term those posts carry, and the global bound for the
-        // target's new fan-out. Bounds only ever prune *sealed*
-        // candidates (memtable candidates are scored exhaustively), so
-        // over-loosening costs pruning power, never correctness.
-        if let Some(reply) = post.in_reply_to {
-            let count = {
-                let entry = inner.fanout.entry(reply.target).or_insert(0);
-                *entry += 1;
-                *entry
-            };
-            inner.engine.loosen_global_for_fanout(count);
-            let mut affected = vec![post.id];
-            affected.extend(inner.engine.try_ancestor_chain(post)?);
-            for tid in affected {
-                let phi = inner.engine.try_thread_phi(tid)?;
-                let Some(&idx) = inner.by_id.get(&tid) else { continue };
-                let text = inner.acked[idx].post.text.clone();
-                for term in inner.engine.text_terms(&text) {
-                    inner.engine.loosen_hot_bound(term, phi);
-                }
-            }
-        }
-
-        let cell = Self::post_cell(&inner.engine, post)?;
-        let terms = inner.engine.term_counts(&post.text);
-        inner.memtable.insert(post.id, post.user, cell, &terms);
-        Ok(())
-    }
-
-    /// Re-applies `acked[from..]` — metadata, loosen-only bounds (with
-    /// *final* fan-out counts, which can only over-loosen), and memtable
-    /// postings — onto an engine that seals exactly `acked[..from]`.
-    /// Shared by the post-swap suffix replay and the poison-recovery
-    /// rebuild, so the two paths cannot drift.
+    /// Re-applies `acked[from..]` — metadata, loosen-only bounds, and
+    /// memtable postings — onto an engine whose metadata covers exactly
+    /// `acked[..from]`. `fanout` counts every record of `acked`, so a
+    /// multi-record replay loosens the global bound with *final* counts,
+    /// which can only over-loosen. The one apply routine: ingest, the
+    /// post-swap suffix replay and the poison-recovery rebuild all run it.
     fn replay_suffix(
         engine: &mut TklusEngine,
         memtable: &mut MemtableIndex,
@@ -608,6 +579,13 @@ impl IngestStore {
         for at in from..acked.len() {
             let post = acked[at].post.clone();
             engine.try_insert_metadata(&post)?;
+            // Loosen-only bound refresh: the new post grows every
+            // ancestor's thread, so each ancestor's φ may rise; raise the
+            // hot bound of every term those posts carry, and the global
+            // bound for the target's fan-out. Bounds only ever prune
+            // *sealed* candidates (memtable candidates are scored
+            // exhaustively), so over-loosening costs pruning power, never
+            // correctness.
             if let Some(reply) = post.in_reply_to {
                 engine.loosen_global_for_fanout(fanout[&reply.target]);
                 let mut affected = vec![post.id];
@@ -634,7 +612,7 @@ impl IngestStore {
     fn rebuild_live(&self, inner: &mut Inner) -> Result<(), WalError> {
         let sealed = &inner.acked[..inner.sealed_len];
         let mut engine = Self::build_engine(sealed, &self.config.engine)?;
-        let mut memtable = self.fresh_memtable();
+        let mut memtable = MemtableIndex::new();
         let mut fanout: HashMap<TweetId, usize> = HashMap::new();
         for rec in &inner.acked {
             if let Some(r) = rec.post.in_reply_to {
@@ -667,17 +645,12 @@ impl IngestStore {
     /// The post's seal partition: its geohash's leading character.
     /// Infallible so `groups` stays parallel to `acked` on every path;
     /// the `'0'` fallback is unreachable in practice because
-    /// [`Self::apply_live`] refuses posts whose location will not encode.
+    /// [`Self::replay_suffix`] refuses posts whose location will not encode.
     fn post_group(engine: &TklusEngine, post: &Post) -> char {
         encode(&post.location, engine.index().geohash_len())
             .ok()
             .and_then(|cell| cell.to_string().chars().next())
             .unwrap_or('0')
-    }
-
-    /// A memtable tuned to this store's delta-index threshold.
-    fn fresh_memtable(&self) -> MemtableIndex {
-        MemtableIndex::with_pack_threshold(self.config.delta_index_threshold)
     }
 
     /// Ingests one post: duplicate check, durable WAL append, live apply.
@@ -722,45 +695,23 @@ impl IngestStore {
         let live = self.live_candidates(&inner, q)?;
         match ranking {
             Ranking::Sum => {
+                // The sealed and live sets are disjoint (a tweet is sealed
+                // or live, never both) and both streams are id-sorted:
+                // merged by tweet id they are the monolithic fold order,
+                // so the engine's own fold, blend and ranking reproduce a
+                // from-scratch engine's floats.
                 let sealed = engine.try_partial_sum(q)?;
-                // Fold the sealed and live streams in one linear merge by
-                // tweet id: the sets are disjoint (a tweet is sealed or
-                // live, never both), both streams are id-sorted, and the
-                // merged order is the monolithic fold order — so the
-                // float association matches a from-scratch engine without
-                // the O(sealed × live) of mid-vector inserts.
-                let mut users: HashMap<UserId, f64> = HashMap::new();
-                let mut live_it = live.into_iter().peekable();
-                for row in sealed.rows {
-                    while live_it.peek().is_some_and(|&(tid, _, _)| tid < row.tweet) {
-                        let (_, uid, rho) = live_it.next().expect("peeked");
-                        *users.entry(uid).or_insert(0.0) += rho;
-                    }
-                    *users.entry(row.user).or_insert(0.0) += row.rho;
-                }
-                for (_, uid, rho) in live_it {
-                    *users.entry(uid).or_insert(0.0) += rho;
-                }
-                let mut entries: Vec<(UserId, f64)> = users.into_iter().collect();
-                entries.sort_by_key(|e| e.0);
-                let mut ranked = Vec::with_capacity(entries.len());
-                for (uid, rho) in entries {
-                    let delta = engine.try_user_distance_score(&q.location, q.radius_km, uid)?;
-                    ranked.push(RankedUser {
-                        user: uid,
-                        score: user_score(rho, delta, engine.scoring()),
-                    });
-                }
-                Ok(top_k(ranked, q.k))
+                let merged = merge_sum_rows([sealed.rows.as_slice(), live.as_slice()].into_iter());
+                Ok(engine.try_rank_sum_rows(q, &merged)?)
             }
             Ranking::Max(_) => {
                 let sealed = engine.try_query(q, ranking)?;
                 // Per-user best keyword relevance over the live tweets.
                 let mut live_best: HashMap<UserId, f64> = HashMap::new();
-                for (_tid, uid, rho) in live {
-                    let entry = live_best.entry(uid).or_insert(f64::NEG_INFINITY);
-                    if rho > *entry {
-                        *entry = rho;
+                for row in live {
+                    let entry = live_best.entry(row.user).or_insert(f64::NEG_INFINITY);
+                    if row.rho > *entry {
+                        *entry = row.rho;
                     }
                 }
                 let mut best: HashMap<UserId, f64> = HashMap::new();
@@ -787,12 +738,8 @@ impl IngestStore {
     /// Scores the memtable's candidates for `q` with the exact
     /// per-candidate sequence of Algorithm 4/5's relevance stage: time
     /// window, metadata row, radius, thread popularity, keyword score ×
-    /// recency. Returns id-sorted `(tweet, author, ρ)` rows.
-    fn live_candidates(
-        &self,
-        inner: &Inner,
-        q: &TklusQuery,
-    ) -> Result<Vec<(TweetId, UserId, f64)>, WalError> {
+    /// recency. Returns id-sorted rows.
+    fn live_candidates(&self, inner: &Inner, q: &TklusQuery) -> Result<Vec<SumRow>, WalError> {
         let engine = &inner.engine;
         if inner.memtable.is_empty() {
             return Ok(Vec::new());
@@ -803,15 +750,8 @@ impl IngestStore {
                 .expect("index geohash length is valid");
         let keywords: Vec<Option<String>> =
             q.keywords.iter().map(|kw| engine.normalize_keyword(kw)).collect();
-        let cands = inner.memtable.candidates(&cover, &keywords, q.semantics).map_err(|e| {
-            WalError::Corrupt {
-                path: "<memtable delta index>".to_string(),
-                offset: 0,
-                detail: format!("packed postings decode failed: {e}"),
-            }
-        })?;
         let mut rows = Vec::new();
-        for (tid, tf) in cands {
+        for (tid, tf) in inner.memtable.candidates(&cover, &keywords, q.semantics) {
             if !q.in_time_range(tid.0) {
                 continue;
             }
@@ -823,7 +763,7 @@ impl IngestStore {
             }
             let phi = engine.try_thread_phi(tid)?;
             let rho = tweet_keyword_score(tf, phi, scoring) * q.recency_factor(tid.0);
-            rows.push((tid, row.uid, rho));
+            rows.push(SumRow { tweet: tid, user: row.uid, rho });
         }
         Ok(rows)
     }
@@ -945,7 +885,7 @@ impl IngestStore {
         inner.generation = generation;
         inner.seal_files = files;
         inner.engine = engine;
-        let mut memtable = self.fresh_memtable();
+        let mut memtable = MemtableIndex::new();
         let replayed = {
             let inner = &mut *inner;
             Self::replay_suffix(
@@ -1120,11 +1060,6 @@ impl IngestStore {
     /// Posts in the live memtable.
     pub fn live_posts(&self) -> usize {
         self.inner.read().memtable.len()
-    }
-
-    /// Term/cell lists the live memtable has packed into block postings.
-    pub fn packed_delta_lists(&self) -> usize {
-        self.inner.read().memtable.packed_lists()
     }
 
     /// Current compaction generation.

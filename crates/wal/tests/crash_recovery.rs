@@ -52,9 +52,6 @@ fn store_config() -> StoreConfig {
         // Tiny segments force rotations mid-workload, so the sweep hits
         // rotate-time crash points, not just appends.
         wal: WalConfig { segment_bytes: 256, fsync: FsyncPolicy::Always },
-        // Pack memtable delta lists almost immediately, so post-recovery
-        // queries exercise the block-postings path, not just the tails.
-        delta_index_threshold: 2,
         ..StoreConfig::default()
     }
 }

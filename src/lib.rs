@@ -20,6 +20,7 @@ pub use tklus_core as core;
 pub use tklus_gen as gen;
 pub use tklus_geo as geo;
 pub use tklus_graph as graph;
+pub use tklus_http as http;
 pub use tklus_index as index;
 pub use tklus_mapreduce as mapreduce;
 pub use tklus_metrics as metrics;
@@ -28,3 +29,4 @@ pub use tklus_serve as serve;
 pub use tklus_shard as shard;
 pub use tklus_storage as storage;
 pub use tklus_text as text;
+pub use tklus_wal as wal;
