@@ -1,23 +1,20 @@
-//! Query/ingest tail latency **during compaction**, old strategy vs new,
-//! emitted as `results/BENCH_compact.json`.
+//! Query/ingest tail latency **during compaction**, emitted as
+//! `results/BENCH_compact.json`.
 //!
-//! The full-latch compactor holds the store's write latch for the whole
-//! rebuild, so a query that arrives mid-compaction waits for the entire
-//! engine build. The incremental compactor builds off the latch and only
-//! takes it for the seq-fenced swap, so concurrent queries and ingests
-//! should barely notice. This bench measures exactly that window: a
-//! query thread and an ingest thread stream against the store while the
-//! main thread runs one compaction; every latency sample overlapping the
-//! compaction window counts, and the report compares p99/max per
-//! strategy plus the stall ratio (full-latch p99 ÷ incremental p99).
+//! The compactor builds off the store's write latch and only takes it for
+//! the seq-fenced swap, so concurrent queries and ingests should barely
+//! notice. This bench measures exactly that window: a query thread and an
+//! ingest thread stream against the store while the main thread runs one
+//! compaction; every latency sample overlapping the compaction window
+//! counts, and the report gives their p99/max.
 //!
 //! The concurrency needs spare cores: below [`MIN_CORES`] the JSON
 //! records `"valid": false` with a skip reason instead of fabricated
 //! numbers.
 //!
 //! CI smoke gate: with `TKLUS_STALL_GATE_MS` set, the bench exits
-//! non-zero if any query overlapping the *incremental* compaction took
-//! longer than that budget — the swap is supposed to be the only
+//! non-zero if any query overlapping the compaction took longer than
+//! that budget — the swap is supposed to be the only
 //! blocking moment, and it is small.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -26,9 +23,7 @@ use std::time::{Duration, Instant};
 use tklus_bench::{banner, csv_row, parse_flags, query_workload, standard_corpus, to_query};
 use tklus_core::{BoundsMode, EngineConfig, Ranking};
 use tklus_model::{Post, Semantics, TklusQuery, TweetId};
-use tklus_wal::{
-    CompactionStrategy, FsyncPolicy, IngestStore, StdFs, StoreConfig, WalConfig, WalFs,
-};
+use tklus_wal::{FsyncPolicy, IngestStore, StdFs, StoreConfig, WalConfig, WalFs};
 
 /// Main (compacting) thread + query thread + ingest thread.
 const MIN_CORES: usize = 3;
@@ -39,7 +34,7 @@ struct Sample {
     secs: f64,
 }
 
-/// Per-strategy result over the compaction window.
+/// What the compaction window saw.
 struct StallStats {
     compact_ms: f64,
     query_p99_us: f64,
@@ -60,9 +55,9 @@ fn p99_us(samples: &mut [f64]) -> f64 {
 }
 
 /// Keeps the latencies (µs) of samples overlapping `[w0, w1]` — a query
-/// parked under the full-latch compactor *starts* before the window
-/// closes and *ends* inside or after it, so overlap (not containment) is
-/// the honest filter.
+/// parked behind the swap latch *starts* before the window closes and
+/// *ends* inside or after it, so overlap (not containment) is the honest
+/// filter.
 fn overlapping_us(samples: &[Sample], w0: Instant, w1: Instant) -> Vec<f64> {
     samples
         .iter()
@@ -72,7 +67,6 @@ fn overlapping_us(samples: &[Sample], w0: Instant, w1: Instant) -> Vec<f64> {
 }
 
 fn measure(
-    strategy: CompactionStrategy,
     dir: &std::path::Path,
     posts: &[Post],
     requests: &[(TklusQuery, Ranking)],
@@ -80,7 +74,6 @@ fn measure(
     let _ = std::fs::remove_dir_all(dir);
     let fs: Arc<dyn WalFs> = Arc::new(StdFs::open(dir).expect("open bench wal dir"));
     let config = StoreConfig {
-        strategy,
         engine: EngineConfig { parallelism: 1, ..EngineConfig::default() },
         wal: WalConfig { fsync: FsyncPolicy::EveryN(64), ..WalConfig::default() },
         ..StoreConfig::default()
@@ -185,44 +178,29 @@ fn main() {
     // TKLUS_STALL_FORCE=1 runs the measurement on a starved host anyway —
     // for smoke-testing the harness, not for publishing numbers.
     let valid = host_cores >= MIN_CORES || std::env::var("TKLUS_STALL_FORCE").is_ok();
-    let mut rows: Vec<(&str, StallStats)> = Vec::new();
-    if valid {
-        println!(
-            "{:<12} {:>12} {:>16} {:>16} {:>16}",
-            "strategy", "compact ms", "query p99 us", "query max us", "ingest p99 us"
-        );
-        for (name, strategy) in [
-            ("full_latch", CompactionStrategy::FullLatch),
-            ("incremental", CompactionStrategy::Incremental),
-        ] {
-            let stats = measure(strategy, &base.join(name), &posts, &requests);
+    let stats = valid.then(|| measure(&base, &posts, &requests));
+    match &stats {
+        Some(stats) => {
             println!(
-                "{:<12} {:>12.1} {:>16.1} {:>16.1} {:>16.1}",
-                name, stats.compact_ms, stats.query_p99_us, stats.query_max_us, stats.ingest_p99_us
+                "{:>12} {:>16} {:>16} {:>16}",
+                "compact ms", "query p99 us", "query max us", "ingest p99 us"
+            );
+            println!(
+                "{:>12.1} {:>16.1} {:>16.1} {:>16.1}",
+                stats.compact_ms, stats.query_p99_us, stats.query_max_us, stats.ingest_p99_us
             );
             csv_row(&[
                 "stall".into(),
-                name.to_string(),
                 format!("{:.1}", stats.compact_ms),
                 format!("{:.1}", stats.query_p99_us),
                 format!("{:.1}", stats.query_max_us),
                 format!("{:.1}", stats.ingest_p99_us),
             ]);
-            rows.push((name, stats));
         }
-    } else {
-        println!(
+        None => println!(
             "host cores: {host_cores} < {MIN_CORES}; skipping (a contention curve on a starved \
              host is not a measurement)"
-        );
-    }
-
-    let ratio = match rows.as_slice() {
-        [(_, full), (_, incr)] if incr.query_p99_us > 0.0 => full.query_p99_us / incr.query_p99_us,
-        _ => 0.0,
-    };
-    if valid {
-        println!("stall ratio (full-latch query p99 / incremental): {ratio:.1}x");
+        ),
     }
 
     let mut json = String::new();
@@ -232,21 +210,19 @@ fn main() {
     json.push_str(&format!("  \"seed\": {},\n", flags.seed));
     json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     json.push_str(&format!("  \"valid\": {valid},\n"));
-    if valid {
-        json.push_str("  \"skip_reason\": null,\n");
-        for (name, stats) in &rows {
-            json.push_str(&format!("  \"{name}_compact_ms\": {:.1},\n", stats.compact_ms));
-            json.push_str(&format!("  \"{name}_query_p99_us\": {:.1},\n", stats.query_p99_us));
-            json.push_str(&format!("  \"{name}_query_max_us\": {:.1},\n", stats.query_max_us));
-            json.push_str(&format!("  \"{name}_query_samples\": {},\n", stats.query_samples));
-            json.push_str(&format!("  \"{name}_ingest_p99_us\": {:.1},\n", stats.ingest_p99_us));
-            json.push_str(&format!("  \"{name}_ingest_samples\": {},\n", stats.ingest_samples));
+    match &stats {
+        Some(stats) => {
+            json.push_str("  \"skip_reason\": null,\n");
+            json.push_str(&format!("  \"compact_ms\": {:.1},\n", stats.compact_ms));
+            json.push_str(&format!("  \"query_p99_us\": {:.1},\n", stats.query_p99_us));
+            json.push_str(&format!("  \"query_max_us\": {:.1},\n", stats.query_max_us));
+            json.push_str(&format!("  \"query_samples\": {},\n", stats.query_samples));
+            json.push_str(&format!("  \"ingest_p99_us\": {:.1},\n", stats.ingest_p99_us));
+            json.push_str(&format!("  \"ingest_samples\": {}\n", stats.ingest_samples));
         }
-        json.push_str(&format!("  \"stall_ratio\": {ratio:.1}\n"));
-    } else {
-        json.push_str(&format!(
+        None => json.push_str(&format!(
             "  \"skip_reason\": \"host has {host_cores} cores, bench needs >= {MIN_CORES}\"\n"
-        ));
+        )),
     }
     json.push_str("}\n");
 
@@ -256,16 +232,16 @@ fn main() {
     let _ = std::fs::remove_dir_all(&base);
 
     // The CI gate answers one question: did any query overlapping the
-    // incremental compaction wait longer than the swap budget?
-    if let (Some(gate), true) = (gate_ms, valid) {
-        let incr_max_ms = rows[1].1.query_max_us / 1e3;
-        if incr_max_ms > gate {
+    // compaction wait longer than the swap budget?
+    if let (Some(gate), Some(stats)) = (gate_ms, &stats) {
+        let max_ms = stats.query_max_us / 1e3;
+        if max_ms > gate {
             eprintln!(
-                "STALL GATE FAILED: a query overlapping the incremental compaction took \
-                 {incr_max_ms:.1} ms (budget {gate:.1} ms)"
+                "STALL GATE FAILED: a query overlapping the compaction took {max_ms:.1} ms \
+                 (budget {gate:.1} ms)"
             );
             std::process::exit(1);
         }
-        println!("stall gate: worst overlapping query {incr_max_ms:.1} ms <= budget {gate:.1} ms");
+        println!("stall gate: worst overlapping query {max_ms:.1} ms <= budget {gate:.1} ms");
     }
 }

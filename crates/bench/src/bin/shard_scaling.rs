@@ -1,20 +1,15 @@
-//! Shard scaling: fanout, bound-skip rate, and latency vs shard count
-//! (DESIGN.md §14).
+//! Shard scaling: fanout and latency vs shard count (DESIGN.md §14).
 //!
-//! The scatter-gather router promises two things a plot can show: the
-//! circle cover restricts dispatch to the shards it intersects (fanout
-//! stays far below N for non-global queries), and Definition 11 upper
-//! bounds prune dispatched shards that cannot beat the provisional k-th
-//! score (Maximum-score ranking only). This bench replays the standard
+//! The scatter-gather router promises what a plot can show: the circle
+//! cover restricts dispatch to the shards it intersects, so fanout stays
+//! far below N for non-global queries. This bench replays the standard
 //! workload at several radii against N ∈ {1, 2, 4, 8, 16} sharded
 //! engines, verifies every sharded answer bitwise against the monolithic
 //! engine before reporting a single number, and records per-N median
-//! latency, mean fanout, and the shards-skipped rate.
+//! latency and mean fanout.
 //!
 //! Emits `results/BENCH_shard.json`. The process exits nonzero if any
-//! answer diverges from the monolithic reference, if any query degrades,
-//! or if no shard was ever skipped by bound across the N > 1 runs — the
-//! acceptance bar is >0% shard skipping on non-global queries.
+//! answer diverges from the monolithic reference or any query degrades.
 
 use std::time::Instant;
 use tklus_bench::{banner, csv_row, ms, parse_flags, query_workload, standard_corpus, to_query};
@@ -25,8 +20,8 @@ use tklus_shard::ShardedEngine;
 const SHARD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 /// Query radii in km: tight urban circles through cross-region sweeps.
 /// The small radii are the "non-global" queries the fanout claim is
-/// about; the large ones force multi-shard covers so the bound-skip
-/// path actually runs at every N.
+/// about; the large ones force multi-shard covers so the merge actually
+/// runs at every N.
 const RADII_KM: [f64; 3] = [5.0, 25.0, 120.0];
 
 fn bench_config() -> EngineConfig {
@@ -39,8 +34,6 @@ struct NShardReport {
     p90_ms: f64,
     mean_fanout: f64,
     dispatched: u64,
-    skipped: u64,
-    skip_rate_pct: f64,
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -58,7 +51,7 @@ fn assert_bitwise(got: &[RankedUser], want: &[RankedUser], label: &str) {
 
 fn main() {
     let flags = parse_flags();
-    banner("Shard scaling: fanout, bound-skip rate, latency vs N", &flags);
+    banner("Shard scaling: fanout and latency vs N", &flags);
     let corpus = standard_corpus(&flags);
     let config = bench_config();
     let mono = TklusEngine::build(&corpus, &config).0;
@@ -73,9 +66,6 @@ fn main() {
                 1 => Ranking::Max(BoundsMode::HotKeywords),
                 _ => Ranking::Max(BoundsMode::Global),
             };
-            // Alternate semantics: AND queries are where Def. 11 bites
-            // hardest — a shard whose dictionary lacks any conjunct has
-            // an upper bound of exactly zero and is skipped outright.
             let semantics = if i % 2 == 0 { Semantics::Or } else { Semantics::And };
             RADII_KM.iter().map(move |&r| (to_query(spec, r, 5, semantics), ranking))
         })
@@ -93,7 +83,6 @@ fn main() {
         requests.iter().map(|(q, r)| mono.query(q, *r).0).collect();
 
     let mut reports = Vec::new();
-    let mut skipped_beyond_one_shard = 0u64;
     for n in SHARD_COUNTS {
         let engine = ShardedEngine::try_build(&corpus, n, &config)
             .unwrap_or_else(|e| panic!("building {n}-shard engine: {e}"));
@@ -106,38 +95,31 @@ fn main() {
 
         let mut latencies = Vec::with_capacity(requests.len());
         let mut fanout_sum = 0u64;
-        let mut skipped = 0u64;
         for ((q, r), want) in requests.iter().zip(&reference) {
             let t = Instant::now();
             let out = engine.query(q, *r);
             latencies.push(ms(t.elapsed()));
             assert_bitwise(&out.users, want, &format!("N={n} timed"));
             fanout_sum += out.fanout as u64;
-            skipped += out.skipped_by_bound.len() as u64;
         }
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        if n > 1 {
-            skipped_beyond_one_shard += skipped;
-        }
         reports.push(NShardReport {
             n_shards: n,
             p50_ms: percentile(&latencies, 0.5),
             p90_ms: percentile(&latencies, 0.9),
             mean_fanout: fanout_sum as f64 / requests.len() as f64,
             dispatched: fanout_sum,
-            skipped,
-            skip_rate_pct: skipped as f64 / (fanout_sum + skipped).max(1) as f64 * 100.0,
         });
     }
 
     println!(
-        "{:<8} {:>10} {:>10} {:>12} {:>12} {:>10} {:>10}",
-        "shards", "p50 ms", "p90 ms", "mean fanout", "dispatched", "skipped", "skip %"
+        "{:<8} {:>10} {:>10} {:>12} {:>12}",
+        "shards", "p50 ms", "p90 ms", "mean fanout", "dispatched"
     );
     for r in &reports {
         println!(
-            "{:<8} {:>10.3} {:>10.3} {:>12.2} {:>12} {:>10} {:>10.2}",
-            r.n_shards, r.p50_ms, r.p90_ms, r.mean_fanout, r.dispatched, r.skipped, r.skip_rate_pct
+            "{:<8} {:>10.3} {:>10.3} {:>12.2} {:>12}",
+            r.n_shards, r.p50_ms, r.p90_ms, r.mean_fanout, r.dispatched
         );
         csv_row(&[
             r.n_shards.to_string(),
@@ -145,8 +127,6 @@ fn main() {
             format!("{:.3}", r.p90_ms),
             format!("{:.2}", r.mean_fanout),
             r.dispatched.to_string(),
-            r.skipped.to_string(),
-            format!("{:.2}", r.skip_rate_pct),
         ]);
     }
 
@@ -162,21 +142,10 @@ fn main() {
         json.push_str(&format!("  \"n{n}_p90_ms\": {:.4},\n", r.p90_ms));
         json.push_str(&format!("  \"n{n}_mean_fanout\": {:.3},\n", r.mean_fanout));
         json.push_str(&format!("  \"n{n}_shards_dispatched\": {},\n", r.dispatched));
-        json.push_str(&format!("  \"n{n}_shards_skipped_by_bound\": {},\n", r.skipped));
-        json.push_str(&format!("  \"n{n}_skip_rate_pct\": {:.3},\n", r.skip_rate_pct));
     }
-    json.push_str(&format!("  \"total_skipped_n_gt_1\": {skipped_beyond_one_shard},\n"));
     json.push_str("  \"results_verified_identical\": true\n");
     json.push_str("}\n");
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write("results/BENCH_shard.json", &json).expect("write results/BENCH_shard.json");
     println!("wrote results/BENCH_shard.json");
-
-    // Acceptance gate: Definition 11 shard pruning must actually fire on
-    // this workload — a zero here means the bound plumbing went dead.
-    if skipped_beyond_one_shard == 0 {
-        eprintln!("FAIL: no shard was ever skipped by its Def. 11 bound (N > 1 runs)");
-        std::process::exit(1);
-    }
-    println!("ok: {skipped_beyond_one_shard} shard dispatches pruned by bound across N > 1 runs");
 }

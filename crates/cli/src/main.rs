@@ -353,18 +353,10 @@ fn cmd_shard_split(raw: Vec<String>) -> Result<(), CliError> {
             .unwrap_or(0);
         shard_posts[sid].push(post.clone());
     }
-    // Build full shard engines (not bare indexes): the engine path also
-    // computes each shard's Definition 11 bound table, which try_save_dir
-    // persists as a bounds.tsv sidecar so a reloaded router skips shards
-    // exactly as this build would.
-    let engine_config = EngineConfig { index: config, ..EngineConfig::default() };
-    let sharded = ShardedEngine::try_build_with(&corpus, plan.clone(), &|_| engine_config.clone())?;
-    sharded.try_save_dir(&PathBuf::from(&out))?;
-    println!(
-        "split {} posts into {} shards (with Definition 11 bound sidecars) -> {out}",
-        corpus.len(),
-        plan.n_shards(),
-    );
+    let indexes: Vec<tklus_index::HybridIndex> =
+        shard_posts.iter().map(|posts| tklus_index::build_index(posts, &config).0).collect();
+    tklus_index::save_sharded_dir(&indexes, plan.boundaries(), &PathBuf::from(&out))?;
+    println!("split {} posts into {} shards -> {out}", corpus.len(), plan.n_shards());
     for (i, posts) in shard_posts.iter().enumerate() {
         let range_end =
             plan.boundaries().get(i).map(|b| format!("< {b}")).unwrap_or_else(|| "..".to_string());
@@ -633,7 +625,7 @@ fn cmd_query(raw: Vec<String>) -> Result<(), CliError> {
 }
 
 /// Prints a scatter-gather answer in the same shape as the monolithic
-/// output, plus a `shards:` summary line (fanout, bound-skips, failures).
+/// output, plus a `shards:` summary line (total, fanout) and failures.
 #[allow(clippy::too_many_arguments)]
 fn print_sharded_outcome(
     args: &Args,
@@ -655,14 +647,7 @@ fn print_sharded_outcome(
     for (rank, r) in outcome.users.iter().enumerate() {
         println!("  #{:<3} {:<12} score {:.4}", rank + 1, r.user.to_string(), r.score);
     }
-    let skipped: Vec<String> = outcome.skipped_by_bound.iter().map(|s| s.to_string()).collect();
-    println!(
-        "shards: {} total, fanout {}, skipped-by-bound {}{}",
-        engine.n_shards(),
-        outcome.fanout,
-        skipped.len(),
-        if skipped.is_empty() { String::new() } else { format!(" ({})", skipped.join(", ")) }
-    );
+    println!("shards: {} total, fanout {}", engine.n_shards(), outcome.fanout);
     let mut degraded = None;
     if let ShardCompleteness::Degraded { ref failed_shards, cells_processed, cells_total } =
         outcome.completeness

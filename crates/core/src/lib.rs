@@ -44,6 +44,6 @@ pub use engine::{EngineConfig, Ranking, TklusEngine};
 pub use error::EngineError;
 pub use metadata::{MetaRow, MetadataDb, MetadataStoreFactory};
 pub use query::{
-    sum::merge_sum_rows, top_k, Completeness, PartialSumOutcome, QueryOutcome, QueryStats,
-    RankedUser, StageTimings, SumRow,
+    merge_max_users, sum::merge_sum_rows, top_k, Completeness, PartialSumOutcome, QueryOutcome,
+    QueryStats, RankedUser, StageTimings, SumRow,
 };

@@ -11,6 +11,7 @@ pub mod sum;
 use crate::cache::QueryCaches;
 use crate::error::EngineError;
 use crate::metadata::MetadataDb;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tklus_geo::{circle_cover, CoverKey, Geohash, Point};
@@ -577,6 +578,21 @@ pub fn top_k(mut users: Vec<RankedUser>, k: usize) -> Vec<RankedUser> {
     });
     users.truncate(k);
     users
+}
+
+/// Gathers Maximum-score answers computed over disjoint post sets (shard
+/// partials; sealed and live halves of a store) into the global top-k:
+/// each user keeps their best score — a float max, so the order of
+/// `parts` never matters — and the survivors are ranked by [`top_k`].
+pub fn merge_max_users(parts: impl IntoIterator<Item = RankedUser>, k: usize) -> Vec<RankedUser> {
+    let mut best: HashMap<UserId, f64> = HashMap::new();
+    for ru in parts {
+        let entry = best.entry(ru.user).or_insert(f64::NEG_INFINITY);
+        if ru.score > *entry {
+            *entry = ru.score;
+        }
+    }
+    top_k(best.into_iter().map(|(user, score)| RankedUser { user, score }).collect(), k)
 }
 
 #[cfg(test)]

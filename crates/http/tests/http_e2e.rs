@@ -249,6 +249,40 @@ fn keep_alive_pipelining_answers_in_order() {
 // Typed failures at the wire
 // ---------------------------------------------------------------------
 
+/// A body the JSON decoder refuses is the request's problem, not the
+/// connection's: each answers a typed 400 — deep nesting included, which
+/// must not take the process down — and the next request on the same
+/// socket is served.
+#[test]
+fn garbage_body_is_a_typed_400_and_the_connection_keeps_serving() {
+    let engine = engine();
+    let (good, _) = query_body(&engine);
+    let handle = start(engine, ServeConfig::default(), HttpConfig::default());
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut carry = Vec::new();
+    let deep = "[".repeat(200_000);
+    for (path, garbage) in [
+        ("/query", "\u{0}\u{1}{{]]not json"),
+        ("/query_batch", "{\"queries\":[{\"lat\":1e999}]}"),
+        ("/ingest", deep.as_str()),
+    ] {
+        let raw =
+            format!("POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{garbage}", garbage.len());
+        stream.write_all(raw.as_bytes()).expect("write garbage");
+        let (status, headers, body) = read_response_carry(&mut stream, &mut carry);
+        let text = String::from_utf8_lossy(&body);
+        assert_eq!(status, 400, "{path}: {text}");
+        assert!(text.contains("\"error\":\"BadRequest\""), "{path}: {text}");
+        assert_ne!(header(&headers, "connection"), Some("close"), "{path}");
+
+        let raw = format!("POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n{good}", good.len());
+        stream.write_all(raw.as_bytes()).expect("write the next request");
+        let (status, _, body) = read_response_carry(&mut stream, &mut carry);
+        assert_eq!(status, 200, "after {path}: {}", String::from_utf8_lossy(&body));
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn parse_failures_answer_their_statuses_and_close() {
     let engine = engine();

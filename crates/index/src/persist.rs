@@ -340,8 +340,8 @@ pub fn save_sharded_dir(
 }
 
 /// [`save_sharded_dir`] over borrowed indexes — the entry point for
-/// callers whose indexes live inside engines (e.g. the sharded engine's
-/// own save path, which persists per-shard bound sidecars alongside).
+/// callers whose indexes live inside engines (the sharded engine's own
+/// save path).
 pub fn save_sharded_dir_refs(
     shards: &[&HybridIndex],
     boundaries: &[Geohash],

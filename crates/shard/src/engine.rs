@@ -6,10 +6,7 @@
 //!
 //! 1. computing the circle cover once and fanning out only to shards whose
 //!    range intersects it,
-//! 2. for Maximum-score ranking, ordering shards by their Definition 11
-//!    upper bound and **skipping** any shard whose best possible user score
-//!    cannot beat the running global k-th bound,
-//! 3. merging per-shard partials into the global top-k — a tid-ordered
+//! 2. merging per-shard partials into the global top-k — a tid-ordered
 //!    k-way merge with duplicate-tweet elimination for Sum, a per-user
 //!    float max for Max.
 //!
@@ -22,34 +19,31 @@
 //!
 //! Each shard engine is assembled from its own per-range index but the
 //! **full** corpus metadata, so thread popularity φ, recency, distance
-//! score δ, and the bounds table inputs are computed from exactly the same
-//! bytes as the monolithic engine's. All postings of a tweet live in the
-//! single cell of its location, so AND/OR combination never crosses a
-//! shard boundary. For Sum, the router re-folds per-tweet scores in global
-//! tweet-id order — the same order the monolithic fold uses — so the float
-//! sums associate identically. For Max, the per-user maximum is
-//! order-independent. The final ranking uses the engine's own
-//! [`top_k`] comparator.
+//! score δ, and the Definition 11 bounds each engine prunes candidate
+//! threads with are computed from exactly the same bytes as the monolithic
+//! engine's. All postings of a tweet live in the single cell of its
+//! location, so AND/OR combination never crosses a shard boundary. For
+//! Sum, the router re-folds per-tweet scores in global tweet-id order —
+//! the same order the monolithic fold uses — so the float sums associate
+//! identically. For Max, the per-user maximum is order-independent
+//! ([`merge_max_users`]). The final ranking uses the engine's own `top_k`
+//! comparator.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use tklus_core::score::{tweet_keyword_score, upper_bound_user_score, user_score};
 use tklus_core::{
-    merge_sum_rows, top_k, BoundsMode, Completeness, EngineConfig, EngineError, PartialSumOutcome,
-    QueryStats, RankedUser, Ranking, TklusEngine,
+    merge_max_users, merge_sum_rows, Completeness, EngineConfig, EngineError, QueryStats,
+    RankedUser, Ranking, TklusEngine,
 };
 use tklus_geo::{circle_cover, encode, Geohash};
-use tklus_graph::{build_thread, SocialNetwork};
 use tklus_index::{
-    build_index, load_sharded_dir_with_report, save_sharded_dir_refs, shard_dir_name, HybridIndex,
-    PersistError,
+    build_index, load_sharded_dir_with_report, save_sharded_dir_refs, HybridIndex, PersistError,
 };
-use tklus_model::{Corpus, Post, ScoringConfig, Semantics, TklusQuery, UserId};
+use tklus_model::{Corpus, Post, TklusQuery};
 use tklus_serve::{BreakerConfig, BreakerState, CircuitBreaker};
-use tklus_text::{TermId, TextPipeline, Vocab};
 
 use crate::metrics::ShardMetrics;
 use crate::plan::{ShardId, ShardPlan};
@@ -95,11 +89,11 @@ pub struct ShardedOutcome {
     pub stats: QueryStats,
     /// Whether the answer is exact or a typed partial.
     pub completeness: ShardCompleteness,
-    /// Shards the router attempted to dispatch (cover intersection minus
-    /// bound-skipped shards, including failed dispatches).
+    /// Shards the router dispatched to: every shard whose range the
+    /// cover intersects, failed dispatches included.
     pub fanout: usize,
-    /// Shards whose Definition 11 upper bound proved they cannot affect
-    /// the top-k (Maximum-score ranking only). Sorted.
+    /// Always empty: the router skips no shard by score. Kept only
+    /// because the frozen `benchmark/src/layers.rs` reads it.
     pub skipped_by_bound: Vec<ShardId>,
 }
 
@@ -138,135 +132,8 @@ impl From<EngineError> for ShardError {
     }
 }
 
-/// Per-term Definition 11 refinement for one shard: for every term in the
-/// shard's vocabulary, the largest single-term contribution
-/// `count_t(post) / N · φ(post)` any of the shard's posts can make to a
-/// Maximum-score ρ, with φ built over **full-network** threads so it
-/// equals the value the engine computes at query time. A query's ρ on
-/// this shard is at most the sum of its resolved terms' entries (a term
-/// absent from a post contributes zero occurrences), recency and the
-/// distance score are each at most 1, so `α · Σ + (1 − α)` dominates
-/// every user score the shard can produce — under both bounds modes, and
-/// far tighter than `max_tf × corpus-wide popularity bound`, whose inputs
-/// are identical across shards and therefore can never separate them.
-struct ShardBoundTable {
-    per_term: HashMap<TermId, f64>,
-}
-
-impl ShardBoundTable {
-    fn compute(
-        posts: &[Post],
-        network: &SocialNetwork,
-        vocab: &Vocab,
-        config: &ScoringConfig,
-    ) -> Self {
-        let pipeline = TextPipeline::new();
-        let mut per_term: HashMap<TermId, f64> = HashMap::new();
-        for post in posts {
-            let mut counts: HashMap<TermId, u32> = HashMap::new();
-            for term in pipeline.terms(&post.text) {
-                if let Some(id) = vocab.get(&term) {
-                    *counts.entry(id).or_insert(0) += 1;
-                }
-            }
-            if counts.is_empty() {
-                continue;
-            }
-            let mut provider = network;
-            let phi = build_thread(&mut provider, post.id, config.thread_depth)
-                .popularity(config.epsilon);
-            for (id, count) in counts {
-                let contribution = tweet_keyword_score(count, phi, config);
-                let entry = per_term.entry(id).or_insert(0.0);
-                if contribution > *entry {
-                    *entry = contribution;
-                }
-            }
-        }
-        Self { per_term }
-    }
-
-    /// Upper bound on the shard's Maximum-score ρ for `terms` (resolved
-    /// against the shard's own vocabulary, so every term has an entry; a
-    /// missing one means no shard post contains it and bounds it by zero).
-    fn rho_bound(&self, terms: &[TermId]) -> f64 {
-        terms.iter().map(|t| self.per_term.get(t).copied().unwrap_or(0.0)).sum()
-    }
-
-    /// The `bounds.tsv` sidecar body: format line, the shard's `max_tf`,
-    /// then one `term` line per vocabulary term, id-sorted, with the f64
-    /// bound as hex bits so a round trip is bit-exact.
-    fn encode_tsv(&self, max_tf: u32) -> String {
-        let mut entries: Vec<(u32, f64)> = self.per_term.iter().map(|(t, b)| (t.0, *b)).collect();
-        entries.sort_unstable_by_key(|&(t, _)| t);
-        let mut out = format!("format\t{BOUNDS_FORMAT_VERSION}\nmax_tf\t{max_tf}\n");
-        for (term, bound) in entries {
-            out.push_str(&format!("term\t{term}\t{:016x}\n", bound.to_bits()));
-        }
-        out
-    }
-
-    /// Parses a `bounds.tsv` body. Strict: an unknown key, a malformed
-    /// value, a missing header, or a non-finite/negative bound is corrupt —
-    /// an unsound table would silently skip shards that matter.
-    fn decode_tsv(text: &str) -> Result<(Self, u32), String> {
-        let mut format: Option<u32> = None;
-        let mut max_tf: Option<u32> = None;
-        let mut per_term: HashMap<TermId, f64> = HashMap::new();
-        for line in text.lines() {
-            let mut fields = line.split('\t');
-            match (fields.next(), fields.next(), fields.next(), fields.next()) {
-                (Some("format"), Some(v), None, None) => {
-                    format = Some(v.parse().map_err(|_| format!("bad format line {line:?}"))?);
-                }
-                (Some("max_tf"), Some(v), None, None) => {
-                    max_tf = Some(v.parse().map_err(|_| format!("bad max_tf line {line:?}"))?);
-                }
-                (Some("term"), Some(t), Some(bits), None) => {
-                    let term: u32 = t.parse().map_err(|_| format!("bad term id in {line:?}"))?;
-                    let bits = u64::from_str_radix(bits, 16)
-                        .map_err(|_| format!("bad bits in {line:?}"))?;
-                    let bound = f64::from_bits(bits);
-                    if !bound.is_finite() || bound < 0.0 {
-                        return Err(format!("bound for term {term} is not a finite non-negative"));
-                    }
-                    if per_term.insert(TermId(term), bound).is_some() {
-                        return Err(format!("duplicate term {term}"));
-                    }
-                }
-                _ => return Err(format!("unknown bounds line {line:?}")),
-            }
-        }
-        match format {
-            Some(BOUNDS_FORMAT_VERSION) => {}
-            Some(v) => return Err(format!("bounds format {v}, expected {BOUNDS_FORMAT_VERSION}")),
-            None => return Err("missing bounds format line".to_string()),
-        }
-        let max_tf = max_tf.ok_or_else(|| "missing max_tf line".to_string())?;
-        Ok((Self { per_term }, max_tf))
-    }
-}
-
-/// Format version of the per-shard `bounds.tsv` sidecar.
-const BOUNDS_FORMAT_VERSION: u32 = 1;
-
-/// The per-shard Definition 11 sidecar file name, stored inside each
-/// `shard-NNN/` subdirectory next to the v2 index files (whose loader
-/// ignores unknown file names, so pre-sidecar readers stay compatible).
-pub const SHARD_BOUNDS_FILE: &str = "bounds.tsv";
-
 struct Shard {
     engine: TklusEngine,
-    /// Maximum token count of any post in this shard — an upper bound on
-    /// the matched keyword occurrences of any tweet the shard can score.
-    max_tf: u32,
-    /// Definition 11 bounds specialized to this shard (see
-    /// [`ShardBoundTable`]). `None` for shard sets whose exact post
-    /// membership is unknown (loaded or hand-assembled via
-    /// [`ShardedEngine::try_from_indexes`], where shards may overlap);
-    /// those fall back to `max_tf` times the engine's corpus-wide table,
-    /// which is always sound.
-    bounds: Option<ShardBoundTable>,
     /// Mutating breaker behind a mutex: the router queries through `&self`.
     breaker: Mutex<CircuitBreaker>,
 }
@@ -279,15 +146,10 @@ pub struct ShardedEngine {
     metrics: ShardMetrics,
     /// Monotonic epoch for breaker clocks.
     epoch: Instant,
-    /// Definition 11 shard skipping (on by default; tests disable it to
-    /// prove skipping never changes the answer).
-    bound_skip: bool,
     /// Scatter width: how many shard dispatches run concurrently on
-    /// scoped worker threads. `1` reproduces the sequential scatter
-    /// exactly; any value yields identical answers (see the module doc —
-    /// merge order is fixed by fanout position, and Definition 11 skips
-    /// are exact), only the skip/fanout *accounting* may differ for
-    /// Maximum-score ranking because the k-th floor is frozen per wave.
+    /// scoped worker threads. `1` is the sequential scatter; any value
+    /// yields identical answers (see the module doc — merge order is
+    /// fixed by fanout position).
     scatter_parallelism: usize,
 }
 
@@ -333,9 +195,7 @@ impl ShardedEngine {
     ) -> Result<Self, EngineError> {
         let n = plan.n_shards();
         let geohash_len = config_for(0).index.geohash_len;
-        let pipeline = TextPipeline::new();
         let mut shard_posts: Vec<Vec<Post>> = (0..n).map(|_| Vec::new()).collect();
-        let mut max_tfs = vec![0u32; n];
         for post in corpus.posts() {
             // `encode` only fails on a bad length, which would fail the
             // index build identically; route defensively to shard 0.
@@ -343,55 +203,21 @@ impl ShardedEngine {
                 Ok(cell) => plan.shard_of(cell).0,
                 Err(_) => 0,
             };
-            max_tfs[sid] = max_tfs[sid].max(pipeline.terms(&post.text).len() as u32);
             shard_posts[sid].push(post.clone());
         }
-        // One full-corpus network for the shard-local bounds: replies to a
-        // shard's tweets live wherever they were posted, so φ must be
-        // computed over full threads to match query-time values.
-        let network = SocialNetwork::from_corpus(corpus);
-        let mut shards = Vec::with_capacity(n);
+        let mut engines = Vec::with_capacity(n);
         for (i, posts) in shard_posts.into_iter().enumerate() {
             let config = config_for(i);
             let (index, _) = build_index(&posts, &config.index);
             // Full corpus: shard metadata (φ, δ, recency, bounds inputs)
             // must be bitwise-identical to the monolithic engine's.
-            let engine = TklusEngine::try_from_index(index, corpus, &config)?;
-            // Shard-local Definition 11 table over exactly the posts this
-            // shard indexes: every (term, tweet) the shard can match comes
-            // from one of these posts, so the per-term maxima dominate
-            // every ρ contribution the shard's scorer will see.
-            let bounds = Some(ShardBoundTable::compute(
-                &posts,
-                &network,
-                engine.index().vocab(),
-                engine.scoring(),
-            ));
-            shards.push(Shard {
-                engine,
-                max_tf: max_tfs[i],
-                bounds,
-                breaker: Mutex::new(CircuitBreaker::new(
-                    ShardId(i).to_string(),
-                    BreakerConfig::default(),
-                )),
-            });
+            engines.push(TklusEngine::try_from_index(index, corpus, &config)?);
         }
-        Ok(Self {
-            shards,
-            plan,
-            geohash_len,
-            metrics: ShardMetrics::new(),
-            epoch: Instant::now(),
-            bound_skip: true,
-            scatter_parallelism: default_scatter_parallelism(),
-        })
+        Ok(Self::assemble(engines, plan, geohash_len))
     }
 
     /// Assembles a sharded engine from already-built per-shard indexes
-    /// (disk load, or hand-built overlapping shards in tests). `max_tf` is
-    /// bounded from the full corpus, which stays sound for any index
-    /// content.
+    /// (disk load, or hand-built overlapping shards in tests).
     pub fn try_from_indexes(
         indexes: Vec<HybridIndex>,
         plan: ShardPlan,
@@ -405,11 +231,8 @@ impl ShardedEngine {
                 indexes.len()
             )));
         }
-        let pipeline = TextPipeline::new();
-        let corpus_max_tf =
-            corpus.posts().iter().map(|p| pipeline.terms(&p.text).len() as u32).max().unwrap_or(0);
         let geohash_len = config.index.geohash_len;
-        let mut shards = Vec::with_capacity(indexes.len());
+        let mut engines = Vec::with_capacity(indexes.len());
         for (i, index) in indexes.into_iter().enumerate() {
             if index.geohash_len() != geohash_len {
                 return Err(ShardError::Plan(format!(
@@ -417,56 +240,47 @@ impl ShardedEngine {
                     index.geohash_len()
                 )));
             }
-            let engine = TklusEngine::try_from_index(index, corpus, config)?;
-            shards.push(Shard {
+            engines.push(TklusEngine::try_from_index(index, corpus, config)?);
+        }
+        Ok(Self::assemble(engines, plan, geohash_len))
+    }
+
+    /// The router over `engines` (one per range of `plan`), each behind a
+    /// fresh default breaker.
+    fn assemble(engines: Vec<TklusEngine>, plan: ShardPlan, geohash_len: usize) -> Self {
+        let shards = engines
+            .into_iter()
+            .enumerate()
+            .map(|(i, engine)| Shard {
                 engine,
-                max_tf: corpus_max_tf,
-                // Membership is only known index-side here (shards may
-                // overlap); the corpus-wide table is the sound fallback.
-                bounds: None,
                 breaker: Mutex::new(CircuitBreaker::new(
                     ShardId(i).to_string(),
                     BreakerConfig::default(),
                 )),
-            });
-        }
-        Ok(Self {
+            })
+            .collect();
+        Self {
             shards,
             plan,
             geohash_len,
             metrics: ShardMetrics::new(),
             epoch: Instant::now(),
-            bound_skip: true,
             scatter_parallelism: default_scatter_parallelism(),
-        })
+        }
     }
 
     /// Writes this engine's shards as a sharded (format v3) index
-    /// directory, each shard's Definition 11 bound table riding along as a
-    /// `bounds.tsv` sidecar in its `shard-NNN/` subdirectory (shards
-    /// without an exact-membership table — hand-assembled overlapping
-    /// sets — simply omit the sidecar). [`Self::try_load_dir`] restores
-    /// the tables bit-exactly, so a reloaded engine skips shards exactly
-    /// as the builder did instead of falling back to the loose
-    /// `max_tf × corpus bound`.
+    /// directory.
     pub fn try_save_dir(&self, dir: &Path) -> Result<(), ShardError> {
         let indexes: Vec<&HybridIndex> = self.shards.iter().map(|s| s.engine.index()).collect();
         save_sharded_dir_refs(&indexes, self.plan.boundaries(), dir)?;
-        for (i, shard) in self.shards.iter().enumerate() {
-            if let Some(table) = &shard.bounds {
-                let path = dir.join(shard_dir_name(i)).join(SHARD_BOUNDS_FILE);
-                std::fs::write(&path, table.encode_tsv(shard.max_tf))
-                    .map_err(|e| ShardError::Persist(PersistError::Io(e)))?;
-            }
-        }
         Ok(())
     }
 
     /// Loads a sharded (format v3) or monolithic (v2, loaded as one shard)
-    /// index directory and assembles the engines over `corpus`. Shards
-    /// carrying a `bounds.tsv` sidecar get their persisted Definition 11
-    /// table (and exact per-shard `max_tf`) back; shards without one keep
-    /// the sound corpus-wide fallback.
+    /// index directory and assembles the engines over `corpus`. File names
+    /// the index loader does not know (earlier builds wrote a sidecar into
+    /// each `shard-NNN/`) are ignored.
     pub fn try_load_dir(
         dir: &Path,
         corpus: &Corpus,
@@ -474,36 +288,12 @@ impl ShardedEngine {
     ) -> Result<Self, ShardError> {
         let (indexes, boundaries, _report) = load_sharded_dir_with_report(dir)?;
         let plan = ShardPlan::from_boundaries(boundaries).map_err(ShardError::Plan)?;
-        let mut engine = Self::try_from_indexes(indexes, plan, corpus, config)?;
-        for (i, shard) in engine.shards.iter_mut().enumerate() {
-            let path = dir.join(shard_dir_name(i)).join(SHARD_BOUNDS_FILE);
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(ShardError::Persist(PersistError::Io(e))),
-            };
-            let (table, max_tf) = ShardBoundTable::decode_tsv(&text).map_err(|msg| {
-                ShardError::Persist(PersistError::Corrupt(format!(
-                    "{}/{SHARD_BOUNDS_FILE}: {msg}",
-                    shard_dir_name(i)
-                )))
-            })?;
-            shard.bounds = Some(table);
-            shard.max_tf = max_tf;
-        }
-        Ok(engine)
+        Self::try_from_indexes(indexes, plan, corpus, config)
     }
 
-    /// Disables (or re-enables) Definition 11 shard skipping. Used by the
-    /// bound-soundness tests to prove skipping never changes the answer.
-    pub fn with_bound_skip(mut self, on: bool) -> Self {
-        self.bound_skip = on;
-        self
-    }
-
-    /// Sets the scatter width (clamped to ≥ 1). `1` reproduces the
-    /// sequential scatter loop exactly; the invariance oracle asserts the
-    /// answer is identical at any width.
+    /// Sets the scatter width (clamped to ≥ 1). `1` is the sequential
+    /// scatter loop; the invariance oracle asserts the answer is identical
+    /// at any width.
     pub fn with_scatter_parallelism(mut self, n: usize) -> Self {
         self.set_scatter_parallelism(n);
         self
@@ -553,47 +343,18 @@ impl ShardedEngine {
         snap
     }
 
-    /// The Definition 11 upper bound on any user score shard `sid` can
-    /// produce for `q`: its maximum per-post token count (≥ any tweet's
-    /// matched keyword occurrences) against the shard's popularity bound,
-    /// with distance score and recency bounded by 1. `0` when the shard's
-    /// vocabulary cannot produce a candidate at all.
-    pub fn shard_upper_bound(&self, sid: usize, q: &TklusQuery, mode: BoundsMode) -> f64 {
-        let shard = &self.shards[sid];
-        let engine = &shard.engine;
-        if q.semantics == Semantics::And
-            && engine.resolve_keywords(&q.keywords).iter().any(Option::is_none)
-        {
-            return 0.0;
-        }
-        let terms = engine.resolve_query_terms(&q.keywords);
-        if terms.is_empty() {
-            return 0.0;
-        }
-        if let Some(table) = &shard.bounds {
-            // Tight path: per-term shard maxima already include the
-            // occurrence count, so no `max_tf` factor. Sound under both
-            // bounds modes (`mode` only picks how loose the fallback is).
-            return user_score(table.rho_bound(&terms), 1.0, engine.scoring());
-        }
-        let pop_bound = engine.bounds().query_bound(&terms, q.semantics, mode);
-        upper_bound_user_score(shard.max_tf, pop_bound, engine.scoring())
-    }
-
     /// Answers `q` by scatter-gather. Infallible by construction: a shard
     /// failure (engine error or open breaker) degrades the result to a
     /// typed partial naming the shard, it never fails the query.
     pub fn query(&self, q: &TklusQuery, ranking: Ranking) -> ShardedOutcome {
         let start = Instant::now();
         self.metrics.queries.inc();
-        let (fanout, cells_total) = self.fanout_for(q);
         let mut out = match ranking {
-            Ranking::Sum => self.scatter_sum(q, &fanout, cells_total),
-            Ranking::Max(mode) => self.scatter_max(q, mode, &fanout, cells_total),
+            Ranking::Sum => self.scatter_sum(q),
+            Ranking::Max(_) => self.scatter_max(q, ranking),
         };
         out.stats.elapsed = start.elapsed();
         self.metrics.fanout.add(out.fanout as u64);
-        self.metrics.skipped_bound.add(out.skipped_by_bound.len() as u64);
         if !out.completeness.is_complete() {
             self.metrics.degraded.inc();
         }
@@ -674,152 +435,102 @@ impl ShardedEngine {
         slots.into_iter().map(|s| s.into_inner().expect("worker filled every slot")).collect()
     }
 
+    /// The scatter both rankings share: cover → intersecting shards →
+    /// `f` against each behind its breaker → the answers split into
+    /// healthy and failed. Dispatch is concurrent but collection is by
+    /// fanout position, so `healthy` is in ascending shard order exactly
+    /// as a sequential loop builds it and every merge downstream is
+    /// independent of the scatter width.
+    fn scatter<T: Send>(
+        &self,
+        q: &TklusQuery,
+        f: &(dyn Fn(&TklusEngine) -> Result<T, EngineError> + Sync),
+    ) -> Scattered<T> {
+        let (fanout, cells_total) = self.fanout_for(q);
+        let mut healthy = Vec::new();
+        let mut failed = Vec::new();
+        for (&sid, result) in fanout.iter().zip(self.dispatch_all(&fanout, f)) {
+            match result {
+                Some(Ok(part)) => healthy.push((sid, part)),
+                Some(Err(_)) | None => failed.push(ShardId(sid)),
+            }
+        }
+        Scattered { healthy, failed, fanout: fanout.len(), cells_total }
+    }
+
     /// Sum-score scatter-gather: per-shard tid-ordered partial rows, k-way
     /// merged with duplicate-tweet elimination into global tweet-id order
     /// (the monolithic fold order), then folded, distance-blended and
     /// ranked by [`TklusEngine::try_rank_sum_rows`].
-    fn scatter_sum(&self, q: &TklusQuery, fanout: &[usize], cells_total: usize) -> ShardedOutcome {
-        let mut failed: Vec<ShardId> = Vec::new();
-        let mut healthy: Vec<(usize, PartialSumOutcome)> = Vec::new();
-        // Concurrent dispatch, position-ordered collection: `healthy` ends
-        // up in fanout order exactly as the sequential loop built it, so
-        // the k-way merge (and therefore the float fold) is unchanged.
-        for (&sid, result) in
-            fanout.iter().zip(self.dispatch_all(fanout, &|e| e.try_partial_sum(q)))
-        {
-            match result {
-                Some(Ok(p)) => healthy.push((sid, p)),
-                Some(Err(_)) | None => failed.push(ShardId(sid)),
-            }
-        }
-
+    fn scatter_sum(&self, q: &TklusQuery) -> ShardedOutcome {
+        let mut parts = self.scatter(q, &|e| e.try_partial_sum(q));
         // The fold, distance blend and ranking run on the first healthy
         // shard's engine (every shard holds the full corpus metadata, so
         // any healthy one gives the monolithic bytes); if that too faults,
         // drop the shard and redo the merge without it (its rows must not
         // survive its failure).
         let users: Vec<RankedUser> = loop {
-            let Some(&(rank_sid, _)) = healthy.first() else { break Vec::new() };
-            let merged = merge_sum_rows(healthy.iter().map(|(_, p)| p.rows.as_slice()));
+            let Some(&(rank_sid, _)) = parts.healthy.first() else { break Vec::new() };
+            let merged = merge_sum_rows(parts.healthy.iter().map(|(_, p)| p.rows.as_slice()));
             match self.shards[rank_sid].engine.try_rank_sum_rows(q, &merged) {
                 Ok(users) => break users,
                 Err(_) => {
-                    let (sid, _) = healthy.remove(0);
+                    let (sid, _) = parts.healthy.remove(0);
                     let mut breaker = self.shards[sid].breaker.lock();
                     breaker.record_failure(self.now_ms());
                     drop(breaker);
                     self.metrics.failed.inc();
-                    failed.push(ShardId(sid));
+                    parts.failed.push(ShardId(sid));
                 }
             }
         };
+        parts.gathered(users, |p| (&p.stats, &p.completeness))
+    }
 
+    /// Maximum-score scatter-gather: each shard's own top-k (Algorithm 5,
+    /// Definition 11 thread pruning included), merged per user by float
+    /// max.
+    fn scatter_max(&self, q: &TklusQuery, ranking: Ranking) -> ShardedOutcome {
+        let parts = self.scatter(q, &|e| e.try_query(q, ranking));
+        let users = merge_max_users(
+            parts.healthy.iter().flat_map(|(_, out)| out.users.iter().copied()),
+            q.k,
+        );
+        parts.gathered(users, |out| (&out.stats, &out.completeness))
+    }
+}
+
+/// What one scatter collected, in fanout (ascending shard) order.
+struct Scattered<T> {
+    healthy: Vec<(usize, T)>,
+    failed: Vec<ShardId>,
+    fanout: usize,
+    cells_total: usize,
+}
+
+impl<T> Scattered<T> {
+    /// The merged outcome around `users`: work tallies summed and
+    /// completeness folded over the healthy partials, `part` naming where
+    /// a partial keeps the two.
+    fn gathered(
+        self,
+        users: Vec<RankedUser>,
+        part: impl Fn(&T) -> (&QueryStats, &Completeness),
+    ) -> ShardedOutcome {
         let mut stats = QueryStats::default();
-        for (_, p) in &healthy {
-            merge_stats(&mut stats, &p.stats);
+        for (_, p) in &self.healthy {
+            merge_stats(&mut stats, part(p).0);
         }
         let completeness =
-            consensus(failed, healthy.iter().map(|(_, p)| &p.completeness), cells_total);
+            consensus(self.failed, self.healthy.iter().map(|(_, p)| part(p).1), self.cells_total);
         ShardedOutcome {
             users,
             stats,
             completeness,
-            fanout: fanout.len(),
+            fanout: self.fanout,
             skipped_by_bound: Vec::new(),
         }
     }
-
-    /// Maximum-score scatter-gather: dispatch in descending Definition 11
-    /// upper-bound order, skip every shard whose bound cannot beat the
-    /// running k-th best, merge per-user maxima.
-    fn scatter_max(
-        &self,
-        q: &TklusQuery,
-        mode: BoundsMode,
-        fanout: &[usize],
-        cells_total: usize,
-    ) -> ShardedOutcome {
-        let mut order: Vec<(usize, f64)> =
-            fanout.iter().map(|&sid| (sid, self.shard_upper_bound(sid, q, mode))).collect();
-        order.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).expect("upper bounds are finite").then(a.0.cmp(&b.0))
-        });
-
-        let mut best: HashMap<UserId, f64> = HashMap::new();
-        let mut failed: Vec<ShardId> = Vec::new();
-        let mut skipped: Vec<ShardId> = Vec::new();
-        let mut partial_completeness: Vec<Completeness> = Vec::new();
-        let mut stats = QueryStats::default();
-        let mut dispatched = 0usize;
-        // Dispatch the bound-ordered list in waves of `scatter_parallelism`
-        // shards. The k-th floor is frozen while a wave is being assembled
-        // and refreshed between waves — at width 1 that is exactly the
-        // sequential loop (the floor only ever changes after a dispatch).
-        // Wider waves may dispatch a shard the sequential loop would have
-        // skipped, but a skip is only ever taken when the bound *proves*
-        // the shard cannot affect the top-k, so the merged answer is
-        // identical at any width; only the skip/fanout tallies move.
-        let mut i = 0usize;
-        while i < order.len() {
-            let floor = if self.bound_skip { kth_floor(&best, q.k) } else { None };
-            let mut wave: Vec<usize> = Vec::new();
-            while i < order.len() && wave.len() < self.scatter_parallelism {
-                let (sid, upper) = order[i];
-                i += 1;
-                if floor.is_some_and(|floor| {
-                    // Same comparison the monolithic prune uses
-                    // (`upper <= kth`): a shard tying the floor cannot
-                    // strictly displace the k-th user.
-                    upper <= floor
-                }) {
-                    skipped.push(ShardId(sid));
-                    continue;
-                }
-                wave.push(sid);
-            }
-            dispatched += wave.len();
-            let results = self.dispatch_all(&wave, &|e| e.try_query(q, Ranking::Max(mode)));
-            for (&sid, result) in wave.iter().zip(results) {
-                match result {
-                    Some(Ok(out)) => {
-                        for ru in &out.users {
-                            let entry = best.entry(ru.user).or_insert(f64::NEG_INFINITY);
-                            if ru.score > *entry {
-                                *entry = ru.score;
-                            }
-                        }
-                        merge_stats(&mut stats, &out.stats);
-                        partial_completeness.push(out.completeness);
-                    }
-                    Some(Err(_)) | None => failed.push(ShardId(sid)),
-                }
-            }
-        }
-        skipped.sort();
-        failed.sort();
-        let users =
-            best.into_iter().map(|(user, score)| RankedUser { user, score }).collect::<Vec<_>>();
-        let completeness = consensus(failed, partial_completeness.iter(), cells_total);
-        ShardedOutcome {
-            users: top_k(users, q.k),
-            stats,
-            completeness,
-            fanout: dispatched,
-            skipped_by_bound: skipped,
-        }
-    }
-}
-
-/// The current global k-th best user score, or `None` while fewer than `k`
-/// users have been merged. Ordering matches [`top_k`]: score descending,
-/// user id ascending.
-fn kth_floor(best: &HashMap<UserId, f64>, k: usize) -> Option<f64> {
-    if k == 0 || best.len() < k {
-        return None;
-    }
-    let ranked: Vec<RankedUser> =
-        best.iter().map(|(&user, &score)| RankedUser { user, score }).collect();
-    top_k(ranked, k).last().map(|ru| ru.score)
 }
 
 /// Folds per-shard completeness and the failed-shard list into the merged

@@ -4,10 +4,8 @@
 //! is split into `N` contiguous geohash-prefix ranges ([`ShardPlan`]), one
 //! independent [`tklus_core::TklusEngine`] per range, and a router
 //! ([`ShardedEngine`]) that computes the circle cover once, fans out only
-//! to intersecting shards, prunes shards by their Definition 11 upper
-//! bound (Maximum-score ranking), and merges per-shard partials into the
-//! global top-k — bitwise-identical to the monolithic answer for any shard
-//! count.
+//! to intersecting shards, and merges per-shard partials into the global
+//! top-k — bitwise-identical to the monolithic answer for any shard count.
 //!
 //! Shard dispatches run behind per-shard circuit breakers; a faulted shard
 //! yields a typed degraded partial ([`ShardCompleteness::Degraded`])
@@ -22,7 +20,7 @@ mod engine;
 mod metrics;
 mod plan;
 
-pub use engine::{ShardCompleteness, ShardError, ShardedEngine, ShardedOutcome, SHARD_BOUNDS_FILE};
+pub use engine::{ShardCompleteness, ShardError, ShardedEngine, ShardedOutcome};
 pub use metrics::ShardMetrics;
 pub use plan::{ShardId, ShardPlan};
 // Breaker vocabulary for callers inspecting per-shard dispatch health.

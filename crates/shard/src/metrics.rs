@@ -16,9 +16,6 @@ pub struct ShardMetrics {
     /// Shard dispatches attempted, including breaker-refused ones
     /// (`tklus_shard_fanout_total`).
     pub fanout: Counter,
-    /// Shards skipped by the Definition 11 upper-bound check
-    /// (`tklus_shard_skipped_bound_total`).
-    pub skipped_bound: Counter,
     /// Queries that returned a degraded result (`tklus_shard_degraded_total`).
     pub degraded: Counter,
     /// Shard dispatches that failed — breaker-refused or engine error
@@ -33,11 +30,10 @@ impl ShardMetrics {
         let registry = MetricRegistry::new();
         let queries = registry.counter("tklus_shard_queries_total");
         let fanout = registry.counter("tklus_shard_fanout_total");
-        let skipped_bound = registry.counter("tklus_shard_skipped_bound_total");
         let degraded = registry.counter("tklus_shard_degraded_total");
         let failed = registry.counter("tklus_shard_failed_total");
         let latency = registry.histogram("tklus_shard_latency_us");
-        Self { registry, queries, fanout, skipped_bound, degraded, failed, latency }
+        Self { registry, queries, fanout, degraded, failed, latency }
     }
 
     /// Snapshot of the router-level families only.

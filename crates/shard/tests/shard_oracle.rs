@@ -18,8 +18,9 @@
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use tklus_core::{BoundsMode, CacheConfig, Completeness, EngineConfig, Ranking, TklusEngine};
-use tklus_geo::Point;
+use tklus_geo::{circle_cover, Point};
 use tklus_model::{Corpus, Post, QueryBudget, Semantics, TklusQuery, TweetId, UserId};
 use tklus_shard::{ShardCompleteness, ShardedEngine, ShardedOutcome};
 
@@ -96,6 +97,16 @@ fn sharded_config() -> EngineConfig {
         caches: CacheConfig { cover: 8, postings: 32, thread: 64 },
         ..EngineConfig::default()
     }
+}
+
+/// How many of `engine`'s shards hold a cell of `q`'s circle cover — what
+/// the router must dispatch to, no more and no fewer.
+fn shards_under_cover(engine: &ShardedEngine, q: &TklusQuery) -> usize {
+    let config = sharded_config();
+    let cover =
+        circle_cover(&q.location, q.radius_km, config.index.geohash_len, config.scoring.metric)
+            .unwrap();
+    cover.iter().map(|&cell| engine.plan().shard_of(cell)).collect::<BTreeSet<_>>().len()
 }
 
 /// Asserts the sharded outcome is the monolithic outcome, to the bit.
@@ -187,9 +198,13 @@ proptest! {
                             let label =
                                 format!("N={n} par={par} {temp} {ranking:?} {semantics:?}");
                             assert_bitwise(&got, &want.users, &want.completeness, &label)?;
+                            prop_assert_eq!(
+                                got.fanout, shards_under_cover(engine, &q),
+                                "fanout is every shard the cover intersects: {}", label
+                            );
                             prop_assert!(
-                                got.fanout + got.skipped_by_bound.len() <= engine.n_shards(),
-                                "fanout accounting: {}", label
+                                got.skipped_by_bound.is_empty(),
+                                "no shard is skipped by score: {}", label
                             );
                         }
                     }
@@ -231,17 +246,18 @@ proptest! {
         for n in shard_counts() {
             let mut engine =
                 ShardedEngine::try_build(&corpus, n, &sharded_config()).expect("sharded build");
-            // Budgeted queries only run Sum (the Max bound-skip could skip
-            // a shard the monolithic budget *would* have walked; the skip
-            // proof assumes complete shard answers, so the router's Sum
-            // path is the budget-faithful one to pin).
-            let want = mono.try_query(&q, Ranking::Sum).unwrap();
-            for par in [1usize, 4] {
-                engine.set_scatter_parallelism(par);
-                let got = engine.query(&q, Ranking::Sum);
-                assert_bitwise(
-                    &got, &want.users, &want.completeness, &format!("N={n} par={par} budget"),
-                )?;
+            for ranking in [
+                Ranking::Sum,
+                Ranking::Max(BoundsMode::Global),
+                Ranking::Max(BoundsMode::HotKeywords),
+            ] {
+                let want = mono.try_query(&q, ranking).unwrap();
+                for par in [1usize, 4] {
+                    engine.set_scatter_parallelism(par);
+                    let got = engine.query(&q, ranking);
+                    let label = format!("N={n} par={par} {ranking:?} budget");
+                    assert_bitwise(&got, &want.users, &want.completeness, &label)?;
+                }
             }
         }
     }

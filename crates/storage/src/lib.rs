@@ -6,8 +6,8 @@
 //! while the inverted index lives in HDFS. This crate provides both storage
 //! layers from scratch:
 //!
-//! * [`page`] / [`pager`] — fixed-size pages over an in-memory or
-//!   file-backed store, with I/O accounting ([`IoStats`]).
+//! * [`page`] / [`pager`] — fixed-size pages over an in-memory store,
+//!   with I/O accounting ([`IoStats`]).
 //! * [`bptree`] — a paged B⁺-tree with composite `(u64, u64)` keys,
 //!   fixed-size values, point lookups, range scans, inserts with node
 //!   splitting, and sorted bulk loading. The composite key serves both the
@@ -63,5 +63,5 @@ pub use lru::{CacheLayerStats, ShardedLruCache};
 pub use page::{
     crc32, seal_page, verify_page, PageId, PAGE_FORMAT_VERSION, PAGE_HEADER_SIZE, PAGE_SIZE,
 };
-pub use pager::{FilePager, MemPager, PageStore};
+pub use pager::{MemPager, PageStore};
 pub use retry::{RetryPager, RetryPolicy};

@@ -1,11 +1,9 @@
 //! Page stores: the physical layer under B⁺-trees.
 //!
-//! Two implementations share the [`PageStore`] trait: [`MemPager`] keeps
-//! pages in memory (deterministic, fast — the default for experiments,
-//! where *counted* I/Os rather than real disk latency drive the results,
-//! matching how the paper reasons about costs), and [`FilePager`] is backed
-//! by a real file for durability-shaped testing. Both count physical reads
-//! and writes through a shared [`IoStats`].
+//! [`MemPager`] implements the [`PageStore`] trait by keeping pages in
+//! memory (deterministic, fast: *counted* I/Os rather than real disk
+//! latency drive the results, matching how the paper reasons about costs),
+//! counting physical reads and writes through an [`IoStats`].
 //!
 //! All operations take `&self`: stores use interior mutability so that a
 //! read-only query path can run concurrently from many threads over one
@@ -18,12 +16,8 @@
 
 use crate::error::{StorageError, StorageResult};
 use crate::iostats::IoStats;
-use crate::page::{zeroed_page, Page, PageId, PAGE_SIZE};
-use parking_lot::{Mutex, RwLock};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::page::{zeroed_page, Page, PageId};
+use parking_lot::RwLock;
 
 /// A store of fixed-size pages addressed by [`PageId`].
 ///
@@ -133,97 +127,11 @@ impl PageStore for MemPager {
     }
 }
 
-/// File-backed page store. Pages live at offset `id * PAGE_SIZE`.
-#[derive(Debug)]
-pub struct FilePager {
-    file: Mutex<File>,
-    page_count: AtomicU64,
-    stats: IoStats,
-}
-
-fn io_err(op: &'static str, page: Option<PageId>, source: std::io::Error) -> StorageError {
-    StorageError::Io { op, page, source }
-}
-
-impl FilePager {
-    /// Opens (creating if necessary) a page file at `path`. An existing
-    /// file's length must be a multiple of [`PAGE_SIZE`].
-    pub fn open(path: &Path) -> std::io::Result<Self> {
-        let file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
-        let len = file.metadata()?.len();
-        if len % PAGE_SIZE as u64 != 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("page file length {len} is not a multiple of {PAGE_SIZE}"),
-            ));
-        }
-        Ok(Self {
-            file: Mutex::new(file),
-            page_count: AtomicU64::new(len / PAGE_SIZE as u64),
-            stats: IoStats::new(),
-        })
-    }
-
-    fn check_allocated(&self, op: &'static str, id: PageId) -> StorageResult<()> {
-        let count = self.page_count.load(Ordering::Relaxed);
-        if id.0 >= count {
-            debug_assert!(op == "read" || op == "write");
-            return Err(StorageError::UnallocatedPage { page_id: id, page_count: count });
-        }
-        Ok(())
-    }
-}
-
-impl PageStore for FilePager {
-    fn allocate(&self) -> StorageResult<PageId> {
-        // Hold the file lock across the counter bump so concurrent
-        // allocations get distinct ids AND distinct file extents.
-        let mut f = self.file.lock();
-        let id = PageId(self.page_count.load(Ordering::Relaxed));
-        f.seek(SeekFrom::Start(id.0 * PAGE_SIZE as u64))
-            .map_err(|e| io_err("allocate", Some(id), e))?;
-        f.write_all(&zeroed_page()[..]).map_err(|e| io_err("allocate", Some(id), e))?;
-        // Only count the page once the extent exists, so a failed extension
-        // does not leave an unreadable phantom page behind.
-        self.page_count.fetch_add(1, Ordering::Relaxed);
-        Ok(id)
-    }
-
-    fn read(&self, id: PageId) -> StorageResult<Page> {
-        self.check_allocated("read", id)?;
-        self.stats.record_read();
-        let mut page = zeroed_page();
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(id.0 * PAGE_SIZE as u64))
-            .map_err(|e| io_err("read", Some(id), e))?;
-        f.read_exact(&mut page[..]).map_err(|e| io_err("read", Some(id), e))?;
-        Ok(page)
-    }
-
-    fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
-        self.check_allocated("write", id)?;
-        self.stats.record_write();
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(id.0 * PAGE_SIZE as u64))
-            .map_err(|e| io_err("write", Some(id), e))?;
-        f.write_all(&page[..]).map_err(|e| io_err("write", Some(id), e))?;
-        Ok(())
-    }
-
-    fn page_count(&self) -> u64 {
-        self.page_count.load(Ordering::Relaxed)
-    }
-
-    fn stats(&self) -> &IoStats {
-        &self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use crate::page::PAGE_SIZE;
 
     fn roundtrip(store: &dyn PageStore) {
         let a = store.allocate().unwrap();
@@ -250,37 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn file_pager_roundtrip_and_reopen() {
-        let path = std::env::temp_dir().join(format!("tklus-pager-{}.db", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        {
-            let p = FilePager::open(&path).unwrap();
-            roundtrip(&p);
-        }
-        {
-            // Reopen: data persists.
-            let p = FilePager::open(&path).unwrap();
-            assert_eq!(p.page_count(), 2);
-            assert_eq!(p.read(PageId(0)).unwrap()[0], 0xAB);
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn unallocated_access_is_a_typed_error() {
-        let path = std::env::temp_dir().join(format!("tklus-pager-bad-{}.db", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let p = FilePager::open(&path).unwrap();
-        assert!(matches!(
-            p.read(PageId(0)),
-            Err(StorageError::UnallocatedPage { page_id: PageId(0), page_count: 0 })
-        ));
-        assert!(matches!(
-            p.write(PageId(5), &zeroed_page()),
-            Err(StorageError::UnallocatedPage { page_id: PageId(5), .. })
-        ));
-        let _ = std::fs::remove_file(&path);
-
         let m = MemPager::new();
         assert!(matches!(m.read(PageId(0)), Err(StorageError::UnallocatedPage { .. })));
         assert!(matches!(

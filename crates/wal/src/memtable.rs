@@ -83,12 +83,6 @@ impl MemtableIndex {
         }
     }
 
-    /// Drops every post (compaction sealed them).
-    pub fn clear(&mut self) {
-        self.postings.clear();
-        self.posts.clear();
-    }
-
     /// Candidate formation over the live posts, mirroring the sealed
     /// engine: `cover` is the query's circle cover at the index geohash
     /// length, `keywords` the *normalized* query keywords (`None` =
@@ -205,13 +199,13 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_accessors() {
-        let (mut m, _) = table();
+    fn accessors() {
+        let (m, _) = table();
         assert_eq!(m.len(), 3);
+        assert!(!m.is_empty());
         assert_eq!(m.users(), vec![UserId(1), UserId(2)]);
         assert!(m.contains(TweetId(5)));
-        m.clear();
-        assert!(m.is_empty());
+        assert!(MemtableIndex::new().is_empty());
         assert!(m.candidates(&[], &[Some("hotel".into())], Semantics::Or).is_empty());
     }
 }

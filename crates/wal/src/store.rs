@@ -107,7 +107,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tklus_core::score::{tweet_keyword_score, user_score};
-use tklus_core::{merge_sum_rows, top_k, EngineConfig, RankedUser, Ranking, SumRow, TklusEngine};
+use tklus_core::{
+    merge_max_users, merge_sum_rows, EngineConfig, RankedUser, Ranking, SumRow, TklusEngine,
+};
 use tklus_geo::{circle_cover, encode, Geohash};
 use tklus_model::{Corpus, Post, TklusQuery, TweetId, UserId};
 use tklus_storage::crc32;
@@ -124,13 +126,11 @@ const PERSISTENT_FAILURE_THRESHOLD: u64 = 3;
 /// Ceiling for the background compactor's exponential backoff.
 const MAX_COMPACTOR_BACKOFF: Duration = Duration::from_secs(5);
 
-/// How [`IngestStore::compact`] schedules its work.
+/// How [`IngestStore::compact`] schedules its work. One variant: the
+/// enum survives only because `StoreConfig::strategy` is printed by the
+/// frozen `benchmark/` harness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CompactionStrategy {
-    /// Seal under the write latch held for the whole build, rewriting
-    /// every partition each generation — the pre-incremental behaviour,
-    /// kept as the `compaction_stall` bench baseline.
-    FullLatch,
     /// Snapshot under a read lock, build the replacement partitions and
     /// engine off the latch, then take the write latch only for the
     /// seq-fenced manifest swap. Rewrites only touched partitions.
@@ -150,7 +150,7 @@ pub struct StoreConfig {
     /// Background compactor poll interval (also the base of its failure
     /// backoff).
     pub compact_interval: Duration,
-    /// Compaction scheduling (off-latch incremental by default).
+    /// Compaction scheduling (always off-latch incremental; never read).
     pub strategy: CompactionStrategy,
 }
 
@@ -714,23 +714,17 @@ impl IngestStore {
                         *entry = row.rho;
                     }
                 }
-                let mut best: HashMap<UserId, f64> = HashMap::new();
-                for ru in sealed.users {
-                    best.insert(ru.user, ru.score);
-                }
                 let mut live_users: Vec<(UserId, f64)> = live_best.into_iter().collect();
                 live_users.sort_by_key(|e| e.0);
+                let mut scored = sealed.users;
                 for (uid, rho) in live_users {
                     let delta = engine.try_user_distance_score(&q.location, q.radius_km, uid)?;
-                    let score = user_score(rho, delta, engine.scoring());
-                    let entry = best.entry(uid).or_insert(f64::NEG_INFINITY);
-                    if score > *entry {
-                        *entry = score;
-                    }
+                    scored.push(RankedUser {
+                        user: uid,
+                        score: user_score(rho, delta, engine.scoring()),
+                    });
                 }
-                let ranked =
-                    best.into_iter().map(|(user, score)| RankedUser { user, score }).collect();
-                Ok(top_k(ranked, q.k))
+                Ok(merge_max_users(scored, q.k))
             }
         }
     }
@@ -768,17 +762,13 @@ impl IngestStore {
         Ok(rows)
     }
 
-    /// Runs one compaction round under the configured
-    /// [`CompactionStrategy`], recording the outcome for
+    /// Runs one compaction round, recording the outcome for
     /// [`Self::compaction_stats`]. Rounds are serialized by an internal
     /// gate, so background and synchronous callers never interleave.
     /// Returns `true` when something was sealed.
     pub fn compact(&self) -> Result<bool, WalError> {
         let _gate = self.compact_gate.lock();
-        let result = match self.config.strategy {
-            CompactionStrategy::Incremental => self.compact_incremental(),
-            CompactionStrategy::FullLatch => self.compact_full_latch(),
-        };
+        let result = self.compact_incremental();
         match &result {
             Ok(_) => {
                 self.stats.successes.fetch_add(1, Ordering::Relaxed);
@@ -908,53 +898,6 @@ impl IngestStore {
                 }
             }
         }
-        inner.wal.rotate()?;
-        self.trim_absorbed(&mut inner)?;
-        Ok(true)
-    }
-
-    /// The pre-incremental behaviour: the write latch held for the whole
-    /// build, every partition rewritten. Kept as the `compaction_stall`
-    /// bench baseline (and a maximally-simple fallback).
-    fn compact_full_latch(&self) -> Result<bool, WalError> {
-        let mut inner = self.inner.write();
-        if inner.poisoned {
-            return Err(WalError::Poisoned);
-        }
-        if inner.memtable.is_empty() {
-            return Ok(false);
-        }
-        let generation = inner.generation + 1;
-        let fence = inner.max_seq;
-        let engine = Self::build_engine(&inner.acked, &self.config.engine)?;
-        let touched: BTreeSet<char> = inner.groups.iter().copied().collect();
-        let mut files = BTreeMap::new();
-        let mut created = Vec::new();
-        if let Err(e) = self.stage_partitions(
-            generation,
-            fence,
-            &inner.acked,
-            &inner.groups,
-            &touched,
-            &mut files,
-            &mut created,
-        ) {
-            self.remove_aborted(&created);
-            return Err(e);
-        }
-        if let Err(e) = self.fs.rename(MANIFEST_TMP, MANIFEST) {
-            self.remove_aborted(&created);
-            return Err(e);
-        }
-        // ---- The rename is the commit point (same argument as the
-        // incremental path, degenerate case: nothing was acked during
-        // the build because the latch was held throughout).
-        inner.sealed_len = inner.acked.len();
-        inner.sealed_seq = fence;
-        inner.generation = generation;
-        inner.seal_files = files;
-        inner.engine = engine;
-        inner.memtable.clear();
         inner.wal.rotate()?;
         self.trim_absorbed(&mut inner)?;
         Ok(true)
@@ -1280,28 +1223,6 @@ mod tests {
             store2.try_query(&query(), Ranking::Max(BoundsMode::HotKeywords)).unwrap(),
             after
         );
-    }
-
-    #[test]
-    fn full_latch_strategy_still_seals_and_answers_identically() {
-        let (fs, _) = SimFs::new(18);
-        let walfs: Arc<dyn WalFs> = Arc::clone(&fs) as Arc<dyn WalFs>;
-        let config =
-            StoreConfig { strategy: CompactionStrategy::FullLatch, ..StoreConfig::default() };
-        let (store, _) = IngestStore::open(walfs, config.clone()).unwrap();
-        for i in 1..=6 {
-            store.ingest(post(i, i, 43.70 + i as f64 * 1e-3, -79.42, "hotel by the lake")).unwrap();
-        }
-        let before = store.try_query(&query(), Ranking::Sum).unwrap();
-        assert!(store.compact().unwrap());
-        assert_eq!(store.live_posts(), 0);
-        assert_eq!(store.generation(), 1);
-        assert_eq!(store.try_query(&query(), Ranking::Sum).unwrap(), before);
-        drop(store);
-        let walfs: Arc<dyn WalFs> = Arc::clone(&fs) as Arc<dyn WalFs>;
-        let (store2, report) = IngestStore::open(walfs, config).unwrap();
-        assert_eq!(report.sealed_posts, 6);
-        assert_eq!(store2.try_query(&query(), Ranking::Sum).unwrap(), before);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! 3. **Proportional I/O** — a compaction whose live delta touches one
 //!    geohash partition must not pay filesystem ops for the other
 //!    partitions it carries forward by name (the incremental strategy's
-//!    whole point, measured in SimFs op counts against full-latch).
+//!    whole point, measured in SimFs op counts against the same store's
+//!    seal-everything first round).
 //!
 //! The gate is a [`WalFs`] wrapper that parks the *first* append to a
 //! chosen generation's seal files until the test releases it — a
@@ -26,6 +27,7 @@
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
+use std::collections::BTreeSet;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -33,8 +35,7 @@ use tklus_core::{BoundsMode, EngineConfig, Ranking, TklusEngine};
 use tklus_geo::Point;
 use tklus_model::{Corpus, Post, Semantics, TklusQuery, TweetId, UserId};
 use tklus_wal::{
-    parse_seal_name, CompactionStrategy, FsyncPolicy, IngestStore, SimFs, StoreConfig, WalConfig,
-    WalError, WalFs,
+    parse_seal_name, FsyncPolicy, IngestStore, SimFs, StoreConfig, WalConfig, WalError, WalFs,
 };
 
 fn chaos_seeds() -> Vec<u64> {
@@ -363,14 +364,19 @@ fn spread(id: u64) -> Post {
     post(id, id % 5 + 20, lat + id as f64 * 1e-3, lon, "hotel far away")
 }
 
-/// Two compaction rounds under `strategy`, counting only the compacts'
-/// SimFs write-path ops: round 1 seals posts spread over many partitions
-/// plus Toronto; round 2's live delta touches Toronto alone.
-fn two_round_compact_ops(strategy: CompactionStrategy) -> (u64, u64, u64) {
+#[test]
+fn compaction_io_is_proportional_to_touched_partitions() {
+    // Two rounds on one store, counting only the compacts' SimFs
+    // write-path ops: round 1 seals posts spread over many partitions plus
+    // Toronto; round 2's live delta touches Toronto alone.
     let (sim, handle) = SimFs::new(77);
     let walfs: Arc<dyn WalFs> = Arc::clone(&sim) as Arc<dyn WalFs>;
-    let cfg = StoreConfig { strategy, engine: engine_config(), ..StoreConfig::default() };
+    let cfg = StoreConfig { engine: engine_config(), ..StoreConfig::default() };
     let (store, _) = IngestStore::open(walfs, cfg).unwrap();
+    let seal_files = || -> BTreeSet<String> {
+        let names = WalFs::list(sim.as_ref()).unwrap();
+        names.into_iter().filter(|n| parse_seal_name(n).is_some()).collect()
+    };
 
     for id in 1..=21 {
         store.ingest(spread(id)).unwrap();
@@ -382,10 +388,9 @@ fn two_round_compact_ops(strategy: CompactionStrategy) -> (u64, u64, u64) {
     assert!(store.compact().unwrap());
     let round1 = handle.crash_ops_seen();
     handle.arm_crash_at(0); // disarm: ingests don't count
-
-    let partitions =
-        WalFs::list(sim.as_ref()).unwrap().iter().filter(|n| parse_seal_name(n).is_some()).count()
-            as u64;
+    let sealed1 = seal_files();
+    let parts = sealed1.len() as u64;
+    assert!(parts >= 5, "workload spread over too few partitions ({parts})");
 
     for id in 25..=27 {
         store.ingest(toronto(id)).unwrap();
@@ -393,30 +398,25 @@ fn two_round_compact_ops(strategy: CompactionStrategy) -> (u64, u64, u64) {
     handle.arm_crash_at(u64::MAX); // count: round-2 ops
     assert!(store.compact().unwrap());
     let round2 = handle.crash_ops_seen();
-    (round1, round2, partitions)
-}
+    let sealed2 = seal_files();
 
-#[test]
-fn compaction_io_is_proportional_to_touched_partitions() {
-    let (incr1, incr2, parts) = two_round_compact_ops(CompactionStrategy::Incremental);
-    let (full1, full2, full_parts) = two_round_compact_ops(CompactionStrategy::FullLatch);
-    assert!(parts >= 5, "workload spread over too few partitions ({parts})");
-    assert_eq!(parts, full_parts, "strategies must agree on the partition layout");
-
-    // Round 1 seals every partition under both strategies (everything is
-    // live), so both pay at least create+append+sync per partition file.
-    assert!(incr1 >= 3 * parts, "incremental round 1 wrote too few ops ({incr1})");
-    assert!(full1 >= 3 * parts, "full-latch round 1 wrote too few ops ({full1})");
-
-    // Round 2's delta touches one partition. Full-latch rewrites all
-    // `parts` files and removes the stale ones; incremental must skip
-    // the `parts - 1` untouched partitions entirely — at least 3 write
-    // ops (create/append/sync) and 1 remove saved per carried file.
-    assert!(incr2 < full2, "incremental round-2 ops {incr2} not below full-latch {full2}");
+    // Round 1 seals every partition (everything is live): at least
+    // create+append+sync per partition file.
+    assert!(round1 >= 3 * parts, "round 1 wrote too few ops ({round1})");
+    // Round 2 rewrites Toronto's file and carries the other `parts - 1`
+    // forward by name, paying none of their create/append/sync. The one op
+    // it has that round 1 lacks is the `remove` of the Toronto file it
+    // replaced.
     assert!(
-        full2 - incr2 >= 4 * (parts - 1),
-        "savings not proportional to carried partitions: full {full2} - incremental {incr2} \
-         < 4 × {} untouched partitions",
+        round2 + 3 * (parts - 1) <= round1 + 1,
+        "savings not proportional to carried partitions: round 1 {round1} - round 2 {round2} \
+         < 3 × {} untouched partitions - 1 stale remove",
         parts - 1
     );
+    assert_eq!(sealed2.len() as u64, parts, "the partition layout is unchanged");
+    let carried: Vec<&String> = sealed1.intersection(&sealed2).collect();
+    assert_eq!(carried.len() as u64, parts - 1, "untouched files keep their names: {carried:?}");
+    let rewritten: Vec<&String> = sealed2.difference(&sealed1).collect();
+    assert_eq!(rewritten.len(), 1, "only Toronto's file is new: {rewritten:?}");
+    assert_eq!(parse_seal_name(rewritten[0]).map(|(generation, _)| generation), Some(2));
 }
