@@ -196,7 +196,7 @@ fn main() {
         cs.thread.hit_rate() * 100.0,
     );
 
-    // Hand-rolled JSON, same rationale as qps_throughput.
+    // Hand-rolled JSON: flat scalar lines.
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"cache_effect\",\n");

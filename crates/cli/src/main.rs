@@ -159,8 +159,8 @@ const USAGE: &str = "usage:
                     [--corpus FILE.tsv] [--posts N] [--seed S] [--index DIR]
                     [--shards N] [--since T --until T] [--now T --half-life H]
                     [--timeout-ms MS] [--max-cells N] [--fail-on-degraded]
-                    [--threads N] [--cover-cache N] [--postings-cache N]
-                    [--thread-cache N] [--metrics]
+                    [--cover-cache N] [--postings-cache N] [--thread-cache N]
+                    [--metrics]
   tklus serve       [--corpus FILE.tsv] [--posts N] [--seed S]
                     [--mode sim|threaded] [--requests N] [--load-seed S]
                     [--mean-interarrival-ms MS] [--deadline-ms MS]
@@ -170,7 +170,7 @@ const USAGE: &str = "usage:
                     [--stats-every MS] [--wal DIR]
                     [--compact-threshold N] [--compact-interval-ms MS]
   tklus serve-http  [--corpus FILE.tsv] [--posts N] [--seed S]
-                    [--addr HOST:PORT] [--wal DIR] [--threads N]
+                    [--addr HOST:PORT] [--wal DIR]
                     [--compact-threshold N] [--compact-interval-ms MS]
                     [--workers N] [--queue-capacity N] [--deadline-ms MS]
                     [--est-service-ms MS]
@@ -435,7 +435,6 @@ fn cmd_query(raw: Vec<String>) -> Result<(), CliError> {
         "timeout-ms",
         "max-cells",
         "fail-on-degraded",
-        "threads",
         "cover-cache",
         "postings-cache",
         "thread-cache",
@@ -491,11 +490,6 @@ fn cmd_query(raw: Vec<String>) -> Result<(), CliError> {
         query = query.with_max_cells(cells);
     }
 
-    let threads: usize = args.get_or("threads", 1)?;
-    if threads == 0 {
-        return Err(ArgError("--threads must be at least 1".to_string()).into());
-    }
-
     // Per-layer query-cache budgets; 0 (the default) disables a layer.
     let caches = CacheConfig {
         cover: args.get_or("cover-cache", 0)?,
@@ -504,8 +498,7 @@ fn cmd_query(raw: Vec<String>) -> Result<(), CliError> {
     };
 
     let corpus = corpus_from(&args)?;
-    let engine_config =
-        EngineConfig { hot_keywords: 200, parallelism: threads, caches, ..EngineConfig::default() };
+    let engine_config = EngineConfig { hot_keywords: 200, caches, ..EngineConfig::default() };
     // Scatter-gather path: `--shards N` over a freshly built corpus, or a
     // `--index` directory carrying a sharded (format v3) manifest.
     let shards_flag = args.get::<usize>("shards")?;

@@ -387,10 +387,7 @@ pub fn cmd_serve(raw: Vec<String>) -> Result<(), CliError> {
 
     match args.get_str("mode").unwrap_or("sim") {
         "sim" => {
-            // Deterministic virtual-time replay: parallelism 1 keeps the
-            // engine's execution order (and any fault schedule) seeded.
-            let config = EngineConfig { parallelism: 1, ..EngineConfig::default() };
-            let engine = TklusEngine::try_build(&corpus, &config)?.0;
+            let engine = TklusEngine::try_build(&corpus, &EngineConfig::default())?.0;
             let queries = workload(&corpus, load_seed)?;
             let plan = generate_plan(&load, queries.len());
             let report = run_sim(&engine, &queries, &plan, &SimConfig { serve, drain });

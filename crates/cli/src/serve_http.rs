@@ -124,19 +124,13 @@ pub fn cmd_serve_http(raw: Vec<String>) -> Result<(), CliError> {
         "wal",
         "compact-threshold",
         "compact-interval-ms",
-        "threads",
     ])?;
     let serve_cfg = parse_serve_config(&args)?;
     let http_cfg = parse_http_config(&args)?;
-    let threads: usize = args.get_or("threads", 1)?;
-    if threads == 0 {
-        return Err(crate::args::ArgError("--threads must be at least 1".to_string()).into());
-    }
 
     let corpus = corpus_from(&args)?;
     eprintln!("building engine over {} posts ...", corpus.len());
-    let config = EngineConfig { parallelism: threads, ..EngineConfig::default() };
-    let engine = Arc::new(TklusEngine::try_build(&corpus, &config)?.0);
+    let engine = Arc::new(TklusEngine::try_build(&corpus, &EngineConfig::default())?.0);
 
     // Optional durable write path: open (and replay) the WAL store before
     // the listener exists, so a bound port means writes are accepted.

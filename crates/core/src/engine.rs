@@ -53,10 +53,9 @@ pub struct EngineConfig {
     /// Number of hot keywords to precompute bounds for (the paper uses the
     /// top-10 of Table II).
     pub hot_keywords: usize,
-    /// Worker threads used inside a single query (postings fetch and
-    /// candidate scoring) and across a [`TklusEngine::query_batch`] call.
-    /// `1` (the default) runs fully sequentially; any value produces
-    /// byte-identical ranked results.
+    /// Never read: a query runs on the calling thread, and requests are
+    /// the unit of parallelism (DESIGN.md §8). The field survives only
+    /// because the frozen `benchmark/` harness prints it.
     pub parallelism: usize,
     /// Entry budgets for the query cache hierarchy (cover, postings,
     /// thread layers). All zero by default — caches off, matching the
@@ -132,7 +131,6 @@ pub struct TklusEngine {
     bounds: BoundsTable,
     pipeline: TextPipeline,
     scoring: ScoringConfig,
-    parallelism: usize,
     caches: QueryCaches,
     /// `Some` when built with `EngineConfig::metrics` (the default).
     obs: Option<EngineMetrics>,
@@ -217,7 +215,6 @@ impl TklusEngine {
             bounds,
             pipeline: TextPipeline::new(),
             scoring: config.scoring,
-            parallelism: config.parallelism.max(1),
             caches,
             obs: config.metrics.then(EngineMetrics::new),
         })
@@ -232,11 +229,6 @@ impl TklusEngine {
     /// behind interior mutability.
     pub fn db(&self) -> &MetadataDb {
         &self.db
-    }
-
-    /// The per-query worker-thread count the engine was built with.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
     }
 
     /// The precomputed bounds table.
@@ -290,15 +282,14 @@ impl TklusEngine {
         self.resolve_keywords(keywords).into_iter().flatten().filter(|&t| seen.insert(t)).collect()
     }
 
-    /// Answers a TkLUS query with the chosen ranking method, using the
-    /// engine's configured worker-thread count inside the query.
+    /// Answers a TkLUS query with the chosen ranking method.
     ///
     /// Panics on storage/index failure and discards the completeness
     /// marker — the historical interface, appropriate over the default
     /// in-memory stores with unbudgeted queries. Fault-tolerant or
     /// budgeted callers use [`Self::try_query`].
     pub fn query(&self, q: &TklusQuery, ranking: Ranking) -> (Vec<RankedUser>, QueryStats) {
-        match self.try_query_with_parallelism(q, ranking, self.parallelism) {
+        match self.try_query(q, ranking) {
             Ok(outcome) => (outcome.users, outcome.stats),
             Err(e) => panic!("query failed: {e}"),
         }
@@ -309,55 +300,6 @@ impl TklusEngine {
     /// budget-degraded (see [`Completeness`]). A degraded outcome is the
     /// exact top-k over the cover-cell prefix the budget admitted.
     pub fn try_query(&self, q: &TklusQuery, ranking: Ranking) -> Result<QueryOutcome, EngineError> {
-        self.try_query_with_parallelism(q, ranking, self.parallelism)
-    }
-
-    /// Answers a batch of queries, fanning the *queries* (rather than the
-    /// work inside one query) across up to `parallelism` worker threads
-    /// over this one shared engine. Results come back in request order,
-    /// each identical to what a standalone [`Self::query`] call returns.
-    ///
-    /// Inside the batch each query runs sequentially — inter-query
-    /// parallelism is the throughput lever here, which is also what the
-    /// QPS benchmark measures.
-    ///
-    /// Panics if any query in the batch fails; over fallible stores use
-    /// [`Self::try_query_batch`], where one bad query costs only its own
-    /// slot.
-    pub fn query_batch(
-        &self,
-        requests: &[(TklusQuery, Ranking)],
-    ) -> Vec<(Vec<RankedUser>, QueryStats)> {
-        self.try_query_batch(requests)
-            .into_iter()
-            .map(|result| match result {
-                Ok(outcome) => (outcome.users, outcome.stats),
-                Err(e) => panic!("query failed: {e}"),
-            })
-            .collect()
-    }
-
-    /// Fallible [`Self::query_batch`]: each query gets its own
-    /// `Result` slot, so a storage or index failure on one query never
-    /// poisons the rest of the batch — the other slots still carry
-    /// answers identical to standalone [`Self::try_query`] calls.
-    pub fn try_query_batch(
-        &self,
-        requests: &[(TklusQuery, Ranking)],
-    ) -> Vec<Result<QueryOutcome, EngineError>> {
-        crate::query::parallel_map(requests, self.parallelism, |(q, ranking)| {
-            self.try_query_with_parallelism(q, *ranking, 1)
-        })
-    }
-
-    /// [`Self::try_query`] with an explicit per-query worker count (so
-    /// [`Self::query_batch`] can spend its threads across queries instead).
-    fn try_query_with_parallelism(
-        &self,
-        q: &TklusQuery,
-        ranking: Ranking,
-        parallelism: usize,
-    ) -> Result<QueryOutcome, EngineError> {
         // Under AND, a keyword no tweet contains empties the result; under
         // OR, unknown keywords are simply dropped. The unknown check runs
         // per input keyword, *before* deduplication, so an AND query with
@@ -377,7 +319,7 @@ impl TklusEngine {
         if terms.is_empty() {
             return Ok(self.finish(empty()));
         }
-        let ctx = self.context(parallelism);
+        let ctx = self.context();
         let result = match ranking {
             Ranking::Sum => try_query_sum(&ctx, q, &terms),
             Ranking::Max(mode) => try_query_max(&ctx, &self.bounds, mode, q, &terms),
@@ -395,13 +337,12 @@ impl TklusEngine {
         }
     }
 
-    fn context(&self, parallelism: usize) -> QueryContext<'_> {
+    fn context(&self) -> QueryContext<'_> {
         QueryContext {
             index: &self.index,
             db: &self.db,
             caches: &self.caches,
             scoring: &self.scoring,
-            parallelism,
             timings: self.obs.is_some(),
         }
     }
@@ -441,7 +382,7 @@ impl TklusEngine {
         if terms.is_empty() {
             return Ok(self.finish_partial(empty()));
         }
-        let ctx = self.context(self.parallelism);
+        let ctx = self.context();
         let start = Instant::now();
         let mut clock = StageClock::new(ctx.timings, start);
         match try_sum_rows(&ctx, q, &terms, start, &mut clock) {
@@ -481,7 +422,7 @@ impl TklusEngine {
         q: &TklusQuery,
         rows: &[SumRow],
     ) -> Result<Vec<RankedUser>, EngineError> {
-        let (users, _page_reads) = try_blend_users(&self.context(self.parallelism), q, rows)?;
+        let (users, _page_reads) = try_blend_users(&self.context(), q, rows)?;
         Ok(top_k(users, q.k))
     }
 
@@ -918,29 +859,6 @@ mod tests {
                 assert_eq!(x.user, y.user);
                 assert!((x.score - y.score).abs() < 1e-12);
             }
-        }
-    }
-
-    #[test]
-    fn try_query_batch_matches_infallible_batch() {
-        let corpus = corpus();
-        let (engine, _) = TklusEngine::build(&corpus, &EngineConfig::default());
-        let here = Point::new_unchecked(43.7, -79.4);
-        let q = |kw: &str| {
-            tklus_model::TklusQuery::new(here, 10.0, vec![kw.into()], 5, Semantics::Or).unwrap()
-        };
-        let requests = vec![
-            (q("hotel"), Ranking::Sum),
-            (q("pizza"), Ranking::Max(BoundsMode::HotKeywords)),
-            (q("zzzunknown"), Ranking::Sum),
-        ];
-        let infallible = engine.query_batch(&requests);
-        let fallible = engine.try_query_batch(&requests);
-        assert_eq!(infallible.len(), fallible.len());
-        for ((users, _), result) in infallible.iter().zip(&fallible) {
-            let outcome = result.as_ref().expect("in-memory stores never fail");
-            assert_eq!(outcome.completeness, Completeness::Complete);
-            assert_eq!(&outcome.users, users);
         }
     }
 

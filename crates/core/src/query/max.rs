@@ -7,46 +7,28 @@
 //! bound of Section VI-B5), distance part bounded by 1. If that optimistic
 //! score cannot beat the current k-th best user, skip the tweet entirely.
 //!
-//! # Parallel execution
-//!
 //! The prune makes this algorithm inherently sequential: each decision
-//! depends on the top-k state left by every earlier candidate. The parallel
-//! path therefore runs in blocks. Workers score a block of candidates
-//! against a *snapshot* of the top-k floor taken at block start; because
-//! that floor only ever rises, a candidate the snapshot prunes would also
-//! have been pruned by the live state, so workers may skip its thread
-//! safely, and anything else they score speculatively. The sequential merge
-//! then replays the exact live prune in candidate order — discarding
-//! speculative work the real floor rejects — so results *and* the
-//! `threads_pruned`/`threads_built` counters are identical to a
-//! single-threaded run. Speculation can only inflate `metadata_page_reads`
-//! (I/O spent on threads the merge then discards); that is the price of the
-//! fan-out, not a change in what the algorithm computes.
+//! depends on the top-k state left by every earlier candidate. The
+//! candidate loop runs on the calling thread and always sees the exact
+//! live floor, so no I/O is spent on a thread the prune would reject.
 //!
 //! # Caching
 //!
 //! The cover/postings caches front the fetch and the thread cache fronts
 //! φ(p); every cached value is pure, so cached runs return identical
-//! results. One accounting nuance: a *speculative* φ probe touches the
-//! shared thread cache even when the merge later discards the candidate,
-//! so `thread_cache_hits`/`_misses` count every probe (keeping per-query
-//! tallies consistent with the global cache counters), while
-//! `threads_built`/`threads_pruned` keep replaying the live prune exactly.
+//! results.
 //!
 //! # Failure
 //!
 //! Storage and index failures — postings fetch, metadata lookups, thread
-//! walks — propagate as typed [`EngineError`]s instead of panics, from
-//! both the sequential path and the speculative workers (worker errors are
-//! surfaced by the in-order merge). A query budget degrades the cover
-//! instead (see [`Completeness`]).
+//! walks — propagate as typed [`EngineError`]s instead of panics. A query
+//! budget degrades the cover instead (see [`Completeness`]).
 
 use crate::bounds::{BoundsMode, BoundsTable};
 use crate::error::EngineError;
 use crate::metadata::MetadataDb;
 use crate::query::{
-    candidates, parallel_map, top_k, CellBudget, Completeness, QueryContext, QueryStats,
-    RankedUser, StageClock,
+    candidates, top_k, CellBudget, Completeness, QueryContext, QueryStats, RankedUser, StageClock,
 };
 use crate::score::{tweet_keyword_score, upper_bound_user_score, user_distance_score, user_score};
 use std::collections::HashMap;
@@ -124,23 +106,6 @@ impl TopK {
     }
 }
 
-/// A candidate that survived the cheap filters, with the expensive parts
-/// possibly precomputed by a worker.
-struct Prepared {
-    tf: u32,
-    recency: f64,
-    uid: UserId,
-    /// `(rho, delta, thread-cache probe outcome)` if a worker scored the
-    /// candidate speculatively; `None` when the snapshot floor already
-    /// proved it prunable.
-    speculative: Option<(f64, f64, Option<bool>)>,
-}
-
-/// How many candidates each parallel round scores before the merge
-/// refreshes the prune floor (per worker, so speculation waste stays
-/// bounded as the floor tightens).
-const BLOCK_PER_WORKER: usize = 32;
-
 /// Runs Algorithm 5 with the given popularity-bound table and mode.
 ///
 /// The temporal extension (Section VIII) composes with the prune: the
@@ -148,10 +113,6 @@ const BLOCK_PER_WORKER: usize = 32;
 /// known from the candidate's timestamp alone — *tightens* the upper bound
 /// (an old tweet's best possible score shrinks by its decay factor), so
 /// recency-biased queries prune more, not less.
-///
-/// `ctx.parallelism` fans the postings fetch and the block-speculative
-/// scoring across worker threads; the ranked output and prune/build
-/// counters are identical at any value (see the module docs for why).
 pub(crate) fn try_query_max(
     ctx: &QueryContext<'_>,
     bounds: &BoundsTable,
@@ -200,143 +161,61 @@ pub(crate) fn try_query_max(
     // Per-user distance scores are query-constant; cache them.
     let mut delta_cache: HashMap<UserId, f64> = HashMap::new();
 
-    let mut page_reads = 0u64;
-    if ctx.parallelism <= 1 {
-        // Sequential path: the prune always sees the exact live floor, so
-        // no speculative I/O is ever spent. Every metadata read happens on
-        // this thread, so one thread-tally delta around the loop
-        // attributes them all to this query exactly.
-        let reads_before = IoStats::thread_page_reads();
-        for &(tid, tf) in &cands {
-            if !query.in_time_range(tid.0) {
+    // Every metadata read happens on this thread, so one thread-tally
+    // delta around the loop attributes them all to this query exactly.
+    let reads_before = IoStats::thread_page_reads();
+    for &(tid, tf) in &cands {
+        if !query.in_time_range(tid.0) {
+            continue;
+        }
+        let Some(row) = db.try_row(tid)? else { continue };
+        if center.distance_km(&row.location, config.metric) > radius_km {
+            continue;
+        }
+        stats.in_radius += 1;
+        let recency = query.recency_factor(tid.0);
+
+        // Lines 18–19: the prune. The best score this tweet can give
+        // its author cannot beat the current k-th user -> skip the
+        // thread. The recency factor scales the keyword part.
+        if top.is_full() {
+            let upper = upper_bound_user_score(tf, popularity_bound * recency, config);
+            if upper <= top.min_score().expect("full set has a min") {
+                stats.threads_pruned += 1;
                 continue;
             }
-            let Some(row) = db.try_row(tid)? else { continue };
-            if center.distance_km(&row.location, config.metric) > radius_km {
-                continue;
-            }
-            stats.in_radius += 1;
-            let recency = query.recency_factor(tid.0);
-
-            // Lines 18–19: the prune. The best score this tweet can give
-            // its author cannot beat the current k-th user -> skip the
-            // thread. The recency factor scales the keyword part.
-            if top.is_full() {
-                let upper = upper_bound_user_score(tf, popularity_bound * recency, config);
-                if upper <= top.min_score().expect("full set has a min") {
-                    stats.threads_pruned += 1;
-                    continue;
-                }
-            }
-
-            // Lines 20–22: thread popularity (cached or constructed),
-            // tweet and user scores.
-            let (phi, probe) = ctx.try_popularity(tid)?;
-            stats.record_thread_probe(probe);
-            if probe != Some(true) {
-                stats.threads_built += 1;
-            }
-            let rho = tweet_keyword_score(tf, phi, config) * recency;
-            let uid = row.uid;
-            let delta = match delta_cache.get(&uid) {
-                Some(&d) => d,
-                None => {
-                    let d = user_distance_for(db, center, radius_km, uid, config)?;
-                    delta_cache.insert(uid, d);
-                    d
-                }
-            };
-            top.admit(uid, rho, delta, config);
         }
-        page_reads = IoStats::thread_page_reads() - reads_before;
-    } else {
-        let block = BLOCK_PER_WORKER * ctx.parallelism;
-        for chunk in cands.chunks(block) {
-            // Snapshot the floor once per block. It can only be lower than
-            // (or equal to) the live floor at any later merge point, so a
-            // snapshot prune is always a subset of the live prune.
-            let snapshot_floor = if top.is_full() { top.min_score() } else { None };
 
-            // Each slot carries the page reads it incurred on its worker
-            // thread (measured inside the closure, so the attribution is
-            // exact whichever thread — including this one — ran it).
-            let prepared: Vec<(u64, Result<Option<Prepared>, EngineError>)> =
-                parallel_map(chunk, ctx.parallelism, |&(tid, tf)| {
-                    let reads_before = IoStats::thread_page_reads();
-                    let slot = (|| {
-                        if !query.in_time_range(tid.0) {
-                            return Ok(None);
-                        }
-                        let Some(row) = db.try_row(tid)? else { return Ok(None) };
-                        if center.distance_km(&row.location, config.metric) > radius_km {
-                            return Ok(None);
-                        }
-                        let recency = query.recency_factor(tid.0);
-                        let uid = row.uid;
-                        if let Some(floor) = snapshot_floor {
-                            let upper =
-                                upper_bound_user_score(tf, popularity_bound * recency, config);
-                            if upper <= floor {
-                                return Ok(Some(Prepared { tf, recency, uid, speculative: None }));
-                            }
-                        }
-                        let (phi, probe) = ctx.try_popularity(tid)?;
-                        let rho = tweet_keyword_score(tf, phi, config) * recency;
-                        let delta = user_distance_for(db, center, radius_km, uid, config)?;
-                        Ok(Some(Prepared {
-                            tf,
-                            recency,
-                            uid,
-                            speculative: Some((rho, delta, probe)),
-                        }))
-                    })();
-                    (IoStats::thread_page_reads() - reads_before, slot)
-                });
-
-            // Merge in candidate order, replaying the exact live prune
-            // (and surfacing the first worker error in candidate order).
-            for (reads, p) in prepared {
-                page_reads += reads;
-                let Some(p) = p? else { continue };
-                stats.in_radius += 1;
-                // A speculative probe touched the shared thread cache
-                // whether or not the live prune keeps the candidate, so it
-                // is tallied unconditionally.
-                if let Some((_, _, probe)) = p.speculative {
-                    stats.record_thread_probe(probe);
-                }
-                if top.is_full() {
-                    let upper = upper_bound_user_score(p.tf, popularity_bound * p.recency, config);
-                    if upper <= top.min_score().expect("full set has a min") {
-                        stats.threads_pruned += 1;
-                        continue;
-                    }
-                }
-                // Live floor did not prune, and the snapshot floor was no
-                // higher, so the worker must have scored this candidate.
-                let (rho, delta, probe) =
-                    p.speculative.expect("snapshot prune is conservative w.r.t. the live floor");
-                if probe != Some(true) {
-                    stats.threads_built += 1;
-                }
-                let delta = *delta_cache.entry(p.uid).or_insert(delta);
-                top.admit(p.uid, rho, delta, config);
-            }
+        // Lines 20–22: thread popularity (cached or constructed),
+        // tweet and user scores.
+        let (phi, probe) = ctx.try_popularity(tid)?;
+        stats.record_thread_probe(probe);
+        if probe != Some(true) {
+            stats.threads_built += 1;
         }
+        let rho = tweet_keyword_score(tf, phi, config) * recency;
+        let uid = row.uid;
+        let delta = match delta_cache.get(&uid) {
+            Some(&d) => d,
+            None => {
+                let d = user_distance_for(db, center, radius_km, uid, config)?;
+                delta_cache.insert(uid, d);
+                d
+            }
+        };
+        top.admit(uid, rho, delta, config);
     }
-
-    stats.stages.threads = clock.lap();
+    stats.metadata_page_reads = IoStats::thread_page_reads() - reads_before;
     // Algorithm 5 interleaves scoring with the prune loop above, so the
     // whole loop is attributed to `threads` and `scoring` stays zero.
-    stats.metadata_page_reads = page_reads;
+    stats.stages.threads = clock.lap();
     let ranked = top_k(top.into_ranked(), k);
     stats.stages.topk = clock.lap();
     stats.elapsed = start.elapsed();
     Ok((ranked, stats, completeness))
 }
 
-/// Definition 9's user distance score over `P_u` (pure: same inputs, same
-/// float result, whichever thread computes it).
+/// Definition 9's user distance score over `P_u`.
 fn user_distance_for(
     db: &MetadataDb,
     center: &Point,

@@ -268,10 +268,7 @@ pub struct QueryStats {
     /// Thread popularities φ(p) served from the thread cache.
     pub thread_cache_hits: u64,
     /// Thread popularities computed because the (enabled) thread cache
-    /// missed. Under parallel Maximum-score execution this also counts
-    /// speculative probes whose candidate the live prune later discarded,
-    /// so the per-query tallies stay consistent with the global cache
-    /// counters.
+    /// missed.
     pub thread_cache_misses: u64,
     /// Deadline clock polls elided by the strided budget check
     /// (DESIGN.md §12); 0 for unbudgeted queries.
@@ -327,7 +324,6 @@ pub(crate) struct QueryContext<'a> {
     pub db: &'a MetadataDb,
     pub caches: &'a QueryCaches,
     pub scoring: &'a ScoringConfig,
-    pub parallelism: usize,
     /// Record per-stage wall-clock spans (engine `metrics` flag).
     pub timings: bool,
 }
@@ -337,8 +333,7 @@ impl QueryContext<'_> {
     /// through the cache hierarchy: the circle cover through the cover
     /// cache, each `⟨cell, term⟩` list through the postings cache, and
     /// only the misses down to the DFS — in `(partition, offset)` order,
-    /// fanned over up to `parallelism` workers, exactly like
-    /// [`HybridIndex::fetch_for_query_parallel`].
+    /// exactly like [`HybridIndex::fetch_for_query`].
     ///
     /// Per-keyword lists are assembled in cover order, which differs from
     /// the uncached path's storage order; both orders feed the same
@@ -398,13 +393,14 @@ impl QueryContext<'_> {
     /// Unbudgeted, misses are batched: probe everything first (reserving a
     /// slot per list so hits and later-fetched misses land in deterministic
     /// positions), then fetch misses in storage order — the locality the
-    /// sorted ⟨geohash, term⟩ layout provides — fanned over up to
-    /// `parallelism` workers. With a `budget`, cells are processed one at a
-    /// time (cell-outer/keyword-inner, each cell's misses fetched before
-    /// the next cell starts) so the deadline check between cells reflects
-    /// real work done; both paths produce the same per-keyword list order,
-    /// so a budget that admits the whole cover yields bitwise-identical
-    /// results.
+    /// sorted ⟨geohash, term⟩ layout provides, and the order the DFS
+    /// sequential/random read accounting is measured in. With a `budget`,
+    /// cells are processed one at a time (cell-outer/keyword-inner, each
+    /// cell's misses fetched before the next cell starts): the deadline
+    /// poll between cells needs that interleaving to reflect real work
+    /// done, which is why the two loops stay separate. Both produce the
+    /// same per-keyword list order, so a budget that admits the whole
+    /// cover yields bitwise-identical results.
     fn fetch_lists(
         &self,
         cover: &[Geohash],
@@ -472,10 +468,9 @@ impl QueryContext<'_> {
         }
 
         misses.sort_by_key(|&(_, _, _, loc)| (loc.partition, loc.offset));
-        let fetched = parallel_map(&misses, self.parallelism, |&(_, _, _, loc)| read(loc));
         let mut bytes = 0u64;
-        for (&(ki, slot, key, _), fetched) in misses.iter().zip(fetched) {
-            let (list, b) = fetched?;
+        for (ki, slot, key, loc) in misses {
+            let (list, b) = read(loc)?;
             bytes += b;
             self.caches.postings.insert(key, Arc::clone(&list));
             per_keyword[ki][slot] = Some(list);
@@ -534,36 +529,6 @@ pub(crate) fn candidates(fetch: &Fetched, semantics: Semantics) -> Vec<(TweetId,
             }
         }
     }
-}
-
-/// Maps `f` over `items` across up to `parallelism` scoped threads,
-/// returning outputs in slot order. The split is contiguous chunks, so the
-/// output vector is identical at any parallelism; `parallelism <= 1` (or a
-/// single item) runs inline with no threads spawned.
-///
-/// This is the worker harness of the concurrent query engine: `f` must be
-/// pure given the shared read-only state it captures (the `&self` index and
-/// metadata database), which is what makes result determinism a property of
-/// *where* values are folded (sequentially, by the caller) rather than of
-/// scheduling.
-pub(crate) fn parallel_map<T, U, F>(items: &[T], parallelism: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let workers = parallelism.max(1).min(items.len().max(1));
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|part| scope.spawn(|| part.iter().map(&f).collect::<Vec<U>>()))
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("scoring worker panicked")).collect()
-    })
 }
 
 /// Sorts users by score descending (ties broken by user id for

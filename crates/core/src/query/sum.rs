@@ -5,13 +5,11 @@
 //! its author's Sum score (Definition 7); user scores then blend with the
 //! user distance score (Definitions 9/10).
 //!
-//! Per-candidate scoring is pure given the shared read-only metadata
-//! database, so it fans out across worker threads; the per-user Sum
-//! accumulation stays sequential in candidate order, which makes the
-//! floating-point result byte-identical at any parallelism. The cover,
-//! postings, and thread caches slot in transparently: every cached value
-//! is pure, so cached and uncached runs differ only in cost, never in
-//! results.
+//! Candidates are scored, and per-user Sum scores accumulated, in
+//! candidate (tweet-id) order on the calling thread, which fixes the
+//! floating-point result. The cover, postings, and thread caches slot in
+//! transparently: every cached value is pure, so cached and uncached runs
+//! differ only in cost, never in results.
 //!
 //! The pipeline is split at the per-user fold: [`try_sum_rows`] produces
 //! the scored candidate rows in tweet-id order, and [`try_blend_users`]
@@ -27,16 +25,16 @@
 //! [`EngineError`]s; a query budget degrades the cover instead
 //! (see [`Completeness`]).
 //!
-//! Metadata page reads are attributed to the query via per-thread read
-//! tallies measured *inside* each fanned-out closure
-//! ([`IoStats::thread_page_reads`]), so `QueryStats::metadata_page_reads`
-//! is exact even with other queries running concurrently on the shared
-//! engine (a global counter delta would absorb their reads too).
+//! Metadata page reads are attributed to the query via the calling
+//! thread's read tally ([`IoStats::thread_page_reads`]), one delta around
+//! each loop, so `QueryStats::metadata_page_reads` is exact even with
+//! other queries running concurrently on the shared engine (a global
+//! counter delta would absorb their reads too).
 
 use crate::error::EngineError;
 use crate::query::{
-    candidates, parallel_map, top_k, CellBudget, Completeness, QueryContext, QueryStats,
-    RankedUser, StageClock, SumRow,
+    candidates, top_k, CellBudget, Completeness, QueryContext, QueryStats, RankedUser, StageClock,
+    SumRow,
 };
 use crate::score::{tweet_keyword_score, user_distance_score, user_score};
 use std::collections::HashMap;
@@ -44,11 +42,6 @@ use std::time::Instant;
 use tklus_model::{TklusQuery, UserId};
 use tklus_storage::IoStats;
 use tklus_text::TermId;
-
-/// One fanned-out scoring slot: the page reads the slot incurred on its
-/// worker thread, and `None` when the candidate fell outside the radius or
-/// time window, otherwise `(author, relevance, cache-probe)`.
-type ScoredSlot = (u64, Result<Option<(UserId, f64, Option<bool>)>, EngineError>);
 
 /// The row-producing front half of Algorithm 4 (lines 1–24): cover,
 /// fetch, AND/OR combine, and per-candidate relevance scoring. Returns
@@ -95,44 +88,32 @@ pub(crate) fn try_sum_rows(
     stats.stages.fetch = tally.fetch_time;
     stats.stages.combine = clock.lap();
 
-    // Lines 15–24, fan-out half: per-tweet relevance. Each slot is pure —
-    // radius check, thread popularity (possibly cached), keyword score —
-    // and lands back in candidate order; any slot's storage error aborts
-    // the query in the sequential collection below.
-    let scored: Vec<ScoredSlot> = parallel_map(&cands, ctx.parallelism, |&(tid, tf)| {
-        let reads_before = IoStats::thread_page_reads();
-        let slot = (|| {
-            // Temporal extension: the id is the timestamp, so the window
-            // check costs nothing and precedes all metadata I/O.
-            if !query.in_time_range(tid.0) {
-                return Ok(None);
-            }
-            let Some(row) = db.try_row(tid)? else { return Ok(None) };
-            if center.distance_km(&row.location, config.metric) > radius_km {
-                return Ok(None);
-            }
-            let (phi, probe) = ctx.try_popularity(tid)?;
-            let rs = tweet_keyword_score(tf, phi, config) * query.recency_factor(tid.0);
-            Ok(Some((row.uid, rs, probe)))
-        })();
-        (IoStats::thread_page_reads() - reads_before, slot)
-    });
-
-    // Collect surviving rows in candidate order (the fold order every
-    // consumer must preserve for float determinism).
-    let mut page_reads = 0u64;
+    // Lines 15–24: per-tweet relevance — radius check, thread popularity
+    // (possibly cached), keyword score — with surviving rows kept in
+    // candidate order (the fold order every consumer must preserve for
+    // float determinism). The first storage error aborts the query.
+    let reads_before = IoStats::thread_page_reads();
     let mut rows: Vec<SumRow> = Vec::new();
-    for ((reads, slot), &(tid, _)) in scored.into_iter().zip(cands.iter()) {
-        page_reads += reads;
-        let Some((uid, rs, probe)) = slot? else { continue };
+    for &(tid, tf) in &cands {
+        // Temporal extension: the id is the timestamp, so the window
+        // check costs nothing and precedes all metadata I/O.
+        if !query.in_time_range(tid.0) {
+            continue;
+        }
+        let Some(row) = db.try_row(tid)? else { continue };
+        if center.distance_km(&row.location, config.metric) > radius_km {
+            continue;
+        }
         stats.in_radius += 1;
+        let (phi, probe) = ctx.try_popularity(tid)?;
         stats.record_thread_probe(probe);
         if probe != Some(true) {
             stats.threads_built += 1;
         }
-        rows.push(SumRow { tweet: tid, user: uid, rho: rs });
+        let rho = tweet_keyword_score(tf, phi, config) * query.recency_factor(tid.0);
+        rows.push(SumRow { tweet: tid, user: row.uid, rho });
     }
-    stats.metadata_page_reads = page_reads;
+    stats.metadata_page_reads = IoStats::thread_page_reads() - reads_before;
     stats.stages.threads = clock.lap();
     Ok((rows, stats, completeness))
 }
@@ -175,9 +156,8 @@ pub fn merge_sum_rows<'a>(lists: impl Iterator<Item = &'a [SumRow]>) -> Vec<SumR
 /// float addition order never depends on scheduling or on how many
 /// sources the rows were gathered from — then each user's ρ blends with
 /// their distance score δ (Definition 10) into the final `score(u, q)`.
-/// Users are visited in id order for deterministic I/O patterns; the
-/// blend fans out across `parallelism` workers. Returns the unranked
-/// users and the metadata page reads incurred.
+/// Users are visited in id order for deterministic I/O patterns.
+/// Returns the unranked users and the metadata page reads incurred.
 pub(crate) fn try_blend_users(
     ctx: &QueryContext<'_>,
     query: &TklusQuery,
@@ -193,24 +173,15 @@ pub(crate) fn try_blend_users(
     }
     let mut entries: Vec<(UserId, f64)> = users.into_iter().collect();
     entries.sort_by_key(|e| e.0);
-    let ranked: Vec<(u64, Result<RankedUser, EngineError>)> =
-        parallel_map(&entries, ctx.parallelism, |&(uid, rho_sum)| {
-            let reads_before = IoStats::thread_page_reads();
-            let slot = (|| {
-                let locations: Vec<tklus_geo::Point> =
-                    db.try_posts_of_user(uid)?.into_iter().map(|(_, l)| l).collect();
-                let delta = user_distance_score(center, radius_km, &locations, config);
-                Ok(RankedUser { user: uid, score: user_score(rho_sum, delta, config) })
-            })();
-            (IoStats::thread_page_reads() - reads_before, slot)
-        });
-    let mut page_reads = 0u64;
-    let mut users_ranked = Vec::with_capacity(ranked.len());
-    for (reads, slot) in ranked {
-        page_reads += reads;
-        users_ranked.push(slot?);
+    let reads_before = IoStats::thread_page_reads();
+    let mut users_ranked = Vec::with_capacity(entries.len());
+    for (uid, rho_sum) in entries {
+        let locations: Vec<tklus_geo::Point> =
+            db.try_posts_of_user(uid)?.into_iter().map(|(_, l)| l).collect();
+        let delta = user_distance_score(center, radius_km, &locations, config);
+        users_ranked.push(RankedUser { user: uid, score: user_score(rho_sum, delta, config) });
     }
-    Ok((users_ranked, page_reads))
+    Ok((users_ranked, IoStats::thread_page_reads() - reads_before))
 }
 
 /// Runs Algorithm 4. `terms` are the query keywords already normalized to
@@ -219,10 +190,6 @@ pub(crate) fn try_blend_users(
 /// temporal extension) are honoured: out-of-window candidates are skipped
 /// before any metadata I/O, and keyword relevance is decayed by the
 /// recency factor.
-///
-/// `ctx.parallelism` is the number of worker threads for the postings
-/// fetch, the per-candidate thread scoring, and the per-user distance
-/// blend; the ranked output is identical at any value.
 pub(crate) fn try_query_sum(
     ctx: &QueryContext<'_>,
     query: &TklusQuery,

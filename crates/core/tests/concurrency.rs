@@ -1,17 +1,12 @@
 //! Concurrency contract of the shared-immutable engine.
 //!
-//! Two guarantees, tested without loom (plain OS threads):
-//!
-//! 1. **Determinism** — the same query returns a byte-identical
-//!    `RankedUser` list (ids and the exact `f64` bit patterns of scores)
-//!    whether the engine runs sequentially or with any number of workers.
-//!    The parallel paths are designed so every floating-point fold happens
-//!    sequentially in a scheduling-independent order; this test is the
-//!    enforcement of that design.
-//! 2. **Shared safety** — one engine behind `&self` serves many client
-//!    threads at once, and every client sees the same (correct) answers
-//!    while the striped buffer pool, DFS counters, and B⁺-trees are being
-//!    hammered concurrently.
+//! Requests are the unit of parallelism (DESIGN.md §8): a query runs on
+//! its caller's thread, and one engine behind `&self` serves many client
+//! threads at once. Tested without loom (plain OS threads): every client
+//! sees the same byte-identical answers (ids and the exact `f64` bit
+//! patterns of scores) as a lone caller, while the striped buffer pool,
+//! DFS counters, query caches and B⁺-trees are being hammered
+//! concurrently.
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
@@ -88,61 +83,9 @@ fn queries() -> Vec<(TklusQuery, Ranking)> {
     out
 }
 
-fn engine_with_parallelism(corpus: &Corpus, parallelism: usize) -> TklusEngine {
-    let config = EngineConfig { parallelism, cache_pages: 96, ..EngineConfig::default() };
+fn build_engine(corpus: &Corpus) -> TklusEngine {
+    let config = EngineConfig { cache_pages: 96, ..EngineConfig::default() };
     TklusEngine::build(corpus, &config).0
-}
-
-#[test]
-fn parallel_results_are_byte_identical_to_sequential() {
-    let corpus = corpus();
-    let sequential = engine_with_parallelism(&corpus, 1);
-    let requests = queries();
-    let reference: Vec<_> = requests.iter().map(|(q, r)| sequential.query(q, *r)).collect();
-    // Sanity: the workload actually exercises scoring and pruning.
-    assert!(reference.iter().any(|(top, _)| !top.is_empty()));
-    assert!(reference.iter().any(|(_, s)| s.threads_pruned > 0));
-
-    for parallelism in [2, 3, 8] {
-        let parallel = engine_with_parallelism(&corpus, parallelism);
-        for ((q, ranking), (want_top, want_stats)) in requests.iter().zip(&reference) {
-            let (top, stats) = parallel.query(q, *ranking);
-            assert_eq!(top.len(), want_top.len(), "parallelism {parallelism}: {q:?}");
-            for (got, want) in top.iter().zip(want_top) {
-                assert_eq!(got.user, want.user, "parallelism {parallelism}: {q:?}");
-                assert_eq!(
-                    got.score.to_bits(),
-                    want.score.to_bits(),
-                    "parallelism {parallelism}: score bits differ for {:?} on {q:?}",
-                    got.user
-                );
-            }
-            // The prune/build accounting replays exactly, too.
-            assert_eq!(stats.candidates, want_stats.candidates);
-            assert_eq!(stats.in_radius, want_stats.in_radius);
-            assert_eq!(stats.threads_built, want_stats.threads_built);
-            assert_eq!(stats.threads_pruned, want_stats.threads_pruned);
-            assert_eq!(stats.lists_fetched, want_stats.lists_fetched);
-            assert_eq!(stats.dfs_bytes, want_stats.dfs_bytes);
-        }
-    }
-}
-
-#[test]
-fn query_batch_matches_individual_queries() {
-    let corpus = corpus();
-    let engine = engine_with_parallelism(&corpus, 4);
-    let requests = queries();
-    let individual: Vec<_> = requests.iter().map(|(q, r)| engine.query(q, *r)).collect();
-    let batched = engine.query_batch(&requests);
-    assert_eq!(batched.len(), individual.len());
-    for ((got, _), (want, _)) in batched.iter().zip(&individual) {
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(want) {
-            assert_eq!(g.user, w.user);
-            assert_eq!(g.score.to_bits(), w.score.to_bits());
-        }
-    }
 }
 
 /// Per-layer (hits, misses) totals plus the query-path counters,
@@ -203,11 +146,10 @@ impl CacheTally {
 fn cached_engine_under_contention_matches_cold_uncached_engine() {
     let corpus = corpus();
     // Reference: caches off (EngineConfig::default() disables all layers).
-    let cold = engine_with_parallelism(&corpus, 1);
+    let cold = build_engine(&corpus);
     // Tiny budgets so the stress run keeps inserting and evicting instead
     // of settling into an all-hit steady state.
     let cached_config = EngineConfig {
-        parallelism: 2,
         cache_pages: 96,
         caches: CacheConfig { cover: 4, postings: 16, thread: 32 },
         ..EngineConfig::default()
@@ -332,9 +274,12 @@ fn eight_threads_hammer_one_shared_engine() {
     // Small cache so the stress run constantly inserts/evicts in the
     // striped buffer pool rather than settling into an all-hit steady
     // state.
-    let engine = engine_with_parallelism(&corpus, 2);
+    let engine = build_engine(&corpus);
     let requests = queries();
     let reference: Vec<_> = requests.iter().map(|(q, r)| engine.query(q, *r)).collect();
+    // Sanity: the workload actually exercises scoring and pruning.
+    assert!(reference.iter().any(|(top, _)| !top.is_empty()));
+    assert!(reference.iter().any(|(_, s)| s.threads_pruned > 0));
 
     std::thread::scope(|scope| {
         for t in 0..8 {

@@ -11,7 +11,10 @@
 //! cases through the full engine in three configurations — caches off,
 //! caches on with a cold cache, caches on re-querying warm — and requires
 //! every run to return the oracle's ranked users with scores within 1e-9,
-//! with the cached runs *bit-identical* to the uncached run.
+//! with the cached runs *bit-identical* to the uncached run. The counters
+//! Figs. 8/12 plot are held too: `in_radius` equals the oracle's count of
+//! qualifying posts, and every in-radius candidate's thread is either
+//! built or pruned (never under Sum).
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
@@ -106,13 +109,15 @@ fn oracle_popularity(
 }
 
 /// Definitions 4–10, straight off the corpus: linear scan, explicit
-/// thread trees, no index, no bounds, no cache.
+/// thread trees, no index, no bounds, no cache. Returns the ranked users
+/// and the number of posts that qualified (in window, in radius, matching
+/// the keywords) — what the engine reports as `QueryStats::in_radius`.
 fn oracle_top_k(
     corpus: &Corpus,
     q: &TklusQuery,
     use_max: bool,
     config: &ScoringConfig,
-) -> Vec<(UserId, f64)> {
+) -> (Vec<(UserId, f64)>, usize) {
     let pipeline = TextPipeline::new();
 
     // The query keyword *set* (Definition 6's q.W): duplicates and case or
@@ -126,7 +131,7 @@ fn oracle_top_k(
     if q.semantics == Semantics::And
         && normalized.iter().any(|s| !matches!(s, Some(s) if known.contains(s)))
     {
-        return Vec::new();
+        return (Vec::new(), 0);
     }
     let mut stems: Vec<String> = normalized.into_iter().flatten().collect();
     stems.sort();
@@ -141,6 +146,7 @@ fn oracle_top_k(
     }
 
     let mut per_user: HashMap<UserId, f64> = HashMap::new();
+    let mut qualifying = 0usize;
     for post in corpus.posts() {
         if !q.in_time_range(post.id.0) {
             continue;
@@ -158,6 +164,7 @@ fn oracle_top_k(
         if !qualifies {
             continue;
         }
+        qualifying += 1;
         let phi = oracle_popularity(&replies, post.id, config.thread_depth, config.epsilon);
         // Definition 6 (ρ = N(p,q)/N × φ) times the recency factor of the
         // temporal extension (1.0 for untimed queries).
@@ -194,7 +201,7 @@ fn oracle_top_k(
         .collect();
     scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
     scored.truncate(q.k);
-    scored
+    (scored, qualifying)
 }
 
 /// Cache budgets exercised by the suite: generous (everything fits) and
@@ -242,10 +249,24 @@ proptest! {
                 (Ranking::Max(BoundsMode::Global), true),
                 (Ranking::Max(BoundsMode::HotKeywords), true),
             ] {
-                let want = oracle_top_k(&corpus, &q, use_max, &plain.scoring);
-                let (off, _) = engine_off.query(&q, ranking);
-                let (cold, _) = engine_on.query(&q, ranking);
-                let (warm, _) = engine_on.query(&q, ranking);
+                let (want, want_in_radius) = oracle_top_k(&corpus, &q, use_max, &plain.scoring);
+                let (off, off_stats) = engine_off.query(&q, ranking);
+                let (cold, cold_stats) = engine_on.query(&q, ranking);
+                let (warm, warm_stats) = engine_on.query(&q, ranking);
+
+                // Counters: the radius filter admits exactly the oracle's
+                // qualifying posts; uncached, each one's thread is built
+                // or (Max only) pruned; caches never move a prune decision.
+                prop_assert_eq!(off_stats.in_radius, want_in_radius, "{:?}/{:?}", ranking, semantics);
+                prop_assert_eq!(
+                    off_stats.threads_built + off_stats.threads_pruned, off_stats.in_radius,
+                    "{:?}/{:?}", ranking, semantics
+                );
+                prop_assert!(use_max || off_stats.threads_pruned == 0);
+                for cached in [&cold_stats, &warm_stats] {
+                    prop_assert_eq!(cached.in_radius, off_stats.in_radius);
+                    prop_assert_eq!(cached.threads_pruned, off_stats.threads_pruned);
+                }
 
                 // Engine (uncached) vs oracle: same users, scores to 1e-9.
                 prop_assert_eq!(off.len(), want.len(), "{:?}/{:?}", ranking, semantics);
@@ -324,10 +345,12 @@ proptest! {
         }
 
         for (ranking, use_max) in [(Ranking::Sum, false), (Ranking::Max(BoundsMode::HotKeywords), true)] {
-            let want = oracle_top_k(&corpus, &q, use_max, &EngineConfig::default().scoring);
+            let (want, want_in_radius) =
+                oracle_top_k(&corpus, &q, use_max, &EngineConfig::default().scoring);
             let (uncached, _) = engine_off.query(&q, ranking);
             for engine in [&engine_off, &engine_on] {
-                let (got, _) = engine.query(&q, ranking);
+                let (got, stats) = engine.query(&q, ranking);
+                prop_assert_eq!(stats.in_radius, want_in_radius, "{:?} window={:?}", ranking, window);
                 prop_assert_eq!(got.len(), want.len(), "{:?} window={:?}", ranking, window);
                 for ((g, w), b) in got.iter().zip(&want).zip(&uncached) {
                     prop_assert_eq!(g.user, w.0, "{:?}", ranking);

@@ -167,23 +167,6 @@ impl HybridIndex {
         keywords: &[TermId],
         metric: DistanceMetric,
     ) -> QueryFetch {
-        self.fetch_for_query_parallel(center, radius_km, keywords, metric, 1)
-    }
-
-    /// [`Self::fetch_for_query`] with the postings reads spread over up to
-    /// `parallelism` scoped threads. The sorted hit list is split into
-    /// contiguous chunks (each worker keeps the within-partition
-    /// sequentiality the sort bought) and results are reassembled in hit
-    /// order, so the output — including per-keyword list order — is
-    /// identical at any parallelism.
-    pub fn fetch_for_query_parallel(
-        &self,
-        center: &Point,
-        radius_km: f64,
-        keywords: &[TermId],
-        metric: DistanceMetric,
-        parallelism: usize,
-    ) -> QueryFetch {
         let cover = circle_cover(center, radius_km, self.geohash_len, metric)
             .expect("index geohash length is valid");
         // Gather directory hits first, then fetch in storage order.
@@ -196,39 +179,15 @@ impl HybridIndex {
             }
         }
         hits.sort_by_key(|(_, loc)| (loc.partition, loc.offset));
-        let lists = hits.len();
-        let workers = parallelism.max(1).min(lists.max(1));
-        let fetch_hit = |ki: usize, loc: PostingsLocation| {
-            let (list, bytes) = self.read_postings(loc);
-            (ki, Arc::new(list), bytes)
-        };
-        let fetched: Vec<(usize, Arc<PostingsList>, u64)> = if workers <= 1 {
-            hits.iter().map(|&(ki, loc)| fetch_hit(ki, loc)).collect()
-        } else {
-            let chunk = lists.div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = hits
-                    .chunks(chunk)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            part.iter().map(|&(ki, loc)| fetch_hit(ki, loc)).collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("postings fetch worker panicked"))
-                    .collect()
-            })
-        };
         let mut per_keyword: Vec<Vec<Arc<PostingsList>>> =
             keywords.iter().map(|_| Vec::new()).collect();
         let mut bytes = 0u64;
-        for (ki, list, b) in fetched {
+        for &(ki, loc) in &hits {
+            let (list, b) = self.read_postings(loc);
             bytes += b;
-            per_keyword[ki].push(list);
+            per_keyword[ki].push(Arc::new(list));
         }
-        QueryFetch { per_keyword, cells: cover.len(), lists, bytes }
+        QueryFetch { per_keyword, cells: cover.len(), lists: hits.len(), bytes }
     }
 }
 
@@ -304,34 +263,6 @@ mod tests {
         let ids: Vec<u64> =
             far.per_keyword[0].iter().flat_map(|l| l.postings().iter().map(|p| p.id.0)).collect();
         assert!(ids.contains(&3));
-    }
-
-    #[test]
-    fn parallel_fetch_matches_sequential() {
-        let idx = index();
-        let hotel = idx.vocab().get("hotel").unwrap();
-        let pizza = idx.vocab().get("pizza").unwrap();
-        let center = Point::new_unchecked(43.6839128037, -79.37356590);
-        let seq = idx.fetch_for_query(&center, 50.0, &[hotel, pizza], DistanceMetric::Euclidean);
-        for parallelism in [2, 4, 8] {
-            let par = idx.fetch_for_query_parallel(
-                &center,
-                50.0,
-                &[hotel, pizza],
-                DistanceMetric::Euclidean,
-                parallelism,
-            );
-            assert_eq!(par.cells, seq.cells);
-            assert_eq!(par.lists, seq.lists);
-            assert_eq!(par.bytes, seq.bytes);
-            assert_eq!(par.per_keyword.len(), seq.per_keyword.len());
-            for (p, s) in par.per_keyword.iter().zip(&seq.per_keyword) {
-                assert_eq!(p.len(), s.len());
-                for (pl, sl) in p.iter().zip(s) {
-                    assert_eq!(pl.postings(), sl.postings());
-                }
-            }
-        }
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! * **the engine runs for real** — each admitted request executes
 //!   `try_query` against the actual [`TklusEngine`] (possibly
 //!   `FaultPager`-backed) at its virtual dispatch instant, in dispatch
-//!   order. With `parallelism: 1` engines the storage fault schedule is a
-//!   function of operation order, so even injected faults reproduce
-//!   exactly per seed.
+//!   order. A query runs on the calling thread, so the storage fault
+//!   schedule is a function of operation order and even injected faults
+//!   reproduce exactly per seed.
 //!
 //! A real wall-clock budget (`timeout_ms`) would reintroduce
 //! nondeterminism, so the simulator's degrade mode only ever tightens
@@ -351,9 +351,6 @@ fn failure_domain(e: &EngineError) -> &'static str {
 
 /// Runs the simulation: replays `plan` against `engine` under `cfg`.
 /// Deterministic given `(engine construction, workload, plan, cfg)`.
-///
-/// Build the engine with `parallelism: 1` when its stores inject seeded
-/// faults — the fault schedule is keyed on operation order.
 pub fn run_sim(
     engine: &TklusEngine,
     workload: &[(TklusQuery, Ranking)],

@@ -74,11 +74,9 @@ fn workload(corpus: &Corpus) -> Vec<(TklusQuery, Ranking)> {
         .collect()
 }
 
-/// `parallelism: 1` keeps execution order — and therefore any seeded
-/// fault schedule — deterministic; `cache_pages: 0` keeps the buffer
-/// pool from masking injected faults.
+/// `cache_pages: 0` keeps the buffer pool from masking injected faults.
 fn engine_config() -> EngineConfig {
-    EngineConfig { cache_pages: 0, parallelism: 1, ..EngineConfig::default() }
+    EngineConfig { cache_pages: 0, ..EngineConfig::default() }
 }
 
 fn clean_engine(corpus: &Corpus) -> TklusEngine {

@@ -24,7 +24,7 @@ fn tmp_dir(name: &str) -> PathBuf {
 }
 
 fn engine_config() -> EngineConfig {
-    EngineConfig { cache_pages: 0, parallelism: 1, ..EngineConfig::default() }
+    EngineConfig { cache_pages: 0, ..EngineConfig::default() }
 }
 
 const RANKINGS: [Ranking; 3] =

@@ -43,7 +43,7 @@ fn chaos_seeds() -> Vec<u64> {
 }
 
 fn engine_config() -> EngineConfig {
-    EngineConfig { cache_pages: 0, parallelism: 1, ..EngineConfig::default() }
+    EngineConfig { cache_pages: 0, ..EngineConfig::default() }
 }
 
 fn store_config() -> StoreConfig {

@@ -24,7 +24,7 @@ use tklus_model::{Corpus, Post, Semantics, TklusQuery};
 use tklus_wal::{IngestStore, SimFs, StoreConfig, WalFs};
 
 fn engine_config() -> EngineConfig {
-    EngineConfig { cache_pages: 0, parallelism: 1, ..EngineConfig::default() }
+    EngineConfig { cache_pages: 0, ..EngineConfig::default() }
 }
 
 fn corpus(seed: u64) -> Corpus {

@@ -8,10 +8,15 @@
 //! `tklus_http::serve` fronting the rebuilt engine. A seam that breaks —
 //! index build, WAL replay, compaction, the Sum gather, shard routing,
 //! admission, JSON — fails here, in the default `cargo test`.
+//!
+//! Then the one concurrency model (DESIGN.md §8: requests are the unit of
+//! parallelism): four threads replay the same cases at once against the
+//! shared engine, the store and the socket, and every answer must still be
+//! the sequential one.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use tklus::core::{BoundsMode, EngineConfig, RankedUser, Ranking, TklusEngine};
 use tklus::gen::{generate_corpus, generate_queries, GenConfig, QueryConfig};
 use tklus::http::{serve, HttpConfig};
@@ -97,6 +102,7 @@ fn store_shards_and_http_agree_with_a_fresh_engine() {
     let front = serve(server, HttpConfig::default()).expect("front-end binds");
 
     let mut non_empty = 0;
+    let mut cases = Vec::new();
     for spec in generate_queries(&corpus, &QueryConfig { per_bucket: 2, seed: 11 }) {
         for (semantics, semantics_name) in [(Semantics::Or, "or"), (Semantics::And, "and")] {
             let q = TklusQuery::new(spec.location, 20.0, spec.keywords.clone(), 5, semantics)
@@ -124,9 +130,37 @@ fn store_shards_and_http_agree_with_a_fresh_engine() {
                     keywords.join(","),
                 );
                 assert_eq!(post_query(front.addr(), &body), want, "http: {label}");
+                cases.push((q.clone(), ranking, body, want, label));
             }
         }
     }
     assert!(non_empty >= 8, "only {non_empty} of 24 cases ranked anyone: the smoke has no teeth");
+
+    // Concurrent callers, one shared engine / store / front-end: each
+    // thread starts at its own offset so different queries overlap, and
+    // the barrier makes all four start together.
+    const CLIENTS: usize = 4;
+    let barrier = Barrier::new(CLIENTS);
+    std::thread::scope(|scope| {
+        for t in 0..CLIENTS {
+            let (reference, store, cases, barrier) = (&reference, &store, &cases, &barrier);
+            let addr = front.addr();
+            scope.spawn(move || {
+                barrier.wait();
+                for i in 0..cases.len() {
+                    let (q, ranking, body, want, label) = &cases[(i + t * 7) % cases.len()];
+                    let got = reference.try_query(q, *ranking).expect("engine query").users;
+                    assert_eq!(&bits(&got), want, "concurrent engine, client {t}: {label}");
+                    let got = store.try_query(q, *ranking).expect("store query");
+                    assert_eq!(&bits(&got), want, "concurrent store, client {t}: {label}");
+                    assert_eq!(
+                        &post_query(addr, body),
+                        want,
+                        "concurrent http, client {t}: {label}"
+                    );
+                }
+            });
+        }
+    });
     front.shutdown();
 }
