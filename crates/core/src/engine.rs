@@ -15,7 +15,7 @@
 use crate::bounds::{BoundsMode, BoundsTable};
 use crate::cache::{CacheConfig, CacheStats, QueryCaches};
 use crate::error::EngineError;
-use crate::metadata::{MetadataDb, MetadataStoreFactory};
+use crate::metadata::{MetaReader, MetadataDb, MetadataStoreFactory};
 use crate::obs::EngineMetrics;
 use crate::query::{
     max::try_query_max,
@@ -25,7 +25,7 @@ use crate::query::{
 };
 use std::time::Instant;
 use tklus_geo::Point;
-use tklus_graph::{try_build_thread, upper_bound_popularity, SocialNetwork};
+use tklus_graph::{upper_bound_popularity, SocialNetwork};
 use tklus_index::{build_index, HybridIndex, IndexBuildConfig, IndexBuildReport};
 use tklus_metrics::RegistrySnapshot;
 use tklus_model::{Corpus, Post, ScoringConfig, Semantics, TklusQuery, TweetId, UserId};
@@ -385,7 +385,7 @@ impl TklusEngine {
         let ctx = self.context();
         let start = Instant::now();
         let mut clock = StageClock::new(ctx.timings, start);
-        match try_sum_rows(&ctx, q, &terms, start, &mut clock) {
+        match try_sum_rows(&ctx, &mut self.db.reader(), q, &terms, start, &mut clock) {
             Ok((rows, mut stats, completeness)) => {
                 stats.elapsed = start.elapsed();
                 Ok(self.finish_partial(PartialSumOutcome { rows, stats, completeness }))
@@ -422,23 +422,36 @@ impl TklusEngine {
         q: &TklusQuery,
         rows: &[SumRow],
     ) -> Result<Vec<RankedUser>, EngineError> {
-        let (users, _page_reads) = try_blend_users(&self.context(), q, rows)?;
+        let (users, _page_reads) =
+            try_blend_users(&self.context(), &mut self.db.reader(), q, rows)?;
         Ok(top_k(users, q.k))
     }
 
     /// Definition 10's user distance score δ(u, q) for one user, computed
     /// over the user's posts in this engine's metadata database — the
     /// per-user blend input, for callers that score users outside the Sum
-    /// fold (the ingest store's Maximum-score live merge).
+    /// fold. A one-call reader; a caller scoring many users passes its own
+    /// to [`Self::try_user_distance_score_with`].
     pub fn try_user_distance_score(
         &self,
         center: &Point,
         radius_km: f64,
         user: UserId,
     ) -> Result<f64, EngineError> {
-        let locations: Vec<Point> =
-            self.db.try_posts_of_user(user)?.into_iter().map(|(_, l)| l).collect();
-        Ok(crate::score::user_distance_score(center, radius_km, &locations, &self.scoring))
+        self.try_user_distance_score_with(&mut self.db.reader(), center, radius_km, user)
+    }
+
+    /// [`Self::try_user_distance_score`] through the caller's reader of
+    /// this engine's [`Self::db`] (the ingest store's Maximum-score live
+    /// merge scores its users through the query's one reader).
+    pub fn try_user_distance_score_with(
+        &self,
+        meta: &mut MetaReader<'_>,
+        center: &Point,
+        radius_km: f64,
+        user: UserId,
+    ) -> Result<f64, EngineError> {
+        self.context().try_user_distance(meta, center, radius_km, user)
     }
 
     // ---- Streaming-ingest primitives (DESIGN.md §15) -------------------
@@ -494,16 +507,25 @@ impl TklusEngine {
     /// builds and caches). Ingest calls this after invalidation to obtain
     /// live φ values for bound refresh; query-time candidates see exactly
     /// the same numbers.
+    ///
+    /// This is the write path's form and its cost is deliberately left as
+    /// it was: every `rsid = ?` scan of the thread walk is its own
+    /// root-to-leaf descent (ROADMAP `[perf]` finding (ii) says why a
+    /// cheaper write path needs its own PR). A query scoring many tweets
+    /// passes its reader to [`Self::try_thread_phi_with`].
     pub fn try_thread_phi(&self, tid: TweetId) -> Result<f64, EngineError> {
-        if let Some(phi) = self.caches.thread.get(&tid) {
-            return Ok(phi);
-        }
-        let thread = try_build_thread(&mut &self.db, tid, self.scoring.thread_depth)?;
-        let phi = thread.popularity(self.scoring.epsilon);
-        if self.caches.thread.is_enabled() {
-            self.caches.thread.insert(tid, phi);
-        }
-        Ok(phi)
+        Ok(self.context().try_popularity(&mut &self.db, tid)?.0)
+    }
+
+    /// [`Self::try_thread_phi`] through the caller's reader of this
+    /// engine's [`Self::db`] (the ingest store scores its live candidates
+    /// through the query's one reader).
+    pub fn try_thread_phi_with(
+        &self,
+        meta: &mut MetaReader<'_>,
+        tid: TweetId,
+    ) -> Result<f64, EngineError> {
+        Ok(self.context().try_popularity(meta, tid)?.0)
     }
 
     /// Normalizes free text into the distinct term ids of this engine's

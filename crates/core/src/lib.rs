@@ -42,7 +42,7 @@ pub use bounds::{BoundsMode, BoundsTable};
 pub use cache::{CacheConfig, CacheStats, QueryCaches};
 pub use engine::{EngineConfig, Ranking, TklusEngine};
 pub use error::EngineError;
-pub use metadata::{MetaRow, MetadataDb, MetadataStoreFactory};
+pub use metadata::{MetaReader, MetaRow, MetadataDb, MetadataStoreFactory};
 pub use query::{
     merge_max_users, sum::merge_sum_rows, top_k, Completeness, PartialSumOutcome, QueryOutcome,
     QueryStats, RankedUser, StageTimings, SumRow,

@@ -16,15 +16,18 @@
 //!
 //! Every tree runs over a [`CheckedPager`] (DESIGN.md §10): pages are
 //! sealed with a magic/version/CRC32 header on write and verified on every
-//! read, so torn writes and bit flips in the page store below surface as
-//! typed [`StorageError`]s instead of silently wrong rows. The store under
-//! the checksum layer is pluggable ([`MetadataStoreFactory`]) — the default
-//! is an in-memory pager; fault-injection tests substitute a
-//! [`tklus_storage::FaultPager`] stack.
+//! physical read, so torn writes and bit flips in the page store below
+//! surface as typed [`StorageError`]s instead of silently wrong rows. The
+//! store under the checksum layer is pluggable ([`MetadataStoreFactory`])
+//! — the default is an in-memory pager; fault-injection tests substitute
+//! a [`tklus_storage::FaultPager`] stack.
 //!
 //! Every logical operation's physical cost is visible through
 //! [`MetadataDb::io`]; the experiments run with a zero-capacity pool
-//! ("database caches are set off").
+//! ("database caches are set off"). A query reads through one
+//! [`MetaReader`] — a cursor per tree that keeps its root-to-leaf path for
+//! the life of the query — and the `&self` lookups here are one-call
+//! readers.
 
 use std::sync::Arc;
 use tklus_geo::Point;
@@ -32,6 +35,7 @@ use tklus_graph::TryReplyProvider;
 use tklus_model::{Post, TweetId, UserId};
 use tklus_storage::{
     BPlusTree, BufferPool, CheckedPager, IoStats, MemPager, PageStore, StorageError, StorageResult,
+    TreeReader,
 };
 
 /// Sentinel for "no reply target" in the `ruid`/`rsid` columns.
@@ -234,9 +238,19 @@ impl MetadataDb {
         }
     }
 
-    /// Fallible [`Self::row`].
+    /// Opens a read session over the three trees (see [`MetaReader`]):
+    /// one per query, so lookups in tweet-id order share their descents.
+    pub fn reader(&self) -> MetaReader<'_> {
+        MetaReader {
+            primary: self.primary.reader(),
+            reply_index: self.reply_index.reader(),
+            user_index: self.user_index.reader(),
+        }
+    }
+
+    /// Fallible [`Self::row`]: a one-call [`MetaReader`].
     pub fn try_row(&self, sid: TweetId) -> StorageResult<Option<MetaRow>> {
-        Ok(self.primary.get((sid.0, 0))?.map(|bytes| decode_row(&bytes)))
+        self.reader().try_row(sid)
     }
 
     /// `select uid where sid = ?` (Algorithm 4 line 20 / Algorithm 5
@@ -259,14 +273,9 @@ impl MetadataDb {
         }
     }
 
-    /// Fallible [`Self::replies_to_ids`].
+    /// Fallible [`Self::replies_to_ids`]: a one-call [`MetaReader`].
     pub fn try_replies_to_ids(&self, rsid: TweetId) -> StorageResult<Vec<TweetId>> {
-        Ok(self
-            .reply_index
-            .scan_major(rsid.0)?
-            .into_iter()
-            .map(|((_, sid), _)| TweetId(sid))
-            .collect())
+        self.reader().try_replies_to_ids(rsid)
     }
 
     /// All posts of a user, as `(sid, location)` — the `P_u` scan for
@@ -279,8 +288,47 @@ impl MetadataDb {
         }
     }
 
-    /// Fallible [`Self::posts_of_user`].
+    /// Fallible [`Self::posts_of_user`]: a one-call [`MetaReader`].
     pub fn try_posts_of_user(&self, uid: UserId) -> StorageResult<Vec<(TweetId, Point)>> {
+        self.reader().try_posts_of_user(uid)
+    }
+}
+
+/// One query's read session over the database: a [`TreeReader`] per
+/// tree, each keeping its root-to-leaf path between calls. Algorithms 4/5
+/// visit candidates in tweet-id order — the primary tree's key order —
+/// and consecutive `rsid = ?` and `P_u` scans mostly land in the leaf the
+/// reader already holds, so a query pays a page read where the path
+/// *changes*, not a full descent per candidate, thread node and user.
+///
+/// The reader borrows the database, so no insert can run while it lives;
+/// it holds nothing beyond its own lifetime, and every page it reads is
+/// checksum-verified and counted in [`MetadataDb::io`] as usual.
+pub struct MetaReader<'a> {
+    primary: TreeReader<'a, Pool, ROW_SIZE>,
+    reply_index: TreeReader<'a, Pool, 0>,
+    user_index: TreeReader<'a, Pool, LOC_SIZE>,
+}
+
+impl MetaReader<'_> {
+    /// `select * where sid = ?` on the primary index.
+    pub fn try_row(&mut self, sid: TweetId) -> StorageResult<Option<MetaRow>> {
+        Ok(self.primary.get((sid.0, 0))?.map(|bytes| decode_row(&bytes)))
+    }
+
+    /// `select sid where rsid = ?` on the reply index (Algorithm 1 line 7).
+    pub fn try_replies_to_ids(&mut self, rsid: TweetId) -> StorageResult<Vec<TweetId>> {
+        Ok(self
+            .reply_index
+            .scan_major(rsid.0)?
+            .into_iter()
+            .map(|((_, sid), _)| TweetId(sid))
+            .collect())
+    }
+
+    /// All posts of a user, as `(sid, location)` — the `P_u` scan for
+    /// Definition 9's user distance score.
+    pub fn try_posts_of_user(&mut self, uid: UserId) -> StorageResult<Vec<(TweetId, Point)>> {
         Ok(self
             .user_index
             .scan_major(uid.0)?
@@ -303,11 +351,21 @@ impl tklus_graph::ReplyProvider for MetadataDb {
     }
 }
 
-/// Shared-reference provider: thread construction only reads, so a `&self`
-/// borrow satisfies the (historically `&mut`) provider contract — this is
-/// what lets many scoring threads walk threads over one shared database —
-/// and storage failures propagate as typed errors instead of panics.
+/// Shared-reference provider, one call at a time: every `rsid = ?` scan
+/// is its own root-to-leaf descent. The write path builds threads through
+/// this (see [`crate::TklusEngine::try_thread_phi`]); storage failures
+/// propagate as typed errors instead of panics.
 impl TryReplyProvider for &MetadataDb {
+    type Error = StorageError;
+
+    fn try_replies_to(&mut self, id: TweetId) -> Result<Vec<TweetId>, StorageError> {
+        self.try_replies_to_ids(id)
+    }
+}
+
+/// The query path's provider: Algorithm 1's `rsid = ?` scans run through
+/// the query's reader.
+impl TryReplyProvider for MetaReader<'_> {
     type Error = StorageError;
 
     fn try_replies_to(&mut self, id: TweetId) -> Result<Vec<TweetId>, StorageError> {
@@ -408,6 +466,7 @@ mod tests {
         let db = MetadataDb::from_posts(&posts(), 0);
         let t = try_build_thread(&mut &db, TweetId(1), 5).unwrap();
         assert_eq!(t.level_sizes(), vec![1, 2, 1]);
+        assert_eq!(try_build_thread(&mut db.reader(), TweetId(1), 5).unwrap(), t);
     }
 
     #[test]

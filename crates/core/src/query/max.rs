@@ -26,14 +26,12 @@
 
 use crate::bounds::{BoundsMode, BoundsTable};
 use crate::error::EngineError;
-use crate::metadata::MetadataDb;
 use crate::query::{
     candidates, top_k, CellBudget, Completeness, QueryContext, QueryStats, RankedUser, StageClock,
 };
-use crate::score::{tweet_keyword_score, upper_bound_user_score, user_distance_score, user_score};
+use crate::score::{tweet_keyword_score, upper_bound_user_score, user_score};
 use std::collections::HashMap;
 use std::time::Instant;
-use tklus_geo::Point;
 use tklus_model::{ScoringConfig, TklusQuery, UserId};
 use tklus_storage::IoStats;
 use tklus_text::TermId;
@@ -121,7 +119,7 @@ pub(crate) fn try_query_max(
     terms: &[TermId],
 ) -> Result<(Vec<RankedUser>, QueryStats, Completeness), EngineError> {
     let start = Instant::now();
-    let db = ctx.db;
+    let mut meta = ctx.db.reader();
     let config = ctx.scoring;
     let center = &query.location;
     let radius_km = query.radius_km;
@@ -168,7 +166,7 @@ pub(crate) fn try_query_max(
         if !query.in_time_range(tid.0) {
             continue;
         }
-        let Some(row) = db.try_row(tid)? else { continue };
+        let Some(row) = meta.try_row(tid)? else { continue };
         if center.distance_km(&row.location, config.metric) > radius_km {
             continue;
         }
@@ -188,7 +186,7 @@ pub(crate) fn try_query_max(
 
         // Lines 20–22: thread popularity (cached or constructed),
         // tweet and user scores.
-        let (phi, probe) = ctx.try_popularity(tid)?;
+        let (phi, probe) = ctx.try_popularity(&mut meta, tid)?;
         stats.record_thread_probe(probe);
         if probe != Some(true) {
             stats.threads_built += 1;
@@ -198,7 +196,7 @@ pub(crate) fn try_query_max(
         let delta = match delta_cache.get(&uid) {
             Some(&d) => d,
             None => {
-                let d = user_distance_for(db, center, radius_km, uid, config)?;
+                let d = ctx.try_user_distance(&mut meta, center, radius_km, uid)?;
                 delta_cache.insert(uid, d);
                 d
             }
@@ -213,16 +211,4 @@ pub(crate) fn try_query_max(
     stats.stages.topk = clock.lap();
     stats.elapsed = start.elapsed();
     Ok((ranked, stats, completeness))
-}
-
-/// Definition 9's user distance score over `P_u`.
-fn user_distance_for(
-    db: &MetadataDb,
-    center: &Point,
-    radius_km: f64,
-    uid: UserId,
-    config: &ScoringConfig,
-) -> Result<f64, EngineError> {
-    let locations: Vec<Point> = db.try_posts_of_user(uid)?.into_iter().map(|(_, l)| l).collect();
-    Ok(user_distance_score(center, radius_km, &locations, config))
 }

@@ -10,16 +10,18 @@ pub mod sum;
 
 use crate::cache::QueryCaches;
 use crate::error::EngineError;
-use crate::metadata::MetadataDb;
+use crate::metadata::{MetaReader, MetadataDb};
+use crate::score::user_distance_score;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tklus_geo::{circle_cover, CoverKey, Geohash, Point};
-use tklus_graph::try_build_thread;
+use tklus_graph::{try_build_thread, TryReplyProvider};
 use tklus_index::{
     intersect_sum, union_sum, HybridIndex, IndexError, PostingsList, PostingsLocation,
 };
 use tklus_model::{QueryBudget, ScoringConfig, Semantics, TweetId, UserId};
+use tklus_storage::StorageError;
 use tklus_text::TermId;
 
 /// One result row: a user and their score.
@@ -319,6 +321,8 @@ pub(crate) struct Fetched {
 
 /// Everything query execution needs from the engine, bundled so both
 /// ranking algorithms run through the same cache-aware access paths.
+/// Metadata is read through one [`MetaReader`] per query, opened from
+/// `db` by the query's entry point and passed down as `meta`.
 pub(crate) struct QueryContext<'a> {
     pub index: &'a HybridIndex,
     pub db: &'a MetadataDb,
@@ -490,11 +494,19 @@ impl QueryContext<'_> {
     /// Pure given the immutable corpus and the engine-fixed `thread_depth`
     /// and `epsilon`, so any thread may compute and cache it. A metadata
     /// storage failure during the thread walk surfaces as a typed error.
-    pub(crate) fn try_popularity(&self, tid: TweetId) -> Result<(f64, Option<bool>), EngineError> {
+    ///
+    /// `replies` answers Algorithm 1's `rsid = ?` scans: the query's
+    /// [`MetaReader`] on the read path, `&MetadataDb` (one descent per
+    /// scan) on the write path.
+    pub(crate) fn try_popularity(
+        &self,
+        replies: &mut impl TryReplyProvider<Error = StorageError>,
+        tid: TweetId,
+    ) -> Result<(f64, Option<bool>), EngineError> {
         if let Some(phi) = self.caches.thread.get(&tid) {
             return Ok((phi, Some(true)));
         }
-        let phi = try_build_thread(&mut &*self.db, tid, self.scoring.thread_depth)
+        let phi = try_build_thread(replies, tid, self.scoring.thread_depth)
             .map_err(EngineError::Storage)?
             .popularity(self.scoring.epsilon);
         if self.caches.thread.is_enabled() {
@@ -503,6 +515,19 @@ impl QueryContext<'_> {
         } else {
             Ok((phi, None))
         }
+    }
+
+    /// Definition 9's user distance score δ(u, q) over `P_u`.
+    pub(crate) fn try_user_distance(
+        &self,
+        meta: &mut MetaReader<'_>,
+        center: &Point,
+        radius_km: f64,
+        uid: UserId,
+    ) -> Result<f64, EngineError> {
+        let locations: Vec<Point> =
+            meta.try_posts_of_user(uid)?.into_iter().map(|(_, l)| l).collect();
+        Ok(user_distance_score(center, radius_km, &locations, self.scoring))
     }
 }
 

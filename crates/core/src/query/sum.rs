@@ -25,18 +25,22 @@
 //! [`EngineError`]s; a query budget degrades the cover instead
 //! (see [`Completeness`]).
 //!
-//! Metadata page reads are attributed to the query via the calling
-//! thread's read tally ([`IoStats::thread_page_reads`]), one delta around
-//! each loop, so `QueryStats::metadata_page_reads` is exact even with
-//! other queries running concurrently on the shared engine (a global
-//! counter delta would absorb their reads too).
+//! All metadata lookups of one query go through one [`MetaReader`], so
+//! the tid-ordered candidate walk, the thread walks and the `P_u` scans
+//! each descend their tree once. Page reads are attributed to the query
+//! via the calling thread's read tally
+//! ([`IoStats::thread_page_reads`]), one delta around each loop, so
+//! `QueryStats::metadata_page_reads` is exact even with other queries
+//! running concurrently on the shared engine (a global counter delta
+//! would absorb their reads too).
 
 use crate::error::EngineError;
+use crate::metadata::MetaReader;
 use crate::query::{
     candidates, top_k, CellBudget, Completeness, QueryContext, QueryStats, RankedUser, StageClock,
     SumRow,
 };
-use crate::score::{tweet_keyword_score, user_distance_score, user_score};
+use crate::score::{tweet_keyword_score, user_score};
 use std::collections::HashMap;
 use std::time::Instant;
 use tklus_model::{TklusQuery, UserId};
@@ -50,12 +54,12 @@ use tklus_text::TermId;
 /// distance blend are left to the caller.
 pub(crate) fn try_sum_rows(
     ctx: &QueryContext<'_>,
+    meta: &mut MetaReader<'_>,
     query: &TklusQuery,
     terms: &[TermId],
     start: Instant,
     clock: &mut StageClock,
 ) -> Result<(Vec<SumRow>, QueryStats, Completeness), EngineError> {
-    let db = ctx.db;
     let config = ctx.scoring;
     let center = &query.location;
     let radius_km = query.radius_km;
@@ -100,12 +104,12 @@ pub(crate) fn try_sum_rows(
         if !query.in_time_range(tid.0) {
             continue;
         }
-        let Some(row) = db.try_row(tid)? else { continue };
+        let Some(row) = meta.try_row(tid)? else { continue };
         if center.distance_km(&row.location, config.metric) > radius_km {
             continue;
         }
         stats.in_radius += 1;
-        let (phi, probe) = ctx.try_popularity(tid)?;
+        let (phi, probe) = ctx.try_popularity(meta, tid)?;
         stats.record_thread_probe(probe);
         if probe != Some(true) {
             stats.threads_built += 1;
@@ -160,13 +164,11 @@ pub fn merge_sum_rows<'a>(lists: impl Iterator<Item = &'a [SumRow]>) -> Vec<SumR
 /// Returns the unranked users and the metadata page reads incurred.
 pub(crate) fn try_blend_users(
     ctx: &QueryContext<'_>,
+    meta: &mut MetaReader<'_>,
     query: &TklusQuery,
     rows: &[SumRow],
 ) -> Result<(Vec<RankedUser>, u64), EngineError> {
-    let db = ctx.db;
     let config = ctx.scoring;
-    let center = &query.location;
-    let radius_km = query.radius_km;
     let mut users: HashMap<UserId, f64> = HashMap::new();
     for row in rows {
         *users.entry(row.user).or_insert(0.0) += row.rho;
@@ -176,9 +178,7 @@ pub(crate) fn try_blend_users(
     let reads_before = IoStats::thread_page_reads();
     let mut users_ranked = Vec::with_capacity(entries.len());
     for (uid, rho_sum) in entries {
-        let locations: Vec<tklus_geo::Point> =
-            db.try_posts_of_user(uid)?.into_iter().map(|(_, l)| l).collect();
-        let delta = user_distance_score(center, radius_km, &locations, config);
+        let delta = ctx.try_user_distance(meta, &query.location, query.radius_km, uid)?;
         users_ranked.push(RankedUser { user: uid, score: user_score(rho_sum, delta, config) });
     }
     Ok((users_ranked, IoStats::thread_page_reads() - reads_before))
@@ -197,9 +197,11 @@ pub(crate) fn try_query_sum(
 ) -> Result<(Vec<RankedUser>, QueryStats, Completeness), EngineError> {
     let start = Instant::now();
     let mut clock = StageClock::new(ctx.timings, start);
-    let (rows, mut stats, completeness) = try_sum_rows(ctx, query, terms, start, &mut clock)?;
+    let mut meta = ctx.db.reader();
+    let (rows, mut stats, completeness) =
+        try_sum_rows(ctx, &mut meta, query, terms, start, &mut clock)?;
 
-    let (users_ranked, blend_reads) = try_blend_users(ctx, query, &rows)?;
+    let (users_ranked, blend_reads) = try_blend_users(ctx, &mut meta, query, &rows)?;
     stats.metadata_page_reads += blend_reads;
     stats.stages.scoring = clock.lap();
 

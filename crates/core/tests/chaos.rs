@@ -102,6 +102,24 @@ fn assert_same_users(got: &[RankedUser], want: &[RankedUser], ctx: &str) {
     }
 }
 
+/// Most sweeps of the workload a scenario makes while waiting for its
+/// seeded fault schedule to fire.
+const WORKLOAD_PASS_CEILING: usize = 16;
+
+/// Sweeps the workload until the schedule has injected something (or the
+/// ceiling is hit). The seeded schedule fires at fixed page-read ordinals
+/// and a query reads few pages (it descends each tree once, not once per
+/// candidate), so one sweep may end before the first scheduled fault:
+/// exposure must be a property of the schedule, not of the read count.
+fn sweep_until(exposed: impl Fn() -> bool, mut sweep: impl FnMut()) {
+    for _ in 0..WORKLOAD_PASS_CEILING {
+        sweep();
+        if exposed() {
+            return;
+        }
+    }
+}
+
 /// Armed transient read faults: every query either matches the fault-free
 /// reference exactly or fails with a typed *transient* storage error.
 #[test]
@@ -119,19 +137,33 @@ fn transient_read_faults_never_corrupt_results() {
             TklusEngine::try_build(&corpus, &config).expect("disarmed build is clean");
         handle.arm(true);
         let mut errors = 0usize;
-        for (i, (q, ranking)) in queries(&corpus).iter().enumerate() {
-            match engine.try_query(q, *ranking) {
-                Ok(outcome) => {
-                    assert_same_users(&outcome.users, &expected[i], &format!("seed {seed} q{i}"));
-                    assert_eq!(outcome.completeness, Completeness::Complete);
+        sweep_until(
+            || handle.transient_injected() > 0,
+            || {
+                for (i, (q, ranking)) in queries(&corpus).iter().enumerate() {
+                    match engine.try_query(q, *ranking) {
+                        Ok(outcome) => {
+                            assert_same_users(
+                                &outcome.users,
+                                &expected[i],
+                                &format!("seed {seed} q{i}"),
+                            );
+                            assert_eq!(outcome.completeness, Completeness::Complete);
+                        }
+                        Err(EngineError::Storage(e)) => {
+                            assert!(
+                                e.is_transient(),
+                                "seed {seed} q{i}: unexpected error class: {e}"
+                            );
+                            errors += 1;
+                        }
+                        Err(e) => {
+                            panic!("seed {seed} q{i}: transient faults must not surface as {e}")
+                        }
+                    }
                 }
-                Err(EngineError::Storage(e)) => {
-                    assert!(e.is_transient(), "seed {seed} q{i}: unexpected error class: {e}");
-                    errors += 1;
-                }
-                Err(e) => panic!("seed {seed} q{i}: transient faults must not surface as {e}"),
-            }
-        }
+            },
+        );
         assert!(
             handle.transient_injected() > 0,
             "seed {seed}: schedule never fired — the run was vacuous"
@@ -157,15 +189,26 @@ fn read_bit_flips_surface_as_page_corruption() {
             TklusEngine::try_build(&corpus, &config).expect("disarmed build is clean");
         handle.arm(true);
         let mut corrupt = 0usize;
-        for (i, (q, ranking)) in queries(&corpus).iter().enumerate() {
-            match engine.try_query(q, *ranking) {
-                Ok(outcome) => {
-                    assert_same_users(&outcome.users, &expected[i], &format!("seed {seed} q{i}"));
+        sweep_until(
+            || handle.flips_injected() > 0,
+            || {
+                for (i, (q, ranking)) in queries(&corpus).iter().enumerate() {
+                    match engine.try_query(q, *ranking) {
+                        Ok(outcome) => {
+                            assert_same_users(
+                                &outcome.users,
+                                &expected[i],
+                                &format!("seed {seed} q{i}"),
+                            );
+                        }
+                        Err(EngineError::Storage(StorageError::PageCorrupt { .. })) => corrupt += 1,
+                        Err(e) => panic!(
+                            "seed {seed} q{i}: a read flip must be caught as corruption: {e}"
+                        ),
+                    }
                 }
-                Err(EngineError::Storage(StorageError::PageCorrupt { .. })) => corrupt += 1,
-                Err(e) => panic!("seed {seed} q{i}: a read flip must be caught as corruption: {e}"),
-            }
-        }
+            },
+        );
         assert!(handle.flips_injected() > 0, "seed {seed}: no flips fired — vacuous run");
         assert!(corrupt > 0, "seed {seed}: no query observed a flip");
     }
@@ -291,15 +334,26 @@ fn combined_fault_storm_never_panics_or_lies() {
             Err(EngineError::Storage(_)) => continue, // typed build failure is a valid outcome
             Err(e) => panic!("seed {seed}: build failed outside the storage taxonomy: {e}"),
         };
-        for (i, (q, ranking)) in queries(&corpus).iter().enumerate() {
-            match engine.try_query(q, *ranking) {
-                Ok(outcome) => {
-                    assert_same_users(&outcome.users, &expected[i], &format!("seed {seed} q{i}"));
+        sweep_until(
+            || handle.total_injected() > 0,
+            || {
+                for (i, (q, ranking)) in queries(&corpus).iter().enumerate() {
+                    match engine.try_query(q, *ranking) {
+                        Ok(outcome) => {
+                            assert_same_users(
+                                &outcome.users,
+                                &expected[i],
+                                &format!("seed {seed} q{i}"),
+                            );
+                        }
+                        Err(EngineError::Storage(_)) => {}
+                        Err(e) => {
+                            panic!("seed {seed} q{i}: fault surfaced outside the taxonomy: {e}")
+                        }
+                    }
                 }
-                Err(EngineError::Storage(_)) => {}
-                Err(e) => panic!("seed {seed} q{i}: fault surfaced outside the taxonomy: {e}"),
-            }
-        }
+            },
+        );
         assert!(handle.total_injected() > 0, "seed {seed}: vacuous storm");
     }
 }
@@ -495,29 +549,36 @@ fn faulted_shard_yields_typed_degraded_partials_never_lies() {
 
         let mut clean = 0usize;
         let mut degraded = 0usize;
-        for (i, (q, ranking)) in workload.iter().enumerate() {
-            // `query` is infallible by contract: a shard fault must become
-            // a typed partial, so any panic here fails the test itself.
-            let got = engine.query(q, *ranking);
-            match got.completeness {
-                ShardCompleteness::Complete => {
-                    assert_same_users(
-                        &got.users,
-                        &expected[i].users,
-                        &format!("seed {seed} q{i}: complete answers must match fault-free"),
-                    );
-                    clean += 1;
+        sweep_until(
+            || handle.transient_injected() > 0,
+            || {
+                for (i, (q, ranking)) in workload.iter().enumerate() {
+                    // `query` is infallible by contract: a shard fault must
+                    // become a typed partial, so any panic here fails the test.
+                    let got = engine.query(q, *ranking);
+                    match got.completeness {
+                        ShardCompleteness::Complete => {
+                            assert_same_users(
+                                &got.users,
+                                &expected[i].users,
+                                &format!(
+                                    "seed {seed} q{i}: complete answers must match fault-free"
+                                ),
+                            );
+                            clean += 1;
+                        }
+                        ShardCompleteness::Degraded { ref failed_shards, .. } => {
+                            assert_eq!(
+                                failed_shards.as_slice(),
+                                &[ShardId(faulted)],
+                                "seed {seed} q{i}: only the faulted shard may be named"
+                            );
+                            degraded += 1;
+                        }
+                    }
                 }
-                ShardCompleteness::Degraded { ref failed_shards, .. } => {
-                    assert_eq!(
-                        failed_shards.as_slice(),
-                        &[ShardId(faulted)],
-                        "seed {seed} q{i}: only the faulted shard may be named"
-                    );
-                    degraded += 1;
-                }
-            }
-        }
+            },
+        );
         assert!(
             handle.transient_injected() > 0,
             "seed {seed}: schedule never fired — the run was vacuous"

@@ -13,8 +13,9 @@
 //! every run to return the oracle's ranked users with scores within 1e-9,
 //! with the cached runs *bit-identical* to the uncached run. The counters
 //! Figs. 8/12 plot are held too: `in_radius` equals the oracle's count of
-//! qualifying posts, and every in-radius candidate's thread is either
-//! built or pruned (never under Sum).
+//! qualifying posts, every in-radius candidate's thread is either built or
+//! pruned (never under Sum), and the cache-off engine pays the same
+//! `metadata_page_reads` for the same query twice in a row.
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
@@ -251,6 +252,13 @@ proptest! {
             ] {
                 let (want, want_in_radius) = oracle_top_k(&corpus, &q, use_max, &plain.scoring);
                 let (off, off_stats) = engine_off.query(&q, ranking);
+                // A reader carries nothing between queries: caches off,
+                // the same query pays the same page reads every time.
+                let (_, off_again) = engine_off.query(&q, ranking);
+                prop_assert_eq!(
+                    off_again.metadata_page_reads, off_stats.metadata_page_reads,
+                    "{:?}/{:?}", ranking, semantics
+                );
                 let (cold, cold_stats) = engine_on.query(&q, ranking);
                 let (warm, warm_stats) = engine_on.query(&q, ranking);
 

@@ -20,6 +20,10 @@ fn q_loc() -> Point {
 /// u2 late (t=900..910). u1's tweets draw replies; u2's do not — so
 /// without temporal features u1 wins, and temporal features can flip it.
 fn corpus() -> Corpus {
+    Corpus::new(posts()).unwrap()
+}
+
+fn posts() -> Vec<Post> {
     let near = pt(43.685, -79.372);
     let mut posts = Vec::new();
     for i in 0..3u64 {
@@ -38,7 +42,7 @@ fn corpus() -> Corpus {
     for i in 0..3u64 {
         posts.push(Post::original(TweetId(900 + i), UserId(2), near, "great hotel downtown"));
     }
-    Corpus::new(posts).unwrap()
+    posts
 }
 
 fn engine() -> TklusEngine {
@@ -82,7 +86,15 @@ fn time_window_restricts_to_period() {
 
 #[test]
 fn window_filter_skips_io_before_metadata_lookups() {
-    let e = engine();
+    // A query descends each metadata tree once, so the saving only shows
+    // when the early and late tweets sit in different leaves: 200
+    // bystander posts between them spread the primary tree (72 rows per
+    // leaf) over three leaves.
+    let mut posts = posts();
+    for i in 0..200u64 {
+        posts.push(Post::original(TweetId(300 + i), UserId(1000 + i), q_loc(), "morning coffee"));
+    }
+    let e = TklusEngine::build(&Corpus::new(posts).unwrap(), &EngineConfig::default()).0;
     let unfiltered = e.query(&base_query(5), Ranking::Sum).1;
     let filtered_q = base_query(5).with_time_range(800, 1000).unwrap();
     let filtered = e.query(&filtered_q, Ranking::Sum).1;

@@ -232,19 +232,14 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
         self.store.write(id, &node.serialize())
     }
 
-    /// Point lookup.
+    /// Opens a read session over this tree (see [`TreeReader`]).
+    pub fn reader(&self) -> TreeReader<'_, S, V> {
+        TreeReader { tree: self, path: Vec::new() }
+    }
+
+    /// Point lookup: a one-call [`TreeReader`].
     pub fn get(&self, key: Key) -> StorageResult<Option<[u8; V]>> {
-        let mut id = self.root;
-        loop {
-            match self.load(id)? {
-                Node::Internal { keys, children } => {
-                    id = children[upper_bound(&keys, key)];
-                }
-                Node::Leaf { keys, vals, .. } => {
-                    return Ok(keys.binary_search(&key).ok().map(|i| vals[i]));
-                }
-            }
-        }
+        self.reader().get(key)
     }
 
     /// Inserts or updates; returns the previous value if the key existed.
@@ -529,44 +524,16 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
         }
     }
 
-    /// Inclusive range scan `lo ..= hi`, in key order.
+    /// Inclusive range scan `lo ..= hi`, in key order: a one-call
+    /// [`TreeReader`].
     pub fn scan(&self, lo: Key, hi: Key) -> StorageResult<Vec<(Key, [u8; V])>> {
-        let mut out = Vec::new();
-        if lo > hi {
-            return Ok(out);
-        }
-        // Descend to the leaf containing lo: the first separator strictly
-        // greater than lo bounds the child on the right.
-        let mut id = self.root;
-        loop {
-            match self.load(id)? {
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|&x| x <= lo);
-                    id = children[idx];
-                }
-                // Walk the leaf chain.
-                Node::Leaf { keys, vals, next } => {
-                    for (k, v) in keys.iter().zip(&vals) {
-                        if *k > hi {
-                            return Ok(out);
-                        }
-                        if *k >= lo {
-                            out.push((*k, *v));
-                        }
-                    }
-                    match next {
-                        Some(n) => id = n,
-                        None => return Ok(out),
-                    }
-                }
-            }
-        }
+        self.reader().scan(lo, hi)
     }
 
-    /// Range scan over all keys with the given major component — the
-    /// "select all where rsid equals Id" lookup of Algorithm 1.
+    /// Range scan over all keys with the given major component: a
+    /// one-call [`TreeReader`].
     pub fn scan_major(&self, major: u64) -> StorageResult<Vec<(Key, [u8; V])>> {
-        self.scan((major, 0), (major, u64::MAX))
+        self.reader().scan_major(major)
     }
 
     /// Bulk loads a tree from key-sorted entries (keys must be strictly
@@ -615,6 +582,105 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
             height += 1;
         }
         Ok(Self { store, root: level[0].1, height, len: entries.len() as u64 })
+    }
+}
+
+/// A leaf's keys, values and right sibling.
+type LeafView<'n, const V: usize> = (&'n [Key], &'n [[u8; V]], Option<PageId>);
+
+/// A read session over one tree: a cursor that keeps its root-to-leaf
+/// path. Per depth it remembers the last node it read, verified and
+/// parsed, and reads a level again only when the page it needs there is a
+/// different one — so lookups in key order (Algorithms 4/5 visit
+/// candidates in tweet-id order, the primary tree's key order) descend
+/// the tree once, not once per key.
+///
+/// Reuse is safe because of the borrow: the reader holds `&BPlusTree`,
+/// every mutation needs `&mut BPlusTree`, so no page can change while a
+/// reader lives. Nothing outlives the reader — it is a cursor, not a
+/// cache — and every page it does read goes through the store (and its
+/// checksum verification) exactly like a one-shot lookup. A failed read
+/// leaves the remembered path untouched, so the next call retries it.
+///
+/// All lookup and scan descent lives here; [`BPlusTree::get`],
+/// [`BPlusTree::scan`] and [`BPlusTree::scan_major`] open a reader for
+/// one call.
+pub struct TreeReader<'a, S: PageStore, const V: usize> {
+    tree: &'a BPlusTree<S, V>,
+    /// `path[d]` is the last node read at depth `d` (0 = the root).
+    path: Vec<(PageId, Node<V>)>,
+}
+
+impl<S: PageStore, const V: usize> TreeReader<'_, S, V> {
+    /// The node `id` at `depth`: the remembered one when it is the same
+    /// page, otherwise read from the store and remembered in its place.
+    fn node(&mut self, depth: usize, id: PageId) -> StorageResult<&Node<V>> {
+        if self.path.get(depth).map(|(held, _)| *held) != Some(id) {
+            let node = self.tree.load(id)?;
+            self.path.truncate(depth);
+            self.path.push((id, node));
+        }
+        Ok(&self.path[depth].1)
+    }
+
+    /// Descends to the leaf whose key range covers `key`; returns its
+    /// depth and page id.
+    fn seek(&mut self, key: Key) -> StorageResult<(usize, PageId)> {
+        let (mut depth, mut id) = (0, self.tree.root);
+        while let Node::Internal { keys, children } = self.node(depth, id)? {
+            id = children[upper_bound(keys, key)];
+            depth += 1;
+        }
+        Ok((depth, id))
+    }
+
+    /// The leaf `id` at `depth`; a non-leaf there is a corrupt tree.
+    fn leaf(&mut self, depth: usize, id: PageId) -> StorageResult<LeafView<'_, V>> {
+        match self.node(depth, id)? {
+            Node::Leaf { keys, vals, next } => Ok((keys, vals, *next)),
+            Node::Internal { .. } => Err(StorageError::CorruptNode {
+                page_id: id,
+                detail: "leaf chain reaches an internal node".to_string(),
+            }),
+        }
+    }
+
+    /// Point lookup.
+    pub fn get(&mut self, key: Key) -> StorageResult<Option<[u8; V]>> {
+        let (depth, id) = self.seek(key)?;
+        let (keys, vals, _) = self.leaf(depth, id)?;
+        Ok(keys.binary_search(&key).ok().map(|i| vals[i]))
+    }
+
+    /// Inclusive range scan `lo ..= hi`, in key order.
+    pub fn scan(&mut self, lo: Key, hi: Key) -> StorageResult<Vec<(Key, [u8; V])>> {
+        let mut out = Vec::new();
+        if lo > hi {
+            return Ok(out);
+        }
+        // Start at the leaf covering lo, then walk the leaf chain.
+        let (depth, mut id) = self.seek(lo)?;
+        loop {
+            let (keys, vals, next) = self.leaf(depth, id)?;
+            for (k, v) in keys.iter().zip(vals) {
+                if *k > hi {
+                    return Ok(out);
+                }
+                if *k >= lo {
+                    out.push((*k, *v));
+                }
+            }
+            match next {
+                Some(n) => id = n,
+                None => return Ok(out),
+            }
+        }
+    }
+
+    /// Range scan over all keys with the given major component — the
+    /// "select all where rsid equals Id" lookup of Algorithm 1.
+    pub fn scan_major(&mut self, major: u64) -> StorageResult<Vec<(Key, [u8; V])>> {
+        self.scan((major, 0), (major, u64::MAX))
     }
 }
 
@@ -822,6 +888,36 @@ mod tests {
         let after = t.store().stats().page_reads();
         let per_get = after - before;
         assert_eq!(per_get as usize, t.height() + 1, "one read per level");
+    }
+
+    #[test]
+    fn reader_rereads_only_the_levels_that_change() {
+        let n = 40_000u64;
+        let entries: Vec<(Key, [u8; 8])> = (0..n).map(|k| ((k, 0), v(k))).collect();
+        let t = Tree::bulk_load(MemPager::new(), &entries).unwrap();
+        assert_eq!(t.height(), 2);
+        let reads = || t.store().stats().page_reads();
+        let mut r = t.reader();
+        let start = reads();
+        assert_eq!(r.get((7, 0)).unwrap(), Some(v(7)));
+        assert_eq!(reads() - start, 3, "first lookup descends every level");
+        assert_eq!(r.get((8, 0)).unwrap(), Some(v(8)));
+        assert_eq!(r.get((7, 0)).unwrap(), Some(v(7)));
+        assert_eq!(reads() - start, 3, "same leaf: nothing is read again");
+        assert_eq!(r.get((n - 1, 0)).unwrap(), Some(v(n - 1)));
+        assert_eq!(reads() - start, 5, "far key: the root is kept, two levels change");
+        // An ascending sweep of every key reads every page exactly once.
+        let mut sweep = t.reader();
+        let start = reads();
+        for k in 0..n {
+            assert_eq!(sweep.get((k, 0)).unwrap(), Some(v(k)));
+        }
+        assert_eq!(reads() - start, t.store().page_count());
+        // The reader kept nothing the tree does not have: one-shot calls
+        // still pay a full descent.
+        let start = reads();
+        t.get((7, 0)).unwrap();
+        assert_eq!(reads() - start, 3);
     }
 }
 

@@ -16,7 +16,8 @@
 //!
 //! Section VI-B1 runs the paper's experiments with "database caches … set
 //! off in order to get fair evaluation results"; a pool with `capacity = 0`
-//! reproduces that configuration while leaving the code path identical.
+//! reproduces that configuration: every read is counted as a miss and
+//! passed straight to the inner store, taking no lock and copying no page.
 
 use crate::error::StorageResult;
 use crate::iostats::IoStats;
@@ -97,6 +98,13 @@ impl<S: PageStore> PageStore for BufferPool<S> {
     }
 
     fn read(&self, id: PageId) -> StorageResult<Page> {
+        if self.shard_capacity == 0 {
+            // Caches off: there is nothing to look up or fill, so readers
+            // take no lock and copy no page — they must not serialise on a
+            // mutex that protects an always-empty map.
+            self.stats.record_miss();
+            return self.inner.read(id);
+        }
         let mut shard = self.shard(id).lock();
         if let Some((page, s)) = shard.get_mut(&id) {
             *s = self.touch();
@@ -169,6 +177,71 @@ mod tests {
         assert_eq!(pool.stats().cache_misses(), 2);
         assert_eq!(pool.stats().page_reads(), 2);
         assert_eq!(pool.cached_pages(), 0);
+    }
+
+    /// A store whose first `read` parks until released.
+    struct GatedStore {
+        inner: MemPager,
+        first: std::sync::atomic::AtomicBool,
+        entered: std::sync::mpsc::Sender<()>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl PageStore for GatedStore {
+        fn allocate(&self) -> StorageResult<PageId> {
+            self.inner.allocate()
+        }
+        fn read(&self, id: PageId) -> StorageResult<Page> {
+            if self.first.swap(false, Ordering::SeqCst) {
+                self.entered.send(()).unwrap();
+                self.release.lock().recv().unwrap();
+            }
+            self.inner.read(id)
+        }
+        fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
+            self.inner.write(id, page)
+        }
+        fn page_count(&self) -> u64 {
+            self.inner.page_count()
+        }
+        fn stats(&self) -> &IoStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn capacity_zero_readers_do_not_serialise() {
+        use std::sync::mpsc::channel;
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel();
+        let pool = BufferPool::new(
+            GatedStore {
+                inner: MemPager::new(),
+                first: std::sync::atomic::AtomicBool::new(false),
+                entered: entered_tx,
+                release: Mutex::new(release_rx),
+            },
+            0,
+        );
+        let a = pool.allocate().unwrap();
+        pool.write(a, &marked_page(5)).unwrap();
+        pool.inner().first.store(true, Ordering::SeqCst);
+        let pool = &pool;
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(move || pool.read(a).unwrap()[0]);
+            entered_rx.recv().unwrap();
+            // One reader is parked inside `inner.read`; a second read of
+            // the same page must complete without waiting for it.
+            let (done_tx, done_rx) = channel();
+            let second = scope.spawn(move || done_tx.send(pool.read(a).unwrap()[0]).unwrap());
+            let got = done_rx.recv_timeout(std::time::Duration::from_secs(10));
+            release_tx.send(()).unwrap();
+            assert_eq!(got, Ok(5), "second reader waited on the parked one");
+            second.join().unwrap();
+            assert_eq!(parked.join().unwrap(), 5);
+        });
+        assert_eq!(pool.stats().cache_misses(), 2);
+        assert_eq!(pool.stats().cache_hits(), 0);
     }
 
     #[test]

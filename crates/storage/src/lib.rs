@@ -52,7 +52,7 @@ pub mod page;
 pub mod pager;
 pub mod retry;
 
-pub use bptree::{BPlusTree, Key};
+pub use bptree::{BPlusTree, Key, TreeReader};
 pub use buffer::BufferPool;
 pub use checked::CheckedPager;
 pub use dfs::{Dfs, DfsConfig, DfsError, DfsFile};

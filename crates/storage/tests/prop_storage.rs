@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use tklus_storage::{
-    seal_page, verify_page, BPlusTree, BufferPool, CheckedPager, MemPager, PageId, PageStore,
-    StorageError, PAGE_HEADER_SIZE, PAGE_SIZE,
+    seal_page, verify_page, BPlusTree, BufferPool, CheckedPager, FaultConfig, FaultHandle,
+    FaultPager, MemPager, PageId, PageStore, StorageError, PAGE_HEADER_SIZE, PAGE_SIZE,
 };
 
 type Key = (u64, u64);
@@ -184,5 +184,225 @@ proptest! {
         let want: Vec<(Key, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
         prop_assert_eq!(got, want);
         prop_assert_eq!(tree.len(), model.len() as u64);
+    }
+}
+
+// ---- TreeReader ≡ one-shot lookups -------------------------------------
+
+/// A read through either surface: the reader under test or the one-shot
+/// tree methods.
+#[derive(Debug, Clone)]
+enum Read {
+    Get(Key),
+    Scan(Key, Key),
+    ScanMajor(u64),
+}
+
+/// Keys `(major, minor)` with `major < MAJORS`: enough of them span many
+/// leaves (169 entries per leaf at `V = 8`).
+const MAJORS: u64 = 600;
+
+fn arb_read() -> impl Strategy<Value = Read> {
+    let key = || (0u64..MAJORS + 10, 0u64..6);
+    prop_oneof![
+        key().prop_map(Read::Get),
+        (key(), 0u64..40, 0u64..6)
+            .prop_map(|(lo, span, minor)| Read::Scan(lo, (lo.0 + span, minor))),
+        (0u64..MAJORS + 10).prop_map(Read::ScanMajor),
+    ]
+}
+
+/// What a read returns, over either surface.
+type Answer = Result<Vec<(Key, u64)>, StorageError>;
+
+fn rows(found: Vec<(Key, [u8; 8])>) -> Vec<(Key, u64)> {
+    found.into_iter().map(|(k, v)| (k, u64::from_le_bytes(v))).collect()
+}
+
+fn one_shot<S: PageStore>(tree: &BPlusTree<S, 8>, read: &Read) -> Answer {
+    match *read {
+        Read::Get(k) => Ok(tree.get(k)?.map(|v| (k, u64::from_le_bytes(v))).into_iter().collect()),
+        Read::Scan(lo, hi) => tree.scan(lo, hi).map(rows),
+        Read::ScanMajor(m) => tree.scan_major(m).map(rows),
+    }
+}
+
+fn through<S: PageStore>(reader: &mut tklus_storage::TreeReader<'_, S, 8>, read: &Read) -> Answer {
+    match *read {
+        Read::Get(k) => {
+            Ok(reader.get(k)?.map(|v| (k, u64::from_le_bytes(v))).into_iter().collect())
+        }
+        Read::Scan(lo, hi) => reader.scan(lo, hi).map(rows),
+        Read::ScanMajor(m) => reader.scan_major(m).map(rows),
+    }
+}
+
+fn model_answer(model: &BTreeMap<Key, u64>, read: &Read) -> Vec<(Key, u64)> {
+    let (lo, hi) = match *read {
+        Read::Get(k) => (k, k),
+        Read::Scan(lo, hi) => (lo, hi),
+        Read::ScanMajor(m) => ((m, 0), (m, u64::MAX)),
+    };
+    if lo > hi {
+        return Vec::new();
+    }
+    model.range(lo..=hi).map(|(k, v)| (*k, *v)).collect()
+}
+
+/// A multi-leaf tree over `store` and its model: bulk-loaded, or grown by
+/// scrambled inserts and then thinned by deletes (`churn`), so readers
+/// meet packed leaves as well as split, borrowed-from and merged ones.
+fn build_tree<S: PageStore>(
+    store: S,
+    seed: u64,
+    churn: bool,
+) -> (BPlusTree<S, 8>, BTreeMap<Key, u64>) {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut model: BTreeMap<Key, u64> = BTreeMap::new();
+    for _ in 0..2_500 {
+        model.insert((rng.gen_range(0..MAJORS), rng.gen_range(0u64..6)), rng.gen());
+    }
+    if !churn {
+        let entries: Vec<(Key, [u8; 8])> =
+            model.iter().map(|(k, v)| (*k, v.to_le_bytes())).collect();
+        return (BPlusTree::bulk_load(store, &entries).unwrap(), model);
+    }
+    let mut tree = BPlusTree::new(store).unwrap();
+    let mut keys: Vec<Key> = model.keys().copied().collect();
+    for i in (1..keys.len()).rev() {
+        keys.swap(i, rng.gen_range(0..=i));
+    }
+    for k in &keys {
+        tree.insert(*k, model[k].to_le_bytes()).unwrap();
+    }
+    for k in keys.iter().step_by(3) {
+        tree.delete(*k).unwrap();
+        model.remove(k);
+    }
+    (tree, model)
+}
+
+/// A store that logs the id of every page read (to count what a reader
+/// physically re-reads, page by page).
+struct RecordingPager {
+    inner: MemPager,
+    log: std::sync::Mutex<Vec<PageId>>,
+}
+
+impl PageStore for RecordingPager {
+    fn allocate(&self) -> Result<PageId, StorageError> {
+        self.inner.allocate()
+    }
+    fn read(&self, id: PageId) -> Result<tklus_storage::page::Page, StorageError> {
+        self.log.lock().unwrap().push(id);
+        self.inner.read(id)
+    }
+    fn write(&self, id: PageId, page: &tklus_storage::page::Page) -> Result<(), StorageError> {
+        self.inner.write(id, page)
+    }
+    fn page_count(&self) -> u64 {
+        self.inner.page_count()
+    }
+    fn stats(&self) -> &tklus_storage::IoStats {
+        self.inner.stats()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Any sequence of reads, in any key order, through *one* reader
+    /// answers exactly like the one-shot calls — and never reads more
+    /// pages than they do.
+    #[test]
+    fn reader_equals_one_shot(
+        seed in any::<u64>(),
+        churn in any::<bool>(),
+        reads in proptest::collection::vec(arb_read(), 1..120),
+    ) {
+        let (tree, model) = build_tree(MemPager::new(), seed, churn);
+        let io = tree.store().stats().clone();
+        io.reset();
+        let want: Vec<Answer> = reads.iter().map(|r| one_shot(&tree, r)).collect();
+        let one_shot_reads = io.page_reads();
+        io.reset();
+        let mut reader = tree.reader();
+        for (read, want) in reads.iter().zip(&want) {
+            let got = through(&mut reader, read);
+            prop_assert_eq!(got.as_ref().ok(), want.as_ref().ok(), "{:?}", read);
+            prop_assert_eq!(got.ok(), Some(model_answer(&model, read)), "{:?}", read);
+        }
+        prop_assert!(io.page_reads() <= one_shot_reads, "{} > {}", io.page_reads(), one_shot_reads);
+    }
+
+    /// An ascending sweep of point lookups descends the tree once: the
+    /// reader reads `height + 1` pages for the first key and afterwards
+    /// exactly one page per change of leaf (or of an internal node above
+    /// it) — every page at most once.
+    #[test]
+    fn ascending_sweep_reads_each_page_once(
+        seed in any::<u64>(),
+        churn in any::<bool>(),
+        keys in proptest::collection::btree_set((0u64..MAJORS + 10, 0u64..6), 1..300),
+    ) {
+        let store = RecordingPager { inner: MemPager::new(), log: std::sync::Mutex::new(Vec::new()) };
+        let (tree, _) = build_tree(store, seed, churn);
+        let levels = tree.height() + 1;
+        let take_log = || std::mem::take(&mut *tree.store().log.lock().unwrap());
+        take_log();
+        for &k in &keys {
+            tree.get(k).unwrap();
+        }
+        // One-shot lookups read one root-to-leaf path per key.
+        let paths = take_log();
+        prop_assert_eq!(paths.len(), keys.len() * levels);
+        let changes: usize = paths
+            .chunks(levels)
+            .zip(paths.chunks(levels).skip(1))
+            .map(|(prev, next)| prev.iter().zip(next).filter(|(a, b)| a != b).count())
+            .sum();
+        let mut reader = tree.reader();
+        for &k in &keys {
+            reader.get(k).unwrap();
+        }
+        let mut read = take_log();
+        prop_assert_eq!(read.len(), levels + changes);
+        read.sort();
+        read.dedup();
+        prop_assert_eq!(read.len(), levels + changes, "a page was read twice");
+    }
+
+    /// Transient read faults under a live reader: the failing call returns
+    /// the typed error, remembers nothing of the failed read, and the same
+    /// call repeated on the same reader answers correctly.
+    #[test]
+    fn reader_survives_transient_read_faults(
+        seed in any::<u64>(),
+        churn in any::<bool>(),
+        reads in proptest::collection::vec(arb_read(), 40..100),
+    ) {
+        let handle = FaultHandle::new();
+        let cfg = FaultConfig { seed, transient_read_ppm: 500_000, ..FaultConfig::default() };
+        let store = FaultPager::with_handle(MemPager::new(), cfg, std::sync::Arc::clone(&handle));
+        let (tree, model) = build_tree(store, seed, churn);
+        let mut reader = tree.reader();
+        let mut failed = 0usize;
+        for read in &reads {
+            handle.arm(true);
+            let first = through(&mut reader, read);
+            handle.arm(false);
+            let answer = match first {
+                Ok(answer) => answer,
+                Err(e) => {
+                    prop_assert!(e.is_transient(), "{:?}: {}", read, e);
+                    failed += 1;
+                    through(&mut reader, read).unwrap()
+                }
+            };
+            prop_assert_eq!(answer, model_answer(&model, read), "{:?}", read);
+        }
+        prop_assert_eq!(failed as u64, handle.transient_injected());
+        prop_assert!(failed > 0, "no read ever faulted — vacuous case");
     }
 }

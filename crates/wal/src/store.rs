@@ -108,7 +108,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use tklus_core::score::{tweet_keyword_score, user_score};
 use tklus_core::{
-    merge_max_users, merge_sum_rows, EngineConfig, RankedUser, Ranking, SumRow, TklusEngine,
+    merge_max_users, merge_sum_rows, EngineConfig, MetaReader, RankedUser, Ranking, SumRow,
+    TklusEngine,
 };
 use tklus_geo::{circle_cover, encode, Geohash};
 use tklus_model::{Corpus, Post, TklusQuery, TweetId, UserId};
@@ -692,7 +693,10 @@ impl IngestStore {
             return Err(WalError::Poisoned);
         }
         let engine = &inner.engine;
-        let live = self.live_candidates(&inner, q)?;
+        // One reader for everything this gatherer looks up itself; the
+        // read latch held above is what keeps the trees still under it.
+        let mut meta = engine.db().reader();
+        let live = self.live_candidates(&inner, &mut meta, q)?;
         match ranking {
             Ranking::Sum => {
                 // The sealed and live sets are disjoint (a tweet is sealed
@@ -718,7 +722,12 @@ impl IngestStore {
                 live_users.sort_by_key(|e| e.0);
                 let mut scored = sealed.users;
                 for (uid, rho) in live_users {
-                    let delta = engine.try_user_distance_score(&q.location, q.radius_km, uid)?;
+                    let delta = engine.try_user_distance_score_with(
+                        &mut meta,
+                        &q.location,
+                        q.radius_km,
+                        uid,
+                    )?;
                     scored.push(RankedUser {
                         user: uid,
                         score: user_score(rho, delta, engine.scoring()),
@@ -733,7 +742,12 @@ impl IngestStore {
     /// per-candidate sequence of Algorithm 4/5's relevance stage: time
     /// window, metadata row, radius, thread popularity, keyword score ×
     /// recency. Returns id-sorted rows.
-    fn live_candidates(&self, inner: &Inner, q: &TklusQuery) -> Result<Vec<SumRow>, WalError> {
+    fn live_candidates(
+        &self,
+        inner: &Inner,
+        meta: &mut MetaReader<'_>,
+        q: &TklusQuery,
+    ) -> Result<Vec<SumRow>, WalError> {
         let engine = &inner.engine;
         if inner.memtable.is_empty() {
             return Ok(Vec::new());
@@ -749,13 +763,13 @@ impl IngestStore {
             if !q.in_time_range(tid.0) {
                 continue;
             }
-            let Some(row) = engine.db().try_row(tid).map_err(tklus_core::EngineError::from)? else {
+            let Some(row) = meta.try_row(tid).map_err(tklus_core::EngineError::from)? else {
                 continue;
             };
             if q.location.distance_km(&row.location, scoring.metric) > q.radius_km {
                 continue;
             }
-            let phi = engine.try_thread_phi(tid)?;
+            let phi = engine.try_thread_phi_with(meta, tid)?;
             let rho = tweet_keyword_score(tf, phi, scoring) * q.recency_factor(tid.0);
             rows.push(SumRow { tweet: tid, user: row.uid, rho });
         }
