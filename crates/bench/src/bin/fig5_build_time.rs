@@ -4,11 +4,11 @@
 //! ("steady around 850 minutes"), and the MapReduce build handles an order
 //! of magnitude more tweets per unit time than the centralized
 //! state-of-the-art (I³, quoted numbers). Here both builders run on the
-//! same corpus: the distributed build (3 simulated nodes) should stay flat
-//! across lengths 1–4, tracking or beating the sequential centralized
-//! baseline, and both report identical logical index contents.
+//! same corpus: the distributed build ([`PAPER_NODES`] simulated nodes)
+//! should stay flat across lengths 1–4, tracking or beating the sequential
+//! centralized baseline, and both report identical logical index contents.
 
-use tklus_bench::{banner, csv_row, ms, parse_flags, standard_corpus};
+use tklus_bench::{banner, csv_row, ms, parse_flags, standard_corpus, PAPER_NODES};
 use tklus_index::{baseline::build_centralized, build_index, IndexBuildConfig};
 
 fn main() {
@@ -16,12 +16,17 @@ fn main() {
     banner("Figure 5: index construction time vs geohash length", &flags);
     let corpus = standard_corpus(&flags);
     println!("total posts (originals + responses): {}", corpus.len());
+    println!("mapreduce build: {PAPER_NODES} nodes (map tasks = reduce tasks = threads)");
     println!(
         "{:<8} {:>16} {:>16} {:>12} {:>12}",
         "length", "mapreduce ms", "centralized ms", "keys", "postings"
     );
     for len in 1..=4usize {
-        let config = IndexBuildConfig { geohash_len: len, ..IndexBuildConfig::default() };
+        let config = IndexBuildConfig {
+            geohash_len: len,
+            nodes: PAPER_NODES,
+            ..IndexBuildConfig::default()
+        };
         let (_, dist) = build_index(corpus.posts(), &config);
         let (_, cent) = build_centralized(corpus.posts(), len, config.block_size);
         assert_eq!(dist.keys, cent.keys, "both builders must agree on index contents");

@@ -6,7 +6,7 @@
 //! reproduction reports inverted-index bytes on the DFS plus the in-memory
 //! forward-index footprint per length.
 
-use tklus_bench::{banner, csv_row, parse_flags, standard_corpus};
+use tklus_bench::{banner, csv_row, parse_flags, standard_corpus, PAPER_NODES};
 use tklus_index::{build_index, IndexBuildConfig};
 
 fn main() {
@@ -18,7 +18,11 @@ fn main() {
         "length", "inverted bytes", "forward bytes", "keys", "bytes/posting"
     );
     for len in 1..=4usize {
-        let config = IndexBuildConfig { geohash_len: len, ..IndexBuildConfig::default() };
+        let config = IndexBuildConfig {
+            geohash_len: len,
+            nodes: PAPER_NODES,
+            ..IndexBuildConfig::default()
+        };
         let (index, report) = build_index(corpus.posts(), &config);
         let per_posting = report.index_bytes as f64 / report.postings.max(1) as f64;
         println!(

@@ -52,6 +52,12 @@ pub fn parse_flags() -> Flags {
     flags
 }
 
+/// The paper's cluster size (Section VI-A: three machines). The figure and
+/// table binaries build their indexes with this many simulated nodes —
+/// and so on this many threads — where the product's in-process default is
+/// one.
+pub const PAPER_NODES: usize = 3;
+
 /// The standard synthetic corpus for a flag set.
 pub fn standard_corpus(flags: &Flags) -> Corpus {
     generate_corpus(&GenConfig {
@@ -72,7 +78,7 @@ pub fn standard_corpus(flags: &Flags) -> Corpus {
 /// is still a few kilobytes.
 pub fn build_engine(corpus: &Corpus, geohash_len: usize) -> TklusEngine {
     let config = EngineConfig {
-        index: IndexBuildConfig { geohash_len, ..IndexBuildConfig::default() },
+        index: IndexBuildConfig { geohash_len, nodes: PAPER_NODES, ..IndexBuildConfig::default() },
         hot_keywords: 200,
         ..EngineConfig::default()
     };

@@ -428,22 +428,11 @@ impl TklusEngine {
     }
 
     /// Definition 10's user distance score δ(u, q) for one user, computed
-    /// over the user's posts in this engine's metadata database — the
-    /// per-user blend input, for callers that score users outside the Sum
-    /// fold. A one-call reader; a caller scoring many users passes its own
-    /// to [`Self::try_user_distance_score_with`].
-    pub fn try_user_distance_score(
-        &self,
-        center: &Point,
-        radius_km: f64,
-        user: UserId,
-    ) -> Result<f64, EngineError> {
-        self.try_user_distance_score_with(&mut self.db.reader(), center, radius_km, user)
-    }
-
-    /// [`Self::try_user_distance_score`] through the caller's reader of
-    /// this engine's [`Self::db`] (the ingest store's Maximum-score live
-    /// merge scores its users through the query's one reader).
+    /// over the user's posts in this engine's metadata database through
+    /// the caller's reader of [`Self::db`] — the per-user blend input, for
+    /// callers that score users outside the Sum fold (the ingest store's
+    /// Maximum-score live merge scores its users through the query's one
+    /// reader).
     pub fn try_user_distance_score_with(
         &self,
         meta: &mut MetaReader<'_>,
@@ -508,13 +497,11 @@ impl TklusEngine {
     /// live φ values for bound refresh; query-time candidates see exactly
     /// the same numbers.
     ///
-    /// This is the write path's form and its cost is deliberately left as
-    /// it was: every `rsid = ?` scan of the thread walk is its own
-    /// root-to-leaf descent (ROADMAP `[perf]` finding (ii) says why a
-    /// cheaper write path needs its own PR). A query scoring many tweets
-    /// passes its reader to [`Self::try_thread_phi_with`].
+    /// A one-call reader: the `rsid = ?` scans of this one thread walk
+    /// share a root-to-leaf path. A query scoring many tweets passes its
+    /// reader to [`Self::try_thread_phi_with`].
     pub fn try_thread_phi(&self, tid: TweetId) -> Result<f64, EngineError> {
-        Ok(self.context().try_popularity(&mut &self.db, tid)?.0)
+        Ok(self.context().try_popularity(&mut self.db.reader(), tid)?.0)
     }
 
     /// [`Self::try_thread_phi`] through the caller's reader of this

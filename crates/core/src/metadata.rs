@@ -351,20 +351,9 @@ impl tklus_graph::ReplyProvider for MetadataDb {
     }
 }
 
-/// Shared-reference provider, one call at a time: every `rsid = ?` scan
-/// is its own root-to-leaf descent. The write path builds threads through
-/// this (see [`crate::TklusEngine::try_thread_phi`]); storage failures
-/// propagate as typed errors instead of panics.
-impl TryReplyProvider for &MetadataDb {
-    type Error = StorageError;
-
-    fn try_replies_to(&mut self, id: TweetId) -> Result<Vec<TweetId>, StorageError> {
-        self.try_replies_to_ids(id)
-    }
-}
-
-/// The query path's provider: Algorithm 1's `rsid = ?` scans run through
-/// the query's reader.
+/// The engine's provider: Algorithm 1's `rsid = ?` scans run through a
+/// reader (the query's one, or a one-call reader on the write path);
+/// storage failures propagate as typed errors instead of panics.
 impl TryReplyProvider for MetaReader<'_> {
     type Error = StorageError;
 
@@ -464,9 +453,8 @@ mod tests {
     #[test]
     fn works_as_reply_provider_for_threads() {
         let db = MetadataDb::from_posts(&posts(), 0);
-        let t = try_build_thread(&mut &db, TweetId(1), 5).unwrap();
+        let t = try_build_thread(&mut db.reader(), TweetId(1), 5).unwrap();
         assert_eq!(t.level_sizes(), vec![1, 2, 1]);
-        assert_eq!(try_build_thread(&mut db.reader(), TweetId(1), 5).unwrap(), t);
     }
 
     #[test]

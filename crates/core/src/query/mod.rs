@@ -16,12 +16,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tklus_geo::{circle_cover, CoverKey, Geohash, Point};
-use tklus_graph::{try_build_thread, TryReplyProvider};
+use tklus_graph::try_build_thread;
 use tklus_index::{
     intersect_sum, union_sum, HybridIndex, IndexError, PostingsList, PostingsLocation,
 };
 use tklus_model::{QueryBudget, ScoringConfig, Semantics, TweetId, UserId};
-use tklus_storage::StorageError;
 use tklus_text::TermId;
 
 /// One result row: a user and their score.
@@ -496,11 +495,10 @@ impl QueryContext<'_> {
     /// storage failure during the thread walk surfaces as a typed error.
     ///
     /// `replies` answers Algorithm 1's `rsid = ?` scans: the query's
-    /// [`MetaReader`] on the read path, `&MetadataDb` (one descent per
-    /// scan) on the write path.
+    /// reader on the read path, a one-call reader on the write path.
     pub(crate) fn try_popularity(
         &self,
-        replies: &mut impl TryReplyProvider<Error = StorageError>,
+        replies: &mut MetaReader<'_>,
         tid: TweetId,
     ) -> Result<(f64, Option<bool>), EngineError> {
         if let Some(phi) = self.caches.thread.get(&tid) {

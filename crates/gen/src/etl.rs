@@ -261,7 +261,7 @@ this is not json
         let input = r#"{"id": 1, "user_id": 7, "text": "hi", "coordinates": {"lat": 1.0, "lon": 2.0}, "lang": "en", "favorite_count": 12, "entities": {"hashtags": []}}"#;
         let (corpus, report) = run(input);
         assert_eq!(report.loaded, 1);
-        assert_eq!(corpus.get(TweetId(1)).unwrap().text, "hi");
+        assert_eq!(corpus.get(TweetId(1)).unwrap().text.as_ref(), "hi");
     }
 
     #[test]

@@ -122,7 +122,7 @@ pub fn load_tsv(path: &Path) -> Result<Corpus, CorpusIoError> {
         let lat: f64 = fields[2].parse().map_err(|e| parse(format!("lat: {e}")))?;
         let lon: f64 = fields[3].parse().map_err(|e| parse(format!("lon: {e}")))?;
         let location = Point::new(lat, lon).map_err(|e| parse(format!("location: {e}")))?;
-        let text = unescape(fields[7]);
+        let text = unescape(fields[7]).into();
         let in_reply_to = match fields[4] {
             "o" => None,
             kind @ ("r" | "f") => {

@@ -4,6 +4,8 @@
 use crate::forward::{ForwardIndex, PostingsLocation};
 use crate::inverted::HybridIndex;
 use crate::posting::{Posting, PostingsFormat, PostingsList};
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tklus_geo::{encode, Geohash};
 use tklus_mapreduce::{run_job, JobConfig, Mapper, RangePartitioner, Reducer};
@@ -17,8 +19,11 @@ pub struct IndexBuildConfig {
     /// Geohash encoding length (the paper evaluates 1–4; default 4, the
     /// choice Section VI-B2 settles on).
     pub geohash_len: usize,
-    /// Simulated cluster size = map tasks = reduce partitions = DFS nodes
-    /// (the paper's cluster has 3 machines).
+    /// Simulated cluster size = map tasks = reduce partitions = DFS nodes.
+    /// The default is 1: an in-process engine (server, ingest store) builds
+    /// on its caller's thread. The paper's cluster has 3 machines; the
+    /// build CLI and the figure/table binaries ask for that by name, and
+    /// `n` nodes build on `n` threads, the caller's included.
     pub nodes: usize,
     /// DFS block size in bytes.
     pub block_size: usize,
@@ -33,7 +38,7 @@ impl Default for IndexBuildConfig {
     fn default() -> Self {
         Self {
             geohash_len: 4,
-            nodes: 3,
+            nodes: 1,
             block_size: 64 * 1024,
             replication: 1,
             postings_format: PostingsFormat::Flat,
@@ -62,17 +67,28 @@ pub struct IndexBuildReport {
     pub distinct_terms: u64,
 }
 
+/// The intermediate key of Algorithms 2 and 3. The term is shared: every
+/// emission of one term holds the same allocation (see
+/// [`IndexMapper::interned`]); `Arc<str>` orders and hashes as the string
+/// it points to, so the shuffle sorts exactly as it did over `String`s.
+type IndexKey = (Geohash, Arc<str>);
+
 /// The map function of Algorithm 2: tokenize + stem the post, count term
 /// frequencies, and emit `⟨(geohash, term), (timestamp, tf)⟩` per distinct
 /// term.
 struct IndexMapper {
     pipeline: TextPipeline,
     geohash_len: usize,
+    /// Every distinct term emitted so far. A corpus has a few thousand
+    /// distinct terms and a few hundred thousand emissions; interning
+    /// makes the map output one allocation per term instead of one per
+    /// emission.
+    interned: Mutex<HashSet<Arc<str>>>,
 }
 
 impl Mapper for IndexMapper {
     type Input = Post;
-    type Key = (Geohash, String);
+    type Key = IndexKey;
     type Value = (u64, u32);
 
     fn map(&self, post: &Post, emit: &mut dyn FnMut(Self::Key, Self::Value)) {
@@ -80,50 +96,71 @@ impl Mapper for IndexMapper {
         // Associative array H of Algorithm 2: term -> in-post frequency.
         let mut terms = self.pipeline.terms(&post.text);
         terms.sort_unstable();
+        // One lock per post, not per emission: map tasks of a parallel
+        // build meet here only between posts. The set is valid after any
+        // panic (an insert completes or does not happen), so a retried
+        // task takes a poisoned lock as it is.
+        let mut interned = self.interned.lock().unwrap_or_else(PoisonError::into_inner);
         let mut i = 0;
         while i < terms.len() {
             let mut j = i + 1;
             while j < terms.len() && terms[j] == terms[i] {
                 j += 1;
             }
-            emit((gh, terms[i].clone()), (post.id.0, (j - i) as u32));
+            let term = match interned.get(terms[i].as_str()) {
+                Some(shared) => Arc::clone(shared),
+                None => {
+                    let shared: Arc<str> = Arc::from(terms[i].as_str());
+                    interned.insert(Arc::clone(&shared));
+                    shared
+                }
+            };
+            emit((gh, term), (post.id.0, (j - i) as u32));
             i = j;
         }
     }
 }
 
-/// The reduce function of Algorithm 3: gather all postings of one key and
-/// sort them by timestamp.
+/// One key's reduce output: the postings list already in its on-disk
+/// encoding (a few bytes a posting where the decoded list takes sixteen —
+/// the reduce output of a whole partition waits in memory for the
+/// driver), with the two counts the driver's dictionary and report need.
+struct EncodedList {
+    bytes: Vec<u8>,
+    postings: u64,
+    /// Σ tf over the list: the term's occurrences under this key.
+    occurrences: u64,
+}
+
+/// The reduce function of Algorithm 3: gather all postings of one key,
+/// sort them by timestamp and encode the list.
 struct IndexReducer;
 
 impl Reducer for IndexReducer {
-    type Key = (Geohash, String);
+    type Key = IndexKey;
     type Value = (u64, u32);
-    type Output = PostingsList;
+    type Output = EncodedList;
 
-    fn reduce(
-        &self,
-        _key: &Self::Key,
-        values: Vec<(u64, u32)>,
-        emit: &mut dyn FnMut(PostingsList),
-    ) {
-        emit(PostingsList::new(
+    fn reduce(&self, _key: &Self::Key, values: Vec<(u64, u32)>, emit: &mut dyn FnMut(EncodedList)) {
+        let occurrences = values.iter().map(|&(_, tf)| tf as u64).sum();
+        let list = PostingsList::new(
             values
                 .into_iter()
                 .map(|(id, tf)| Posting { id: tklus_model::TweetId(id), tf })
                 .collect(),
-        ))
+        );
+        emit(EncodedList { bytes: list.encode(), postings: list.len() as u64, occurrences })
     }
 }
 
 /// Geohash-range split points giving each of `n` partitions an equal slice
 /// of the top-level geohash alphabet, so each spatial region lands on one
 /// node.
-fn geohash_splits(n: usize) -> Vec<(Geohash, String)> {
+fn geohash_splits(n: usize) -> Vec<IndexKey> {
     (1..n)
         .map(|i| {
             let c = (i * 32 / n) as u64;
-            (Geohash::from_low_bits(c, 1).expect("root cell"), String::new())
+            (Geohash::from_low_bits(c, 1).expect("root cell"), Arc::from(""))
         })
         .collect()
 }
@@ -146,7 +183,11 @@ fn geohash_splits(n: usize) -> Vec<(Geohash, String)> {
 pub fn build_index(posts: &[Post], config: &IndexBuildConfig) -> (HybridIndex, IndexBuildReport) {
     assert!(config.nodes > 0, "at least one node");
     let start = Instant::now();
-    let mapper = IndexMapper { pipeline: TextPipeline::new(), geohash_len: config.geohash_len };
+    let mapper = IndexMapper {
+        pipeline: TextPipeline::new(),
+        geohash_len: config.geohash_len,
+        interned: Mutex::new(HashSet::new()),
+    };
     let partitioner = RangePartitioner::new(geohash_splits(config.nodes));
     let job = run_job(
         JobConfig { map_tasks: config.nodes, reduce_tasks: config.nodes, ..JobConfig::default() },
@@ -171,10 +212,9 @@ pub fn build_index(posts: &[Post], config: &IndexBuildConfig) -> (HybridIndex, I
         for ((gh, term), list) in partition {
             let term_id = vocab.intern(term);
             // Corpus frequency = total occurrences (Table II ranking).
-            let occurrences: u64 = list.postings().iter().map(|p| p.tf as u64).sum();
-            vocab.add_occurrences(term_id, occurrences);
-            postings_total += list.len() as u64;
-            let bytes = list.encode();
+            vocab.add_occurrences(term_id, list.occurrences);
+            postings_total += list.postings;
+            let bytes = &list.bytes;
             entries.push((
                 (*gh, term_id),
                 PostingsLocation {
@@ -183,7 +223,7 @@ pub fn build_index(posts: &[Post], config: &IndexBuildConfig) -> (HybridIndex, I
                     len: bytes.len() as u32,
                 },
             ));
-            file.extend_from_slice(&bytes);
+            file.extend_from_slice(bytes);
         }
         dfs.create_on(&HybridIndex::partition_file(part_idx as u32), file, part_idx % config.nodes)
             .expect("fresh DFS");
@@ -213,6 +253,7 @@ mod tests {
     use super::*;
     use tklus_geo::Point;
     use tklus_model::{TweetId, UserId};
+    use tklus_text::TermId;
 
     fn post(id: u64, user: u64, lat: f64, lon: f64, text: &str) -> Post {
         Post::original(TweetId(id), UserId(user), Point::new_unchecked(lat, lon), text)
@@ -313,6 +354,41 @@ mod tests {
             .collect();
         assert!(parts.windows(2).all(|w| w[0] <= w[1]), "{parts:?}");
         assert!(parts[0] < parts[2], "extremes must differ: {parts:?}");
+    }
+
+    #[test]
+    fn node_count_does_not_change_the_index() {
+        // Posts on three continents with shared and local terms, so every
+        // node count from 1 to 4 cuts the key range somewhere different.
+        let places = [(-23.99, -46.23), (43.67, -79.38), (57.64, 10.40), (-33.87, 151.21)];
+        let texts =
+            ["hotel spa pool", "pizza hotel pizza", "beach sunrise", "great hotel downtown"];
+        let posts: Vec<Post> = (0..240u64)
+            .map(|i| {
+                let (lat, lon) = places[(i % 4) as usize];
+                let text = format!("{} word{}", texts[(i % 3) as usize], i % 17);
+                post(i + 1, i % 9, lat + (i % 5) as f64 * 0.01, lon, &text)
+            })
+            .collect();
+        let build =
+            |nodes| build_index(&posts, &IndexBuildConfig { nodes, ..Default::default() }).0;
+        let base = build(1);
+        let vocab = |index: &HybridIndex| -> Vec<(TermId, String, u64)> {
+            index.vocab().iter().map(|(id, term, freq)| (id, term.to_string(), freq)).collect()
+        };
+        let lists = |index: &HybridIndex| -> Vec<((Geohash, TermId), Vec<u8>)> {
+            index
+                .forward()
+                .iter()
+                .map(|(key, loc)| (*key, index.read_postings(*loc).0.encode()))
+                .collect()
+        };
+        assert!(base.forward().len() > 50);
+        for nodes in [2, 3, 4] {
+            let other = build(nodes);
+            assert_eq!(vocab(&other), vocab(&base), "{nodes} nodes: dictionary");
+            assert_eq!(lists(&other), lists(&base), "{nodes} nodes: keys and postings bytes");
+        }
     }
 
     #[test]

@@ -655,6 +655,38 @@ mod tests {
     }
 
     #[test]
+    fn checksum_line_written_before_the_crc_kernel_change_verifies() {
+        // As above, but the bytes are what the last build with the
+        // byte-at-a-time CRC wrote for twelve Toronto tweets: a 38-byte
+        // partition, long enough for the sliced kernel's 8-byte steps and
+        // its tail, under the `checksums.tsv` value that build recorded.
+        let dir = tmp_dir("hand-v2-crc");
+        std::fs::create_dir_all(dir.join("partitions")).unwrap();
+        std::fs::write(
+            dir.join("meta.tsv"),
+            "format\t2\npostings_format\tflat\ngeohash_len\t4\nnodes\t1\n",
+        )
+        .unwrap();
+        std::fs::write(dir.join("vocab.tsv"), "0\t18\thotel\n1\t6\tspa\n").unwrap();
+        std::fs::write(dir.join("forward.tsv"), "dpz8\t0\t0\t0\t25\ndpz8\t1\t0\t25\t13\n").unwrap();
+        let part: [u8; 38] = [
+            12, 5, 1, 3, 2, 3, 1, 3, 2, 3, 1, 3, 2, 3, 1, 3, 2, 3, 1, 3, 2, 3, 1, 3, 2, 6, 8, 1, 6,
+            1, 6, 1, 6, 1, 6, 1, 6, 1,
+        ];
+        std::fs::write(dir.join("partitions").join("part-00000"), part).unwrap();
+        std::fs::write(dir.join("checksums.tsv"), "part-00000\ta4db452a\n").unwrap();
+
+        let (index, report) = load_dir_with_report(&dir).unwrap();
+        assert_eq!(report.partitions_loaded, 1);
+        let hotel = index.vocab().get("hotel").unwrap();
+        let cell = tklus_geo::encode(&Point::new_unchecked(43.67, -79.39), 4).unwrap();
+        let list = index.postings(cell, hotel).unwrap();
+        assert_eq!(list.len(), 12);
+        assert_eq!(list.postings().iter().map(|p| p.tf as u64).sum::<u64>(), 18);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn truncated_meta_is_typed() {
         let dir = saved_dir("truncated-meta");
         // Keep only the first two lines: nodes is gone.

@@ -16,8 +16,10 @@
 //! * a [`Reducer`] folds each group, and the driver receives per-partition
 //!   key-sorted output plus [`JobCounters`].
 //!
-//! Map tasks run on real threads (scoped, via [`std::thread::scope`]); the
-//! worker count models the simulated cluster's nodes.
+//! A phase's tasks run on one thread each — the worker count models the
+//! simulated cluster's nodes — and the first of them is the caller's: a
+//! job of `n` tasks per phase spawns `n − 1` scoped threads per phase, and
+//! a one-task job (the in-process index build's default) spawns none.
 
 pub mod counters;
 pub mod engine;

@@ -3,6 +3,7 @@
 
 use crate::ids::{TweetId, UserId};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use tklus_geo::Point;
 
 /// How a post refers to its target: Definition 2 distinguishes "reply"
@@ -44,14 +45,17 @@ pub struct Post {
     /// posts with non-empty locations, as the paper's problem setting does.
     pub location: Point,
     /// Raw text content; tokenization/stemming happens at index build.
-    pub text: String,
+    /// Shared, so cloning a post (a compaction snapshot, a corpus built
+    /// from acked records) copies its fixed-size fields and bumps a
+    /// reference count instead of copying the text.
+    pub text: Arc<str>,
     /// The post this one replies to or forwards (`rsid`, `ruid`), if any.
     pub in_reply_to: Option<ReplyTo>,
 }
 
 impl Post {
     /// Creates an original (non-reply) post.
-    pub fn original(id: TweetId, user: UserId, location: Point, text: impl Into<String>) -> Self {
+    pub fn original(id: TweetId, user: UserId, location: Point, text: impl Into<Arc<str>>) -> Self {
         Self { id, user, location, text: text.into(), in_reply_to: None }
     }
 
@@ -60,7 +64,7 @@ impl Post {
         id: TweetId,
         user: UserId,
         location: Point,
-        text: impl Into<String>,
+        text: impl Into<Arc<str>>,
         target: TweetId,
         target_user: UserId,
     ) -> Self {
@@ -78,7 +82,7 @@ impl Post {
         id: TweetId,
         user: UserId,
         location: Point,
-        text: impl Into<String>,
+        text: impl Into<Arc<str>>,
         target: TweetId,
         target_user: UserId,
     ) -> Self {

@@ -17,7 +17,8 @@
 //! Section VI-B1 runs the paper's experiments with "database caches … set
 //! off in order to get fair evaluation results"; a pool with `capacity = 0`
 //! reproduces that configuration: every read is counted as a miss and
-//! passed straight to the inner store, taking no lock and copying no page.
+//! passed straight to the inner store, taking no lock and copying no page,
+//! and so is every write.
 
 use crate::error::StorageResult;
 use crate::iostats::IoStats;
@@ -73,11 +74,9 @@ impl<S: PageStore> BufferPool<S> {
     }
 
     /// Inserts into an already-locked shard, evicting that shard's
-    /// least-recently-stamped page if it is at budget.
+    /// least-recently-stamped page if it is at budget. Callers have
+    /// already taken the capacity-0 fast path.
     fn cache_put_locked(&self, shard: &mut HashMap<PageId, (Page, u64)>, id: PageId, page: Page) {
-        if self.shard_capacity == 0 {
-            return;
-        }
         let stamp = self.touch();
         if let std::collections::hash_map::Entry::Occupied(mut e) = shard.entry(id) {
             e.insert((page, stamp));
@@ -125,6 +124,11 @@ impl<S: PageStore> PageStore for BufferPool<S> {
         // Write-through: if the inner store rejects the write, the cache is
         // left untouched so it never serves pages the store does not hold.
         self.inner.write(id, page)?;
+        if self.shard_capacity == 0 {
+            // Caches off: same fast path as `read` — no lock, no copy of a
+            // page that would be discarded.
+            return Ok(());
+        }
         let mut shard = self.shard(id).lock();
         self.cache_put_locked(&mut shard, id, page.clone());
         Ok(())
@@ -179,7 +183,8 @@ mod tests {
         assert_eq!(pool.cached_pages(), 0);
     }
 
-    /// A store whose first `read` parks until released.
+    /// A store whose first `read` or `write` after `first` is armed parks
+    /// until released.
     struct GatedStore {
         inner: MemPager,
         first: std::sync::atomic::AtomicBool,
@@ -187,18 +192,38 @@ mod tests {
         release: Mutex<std::sync::mpsc::Receiver<()>>,
     }
 
+    impl GatedStore {
+        /// An unarmed gate plus the test's ends of its two channels.
+        fn new() -> (Self, std::sync::mpsc::Receiver<()>, std::sync::mpsc::Sender<()>) {
+            let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+            let (release_tx, release_rx) = std::sync::mpsc::channel();
+            let store = Self {
+                inner: MemPager::new(),
+                first: std::sync::atomic::AtomicBool::new(false),
+                entered: entered_tx,
+                release: Mutex::new(release_rx),
+            };
+            (store, entered_rx, release_tx)
+        }
+
+        fn park_if_first(&self) {
+            if self.first.swap(false, Ordering::SeqCst) {
+                self.entered.send(()).unwrap();
+                self.release.lock().recv().unwrap();
+            }
+        }
+    }
+
     impl PageStore for GatedStore {
         fn allocate(&self) -> StorageResult<PageId> {
             self.inner.allocate()
         }
         fn read(&self, id: PageId) -> StorageResult<Page> {
-            if self.first.swap(false, Ordering::SeqCst) {
-                self.entered.send(()).unwrap();
-                self.release.lock().recv().unwrap();
-            }
+            self.park_if_first();
             self.inner.read(id)
         }
         fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
+            self.park_if_first();
             self.inner.write(id, page)
         }
         fn page_count(&self) -> u64 {
@@ -212,17 +237,8 @@ mod tests {
     #[test]
     fn capacity_zero_readers_do_not_serialise() {
         use std::sync::mpsc::channel;
-        let (entered_tx, entered_rx) = channel();
-        let (release_tx, release_rx) = channel();
-        let pool = BufferPool::new(
-            GatedStore {
-                inner: MemPager::new(),
-                first: std::sync::atomic::AtomicBool::new(false),
-                entered: entered_tx,
-                release: Mutex::new(release_rx),
-            },
-            0,
-        );
+        let (store, entered_rx, release_tx) = GatedStore::new();
+        let pool = BufferPool::new(store, 0);
         let a = pool.allocate().unwrap();
         pool.write(a, &marked_page(5)).unwrap();
         pool.inner().first.store(true, Ordering::SeqCst);
@@ -242,6 +258,34 @@ mod tests {
         });
         assert_eq!(pool.stats().cache_misses(), 2);
         assert_eq!(pool.stats().cache_hits(), 0);
+    }
+
+    #[test]
+    fn capacity_zero_writers_do_not_serialise() {
+        use std::sync::mpsc::channel;
+        let (store, entered_rx, release_tx) = GatedStore::new();
+        let pool = BufferPool::new(store, 0);
+        let a = pool.allocate().unwrap();
+        pool.inner().first.store(true, Ordering::SeqCst);
+        let pool = &pool;
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(move || pool.write(a, &marked_page(1)).unwrap());
+            entered_rx.recv().unwrap();
+            // One writer is parked inside `inner.write`; a second write of
+            // the same page id must complete without waiting for it.
+            let (done_tx, done_rx) = channel();
+            let second = scope.spawn(move || {
+                pool.write(a, &marked_page(2)).unwrap();
+                done_tx.send(()).unwrap();
+            });
+            let got = done_rx.recv_timeout(std::time::Duration::from_secs(10));
+            release_tx.send(()).unwrap();
+            assert_eq!(got, Ok(()), "second writer waited on the parked one");
+            second.join().unwrap();
+            parked.join().unwrap();
+        });
+        assert_eq!(pool.inner().stats().page_writes(), 2);
+        assert_eq!(pool.cached_pages(), 0);
     }
 
     #[test]

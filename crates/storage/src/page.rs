@@ -55,23 +55,48 @@ pub fn zeroed_page() -> Page {
     vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().expect("PAGE_SIZE slice")
 }
 
-/// CRC32 (IEEE 802.3, reflected) over `bytes`. Table-driven, built once.
+/// CRC32 (IEEE 802.3, reflected) over `bytes`.
+///
+/// Slicing-by-8: eight 256-entry tables, built once, fold eight input
+/// bytes per step; the tail (and any input shorter than eight bytes) goes
+/// through the first table a byte at a time. `tables[0]` is the classic
+/// byte-at-a-time table and `tables[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so the value is the bitwise CRC-32's for
+/// every input — only the number of table steps differs.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, slot) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             }
             *slot = c;
         }
-        table
+        for k in 1..8 {
+            let (bytewise, prev) = (t[0], t[k - 1]);
+            for (slot, prev) in t[k].iter_mut().zip(prev) {
+                *slot = bytewise[(prev & 0xFF) as usize] ^ (prev >> 8);
+            }
+        }
+        t
     });
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][chunk[4] as usize]
+            ^ t[2][chunk[5] as usize]
+            ^ t[1][chunk[6] as usize]
+            ^ t[0][chunk[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -138,6 +163,44 @@ mod tests {
         // Standard IEEE CRC32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_matches_values_pinned_before_slicing() {
+        // Literals computed by the byte-at-a-time loop this kernel
+        // replaced: a page's covered length, and every length around the
+        // 8-byte step (no step, one step, one step plus a tail, ...).
+        assert_eq!(crc32(&[0u8; 4084]), 0x0813_1530);
+        let ramp: Vec<u8> = (0..4084).map(|i| i as u8).collect();
+        assert_eq!(crc32(&ramp), 0x909C_49DE);
+        for (len, want) in [
+            (7, 0xAD58_09F9),
+            (8, 0x88AA_689F),
+            (9, 0xBCE1_4302),
+            (15, 0xA06C_675E),
+            (16, 0xCECE_E288),
+            (17, 0x2C18_3A19u32),
+        ] {
+            assert_eq!(crc32(&ramp[..len]), want, "length {len}");
+        }
+    }
+
+    #[test]
+    fn page_sealed_before_slicing_still_verifies() {
+        // The 16 header bytes are what `seal_page` wrote for this payload
+        // in the last build with the byte-at-a-time CRC; no call into this
+        // build's sealer.
+        let mut p = zeroed_page();
+        p[..PAGE_HEADER_SIZE].copy_from_slice(&[
+            b'T', b'K', b'P', b'G', 1, 0, 0, 0, 0x75, 0x8d, 0x65, 0x3b, 0, 0, 0, 0,
+        ]);
+        for i in PAGE_HEADER_SIZE..PAGE_SIZE {
+            p[i] = (i * 7 + 3) as u8;
+        }
+        verify_page(&p, PageId(0)).unwrap();
+        let mut resealed = p.clone();
+        seal_page(&mut resealed);
+        assert_eq!(resealed[..], p[..], "this build seals the same bytes");
     }
 
     #[test]

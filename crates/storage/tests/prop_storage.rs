@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use tklus_storage::{
-    seal_page, verify_page, BPlusTree, BufferPool, CheckedPager, FaultConfig, FaultHandle,
+    crc32, seal_page, verify_page, BPlusTree, BufferPool, CheckedPager, FaultConfig, FaultHandle,
     FaultPager, MemPager, PageId, PageStore, StorageError, PAGE_HEADER_SIZE, PAGE_SIZE,
 };
 
@@ -18,6 +18,19 @@ enum Op {
     Delete(Key),
     Get(Key),
     Scan(Key, Key),
+}
+
+/// CRC-32 (IEEE 802.3, reflected) straight from the polynomial, one bit at
+/// a time: no table, so it shares nothing with the product kernel.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+        }
+    }
+    !crc
 }
 
 fn arb_key() -> impl Strategy<Value = Key> {
@@ -128,6 +141,17 @@ proptest! {
                 ),
                 "flip at byte {} bit {} escaped detection", off, bit
             );
+        }
+    }
+
+    /// The table kernel is the bit-at-a-time definition of CRC-32: every
+    /// length up to two pages and every start offset within an 8-byte
+    /// step (so both the sliced body and the bytewise tail are hit at each
+    /// alignment).
+    #[test]
+    fn crc32_equals_bitwise_reference(bytes in proptest::collection::vec(any::<u8>(), 0..=9_000)) {
+        for start in 0..8.min(bytes.len() + 1) {
+            prop_assert_eq!(crc32(&bytes[start..]), crc32_bitwise(&bytes[start..]), "start {}", start);
         }
     }
 

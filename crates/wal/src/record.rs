@@ -110,7 +110,7 @@ pub fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
     let text_len = r.u32()? as usize;
     let text = std::str::from_utf8(r.take(text_len)?)
         .map_err(|e| format!("record text is not UTF-8: {e}"))?
-        .to_string();
+        .into();
     if r.at != payload.len() {
         return Err(format!("{} trailing bytes after record", payload.len() - r.at));
     }

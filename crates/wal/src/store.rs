@@ -51,10 +51,10 @@
 //! 1. **Snapshot** (read lock): record the seq fence (the highest acked
 //!    seq), clone the acked set, and note which partitions the live
 //!    records touch. Ingest resumes the moment the lock drops.
-//! 2. **Build** (no lock): rebuild the engine over the snapshot, write
-//!    the touched partitions' replacement seal files (fsynced), and stage
-//!    `MANIFEST.tmp` — fsynced but **not** renamed. Queries and ingest
-//!    run concurrently throughout.
+//! 2. **Build** (no lock): write the touched partitions' replacement
+//!    seal files (fsynced), stage `MANIFEST.tmp` — fsynced but **not**
+//!    renamed — and rebuild the engine over the snapshot. Queries and
+//!    ingest run concurrently throughout.
 //! 3. **Swap** (write lock): `MANIFEST.tmp → MANIFEST` is the atomic
 //!    commit point; then install the built engine, advance the sealed
 //!    prefix to the fence, and re-apply the records acked *during* the
@@ -481,7 +481,7 @@ impl IngestStore {
             recovery.max_ordinal.map_or(0, |o| o + 1),
         )?;
 
-        let engine = Self::build_engine(&sealed, &config.engine)?;
+        let engine = Self::build_engine(sealed.iter().map(|r| r.post.clone()), &config.engine)?;
         let groups: Vec<char> = sealed.iter().map(|r| Self::post_group(&engine, &r.post)).collect();
         let mut inner = Inner {
             engine,
@@ -523,9 +523,11 @@ impl IngestStore {
         Ok((store, report))
     }
 
-    fn build_engine(sealed: &[WalRecord], config: &EngineConfig) -> Result<TklusEngine, WalError> {
-        let corpus = Corpus::new(sealed.iter().map(|r| r.post.clone()).collect())
-            .map_err(|d| WalError::DuplicateTweet(d.0))?;
+    fn build_engine(
+        sealed: impl Iterator<Item = Post>,
+        config: &EngineConfig,
+    ) -> Result<TklusEngine, WalError> {
+        let corpus = Corpus::new(sealed.collect()).map_err(|d| WalError::DuplicateTweet(d.0))?;
         let (engine, _report) = TklusEngine::try_build(&corpus, config)?;
         Ok(engine)
     }
@@ -612,7 +614,8 @@ impl IngestStore {
     /// acked records" after a half-applied record.
     fn rebuild_live(&self, inner: &mut Inner) -> Result<(), WalError> {
         let sealed = &inner.acked[..inner.sealed_len];
-        let mut engine = Self::build_engine(sealed, &self.config.engine)?;
+        let mut engine =
+            Self::build_engine(sealed.iter().map(|r| r.post.clone()), &self.config.engine)?;
         let mut memtable = MemtableIndex::new();
         let mut fanout: HashMap<TweetId, usize> = HashMap::new();
         for rec in &inner.acked {
@@ -844,26 +847,36 @@ impl IngestStore {
             )
         };
 
-        // Phase 2 — build outside any lock: the replacement engine, the
-        // touched partitions' seal files, and the staged manifest.
-        // Nothing here is visible to recovery until the rename below; on
-        // error the staged files are swept (and reopen sweeps whatever a
-        // crash leaves).
-        let engine = Self::build_engine(&snapshot, &self.config.engine)?;
+        // Phase 2 — build outside any lock: the touched partitions' seal
+        // files, the staged manifest, and the replacement engine. Nothing
+        // here is visible to recovery until the rename below; on error
+        // the staged files are swept (and reopen sweeps whatever a crash
+        // leaves). The engine comes last because it takes the snapshot's
+        // posts by value: the build's working set then holds one copy of
+        // them, not the snapshot beside a corpus cloned from it.
+        let sealed_len = snapshot.len();
         let mut files = carried;
         let mut created = Vec::new();
-        if let Err(e) = self.stage_partitions(
-            generation,
-            fence,
-            &snapshot,
-            &snapshot_groups,
-            &touched,
-            &mut files,
-            &mut created,
-        ) {
-            self.remove_aborted(&created);
-            return Err(e);
-        }
+        let built = self
+            .stage_partitions(
+                generation,
+                fence,
+                &snapshot,
+                &snapshot_groups,
+                &touched,
+                &mut files,
+                &mut created,
+            )
+            .and_then(|()| {
+                Self::build_engine(snapshot.into_iter().map(|r| r.post), &self.config.engine)
+            });
+        let engine = match built {
+            Ok(engine) => engine,
+            Err(e) => {
+                self.remove_aborted(&created);
+                return Err(e);
+            }
+        };
 
         // Phase 3 — seq-fenced validate-and-swap under the write latch.
         let mut inner = self.inner.write();
@@ -883,7 +896,6 @@ impl IngestStore {
         // the snapshot, live = the records acked during the build (their
         // seqs are above the fence, so recovery replays them from the
         // WAL, which the fenced trim keeps).
-        let sealed_len = snapshot.len();
         inner.sealed_len = sealed_len;
         inner.sealed_seq = fence;
         inner.generation = generation;

@@ -42,7 +42,7 @@ fn arb_record() -> impl Strategy<Value = WalRecord> {
                 id: TweetId(id),
                 user: UserId(user),
                 location,
-                text,
+                text: text.into(),
                 in_reply_to: reply.map(|(target, target_user, fwd)| ReplyTo {
                     target: TweetId(target),
                     target_user: UserId(target_user),

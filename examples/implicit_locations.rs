@@ -38,7 +38,7 @@ fn main() {
                 .map(|c| c.name.to_string())
                 .unwrap();
             let mut p = post.clone();
-            p.text = format!("{} {}", p.text, city.to_lowercase());
+            p.text = format!("{} {}", p.text, city.to_lowercase()).into();
             untagged.push((p, post.location));
         } else {
             tagged.push(post.clone());
