@@ -24,7 +24,9 @@ pub enum BoundsMode {
     HotKeywords,
 }
 
-/// Pre-computed popularity bounds.
+/// Pre-computed popularity bounds: built once per engine and never
+/// mutated — they describe the corpus the engine was built over, which is
+/// the only corpus Algorithm 5 runs on.
 #[derive(Debug, Clone)]
 pub struct BoundsTable {
     global: f64,
@@ -97,39 +99,6 @@ impl BoundsTable {
     /// A table with only the global bound (no hot keywords).
     pub fn global_only(global: f64) -> Self {
         Self { global, hot: HashMap::new() }
-    }
-
-    /// Raises `term`'s hot bound to at least `phi` (no-op for non-hot
-    /// terms, whose queries consult the global bound, and for values the
-    /// current bound already dominates). Returns whether the table moved.
-    ///
-    /// This is the streaming-ingest refresh: a reply arriving after build
-    /// can only *grow* its ancestors' thread popularities, so maintaining
-    /// the table loosen-only keeps every bound dominating every live φ —
-    /// pruning stays exact, it merely skips less than a freshly computed
-    /// (tight) table would. The `tklus-wal` proptests prove the dominance
-    /// invariant over random ingest interleavings.
-    pub fn raise_hot_bound(&mut self, term: TermId, phi: f64) -> bool {
-        match self.hot.get_mut(&term) {
-            Some(entry) if phi > *entry => {
-                *entry = phi;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Raises the global Definition 11 bound to at least `bound` (the
-    /// loosen-only counterpart of [`Self::raise_hot_bound`] for the
-    /// non-hot path; callers recompute `upper_bound_popularity` from the
-    /// grown maximum fan-out). Returns whether the table moved.
-    pub fn raise_global(&mut self, bound: f64) -> bool {
-        if bound > self.global {
-            self.global = bound;
-            true
-        } else {
-            false
-        }
     }
 
     /// The global Definition 11 bound.

@@ -6,29 +6,28 @@
 //! [`TklusEngine::query`] answers TkLUS queries with either ranking
 //! algorithm.
 //!
-//! Every build and query entry point comes in two flavours (DESIGN.md
-//! §10): a `try_*` method that threads typed [`EngineError`]s up from the
-//! storage and index layers, and the historical panicking method, now a
-//! thin wrapper — appropriate when the engine runs over the default
-//! in-memory stores, which never fail.
+//! `build` and `query` come in two flavours (DESIGN.md §10): a `try_*`
+//! method that threads typed [`EngineError`]s up from the storage and
+//! index layers, and the historical panicking method, now a thin wrapper
+//! — appropriate when the engine runs over the default in-memory stores,
+//! which never fail. Everything else is `try_*` only.
 
 use crate::bounds::{BoundsMode, BoundsTable};
 use crate::cache::{CacheConfig, CacheStats, QueryCaches};
 use crate::error::EngineError;
-use crate::metadata::{MetaReader, MetadataDb, MetadataStoreFactory};
+use crate::metadata::{MetadataDb, MetadataStoreFactory};
 use crate::obs::EngineMetrics;
 use crate::query::{
     max::try_query_max,
-    sum::{try_blend_users, try_query_sum, try_sum_rows},
+    sum::{try_blend_users, try_query_sum, try_score_candidates, try_sum_rows},
     top_k, Completeness, PartialSumOutcome, QueryContext, QueryOutcome, QueryStats, RankedUser,
     StageClock, SumRow,
 };
 use std::time::Instant;
-use tklus_geo::Point;
-use tklus_graph::{upper_bound_popularity, SocialNetwork};
+use tklus_graph::SocialNetwork;
 use tklus_index::{build_index, HybridIndex, IndexBuildConfig, IndexBuildReport};
 use tklus_metrics::RegistrySnapshot;
-use tklus_model::{Corpus, Post, ScoringConfig, Semantics, TklusQuery, TweetId, UserId};
+use tklus_model::{Corpus, Post, ScoringConfig, Semantics, TklusQuery, TweetId};
 use tklus_text::{TermId, TextPipeline};
 
 /// How users are ranked.
@@ -168,15 +167,6 @@ impl TklusEngine {
     /// but still loads the metadata database and precomputes bounds —
     /// matching Figure 3's architecture where the index is periodically
     /// rebuilt offline while the query side just loads it.
-    /// Panics on storage failure; see [`Self::try_from_index`].
-    pub fn from_index(index: HybridIndex, corpus: &Corpus, config: &EngineConfig) -> Self {
-        match Self::try_from_index(index, corpus, config) {
-            Ok(engine) => engine,
-            Err(e) => panic!("engine assembly failed: {e}"),
-        }
-    }
-
-    /// Fallible [`Self::from_index`].
     pub fn try_from_index(
         index: HybridIndex,
         corpus: &Corpus,
@@ -357,12 +347,15 @@ impl TklusEngine {
         outcome
     }
 
-    /// The row-producing half of Algorithm 4 for scatter-gather execution:
-    /// cover, fetch, combine, and per-candidate relevance scoring, with the
-    /// per-user Sum fold and distance blend left to the caller. Rows come
-    /// back in candidate (tweet-id) order — a router that merges rows from
-    /// engines over disjoint tweet sets by tweet id and folds sequentially
-    /// reproduces [`Self::try_query`]'s Sum scores bit for bit.
+    /// The row-producing half of Algorithm 4 for scatter-gather execution
+    /// of **either** ranking: cover, fetch, combine, and per-candidate
+    /// relevance scoring, with the per-user fold and distance blend left to
+    /// [`Self::try_rank_rows`]. Rows come back in candidate (tweet-id)
+    /// order — a router that merges rows from engines over disjoint tweet
+    /// sets by tweet id and folds them reproduces [`Self::try_query`]'s
+    /// scores bit for bit. No bound is consulted here: every in-radius
+    /// candidate's thread is built (Algorithm 5's prune lives in
+    /// [`Self::try_query`] only).
     ///
     /// Follows the same keyword contract as a full query: an AND query
     /// with any unknown keyword, or a query whose keywords all resolve
@@ -408,59 +401,68 @@ impl TklusEngine {
         outcome
     }
 
-    /// The gather half of Algorithm 4 (lines 23–27 and the final ranking)
-    /// over rows gathered from one or more [`Self::try_partial_sum`]-shaped
-    /// sources and merged into tweet-id order ([`merge_sum_rows`]): the
-    /// per-user fold in row order, the distance blend over this engine's
-    /// metadata database, and the top-`q.k` ranking — the very code
-    /// [`Self::try_query`] runs, so a gatherer whose engine holds the full
-    /// corpus metadata reproduces the monolithic Sum answer bit for bit.
+    /// The gather half of a query (Algorithm 4 lines 23–27 and the final
+    /// ranking) over rows gathered from one or more
+    /// [`Self::try_partial_sum`]-shaped sources and merged into tweet-id
+    /// order ([`merge_sum_rows`]): the per-user fold — `+=` in row order
+    /// for [`Ranking::Sum`], `max` for [`Ranking::Max`], whose bounds mode
+    /// is irrelevant here — the distance blend over this engine's metadata
+    /// database, and the top-`q.k` ranking. It is the very code
+    /// [`Self::try_query`] runs for Sum, and Algorithm 5 calls the same
+    /// `user_score(ρ, δ)` and ranks in the same order, so a gatherer whose
+    /// engine holds the full corpus metadata reproduces the monolithic
+    /// answer of either ranking bit for bit.
     ///
     /// [`merge_sum_rows`]: crate::merge_sum_rows
-    pub fn try_rank_sum_rows(
+    pub fn try_rank_rows(
         &self,
         q: &TklusQuery,
+        ranking: Ranking,
         rows: &[SumRow],
     ) -> Result<Vec<RankedUser>, EngineError> {
         let (users, _page_reads) =
-            try_blend_users(&self.context(), &mut self.db.reader(), q, rows)?;
+            try_blend_users(&self.context(), &mut self.db.reader(), q, ranking, rows)?;
         Ok(top_k(users, q.k))
     }
 
-    /// Definition 10's user distance score δ(u, q) for one user, computed
-    /// over the user's posts in this engine's metadata database through
-    /// the caller's reader of [`Self::db`] — the per-user blend input, for
-    /// callers that score users outside the Sum fold (the ingest store's
-    /// Maximum-score live merge scores its users through the query's one
-    /// reader).
-    pub fn try_user_distance_score_with(
+    /// Scores `cands` — `(tweet, tf)` pairs in tweet-id order that did not
+    /// come from this engine's index (the ingest store's memtable) — with
+    /// the per-candidate body [`Self::try_partial_sum`] runs on its own:
+    /// time window, metadata row, radius, thread popularity, keyword score
+    /// × recency, over this engine's metadata database. One body, so rows
+    /// from the two sources merge into what a from-scratch engine computes.
+    pub fn try_score_candidates(
         &self,
-        meta: &mut MetaReader<'_>,
-        center: &Point,
-        radius_km: f64,
-        user: UserId,
-    ) -> Result<f64, EngineError> {
-        self.context().try_user_distance(meta, center, radius_km, user)
+        q: &TklusQuery,
+        cands: impl IntoIterator<Item = (TweetId, u32)>,
+    ) -> Result<Vec<SumRow>, EngineError> {
+        let mut untallied = QueryStats::default();
+        try_score_candidates(&self.context(), &mut self.db.reader(), q, cands, &mut untallied)
     }
 
     // ---- Streaming-ingest primitives (DESIGN.md §15) -------------------
     //
     // The engine's build-time state was immutable through PR 7; the
-    // `tklus-wal` write path relaxes that with a small, explicit mutation
-    // surface. The contract: after `try_insert_metadata` + thread-cache
-    // invalidation + bound loosening for an ingested post, every query
-    // answer is bitwise-identical to a from-scratch engine whose *index*
-    // covers the same sealed posts and whose *metadata/bounds* cover the
-    // same full post set. The inverted index itself is never mutated here —
-    // new posts' postings live in the caller's memtable until compaction.
+    // `tklus-wal` write path relaxes that with one mutation:
+    // `try_insert_metadata`. The contract: after it returns for an ingested
+    // post, every *row* this engine scores is bitwise-identical to a
+    // from-scratch engine's whose metadata covers the same full post set.
+    // The inverted index is never mutated here — new posts' postings live
+    // in the caller's memtable until compaction — and neither is the
+    // bounds table, which describes the build-time corpus only: a store
+    // ranks from unpruned rows and never runs Algorithm 5 on this engine.
 
     /// Inserts `post` into the metadata database (primary row, reply
     /// edge, user-location entry) and evicts the thread-cache entries the
     /// insert stales: the post's own φ and every ancestor's, since a new
-    /// reply grows each ancestor thread it lands in. On error the caller
-    /// must treat the engine as suspect and rebuild from its durable log
-    /// (see [`MetadataDb::try_insert_post`]).
+    /// reply grows each ancestor thread it lands in. With the thread
+    /// cache off there is nothing to evict and the ancestor chain is not
+    /// read. On error the caller must treat the engine as suspect and
+    /// rebuild from its durable log (see [`MetadataDb::try_insert_post`]).
     pub fn try_insert_metadata(&mut self, post: &Post) -> Result<(), EngineError> {
+        if !self.caches.thread.is_enabled() {
+            return Ok(self.db.try_insert_post(post)?);
+        }
         // Resolve the ancestor chain BEFORE inserting, so a failure after
         // the insert cannot leave freshly staled cache entries behind: we
         // evict only after the insert commits.
@@ -474,9 +476,10 @@ impl TklusEngine {
     }
 
     /// The reply chain above `post` (its target, the target's target, …),
-    /// resolved through the metadata database. Bounded by a visited set so
-    /// a malformed corpus with a reply cycle terminates.
-    pub fn try_ancestor_chain(&self, post: &Post) -> Result<Vec<TweetId>, EngineError> {
+    /// resolved through one reader of the metadata database. Bounded by a
+    /// visited set so a malformed corpus with a reply cycle terminates.
+    fn try_ancestor_chain(&self, post: &Post) -> Result<Vec<TweetId>, EngineError> {
+        let mut meta = self.db.reader();
         let mut chain = Vec::new();
         let mut seen = std::collections::HashSet::new();
         let mut cursor = post.in_reply_to.map(|r| r.target);
@@ -485,7 +488,7 @@ impl TklusEngine {
                 break;
             }
             chain.push(tid);
-            cursor = self.db.try_row(tid)?.and_then(|row| row.rsid);
+            cursor = meta.try_row(tid)?.and_then(|row| row.rsid);
         }
         Ok(chain)
     }
@@ -493,40 +496,11 @@ impl TklusEngine {
     /// The thread popularity φ(p) of the thread rooted at `tid`, built
     /// over the **current** metadata database through the same thread
     /// cache the query path uses (hit returns the cached value, miss
-    /// builds and caches). Ingest calls this after invalidation to obtain
-    /// live φ values for bound refresh; query-time candidates see exactly
-    /// the same numbers.
-    ///
-    /// A one-call reader: the `rsid = ?` scans of this one thread walk
-    /// share a root-to-leaf path. A query scoring many tweets passes its
-    /// reader to [`Self::try_thread_phi_with`].
+    /// builds and caches) — the number a query-time candidate sees. A
+    /// one-call reader: the `rsid = ?` scans of this one thread walk
+    /// share a root-to-leaf path.
     pub fn try_thread_phi(&self, tid: TweetId) -> Result<f64, EngineError> {
         Ok(self.context().try_popularity(&mut self.db.reader(), tid)?.0)
-    }
-
-    /// [`Self::try_thread_phi`] through the caller's reader of this
-    /// engine's [`Self::db`] (the ingest store scores its live candidates
-    /// through the query's one reader).
-    pub fn try_thread_phi_with(
-        &self,
-        meta: &mut MetaReader<'_>,
-        tid: TweetId,
-    ) -> Result<f64, EngineError> {
-        Ok(self.context().try_popularity(meta, tid)?.0)
-    }
-
-    /// Normalizes free text into the distinct term ids of this engine's
-    /// vocabulary (tokenize + stem, unknown terms dropped, first-occurrence
-    /// order). The ingest path uses this to find which hot-keyword bounds
-    /// an updated thread root can affect.
-    pub fn text_terms(&self, text: &str) -> Vec<TermId> {
-        let mut seen = std::collections::HashSet::new();
-        self.pipeline
-            .terms(text)
-            .iter()
-            .filter_map(|t| self.index.vocab().get(t))
-            .filter(|&t| seen.insert(t))
-            .collect()
     }
 
     /// Normalizes one query keyword through this engine's text pipeline
@@ -552,23 +526,6 @@ impl TklusEngine {
             }
         }
         order
-    }
-
-    /// Loosen-only hot-bound refresh: raises `term`'s bound to at least
-    /// `phi`. See [`BoundsTable::raise_hot_bound`] for the soundness
-    /// argument. Returns whether the bound moved.
-    pub fn loosen_hot_bound(&mut self, term: TermId, phi: f64) -> bool {
-        self.bounds.raise_hot_bound(term, phi)
-    }
-
-    /// Loosen-only global-bound refresh for an observed reply fan-out:
-    /// recomputes Definition 11's `φ_m` upper bound from `max_fanout` under
-    /// this engine's scoring parameters and raises the global bound to it
-    /// if larger. Returns whether the bound moved.
-    pub fn loosen_global_for_fanout(&mut self, max_fanout: usize) -> bool {
-        let bound =
-            upper_bound_popularity(max_fanout, self.scoring.thread_depth, self.scoring.epsilon);
-        self.bounds.raise_global(bound)
     }
 }
 
@@ -851,7 +808,7 @@ mod tests {
         // Re-assemble from the already-built index (the loaded-from-disk
         // path, minus the disk).
         let (index2, _) = build_index(corpus.posts(), &config.index);
-        let assembled = TklusEngine::from_index(index2, &corpus, &config);
+        let assembled = TklusEngine::try_from_index(index2, &corpus, &config).unwrap();
         let q = tklus_model::TklusQuery::new(
             Point::new_unchecked(43.7, -79.4),
             10.0,

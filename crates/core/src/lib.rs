@@ -16,7 +16,8 @@
 //!   covers, decoded postings lists, and thread popularities, each a
 //!   size-bounded lock-striped LRU layer with hit/miss accounting.
 //! * [`query`] — Algorithm 4 (Sum-score ranking) and Algorithm 5
-//!   (Maximum-score ranking with upper-bound pruning).
+//!   (Maximum-score ranking with upper-bound pruning), plus the row
+//!   producer / per-user fold split gatherers rank either one through.
 //! * [`engine`] — [`engine::TklusEngine`], the end-to-end facade: build the
 //!   hybrid index and metadata database from a corpus, then answer
 //!   [`tklus_model::TklusQuery`]s with either ranking.
@@ -44,6 +45,6 @@ pub use engine::{EngineConfig, Ranking, TklusEngine};
 pub use error::EngineError;
 pub use metadata::{MetaReader, MetaRow, MetadataDb, MetadataStoreFactory};
 pub use query::{
-    merge_max_users, sum::merge_sum_rows, top_k, Completeness, PartialSumOutcome, QueryOutcome,
-    QueryStats, RankedUser, StageTimings, SumRow,
+    sum::merge_sum_rows, top_k, Completeness, PartialSumOutcome, QueryOutcome, QueryStats,
+    RankedUser, StageTimings, SumRow,
 };

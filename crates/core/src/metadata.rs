@@ -229,15 +229,6 @@ impl MetadataDb {
         &self.stats
     }
 
-    /// `select * where sid = ?` on the primary index.
-    /// Panics on storage failure; see [`Self::try_row`].
-    pub fn row(&self, sid: TweetId) -> Option<MetaRow> {
-        match self.try_row(sid) {
-            Ok(row) => row,
-            Err(e) => panic!("metadata row lookup failed: {e}"),
-        }
-    }
-
     /// Opens a read session over the three trees (see [`MetaReader`]):
     /// one per query, so lookups in tweet-id order share their descents.
     pub fn reader(&self) -> MetaReader<'_> {
@@ -248,20 +239,11 @@ impl MetadataDb {
         }
     }
 
-    /// Fallible [`Self::row`]: a one-call [`MetaReader`].
+    /// `select * where sid = ?` on the primary index (the author and
+    /// location lookups of Algorithm 4 line 20 / Algorithm 5 line 22): a
+    /// one-call [`MetaReader`].
     pub fn try_row(&self, sid: TweetId) -> StorageResult<Option<MetaRow>> {
         self.reader().try_row(sid)
-    }
-
-    /// `select uid where sid = ?` (Algorithm 4 line 20 / Algorithm 5
-    /// line 22).
-    pub fn user_of(&self, sid: TweetId) -> Option<UserId> {
-        self.row(sid).map(|r| r.uid)
-    }
-
-    /// The location of a post.
-    pub fn location_of(&self, sid: TweetId) -> Option<Point> {
-        self.row(sid).map(|r| r.location)
     }
 
     /// `select sid where rsid = ?` on the reply index (Algorithm 1 line 7).
@@ -279,16 +261,7 @@ impl MetadataDb {
     }
 
     /// All posts of a user, as `(sid, location)` — the `P_u` scan for
-    /// Definition 9's user distance score.
-    /// Panics on storage failure; see [`Self::try_posts_of_user`].
-    pub fn posts_of_user(&self, uid: UserId) -> Vec<(TweetId, Point)> {
-        match self.try_posts_of_user(uid) {
-            Ok(posts) => posts,
-            Err(e) => panic!("metadata user scan failed: {e}"),
-        }
-    }
-
-    /// Fallible [`Self::posts_of_user`]: a one-call [`MetaReader`].
+    /// Definition 9's user distance score: a one-call [`MetaReader`].
     pub fn try_posts_of_user(&self, uid: UserId) -> StorageResult<Vec<(TweetId, Point)>> {
         self.reader().try_posts_of_user(uid)
     }
@@ -407,12 +380,12 @@ mod tests {
         }
         assert_eq!(grown.len(), bulk.len());
         for p in &all {
-            assert_eq!(grown.row(p.id), bulk.row(p.id));
+            assert_eq!(grown.try_row(p.id).unwrap(), bulk.try_row(p.id).unwrap());
         }
         assert_eq!(grown.replies_to_ids(TweetId(1)), bulk.replies_to_ids(TweetId(1)));
         assert_eq!(grown.replies_to_ids(TweetId(2)), bulk.replies_to_ids(TweetId(2)));
         for uid in [UserId(10), UserId(11), UserId(12)] {
-            assert_eq!(grown.posts_of_user(uid), bulk.posts_of_user(uid));
+            assert_eq!(grown.try_posts_of_user(uid).unwrap(), bulk.try_posts_of_user(uid).unwrap());
         }
     }
 
@@ -420,13 +393,13 @@ mod tests {
     fn primary_lookups() {
         let db = MetadataDb::from_posts(&posts(), 0);
         assert_eq!(db.len(), 5);
-        let row = db.row(TweetId(2)).unwrap();
+        let row = db.try_row(TweetId(2)).unwrap().unwrap();
         assert_eq!(row.uid, UserId(11));
         assert_eq!(row.rsid, Some(TweetId(1)));
         assert_eq!(row.ruid, Some(UserId(10)));
-        assert_eq!(db.user_of(TweetId(5)), Some(UserId(10)));
-        assert_eq!(db.row(TweetId(99)), None);
-        let root = db.row(TweetId(1)).unwrap();
+        assert_eq!(db.try_row(TweetId(5)).unwrap().map(|r| r.uid), Some(UserId(10)));
+        assert_eq!(db.try_row(TweetId(99)).unwrap(), None);
+        let root = db.try_row(TweetId(1)).unwrap().unwrap();
         assert_eq!(root.rsid, None);
         assert_eq!(root.ruid, None);
     }
@@ -442,12 +415,12 @@ mod tests {
     #[test]
     fn user_index_scans() {
         let db = MetadataDb::from_posts(&posts(), 0);
-        let u10 = db.posts_of_user(UserId(10));
+        let u10 = db.try_posts_of_user(UserId(10)).unwrap();
         assert_eq!(u10.len(), 2);
         assert_eq!(u10[0].0, TweetId(1));
         assert_eq!(u10[1].0, TweetId(5));
         assert!((u10[1].1.lat() - 44.0).abs() < 1e-12);
-        assert!(db.posts_of_user(UserId(99)).is_empty());
+        assert!(db.try_posts_of_user(UserId(99)).unwrap().is_empty());
     }
 
     #[test]
@@ -461,10 +434,10 @@ mod tests {
     fn io_counted_with_caches_off() {
         let db = MetadataDb::from_posts(&posts(), 0);
         db.io().reset();
-        db.row(TweetId(1));
+        db.try_row(TweetId(1)).unwrap();
         let first = db.io().page_reads();
         assert!(first > 0, "caches off: lookups cost physical reads");
-        db.row(TweetId(1));
+        db.try_row(TweetId(1)).unwrap();
         assert_eq!(db.io().page_reads(), first * 2, "no caching between identical lookups");
     }
 
@@ -472,9 +445,9 @@ mod tests {
     fn caching_reduces_io() {
         let db = MetadataDb::from_posts(&posts(), 300);
         db.io().reset();
-        db.row(TweetId(1));
-        db.row(TweetId(1));
-        db.row(TweetId(1));
+        db.try_row(TweetId(1)).unwrap();
+        db.try_row(TweetId(1)).unwrap();
+        db.try_row(TweetId(1)).unwrap();
         assert!(db.io().cache_hits() > 0);
     }
 
@@ -483,7 +456,7 @@ mod tests {
         let original = pt(43.6839128037, -79.37356590);
         let p = vec![Post::original(TweetId(7), UserId(1), original, "x")];
         let db = MetadataDb::from_posts(&p, 0);
-        let loc = db.location_of(TweetId(7)).unwrap();
+        let loc = db.try_row(TweetId(7)).unwrap().unwrap().location;
         assert_eq!(loc.lat(), original.lat());
         assert_eq!(loc.lon(), original.lon());
     }
@@ -514,10 +487,8 @@ mod tests {
     }
 
     #[test]
-    fn try_accessors_match_infallible_ones() {
+    fn try_reply_scan_matches_the_panicking_twin() {
         let db = MetadataDb::from_posts(&posts(), 0);
-        assert_eq!(db.try_row(TweetId(2)).unwrap(), db.row(TweetId(2)));
         assert_eq!(db.try_replies_to_ids(TweetId(1)).unwrap(), db.replies_to_ids(TweetId(1)));
-        assert_eq!(db.try_posts_of_user(UserId(10)).unwrap(), db.posts_of_user(UserId(10)));
     }
 }

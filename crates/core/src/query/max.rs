@@ -12,6 +12,15 @@
 //! candidate loop runs on the calling thread and always sees the exact
 //! live floor, so no I/O is spent on a thread the prune would reject.
 //!
+//! This is the one place Algorithm 5 runs: [`crate::TklusEngine::try_query`]
+//! over a whole engine. The gatherers (shard router, ingest store) rank
+//! Max from the unpruned rows they already gather
+//! ([`crate::TklusEngine::try_rank_rows`]) and must get this module's
+//! answer bit for bit, which is why the running set keeps [`top_k`]'s
+//! total order — score descending, user id ascending — rather than
+//! arrival order: a tie at the k-th place resolves the same way here, in
+//! a row fold and in the naive reference.
+//!
 //! # Caching
 //!
 //! The cover/postings caches front the fetch and the thread cache fronts
@@ -65,20 +74,18 @@ impl TopK {
         self.users.len() >= self.k
     }
 
-    /// The smallest user score in the set (`topKUser.peek()`).
-    fn min_score(&self) -> Option<f64> {
-        self.users.values().map(|c| c.score).min_by(|a, b| a.partial_cmp(b).expect("finite scores"))
-    }
-
-    fn evict_min(&mut self) {
-        if let Some((&uid, _)) = self.users.iter().min_by(|a, b| {
-            a.1.score.partial_cmp(&b.1.score).expect("finite scores").then(b.0.cmp(a.0))
-        }) {
-            self.users.remove(&uid);
-        }
+    /// The set's last member in [`top_k`]'s order: the smallest score,
+    /// and among equal scores the largest user id (`topKUser.peek()`).
+    fn min(&self) -> Option<(UserId, f64)> {
+        self.users
+            .iter()
+            .map(|(&uid, c)| (uid, c.score))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores").then(b.0.cmp(&a.0)))
     }
 
     /// Lines 23–33: maintain the set under Definition 8's max-aggregation.
+    /// A new user enters a full set iff `(score, uid)` beats the current
+    /// minimum in [`top_k`]'s order, displacing it.
     fn admit(&mut self, uid: UserId, rho: f64, delta: f64, config: &ScoringConfig) {
         match self.users.get_mut(&uid) {
             Some(c) => {
@@ -89,12 +96,14 @@ impl TopK {
             }
             None => {
                 let score = user_score(rho, delta, config);
-                if !self.is_full() {
-                    self.users.insert(uid, Candidate { rho_max: rho, delta, score });
-                } else if score > self.min_score().expect("full set has a min") {
-                    self.evict_min();
-                    self.users.insert(uid, Candidate { rho_max: rho, delta, score });
+                if self.is_full() {
+                    let (min_uid, min_score) = self.min().expect("full set has a min");
+                    if score < min_score || (score == min_score && uid > min_uid) {
+                        return;
+                    }
+                    self.users.remove(&min_uid);
                 }
+                self.users.insert(uid, Candidate { rho_max: rho, delta, score });
             }
         }
     }
@@ -174,11 +183,13 @@ pub(crate) fn try_query_max(
         let recency = query.recency_factor(tid.0);
 
         // Lines 18–19: the prune. The best score this tweet can give
-        // its author cannot beat the current k-th user -> skip the
-        // thread. The recency factor scales the keyword part.
+        // its author is below the current k-th user's -> skip the
+        // thread. (A tweet that can at best *tie* is scored: its author
+        // may still win the place on user id.) The recency factor scales
+        // the keyword part.
         if top.is_full() {
             let upper = upper_bound_user_score(tf, popularity_bound * recency, config);
-            if upper <= top.min_score().expect("full set has a min") {
+            if upper < top.min().expect("full set has a min").1 {
                 stats.threads_pruned += 1;
                 continue;
             }

@@ -12,7 +12,6 @@ use crate::cache::QueryCaches;
 use crate::error::EngineError;
 use crate::metadata::{MetaReader, MetadataDb};
 use crate::score::user_distance_score;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tklus_geo::{circle_cover, CoverKey, Geohash, Point};
@@ -68,27 +67,30 @@ pub struct QueryOutcome {
     pub completeness: Completeness,
 }
 
-/// One scored candidate row of the Sum pipeline (Algorithm 4 lines
-/// 15–24), before the per-user fold: the tweet, its author, and the
-/// tweet's keyword-relevance contribution ρ (thread popularity × keyword
-/// score × recency). Rows come out in candidate (tweet-id) order, which
-/// is exactly the order the monolithic engine folds them in — a
-/// scatter-gather router that merges rows from disjoint shards by tweet
-/// id and folds sequentially reproduces the monolithic Sum scores bit
-/// for bit.
+/// One scored candidate row (Algorithm 4 lines 15–24), before the
+/// per-user fold: the tweet, its author, and the tweet's keyword
+/// relevance ρ (thread popularity × keyword score × recency). Named for
+/// Algorithm 4, whose front half produces it; a gatherer folds the same
+/// rows by `max` for the Maximum-score ranking. Rows come out in
+/// candidate (tweet-id) order, which is exactly the order the monolithic
+/// engine folds them in — a scatter-gather router that merges rows from
+/// disjoint shards by tweet id and folds sequentially reproduces the
+/// monolithic Sum scores bit for bit (a Max fold is order-free).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SumRow {
     /// The candidate tweet.
     pub tweet: TweetId,
     /// The tweet's author.
     pub user: UserId,
-    /// The tweet's contribution to its author's Sum score.
+    /// The tweet's keyword relevance ρ(p, q): a term of its author's
+    /// Sum score, a contender for their Maximum score.
     pub rho: f64,
 }
 
 /// What [`crate::TklusEngine::try_partial_sum`] produces: the scored
-/// candidate rows in tweet-id order (the fold and distance blend left to
-/// the caller), plus cost accounting and budget completeness.
+/// candidate rows in tweet-id order (the per-user fold of either ranking
+/// and the distance blend left to the caller), plus cost accounting and
+/// budget completeness.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialSumOutcome {
     /// Scored rows in candidate (tweet-id) order.
@@ -557,30 +559,14 @@ pub(crate) fn candidates(fetch: &Fetched, semantics: Semantics) -> Vec<(TweetId,
 /// Sorts users by score descending (ties broken by user id for
 /// determinism) and truncates to `k`.
 ///
-/// Public because the sharded router (`tklus-shard`) must rank its merged
-/// user set with exactly this comparator to stay bitwise-identical to the
-/// monolithic engine.
+/// The one ranking order: Algorithm 4's final sort, Algorithm 5's
+/// running set and every gatherer's fold agree on it, ties included.
 pub fn top_k(mut users: Vec<RankedUser>, k: usize) -> Vec<RankedUser> {
     users.sort_by(|a, b| {
         b.score.partial_cmp(&a.score).expect("scores are finite").then(a.user.cmp(&b.user))
     });
     users.truncate(k);
     users
-}
-
-/// Gathers Maximum-score answers computed over disjoint post sets (shard
-/// partials; sealed and live halves of a store) into the global top-k:
-/// each user keeps their best score — a float max, so the order of
-/// `parts` never matters — and the survivors are ranked by [`top_k`].
-pub fn merge_max_users(parts: impl IntoIterator<Item = RankedUser>, k: usize) -> Vec<RankedUser> {
-    let mut best: HashMap<UserId, f64> = HashMap::new();
-    for ru in parts {
-        let entry = best.entry(ru.user).or_insert(f64::NEG_INFINITY);
-        if ru.score > *entry {
-            *entry = ru.score;
-        }
-    }
-    top_k(best.into_iter().map(|(user, score)| RankedUser { user, score }).collect(), k)
 }
 
 #[cfg(test)]

@@ -13,12 +13,17 @@
 //!
 //! The pipeline is split at the per-user fold: [`try_sum_rows`] produces
 //! the scored candidate rows in tweet-id order, and [`try_blend_users`]
-//! folds them into user Sum scores and blends with distance. The split is
-//! what lets a gatherer — the sharded router over disjoint shard engines,
-//! the ingest store over sealed ∪ live — merge row streams by tweet id
-//! ([`merge_sum_rows`]) and run the *same* sequential fold through
-//! [`crate::TklusEngine::try_rank_sum_rows`], reproducing the monolithic
-//! result bit for bit.
+//! folds them per user — by `+=` (Definition 7) or by `max`
+//! (Definition 8) — and blends with distance. [`try_query_sum`] runs the
+//! two back to back. The split is what serves the gatherers — the sharded
+//! router over disjoint shard engines, the ingest store over sealed ∪
+//! live — for **both** rankings: they merge row streams by tweet id
+//! ([`merge_sum_rows`]) and run the same fold through
+//! [`crate::TklusEngine::try_rank_rows`], reproducing the monolithic
+//! result bit for bit (for Max, Algorithm 5's answer: its prune only ever
+//! skips rows that cannot change the top-k). The per-candidate scoring
+//! body has one home, [`try_score_candidates`]: the engine feeds it its
+//! postings candidates, the store its memtable's.
 //!
 //! Storage and index failures anywhere along the path — postings fetch,
 //! metadata row lookup, thread walk, user scan — propagate as typed
@@ -34,6 +39,7 @@
 //! running concurrently on the shared engine (a global counter delta
 //! would absorb their reads too).
 
+use crate::engine::Ranking;
 use crate::error::EngineError;
 use crate::metadata::MetaReader;
 use crate::query::{
@@ -43,7 +49,7 @@ use crate::query::{
 use crate::score::{tweet_keyword_score, user_score};
 use std::collections::HashMap;
 use std::time::Instant;
-use tklus_model::{TklusQuery, UserId};
+use tklus_model::{TklusQuery, TweetId, UserId};
 use tklus_storage::IoStats;
 use tklus_text::TermId;
 
@@ -60,7 +66,6 @@ pub(crate) fn try_sum_rows(
     start: Instant,
     clock: &mut StageClock,
 ) -> Result<(Vec<SumRow>, QueryStats, Completeness), EngineError> {
-    let config = ctx.scoring;
     let center = &query.location;
     let radius_km = query.radius_km;
     let budget = CellBudget::new(query.budget.as_ref(), start);
@@ -92,20 +97,36 @@ pub(crate) fn try_sum_rows(
     stats.stages.fetch = tally.fetch_time;
     stats.stages.combine = clock.lap();
 
-    // Lines 15–24: per-tweet relevance — radius check, thread popularity
-    // (possibly cached), keyword score — with surviving rows kept in
-    // candidate order (the fold order every consumer must preserve for
-    // float determinism). The first storage error aborts the query.
     let reads_before = IoStats::thread_page_reads();
+    let rows = try_score_candidates(ctx, meta, query, cands, &mut stats)?;
+    stats.metadata_page_reads = IoStats::thread_page_reads() - reads_before;
+    stats.stages.threads = clock.lap();
+    Ok((rows, stats, completeness))
+}
+
+/// Lines 15–24, the per-candidate relevance stage both rankings' rows
+/// come from: time window, metadata row, radius check, thread popularity
+/// (possibly cached), keyword score × recency. `cands` are `(tweet, tf)`
+/// pairs in tweet-id order and the surviving rows keep that order (the
+/// fold order every consumer must preserve for float determinism). The
+/// first storage error aborts the query.
+pub(crate) fn try_score_candidates(
+    ctx: &QueryContext<'_>,
+    meta: &mut MetaReader<'_>,
+    query: &TklusQuery,
+    cands: impl IntoIterator<Item = (TweetId, u32)>,
+    stats: &mut QueryStats,
+) -> Result<Vec<SumRow>, EngineError> {
+    let config = ctx.scoring;
     let mut rows: Vec<SumRow> = Vec::new();
-    for &(tid, tf) in &cands {
+    for (tid, tf) in cands {
         // Temporal extension: the id is the timestamp, so the window
         // check costs nothing and precedes all metadata I/O.
         if !query.in_time_range(tid.0) {
             continue;
         }
         let Some(row) = meta.try_row(tid)? else { continue };
-        if center.distance_km(&row.location, config.metric) > radius_km {
+        if query.location.distance_km(&row.location, config.metric) > query.radius_km {
             continue;
         }
         stats.in_radius += 1;
@@ -117,9 +138,7 @@ pub(crate) fn try_sum_rows(
         let rho = tweet_keyword_score(tf, phi, config) * query.recency_factor(tid.0);
         rows.push(SumRow { tweet: tid, user: row.uid, rho });
     }
-    stats.metadata_page_reads = IoStats::thread_page_reads() - reads_before;
-    stats.stages.threads = clock.lap();
-    Ok((rows, stats, completeness))
+    Ok(rows)
 }
 
 /// K-way merges row slices (each sorted by tweet id ascending) into one
@@ -155,31 +174,43 @@ pub fn merge_sum_rows<'a>(lists: impl Iterator<Item = &'a [SumRow]>) -> Vec<SumR
     merged
 }
 
-/// The per-user fold and distance blend (lines 23–27). Per-user Sum
-/// scores accumulate sequentially in `rows` order — tweet-id order, so
-/// float addition order never depends on scheduling or on how many
-/// sources the rows were gathered from — then each user's ρ blends with
-/// their distance score δ (Definition 10) into the final `score(u, q)`.
-/// Users are visited in id order for deterministic I/O patterns.
-/// Returns the unranked users and the metadata page reads incurred.
+/// The per-user fold and distance blend (lines 23–27). Each user's
+/// keyword relevance folds over `rows` in row order — tweet-id order, so
+/// a Sum's float additions never depend on scheduling or on how many
+/// sources the rows were gathered from — by `+=` under [`Ranking::Sum`]
+/// (Definition 7) and by `max` under [`Ranking::Max`] (Definition 8: the
+/// comparison Algorithm 5's running set makes, and order-free); then it
+/// blends with the user's distance score δ (Definition 10) into the final
+/// `score(u, q)`. Users are visited in id order for deterministic I/O
+/// patterns. Returns the unranked users and the metadata page reads
+/// incurred.
 pub(crate) fn try_blend_users(
     ctx: &QueryContext<'_>,
     meta: &mut MetaReader<'_>,
     query: &TklusQuery,
+    ranking: Ranking,
     rows: &[SumRow],
 ) -> Result<(Vec<RankedUser>, u64), EngineError> {
     let config = ctx.scoring;
     let mut users: HashMap<UserId, f64> = HashMap::new();
     for row in rows {
-        *users.entry(row.user).or_insert(0.0) += row.rho;
+        match ranking {
+            Ranking::Sum => *users.entry(row.user).or_insert(0.0) += row.rho,
+            Ranking::Max(_) => {
+                let best = users.entry(row.user).or_insert(row.rho);
+                if row.rho > *best {
+                    *best = row.rho;
+                }
+            }
+        }
     }
     let mut entries: Vec<(UserId, f64)> = users.into_iter().collect();
     entries.sort_by_key(|e| e.0);
     let reads_before = IoStats::thread_page_reads();
     let mut users_ranked = Vec::with_capacity(entries.len());
-    for (uid, rho_sum) in entries {
+    for (uid, rho) in entries {
         let delta = ctx.try_user_distance(meta, &query.location, query.radius_km, uid)?;
-        users_ranked.push(RankedUser { user: uid, score: user_score(rho_sum, delta, config) });
+        users_ranked.push(RankedUser { user: uid, score: user_score(rho, delta, config) });
     }
     Ok((users_ranked, IoStats::thread_page_reads() - reads_before))
 }
@@ -201,7 +232,7 @@ pub(crate) fn try_query_sum(
     let (rows, mut stats, completeness) =
         try_sum_rows(ctx, &mut meta, query, terms, start, &mut clock)?;
 
-    let (users_ranked, blend_reads) = try_blend_users(ctx, &mut meta, query, &rows)?;
+    let (users_ranked, blend_reads) = try_blend_users(ctx, &mut meta, query, Ranking::Sum, &rows)?;
     stats.metadata_page_reads += blend_reads;
     stats.stages.scoring = clock.lap();
 

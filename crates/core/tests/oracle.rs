@@ -16,12 +16,22 @@
 //! qualifying posts, every in-radius candidate's thread is either built or
 //! pruned (never under Sum), and the cache-off engine pays the same
 //! `metadata_page_reads` for the same query twice in a row.
+//!
+//! Two further properties live here because both gatherers (the shard
+//! router, the ingest store) stand on them. Ranking the *unpruned* rows
+//! of `try_partial_sum` through `try_rank_rows` gives `try_query`'s answer
+//! bit for bit under every ranking — for Max that is Algorithm 5 with its
+//! prune, under both bound modes — asserted for every generated case. And
+//! a tie at the k-th place resolves by user id everywhere (Algorithm 4,
+//! Algorithm 5's running set, the row fold, the naive reference): a pin
+//! and a proptest family over tie-prone corpora hold that.
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
-use tklus_core::{BoundsMode, CacheConfig, EngineConfig, Ranking, TklusEngine};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use tklus_core::{BoundsMode, CacheConfig, EngineConfig, RankedUser, Ranking, TklusEngine};
 use tklus_geo::Point;
 use tklus_model::{Corpus, Post, ScoringConfig, Semantics, TklusQuery, TweetId, UserId};
 use tklus_text::TextPipeline;
@@ -205,6 +215,17 @@ fn oracle_top_k(
     (scored, qualifying)
 }
 
+/// `try_rank_rows` over the engine's own unpruned rows: what a gatherer
+/// with a single source computes.
+fn rank_from_rows(engine: &TklusEngine, q: &TklusQuery, ranking: Ranking) -> Vec<RankedUser> {
+    let rows = engine.try_partial_sum(q).unwrap().rows;
+    engine.try_rank_rows(q, ranking, &rows).unwrap()
+}
+
+fn bits(users: &[RankedUser]) -> Vec<(UserId, u64)> {
+    users.iter().map(|u| (u.user, u.score.to_bits())).collect()
+}
+
 /// Cache budgets exercised by the suite: generous (everything fits) and
 /// starved (constant eviction pressure) — both must be invisible in
 /// results.
@@ -275,6 +296,13 @@ proptest! {
                     prop_assert_eq!(cached.in_radius, off_stats.in_radius);
                     prop_assert_eq!(cached.threads_pruned, off_stats.threads_pruned);
                 }
+
+                // The property both gatherers stand on: ranking the
+                // unpruned rows is this ranking's answer, bit for bit.
+                prop_assert_eq!(
+                    bits(&rank_from_rows(&engine_off, &q, ranking)), bits(&off),
+                    "{:?}/{:?}", ranking, semantics
+                );
 
                 // Engine (uncached) vs oracle: same users, scores to 1e-9.
                 prop_assert_eq!(off.len(), want.len(), "{:?}/{:?}", ranking, semantics);
@@ -372,4 +400,108 @@ proptest! {
             }
         }
     }
+}
+
+const ARMS: [(Ranking, bool); 3] = [
+    (Ranking::Sum, false),
+    (Ranking::Max(BoundsMode::Global), true),
+    (Ranking::Max(BoundsMode::HotKeywords), true),
+];
+
+#[test]
+fn kth_place_tie_goes_to_the_smaller_user_id_under_every_ranking() {
+    // Two users, one identical post each at the same point, the larger
+    // user id posting first, k = 1: identical scores, so the order is
+    // decided by the tie-break alone — user id, not arrival order in
+    // Algorithm 5's running set.
+    let here = Point::new_unchecked(43.68, -79.38);
+    let corpus = Corpus::new(vec![
+        Post::original(TweetId(1), UserId(2), here, "hotel"),
+        Post::original(TweetId(2), UserId(1), here, "hotel"),
+    ])
+    .unwrap();
+    let config = EngineConfig::default();
+    let (engine, _) = TklusEngine::build(&corpus, &config);
+    let q = TklusQuery::new(here, 10.0, vec!["hotel".into()], 1, Semantics::Or).unwrap();
+    let both = TklusQuery::new(here, 10.0, vec!["hotel".into()], 2, Semantics::Or).unwrap();
+    for (ranking, use_max) in ARMS {
+        let (two, _) = engine.query(&both, ranking);
+        assert_eq!(two[0].score.to_bits(), two[1].score.to_bits(), "{ranking:?}: not a tie");
+        let (top, _) = engine.query(&q, ranking);
+        assert_eq!(top.len(), 1);
+        assert_eq!(top[0].user, UserId(1), "{ranking:?}");
+        assert_eq!(rank_from_rows(&engine, &q, ranking)[0].user, UserId(1), "{ranking:?} rows");
+        assert_eq!(oracle_top_k(&corpus, &q, use_max, &config.scoring).0[0].0, UserId(1));
+    }
+}
+
+/// Cases of [`tie_prone_corpora`] whose answer had equal score bits at
+/// ranks k and k + 1 (any ranking arm).
+static BOUNDARY_TIES: AtomicUsize = AtomicUsize::new(0);
+
+const TIE_SPOTS: [(i8, i8); 3] = [(0, 0), (10, -10), (-20, 5)];
+const TIE_TEXTS: [&[u8]; 3] = [&[0], &[1], &[0, 1]];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    // Locations and texts drawn from a handful of values, few users: many
+    // users end up with identical score inputs, so ties at the k-th place
+    // actually occur. Every arm must agree with the naive reference on who
+    // is ranked where, and the Max arms and the row fold with each other
+    // bit for bit.
+    fn tie_prone_corpora(
+        picks in proptest::collection::vec(
+            (0u8..6, 0usize..TIE_SPOTS.len(), 0usize..TIE_TEXTS.len(), proptest::option::of(0u8..12)),
+            4..16,
+        ),
+        k in 1usize..4,
+        and_sem in any::<bool>(),
+    ) {
+        let raw: Vec<RawPost> = picks
+            .iter()
+            .map(|&(user, spot, text, reply_to)| RawPost {
+                user,
+                dlat: TIE_SPOTS[spot].0,
+                dlon: TIE_SPOTS[spot].1,
+                words: TIE_TEXTS[text].to_vec(),
+                reply_to,
+            })
+            .collect();
+        let corpus = materialize(&raw);
+        let config = EngineConfig::default();
+        let (engine, _) = TklusEngine::build(&corpus, &config);
+        let semantics = if and_sem { Semantics::And } else { Semantics::Or };
+        let query = |k| {
+            let keywords = vec![WORDS[0].to_string(), WORDS[1].to_string()];
+            TklusQuery::new(Point::new_unchecked(43.68, -79.38), 15.0, keywords, k, semantics)
+                .unwrap()
+        };
+        let q = query(k);
+        for (ranking, use_max) in ARMS {
+            let (got, _) = engine.query(&q, ranking);
+            let (want, _) = oracle_top_k(&corpus, &q, use_max, &config.scoring);
+            prop_assert_eq!(
+                got.iter().map(|u| u.user).collect::<Vec<_>>(),
+                want.iter().map(|w| w.0).collect::<Vec<_>>(),
+                "{:?}/{:?}", ranking, semantics
+            );
+            prop_assert_eq!(
+                bits(&rank_from_rows(&engine, &q, ranking)), bits(&got),
+                "{:?}/{:?}", ranking, semantics
+            );
+            let (wider, _) = engine.query(&query(k + 1), ranking);
+            prop_assert_eq!(bits(&wider[..got.len()]), bits(&got), "{:?}: top-k is a prefix", ranking);
+            if wider.len() == k + 1 && wider[k - 1].score.to_bits() == wider[k].score.to_bits() {
+                BOUNDARY_TIES.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+#[test]
+fn boundary_ties_rank_by_user_id_and_actually_occur() {
+    tie_prone_corpora();
+    let ties = BOUNDARY_TIES.load(Ordering::Relaxed);
+    assert!(ties >= 1, "tie family is vacuous: no case had equal score bits at ranks k and k + 1");
 }

@@ -180,12 +180,6 @@ pub fn save_dir(index: &HybridIndex, dir: &Path) -> Result<(), PersistError> {
     Ok(())
 }
 
-/// Loads an index previously written by [`save_dir`], discarding the
-/// [`LoadReport`].
-pub fn load_dir(dir: &Path) -> Result<HybridIndex, PersistError> {
-    load_dir_with_report(dir).map(|(index, _)| index)
-}
-
 /// Loads an index previously written by [`save_dir`], reporting what was
 /// verified and what was skipped.
 pub fn load_dir_with_report(dir: &Path) -> Result<(HybridIndex, LoadReport), PersistError> {
@@ -467,7 +461,7 @@ mod tests {
     }
 
     fn load_err(dir: &Path) -> PersistError {
-        match load_dir(dir) {
+        match load_dir_with_report(dir) {
             Err(e) => e,
             Ok(_) => panic!("load of a damaged directory must fail"),
         }
@@ -535,7 +529,7 @@ mod tests {
 
     #[test]
     fn load_missing_dir_errors() {
-        let err = match load_dir(Path::new("/nonexistent/tklus-index")) {
+        let err = match load_dir_with_report(Path::new("/nonexistent/tklus-index")) {
             Err(e) => e,
             Ok(_) => panic!("missing directory must not load"),
         };
@@ -550,7 +544,7 @@ mod tests {
         std::fs::write(dir.join("vocab.tsv"), "").unwrap();
         std::fs::write(dir.join("forward.tsv"), "").unwrap();
         std::fs::write(dir.join("checksums.tsv"), "").unwrap();
-        let err = match load_dir(&dir) {
+        let err = match load_dir_with_report(&dir) {
             Err(e) => e,
             Ok(_) => panic!("corrupt meta must not load"),
         };

@@ -6,9 +6,10 @@
 //!
 //! 1. computing the circle cover once and fanning out only to shards whose
 //!    range intersects it,
-//! 2. merging per-shard partials into the global top-k — a tid-ordered
-//!    k-way merge with duplicate-tweet elimination for Sum, a per-user
-//!    float max for Max.
+//! 2. merging the per-shard scored rows into global tweet-id order (a
+//!    k-way merge with duplicate-tweet elimination) and ranking them on
+//!    one engine — the same gather for Sum and Max, which differ only in
+//!    the per-user fold (`+=` or `max`).
 //!
 //! Every shard dispatch runs behind its own circuit breaker (the serving
 //! layer's [`CircuitBreaker`]); a faulted shard degrades the result to a
@@ -18,16 +19,17 @@
 //! ## Why sharded answers are bitwise-identical to monolithic ones
 //!
 //! Each shard engine is assembled from its own per-range index but the
-//! **full** corpus metadata, so thread popularity φ, recency, distance
-//! score δ, and the Definition 11 bounds each engine prunes candidate
-//! threads with are computed from exactly the same bytes as the monolithic
+//! **full** corpus metadata, so thread popularity φ, recency and distance
+//! score δ are computed from exactly the same bytes as the monolithic
 //! engine's. All postings of a tweet live in the single cell of its
-//! location, so AND/OR combination never crosses a shard boundary. For
-//! Sum, the router re-folds per-tweet scores in global tweet-id order —
-//! the same order the monolithic fold uses — so the float sums associate
-//! identically. For Max, the per-user maximum is order-independent
-//! ([`merge_max_users`]). The final ranking uses the engine's own `top_k`
-//! comparator.
+//! location, so AND/OR combination never crosses a shard boundary. The
+//! router folds per-tweet scores in global tweet-id order — the order the
+//! monolithic Sum fold uses, so the float sums associate identically; a
+//! Max fold is order-free and calls the `user_score(ρ, δ)` Algorithm 5
+//! calls. Both folds and the final ranking are the engine's own
+//! ([`TklusEngine::try_rank_rows`]). No shard runs Algorithm 5: its prune
+//! skips only rows that cannot change the top-k, so ranking the unpruned
+//! rows gives its answer, ties included.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -35,7 +37,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use tklus_core::{
-    merge_max_users, merge_sum_rows, Completeness, EngineConfig, EngineError, QueryStats,
+    merge_sum_rows, Completeness, EngineConfig, EngineError, PartialSumOutcome, QueryStats,
     RankedUser, Ranking, TklusEngine,
 };
 use tklus_geo::{circle_cover, encode, Geohash};
@@ -48,9 +50,9 @@ use tklus_serve::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::metrics::ShardMetrics;
 use crate::plan::{ShardId, ShardPlan};
 
-/// One parallel-scatter result slot: outer `Option` is "worker filled
-/// it yet", inner is `dispatch`'s breaker-refusal signal.
-type ScatterSlot<T> = Mutex<Option<Option<Result<T, EngineError>>>>;
+/// What one shard dispatch yields: `None` when the breaker refused,
+/// `Some(Err)` a typed engine failure.
+type Dispatched = Option<Result<PartialSumOutcome, EngineError>>;
 
 /// Completeness of a scatter-gather answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,8 +211,8 @@ impl ShardedEngine {
         for (i, posts) in shard_posts.into_iter().enumerate() {
             let config = config_for(i);
             let (index, _) = build_index(&posts, &config.index);
-            // Full corpus: shard metadata (φ, δ, recency, bounds inputs)
-            // must be bitwise-identical to the monolithic engine's.
+            // Full corpus: shard metadata (φ, δ, recency) must be
+            // bitwise-identical to the monolithic engine's.
             engines.push(TklusEngine::try_from_index(index, corpus, &config)?);
         }
         Ok(Self::assemble(engines, plan, geohash_len))
@@ -346,13 +348,37 @@ impl ShardedEngine {
     /// Answers `q` by scatter-gather. Infallible by construction: a shard
     /// failure (engine error or open breaker) degrades the result to a
     /// typed partial naming the shard, it never fails the query.
+    ///
+    /// One gather for both rankings: per-shard tid-ordered scored rows
+    /// ([`TklusEngine::try_partial_sum`]), k-way merged with
+    /// duplicate-tweet elimination into global tweet-id order (the
+    /// monolithic fold order), then folded per user (`+=` or `max`),
+    /// distance-blended and ranked by [`TklusEngine::try_rank_rows`].
     pub fn query(&self, q: &TklusQuery, ranking: Ranking) -> ShardedOutcome {
         let start = Instant::now();
         self.metrics.queries.inc();
-        let mut out = match ranking {
-            Ranking::Sum => self.scatter_sum(q),
-            Ranking::Max(_) => self.scatter_max(q, ranking),
+        let mut parts = self.scatter(q);
+        // The fold, distance blend and ranking run on the first healthy
+        // shard's engine (every shard holds the full corpus metadata, so
+        // any healthy one gives the monolithic bytes); if that too faults,
+        // drop the shard and redo the merge without it (its rows must not
+        // survive its failure).
+        let users: Vec<RankedUser> = loop {
+            let Some(&(rank_sid, _)) = parts.healthy.first() else { break Vec::new() };
+            let merged = merge_sum_rows(parts.healthy.iter().map(|(_, p)| p.rows.as_slice()));
+            match self.shards[rank_sid].engine.try_rank_rows(q, ranking, &merged) {
+                Ok(users) => break users,
+                Err(_) => {
+                    let (sid, _) = parts.healthy.remove(0);
+                    let mut breaker = self.shards[sid].breaker.lock();
+                    breaker.record_failure(self.now_ms());
+                    drop(breaker);
+                    self.metrics.failed.inc();
+                    parts.failed.push(ShardId(sid));
+                }
+            }
         };
+        let mut out = parts.gathered(users);
         out.stats.elapsed = start.elapsed();
         self.metrics.fanout.add(out.fanout as u64);
         if !out.completeness.is_complete() {
@@ -375,21 +401,16 @@ impl ShardedEngine {
         (shards.into_iter().collect(), cover.len())
     }
 
-    /// Dispatches `f` against shard `sid` behind its breaker. `None` means
-    /// the breaker refused; `Some(Err)` a typed engine failure (recorded
-    /// against the breaker).
-    fn dispatch<T>(
-        &self,
-        sid: usize,
-        f: impl FnOnce(&TklusEngine) -> Result<T, EngineError>,
-    ) -> Option<Result<T, EngineError>> {
+    /// Asks shard `sid` for its scored rows behind its breaker; a typed
+    /// engine failure is recorded against the breaker.
+    fn dispatch(&self, sid: usize, q: &TklusQuery) -> Dispatched {
         let shard = &self.shards[sid];
         if shard.breaker.lock().try_grant(self.now_ms()).is_none() {
             self.metrics.failed.inc();
             return None;
         }
         let t0 = Instant::now();
-        let result = f(&shard.engine);
+        let result = shard.engine.try_partial_sum(q);
         self.metrics.latency.record_duration_us(t0.elapsed());
         let mut breaker = shard.breaker.lock();
         match &result {
@@ -406,28 +427,25 @@ impl ShardedEngine {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    /// Dispatches `f` against every shard in `sids`, up to
-    /// `scatter_parallelism` at a time on scoped worker threads. The
-    /// result vector is indexed by position in `sids` — callers consume it
-    /// in that order, so the merge order is identical to the sequential
-    /// loop's no matter how the dispatches interleave in time.
-    fn dispatch_all<T: Send>(
-        &self,
-        sids: &[usize],
-        f: &(dyn Fn(&TklusEngine) -> Result<T, EngineError> + Sync),
-    ) -> Vec<Option<Result<T, EngineError>>> {
+    /// Dispatches to every shard in `sids`, up to `scatter_parallelism`
+    /// at a time on scoped worker threads. The result vector is indexed
+    /// by position in `sids` — callers consume it in that order, so the
+    /// merge order is identical to the sequential loop's no matter how
+    /// the dispatches interleave in time.
+    fn dispatch_all(&self, sids: &[usize], q: &TklusQuery) -> Vec<Dispatched> {
         let threads = self.scatter_parallelism.min(sids.len());
         if threads <= 1 {
-            return sids.iter().map(|&sid| self.dispatch(sid, f)).collect();
+            return sids.iter().map(|&sid| self.dispatch(sid, q)).collect();
         }
-        let slots: Vec<ScatterSlot<T>> = sids.iter().map(|_| Mutex::new(None)).collect();
+        // Outer `Option`: has a worker filled the slot yet.
+        let slots: Vec<Mutex<Option<Dispatched>>> = sids.iter().map(|_| Mutex::new(None)).collect();
         let next = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     let Some(&sid) = sids.get(i) else { break };
-                    let result = self.dispatch(sid, f);
+                    let result = self.dispatch(sid, q);
                     *slots[i].lock() = Some(result);
                 });
             }
@@ -435,21 +453,16 @@ impl ShardedEngine {
         slots.into_iter().map(|s| s.into_inner().expect("worker filled every slot")).collect()
     }
 
-    /// The scatter both rankings share: cover → intersecting shards →
-    /// `f` against each behind its breaker → the answers split into
-    /// healthy and failed. Dispatch is concurrent but collection is by
-    /// fanout position, so `healthy` is in ascending shard order exactly
-    /// as a sequential loop builds it and every merge downstream is
-    /// independent of the scatter width.
-    fn scatter<T: Send>(
-        &self,
-        q: &TklusQuery,
-        f: &(dyn Fn(&TklusEngine) -> Result<T, EngineError> + Sync),
-    ) -> Scattered<T> {
+    /// The scatter: cover → intersecting shards → each one's rows behind
+    /// its breaker → the answers split into healthy and failed. Dispatch
+    /// is concurrent but collection is by fanout position, so `healthy`
+    /// is in ascending shard order exactly as a sequential loop builds it
+    /// and the merge downstream is independent of the scatter width.
+    fn scatter(&self, q: &TklusQuery) -> Scattered {
         let (fanout, cells_total) = self.fanout_for(q);
         let mut healthy = Vec::new();
         let mut failed = Vec::new();
-        for (&sid, result) in fanout.iter().zip(self.dispatch_all(&fanout, f)) {
+        for (&sid, result) in fanout.iter().zip(self.dispatch_all(&fanout, q)) {
             match result {
                 Some(Ok(part)) => healthy.push((sid, part)),
                 Some(Err(_)) | None => failed.push(ShardId(sid)),
@@ -457,72 +470,29 @@ impl ShardedEngine {
         }
         Scattered { healthy, failed, fanout: fanout.len(), cells_total }
     }
-
-    /// Sum-score scatter-gather: per-shard tid-ordered partial rows, k-way
-    /// merged with duplicate-tweet elimination into global tweet-id order
-    /// (the monolithic fold order), then folded, distance-blended and
-    /// ranked by [`TklusEngine::try_rank_sum_rows`].
-    fn scatter_sum(&self, q: &TklusQuery) -> ShardedOutcome {
-        let mut parts = self.scatter(q, &|e| e.try_partial_sum(q));
-        // The fold, distance blend and ranking run on the first healthy
-        // shard's engine (every shard holds the full corpus metadata, so
-        // any healthy one gives the monolithic bytes); if that too faults,
-        // drop the shard and redo the merge without it (its rows must not
-        // survive its failure).
-        let users: Vec<RankedUser> = loop {
-            let Some(&(rank_sid, _)) = parts.healthy.first() else { break Vec::new() };
-            let merged = merge_sum_rows(parts.healthy.iter().map(|(_, p)| p.rows.as_slice()));
-            match self.shards[rank_sid].engine.try_rank_sum_rows(q, &merged) {
-                Ok(users) => break users,
-                Err(_) => {
-                    let (sid, _) = parts.healthy.remove(0);
-                    let mut breaker = self.shards[sid].breaker.lock();
-                    breaker.record_failure(self.now_ms());
-                    drop(breaker);
-                    self.metrics.failed.inc();
-                    parts.failed.push(ShardId(sid));
-                }
-            }
-        };
-        parts.gathered(users, |p| (&p.stats, &p.completeness))
-    }
-
-    /// Maximum-score scatter-gather: each shard's own top-k (Algorithm 5,
-    /// Definition 11 thread pruning included), merged per user by float
-    /// max.
-    fn scatter_max(&self, q: &TklusQuery, ranking: Ranking) -> ShardedOutcome {
-        let parts = self.scatter(q, &|e| e.try_query(q, ranking));
-        let users = merge_max_users(
-            parts.healthy.iter().flat_map(|(_, out)| out.users.iter().copied()),
-            q.k,
-        );
-        parts.gathered(users, |out| (&out.stats, &out.completeness))
-    }
 }
 
 /// What one scatter collected, in fanout (ascending shard) order.
-struct Scattered<T> {
-    healthy: Vec<(usize, T)>,
+struct Scattered {
+    healthy: Vec<(usize, PartialSumOutcome)>,
     failed: Vec<ShardId>,
     fanout: usize,
     cells_total: usize,
 }
 
-impl<T> Scattered<T> {
+impl Scattered {
     /// The merged outcome around `users`: work tallies summed and
-    /// completeness folded over the healthy partials, `part` naming where
-    /// a partial keeps the two.
-    fn gathered(
-        self,
-        users: Vec<RankedUser>,
-        part: impl Fn(&T) -> (&QueryStats, &Completeness),
-    ) -> ShardedOutcome {
+    /// completeness folded over the healthy partials.
+    fn gathered(self, users: Vec<RankedUser>) -> ShardedOutcome {
         let mut stats = QueryStats::default();
         for (_, p) in &self.healthy {
-            merge_stats(&mut stats, part(p).0);
+            merge_stats(&mut stats, &p.stats);
         }
-        let completeness =
-            consensus(self.failed, self.healthy.iter().map(|(_, p)| part(p).1), self.cells_total);
+        let completeness = consensus(
+            self.failed,
+            self.healthy.iter().map(|(_, p)| &p.completeness),
+            self.cells_total,
+        );
         ShardedOutcome {
             users,
             stats,

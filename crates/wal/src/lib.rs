@@ -25,7 +25,7 @@
 //!   to a from-scratch engine, and atomic-manifest compaction.
 //!
 //! The correctness contracts — ack durability, replay idempotence,
-//! snapshot equality, loosen-only bound soundness — are exercised by the
+//! snapshot equality — are exercised by the
 //! crash-recovery suite in `tests/` across seeded crash points in every
 //! write-path operation.
 
@@ -49,6 +49,6 @@ pub use log::{
 pub use memtable::MemtableIndex;
 pub use record::{decode_record, encode_record, WalRecord};
 pub use store::{
-    parse_seal_name, seal_name, BoundsAudit, CompactionReport, CompactionStrategy, CompactorHandle,
-    IngestStore, OpenReport, StoreConfig, MANIFEST,
+    parse_seal_name, seal_name, CompactionReport, CompactionStrategy, CompactorHandle, IngestStore,
+    OpenReport, StoreConfig, MANIFEST,
 };

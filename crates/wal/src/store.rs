@@ -7,8 +7,8 @@
 //!                                        │
 //!              sealed engine             ▼
 //!              (immutable index     MemtableIndex (live postings)
-//!               over sealed posts,  + engine metadata/bounds
-//!               metadata over ALL     (mutated in place)
+//!               over sealed posts,  + engine metadata
+//!               metadata over ALL     (inserted in place)
 //!               acked posts)
 //!                      ▲
 //!                      └── compaction: touched geohash partitions
@@ -18,24 +18,21 @@
 //! ```
 //!
 //! The engine's inverted index covers only *sealed* posts; its metadata
-//! database, thread cache, and popularity bounds cover *all* acked posts
-//! (each ingest inserts metadata, invalidates the staled thread-cache
-//! entries, and loosens the affected bounds — see
-//! [`tklus_core::TklusEngine::try_insert_metadata`]). Queries merge the
-//! sealed engine's candidates with the memtable's into one
-//! tweet-id-ordered stream, which reproduces a from-scratch engine's
-//! answers **bitwise** (the oracle suite asserts equality, not closeness):
-//!
-//! * Sum: sealed [`TklusEngine::try_partial_sum`] rows and memtable rows
-//!   (scored by the identical per-candidate sequence) merge by tweet id —
-//!   the monolithic fold order — and
-//!   [`TklusEngine::try_rank_sum_rows`] folds, blends, and ranks them with
-//!   Algorithm 4's own code.
-//! * Max: the sealed top-k and the exhaustively-scored memtable users
-//!   merge by per-user maximum. Exact because `user_score` is monotone in
-//!   its keyword part (so per-user max of scores equals score of max ρ)
-//!   and a user outside the sealed top-k with no live tweet is dominated
-//!   by k users in the merged set.
+//! database and thread cache cover *all* acked posts (each ingest inserts
+//! metadata and invalidates the staled thread-cache entries — see
+//! [`tklus_core::TklusEngine::try_insert_metadata`]). Its bounds table
+//! describes the sealed corpus it was built over and is never consulted:
+//! the store does not run Algorithm 5. A query of either ranking is one
+//! gather, which reproduces a from-scratch engine's answers **bitwise**
+//! (the oracle suite asserts equality, not closeness): sealed
+//! [`TklusEngine::try_partial_sum`] rows and memtable rows (scored by the
+//! same per-candidate body, [`TklusEngine::try_score_candidates`]) merge
+//! by tweet id — the monolithic fold order — and
+//! [`TklusEngine::try_rank_rows`] folds them per user (`+=` for Sum,
+//! `max` for Max), blends and ranks with the engine's own code. For Max
+//! that is Algorithm 5's answer, because its prune skips only rows that
+//! cannot change the top-k and its running set ranks in the same total
+//! order.
 //!
 //! # Incremental, off-latch compaction
 //!
@@ -106,13 +103,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tklus_core::score::{tweet_keyword_score, user_score};
-use tklus_core::{
-    merge_max_users, merge_sum_rows, EngineConfig, MetaReader, RankedUser, Ranking, SumRow,
-    TklusEngine,
-};
+use tklus_core::{merge_sum_rows, EngineConfig, RankedUser, Ranking, SumRow, TklusEngine};
 use tklus_geo::{circle_cover, encode, Geohash};
-use tklus_model::{Corpus, Post, TklusQuery, TweetId, UserId};
+use tklus_model::{Corpus, Post, TklusQuery, TweetId};
 use tklus_storage::crc32;
 
 /// Manifest header line.
@@ -304,11 +297,8 @@ struct Inner {
     /// configuration, not state.
     groups: Vec<char>,
     sealed_len: usize,
-    /// Tweet id → index into `acked` (duplicate detection, ancestor text).
+    /// Tweet id → index into `acked` (duplicate detection).
     by_id: HashMap<TweetId, usize>,
-    /// Direct-reply fan-out per target, over all acked posts (feeds the
-    /// loosen-only global bound).
-    fanout: HashMap<TweetId, usize>,
     /// Highest acked seq per WAL segment ordinal. The seq-fenced trim
     /// consults this: a segment may be removed only once every record it
     /// holds is at or below the sealed fence.
@@ -491,7 +481,6 @@ impl IngestStore {
             groups,
             sealed_len: 0,
             by_id: HashMap::new(),
-            fanout: HashMap::new(),
             segment_max_seq: recovery.segment_max_seqs.iter().copied().collect(),
             next_seq,
             max_seq: manifest.sealed_seq,
@@ -503,9 +492,6 @@ impl IngestStore {
         inner.sealed_len = inner.acked.len();
         for (i, rec) in inner.acked.iter().enumerate() {
             inner.by_id.insert(rec.post.id, i);
-            if let Some(r) = rec.post.in_reply_to {
-                *inner.fanout.entry(r.target).or_insert(0) += 1;
-            }
         }
         let store = Self {
             fs,
@@ -540,20 +526,9 @@ impl IngestStore {
         let at = inner.acked.len();
         inner.by_id.insert(rec.post.id, at);
         inner.groups.push(Self::post_group(&inner.engine, &rec.post));
-        if let Some(reply) = rec.post.in_reply_to {
-            *inner.fanout.entry(reply.target).or_insert(0) += 1;
-        }
         inner.acked.push(rec);
         inner.max_seq = inner.max_seq.max(seq);
-        let applied = Self::replay_suffix(
-            &mut inner.engine,
-            &mut inner.memtable,
-            &inner.acked,
-            &inner.by_id,
-            &inner.fanout,
-            at,
-        );
-        match applied {
+        match Self::replay_suffix(&mut inner.engine, &mut inner.memtable, &inner.acked, at) {
             Ok(()) => Ok(seq),
             Err(_) => match self.rebuild_live(inner) {
                 Ok(()) => Ok(seq),
@@ -565,44 +540,20 @@ impl IngestStore {
         }
     }
 
-    /// Re-applies `acked[from..]` — metadata, loosen-only bounds, and
-    /// memtable postings — onto an engine whose metadata covers exactly
-    /// `acked[..from]`. `fanout` counts every record of `acked`, so a
-    /// multi-record replay loosens the global bound with *final* counts,
-    /// which can only over-loosen. The one apply routine: ingest, the
-    /// post-swap suffix replay and the poison-recovery rebuild all run it.
+    /// Re-applies `acked[from..]` — metadata, then memtable postings —
+    /// onto an engine whose metadata covers exactly `acked[..from]`. The
+    /// one apply routine: ingest, the post-swap suffix replay and the
+    /// poison-recovery rebuild all run it.
     fn replay_suffix(
         engine: &mut TklusEngine,
         memtable: &mut MemtableIndex,
         acked: &[WalRecord],
-        by_id: &HashMap<TweetId, usize>,
-        fanout: &HashMap<TweetId, usize>,
         from: usize,
     ) -> Result<(), WalError> {
-        for at in from..acked.len() {
-            let post = acked[at].post.clone();
-            engine.try_insert_metadata(&post)?;
-            // Loosen-only bound refresh: the new post grows every
-            // ancestor's thread, so each ancestor's φ may rise; raise the
-            // hot bound of every term those posts carry, and the global
-            // bound for the target's fan-out. Bounds only ever prune
-            // *sealed* candidates (memtable candidates are scored
-            // exhaustively), so over-loosening costs pruning power, never
-            // correctness.
-            if let Some(reply) = post.in_reply_to {
-                engine.loosen_global_for_fanout(fanout[&reply.target]);
-                let mut affected = vec![post.id];
-                affected.extend(engine.try_ancestor_chain(&post)?);
-                for tid in affected {
-                    let phi = engine.try_thread_phi(tid)?;
-                    let Some(&idx) = by_id.get(&tid) else { continue };
-                    let text = acked[idx].post.text.clone();
-                    for term in engine.text_terms(&text) {
-                        engine.loosen_hot_bound(term, phi);
-                    }
-                }
-            }
-            let cell = Self::post_cell(engine, &post)?;
+        for rec in &acked[from..] {
+            let post = &rec.post;
+            engine.try_insert_metadata(post)?;
+            let cell = Self::post_cell(engine, post)?;
             let terms = engine.term_counts(&post.text);
             memtable.insert(post.id, post.user, cell, &terms);
         }
@@ -617,23 +568,9 @@ impl IngestStore {
         let mut engine =
             Self::build_engine(sealed.iter().map(|r| r.post.clone()), &self.config.engine)?;
         let mut memtable = MemtableIndex::new();
-        let mut fanout: HashMap<TweetId, usize> = HashMap::new();
-        for rec in &inner.acked {
-            if let Some(r) = rec.post.in_reply_to {
-                *fanout.entry(r.target).or_insert(0) += 1;
-            }
-        }
-        Self::replay_suffix(
-            &mut engine,
-            &mut memtable,
-            &inner.acked,
-            &inner.by_id,
-            &fanout,
-            inner.sealed_len,
-        )?;
+        Self::replay_suffix(&mut engine, &mut memtable, &inner.acked, inner.sealed_len)?;
         inner.engine = engine;
         inner.memtable = memtable;
-        inner.fanout = fanout;
         inner.poisoned = false;
         Ok(())
     }
@@ -696,87 +633,34 @@ impl IngestStore {
             return Err(WalError::Poisoned);
         }
         let engine = &inner.engine;
-        // One reader for everything this gatherer looks up itself; the
-        // read latch held above is what keeps the trees still under it.
-        let mut meta = engine.db().reader();
-        let live = self.live_candidates(&inner, &mut meta, q)?;
-        match ranking {
-            Ranking::Sum => {
-                // The sealed and live sets are disjoint (a tweet is sealed
-                // or live, never both) and both streams are id-sorted:
-                // merged by tweet id they are the monolithic fold order,
-                // so the engine's own fold, blend and ranking reproduce a
-                // from-scratch engine's floats.
-                let sealed = engine.try_partial_sum(q)?;
-                let merged = merge_sum_rows([sealed.rows.as_slice(), live.as_slice()].into_iter());
-                Ok(engine.try_rank_sum_rows(q, &merged)?)
-            }
-            Ranking::Max(_) => {
-                let sealed = engine.try_query(q, ranking)?;
-                // Per-user best keyword relevance over the live tweets.
-                let mut live_best: HashMap<UserId, f64> = HashMap::new();
-                for row in live {
-                    let entry = live_best.entry(row.user).or_insert(f64::NEG_INFINITY);
-                    if row.rho > *entry {
-                        *entry = row.rho;
-                    }
-                }
-                let mut live_users: Vec<(UserId, f64)> = live_best.into_iter().collect();
-                live_users.sort_by_key(|e| e.0);
-                let mut scored = sealed.users;
-                for (uid, rho) in live_users {
-                    let delta = engine.try_user_distance_score_with(
-                        &mut meta,
-                        &q.location,
-                        q.radius_km,
-                        uid,
-                    )?;
-                    scored.push(RankedUser {
-                        user: uid,
-                        score: user_score(rho, delta, engine.scoring()),
-                    });
-                }
-                Ok(merge_max_users(scored, q.k))
-            }
-        }
+        // The sealed and live sets are disjoint (a tweet is sealed or
+        // live, never both) and both streams are id-sorted: merged by
+        // tweet id they are the monolithic fold order, so the engine's own
+        // fold, blend and ranking reproduce a from-scratch engine's floats.
+        let live = Self::live_rows(&inner, q)?;
+        let sealed = engine.try_partial_sum(q)?;
+        let merged = merge_sum_rows([sealed.rows.as_slice(), live.as_slice()].into_iter());
+        Ok(engine.try_rank_rows(q, ranking, &merged)?)
     }
 
-    /// Scores the memtable's candidates for `q` with the exact
-    /// per-candidate sequence of Algorithm 4/5's relevance stage: time
-    /// window, metadata row, radius, thread popularity, keyword score ×
-    /// recency. Returns id-sorted rows.
-    fn live_candidates(
-        &self,
-        inner: &Inner,
-        meta: &mut MetaReader<'_>,
-        q: &TklusQuery,
-    ) -> Result<Vec<SumRow>, WalError> {
+    /// The memtable's candidates for `q`, scored by the engine's own
+    /// per-candidate body. Returns id-sorted rows.
+    fn live_rows(inner: &Inner, q: &TklusQuery) -> Result<Vec<SumRow>, WalError> {
         let engine = &inner.engine;
         if inner.memtable.is_empty() {
             return Ok(Vec::new());
         }
-        let scoring = engine.scoring();
-        let cover =
-            circle_cover(&q.location, q.radius_km, engine.index().geohash_len(), scoring.metric)
-                .expect("index geohash length is valid");
+        let cover = circle_cover(
+            &q.location,
+            q.radius_km,
+            engine.index().geohash_len(),
+            engine.scoring().metric,
+        )
+        .expect("index geohash length is valid");
         let keywords: Vec<Option<String>> =
             q.keywords.iter().map(|kw| engine.normalize_keyword(kw)).collect();
-        let mut rows = Vec::new();
-        for (tid, tf) in inner.memtable.candidates(&cover, &keywords, q.semantics) {
-            if !q.in_time_range(tid.0) {
-                continue;
-            }
-            let Some(row) = meta.try_row(tid).map_err(tklus_core::EngineError::from)? else {
-                continue;
-            };
-            if q.location.distance_km(&row.location, scoring.metric) > q.radius_km {
-                continue;
-            }
-            let phi = engine.try_thread_phi_with(meta, tid)?;
-            let rho = tweet_keyword_score(tf, phi, scoring) * q.recency_factor(tid.0);
-            rows.push(SumRow { tweet: tid, user: row.uid, rho });
-        }
-        Ok(rows)
+        let cands = inner.memtable.candidates(&cover, &keywords, q.semantics);
+        Ok(engine.try_score_candidates(q, cands)?)
     }
 
     /// Runs one compaction round, recording the outcome for
@@ -904,14 +788,7 @@ impl IngestStore {
         let mut memtable = MemtableIndex::new();
         let replayed = {
             let inner = &mut *inner;
-            Self::replay_suffix(
-                &mut inner.engine,
-                &mut memtable,
-                &inner.acked,
-                &inner.by_id,
-                &inner.fanout,
-                sealed_len,
-            )
+            Self::replay_suffix(&mut inner.engine, &mut memtable, &inner.acked, sealed_len)
         };
         match replayed {
             Ok(()) => inner.memtable = memtable,
@@ -1046,35 +923,6 @@ impl IngestStore {
         self.inner.read().poisoned
     }
 
-    /// Audits the loosen-only bound-refresh invariant: for every acked
-    /// post `p` and every hot term `t` in its text, `hot_bound(t)` must
-    /// dominate φ(p) under the *current* reply graph (live replies
-    /// included), and the global bound must dominate φ(p) outright —
-    /// Algorithm 5's prune consults exactly these bounds for sealed
-    /// candidates. Returns the audit; the oracle suite asserts it clean.
-    pub fn check_bounds_soundness(&self) -> Result<BoundsAudit, WalError> {
-        let inner = self.inner.read();
-        if inner.poisoned {
-            return Err(WalError::Poisoned);
-        }
-        let engine = &inner.engine;
-        let mut audit = BoundsAudit::default();
-        for rec in &inner.acked {
-            let phi = engine.try_thread_phi(rec.post.id)?;
-            if engine.bounds().global() < phi {
-                audit.violations.push((rec.post.id, None));
-            }
-            for term in engine.text_terms(&rec.post.text) {
-                let Some(bound) = engine.bounds().hot_bound(term) else { continue };
-                audit.checked += 1;
-                if bound < phi {
-                    audit.violations.push((rec.post.id, Some(term)));
-                }
-            }
-        }
-        Ok(audit)
-    }
-
     /// Starts the background compactor: polls every
     /// `config.compact_interval` and seals once `compact_threshold` posts
     /// are live. Failures are *counted*, not swallowed: the outcome feeds
@@ -1124,17 +972,6 @@ impl IngestStore {
     }
 }
 
-/// Result of [`IngestStore::check_bounds_soundness`].
-#[derive(Debug, Clone, Default)]
-pub struct BoundsAudit {
-    /// `(post, hot term)` pairs inspected.
-    pub checked: usize,
-    /// Posts whose φ exceeds a bound that should dominate it: `Some(t)` =
-    /// the hot bound for `t`, `None` = the global bound. Always empty
-    /// unless the loosen-only refresh is broken.
-    pub violations: Vec<(TweetId, Option<tklus_text::TermId>)>,
-}
-
 /// Stops the background compactor on drop (or explicitly via
 /// [`CompactorHandle::stop`]).
 pub struct CompactorHandle {
@@ -1170,7 +1007,7 @@ mod tests {
     use crate::fs::SimFs;
     use tklus_core::{BoundsMode, Ranking};
     use tklus_geo::Point;
-    use tklus_model::Semantics;
+    use tklus_model::{Semantics, UserId};
 
     fn post(id: u64, user: u64, lat: f64, lon: f64, text: &str) -> Post {
         Post::original(TweetId(id), UserId(user), Point::new_unchecked(lat, lon), text)
@@ -1386,7 +1223,7 @@ mod tests {
     }
 
     #[test]
-    fn replies_loosen_bounds_and_queries_stay_exact() {
+    fn replies_grow_threads_and_queries_survive_reopen() {
         let (fs, _) = SimFs::new(13);
         let (store, _) = open(&fs);
         store.ingest(post(1, 10, 43.70, -79.42, "grand hotel opening")).unwrap();
