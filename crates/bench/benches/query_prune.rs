@@ -1,6 +1,6 @@
 //! Ablation: the upper-bound prune of Algorithm 5 — Sum (no pruning) vs
-//! Maximum with the global bound vs Maximum with hot-keyword bounds, on
-//! the same queries.
+//! Algorithm 5 (`try_query_max`) with the global bound vs with hot-keyword
+//! bounds, on the same queries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tklus_bench::{build_engine, query_workload, standard_corpus, to_query, Flags};
@@ -10,7 +10,7 @@ use tklus_model::Semantics;
 fn bench_query_prune(c: &mut Criterion) {
     let flags = Flags { posts: 10_000, seed: 0x7B1D5, queries: 5 };
     let corpus = standard_corpus(&flags);
-    let engine = build_engine(&corpus, 4);
+    let (engine, bounds) = build_engine(&corpus, 4);
     let specs: Vec<_> = query_workload(&corpus)
         .into_iter()
         .filter(|s| tklus_gen::TABLE2_KEYWORDS.contains(&s.keywords[0].as_str()))
@@ -21,10 +21,10 @@ fn bench_query_prune(c: &mut Criterion) {
     group.sample_size(10);
     for &radius in &[20.0f64, 50.0] {
         let queries: Vec<_> = specs.iter().map(|s| to_query(s, radius, 5, Semantics::Or)).collect();
-        for (name, ranking) in [
-            ("sum", Ranking::Sum),
-            ("max_global", Ranking::Max(BoundsMode::Global)),
-            ("max_hot", Ranking::Max(BoundsMode::HotKeywords)),
+        for (name, mode) in [
+            ("sum", None),
+            ("max_global", Some(BoundsMode::Global)),
+            ("max_hot", Some(BoundsMode::HotKeywords)),
         ] {
             group.bench_with_input(
                 BenchmarkId::new(name, format!("r{radius}")),
@@ -32,7 +32,14 @@ fn bench_query_prune(c: &mut Criterion) {
                 |b, queries| {
                     b.iter(|| {
                         for q in queries {
-                            let _ = engine.query(q, ranking);
+                            match mode {
+                                None => {
+                                    let _ = engine.query(q, Ranking::Sum);
+                                }
+                                Some(mode) => {
+                                    let _ = engine.try_query_max(q, &bounds, mode);
+                                }
+                            }
                         }
                     })
                 },

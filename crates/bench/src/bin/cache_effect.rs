@@ -57,8 +57,7 @@ fn reply_heavy_corpus(posts: usize, seed: u64) -> Corpus {
 fn engine_with_caches(corpus: &Corpus, caches: CacheConfig) -> TklusEngine {
     // A generous page budget for *both* engines: the comparison isolates
     // the query-cache layers, not buffer-pool thrash.
-    let config =
-        EngineConfig { hot_keywords: 200, cache_pages: 8192, caches, ..EngineConfig::default() };
+    let config = EngineConfig { cache_pages: 8192, caches, ..EngineConfig::default() };
     TklusEngine::build(corpus, &config).0
 }
 

@@ -7,23 +7,27 @@
 //! * window selectivity: query cost as the time window narrows (the window
 //!   filter runs before any metadata I/O, so cost should fall with
 //!   selectivity);
-//! * recency's effect on the Maximum ranking's pruning (the decay factor
-//!   tightens the upper bound, so pruning should not decrease);
+//! * recency's effect on Algorithm 5's pruning (the decay factor tightens
+//!   the upper bound, so pruning should not decrease), timed through
+//!   `TklusEngine::try_query_max` over the harness's bounds;
 //! * result churn: Kendall tau between the timeless and recency-biased
 //!   rankings.
 
 use tklus_bench::{
     banner, build_engine, csv_row, ms, parse_flags, query_workload, standard_corpus, to_query,
 };
-use tklus_core::{BoundsMode, Ranking};
+use tklus_core::{BoundsMode, QueryOutcome, Ranking};
 use tklus_metrics::{padded_kendall_tau, Summary};
-use tklus_model::Semantics;
+use tklus_model::{Semantics, TklusQuery};
 
 fn main() {
     let flags = parse_flags();
     banner("Extension: temporal TkLUS (window selectivity and recency)", &flags);
     let corpus = standard_corpus(&flags);
-    let engine = build_engine(&corpus, 4);
+    let (engine, bounds) = build_engine(&corpus, 4);
+    let alg5 = |q: &TklusQuery| -> QueryOutcome {
+        engine.try_query_max(q, &bounds, BoundsMode::HotKeywords).expect("in-memory query")
+    };
     let specs: Vec<_> = query_workload(&corpus).into_iter().take(flags.queries.max(5)).collect();
     let max_ts = corpus.posts().last().expect("non-empty corpus").id.0;
 
@@ -72,12 +76,7 @@ fn main() {
         .iter()
         .map(|spec| {
             let q = to_query(spec, 50.0, 5, Semantics::Or);
-            engine
-                .query(&q, Ranking::Max(BoundsMode::HotKeywords))
-                .0
-                .iter()
-                .map(|r| r.user)
-                .collect()
+            alg5(&q).users.iter().map(|r| r.user).collect()
         })
         .collect();
     for &half_life_frac in &[1.0f64, 0.25, 0.05] {
@@ -90,7 +89,7 @@ fn main() {
             let q = to_query(spec, 50.0, 5, Semantics::Or)
                 .with_recency(max_ts, half_life)
                 .expect("valid recency");
-            let (top, stats) = engine.query(&q, Ranking::Max(BoundsMode::HotKeywords));
+            let QueryOutcome { users: top, stats, .. } = alg5(&q);
             times.push(ms(stats.elapsed));
             built += stats.threads_built as u64;
             pruned += stats.threads_pruned as u64;

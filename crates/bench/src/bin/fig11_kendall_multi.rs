@@ -15,7 +15,7 @@ fn main() {
     let flags = parse_flags();
     banner("Figure 11: Kendall tau (Sum vs Maximum), multi-keyword", &flags);
     let corpus = standard_corpus(&flags);
-    let engine = build_engine(&corpus, 4);
+    let (engine, _) = build_engine(&corpus, 4);
     let all_specs = query_workload(&corpus);
     let radii = [5.0, 10.0, 20.0, 50.0];
     println!(

@@ -50,7 +50,7 @@ fn main() {
     let flags = parse_flags();
     banner("Figure 13: simulated user study", &flags);
     let corpus = standard_corpus(&flags);
-    let engine = build_engine(&corpus, 4);
+    let (engine, _) = build_engine(&corpus, 4);
     let pipeline = TextPipeline::new();
     // "A total of 30 queries with one to three keywords": 10 per bucket.
     let all_specs = query_workload(&corpus);

@@ -24,7 +24,7 @@ fn main() {
         "length", "radius km", "mean ms", "candidates", "cover cells"
     );
     for len in 1..=4usize {
-        let engine = build_engine(&corpus, len);
+        let (engine, _) = build_engine(&corpus, len);
         for &radius in &radii {
             let mut times = Vec::new();
             let mut cands = Vec::new();

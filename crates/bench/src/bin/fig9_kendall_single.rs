@@ -16,7 +16,7 @@ fn main() {
     let flags = parse_flags();
     banner("Figure 9: Kendall tau (Sum vs Maximum), single keyword", &flags);
     let corpus = standard_corpus(&flags);
-    let engine = build_engine(&corpus, 4);
+    let (engine, _) = build_engine(&corpus, 4);
     let specs: Vec<_> = query_workload(&corpus).into_iter().take(30).collect();
     let radii = [5.0, 10.0, 20.0, 50.0, 100.0];
     println!("{:<10} {:>12} {:>12}", "radius km", "tau top-5", "tau top-10");

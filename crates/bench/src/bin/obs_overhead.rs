@@ -25,8 +25,7 @@ use tklus_model::{Semantics, TklusQuery};
 const BUDGET_PCT: f64 = 2.0;
 
 fn engine_with_metrics(corpus: &tklus_model::Corpus, metrics: bool) -> TklusEngine {
-    let config =
-        EngineConfig { hot_keywords: 200, cache_pages: 8192, metrics, ..EngineConfig::default() };
+    let config = EngineConfig { cache_pages: 8192, metrics, ..EngineConfig::default() };
     TklusEngine::build(corpus, &config).0
 }
 

@@ -458,7 +458,7 @@ fn main() {
         seed: flags.seed,
         ..GenConfig::default()
     });
-    let engine = Arc::new(build_engine(&corpus, 4));
+    let engine = Arc::new(build_engine(&corpus, 4).0);
 
     let specs = query_workload(&corpus);
     let requests: Vec<(TklusQuery, Ranking)> = specs

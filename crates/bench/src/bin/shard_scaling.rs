@@ -25,7 +25,7 @@ const SHARD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 const RADII_KM: [f64; 3] = [5.0, 25.0, 120.0];
 
 fn bench_config() -> EngineConfig {
-    EngineConfig { hot_keywords: 200, cache_pages: 8192, ..EngineConfig::default() }
+    EngineConfig { cache_pages: 8192, ..EngineConfig::default() }
 }
 
 struct NShardReport {

@@ -7,8 +7,9 @@
 //! accept `--posts`, `--seed`, and `--queries` flags to scale the run.
 
 use std::time::{Duration, Instant};
-use tklus_core::{EngineConfig, Ranking, TklusEngine};
+use tklus_core::{BoundsTable, EngineConfig, Ranking, TklusEngine};
 use tklus_gen::{generate_corpus, generate_queries, GenConfig, QueryConfig, QuerySpec};
+use tklus_graph::SocialNetwork;
 use tklus_index::IndexBuildConfig;
 use tklus_model::{Corpus, Semantics, TklusQuery};
 
@@ -68,7 +69,10 @@ pub fn standard_corpus(flags: &Flags) -> Corpus {
     })
 }
 
-/// Builds a full engine over the corpus at the given geohash length.
+/// Builds a full engine over the corpus at the given geohash length, and
+/// the Section V-B bounds table Algorithm 5
+/// ([`TklusEngine::try_query_max`]) prunes with — the paper's offline
+/// step, which the engine itself no longer runs.
 ///
 /// Bounds are precomputed for the top-200 terms rather than the paper's
 /// top-10: our multi-keyword queries pair a hot anchor with mid-frequency
@@ -76,13 +80,22 @@ pub fn standard_corpus(flags: &Flags) -> Corpus {
 /// Section VI-B5) only bites when the qualifier has a specific bound too —
 /// which the paper's own "Mexican restaurant" example assumes. The table
 /// is still a few kilobytes.
-pub fn build_engine(corpus: &Corpus, geohash_len: usize) -> TklusEngine {
+pub fn build_engine(corpus: &Corpus, geohash_len: usize) -> (TklusEngine, BoundsTable) {
     let config = EngineConfig {
         index: IndexBuildConfig { geohash_len, nodes: PAPER_NODES, ..IndexBuildConfig::default() },
         hot_keywords: 200,
         ..EngineConfig::default()
     };
-    TklusEngine::build(corpus, &config).0
+    let engine = TklusEngine::build(corpus, &config).0;
+    let network = SocialNetwork::from_corpus(corpus);
+    let bounds = BoundsTable::precompute(
+        corpus,
+        &network,
+        engine.index().vocab(),
+        config.hot_keywords,
+        &config.scoring,
+    );
+    (engine, bounds)
 }
 
 /// The 90-query workload (30 per keyword count) of Section VI-B1.
@@ -146,7 +159,7 @@ mod tests {
     fn engine_answers_workload_queries() {
         let flags = Flags { posts: 1500, seed: 3, queries: 2 };
         let corpus = standard_corpus(&flags);
-        let engine = build_engine(&corpus, 4);
+        let (engine, _) = build_engine(&corpus, 4);
         let specs = query_workload(&corpus);
         let q = to_query(&specs[0], 20.0, 5, Semantics::Or);
         let (_, stats) = engine.query(&q, Ranking::Sum);

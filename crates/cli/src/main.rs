@@ -498,7 +498,7 @@ fn cmd_query(raw: Vec<String>) -> Result<(), CliError> {
     };
 
     let corpus = corpus_from(&args)?;
-    let engine_config = EngineConfig { hot_keywords: 200, caches, ..EngineConfig::default() };
+    let engine_config = EngineConfig { caches, ..EngineConfig::default() };
     // Scatter-gather path: `--shards N` over a freshly built corpus, or a
     // `--index` directory carrying a sharded (format v3) manifest.
     let shards_flag = args.get::<usize>("shards")?;
@@ -572,9 +572,7 @@ fn cmd_query(raw: Vec<String>) -> Result<(), CliError> {
         stats.metadata_page_reads,
         stats.elapsed.as_secs_f64() * 1e3
     );
-    // Per-stage span breakdown (DESIGN.md §12). Under Max ranking the
-    // scoring stage reads 0: scoring is interleaved with thread
-    // construction and attributed to `threads`.
+    // Per-stage span breakdown (DESIGN.md §12).
     let st = &stats.stages;
     if *st != tklus_core::StageTimings::default() {
         let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;

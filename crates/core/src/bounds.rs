@@ -7,10 +7,16 @@
 //! each of the top-10 hot keywords, the largest actual thread popularity
 //! among threads rooted at tweets containing that keyword, and uses the
 //! keyword-specific bound when a query contains a hot keyword.
+//!
+//! No engine builds or holds a table. Algorithm 5
+//! ([`crate::TklusEngine::try_query_max`]) takes one from its caller —
+//! the figure harness and the tests precompute it with
+//! [`BoundsTable::precompute`] — while every product query ranks Max by
+//! folding unpruned rows and needs no bound.
 
 use std::collections::HashMap;
 use tklus_graph::{build_thread, upper_bound_popularity, SocialNetwork};
-use tklus_model::{Corpus, ScoringConfig, Semantics, TweetId};
+use tklus_model::{Corpus, ScoringConfig, Semantics};
 use tklus_text::{TermId, TextPipeline, Vocab};
 
 /// Which popularity bound Algorithm 5 consults.
@@ -24,9 +30,9 @@ pub enum BoundsMode {
     HotKeywords,
 }
 
-/// Pre-computed popularity bounds: built once per engine and never
-/// mutated — they describe the corpus the engine was built over, which is
-/// the only corpus Algorithm 5 runs on.
+/// Pre-computed popularity bounds: built once, offline, and never mutated —
+/// they describe the corpus they were computed over, which must be the
+/// corpus of the engine Algorithm 5 runs on.
 #[derive(Debug, Clone)]
 pub struct BoundsTable {
     global: f64,
@@ -45,24 +51,6 @@ impl BoundsTable {
         vocab: &Vocab,
         hot_n: usize,
         config: &ScoringConfig,
-    ) -> Self {
-        Self::precompute_with_seed(corpus, network, vocab, hot_n, config, |_, _| {})
-    }
-
-    /// [`Self::precompute`], also reporting every `(root tweet, φ)` pair it
-    /// computes to `seed`. The engine uses this to pre-warm its thread
-    /// cache: the threads built here are exactly the hot-keyword threads
-    /// queries are most likely to pay for, and φ depends only on the
-    /// thread's level sizes, so a value computed offline over the social
-    /// network equals what query time would compute over the metadata
-    /// database.
-    pub fn precompute_with_seed(
-        corpus: &Corpus,
-        network: &SocialNetwork,
-        vocab: &Vocab,
-        hot_n: usize,
-        config: &ScoringConfig,
-        mut seed: impl FnMut(TweetId, f64),
     ) -> Self {
         let global =
             upper_bound_popularity(network.max_fanout(), config.thread_depth, config.epsilon);
@@ -85,7 +73,6 @@ impl BoundsTable {
             let mut provider = network;
             let phi = build_thread(&mut provider, post.id, config.thread_depth)
                 .popularity(config.epsilon);
-            seed(post.id, phi);
             for t in matched {
                 let entry = hot.get_mut(&t).expect("hot term");
                 if phi > *entry {

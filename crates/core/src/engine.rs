@@ -1,10 +1,13 @@
 //! The end-to-end TkLUS engine: Figure 3's system in one object.
 //!
-//! Building the engine runs the full offline pipeline — the MapReduce
-//! index build (Algorithms 2/3), the metadata database load, and the
-//! hot-keyword bound precomputation (Section V-B) — after which
-//! [`TklusEngine::query`] answers TkLUS queries with either ranking
-//! algorithm.
+//! An engine is its hybrid index (the MapReduce build of Algorithms 2/3)
+//! and its metadata database, and nothing else. [`TklusEngine::query`]
+//! answers either ranking with one algorithm: Algorithm 4's scored rows,
+//! folded per user by `+=` (Sum) or `max` (Max). Algorithm 5, the
+//! paper's pruned Max, is [`TklusEngine::try_query_max`]: the caller
+//! passes the Section V-B bounds it precomputed with
+//! [`BoundsTable::precompute`]. The figure harness and the tests call it;
+//! no product path does.
 //!
 //! `build` and `query` come in two flavours (DESIGN.md §10): a `try_*`
 //! method that threads typed [`EngineError`]s up from the storage and
@@ -18,13 +21,12 @@ use crate::error::EngineError;
 use crate::metadata::{MetadataDb, MetadataStoreFactory};
 use crate::obs::EngineMetrics;
 use crate::query::{
-    max::try_query_max,
+    max,
     sum::{try_blend_users, try_query_sum, try_score_candidates, try_sum_rows},
     top_k, Completeness, PartialSumOutcome, QueryContext, QueryOutcome, QueryStats, RankedUser,
     StageClock, SumRow,
 };
 use std::time::Instant;
-use tklus_graph::SocialNetwork;
 use tklus_index::{build_index, HybridIndex, IndexBuildConfig, IndexBuildReport};
 use tklus_metrics::RegistrySnapshot;
 use tklus_model::{Corpus, Post, ScoringConfig, Semantics, TklusQuery, TweetId};
@@ -33,12 +35,19 @@ use tklus_text::{TermId, TextPipeline};
 /// How users are ranked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ranking {
-    /// Sum-score ranking (Definition 7, Algorithm 4).
+    /// Sum-score ranking (Definition 7).
     Sum,
-    /// Maximum-score ranking (Definition 8, Algorithm 5) with the given
-    /// popularity-bound mode.
+    /// Maximum-score ranking (Definition 8). The [`BoundsMode`] changes
+    /// neither the answer nor the cost of [`TklusEngine::try_query`],
+    /// which folds unpruned rows; it stays because the frozen
+    /// `benchmark/` harness constructs it. Algorithm 5 takes its mode
+    /// through [`TklusEngine::try_query_max`].
     Max(BoundsMode),
 }
+
+/// What a query body returns before the outcome struct is assembled:
+/// the answer (ranked users or scored rows), its cost, its completeness.
+type Answer<T> = (T, QueryStats, Completeness);
 
 /// Engine build configuration.
 #[derive(Clone)]
@@ -49,8 +58,10 @@ pub struct EngineConfig {
     pub scoring: ScoringConfig,
     /// Metadata buffer-pool pages (0 = caches off, the paper's setting).
     pub cache_pages: usize,
-    /// Number of hot keywords to precompute bounds for (the paper uses the
-    /// top-10 of Table II).
+    /// Number of hot keywords a caller of [`BoundsTable::precompute`]
+    /// builds Section VI-B5 bounds for (the paper uses the top-10 of
+    /// Table II). The engine never reads it: only callers that build a
+    /// [`BoundsTable`] for [`TklusEngine::try_query_max`] do.
     pub hot_keywords: usize,
     /// Never read: a query runs on the calling thread, and requests are
     /// the unit of parallelism (DESIGN.md §8). The field survives only
@@ -127,7 +138,6 @@ impl std::fmt::Debug for EngineConfig {
 pub struct TklusEngine {
     index: HybridIndex,
     db: MetadataDb,
-    bounds: BoundsTable,
     pipeline: TextPipeline,
     scoring: ScoringConfig,
     caches: QueryCaches,
@@ -164,9 +174,9 @@ impl TklusEngine {
 
     /// Assembles an engine from a pre-built (e.g. loaded-from-disk) hybrid
     /// index plus the corpus it was built over. Skips the MapReduce build
-    /// but still loads the metadata database and precomputes bounds —
-    /// matching Figure 3's architecture where the index is periodically
-    /// rebuilt offline while the query side just loads it.
+    /// and loads the metadata database — matching Figure 3's architecture
+    /// where the index is periodically rebuilt offline while the query
+    /// side just loads it.
     pub fn try_from_index(
         index: HybridIndex,
         corpus: &Corpus,
@@ -186,26 +196,12 @@ impl TklusEngine {
             config.cache_pages,
             config.metadata_store.as_ref(),
         )?;
-        let network = SocialNetwork::from_corpus(corpus);
-        let caches = QueryCaches::new(config.caches);
-        // The bound precomputation already builds the hot-keyword threads
-        // offline; seeding their φ(p) values pre-warms the thread cache
-        // with exactly the threads most likely to dominate query cost.
-        let bounds = BoundsTable::precompute_with_seed(
-            corpus,
-            &network,
-            index.vocab(),
-            config.hot_keywords,
-            &config.scoring,
-            |tid, phi| caches.thread.insert(tid, phi),
-        );
         Ok(Self {
             index,
             db,
-            bounds,
             pipeline: TextPipeline::new(),
             scoring: config.scoring,
-            caches,
+            caches: QueryCaches::new(config.caches),
             obs: config.metrics.then(EngineMetrics::new),
         })
     }
@@ -219,11 +215,6 @@ impl TklusEngine {
     /// behind interior mutability.
     pub fn db(&self) -> &MetadataDb {
         &self.db
-    }
-
-    /// The precomputed bounds table.
-    pub fn bounds(&self) -> &BoundsTable {
-        &self.bounds
     }
 
     /// The scoring configuration.
@@ -289,42 +280,89 @@ impl TklusEngine {
     /// [`EngineError`]s and reporting whether the result is exact or
     /// budget-degraded (see [`Completeness`]). A degraded outcome is the
     /// exact top-k over the cover-cell prefix the budget admitted.
+    ///
+    /// Both rankings run one algorithm: Algorithm 4's rows, folded per
+    /// user by `+=` or `max`, blended with distance and ranked. Nothing is
+    /// pruned, so `threads_pruned` is 0; for Max this is Algorithm 5's
+    /// answer bit for bit ([`Self::try_query_max`]), because its prune
+    /// skips only rows that cannot enter the top-k.
+    ///
+    /// The keyword contract: under AND, a keyword no tweet contains
+    /// empties the result; under OR, unknown keywords are simply dropped.
+    /// The unknown check runs per input keyword, *before* deduplication, so
+    /// an AND query with one known and one unknown keyword stays empty even
+    /// if other keywords repeat. A query whose keywords all resolve away is
+    /// empty too, and a trivially empty result is complete.
     pub fn try_query(&self, q: &TklusQuery, ranking: Ranking) -> Result<QueryOutcome, EngineError> {
-        // Under AND, a keyword no tweet contains empties the result; under
-        // OR, unknown keywords are simply dropped. The unknown check runs
-        // per input keyword, *before* deduplication, so an AND query with
-        // one known and one unknown keyword stays empty even if other
-        // keywords repeat. A trivially empty result is always complete.
-        let empty = || QueryOutcome {
-            users: Vec::new(),
-            stats: QueryStats::default(),
-            completeness: Completeness::Complete,
+        let (users, stats, completeness) =
+            self.try_answer(q, |ctx, terms| try_query_sum(ctx, q, terms, ranking))?;
+        Ok(QueryOutcome { users, stats, completeness })
+    }
+
+    /// Algorithm 5, the paper's Maximum-score query with the Definition 11
+    /// upper-bound prune, over `bounds` in `mode` — the bounds are the
+    /// caller's, precomputed offline with [`BoundsTable::precompute`] over
+    /// this engine's corpus. It returns [`Self::try_query`]'s `Max`
+    /// answer bit for bit and reports the threads it pruned. The paper
+    /// figures (Figs. 8, 10, 12) time it and the oracle suite holds it as
+    /// the reference; no product path calls it. Same keyword contract as
+    /// [`Self::try_query`].
+    pub fn try_query_max(
+        &self,
+        q: &TklusQuery,
+        bounds: &BoundsTable,
+        mode: BoundsMode,
+    ) -> Result<QueryOutcome, EngineError> {
+        let (users, stats, completeness) =
+            self.try_answer(q, |ctx, terms| max::try_query_max(ctx, bounds, mode, q, terms))?;
+        Ok(QueryOutcome { users, stats, completeness })
+    }
+
+    /// The row-producing half of Algorithm 4 for scatter-gather execution
+    /// of **either** ranking: cover, fetch, combine, and per-candidate
+    /// relevance scoring, with the per-user fold and distance blend left to
+    /// [`Self::try_rank_rows`]. Rows come back in candidate (tweet-id)
+    /// order — a router that merges rows from engines over disjoint tweet
+    /// sets by tweet id and folds them reproduces [`Self::try_query`]'s
+    /// scores bit for bit. Same keyword contract as [`Self::try_query`].
+    pub fn try_partial_sum(&self, q: &TklusQuery) -> Result<PartialSumOutcome, EngineError> {
+        let (rows, stats, completeness) = self.try_answer(q, |ctx, terms| {
+            let start = Instant::now();
+            let mut clock = StageClock::new(ctx.timings, start);
+            let (rows, mut stats, completeness) =
+                try_sum_rows(ctx, &mut self.db.reader(), q, terms, start, &mut clock)?;
+            stats.elapsed = start.elapsed();
+            Ok((rows, stats, completeness))
+        })?;
+        Ok(PartialSumOutcome { rows, stats, completeness })
+    }
+
+    /// The one body behind [`Self::try_query`], [`Self::try_query_max`]
+    /// and [`Self::try_partial_sum`]: the keyword contract (documented on
+    /// [`Self::try_query`]), `run` over the resolved terms, and the
+    /// registry accounting — every answered query counts, trivially empty
+    /// ones included.
+    fn try_answer<T: Default>(
+        &self,
+        q: &TklusQuery,
+        run: impl FnOnce(&QueryContext<'_>, &[TermId]) -> Result<Answer<T>, EngineError>,
+    ) -> Result<Answer<T>, EngineError> {
+        let unknown_under_and = q.semantics == Semantics::And
+            && self.resolve_keywords(&q.keywords).iter().any(Option::is_none);
+        let terms =
+            if unknown_under_and { Vec::new() } else { self.resolve_query_terms(&q.keywords) };
+        let answer = if terms.is_empty() {
+            Ok((T::default(), QueryStats::default(), Completeness::Complete))
+        } else {
+            run(&self.context(), &terms)
         };
-        if q.semantics == Semantics::And
-            && self.resolve_keywords(&q.keywords).iter().any(Option::is_none)
-        {
-            return Ok(self.finish(empty()));
-        }
-        let terms = self.resolve_query_terms(&q.keywords);
-        if terms.is_empty() {
-            return Ok(self.finish(empty()));
-        }
-        let ctx = self.context();
-        let result = match ranking {
-            Ranking::Sum => try_query_sum(&ctx, q, &terms),
-            Ranking::Max(mode) => try_query_max(&ctx, &self.bounds, mode, q, &terms),
-        };
-        match result {
-            Ok((users, stats, completeness)) => {
-                Ok(self.finish(QueryOutcome { users, stats, completeness }))
-            }
-            Err(e) => {
-                if let Some(obs) = &self.obs {
-                    obs.observe_error();
-                }
-                Err(e)
+        if let Some(obs) = &self.obs {
+            match &answer {
+                Ok((_, stats, completeness)) => obs.observe(stats, !completeness.is_complete()),
+                Err(_) => obs.observe_error(),
             }
         }
+        answer
     }
 
     fn context(&self) -> QueryContext<'_> {
@@ -337,70 +375,6 @@ impl TklusEngine {
         }
     }
 
-    /// Aggregates an answered query into the registry (every answered
-    /// query counts, including trivially empty ones) and passes the
-    /// outcome through.
-    fn finish(&self, outcome: QueryOutcome) -> QueryOutcome {
-        if let Some(obs) = &self.obs {
-            obs.observe(&outcome.stats, !outcome.completeness.is_complete());
-        }
-        outcome
-    }
-
-    /// The row-producing half of Algorithm 4 for scatter-gather execution
-    /// of **either** ranking: cover, fetch, combine, and per-candidate
-    /// relevance scoring, with the per-user fold and distance blend left to
-    /// [`Self::try_rank_rows`]. Rows come back in candidate (tweet-id)
-    /// order — a router that merges rows from engines over disjoint tweet
-    /// sets by tweet id and folds them reproduces [`Self::try_query`]'s
-    /// scores bit for bit. No bound is consulted here: every in-radius
-    /// candidate's thread is built (Algorithm 5's prune lives in
-    /// [`Self::try_query`] only).
-    ///
-    /// Follows the same keyword contract as a full query: an AND query
-    /// with any unknown keyword, or a query whose keywords all resolve
-    /// away, yields no rows and is complete.
-    pub fn try_partial_sum(&self, q: &TklusQuery) -> Result<PartialSumOutcome, EngineError> {
-        let empty = || PartialSumOutcome {
-            rows: Vec::new(),
-            stats: QueryStats::default(),
-            completeness: Completeness::Complete,
-        };
-        if q.semantics == Semantics::And
-            && self.resolve_keywords(&q.keywords).iter().any(Option::is_none)
-        {
-            return Ok(self.finish_partial(empty()));
-        }
-        let terms = self.resolve_query_terms(&q.keywords);
-        if terms.is_empty() {
-            return Ok(self.finish_partial(empty()));
-        }
-        let ctx = self.context();
-        let start = Instant::now();
-        let mut clock = StageClock::new(ctx.timings, start);
-        match try_sum_rows(&ctx, &mut self.db.reader(), q, &terms, start, &mut clock) {
-            Ok((rows, mut stats, completeness)) => {
-                stats.elapsed = start.elapsed();
-                Ok(self.finish_partial(PartialSumOutcome { rows, stats, completeness }))
-            }
-            Err(e) => {
-                if let Some(obs) = &self.obs {
-                    obs.observe_error();
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Aggregates a partial-sum execution into the registry, like
-    /// [`Self::finish`] does for full queries.
-    fn finish_partial(&self, outcome: PartialSumOutcome) -> PartialSumOutcome {
-        if let Some(obs) = &self.obs {
-            obs.observe(&outcome.stats, !outcome.completeness.is_complete());
-        }
-        outcome
-    }
-
     /// The gather half of a query (Algorithm 4 lines 23–27 and the final
     /// ranking) over rows gathered from one or more
     /// [`Self::try_partial_sum`]-shaped sources and merged into tweet-id
@@ -408,10 +382,9 @@ impl TklusEngine {
     /// for [`Ranking::Sum`], `max` for [`Ranking::Max`], whose bounds mode
     /// is irrelevant here — the distance blend over this engine's metadata
     /// database, and the top-`q.k` ranking. It is the very code
-    /// [`Self::try_query`] runs for Sum, and Algorithm 5 calls the same
-    /// `user_score(ρ, δ)` and ranks in the same order, so a gatherer whose
+    /// [`Self::try_query`] runs for either ranking, so a gatherer whose
     /// engine holds the full corpus metadata reproduces the monolithic
-    /// answer of either ranking bit for bit.
+    /// answer bit for bit.
     ///
     /// [`merge_sum_rows`]: crate::merge_sum_rows
     pub fn try_rank_rows(
@@ -448,9 +421,7 @@ impl TklusEngine {
     // post, every *row* this engine scores is bitwise-identical to a
     // from-scratch engine's whose metadata covers the same full post set.
     // The inverted index is never mutated here — new posts' postings live
-    // in the caller's memtable until compaction — and neither is the
-    // bounds table, which describes the build-time corpus only: a store
-    // ranks from unpruned rows and never runs Algorithm 5 on this engine.
+    // in the caller's memtable until compaction.
 
     /// Inserts `post` into the metadata database (primary row, reply
     /// edge, user-location entry) and evicts the thread-cache entries the
@@ -685,10 +656,11 @@ mod tests {
             ..EngineConfig::default()
         };
         let (engine, _) = TklusEngine::build(&corpus, &config);
-        let warm = engine.cache_stats();
-        // The bounds precomputation pre-warms the thread cache.
-        assert!(warm.thread.entries > 0, "bounds precompute seeds the thread cache");
-        assert_eq!(warm.cover.hits + warm.cover.misses, 0);
+        let cold = engine.cache_stats();
+        // Assembly builds the index and the metadata and nothing else: no
+        // layer holds an entry before the first query.
+        assert_eq!(cold.thread.entries, 0, "a fresh engine's thread cache is cold");
+        assert_eq!(cold.cover.hits + cold.cover.misses, 0);
         let q = tklus_model::TklusQuery::new(
             Point::new_unchecked(43.7, -79.4),
             10.0,
@@ -841,11 +813,21 @@ mod tests {
         assert!(err.is_err());
     }
 
+    /// Algorithm 5's bounds over `corpus`, precomputed the way the figure
+    /// harness does.
+    fn bounds(corpus: &Corpus, engine: &TklusEngine) -> BoundsTable {
+        let network = tklus_graph::SocialNetwork::from_corpus(corpus);
+        BoundsTable::precompute(corpus, &network, engine.index().vocab(), 10, engine.scoring())
+    }
+
     #[test]
     fn max_ranking_with_k_usize_max_returns_every_in_radius_user() {
-        // `k` arrives unchecked from `POST /query`; the running top-k set
-        // must be bounded by it, never sized from it.
-        let (engine, _) = TklusEngine::build(&corpus(), &EngineConfig::default());
+        // `k` arrives unchecked from `POST /query`; Algorithm 5's running
+        // top-k set must be bounded by it, never sized from it, and the
+        // fold's `top_k` must truncate to it without allocating by it.
+        let corpus = corpus();
+        let (engine, _) = TklusEngine::build(&corpus, &EngineConfig::default());
+        let table = bounds(&corpus, &engine);
         let q = tklus_model::TklusQuery::new(
             Point::new_unchecked(43.7, -79.4),
             10.0,
@@ -854,12 +836,20 @@ mod tests {
             Semantics::Or,
         )
         .unwrap();
-        for mode in [BoundsMode::HotKeywords, BoundsMode::Global] {
-            let (top, stats) = engine.query(&q, Ranking::Max(mode));
+        let sorted = |top: &[RankedUser]| {
             let mut users: Vec<UserId> = top.iter().map(|u| u.user).collect();
             users.sort();
-            assert_eq!(users, vec![UserId(1), UserId(2)], "{mode:?}");
-            assert_eq!(stats.threads_pruned, 0, "{mode:?}: a set that never fills prunes nothing");
+            users
+        };
+        for mode in [BoundsMode::HotKeywords, BoundsMode::Global] {
+            let out = engine.try_query_max(&q, &table, mode).unwrap();
+            assert_eq!(sorted(&out.users), vec![UserId(1), UserId(2)], "{mode:?}");
+            assert_eq!(
+                out.stats.threads_pruned, 0,
+                "{mode:?}: a set that never fills prunes nothing"
+            );
+            let (folded, _) = engine.query(&q, Ranking::Max(mode));
+            assert_eq!(sorted(&folded), vec![UserId(1), UserId(2)], "{mode:?} fold");
         }
     }
 

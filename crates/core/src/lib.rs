@@ -11,13 +11,15 @@
 //!   (Defs. 7/8), user distance score (Def. 9), combined user score
 //!   (Def. 10).
 //! * [`bounds`] — the pruning bounds of Section V-B: the global upper bound
-//!   popularity (Def. 11) and the pre-computed per-hot-keyword bounds.
+//!   popularity (Def. 11) and the pre-computed per-hot-keyword bounds,
+//!   which only Algorithm 5 reads and its caller precomputes.
 //! * [`cache`] — the multi-level query cache hierarchy: memoized circle
 //!   covers, decoded postings lists, and thread popularities, each a
 //!   size-bounded lock-striped LRU layer with hit/miss accounting.
-//! * [`query`] — Algorithm 4 (Sum-score ranking) and Algorithm 5
-//!   (Maximum-score ranking with upper-bound pruning), plus the row
-//!   producer / per-user fold split gatherers rank either one through.
+//! * [`query`] — Algorithm 4's row producer and the per-user fold that
+//!   ranks either Sum or Maximum from its rows (every engine's query), and
+//!   Algorithm 5 (Maximum-score ranking with upper-bound pruning, the
+//!   paper-figure path and the oracle's reference).
 //! * [`engine`] — [`engine::TklusEngine`], the end-to-end facade: build the
 //!   hybrid index and metadata database from a corpus, then answer
 //!   [`tklus_model::TklusQuery`]s with either ranking.

@@ -12,14 +12,17 @@
 //! candidate loop runs on the calling thread and always sees the exact
 //! live floor, so no I/O is spent on a thread the prune would reject.
 //!
-//! This is the one place Algorithm 5 runs: [`crate::TklusEngine::try_query`]
-//! over a whole engine. The gatherers (shard router, ingest store) rank
-//! Max from the unpruned rows they already gather
-//! ([`crate::TklusEngine::try_rank_rows`]) and must get this module's
-//! answer bit for bit, which is why the running set keeps [`top_k`]'s
-//! total order — score descending, user id ascending — rather than
-//! arrival order: a tie at the k-th place resolves the same way here, in
-//! a row fold and in the naive reference.
+//! This is the one place Algorithm 5 runs:
+//! [`crate::TklusEngine::try_query_max`], with bounds the caller
+//! precomputed. It is the paper-figure path (Figs. 8, 10, 12) and the
+//! oracle's reference, not a product path: every engine — monolithic,
+//! shard router, ingest store — ranks Max by folding Algorithm 4's
+//! unpruned rows by `max` (`query/sum.rs`), which measured faster than
+//! this loop in every cell (EXPERIMENTS.md, "Max is a fold"). The fold
+//! must get this module's answer bit for bit, which is why the running
+//! set keeps [`top_k`]'s total order — score descending, user id
+//! ascending — rather than arrival order: a tie at the k-th place
+//! resolves the same way here, in a row fold and in the naive reference.
 //!
 //! # Caching
 //!

@@ -1,9 +1,12 @@
-//! TkLUS query processing: Algorithm 4 (Sum) and Algorithm 5 (Maximum).
+//! TkLUS query processing: Algorithm 4 and Algorithm 5.
 //!
-//! Both algorithms share the same front half — geohash circle cover,
-//! postings retrieval, AND/OR candidate formation — and differ in how they
-//! aggregate per-tweet scores into user scores and in whether they can
-//! prune thread construction with an upper bound.
+//! Every engine answers both rankings with [`sum`]: Algorithm 4's scored
+//! rows, folded per user by `+=` (Sum) or `max` (Maximum). [`max`] is
+//! Algorithm 5, the paper's Maximum-score loop that prunes thread
+//! construction with a precomputed upper bound; it runs only for the
+//! paper figures and as the oracle's reference. Both share the same front
+//! half — geohash circle cover, postings retrieval, AND/OR candidate
+//! formation.
 
 pub mod max;
 pub mod sum;
@@ -184,9 +187,11 @@ impl CellBudget {
 /// thread construction, scoring, and top-k aggregation. All zero when the
 /// engine was built with `EngineConfig::metrics` off.
 ///
-/// The Maximum-score path (Algorithm 5) interleaves thread construction,
-/// scoring, and admission inside one upper-bound prune loop; that whole
-/// loop is attributed to `threads` and `scoring` stays zero there.
+/// Algorithm 5 ([`crate::TklusEngine::try_query_max`]) interleaves
+/// thread construction, scoring, and admission inside one upper-bound
+/// prune loop; that whole loop is attributed to `threads` and `scoring`
+/// stays zero there. Every other query, either ranking, times the
+/// distance blend as `scoring`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Circle-cover resolution (cover cache probe or fresh computation).
@@ -197,7 +202,7 @@ pub struct StageTimings {
     pub combine: std::time::Duration,
     /// Thread construction (Algorithm 1 runs and thread-cache probes).
     pub threads: std::time::Duration,
-    /// Per-user scoring (distance blend; 0 on the Maximum-score path).
+    /// Per-user scoring (distance blend; 0 under Algorithm 5).
     pub scoring: std::time::Duration,
     /// Final top-k sort and truncation.
     pub topk: std::time::Duration,
@@ -253,8 +258,8 @@ pub struct QueryStats {
     pub in_radius: usize,
     /// Tweet threads actually constructed (Algorithm 1 runs).
     pub threads_built: usize,
-    /// Thread constructions skipped by the upper-bound prune
-    /// (always 0 for the Sum algorithm).
+    /// Thread constructions skipped by Algorithm 5's upper-bound prune
+    /// (0 on every path but [`crate::TklusEngine::try_query_max`]).
     pub threads_pruned: usize,
     /// Physical metadata-database page reads incurred.
     pub metadata_page_reads: u64,

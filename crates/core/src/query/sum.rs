@@ -1,9 +1,10 @@
-//! Algorithm 4: query processing for Sum-score based user ranking.
+//! Algorithm 4, and the one query algorithm of every engine.
 //!
 //! Every candidate tweet inside the radius gets its thread constructed
-//! (the I/O bottleneck of Section V-B) and its keyword relevance added to
-//! its author's Sum score (Definition 7); user scores then blend with the
-//! user distance score (Definitions 9/10).
+//! (the I/O bottleneck of Section V-B) and its keyword relevance folded
+//! into its author's score — added for Sum (Definition 7), maxed for
+//! Maximum (Definition 8); user scores then blend with the user distance
+//! score (Definitions 9/10).
 //!
 //! Candidates are scored, and per-user Sum scores accumulated, in
 //! candidate (tweet-id) order on the calling thread, which fixes the
@@ -15,15 +16,16 @@
 //! the scored candidate rows in tweet-id order, and [`try_blend_users`]
 //! folds them per user — by `+=` (Definition 7) or by `max`
 //! (Definition 8) — and blends with distance. [`try_query_sum`] runs the
-//! two back to back. The split is what serves the gatherers — the sharded
-//! router over disjoint shard engines, the ingest store over sealed ∪
-//! live — for **both** rankings: they merge row streams by tweet id
-//! ([`merge_sum_rows`]) and run the same fold through
-//! [`crate::TklusEngine::try_rank_rows`], reproducing the monolithic
-//! result bit for bit (for Max, Algorithm 5's answer: its prune only ever
-//! skips rows that cannot change the top-k). The per-candidate scoring
-//! body has one home, [`try_score_candidates`]: the engine feeds it its
-//! postings candidates, the store its memtable's.
+//! two back to back for [`crate::TklusEngine::try_query`], under either
+//! ranking. The split is what serves the gatherers — the sharded router
+//! over disjoint shard engines, the ingest store over sealed ∪ live: they
+//! merge row streams by tweet id ([`merge_sum_rows`]) and run the same
+//! fold through [`crate::TklusEngine::try_rank_rows`], reproducing the
+//! monolithic result bit for bit. For Max that is also Algorithm 5's
+//! answer (`query/max.rs`): its prune only ever skips rows that cannot
+//! change the top-k. The per-candidate scoring body has one home,
+//! [`try_score_candidates`]: the engine feeds it its postings
+//! candidates, the store its memtable's.
 //!
 //! Storage and index failures anywhere along the path — postings fetch,
 //! metadata row lookup, thread walk, user scan — propagate as typed
@@ -178,8 +180,8 @@ pub fn merge_sum_rows<'a>(lists: impl Iterator<Item = &'a [SumRow]>) -> Vec<SumR
 /// keyword relevance folds over `rows` in row order — tweet-id order, so
 /// a Sum's float additions never depend on scheduling or on how many
 /// sources the rows were gathered from — by `+=` under [`Ranking::Sum`]
-/// (Definition 7) and by `max` under [`Ranking::Max`] (Definition 8: the
-/// comparison Algorithm 5's running set makes, and order-free); then it
+/// (Definition 7) and by `max` under [`Ranking::Max`] (Definition 8:
+/// order-free, whatever the bounds mode); then it
 /// blends with the user's distance score δ (Definition 10) into the final
 /// `score(u, q)`. Users are visited in id order for deterministic I/O
 /// patterns. Returns the unranked users and the metadata page reads
@@ -215,16 +217,19 @@ pub(crate) fn try_blend_users(
     Ok((users_ranked, IoStats::thread_page_reads() - reads_before))
 }
 
-/// Runs Algorithm 4. `terms` are the query keywords already normalized to
-/// term ids (keywords missing from the dictionary are resolved upstream).
-/// The query's optional time window and recency bias (the Section VIII
-/// temporal extension) are honoured: out-of-window candidates are skipped
-/// before any metadata I/O, and keyword relevance is decayed by the
-/// recency factor.
+/// Runs Algorithm 4 and ranks it under `ranking`: the scored rows, the
+/// per-user fold (`+=` or `max`), the distance blend and the top-k — the
+/// one query algorithm of every engine. `terms` are the query keywords
+/// already normalized to term ids (keywords missing from the dictionary
+/// are resolved upstream). The query's optional time window and recency
+/// bias (the Section VIII temporal extension) are honoured: out-of-window
+/// candidates are skipped before any metadata I/O, and keyword relevance
+/// is decayed by the recency factor.
 pub(crate) fn try_query_sum(
     ctx: &QueryContext<'_>,
     query: &TklusQuery,
     terms: &[TermId],
+    ranking: Ranking,
 ) -> Result<(Vec<RankedUser>, QueryStats, Completeness), EngineError> {
     let start = Instant::now();
     let mut clock = StageClock::new(ctx.timings, start);
@@ -232,7 +237,7 @@ pub(crate) fn try_query_sum(
     let (rows, mut stats, completeness) =
         try_sum_rows(ctx, &mut meta, query, terms, start, &mut clock)?;
 
-    let (users_ranked, blend_reads) = try_blend_users(ctx, &mut meta, query, Ranking::Sum, &rows)?;
+    let (users_ranked, blend_reads) = try_blend_users(ctx, &mut meta, query, ranking, &rows)?;
     stats.metadata_page_reads += blend_reads;
     stats.stages.scoring = clock.lap();
 

@@ -10,8 +10,12 @@
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
-use tklus_core::{BoundsMode, CacheConfig, EngineConfig, QueryStats, Ranking, TklusEngine};
+use tklus_core::{
+    BoundsMode, BoundsTable, CacheConfig, EngineConfig, QueryStats, RankedUser, Ranking,
+    TklusEngine,
+};
 use tklus_geo::Point;
+use tklus_graph::SocialNetwork;
 use tklus_model::{Corpus, Post, Semantics, TklusQuery, TweetId, UserId};
 
 /// A deterministic medium-sized corpus: 12 users posting around Toronto
@@ -31,7 +35,7 @@ fn corpus() -> Corpus {
     // the corpus's most popular thread, author (user 12) exactly at the
     // query center with no other posts (distance score 1). Once it fills a
     // k=1 top set, every later low-tf candidate's optimistic bound loses —
-    // so the Max algorithm's prune actually fires in this workload.
+    // so Algorithm 5's prune actually fires in this workload.
     let mut posts: Vec<Post> =
         vec![Post::original(TweetId(1), UserId(12), base, "hotel hotel hotel hotel hotel hotel")];
     for i in 0..24u64 {
@@ -268,6 +272,22 @@ fn cached_engine_under_contention_matches_cold_uncached_engine() {
     );
 }
 
+/// One request of the hammer workload: `try_query` under the ranking, or
+/// — `alg5` — Algorithm 5 under a Max ranking's bound mode.
+fn run(
+    engine: &TklusEngine,
+    table: &BoundsTable,
+    (q, ranking, alg5): &(TklusQuery, Ranking, bool),
+) -> (Vec<RankedUser>, QueryStats) {
+    match (ranking, alg5) {
+        (Ranking::Max(mode), true) => {
+            let out = engine.try_query_max(q, table, *mode).unwrap();
+            (out.users, out.stats)
+        }
+        _ => engine.query(q, *ranking),
+    }
+}
+
 #[test]
 fn eight_threads_hammer_one_shared_engine() {
     let corpus = corpus();
@@ -275,22 +295,34 @@ fn eight_threads_hammer_one_shared_engine() {
     // striped buffer pool rather than settling into an all-hit steady
     // state.
     let engine = build_engine(&corpus);
-    let requests = queries();
-    let reference: Vec<_> = requests.iter().map(|(q, r)| engine.query(q, *r)).collect();
-    // Sanity: the workload actually exercises scoring and pruning.
+    let hot_n = EngineConfig::default().hot_keywords;
+    let network = SocialNetwork::from_corpus(&corpus);
+    let table =
+        BoundsTable::precompute(&corpus, &network, engine.index().vocab(), hot_n, engine.scoring());
+    // Every Max request also runs as Algorithm 5, over the caller's table.
+    let requests: Vec<_> = queries()
+        .into_iter()
+        .flat_map(|(q, ranking)| {
+            let alg5 = matches!(ranking, Ranking::Max(_)).then(|| (q.clone(), ranking, true));
+            std::iter::once((q, ranking, false)).chain(alg5)
+        })
+        .collect();
+    let reference: Vec<_> = requests.iter().map(|r| run(&engine, &table, r)).collect();
+    // Sanity: the workload actually exercises scoring and Algorithm 5's
+    // prune, which only `try_query_max` runs.
     assert!(reference.iter().any(|(top, _)| !top.is_empty()));
     assert!(reference.iter().any(|(_, s)| s.threads_pruned > 0));
 
     std::thread::scope(|scope| {
         for t in 0..8 {
             let engine = &engine;
+            let table = &table;
             let requests = &requests;
             let reference = &reference;
             scope.spawn(move || {
                 for round in 0..20 {
                     let i = (t * 5 + round * 7) % requests.len();
-                    let (q, ranking) = &requests[i];
-                    let (top, _) = engine.query(q, *ranking);
+                    let (top, _) = run(engine, table, &requests[i]);
                     let (want, _) = &reference[i];
                     assert_eq!(top.len(), want.len(), "thread {t} round {round}");
                     for (g, w) in top.iter().zip(want) {

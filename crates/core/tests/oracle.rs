@@ -13,26 +13,32 @@
 //! every run to return the oracle's ranked users with scores within 1e-9,
 //! with the cached runs *bit-identical* to the uncached run. The counters
 //! Figs. 8/12 plot are held too: `in_radius` equals the oracle's count of
-//! qualifying posts, every in-radius candidate's thread is either built or
-//! pruned (never under Sum), and the cache-off engine pays the same
-//! `metadata_page_reads` for the same query twice in a row.
+//! qualifying posts, every in-radius candidate's thread is built (nothing
+//! is pruned: every engine ranks both Sum and Max by folding unpruned
+//! rows), and the cache-off engine pays the same `metadata_page_reads`
+//! for the same query twice in a row.
 //!
-//! Two further properties live here because both gatherers (the shard
-//! router, the ingest store) stand on them. Ranking the *unpruned* rows
-//! of `try_partial_sum` through `try_rank_rows` gives `try_query`'s answer
-//! bit for bit under every ranking — for Max that is Algorithm 5 with its
-//! prune, under both bound modes — asserted for every generated case. And
-//! a tie at the k-th place resolves by user id everywhere (Algorithm 4,
-//! Algorithm 5's running set, the row fold, the naive reference): a pin
-//! and a proptest family over tie-prone corpora hold that.
+//! Algorithm 5 stays the reference for Max. For every generated case,
+//! `try_query_max` over Def. 11 bounds precomputed for the corpus, under
+//! both bound modes, returns `try_query(q, Max(_))`'s users and score bits;
+//! its in-radius candidates are each built or pruned, caches never move a
+//! prune decision, and at least one generated case prunes — so the
+//! comparison is not vacuous. And a tie at the k-th place resolves by user
+//! id everywhere (the row fold, Algorithm 5's running set, the naive
+//! reference): a pin and a proptest family over tie-prone corpora hold
+//! that.
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tklus_core::{BoundsMode, CacheConfig, EngineConfig, RankedUser, Ranking, TklusEngine};
+use tklus_core::{
+    BoundsMode, BoundsTable, CacheConfig, EngineConfig, QueryOutcome, RankedUser, Ranking,
+    TklusEngine,
+};
 use tklus_geo::Point;
+use tklus_graph::SocialNetwork;
 use tklus_model::{Corpus, Post, ScoringConfig, Semantics, TklusQuery, TweetId, UserId};
 use tklus_text::TextPipeline;
 
@@ -215,12 +221,32 @@ fn oracle_top_k(
     (scored, qualifying)
 }
 
-/// `try_rank_rows` over the engine's own unpruned rows: what a gatherer
-/// with a single source computes.
-fn rank_from_rows(engine: &TklusEngine, q: &TklusQuery, ranking: Ranking) -> Vec<RankedUser> {
-    let rows = engine.try_partial_sum(q).unwrap().rows;
-    engine.try_rank_rows(q, ranking, &rows).unwrap()
+/// The Def. 11 bounds Algorithm 5 prunes with, precomputed offline over
+/// `corpus` for the default number of hot keywords.
+fn bounds_for(corpus: &Corpus, engine: &TklusEngine) -> BoundsTable {
+    let hot_n = EngineConfig::default().hot_keywords;
+    let network = SocialNetwork::from_corpus(corpus);
+    BoundsTable::precompute(corpus, &network, engine.index().vocab(), hot_n, engine.scoring())
 }
+
+/// Algorithm 5 under `ranking`'s bound mode (`None` for Sum, which has
+/// no pruned twin). Counts the cases whose prune fired.
+fn algorithm5(
+    engine: &TklusEngine,
+    table: &BoundsTable,
+    q: &TklusQuery,
+    ranking: Ranking,
+) -> Option<QueryOutcome> {
+    let Ranking::Max(mode) = ranking else { return None };
+    let out = engine.try_query_max(q, table, mode).unwrap();
+    if out.stats.threads_pruned > 0 {
+        PRUNED_CASES.fetch_add(1, Ordering::Relaxed);
+    }
+    Some(out)
+}
+
+/// Generated cases in which Algorithm 5 pruned at least one thread.
+static PRUNED_CASES: AtomicUsize = AtomicUsize::new(0);
 
 fn bits(users: &[RankedUser]) -> Vec<(UserId, u64)> {
     users.iter().map(|u| (u.user, u.score.to_bits())).collect()
@@ -255,6 +281,7 @@ proptest! {
         let cached_cfg = EngineConfig { caches, ..EngineConfig::default() };
         let (engine_off, _) = TklusEngine::build(&corpus, &plain);
         let (engine_on, _) = TklusEngine::build(&corpus, &cached_cfg);
+        let table = bounds_for(&corpus, &engine_off);
         let keywords: Vec<String> =
             kw_idx.iter().map(|&i| WORDS[i as usize].to_string()).collect();
 
@@ -266,11 +293,7 @@ proptest! {
                 k,
                 semantics,
             ).unwrap();
-            for (ranking, use_max) in [
-                (Ranking::Sum, false),
-                (Ranking::Max(BoundsMode::Global), true),
-                (Ranking::Max(BoundsMode::HotKeywords), true),
-            ] {
+            for (ranking, use_max) in ARMS {
                 let (want, want_in_radius) = oracle_top_k(&corpus, &q, use_max, &plain.scoring);
                 let (off, off_stats) = engine_off.query(&q, ranking);
                 // A reader carries nothing between queries: caches off,
@@ -284,25 +307,32 @@ proptest! {
                 let (warm, warm_stats) = engine_on.query(&q, ranking);
 
                 // Counters: the radius filter admits exactly the oracle's
-                // qualifying posts; uncached, each one's thread is built
-                // or (Max only) pruned; caches never move a prune decision.
+                // qualifying posts and, uncached, each one's thread is
+                // built: no engine query prunes.
                 prop_assert_eq!(off_stats.in_radius, want_in_radius, "{:?}/{:?}", ranking, semantics);
                 prop_assert_eq!(
-                    off_stats.threads_built + off_stats.threads_pruned, off_stats.in_radius,
+                    off_stats.threads_built, off_stats.in_radius,
                     "{:?}/{:?}", ranking, semantics
                 );
-                prop_assert!(use_max || off_stats.threads_pruned == 0);
+                prop_assert_eq!(off_stats.threads_pruned, 0);
                 for cached in [&cold_stats, &warm_stats] {
                     prop_assert_eq!(cached.in_radius, off_stats.in_radius);
-                    prop_assert_eq!(cached.threads_pruned, off_stats.threads_pruned);
                 }
 
-                // The property both gatherers stand on: ranking the
-                // unpruned rows is this ranking's answer, bit for bit.
-                prop_assert_eq!(
-                    bits(&rank_from_rows(&engine_off, &q, ranking)), bits(&off),
-                    "{:?}/{:?}", ranking, semantics
-                );
+                // Algorithm 5, the reference for Max: same users and score
+                // bits; each in-radius thread built or pruned; caches never
+                // move a prune decision.
+                if let Some(a5) = algorithm5(&engine_off, &table, &q, ranking) {
+                    prop_assert_eq!(bits(&a5.users), bits(&off), "{:?}/{:?}", ranking, semantics);
+                    prop_assert_eq!(a5.stats.in_radius, want_in_radius);
+                    prop_assert_eq!(
+                        a5.stats.threads_built + a5.stats.threads_pruned, a5.stats.in_radius,
+                        "{:?}/{:?}", ranking, semantics
+                    );
+                    let cached = algorithm5(&engine_on, &table, &q, ranking).unwrap();
+                    prop_assert_eq!(cached.stats.threads_pruned, a5.stats.threads_pruned);
+                    prop_assert_eq!(bits(&cached.users), bits(&off));
+                }
 
                 // Engine (uncached) vs oracle: same users, scores to 1e-9.
                 prop_assert_eq!(off.len(), want.len(), "{:?}/{:?}", ranking, semantics);
@@ -338,7 +368,7 @@ proptest! {
 }
 
 proptest! {
-    // 256 corpora × 2 rankings × 2 engines = 1024 more query cases
+    // 256 corpora × 3 rankings × 2 engines = 1536 more query cases
     // focused on the duplicate-keyword fix and the temporal extension.
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -359,6 +389,7 @@ proptest! {
             ..EngineConfig::default()
         };
         let (engine_on, _) = TklusEngine::build(&corpus, &cached_cfg);
+        let table = bounds_for(&corpus, &engine_off);
 
         // The keyword appears twice: verbatim plus a case variant —
         // Definition 6 must count it once.
@@ -380,10 +411,13 @@ proptest! {
             q = q.with_time_range(since, until.max(since)).unwrap();
         }
 
-        for (ranking, use_max) in [(Ranking::Sum, false), (Ranking::Max(BoundsMode::HotKeywords), true)] {
+        for (ranking, use_max) in ARMS {
             let (want, want_in_radius) =
                 oracle_top_k(&corpus, &q, use_max, &EngineConfig::default().scoring);
             let (uncached, _) = engine_off.query(&q, ranking);
+            if let Some(a5) = algorithm5(&engine_off, &table, &q, ranking) {
+                prop_assert_eq!(bits(&a5.users), bits(&uncached), "{:?} window={:?}", ranking, window);
+            }
             for engine in [&engine_off, &engine_on] {
                 let (got, stats) = engine.query(&q, ranking);
                 prop_assert_eq!(stats.in_radius, want_in_radius, "{:?} window={:?}", ranking, window);
@@ -422,6 +456,7 @@ fn kth_place_tie_goes_to_the_smaller_user_id_under_every_ranking() {
     .unwrap();
     let config = EngineConfig::default();
     let (engine, _) = TklusEngine::build(&corpus, &config);
+    let table = bounds_for(&corpus, &engine);
     let q = TklusQuery::new(here, 10.0, vec!["hotel".into()], 1, Semantics::Or).unwrap();
     let both = TklusQuery::new(here, 10.0, vec!["hotel".into()], 2, Semantics::Or).unwrap();
     for (ranking, use_max) in ARMS {
@@ -430,7 +465,9 @@ fn kth_place_tie_goes_to_the_smaller_user_id_under_every_ranking() {
         let (top, _) = engine.query(&q, ranking);
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].user, UserId(1), "{ranking:?}");
-        assert_eq!(rank_from_rows(&engine, &q, ranking)[0].user, UserId(1), "{ranking:?} rows");
+        if let Some(a5) = algorithm5(&engine, &table, &q, ranking) {
+            assert_eq!(bits(&a5.users), bits(&top), "{ranking:?}: Algorithm 5");
+        }
         assert_eq!(oracle_top_k(&corpus, &q, use_max, &config.scoring).0[0].0, UserId(1));
     }
 }
@@ -448,8 +485,7 @@ proptest! {
     // Locations and texts drawn from a handful of values, few users: many
     // users end up with identical score inputs, so ties at the k-th place
     // actually occur. Every arm must agree with the naive reference on who
-    // is ranked where, and the Max arms and the row fold with each other
-    // bit for bit.
+    // is ranked where, and each Max arm with Algorithm 5 bit for bit.
     fn tie_prone_corpora(
         picks in proptest::collection::vec(
             (0u8..6, 0usize..TIE_SPOTS.len(), 0usize..TIE_TEXTS.len(), proptest::option::of(0u8..12)),
@@ -471,6 +507,7 @@ proptest! {
         let corpus = materialize(&raw);
         let config = EngineConfig::default();
         let (engine, _) = TklusEngine::build(&corpus, &config);
+        let table = bounds_for(&corpus, &engine);
         let semantics = if and_sem { Semantics::And } else { Semantics::Or };
         let query = |k| {
             let keywords = vec![WORDS[0].to_string(), WORDS[1].to_string()];
@@ -486,10 +523,9 @@ proptest! {
                 want.iter().map(|w| w.0).collect::<Vec<_>>(),
                 "{:?}/{:?}", ranking, semantics
             );
-            prop_assert_eq!(
-                bits(&rank_from_rows(&engine, &q, ranking)), bits(&got),
-                "{:?}/{:?}", ranking, semantics
-            );
+            if let Some(a5) = algorithm5(&engine, &table, &q, ranking) {
+                prop_assert_eq!(bits(&a5.users), bits(&got), "{:?}/{:?}", ranking, semantics);
+            }
             let (wider, _) = engine.query(&query(k + 1), ranking);
             prop_assert_eq!(bits(&wider[..got.len()]), bits(&got), "{:?}: top-k is a prefix", ranking);
             if wider.len() == k + 1 && wider[k - 1].score.to_bits() == wider[k].score.to_bits() {
@@ -504,4 +540,13 @@ fn boundary_ties_rank_by_user_id_and_actually_occur() {
     tie_prone_corpora();
     let ties = BOUNDARY_TIES.load(Ordering::Relaxed);
     assert!(ties >= 1, "tie family is vacuous: no case had equal score bits at ranks k and k + 1");
+}
+
+#[test]
+fn algorithm5_prunes_in_some_generated_case() {
+    // The Algorithm 5 comparisons above are vacuous if its prune never
+    // fires: run a family and require at least one pruned thread.
+    tie_prone_corpora();
+    let pruned = PRUNED_CASES.load(Ordering::Relaxed);
+    assert!(pruned >= 1, "no generated case pruned a thread: Algorithm 5 was never exercised");
 }

@@ -6,8 +6,9 @@
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
-use tklus_core::{BoundsMode, EngineConfig, Ranking, TklusEngine};
+use tklus_core::{BoundsMode, BoundsTable, EngineConfig, Ranking, TklusEngine};
 use tklus_geo::Point;
+use tklus_graph::SocialNetwork;
 use tklus_model::{Corpus, Post, Semantics, TklusQuery, TweetId, UserId};
 
 fn pt(lat: f64, lon: f64) -> Point {
@@ -235,17 +236,36 @@ fn sum_and_max_agree_on_membership_mostly() {
 
 #[test]
 fn pruning_preserves_max_results() {
-    // Algorithm 5 with pruning (global or hot bounds) must return the same
-    // users and scores as with an infinitely loose bound (no pruning).
+    // Algorithm 5 with pruning (global or hot bounds) must return the
+    // product's Max answer — the unpruned fold — in users and score bits.
+    // Bounds cover every term (the figure harness's 200 hot keywords), and
+    // the query makes tweet E (hotel + massage, the big cascade) fill the
+    // k = 1 set early, so every later one-keyword tweet's bound loses.
+    let corpus = corpus();
     let e = engine();
-    let q = hotel_query(3);
-    let (with_hot, s_hot) = e.query(&q, Ranking::Max(BoundsMode::HotKeywords));
-    let (with_global, s_global) = e.query(&q, Ranking::Max(BoundsMode::Global));
-    assert_eq!(with_hot.len(), with_global.len());
-    for (a, b) in with_hot.iter().zip(&with_global) {
-        assert_eq!(a.user, b.user);
-        assert!((a.score - b.score).abs() < 1e-12);
+    let network = SocialNetwork::from_corpus(&corpus);
+    let table = BoundsTable::precompute(&corpus, &network, e.index().vocab(), 200, e.scoring());
+    let q = TklusQuery::new(
+        query_location(),
+        10.0,
+        vec!["hotel".into(), "massage".into()],
+        1,
+        Semantics::Or,
+    )
+    .unwrap();
+    let (folded, _) = e.query(&q, Ranking::Max(BoundsMode::HotKeywords));
+    let hot = e.try_query_max(&q, &table, BoundsMode::HotKeywords).unwrap();
+    let global = e.try_query_max(&q, &table, BoundsMode::Global).unwrap();
+    for pruned in [&hot, &global] {
+        assert_eq!(pruned.users.len(), folded.len());
+        for (a, b) in pruned.users.iter().zip(&folded) {
+            assert_eq!(a.user, b.user);
+            assert_eq!(a.score.to_bits(), b.score.to_bits());
+        }
     }
-    // Hot bounds are tighter, so they prune at least as much.
+    // Hot bounds are tighter, so they prune at least as much — and they
+    // do prune here, so the comparison above is not vacuous.
+    let (s_hot, s_global) = (hot.stats, global.stats);
     assert!(s_hot.threads_pruned >= s_global.threads_pruned, "hot={s_hot:?} global={s_global:?}");
+    assert!(s_hot.threads_pruned > 0, "hot={s_hot:?}");
 }

@@ -25,11 +25,11 @@
 //! location, so AND/OR combination never crosses a shard boundary. The
 //! router folds per-tweet scores in global tweet-id order — the order the
 //! monolithic Sum fold uses, so the float sums associate identically; a
-//! Max fold is order-free and calls the `user_score(ρ, δ)` Algorithm 5
-//! calls. Both folds and the final ranking are the engine's own
-//! ([`TklusEngine::try_rank_rows`]). No shard runs Algorithm 5: its prune
-//! skips only rows that cannot change the top-k, so ranking the unpruned
-//! rows gives its answer, ties included.
+//! Max fold is order-free. Both folds and the final ranking are the
+//! engine's own ([`TklusEngine::try_rank_rows`]), the code a monolithic
+//! engine's query runs. Each shard engine is its index and the metadata,
+//! nothing else: building `N` of them over the full corpus pays no
+//! per-shard bound precompute.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;

@@ -20,19 +20,17 @@
 //! The engine's inverted index covers only *sealed* posts; its metadata
 //! database and thread cache cover *all* acked posts (each ingest inserts
 //! metadata and invalidates the staled thread-cache entries — see
-//! [`tklus_core::TklusEngine::try_insert_metadata`]). Its bounds table
-//! describes the sealed corpus it was built over and is never consulted:
-//! the store does not run Algorithm 5. A query of either ranking is one
-//! gather, which reproduces a from-scratch engine's answers **bitwise**
-//! (the oracle suite asserts equality, not closeness): sealed
-//! [`TklusEngine::try_partial_sum`] rows and memtable rows (scored by the
-//! same per-candidate body, [`TklusEngine::try_score_candidates`]) merge
-//! by tweet id — the monolithic fold order — and
-//! [`TklusEngine::try_rank_rows`] folds them per user (`+=` for Sum,
-//! `max` for Max), blends and ranks with the engine's own code. For Max
-//! that is Algorithm 5's answer, because its prune skips only rows that
-//! cannot change the top-k and its running set ranks in the same total
-//! order.
+//! [`tklus_core::TklusEngine::try_insert_metadata`]). An engine is its
+//! index and its metadata, so building one at open, at every compaction
+//! round and at every rebuild pays for nothing else. A query of either
+//! ranking is one gather, which reproduces a from-scratch engine's
+//! answers **bitwise** (the oracle suite asserts equality, not
+//! closeness): sealed [`TklusEngine::try_partial_sum`] rows and memtable
+//! rows (scored by the same per-candidate body,
+//! [`TklusEngine::try_score_candidates`]) merge by tweet id — the
+//! monolithic fold order — and [`TklusEngine::try_rank_rows`] folds them
+//! per user (`+=` for Sum, `max` for Max), blends and ranks with the
+//! engine's own code: the very fold a monolithic engine's query runs.
 //!
 //! # Incremental, off-latch compaction
 //!
@@ -99,6 +97,7 @@ use crate::log::{parse_segment_name, replay, RecoveryReport, WalConfig, WalWrite
 use crate::memtable::MemtableIndex;
 use crate::record::{decode_record, encode_record, WalRecord};
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -627,7 +626,18 @@ impl IngestStore {
     /// Answers a query over the consistent snapshot "sealed ∪ live",
     /// bitwise-equal to a from-scratch engine over the same posts (module
     /// docs give the argument; the oracle suite asserts it).
+    ///
+    /// The answer is always exact: a query budget is ignored. The return
+    /// type has no completeness marker, so a budget-degraded answer would
+    /// be indistinguishable from a complete one (DESIGN.md §15).
     pub fn try_query(&self, q: &TklusQuery, ranking: Ranking) -> Result<Vec<RankedUser>, WalError> {
+        // Only the sealed gather reads a budget; clear it, cloning the
+        // query only when it has one.
+        let q = match q.budget {
+            Some(_) => Cow::Owned(TklusQuery { budget: None, ..q.clone() }),
+            None => Cow::Borrowed(q),
+        };
+        let q = q.as_ref();
         let inner = self.inner.read();
         if inner.poisoned {
             return Err(WalError::Poisoned);
@@ -1057,6 +1067,54 @@ mod tests {
         let (store2, report2) = open(&fs);
         assert_eq!(report2.live_posts, 2);
         assert_eq!(store2.try_query(&query(), Ranking::Sum).unwrap(), users);
+    }
+
+    #[test]
+    fn budgeted_query_is_answered_exactly() {
+        // Three users in three length-4 geohash cells within 30 km, sealed,
+        // plus a fourth user's live post. A one-cell budget used to reach
+        // the sealed gather, which dropped the other two cells' rows and
+        // the completeness marker with them: `Ok([])`, no marker.
+        let (fs, _) = SimFs::new(21);
+        let (store, _) = open(&fs);
+        let posts = [
+            post(1, 10, 43.70, -79.42, "grand hotel"),
+            post(2, 11, 43.70, -79.60, "hotel bar"),
+            post(3, 12, 43.80, -79.42, "another hotel"),
+        ];
+        for p in &posts {
+            store.ingest(p.clone()).unwrap();
+        }
+        assert!(store.compact().unwrap());
+        let live = post(4, 13, 43.71, -79.41, "hotel lobby");
+        store.ingest(live.clone()).unwrap();
+
+        let corpus = Corpus::new(posts.into_iter().chain([live]).collect()).unwrap();
+        let (fresh, _) = TklusEngine::build(&corpus, &EngineConfig::default());
+        let q = TklusQuery::new(
+            Point::new_unchecked(43.70, -79.42),
+            30.0,
+            vec!["hotel".into()],
+            5,
+            Semantics::Or,
+        )
+        .unwrap();
+        let budgeted = q.clone().with_max_cells(1);
+        // The budget really cuts the cover short on a plain engine.
+        let cut = fresh.try_query(&budgeted, Ranking::Sum).unwrap();
+        assert!(!cut.completeness.is_complete(), "{:?}", cut.completeness);
+        for ranking in [Ranking::Sum, Ranking::Max(BoundsMode::HotKeywords)] {
+            let want = fresh.try_query(&q, ranking).unwrap().users;
+            assert_eq!(want.len(), 4, "{ranking:?}");
+            for query in [&q, &budgeted] {
+                let got = store.try_query(query, ranking).unwrap();
+                assert_eq!(got.len(), want.len(), "{ranking:?} {:?}", query.budget);
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.user, w.user, "{ranking:?} {:?}", query.budget);
+                    assert_eq!(g.score.to_bits(), w.score.to_bits(), "{ranking:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! memtable), and asserts equality across Sum/Max × OR/AND × both bound
 //! modes, including replies that land in sealed threads and raise φ after
 //! sealing — with the query caches off (the product default) and, once,
-//! with every layer on and warm. The reference runs the paper's pruned
-//! Algorithm 5 for the Max arms; the store ranks unpruned rows.
+//! with every layer on and warm. (That a from-scratch engine's Max is the
+//! paper's pruned Algorithm 5, bit for bit, is `tklus-core`'s oracle
+//! suite.)
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
@@ -123,9 +124,8 @@ fn merged_snapshot_queries_match_from_scratch_engine_bitwise() {
 #[test]
 fn live_replies_into_sealed_threads_stay_exact() {
     // Seal a corpus, then ingest replies whose targets are *sealed* posts:
-    // the replies raise sealed threads' φ above anything the sealed
-    // engine's build-time bounds knew, and the merged answer must still be
-    // the reference's — the store never consults those bounds.
+    // the replies raise sealed threads' φ after sealing, and the merged
+    // answer must still be the reference's.
     let corpus = corpus(77);
     let posts = corpus.posts().to_vec();
     let store = store_with_split(&posts, posts.len());

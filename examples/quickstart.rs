@@ -18,8 +18,8 @@ fn main() {
     println!("corpus: {} posts by {} users", corpus.len(), corpus.user_count());
 
     // 2. Build the engine: MapReduce hybrid index (geohash + term keys over
-    //    a simulated 3-node DFS), metadata database (B+-trees on sid, rsid,
-    //    uid), and pre-computed popularity bounds.
+    //    a simulated 3-node DFS) and metadata database (B+-trees on sid,
+    //    rsid, uid).
     let (engine, report) = TklusEngine::build(&corpus, &EngineConfig::default());
     println!(
         "index: {} keys, {} postings, {} bytes on the simulated DFS (built in {:?})",
@@ -36,10 +36,11 @@ fn main() {
     )
     .expect("valid query");
 
-    // 4. Answer it with both ranking methods.
+    // 4. Answer it with both ranking methods: Algorithm 4's scored tweets,
+    //    folded per user by sum or by maximum.
     for (name, ranking) in [
-        ("Sum score (Algorithm 4)", Ranking::Sum),
-        ("Maximum score (Algorithm 5)", Ranking::Max(BoundsMode::HotKeywords)),
+        ("Sum score (Definition 7)", Ranking::Sum),
+        ("Maximum score (Definition 8)", Ranking::Max(BoundsMode::HotKeywords)),
     ] {
         let (top, stats) = engine.query(&query, ranking);
         println!("\n{name}:");
@@ -47,10 +48,9 @@ fn main() {
             println!("  #{:<2} {}  score {:.4}", rank + 1, r.user, r.score);
         }
         println!(
-            "  [{} candidates, {} threads built, {} pruned, {:.2} ms]",
+            "  [{} candidates, {} threads built, {:.2} ms]",
             stats.candidates,
             stats.threads_built,
-            stats.threads_pruned,
             stats.elapsed.as_secs_f64() * 1e3
         );
     }

@@ -15,8 +15,7 @@ use tklus::model::{Semantics, TklusQuery, UserId};
 fn main() {
     let corpus =
         generate_corpus(&GenConfig { original_posts: 8_000, users: 2_500, ..GenConfig::default() });
-    let (engine, _) =
-        TklusEngine::build(&corpus, &EngineConfig { hot_keywords: 200, ..EngineConfig::default() });
+    let (engine, _) = TklusEngine::build(&corpus, &EngineConfig::default());
     let specs = generate_queries(&corpus, &QueryConfig::default());
 
     let mut worst: Option<(f64, TklusQuery, Vec<UserId>, Vec<UserId>)> = None;
