@@ -128,7 +128,7 @@ fn main() {
 
     // Registry sanity: the instrumented engine counted every answered
     // query (warm-up + its half of the interleave) and the exposition
-    // carries the re-exported storage/cache families.
+    // carries the re-exported storage family.
     let snap = instrumented.metrics_snapshot().expect("metrics-on engine has a registry");
     let expected_queries = (requests.len() + log.len()) as u64;
     let queries_total = snap.counter("tklus_queries_total").unwrap_or(0);

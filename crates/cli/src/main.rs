@@ -8,8 +8,7 @@
 //!                   --keywords hotel,spa --k 5 --ranking max --semantics or \
 //!                   [--corpus corpus.tsv] [--index index_dir/] \
 //!                   [--since T --until T] [--now T --half-life H] \
-//!                   [--timeout-ms MS] [--max-cells N] \
-//!                   [--cover-cache N --postings-cache N --thread-cache N]
+//!                   [--timeout-ms MS] [--max-cells N]
 //! ```
 //!
 //! Corpora travel between invocations as TSV files (`tklus generate --out`)
@@ -49,9 +48,7 @@ mod serve_http;
 
 use args::{ArgError, Args};
 use std::path::PathBuf;
-use tklus_core::{
-    BoundsMode, CacheConfig, Completeness, EngineConfig, EngineError, Ranking, TklusEngine,
-};
+use tklus_core::{BoundsMode, Completeness, EngineConfig, EngineError, Ranking, TklusEngine};
 use tklus_gen::{generate_corpus, load_tsv, save_tsv, GenConfig};
 use tklus_geo::Point;
 use tklus_model::{Corpus, Post, Semantics, TklusQuery};
@@ -159,7 +156,6 @@ const USAGE: &str = "usage:
                     [--corpus FILE.tsv] [--posts N] [--seed S] [--index DIR]
                     [--shards N] [--since T --until T] [--now T --half-life H]
                     [--timeout-ms MS] [--max-cells N] [--fail-on-degraded]
-                    [--cover-cache N] [--postings-cache N] [--thread-cache N]
                     [--metrics]
   tklus serve       [--corpus FILE.tsv] [--posts N] [--seed S]
                     [--mode sim|threaded] [--requests N] [--load-seed S]
@@ -435,9 +431,6 @@ fn cmd_query(raw: Vec<String>) -> Result<(), CliError> {
         "timeout-ms",
         "max-cells",
         "fail-on-degraded",
-        "cover-cache",
-        "postings-cache",
-        "thread-cache",
         "metrics",
     ])?;
     let lat: f64 = args.require("lat")?;
@@ -490,15 +483,8 @@ fn cmd_query(raw: Vec<String>) -> Result<(), CliError> {
         query = query.with_max_cells(cells);
     }
 
-    // Per-layer query-cache budgets; 0 (the default) disables a layer.
-    let caches = CacheConfig {
-        cover: args.get_or("cover-cache", 0)?,
-        postings: args.get_or("postings-cache", 0)?,
-        thread: args.get_or("thread-cache", 0)?,
-    };
-
     let corpus = corpus_from(&args)?;
-    let engine_config = EngineConfig { caches, ..EngineConfig::default() };
+    let engine_config = EngineConfig::default();
     // Scatter-gather path: `--shards N` over a freshly built corpus, or a
     // `--index` directory carrying a sharded (format v3) manifest.
     let shards_flag = args.get::<usize>("shards")?;
@@ -585,21 +571,6 @@ fn cmd_query(raw: Vec<String>) -> Result<(), CliError> {
             ms(st.threads),
             ms(st.scoring),
             ms(st.topk)
-        );
-    }
-    if caches != CacheConfig::default() {
-        let cs = engine.cache_stats();
-        println!(
-            "caches: cover {}/{} hit ({:.0}%), postings {}/{} ({:.0}%), thread {}/{} ({:.0}%)",
-            cs.cover.hits,
-            cs.cover.hits + cs.cover.misses,
-            cs.cover.hit_rate() * 100.0,
-            cs.postings.hits,
-            cs.postings.hits + cs.postings.misses,
-            cs.postings.hit_rate() * 100.0,
-            cs.thread.hits,
-            cs.thread.hits + cs.thread.misses,
-            cs.thread.hit_rate() * 100.0,
         );
     }
     if args.get_flag("metrics")? {

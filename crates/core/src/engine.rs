@@ -16,14 +16,13 @@
 //! which never fail. Everything else is `try_*` only.
 
 use crate::bounds::{BoundsMode, BoundsTable};
-use crate::cache::{CacheConfig, CacheStats, QueryCaches};
 use crate::error::EngineError;
 use crate::metadata::{MetadataDb, MetadataStoreFactory};
 use crate::obs::EngineMetrics;
 use crate::query::{
     max,
-    sum::{try_blend_users, try_query_sum, try_score_candidates, try_sum_rows},
-    top_k, Completeness, PartialSumOutcome, QueryContext, QueryOutcome, QueryStats, RankedUser,
+    sum::{try_query_sum, try_rank_rows, try_score_candidates, try_sum_rows},
+    Completeness, PartialSumOutcome, QueryContext, QueryOutcome, QueryStats, RankedUser,
     StageClock, SumRow,
 };
 use std::time::Instant;
@@ -49,6 +48,20 @@ pub enum Ranking {
 /// the answer (ranked users or scored rows), its cost, its completeness.
 type Answer<T> = (T, QueryStats, Completeness);
 
+/// Entry budgets of the deleted query-memo layers. Never read: the
+/// engine's only cache is the metadata buffer pool
+/// ([`EngineConfig::cache_pages`], DESIGN.md §9). The fields survive only
+/// because the frozen `benchmark/` harness prints them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheConfig {
+    /// Never read.
+    pub cover: usize,
+    /// Never read.
+    pub postings: usize,
+    /// Never read.
+    pub thread: usize,
+}
+
 /// Engine build configuration.
 #[derive(Clone)]
 pub struct EngineConfig {
@@ -67,10 +80,8 @@ pub struct EngineConfig {
     /// the unit of parallelism (DESIGN.md §8). The field survives only
     /// because the frozen `benchmark/` harness prints it.
     pub parallelism: usize,
-    /// Entry budgets for the query cache hierarchy (cover, postings,
-    /// thread layers). All zero by default — caches off, matching the
-    /// paper's experimental setting. Any budgets produce byte-identical
-    /// ranked results; only query cost changes.
+    /// Never read (see [`CacheConfig`]); the field survives only because
+    /// the frozen `benchmark/` harness prints it.
     pub caches: CacheConfig,
     /// The page store under the metadata database's checksum layer
     /// (`None` = the default in-memory pager). Chaos tests substitute a
@@ -140,7 +151,6 @@ pub struct TklusEngine {
     db: MetadataDb,
     pipeline: TextPipeline,
     scoring: ScoringConfig,
-    caches: QueryCaches,
     /// `Some` when built with `EngineConfig::metrics` (the default).
     obs: Option<EngineMetrics>,
 }
@@ -201,7 +211,6 @@ impl TklusEngine {
             db,
             pipeline: TextPipeline::new(),
             scoring: config.scoring,
-            caches: QueryCaches::new(config.caches),
             obs: config.metrics.then(EngineMetrics::new),
         })
     }
@@ -222,22 +231,14 @@ impl TklusEngine {
         &self.scoring
     }
 
-    /// A snapshot of the query-cache hierarchy's counters (all layers).
-    /// Counters are monotone: across two snapshots with queries in
-    /// between, hits and misses never decrease.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.caches.stats()
-    }
-
     /// One coherent snapshot of the engine's metric registry
     /// (DESIGN.md §12): the natively recorded query counters and stage
     /// histograms, with the storage I/O counters re-exported as
-    /// `tklus_storage_*` and the query-cache counters as `tklus_cache_*`.
-    /// Returns `None` when the engine was built with
+    /// `tklus_storage_*`. Returns `None` when the engine was built with
     /// `EngineConfig::metrics` off.
     pub fn metrics_snapshot(&self) -> Option<RegistrySnapshot> {
         let obs = self.obs.as_ref()?;
-        Some(obs.snapshot(&self.db.io().snapshot(), &self.caches.stats()))
+        Some(obs.snapshot(&self.db.io().snapshot()))
     }
 
     /// Normalizes raw query keywords to term ids, position-aligned with
@@ -369,7 +370,6 @@ impl TklusEngine {
         QueryContext {
             index: &self.index,
             db: &self.db,
-            caches: &self.caches,
             scoring: &self.scoring,
             timings: self.obs.is_some(),
         }
@@ -384,7 +384,9 @@ impl TklusEngine {
     /// database, and the top-`q.k` ranking. It is the very code
     /// [`Self::try_query`] runs for either ranking, so a gatherer whose
     /// engine holds the full corpus metadata reproduces the monolithic
-    /// answer bit for bit.
+    /// answer bit for bit. Returns the ranked users with the cost of this
+    /// half: its metadata page reads and its `scoring` and `topk` stages —
+    /// what a gatherer adds to its row sources' stats.
     ///
     /// [`merge_sum_rows`]: crate::merge_sum_rows
     pub fn try_rank_rows(
@@ -392,10 +394,19 @@ impl TklusEngine {
         q: &TklusQuery,
         ranking: Ranking,
         rows: &[SumRow],
-    ) -> Result<Vec<RankedUser>, EngineError> {
-        let (users, _page_reads) =
-            try_blend_users(&self.context(), &mut self.db.reader(), q, ranking, rows)?;
-        Ok(top_k(users, q.k))
+    ) -> Result<(Vec<RankedUser>, QueryStats), EngineError> {
+        let mut stats = QueryStats::default();
+        let mut clock = StageClock::new(self.obs.is_some(), Instant::now());
+        let users = try_rank_rows(
+            &self.context(),
+            &mut self.db.reader(),
+            q,
+            ranking,
+            rows,
+            &mut clock,
+            &mut stats,
+        )?;
+        Ok((users, stats))
     }
 
     /// Scores `cands` — `(tweet, tf)` pairs in tweet-id order that did not
@@ -424,54 +435,21 @@ impl TklusEngine {
     // in the caller's memtable until compaction.
 
     /// Inserts `post` into the metadata database (primary row, reply
-    /// edge, user-location entry) and evicts the thread-cache entries the
-    /// insert stales: the post's own φ and every ancestor's, since a new
-    /// reply grows each ancestor thread it lands in. With the thread
-    /// cache off there is nothing to evict and the ancestor chain is not
-    /// read. On error the caller must treat the engine as suspect and
-    /// rebuild from its durable log (see [`MetadataDb::try_insert_post`]).
+    /// edge, user-location entry). Nothing else holds derived state, so a
+    /// reply's effect on its ancestors' φ is visible to the next query.
+    /// On error the caller must treat the engine as suspect and rebuild
+    /// from its durable log (see [`MetadataDb::try_insert_post`]).
     pub fn try_insert_metadata(&mut self, post: &Post) -> Result<(), EngineError> {
-        if !self.caches.thread.is_enabled() {
-            return Ok(self.db.try_insert_post(post)?);
-        }
-        // Resolve the ancestor chain BEFORE inserting, so a failure after
-        // the insert cannot leave freshly staled cache entries behind: we
-        // evict only after the insert commits.
-        let ancestors = self.try_ancestor_chain(post)?;
-        self.db.try_insert_post(post)?;
-        self.caches.thread.remove(&post.id);
-        for tid in ancestors {
-            self.caches.thread.remove(&tid);
-        }
-        Ok(())
-    }
-
-    /// The reply chain above `post` (its target, the target's target, …),
-    /// resolved through one reader of the metadata database. Bounded by a
-    /// visited set so a malformed corpus with a reply cycle terminates.
-    fn try_ancestor_chain(&self, post: &Post) -> Result<Vec<TweetId>, EngineError> {
-        let mut meta = self.db.reader();
-        let mut chain = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut cursor = post.in_reply_to.map(|r| r.target);
-        while let Some(tid) = cursor {
-            if !seen.insert(tid) {
-                break;
-            }
-            chain.push(tid);
-            cursor = meta.try_row(tid)?.and_then(|row| row.rsid);
-        }
-        Ok(chain)
+        Ok(self.db.try_insert_post(post)?)
     }
 
     /// The thread popularity φ(p) of the thread rooted at `tid`, built
-    /// over the **current** metadata database through the same thread
-    /// cache the query path uses (hit returns the cached value, miss
-    /// builds and caches) — the number a query-time candidate sees. A
-    /// one-call reader: the `rsid = ?` scans of this one thread walk
-    /// share a root-to-leaf path.
+    /// over the **current** metadata database by the query path's own
+    /// code — the number a query-time candidate sees. A one-call reader:
+    /// the `rsid = ?` scans of this one thread walk share a root-to-leaf
+    /// path.
     pub fn try_thread_phi(&self, tid: TweetId) -> Result<f64, EngineError> {
-        Ok(self.context().try_popularity(&mut self.db.reader(), tid)?.0)
+        self.context().try_popularity(&mut self.db.reader(), tid)
     }
 
     /// Normalizes one query keyword through this engine's text pipeline
@@ -646,55 +624,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn cache_stats_start_cold_and_count_after_queries() {
-        let corpus = corpus();
-        let config = EngineConfig {
-            caches: crate::cache::CacheConfig { cover: 8, postings: 32, thread: 32 },
-            ..EngineConfig::default()
-        };
-        let (engine, _) = TklusEngine::build(&corpus, &config);
-        let cold = engine.cache_stats();
-        // Assembly builds the index and the metadata and nothing else: no
-        // layer holds an entry before the first query.
-        assert_eq!(cold.thread.entries, 0, "a fresh engine's thread cache is cold");
-        assert_eq!(cold.cover.hits + cold.cover.misses, 0);
-        let q = tklus_model::TklusQuery::new(
-            Point::new_unchecked(43.7, -79.4),
-            10.0,
-            vec!["hotel".into()],
-            5,
-            Semantics::Or,
-        )
-        .unwrap();
-        let (cold_res, s1) = engine.query(&q, Ranking::Sum);
-        let (warm_res, s2) = engine.query(&q, Ranking::Sum);
-        assert_eq!(s1.cover_cache_misses, 1);
-        assert_eq!(s2.cover_cache_hits, 1);
-        assert!(s2.postings_cache_hits >= s1.postings_cache_hits);
-        // Identical results hot vs cold.
-        assert_eq!(cold_res.len(), warm_res.len());
-        for (a, b) in cold_res.iter().zip(&warm_res) {
-            assert_eq!(a.user, b.user);
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-        }
-        // Per-query tallies are consistent with the global counters.
-        let after = engine.cache_stats();
-        assert_eq!(after.cover.hits, s1.cover_cache_hits + s2.cover_cache_hits);
-        assert_eq!(after.cover.misses, s1.cover_cache_misses + s2.cover_cache_misses);
-        assert_eq!(after.postings.hits, s1.postings_cache_hits + s2.postings_cache_hits);
-        assert_eq!(after.postings.misses, s1.postings_cache_misses + s2.postings_cache_misses);
-        assert_eq!(after.thread.hits, s1.thread_cache_hits + s2.thread_cache_hits);
-        assert_eq!(after.thread.misses, s1.thread_cache_misses + s2.thread_cache_misses);
-        // The registry re-exports the same cache counters coherently.
-        let snap = engine.metrics_snapshot().expect("metrics on by default");
-        assert_eq!(snap.counter("tklus_queries_total"), Some(2));
-        assert_eq!(snap.counter("tklus_cache_cover_hits_total"), Some(after.cover.hits));
-        assert_eq!(snap.counter("tklus_cache_cover_misses_total"), Some(after.cover.misses));
-        assert_eq!(snap.counter("tklus_cache_postings_hits_total"), Some(after.postings.hits));
-        assert_eq!(snap.counter("tklus_cache_thread_hits_total"), Some(after.thread.hits));
     }
 
     #[test]

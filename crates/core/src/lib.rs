@@ -5,7 +5,7 @@
 //! * [`metadata`] — the centralized tweet-metadata database of Section IV-A:
 //!   the relation `(sid, uid, lat, lon, ruid, rsid)` over from-scratch
 //!   B⁺-trees on `sid`, `rsid`, and (for user distance scores) `uid`, with
-//!   buffer-pool-accounted I/O.
+//!   buffer-pool-accounted I/O. The buffer pool is the engine's only cache.
 //! * [`score`] — the scoring functions: tweet distance score (Def. 5),
 //!   keyword relevance (Def. 6), Sum/Maximum user keyword scores
 //!   (Defs. 7/8), user distance score (Def. 9), combined user score
@@ -13,9 +13,6 @@
 //! * [`bounds`] — the pruning bounds of Section V-B: the global upper bound
 //!   popularity (Def. 11) and the pre-computed per-hot-keyword bounds,
 //!   which only Algorithm 5 reads and its caller precomputes.
-//! * [`cache`] — the multi-level query cache hierarchy: memoized circle
-//!   covers, decoded postings lists, and thread popularities, each a
-//!   size-bounded lock-striped LRU layer with hit/miss accounting.
 //! * [`query`] — Algorithm 4's row producer and the per-user fold that
 //!   ranks either Sum or Maximum from its rows (every engine's query), and
 //!   Algorithm 5 (Maximum-score ranking with upper-bound pruning, the
@@ -33,7 +30,6 @@
 //!   [`TklusEngine::metrics_snapshot`](engine::TklusEngine::metrics_snapshot).
 
 pub mod bounds;
-pub mod cache;
 pub mod engine;
 pub mod error;
 pub mod metadata;
@@ -42,8 +38,7 @@ pub mod query;
 pub mod score;
 
 pub use bounds::{BoundsMode, BoundsTable};
-pub use cache::{CacheConfig, CacheStats, QueryCaches};
-pub use engine::{EngineConfig, Ranking, TklusEngine};
+pub use engine::{CacheConfig, EngineConfig, Ranking, TklusEngine};
 pub use error::EngineError;
 pub use metadata::{MetaReader, MetaRow, MetadataDb, MetadataStoreFactory};
 pub use query::{

@@ -4,12 +4,11 @@
 //! One [`EngineMetrics`] lives inside each [`crate::TklusEngine`] built
 //! with `EngineConfig::metrics` on. Query counters and stage/latency
 //! histograms are recorded natively (pre-registered handles, lock-free);
-//! the storage [`tklus_storage::IoStats`] counters and the query-cache
-//! [`CacheStats`] are *re-exported* into snapshots at read time under
-//! `tklus_storage_*` / `tklus_cache_*` names, so the registry presents one
-//! coherent view without double-counting anything at record time.
+//! the storage [`tklus_storage::IoStats`] counters are *re-exported* into
+//! snapshots at read time under `tklus_storage_*` names, so the registry
+//! presents one coherent view without double-counting anything at record
+//! time.
 
-use crate::cache::CacheStats;
 use crate::query::QueryStats;
 use tklus_metrics::{Counter, Histogram, MetricRegistry, RegistrySnapshot};
 use tklus_storage::IoSnapshot;
@@ -93,20 +92,14 @@ impl EngineMetrics {
         self.query_errors.inc();
     }
 
-    /// Registry snapshot with the storage and cache counter families
-    /// injected (re-exported, not duplicated — see the module docs).
-    pub(crate) fn snapshot(&self, io: &IoSnapshot, cache: &CacheStats) -> RegistrySnapshot {
+    /// Registry snapshot with the storage counter family injected
+    /// (re-exported, not duplicated — see the module docs).
+    pub(crate) fn snapshot(&self, io: &IoSnapshot) -> RegistrySnapshot {
         let mut snap = self.registry.snapshot();
         snap.set_counter("tklus_storage_page_reads_total", io.page_reads);
         snap.set_counter("tklus_storage_page_writes_total", io.page_writes);
         snap.set_counter("tklus_storage_buffer_hits_total", io.cache_hits);
         snap.set_counter("tklus_storage_buffer_misses_total", io.cache_misses);
-        snap.set_counter("tklus_cache_cover_hits_total", cache.cover.hits);
-        snap.set_counter("tklus_cache_cover_misses_total", cache.cover.misses);
-        snap.set_counter("tklus_cache_postings_hits_total", cache.postings.hits);
-        snap.set_counter("tklus_cache_postings_misses_total", cache.postings.misses);
-        snap.set_counter("tklus_cache_thread_hits_total", cache.thread.hits);
-        snap.set_counter("tklus_cache_thread_misses_total", cache.thread.misses);
         snap
     }
 }

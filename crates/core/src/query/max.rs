@@ -24,12 +24,6 @@
 //! ascending — rather than arrival order: a tie at the k-th place
 //! resolves the same way here, in a row fold and in the naive reference.
 //!
-//! # Caching
-//!
-//! The cover/postings caches front the fetch and the thread cache fronts
-//! φ(p); every cached value is pure, so cached runs return identical
-//! results.
-//!
 //! # Failure
 //!
 //! Storage and index failures — postings fetch, metadata lookups, thread
@@ -39,7 +33,7 @@
 use crate::bounds::{BoundsMode, BoundsTable};
 use crate::error::EngineError;
 use crate::query::{
-    candidates, top_k, CellBudget, Completeness, QueryContext, QueryStats, RankedUser, StageClock,
+    candidates, top_k, Completeness, QueryContext, QueryStats, RankedUser, StageClock,
 };
 use crate::score::{tweet_keyword_score, upper_bound_user_score, user_score};
 use std::collections::HashMap;
@@ -136,34 +130,14 @@ pub(crate) fn try_query_max(
     let center = &query.location;
     let radius_km = query.radius_km;
     let k = query.k;
-    let budget = CellBudget::new(query.budget.as_ref(), start);
     let mut clock = StageClock::new(ctx.timings, start);
 
-    // Lines 1–14: identical to Algorithm 4, through the cache hierarchy,
-    // stopping between cover cells if the budget expires.
-    let (fetch, tally, cells_total) = ctx.try_fetch(center, radius_km, terms, budget.as_ref())?;
-    let _ = clock.lap(); // cover+fetch measured inside try_fetch
-    let completeness = if fetch.cells < cells_total {
-        Completeness::Degraded { cells_processed: fetch.cells, cells_total }
-    } else {
-        Completeness::Complete
-    };
+    // Lines 1–14: identical to Algorithm 4, stopping between cover cells
+    // if the budget expires.
+    let mut stats = QueryStats::default();
+    let (fetch, completeness) = ctx.try_fetch(query, terms, start, &mut clock, &mut stats)?;
     let cands = candidates(&fetch, query.semantics);
-
-    let mut stats = QueryStats {
-        cover_cells: fetch.cells,
-        lists_fetched: fetch.lists,
-        dfs_bytes: fetch.bytes,
-        candidates: cands.len(),
-        cover_cache_hits: tally.cover.map_or(0, u64::from),
-        cover_cache_misses: tally.cover.map_or(0, |hit| u64::from(!hit)),
-        postings_cache_hits: tally.postings_hits,
-        postings_cache_misses: tally.postings_misses,
-        deadline_polls_saved: budget.as_ref().map_or(0, CellBudget::deadline_polls_saved),
-        ..QueryStats::default()
-    };
-    stats.stages.cover = tally.cover_time;
-    stats.stages.fetch = tally.fetch_time;
+    stats.candidates = cands.len();
     stats.stages.combine = clock.lap();
 
     let popularity_bound = bounds.query_bound(terms, query.semantics, mode);
@@ -198,13 +172,9 @@ pub(crate) fn try_query_max(
             }
         }
 
-        // Lines 20–22: thread popularity (cached or constructed),
-        // tweet and user scores.
-        let (phi, probe) = ctx.try_popularity(&mut meta, tid)?;
-        stats.record_thread_probe(probe);
-        if probe != Some(true) {
-            stats.threads_built += 1;
-        }
+        // Lines 20–22: thread popularity, tweet and user scores.
+        let phi = ctx.try_popularity(&mut meta, tid)?;
+        stats.threads_built += 1;
         let rho = tweet_keyword_score(tf, phi, config) * recency;
         let uid = row.uid;
         let delta = match delta_cache.get(&uid) {

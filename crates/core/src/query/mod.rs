@@ -11,18 +11,15 @@
 pub mod max;
 pub mod sum;
 
-use crate::cache::QueryCaches;
 use crate::error::EngineError;
 use crate::metadata::{MetaReader, MetadataDb};
 use crate::score::user_distance_score;
 use std::sync::Arc;
 use std::time::Instant;
-use tklus_geo::{circle_cover, CoverKey, Geohash, Point};
+use tklus_geo::{circle_cover, Geohash, Point};
 use tklus_graph::try_build_thread;
-use tklus_index::{
-    intersect_sum, union_sum, HybridIndex, IndexError, PostingsList, PostingsLocation,
-};
-use tklus_model::{QueryBudget, ScoringConfig, Semantics, TweetId, UserId};
+use tklus_index::{intersect_sum, union_sum, HybridIndex, IndexError, PostingsList, QueryFetch};
+use tklus_model::{QueryBudget, ScoringConfig, Semantics, TklusQuery, TweetId, UserId};
 use tklus_text::TermId;
 
 /// One result row: a user and their score.
@@ -182,10 +179,10 @@ impl CellBudget {
 
 /// Wall-clock breakdown of one query by pipeline stage (DESIGN.md §12).
 ///
-/// Stages follow Algorithms 4/5: circle-cover resolution, postings fetch
-/// (cache probes + DFS reads), candidate combination (union/intersection),
-/// thread construction, scoring, and top-k aggregation. All zero when the
-/// engine was built with `EngineConfig::metrics` off.
+/// Stages follow Algorithms 4/5: circle cover, postings fetch (DFS reads),
+/// candidate combination (union/intersection), thread construction,
+/// scoring, and top-k aggregation. All zero when the engine was built
+/// with `EngineConfig::metrics` off.
 ///
 /// Algorithm 5 ([`crate::TklusEngine::try_query_max`]) interleaves
 /// thread construction, scoring, and admission inside one upper-bound
@@ -194,13 +191,13 @@ impl CellBudget {
 /// distance blend as `scoring`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
-    /// Circle-cover resolution (cover cache probe or fresh computation).
+    /// Circle-cover computation.
     pub cover: std::time::Duration,
-    /// Postings retrieval: cache probes plus DFS reads and decoding.
+    /// Postings retrieval: DFS reads and decoding.
     pub fetch: std::time::Duration,
     /// AND/OR candidate combination (union/intersection).
     pub combine: std::time::Duration,
-    /// Thread construction (Algorithm 1 runs and thread-cache probes).
+    /// Candidate row lookups and thread construction (Algorithm 1 runs).
     pub threads: std::time::Duration,
     /// Per-user scoring (distance blend; 0 under Algorithm 5).
     pub scoring: std::time::Duration,
@@ -263,21 +260,6 @@ pub struct QueryStats {
     pub threads_pruned: usize,
     /// Physical metadata-database page reads incurred.
     pub metadata_page_reads: u64,
-    /// Circle covers served from the cover cache (0 or 1 per query; 0
-    /// whenever the layer is disabled).
-    pub cover_cache_hits: u64,
-    /// Circle covers computed because the (enabled) cover cache missed.
-    pub cover_cache_misses: u64,
-    /// Postings lists served decoded from the postings cache.
-    pub postings_cache_hits: u64,
-    /// Postings lists fetched from the DFS because the (enabled) postings
-    /// cache missed.
-    pub postings_cache_misses: u64,
-    /// Thread popularities φ(p) served from the thread cache.
-    pub thread_cache_hits: u64,
-    /// Thread popularities computed because the (enabled) thread cache
-    /// missed.
-    pub thread_cache_misses: u64,
     /// Deadline clock polls elided by the strided budget check
     /// (DESIGN.md §12); 0 for unbudgeted queries.
     pub deadline_polls_saved: u64,
@@ -285,241 +267,107 @@ pub struct QueryStats {
     pub stages: StageTimings,
 }
 
-impl QueryStats {
-    /// Folds one thread-cache probe outcome (`None` = layer disabled,
-    /// `Some(hit?)` otherwise) into the tallies.
-    pub(crate) fn record_thread_probe(&mut self, outcome: Option<bool>) {
-        match outcome {
-            Some(true) => self.thread_cache_hits += 1,
-            Some(false) => self.thread_cache_misses += 1,
-            None => {}
-        }
-    }
-}
-
-/// Per-fetch cache-probe tallies, folded into [`QueryStats`] by the caller.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FetchTally {
-    /// `Some(hit?)` when the cover cache is enabled, `None` otherwise.
-    pub cover: Option<bool>,
-    pub postings_hits: u64,
-    pub postings_misses: u64,
-    /// Time spent resolving the circle cover (zero with metrics off).
-    pub cover_time: std::time::Duration,
-    /// Time spent in postings retrieval after the cover was resolved
-    /// (zero with metrics off).
-    pub fetch_time: std::time::Duration,
-}
-
-/// The result of the postings-retrieval phase (Algorithms 4/5 lines 1–7):
-/// per-keyword postings plus the cost accounting the stats report.
-pub(crate) struct Fetched {
-    /// Postings grouped by query keyword, each keyword's lists in cover
-    /// order.
-    pub per_keyword: Vec<Vec<Arc<PostingsList>>>,
-    /// Cover cells processed (may trail the full cover under a budget).
-    pub cells: usize,
-    /// Postings lists retrieved (cache hits included).
-    pub lists: usize,
-    /// Bytes read from the DFS (cache hits cost none).
-    pub bytes: u64,
-}
-
 /// Everything query execution needs from the engine, bundled so both
-/// ranking algorithms run through the same cache-aware access paths.
-/// Metadata is read through one [`MetaReader`] per query, opened from
-/// `db` by the query's entry point and passed down as `meta`.
+/// ranking algorithms run through the same access paths. Metadata is read
+/// through one [`MetaReader`] per query, opened from `db` by the query's
+/// entry point and passed down as `meta`.
 pub(crate) struct QueryContext<'a> {
     pub index: &'a HybridIndex,
     pub db: &'a MetadataDb,
-    pub caches: &'a QueryCaches,
     pub scoring: &'a ScoringConfig,
     /// Record per-stage wall-clock spans (engine `metrics` flag).
     pub timings: bool,
 }
 
 impl QueryContext<'_> {
-    /// The postings-retrieval phase of Algorithms 4/5 (lines 1–7), run
-    /// through the cache hierarchy: the circle cover through the cover
-    /// cache, each `⟨cell, term⟩` list through the postings cache, and
-    /// only the misses down to the DFS — in `(partition, offset)` order,
-    /// exactly like [`HybridIndex::fetch_for_query`].
-    ///
-    /// Per-keyword lists are assembled in cover order, which differs from
-    /// the uncached path's storage order; both orders feed the same
-    /// order-insensitive union/intersection, so candidates — and therefore
-    /// results — are identical. Directory misses (a `⟨cell, term⟩` with no
-    /// postings) are never cached: the in-memory forward lookup already
-    /// answers them for free.
-    ///
-    /// Returns the fetch (whose `cells` counts *processed* cells, which a
-    /// `budget` may cut short), the cache tally, and the cover's total
-    /// cell count.
+    /// The postings-retrieval phase of Algorithms 4/5 (lines 1–7): the
+    /// circle cover, then the index's one fetch
+    /// ([`HybridIndex::try_fetch_for_query`]) — or, under a budget
+    /// started at `start`, [`Self::try_fetch_budgeted`]. Fills `stats`'
+    /// fetch counts and its `cover` and `fetch` stages (lapping `clock`),
+    /// and returns the fetch with its completeness.
     pub(crate) fn try_fetch(
         &self,
-        center: &Point,
-        radius_km: f64,
+        query: &TklusQuery,
         terms: &[TermId],
-        budget: Option<&CellBudget>,
-    ) -> Result<(Fetched, FetchTally, usize), EngineError> {
-        let mut tally = FetchTally::default();
-        let mut clock = StageClock::new(self.timings, Instant::now());
-        let geohash_len = self.index.geohash_len();
-        let metric = self.scoring.metric;
-        let compute_cover = || {
-            Arc::new(
-                circle_cover(center, radius_km, geohash_len, metric)
-                    .expect("index geohash length is valid"),
-            )
+        start: Instant,
+        clock: &mut StageClock,
+        stats: &mut QueryStats,
+    ) -> Result<(QueryFetch, Completeness), EngineError> {
+        let budget = CellBudget::new(query.budget.as_ref(), start);
+        let cover = circle_cover(
+            &query.location,
+            query.radius_km,
+            self.index.geohash_len(),
+            self.scoring.metric,
+        )
+        .expect("index geohash length is valid");
+        stats.stages.cover = clock.lap();
+        let fetch = match &budget {
+            None => self.index.try_fetch_for_query(&cover, terms)?,
+            Some(budget) => self.try_fetch_budgeted(&cover, terms, budget)?,
         };
-        let cover: Arc<Vec<Geohash>> = if self.caches.cover.is_enabled() {
-            let key = CoverKey::new(center, radius_km, geohash_len, metric);
-            match self.caches.cover.get(&key) {
-                Some(c) => {
-                    tally.cover = Some(true);
-                    c
-                }
-                None => {
-                    tally.cover = Some(false);
-                    let c = compute_cover();
-                    self.caches.cover.insert(key, Arc::clone(&c));
-                    c
-                }
-            }
+        stats.stages.fetch = clock.lap();
+        stats.cover_cells = fetch.cells;
+        stats.lists_fetched = fetch.lists;
+        stats.dfs_bytes = fetch.bytes;
+        stats.deadline_polls_saved = budget.as_ref().map_or(0, CellBudget::deadline_polls_saved);
+        let completeness = if fetch.cells < cover.len() {
+            Completeness::Degraded { cells_processed: fetch.cells, cells_total: cover.len() }
         } else {
-            compute_cover()
+            Completeness::Complete
         };
-        let cells_total = cover.len();
-        tally.cover_time = clock.lap();
-
-        let fetch = self.fetch_lists(&cover, terms, budget, &mut tally)?;
-        tally.fetch_time = clock.lap();
-        Ok((fetch, tally, cells_total))
+        Ok((fetch, completeness))
     }
 
-    /// Probes the postings cache, sends the misses to the DFS, and files
-    /// everything per keyword in cover order.
-    ///
-    /// Unbudgeted, misses are batched: probe everything first (reserving a
-    /// slot per list so hits and later-fetched misses land in deterministic
-    /// positions), then fetch misses in storage order — the locality the
-    /// sorted ⟨geohash, term⟩ layout provides, and the order the DFS
-    /// sequential/random read accounting is measured in. With a `budget`,
-    /// cells are processed one at a time (cell-outer/keyword-inner, each
-    /// cell's misses fetched before the next cell starts): the deadline
-    /// poll between cells needs that interleaving to reflect real work
-    /// done, which is why the two loops stay separate. Both produce the
-    /// same per-keyword list order, so a budget that admits the whole
-    /// cover yields bitwise-identical results.
-    fn fetch_lists(
+    /// The budgeted fetch: cover cells one at a time (cell-outer,
+    /// keyword-inner), each cell's lists read before the budget is asked
+    /// about the next, so the deadline poll between cells reflects real
+    /// work done. The lists land in cover order rather than storage order;
+    /// the union/intersection downstream is order-insensitive, so a budget
+    /// that admits the whole cover yields bitwise-identical results.
+    fn try_fetch_budgeted(
         &self,
         cover: &[Geohash],
         terms: &[TermId],
-        budget: Option<&CellBudget>,
-        tally: &mut FetchTally,
-    ) -> Result<Fetched, EngineError> {
-        let read = |loc: PostingsLocation| -> Result<(Arc<PostingsList>, u64), IndexError> {
-            self.index.try_read_postings(loc).map(|(list, bytes)| (Arc::new(list), bytes))
+        budget: &CellBudget,
+    ) -> Result<QueryFetch, IndexError> {
+        let mut fetch = QueryFetch {
+            per_keyword: terms.iter().map(|_| Vec::new()).collect(),
+            cells: 0,
+            lists: 0,
+            bytes: 0,
         };
-        if let Some(budget) = budget {
-            let mut per_keyword: Vec<Vec<Arc<PostingsList>>> =
-                terms.iter().map(|_| Vec::new()).collect();
-            let mut lists = 0usize;
-            let mut bytes = 0u64;
-            let mut processed = 0usize;
-            for &cell in cover {
-                if !budget.allows(processed) {
-                    break;
-                }
-                for (ki, &term) in terms.iter().enumerate() {
-                    let Some(loc) = self.index.forward().lookup(cell, term) else { continue };
-                    lists += 1;
-                    if let Some(list) = self.caches.postings.get(&(cell, term)) {
-                        tally.postings_hits += 1;
-                        per_keyword[ki].push(list);
-                        continue;
-                    }
-                    if self.caches.postings.is_enabled() {
-                        tally.postings_misses += 1;
-                    }
-                    let (list, b) = read(loc)?;
-                    bytes += b;
-                    self.caches.postings.insert((cell, term), Arc::clone(&list));
-                    per_keyword[ki].push(list);
-                }
-                processed += 1;
+        for &cell in cover {
+            if !budget.allows(fetch.cells) {
+                break;
             }
-            return Ok(Fetched { per_keyword, cells: processed, lists, bytes });
-        }
-
-        // Probe the postings cache in (keyword, cover-cell) order.
-        let mut per_keyword: Vec<Vec<Option<Arc<PostingsList>>>> =
-            terms.iter().map(|_| Vec::new()).collect();
-        let mut misses: Vec<(usize, usize, (Geohash, TermId), PostingsLocation)> = Vec::new();
-        let mut lists = 0usize;
-        for (ki, &term) in terms.iter().enumerate() {
-            for &cell in cover.iter() {
+            for (ki, &term) in terms.iter().enumerate() {
                 let Some(loc) = self.index.forward().lookup(cell, term) else { continue };
-                lists += 1;
-                match self.caches.postings.get(&(cell, term)) {
-                    Some(list) => {
-                        tally.postings_hits += 1;
-                        per_keyword[ki].push(Some(list));
-                    }
-                    None => {
-                        if self.caches.postings.is_enabled() {
-                            tally.postings_misses += 1;
-                        }
-                        misses.push((ki, per_keyword[ki].len(), (cell, term), loc));
-                        per_keyword[ki].push(None);
-                    }
-                }
+                let (list, bytes) = self.index.try_read_postings(loc)?;
+                fetch.lists += 1;
+                fetch.bytes += bytes;
+                fetch.per_keyword[ki].push(Arc::new(list));
             }
+            fetch.cells += 1;
         }
-
-        misses.sort_by_key(|&(_, _, _, loc)| (loc.partition, loc.offset));
-        let mut bytes = 0u64;
-        for (ki, slot, key, loc) in misses {
-            let (list, b) = read(loc)?;
-            bytes += b;
-            self.caches.postings.insert(key, Arc::clone(&list));
-            per_keyword[ki][slot] = Some(list);
-        }
-        let per_keyword = per_keyword
-            .into_iter()
-            .map(|lists| lists.into_iter().map(|l| l.expect("every slot filled")).collect())
-            .collect();
-        Ok(Fetched { per_keyword, cells: cover.len(), lists, bytes })
+        Ok(fetch)
     }
 
     /// Definition 4's thread popularity φ(p) for the thread rooted at
-    /// `tid`, through the thread cache. Returns the probe outcome
-    /// (`None` = layer disabled, `Some(hit?)` otherwise); the thread is
-    /// actually constructed exactly when the outcome is not `Some(true)`.
-    ///
-    /// Pure given the immutable corpus and the engine-fixed `thread_depth`
-    /// and `epsilon`, so any thread may compute and cache it. A metadata
-    /// storage failure during the thread walk surfaces as a typed error.
+    /// `tid`, built by Algorithm 1. A metadata storage failure during the
+    /// thread walk surfaces as a typed error.
     ///
     /// `replies` answers Algorithm 1's `rsid = ?` scans: the query's
-    /// reader on the read path, a one-call reader on the write path.
+    /// reader on the read path, a one-call reader otherwise.
     pub(crate) fn try_popularity(
         &self,
         replies: &mut MetaReader<'_>,
         tid: TweetId,
-    ) -> Result<(f64, Option<bool>), EngineError> {
-        if let Some(phi) = self.caches.thread.get(&tid) {
-            return Ok((phi, Some(true)));
-        }
-        let phi = try_build_thread(replies, tid, self.scoring.thread_depth)
+    ) -> Result<f64, EngineError> {
+        Ok(try_build_thread(replies, tid, self.scoring.thread_depth)
             .map_err(EngineError::Storage)?
-            .popularity(self.scoring.epsilon);
-        if self.caches.thread.is_enabled() {
-            self.caches.thread.insert(tid, phi);
-            Ok((phi, Some(false)))
-        } else {
-            Ok((phi, None))
-        }
+            .popularity(self.scoring.epsilon))
     }
 
     /// Definition 9's user distance score δ(u, q) over `P_u`.
@@ -542,7 +390,7 @@ impl QueryContext<'_> {
 /// * OR — union of every list; a tweet's count sums over all keywords.
 /// * AND — per-keyword union across cover cells, then intersection across
 ///   keywords (a tweet must contain every keyword), counts summed.
-pub(crate) fn candidates(fetch: &Fetched, semantics: Semantics) -> Vec<(TweetId, u32)> {
+pub(crate) fn candidates(fetch: &QueryFetch, semantics: Semantics) -> Vec<(TweetId, u32)> {
     match semantics {
         Semantics::Or => {
             let all: Vec<&PostingsList> =
@@ -588,7 +436,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        candidates(&Fetched { per_keyword, cells: 0, lists: 0, bytes: 0 }, semantics)
+        candidates(&QueryFetch { per_keyword, cells: 0, lists: 0, bytes: 0 }, semantics)
     }
 
     #[test]

@@ -8,16 +8,14 @@
 //!
 //! Candidates are scored, and per-user Sum scores accumulated, in
 //! candidate (tweet-id) order on the calling thread, which fixes the
-//! floating-point result. The cover, postings, and thread caches slot in
-//! transparently: every cached value is pure, so cached and uncached runs
-//! differ only in cost, never in results.
+//! floating-point result.
 //!
 //! The pipeline is split at the per-user fold: [`try_sum_rows`] produces
-//! the scored candidate rows in tweet-id order, and [`try_blend_users`]
+//! the scored candidate rows in tweet-id order, and [`try_rank_rows`]
 //! folds them per user — by `+=` (Definition 7) or by `max`
-//! (Definition 8) — and blends with distance. [`try_query_sum`] runs the
-//! two back to back for [`crate::TklusEngine::try_query`], under either
-//! ranking. The split is what serves the gatherers — the sharded router
+//! (Definition 8) — blends with distance and ranks. [`try_query_sum`]
+//! runs the two back to back for [`crate::TklusEngine::try_query`], under
+//! either ranking. The split is what serves the gatherers — the sharded router
 //! over disjoint shard engines, the ingest store over sealed ∪ live: they
 //! merge row streams by tweet id ([`merge_sum_rows`]) and run the same
 //! fold through [`crate::TklusEngine::try_rank_rows`], reproducing the
@@ -45,8 +43,7 @@ use crate::engine::Ranking;
 use crate::error::EngineError;
 use crate::metadata::MetaReader;
 use crate::query::{
-    candidates, top_k, CellBudget, Completeness, QueryContext, QueryStats, RankedUser, StageClock,
-    SumRow,
+    candidates, top_k, Completeness, QueryContext, QueryStats, RankedUser, StageClock, SumRow,
 };
 use crate::score::{tweet_keyword_score, user_score};
 use std::collections::HashMap;
@@ -68,35 +65,12 @@ pub(crate) fn try_sum_rows(
     start: Instant,
     clock: &mut StageClock,
 ) -> Result<(Vec<SumRow>, QueryStats, Completeness), EngineError> {
-    let center = &query.location;
-    let radius_km = query.radius_km;
-    let budget = CellBudget::new(query.budget.as_ref(), start);
-
-    // Lines 1–14: cover, fetch, AND/OR combine — through the cache
-    // hierarchy, stopping between cover cells if the budget expires.
-    let (fetch, tally, cells_total) = ctx.try_fetch(center, radius_km, terms, budget.as_ref())?;
-    let _ = clock.lap(); // cover+fetch measured inside try_fetch
-    let completeness = if fetch.cells < cells_total {
-        Completeness::Degraded { cells_processed: fetch.cells, cells_total }
-    } else {
-        Completeness::Complete
-    };
+    // Lines 1–14: cover, fetch, AND/OR combine, stopping between cover
+    // cells if the budget expires.
+    let mut stats = QueryStats::default();
+    let (fetch, completeness) = ctx.try_fetch(query, terms, start, clock, &mut stats)?;
     let cands = candidates(&fetch, query.semantics);
-
-    let mut stats = QueryStats {
-        cover_cells: fetch.cells,
-        lists_fetched: fetch.lists,
-        dfs_bytes: fetch.bytes,
-        candidates: cands.len(),
-        cover_cache_hits: tally.cover.map_or(0, u64::from),
-        cover_cache_misses: tally.cover.map_or(0, |hit| u64::from(!hit)),
-        postings_cache_hits: tally.postings_hits,
-        postings_cache_misses: tally.postings_misses,
-        deadline_polls_saved: budget.as_ref().map_or(0, CellBudget::deadline_polls_saved),
-        ..QueryStats::default()
-    };
-    stats.stages.cover = tally.cover_time;
-    stats.stages.fetch = tally.fetch_time;
+    stats.candidates = cands.len();
     stats.stages.combine = clock.lap();
 
     let reads_before = IoStats::thread_page_reads();
@@ -107,8 +81,8 @@ pub(crate) fn try_sum_rows(
 }
 
 /// Lines 15–24, the per-candidate relevance stage both rankings' rows
-/// come from: time window, metadata row, radius check, thread popularity
-/// (possibly cached), keyword score × recency. `cands` are `(tweet, tf)`
+/// come from: time window, metadata row, radius check, thread popularity,
+/// keyword score × recency. `cands` are `(tweet, tf)`
 /// pairs in tweet-id order and the surviving rows keep that order (the
 /// fold order every consumer must preserve for float determinism). The
 /// first storage error aborts the query.
@@ -132,11 +106,8 @@ pub(crate) fn try_score_candidates(
             continue;
         }
         stats.in_radius += 1;
-        let (phi, probe) = ctx.try_popularity(meta, tid)?;
-        stats.record_thread_probe(probe);
-        if probe != Some(true) {
-            stats.threads_built += 1;
-        }
+        let phi = ctx.try_popularity(meta, tid)?;
+        stats.threads_built += 1;
         let rho = tweet_keyword_score(tf, phi, config) * query.recency_factor(tid.0);
         rows.push(SumRow { tweet: tid, user: row.uid, rho });
     }
@@ -176,23 +147,25 @@ pub fn merge_sum_rows<'a>(lists: impl Iterator<Item = &'a [SumRow]>) -> Vec<SumR
     merged
 }
 
-/// The per-user fold and distance blend (lines 23–27). Each user's
-/// keyword relevance folds over `rows` in row order — tweet-id order, so
-/// a Sum's float additions never depend on scheduling or on how many
-/// sources the rows were gathered from — by `+=` under [`Ranking::Sum`]
-/// (Definition 7) and by `max` under [`Ranking::Max`] (Definition 8:
-/// order-free, whatever the bounds mode); then it
-/// blends with the user's distance score δ (Definition 10) into the final
-/// `score(u, q)`. Users are visited in id order for deterministic I/O
-/// patterns. Returns the unranked users and the metadata page reads
-/// incurred.
-pub(crate) fn try_blend_users(
+/// The per-user fold, distance blend and ranking (lines 23–27). Each
+/// user's keyword relevance folds over `rows` in row order — tweet-id
+/// order, so a Sum's float additions never depend on scheduling or on how
+/// many sources the rows were gathered from — by `+=` under
+/// [`Ranking::Sum`] (Definition 7) and by `max` under [`Ranking::Max`]
+/// (Definition 8: order-free, whatever the bounds mode); then it blends
+/// with the user's distance score δ (Definition 10) into the final
+/// `score(u, q)`, and the top `query.k` are kept. Users are visited in id
+/// order for deterministic I/O patterns. Adds the blend's metadata page
+/// reads to `stats` and sets its `scoring` and `topk` stages.
+pub(crate) fn try_rank_rows(
     ctx: &QueryContext<'_>,
     meta: &mut MetaReader<'_>,
     query: &TklusQuery,
     ranking: Ranking,
     rows: &[SumRow],
-) -> Result<(Vec<RankedUser>, u64), EngineError> {
+    clock: &mut StageClock,
+    stats: &mut QueryStats,
+) -> Result<Vec<RankedUser>, EngineError> {
     let config = ctx.scoring;
     let mut users: HashMap<UserId, f64> = HashMap::new();
     for row in rows {
@@ -214,7 +187,11 @@ pub(crate) fn try_blend_users(
         let delta = ctx.try_user_distance(meta, &query.location, query.radius_km, uid)?;
         users_ranked.push(RankedUser { user: uid, score: user_score(rho, delta, config) });
     }
-    Ok((users_ranked, IoStats::thread_page_reads() - reads_before))
+    stats.metadata_page_reads += IoStats::thread_page_reads() - reads_before;
+    stats.stages.scoring = clock.lap();
+    let top = top_k(users_ranked, query.k);
+    stats.stages.topk = clock.lap();
+    Ok(top)
 }
 
 /// Runs Algorithm 4 and ranks it under `ranking`: the scored rows, the
@@ -236,13 +213,7 @@ pub(crate) fn try_query_sum(
     let mut meta = ctx.db.reader();
     let (rows, mut stats, completeness) =
         try_sum_rows(ctx, &mut meta, query, terms, start, &mut clock)?;
-
-    let (users_ranked, blend_reads) = try_blend_users(ctx, &mut meta, query, ranking, &rows)?;
-    stats.metadata_page_reads += blend_reads;
-    stats.stages.scoring = clock.lap();
-
-    let top = top_k(users_ranked, query.k);
-    stats.stages.topk = clock.lap();
+    let top = try_rank_rows(ctx, &mut meta, query, ranking, &rows, &mut clock, &mut stats)?;
     stats.elapsed = start.elapsed();
     Ok((top, stats, completeness))
 }

@@ -5,14 +5,12 @@
 //! threads at once. Tested without loom (plain OS threads): every client
 //! sees the same byte-identical answers (ids and the exact `f64` bit
 //! patterns of scores) as a lone caller, while the striped buffer pool,
-//! DFS counters, query caches and B⁺-trees are being hammered
-//! concurrently.
+//! DFS counters and B⁺-trees are being hammered concurrently.
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
 use tklus_core::{
-    BoundsMode, BoundsTable, CacheConfig, EngineConfig, QueryStats, RankedUser, Ranking,
-    TklusEngine,
+    BoundsMode, BoundsTable, EngineConfig, QueryStats, RankedUser, Ranking, TklusEngine,
 };
 use tklus_geo::Point;
 use tklus_graph::SocialNetwork;
@@ -92,14 +90,10 @@ fn build_engine(corpus: &Corpus) -> TklusEngine {
     TklusEngine::build(corpus, &config).0
 }
 
-/// Per-layer (hits, misses) totals plus the query-path counters,
-/// accumulated from per-query [`QueryStats`] tallies, for checking
-/// against the engine's global cache counters and metric registry.
+/// The query-path counters, accumulated from per-query [`QueryStats`]
+/// tallies, for checking against the engine's metric registry.
 #[derive(Default, Clone, Copy)]
-struct CacheTally {
-    cover: (u64, u64),
-    postings: (u64, u64),
-    thread: (u64, u64),
+struct Tally {
     queries: u64,
     candidates: u64,
     threads_built: u64,
@@ -107,14 +101,8 @@ struct CacheTally {
     polls_saved: u64,
 }
 
-impl CacheTally {
+impl Tally {
     fn absorb(&mut self, s: &QueryStats) {
-        self.cover.0 += s.cover_cache_hits;
-        self.cover.1 += s.cover_cache_misses;
-        self.postings.0 += s.postings_cache_hits;
-        self.postings.1 += s.postings_cache_misses;
-        self.thread.0 += s.thread_cache_hits;
-        self.thread.1 += s.thread_cache_misses;
         self.queries += 1;
         self.candidates += s.candidates as u64;
         self.threads_built += s.threads_built as u64;
@@ -122,13 +110,7 @@ impl CacheTally {
         self.polls_saved += s.deadline_polls_saved;
     }
 
-    fn add(&mut self, other: &CacheTally) {
-        self.cover.0 += other.cover.0;
-        self.cover.1 += other.cover.1;
-        self.postings.0 += other.postings.0;
-        self.postings.1 += other.postings.1;
-        self.thread.0 += other.thread.0;
-        self.thread.1 += other.thread.1;
+    fn add(&mut self, other: &Tally) {
         self.queries += other.queries;
         self.candidates += other.candidates;
         self.threads_built += other.threads_built;
@@ -137,31 +119,22 @@ impl CacheTally {
     }
 }
 
-/// Cache-coherence under contention: 8 client threads replay a mixed
-/// repeated/unique query log against ONE engine with all three cache
-/// layers enabled (and sized small enough to evict), and every answer
-/// must be bit-identical to a cold, cache-disabled engine's. On top of
-/// the value check, the cache counters must behave like counters:
-/// monotone non-decreasing across snapshots taken mid-storm, and — once
-/// the storm settles — the global deltas must equal the sum of every
-/// query's own hit/miss tallies (nothing double- or under-counted even
-/// when threads race on the same keys).
+/// 8 client threads replay a mixed repeated/unique query log against ONE
+/// engine whose buffer pool is sized small enough to evict, and every
+/// answer must be bit-identical to a lone caller's on a twin engine. On
+/// top of the value check, the registry must close the books once the
+/// storm settles: its counter deltas equal the sum of every query's own
+/// tallies, and its page-read family equals the global I/O counter's
+/// movement (nothing double- or under-counted while threads race on the
+/// same pool).
 #[test]
-fn cached_engine_under_contention_matches_cold_uncached_engine() {
+fn shared_engine_under_contention_matches_a_lone_caller() {
     let corpus = corpus();
-    // Reference: caches off (EngineConfig::default() disables all layers).
-    let cold = build_engine(&corpus);
-    // Tiny budgets so the stress run keeps inserting and evicting instead
-    // of settling into an all-hit steady state.
-    let cached_config = EngineConfig {
-        cache_pages: 96,
-        caches: CacheConfig { cover: 4, postings: 16, thread: 32 },
-        ..EngineConfig::default()
-    };
-    let cached = TklusEngine::build(&corpus, &cached_config).0;
+    let lone = build_engine(&corpus);
+    let shared = build_engine(&corpus);
 
-    // Mixed log: the repeated request set (cache-friendly), plus unique
-    // radius variants no other thread ever repeats (cache-hostile).
+    // Mixed log: the repeated request set, plus unique radius variants no
+    // other thread ever repeats.
     let mut log = queries();
     let center = Point::new_unchecked(43.68, -79.38);
     for i in 0..16u32 {
@@ -171,25 +144,23 @@ fn cached_engine_under_contention_matches_cold_uncached_engine() {
         log.push((q.clone(), Ranking::Sum));
         log.push((q, Ranking::Max(BoundsMode::HotKeywords)));
     }
-    let reference: Vec<_> = log.iter().map(|(q, r)| cold.query(q, *r)).collect();
+    let reference: Vec<_> = log.iter().map(|(q, r)| lone.query(q, *r)).collect();
     assert!(reference.iter().any(|(top, _)| !top.is_empty()));
 
-    let before = cached.cache_stats();
-    let registry_before = cached.metrics_snapshot().expect("metrics on by default");
-    let mut total = CacheTally::default();
+    let registry_before = shared.metrics_snapshot().expect("metrics on by default");
+    let mut total = Tally::default();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|t: usize| {
-                let cached = &cached;
+                let shared = &shared;
                 let log = &log;
                 let reference = &reference;
                 scope.spawn(move || {
-                    let mut tally = CacheTally::default();
-                    let mut last = cached.cache_stats();
+                    let mut tally = Tally::default();
                     for round in 0..24 {
                         let i = (t * 11 + round * 5) % log.len();
                         let (q, ranking) = &log[i];
-                        let (top, stats) = cached.query(q, *ranking);
+                        let (top, stats) = shared.query(q, *ranking);
                         let (want, _) = &reference[i];
                         assert_eq!(top.len(), want.len(), "thread {t} round {round}");
                         for (g, w) in top.iter().zip(want) {
@@ -197,22 +168,10 @@ fn cached_engine_under_contention_matches_cold_uncached_engine() {
                             assert_eq!(
                                 g.score.to_bits(),
                                 w.score.to_bits(),
-                                "thread {t} round {round}: cached score diverged"
+                                "thread {t} round {round}: shared score diverged"
                             );
                         }
                         tally.absorb(&stats);
-                        // Counters are monotone even while 7 other threads
-                        // hammer the same shards.
-                        let now = cached.cache_stats();
-                        for (prev, cur) in [
-                            (last.cover, now.cover),
-                            (last.postings, now.postings),
-                            (last.thread, now.thread),
-                        ] {
-                            assert!(cur.hits >= prev.hits, "thread {t} round {round}");
-                            assert!(cur.misses >= prev.misses, "thread {t} round {round}");
-                        }
-                        last = now;
                     }
                     tally
                 })
@@ -223,32 +182,14 @@ fn cached_engine_under_contention_matches_cold_uncached_engine() {
         }
     });
 
-    // Global counter movement is exactly the sum of what the queries
-    // reported: racing threads may each miss on the same key (both pay the
-    // compute), but every probe is counted once, on both sides.
-    let after = cached.cache_stats();
-    for (layer, before, after, (hits, misses)) in [
-        ("cover", before.cover, after.cover, total.cover),
-        ("postings", before.postings, after.postings, total.postings),
-        ("thread", before.thread, after.thread, total.thread),
-    ] {
-        assert_eq!(after.hits - before.hits, hits, "{layer} hit counter drifted");
-        assert_eq!(after.misses - before.misses, misses, "{layer} miss counter drifted");
-        assert!(after.entries <= after.capacity, "{layer} overflowed its budget");
-    }
-    // The repeated half of the log must actually have hit each layer.
-    assert!(total.cover.0 > 0, "no cover-cache hits in a repeating log");
-    assert!(total.postings.0 > 0, "no postings-cache hits in a repeating log");
-    assert!(total.thread.0 > 0, "no thread-cache hits in a repeating log");
-
     // Exposition coherence (DESIGN.md §12): the registry's counter deltas
     // across the 8-thread storm equal the sums of the per-query tallies —
-    // for the natively recorded query counters AND the re-exported cache
-    // and storage families. In particular the page-I/O triangle closes
-    // exactly: per-query `metadata_page_reads` (thread-local attribution)
-    // sums to the same number the global `IoStats` counter moved by, which
-    // is the number the registry re-exports.
-    let registry_after = cached.metrics_snapshot().expect("metrics on by default");
+    // for the natively recorded query counters AND the re-exported storage
+    // family. In particular the page-I/O triangle closes exactly:
+    // per-query `metadata_page_reads` (thread-local attribution) sums to
+    // the same number the global `IoStats` counter moved by, which is the
+    // number the registry re-exports.
+    let registry_after = shared.metrics_snapshot().expect("metrics on by default");
     let delta = |name: &str| {
         registry_after.counter(name).unwrap_or(0) - registry_before.counter(name).unwrap_or(0)
     };
@@ -258,12 +199,6 @@ fn cached_engine_under_contention_matches_cold_uncached_engine() {
     assert_eq!(delta("tklus_query_metadata_page_reads_total"), total.metadata_page_reads);
     assert_eq!(delta("tklus_query_deadline_polls_saved_total"), total.polls_saved);
     assert_eq!(delta("tklus_storage_page_reads_total"), total.metadata_page_reads);
-    for (layer, (hits, misses)) in
-        [("cover", total.cover), ("postings", total.postings), ("thread", total.thread)]
-    {
-        assert_eq!(delta(&format!("tklus_cache_{layer}_hits_total")), hits, "{layer} registry");
-        assert_eq!(delta(&format!("tklus_cache_{layer}_misses_total")), misses, "{layer} registry");
-    }
     let latency = registry_after.histogram("tklus_query_latency_us").expect("latency histogram");
     assert_eq!(
         latency.count,

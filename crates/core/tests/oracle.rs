@@ -3,26 +3,24 @@
 //! [`oracle_top_k`] is a deliberately naive O(posts) implementation of
 //! Definitions 4–10: one linear scan over the corpus, explicit
 //! reply-tree construction per candidate, no index, no pruning bound, no
-//! cache, no shared query machinery. Its only dependencies on the system
+//! shared query machinery. Its only dependencies on the system
 //! under test are the data model and the text pipeline (so both sides
 //! agree on what a "keyword" is).
 //!
 //! The suite drives ≥2000 randomized (corpus, query, ranking, semantics)
-//! cases through the full engine in three configurations — caches off,
-//! caches on with a cold cache, caches on re-querying warm — and requires
-//! every run to return the oracle's ranked users with scores within 1e-9,
-//! with the cached runs *bit-identical* to the uncached run. The counters
-//! Figs. 8/12 plot are held too: `in_radius` equals the oracle's count of
-//! qualifying posts, every in-radius candidate's thread is built (nothing
-//! is pruned: every engine ranks both Sum and Max by folding unpruned
-//! rows), and the cache-off engine pays the same `metadata_page_reads`
-//! for the same query twice in a row.
+//! cases through the full engine and requires every run to return the
+//! oracle's ranked users with scores within 1e-9. The counters Figs. 8/12
+//! plot are held too: `in_radius` equals the oracle's count of qualifying
+//! posts, every in-radius candidate's thread is built (nothing is pruned:
+//! every engine ranks both Sum and Max by folding unpruned rows), and the
+//! engine pays the same `metadata_page_reads` for the same query twice in
+//! a row.
 //!
 //! Algorithm 5 stays the reference for Max. For every generated case,
 //! `try_query_max` over Def. 11 bounds precomputed for the corpus, under
 //! both bound modes, returns `try_query(q, Max(_))`'s users and score bits;
-//! its in-radius candidates are each built or pruned, caches never move a
-//! prune decision, and at least one generated case prunes — so the
+//! its in-radius candidates are each built or pruned, and at least one
+//! generated case prunes — so the
 //! comparison is not vacuous. And a tie at the k-th place resolves by user
 //! id everywhere (the row fold, Algorithm 5's running set, the naive
 //! reference): a pin and a proptest family over tie-prone corpora hold
@@ -34,8 +32,7 @@ use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tklus_core::{
-    BoundsMode, BoundsTable, CacheConfig, EngineConfig, QueryOutcome, RankedUser, Ranking,
-    TklusEngine,
+    BoundsMode, BoundsTable, EngineConfig, QueryOutcome, RankedUser, Ranking, TklusEngine,
 };
 use tklus_geo::Point;
 use tklus_graph::SocialNetwork;
@@ -126,7 +123,7 @@ fn oracle_popularity(
 }
 
 /// Definitions 4–10, straight off the corpus: linear scan, explicit
-/// thread trees, no index, no bounds, no cache. Returns the ranked users
+/// thread trees, no index, no bounds. Returns the ranked users
 /// and the number of posts that qualified (in window, in radius, matching
 /// the keywords) — what the engine reports as `QueryStats::in_radius`.
 fn oracle_top_k(
@@ -252,36 +249,22 @@ fn bits(users: &[RankedUser]) -> Vec<(UserId, u64)> {
     users.iter().map(|u| (u.user, u.score.to_bits())).collect()
 }
 
-/// Cache budgets exercised by the suite: generous (everything fits) and
-/// starved (constant eviction pressure) — both must be invisible in
-/// results.
-fn arb_cache_config() -> impl Strategy<Value = CacheConfig> {
-    prop_oneof![
-        Just(CacheConfig { cover: 16, postings: 64, thread: 128 }),
-        Just(CacheConfig { cover: 1, postings: 2, thread: 2 }),
-    ]
-}
-
 proptest! {
-    // 170 corpora × (2 semantics × 3 rankings) = 1020 query cases, each
-    // run uncached, cache-on cold, and cache-on warm (3060 engine runs —
-    // on top of `oracle_matches_with_duplicates_and_time_windows` below).
+    // 170 corpora × (2 semantics × 3 rankings) = 1020 query cases (on top
+    // of `oracle_matches_with_duplicates_and_time_windows` below).
     #![proptest_config(ProptestConfig::with_cases(170))]
 
     #[test]
-    fn engine_matches_oracle_cached_and_uncached(
+    fn engine_matches_oracle(
         raw in proptest::collection::vec(arb_post(), 5..45),
         radius in 2.0f64..25.0,
         k in 1usize..6,
         kw_idx in proptest::collection::vec(0u8..WORDS.len() as u8, 1..3),
-        caches in arb_cache_config(),
     ) {
         let corpus = materialize(&raw);
         let plain = EngineConfig::default();
-        let cached_cfg = EngineConfig { caches, ..EngineConfig::default() };
-        let (engine_off, _) = TklusEngine::build(&corpus, &plain);
-        let (engine_on, _) = TklusEngine::build(&corpus, &cached_cfg);
-        let table = bounds_for(&corpus, &engine_off);
+        let (engine, _) = TklusEngine::build(&corpus, &plain);
+        let table = bounds_for(&corpus, &engine);
         let keywords: Vec<String> =
             kw_idx.iter().map(|&i| WORDS[i as usize].to_string()).collect();
 
@@ -295,81 +278,53 @@ proptest! {
             ).unwrap();
             for (ranking, use_max) in ARMS {
                 let (want, want_in_radius) = oracle_top_k(&corpus, &q, use_max, &plain.scoring);
-                let (off, off_stats) = engine_off.query(&q, ranking);
-                // A reader carries nothing between queries: caches off,
-                // the same query pays the same page reads every time.
-                let (_, off_again) = engine_off.query(&q, ranking);
+                let (got, stats) = engine.query(&q, ranking);
+                // A reader carries nothing between queries: the same query
+                // pays the same page reads every time.
+                let (_, again) = engine.query(&q, ranking);
                 prop_assert_eq!(
-                    off_again.metadata_page_reads, off_stats.metadata_page_reads,
+                    again.metadata_page_reads, stats.metadata_page_reads,
                     "{:?}/{:?}", ranking, semantics
                 );
-                let (cold, cold_stats) = engine_on.query(&q, ranking);
-                let (warm, warm_stats) = engine_on.query(&q, ranking);
 
                 // Counters: the radius filter admits exactly the oracle's
-                // qualifying posts and, uncached, each one's thread is
-                // built: no engine query prunes.
-                prop_assert_eq!(off_stats.in_radius, want_in_radius, "{:?}/{:?}", ranking, semantics);
+                // qualifying posts and each one's thread is built: no
+                // engine query prunes.
+                prop_assert_eq!(stats.in_radius, want_in_radius, "{:?}/{:?}", ranking, semantics);
                 prop_assert_eq!(
-                    off_stats.threads_built, off_stats.in_radius,
+                    stats.threads_built, stats.in_radius,
                     "{:?}/{:?}", ranking, semantics
                 );
-                prop_assert_eq!(off_stats.threads_pruned, 0);
-                for cached in [&cold_stats, &warm_stats] {
-                    prop_assert_eq!(cached.in_radius, off_stats.in_radius);
-                }
+                prop_assert_eq!(stats.threads_pruned, 0);
 
                 // Algorithm 5, the reference for Max: same users and score
-                // bits; each in-radius thread built or pruned; caches never
-                // move a prune decision.
-                if let Some(a5) = algorithm5(&engine_off, &table, &q, ranking) {
-                    prop_assert_eq!(bits(&a5.users), bits(&off), "{:?}/{:?}", ranking, semantics);
+                // bits; each in-radius thread built or pruned.
+                if let Some(a5) = algorithm5(&engine, &table, &q, ranking) {
+                    prop_assert_eq!(bits(&a5.users), bits(&got), "{:?}/{:?}", ranking, semantics);
                     prop_assert_eq!(a5.stats.in_radius, want_in_radius);
                     prop_assert_eq!(
                         a5.stats.threads_built + a5.stats.threads_pruned, a5.stats.in_radius,
                         "{:?}/{:?}", ranking, semantics
                     );
-                    let cached = algorithm5(&engine_on, &table, &q, ranking).unwrap();
-                    prop_assert_eq!(cached.stats.threads_pruned, a5.stats.threads_pruned);
-                    prop_assert_eq!(bits(&cached.users), bits(&off));
                 }
 
-                // Engine (uncached) vs oracle: same users, scores to 1e-9.
-                prop_assert_eq!(off.len(), want.len(), "{:?}/{:?}", ranking, semantics);
-                for (g, w) in off.iter().zip(&want) {
+                // Engine vs oracle: same users, scores to 1e-9.
+                prop_assert_eq!(got.len(), want.len(), "{:?}/{:?}", ranking, semantics);
+                for (g, w) in got.iter().zip(&want) {
                     prop_assert_eq!(g.user, w.0, "{:?}/{:?}", ranking, semantics);
                     prop_assert!(
                         (g.score - w.1).abs() < 1e-9,
                         "{} vs {} ({:?}/{:?})", g.score, w.1, ranking, semantics
                     );
                 }
-                // Cached runs (cold and warm) vs the uncached engine:
-                // bit-identical.
-                for other in [&cold, &warm] {
-                    prop_assert_eq!(other.len(), off.len());
-                    for (c, o) in other.iter().zip(&off) {
-                        prop_assert_eq!(c.user, o.user, "{:?}/{:?}", ranking, semantics);
-                        prop_assert_eq!(
-                            c.score.to_bits(), o.score.to_bits(),
-                            "variant {} vs uncached {} ({:?}/{:?})",
-                            c.score, o.score, ranking, semantics
-                        );
-                    }
-                }
             }
         }
-
-        // Cache counters stayed consistent with per-layer monotonicity.
-        let cs = engine_on.cache_stats();
-        prop_assert!(cs.cover.entries <= cs.cover.capacity.max(1));
-        prop_assert!(cs.postings.entries <= cs.postings.capacity.max(1));
-        prop_assert!(cs.thread.entries <= cs.thread.capacity.max(1));
     }
 }
 
 proptest! {
-    // 256 corpora × 3 rankings × 2 engines = 1536 more query cases
-    // focused on the duplicate-keyword fix and the temporal extension.
+    // 256 corpora × 3 rankings = 768 more query cases focused on the
+    // duplicate-keyword fix and the temporal extension.
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
@@ -383,13 +338,8 @@ proptest! {
         and_sem in any::<bool>(),
     ) {
         let corpus = materialize(&raw);
-        let (engine_off, _) = TklusEngine::build(&corpus, &EngineConfig::default());
-        let cached_cfg = EngineConfig {
-            caches: CacheConfig { cover: 8, postings: 32, thread: 64 },
-            ..EngineConfig::default()
-        };
-        let (engine_on, _) = TklusEngine::build(&corpus, &cached_cfg);
-        let table = bounds_for(&corpus, &engine_off);
+        let (engine, _) = TklusEngine::build(&corpus, &EngineConfig::default());
+        let table = bounds_for(&corpus, &engine);
 
         // The keyword appears twice: verbatim plus a case variant —
         // Definition 6 must count it once.
@@ -414,23 +364,18 @@ proptest! {
         for (ranking, use_max) in ARMS {
             let (want, want_in_radius) =
                 oracle_top_k(&corpus, &q, use_max, &EngineConfig::default().scoring);
-            let (uncached, _) = engine_off.query(&q, ranking);
-            if let Some(a5) = algorithm5(&engine_off, &table, &q, ranking) {
-                prop_assert_eq!(bits(&a5.users), bits(&uncached), "{:?} window={:?}", ranking, window);
+            let (got, stats) = engine.query(&q, ranking);
+            if let Some(a5) = algorithm5(&engine, &table, &q, ranking) {
+                prop_assert_eq!(bits(&a5.users), bits(&got), "{:?} window={:?}", ranking, window);
             }
-            for engine in [&engine_off, &engine_on] {
-                let (got, stats) = engine.query(&q, ranking);
-                prop_assert_eq!(stats.in_radius, want_in_radius, "{:?} window={:?}", ranking, window);
-                prop_assert_eq!(got.len(), want.len(), "{:?} window={:?}", ranking, window);
-                for ((g, w), b) in got.iter().zip(&want).zip(&uncached) {
-                    prop_assert_eq!(g.user, w.0, "{:?}", ranking);
-                    prop_assert!(
-                        (g.score - w.1).abs() < 1e-9,
-                        "{} vs {} ({:?})", g.score, w.1, ranking
-                    );
-                    // Caching is invisible to the bit.
-                    prop_assert_eq!(g.score.to_bits(), b.score.to_bits(), "{:?}", ranking);
-                }
+            prop_assert_eq!(stats.in_radius, want_in_radius, "{:?} window={:?}", ranking, window);
+            prop_assert_eq!(got.len(), want.len(), "{:?} window={:?}", ranking, window);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(g.user, w.0, "{:?}", ranking);
+                prop_assert!(
+                    (g.score - w.1).abs() < 1e-9,
+                    "{} vs {} ({:?})", g.score, w.1, ranking
+                );
             }
         }
     }

@@ -39,56 +39,6 @@ impl CoverStats {
     }
 }
 
-/// A canonical cache key for a circle-cover computation: the cover of
-/// Algorithms 4/5 is a pure function of `(center, radius, encoding length,
-/// metric)`, so equal circles may share one memoized cover.
-///
-/// Canonicalization is deliberately conservative — raw IEEE-754 bit
-/// patterns, with the single adjustment that `-0.0` folds onto `+0.0`
-/// (the two compare equal and describe the same circle, but differ in
-/// bits). Circles that differ by even one ULP of latitude, longitude, or
-/// radius therefore get distinct keys: a cover is only reused for inputs
-/// `circle_cover` itself would treat identically, never for "close
-/// enough" ones.
-///
-/// ```
-/// use tklus_geo::{CoverKey, DistanceMetric, Point};
-///
-/// let m = DistanceMetric::Euclidean;
-/// let a = CoverKey::new(&Point::new_unchecked(0.0, -0.0), 10.0, 4, m);
-/// let b = CoverKey::new(&Point::new_unchecked(-0.0, 0.0), 10.0, 4, m);
-/// assert_eq!(a, b); // ±0.0 describe the same circle
-/// let ulp = f64::from_bits(10.0f64.to_bits() + 1);
-/// assert_ne!(a, CoverKey::new(&Point::new_unchecked(0.0, 0.0), ulp, 4, m));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CoverKey {
-    lat_bits: u64,
-    lon_bits: u64,
-    radius_bits: u64,
-    len: u8,
-    metric: DistanceMetric,
-}
-
-impl CoverKey {
-    /// Builds the canonical key for `circle_cover(center, radius_km, len,
-    /// metric)`.
-    pub fn new(center: &Point, radius_km: f64, len: usize, metric: DistanceMetric) -> Self {
-        // `-0.0 == 0.0`, so `x + 0.0` canonicalizes the zero sign while
-        // leaving every other value's bits untouched.
-        fn canon(x: f64) -> u64 {
-            (x + 0.0).to_bits()
-        }
-        Self {
-            lat_bits: canon(center.lat()),
-            lon_bits: canon(center.lon()),
-            radius_bits: canon(radius_km),
-            len: len as u8,
-            metric,
-        }
-    }
-}
-
 /// Computes the set of geohash cells of exactly `len` characters that
 /// completely covers the circle of `radius_km` around `center`.
 ///

@@ -30,7 +30,7 @@ pub mod point;
 pub mod zorder;
 
 pub use cell::Cell;
-pub use cover::{circle_cover, circle_cover_with_stats, CoverKey, CoverStats};
+pub use cover::{circle_cover, circle_cover_with_stats, CoverStats};
 pub use gazetteer::{Gazetteer, Inference};
 pub use geohash::{decode, encode, Geohash, GeohashError, MAX_GEOHASH_LEN};
 pub use point::{DistanceMetric, Point, EARTH_RADIUS_KM};

@@ -1,14 +1,10 @@
 //! Property-based tests for the geospatial substrate.
 
 use proptest::prelude::*;
-use tklus_geo::{circle_cover, encode, Cell, CoverKey, DistanceMetric, Geohash, Point};
+use tklus_geo::{circle_cover, encode, Cell, DistanceMetric, Geohash, Point};
 
 fn arb_point() -> impl Strategy<Value = Point> {
     (-90.0f64..=90.0, -180.0f64..=180.0).prop_map(|(lat, lon)| Point::new_unchecked(lat, lon))
-}
-
-fn arb_metric() -> impl Strategy<Value = DistanceMetric> {
-    prop_oneof![Just(DistanceMetric::Euclidean), Just(DistanceMetric::Haversine)]
 }
 
 proptest! {
@@ -95,66 +91,5 @@ proptest! {
         if center.euclidean_km(&q) <= radius {
             prop_assert!(cover.contains(&encode(&q, len).unwrap()));
         }
-    }
-
-    /// Cover-cache key canonicalization: the key is the circle's identity,
-    /// so describing the same circle twice must produce the same key.
-    /// `-0.0 == 0.0` for floats but not for raw bit patterns, so the key
-    /// must fold the zero signs together.
-    #[test]
-    fn cover_key_folds_signed_zeros(
-        radius in 0.5f64..=60.0,
-        len in 1usize..=8,
-        metric in arb_metric(),
-        neg_lat in any::<bool>(),
-        neg_lon in any::<bool>(),
-    ) {
-        let pos = Point::new_unchecked(0.0, 0.0);
-        let signed = Point::new_unchecked(
-            if neg_lat { -0.0 } else { 0.0 },
-            if neg_lon { -0.0 } else { 0.0 },
-        );
-        let a = CoverKey::new(&pos, radius, len, metric);
-        let b = CoverKey::new(&signed, radius, len, metric);
-        prop_assert_eq!(a, b);
-        // And plain equal circles are trivially the same key.
-        let p = Point::new_unchecked(43.68, -79.38);
-        prop_assert_eq!(
-            CoverKey::new(&p, radius, len, metric),
-            CoverKey::new(&p, radius, len, metric)
-        );
-    }
-
-    /// The flip side of canonicalization: nearly-equal is not equal. A
-    /// 1-ULP nudge in any continuous component describes a *different*
-    /// circle and must map to a different key (no false sharing between
-    /// cache entries).
-    #[test]
-    fn cover_key_distinguishes_one_ulp_differences(
-        p in arb_point(),
-        radius in 0.5f64..=60.0,
-        len in 1usize..=8,
-        metric in arb_metric(),
-    ) {
-        let base = CoverKey::new(&p, radius, len, metric);
-        let bumped_radius = f64::from_bits(radius.to_bits() + 1);
-        prop_assert!(base != CoverKey::new(&p, bumped_radius, len, metric), "radius ULP");
-        // Zero lat/lon would canonicalize; skip the bump there (the
-        // signed-zero test owns that case).
-        if p.lat() != 0.0 {
-            let q = Point::new_unchecked(f64::from_bits(p.lat().to_bits() + 1), p.lon());
-            prop_assert!(base != CoverKey::new(&q, radius, len, metric), "lat ULP");
-        }
-        if p.lon() != 0.0 {
-            let q = Point::new_unchecked(p.lat(), f64::from_bits(p.lon().to_bits() + 1));
-            prop_assert!(base != CoverKey::new(&q, radius, len, metric), "lon ULP");
-        }
-        // Discrete components distinguish too.
-        prop_assert!(base != CoverKey::new(&p, radius, len + 1, metric), "len");
-        let other = match metric {
-            DistanceMetric::Euclidean => DistanceMetric::Haversine,
-            DistanceMetric::Haversine => DistanceMetric::Euclidean,
-        };
-        prop_assert!(base != CoverKey::new(&p, radius, len, other), "metric");
     }
 }

@@ -64,16 +64,13 @@ pub struct HybridIndex {
 }
 
 /// Result of the postings-retrieval phase for one query.
-///
-/// Lists are held behind `Arc` so a caching layer above the index (the
-/// engine's postings cache) can hand out the same decoded list to many
-/// concurrent queries without copying postings data.
 #[derive(Debug)]
 pub struct QueryFetch {
     /// `per_keyword[i]` holds the postings lists found for keyword `i`,
-    /// one per cover cell that had an entry.
+    /// one per examined cover cell that had an entry.
     pub per_keyword: Vec<Vec<Arc<PostingsList>>>,
-    /// Number of cover cells examined.
+    /// Number of cover cells examined (a query budget may stop short of
+    /// the whole cover).
     pub cells: usize,
     /// Number of postings lists fetched.
     pub lists: usize,
@@ -121,9 +118,7 @@ impl HybridIndex {
 
     /// Reads and decodes the postings list at a directory location,
     /// returning the list and the number of encoded bytes read. Pure given
-    /// the immutable partition files, so safe from any thread — this is the
-    /// storage-touching half of a fetch that the engine's postings cache
-    /// wraps.
+    /// the immutable partition files, so safe from any thread.
     ///
     /// Panics if the directory points at an unreadable or undecodable
     /// range; fault-tolerant callers use [`Self::try_read_postings`].
@@ -159,7 +154,8 @@ impl HybridIndex {
     /// of every `⟨cell, keyword⟩` pair present in the directory.
     ///
     /// `keywords` are already-normalized term ids (the engine resolves
-    /// strings through [`Self::vocab`] first).
+    /// strings through [`Self::vocab`] first). Panics where
+    /// [`Self::try_fetch_for_query`] returns an error.
     pub fn fetch_for_query(
         &self,
         center: &Point,
@@ -169,10 +165,25 @@ impl HybridIndex {
     ) -> QueryFetch {
         let cover = circle_cover(center, radius_km, self.geohash_len, metric)
             .expect("index geohash length is valid");
-        // Gather directory hits first, then fetch in storage order.
-        let mut hits: Vec<(usize, crate::forward::PostingsLocation)> = Vec::new();
+        match self.try_fetch_for_query(&cover, keywords) {
+            Ok(fetch) => fetch,
+            Err(e) => panic!("directory points at valid partition range: {e}"),
+        }
+    }
+
+    /// Fetches the postings list of every `⟨cell, keyword⟩` pair of
+    /// `cover` present in the directory: the directory hits are sorted
+    /// into `(partition, offset)` order, read in that order, and filed per
+    /// keyword. An unreadable or undecodable range is a typed
+    /// [`IndexError`].
+    pub fn try_fetch_for_query(
+        &self,
+        cover: &[Geohash],
+        keywords: &[TermId],
+    ) -> Result<QueryFetch, IndexError> {
+        let mut hits: Vec<(usize, PostingsLocation)> = Vec::new();
         for (ki, &term) in keywords.iter().enumerate() {
-            for &cell in &cover {
+            for &cell in cover {
                 if let Some(loc) = self.forward.lookup(cell, term) {
                     hits.push((ki, loc));
                 }
@@ -183,11 +194,11 @@ impl HybridIndex {
             keywords.iter().map(|_| Vec::new()).collect();
         let mut bytes = 0u64;
         for &(ki, loc) in &hits {
-            let (list, b) = self.read_postings(loc);
+            let (list, b) = self.try_read_postings(loc)?;
             bytes += b;
             per_keyword[ki].push(Arc::new(list));
         }
-        QueryFetch { per_keyword, cells: cover.len(), lists: hits.len(), bytes }
+        Ok(QueryFetch { per_keyword, cells: cover.len(), lists: hits.len(), bytes })
     }
 }
 

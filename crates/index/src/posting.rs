@@ -8,8 +8,7 @@
 
 use tklus_model::TweetId;
 
-/// The layout of a postings list on the DFS, in the cache and in the
-/// engine: the paper's flat id-sorted `⟨TID, TF⟩` list
+/// The layout of a postings list on the DFS and in the engine: the paper's flat id-sorted `⟨TID, TF⟩` list
 /// ([`PostingsList::encode`]). One variant; the name survives as the tag
 /// `persist.rs` writes to, and requires from, `meta.tsv`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -159,7 +158,7 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
 ///   summed tf is the `|q.W ∩ p.W|` occurrence count of Definition 6.
 ///
 /// Generic over how the lists are held (`&[PostingsList]`,
-/// `&[Arc<PostingsList>]`, …) so cache-shared lists merge without cloning
+/// `&[Arc<PostingsList>]`, …) so a fetch's lists merge without cloning
 /// their postings.
 pub fn union_sum<L: std::borrow::Borrow<PostingsList>>(lists: &[L]) -> Vec<(TweetId, u32)> {
     match lists.len() {

@@ -19,9 +19,9 @@
 //!   [`RegistrySnapshot::render_json`] emit names in sorted order with a
 //!   format pinned by golden tests (the CI metrics smoke job).
 //! * **Re-export, don't duplicate.** External counter families
-//!   (`IoStats`, `CacheStats`, the serve-layer shed/breaker tallies) are
-//!   injected into snapshots via [`RegistrySnapshot::set_counter`] at
-//!   snapshot time instead of being double-counted at record time.
+//!   (`IoStats`, the serve-layer shed/breaker tallies) are injected into
+//!   snapshots via [`RegistrySnapshot::set_counter`] at snapshot time
+//!   instead of being double-counted at record time.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -279,8 +279,8 @@ impl RegistrySnapshot {
     }
 
     /// Sets (or injects) a counter value — used to re-export counters
-    /// that live outside the registry (`IoStats`, `CacheStats`, serve
-    /// tallies) without double-counting them at record time.
+    /// that live outside the registry (`IoStats`, serve tallies) without
+    /// double-counting them at record time.
     pub fn set_counter(&mut self, name: &str, value: u64) {
         self.counters.insert(name.to_string(), value);
     }
@@ -505,7 +505,7 @@ mod tests {
     fn prometheus_rendering_is_golden() {
         let reg = MetricRegistry::new();
         reg.counter("tklus_queries_total").add(3);
-        reg.counter("tklus_cache_cover_hits_total").add(1);
+        reg.counter("tklus_query_candidates_total").add(1);
         let h = reg.histogram("tklus_query_latency_us");
         h.record(0);
         h.record(1);
@@ -513,10 +513,10 @@ mod tests {
         h.record(5);
         let rendered = reg.snapshot().render_prometheus();
         let expected = "\
-# TYPE tklus_cache_cover_hits_total counter
-tklus_cache_cover_hits_total 1
 # TYPE tklus_queries_total counter
 tklus_queries_total 3
+# TYPE tklus_query_candidates_total counter
+tklus_query_candidates_total 1
 # TYPE tklus_query_latency_us histogram
 tklus_query_latency_us_bucket{le=\"0\"} 1
 tklus_query_latency_us_bucket{le=\"1\"} 2

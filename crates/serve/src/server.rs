@@ -327,7 +327,7 @@ impl TklusServer {
         report
     }
 
-    /// One coherent registry snapshot: the engine's query/storage/cache
+    /// One coherent registry snapshot: the engine's query/storage
     /// metrics plus the serving-layer `tklus_serve_*` counters, captured
     /// under the same admission lock the health report uses. A sink that
     /// reports health also contributes

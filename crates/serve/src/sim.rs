@@ -253,7 +253,7 @@ pub struct SimReport {
     pub drain: Option<DrainReport>,
     /// End-of-run health snapshot.
     pub health: HealthReport,
-    /// End-of-run registry snapshot: the engine's query/storage/cache
+    /// End-of-run registry snapshot: the engine's query/storage
     /// metrics plus the `tklus_serve_*` counters (empty engine side when
     /// the engine was built with metrics off).
     pub metrics: RegistrySnapshot,

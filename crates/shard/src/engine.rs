@@ -85,9 +85,11 @@ impl ShardCompleteness {
 pub struct ShardedOutcome {
     /// Global top-k users (score descending, user id ascending).
     pub users: Vec<RankedUser>,
-    /// Work tallies summed across dispatched shards (`cover_cells` is the
-    /// max, since every shard walks the same cover; `elapsed` is the
-    /// router's wall clock).
+    /// Work tallies summed across the healthy shards' row gathers and the
+    /// ranking that folds them — the ranking's metadata page reads and
+    /// `scoring`/`topk` stages included (`cover_cells` is the max, since
+    /// every shard walks the same cover; `elapsed` is the router's wall
+    /// clock).
     pub stats: QueryStats,
     /// Whether the answer is exact or a typed partial.
     pub completeness: ShardCompleteness,
@@ -162,8 +164,8 @@ fn default_scatter_parallelism() -> usize {
 
 impl ShardedEngine {
     /// Builds `n_shards` shard engines over `corpus` with a mass-balanced
-    /// plan, every shard using `config` (each gets its own buffer pool,
-    /// caches, and metric registry).
+    /// plan, every shard using `config` (each gets its own buffer pool
+    /// and metric registry).
     pub fn try_build(
         corpus: &Corpus,
         n_shards: usize,
@@ -363,11 +365,13 @@ impl ShardedEngine {
         // any healthy one gives the monolithic bytes); if that too faults,
         // drop the shard and redo the merge without it (its rows must not
         // survive its failure).
-        let users: Vec<RankedUser> = loop {
-            let Some(&(rank_sid, _)) = parts.healthy.first() else { break Vec::new() };
+        let (users, ranked_stats) = loop {
+            let Some(&(rank_sid, _)) = parts.healthy.first() else {
+                break (Vec::new(), QueryStats::default());
+            };
             let merged = merge_sum_rows(parts.healthy.iter().map(|(_, p)| p.rows.as_slice()));
             match self.shards[rank_sid].engine.try_rank_rows(q, ranking, &merged) {
-                Ok(users) => break users,
+                Ok(ranked) => break ranked,
                 Err(_) => {
                     let (sid, _) = parts.healthy.remove(0);
                     let mut breaker = self.shards[sid].breaker.lock();
@@ -378,7 +382,7 @@ impl ShardedEngine {
                 }
             }
         };
-        let mut out = parts.gathered(users);
+        let mut out = parts.gathered(users, ranked_stats);
         out.stats.elapsed = start.elapsed();
         self.metrics.fanout.add(out.fanout as u64);
         if !out.completeness.is_complete() {
@@ -481,10 +485,12 @@ struct Scattered {
 }
 
 impl Scattered {
-    /// The merged outcome around `users`: work tallies summed and
-    /// completeness folded over the healthy partials.
-    fn gathered(self, users: Vec<RankedUser>) -> ShardedOutcome {
-        let mut stats = QueryStats::default();
+    /// The merged outcome around `users`: work tallies summed over the
+    /// healthy partials and the ranking (`ranked`, what
+    /// [`TklusEngine::try_rank_rows`] cost), and completeness folded over
+    /// the healthy partials.
+    fn gathered(self, users: Vec<RankedUser>, ranked: QueryStats) -> ShardedOutcome {
+        let mut stats = ranked;
         for (_, p) in &self.healthy {
             merge_stats(&mut stats, &p.stats);
         }
@@ -540,12 +546,6 @@ fn merge_stats(total: &mut QueryStats, s: &QueryStats) {
     total.threads_built += s.threads_built;
     total.threads_pruned += s.threads_pruned;
     total.metadata_page_reads += s.metadata_page_reads;
-    total.cover_cache_hits += s.cover_cache_hits;
-    total.cover_cache_misses += s.cover_cache_misses;
-    total.postings_cache_hits += s.postings_cache_hits;
-    total.postings_cache_misses += s.postings_cache_misses;
-    total.thread_cache_hits += s.thread_cache_hits;
-    total.thread_cache_misses += s.thread_cache_misses;
     total.deadline_polls_saved += s.deadline_polls_saved;
     total.stages.cover += s.stages.cover;
     total.stages.fetch += s.stages.fetch;

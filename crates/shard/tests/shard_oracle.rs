@@ -1,25 +1,25 @@
 //! Shard-count invariance oracle.
 //!
 //! The scatter-gather contract is that sharding is invisible: for any
-//! corpus, query, semantics, ranking, cache temperature,
-//! and shard count `N`, the sharded engine returns the monolithic engine's
-//! ranked users **bitwise** (same users, same `f64` score bits, same
-//! completeness verdict). This suite drives randomized cases through
-//! `N ∈ {1, 2, 4, 16}` (overridable via `TKLUS_SHARD_N`, which the CI
-//! shard matrix uses) against a monolithic reference engine:
+//! corpus, query, semantics, ranking and shard count `N`, the sharded
+//! engine returns the monolithic engine's ranked users **bitwise** (same
+//! users, same `f64` score bits, same completeness verdict). This suite
+//! drives randomized cases through `N ∈ {1, 2, 4, 16}` (overridable via
+//! `TKLUS_SHARD_N`, which the CI shard matrix uses) against a monolithic
+//! reference engine:
 //!
 //! * Sum and Max (both bounds modes) × Or/And semantics,
-//! * a cold then a warm query against cache-enabled sharded engines
-//!   (the monolithic reference runs uncached — so the comparison also
-//!   re-proves cache invisibility, now across the router),
 //! * `max_cells`-budgeted queries, where the degraded verdicts must agree
-//!   cell-for-cell.
+//!   cell-for-cell,
+//! * the outcome's work tallies: one shard reports exactly the monolithic
+//!   engine's counts, and at any `N` the summed page reads are the page
+//!   reads the shard engines' registries saw.
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use tklus_core::{BoundsMode, CacheConfig, Completeness, EngineConfig, Ranking, TklusEngine};
+use tklus_core::{BoundsMode, Completeness, EngineConfig, Ranking, TklusEngine};
 use tklus_geo::{circle_cover, Point};
 use tklus_model::{Corpus, Post, QueryBudget, Semantics, TklusQuery, TweetId, UserId};
 use tklus_shard::{ShardCompleteness, ShardedEngine, ShardedOutcome};
@@ -90,19 +90,10 @@ fn materialize(raw: &[RawPost]) -> Corpus {
     Corpus::new(posts).expect("sequential ids")
 }
 
-/// Sharded engine config: caches on (so the warm re-query is a real cache
-/// pass).
-fn sharded_config() -> EngineConfig {
-    EngineConfig {
-        caches: CacheConfig { cover: 8, postings: 32, thread: 64 },
-        ..EngineConfig::default()
-    }
-}
-
 /// How many of `engine`'s shards hold a cell of `q`'s circle cover — what
 /// the router must dispatch to, no more and no fewer.
 fn shards_under_cover(engine: &ShardedEngine, q: &TklusQuery) -> usize {
-    let config = sharded_config();
+    let config = EngineConfig::default();
     let cover =
         circle_cover(&q.location, q.radius_km, config.index.geohash_len, config.scoring.metric)
             .unwrap();
@@ -147,8 +138,8 @@ fn assert_bitwise(
 
 proptest! {
     // 36 corpora × 2 semantics × 3 rankings × |N| shard counts × 2 scatter
-    // widths × cold+warm = ~3456 sharded-vs-monolithic comparisons at the
-    // default ladder (864 distinct query cases).
+    // widths = ~1728 sharded-vs-monolithic comparisons at the default
+    // ladder (864 distinct query cases).
     #![proptest_config(ProptestConfig::with_cases(36))]
 
     #[test]
@@ -166,8 +157,8 @@ proptest! {
         let mut sharded: Vec<(usize, ShardedEngine)> = shard_counts()
             .into_iter()
             .map(|n| {
-                let engine =
-                    ShardedEngine::try_build(&corpus, n, &sharded_config()).expect("sharded build");
+                let engine = ShardedEngine::try_build(&corpus, n, &EngineConfig::default())
+                    .expect("sharded build");
                 (n, engine)
             })
             .collect();
@@ -193,20 +184,17 @@ proptest! {
                     // must both reproduce the monolithic answer bitwise.
                     for par in [1usize, 4] {
                         engine.set_scatter_parallelism(par);
-                        for temp in ["cold", "warm"] {
-                            let got = engine.query(&q, ranking);
-                            let label =
-                                format!("N={n} par={par} {temp} {ranking:?} {semantics:?}");
-                            assert_bitwise(&got, &want.users, &want.completeness, &label)?;
-                            prop_assert_eq!(
-                                got.fanout, shards_under_cover(engine, &q),
-                                "fanout is every shard the cover intersects: {}", label
-                            );
-                            prop_assert!(
-                                got.skipped_by_bound.is_empty(),
-                                "no shard is skipped by score: {}", label
-                            );
-                        }
+                        let got = engine.query(&q, ranking);
+                        let label = format!("N={n} par={par} {ranking:?} {semantics:?}");
+                        assert_bitwise(&got, &want.users, &want.completeness, &label)?;
+                        prop_assert_eq!(
+                            got.fanout, shards_under_cover(engine, &q),
+                            "fanout is every shard the cover intersects: {}", label
+                        );
+                        prop_assert!(
+                            got.skipped_by_bound.is_empty(),
+                            "no shard is skipped by score: {}", label
+                        );
                     }
                 }
             }
@@ -244,8 +232,8 @@ proptest! {
         q.budget = Some(QueryBudget { timeout_ms: None, max_cells: Some(max_cells) });
 
         for n in shard_counts() {
-            let mut engine =
-                ShardedEngine::try_build(&corpus, n, &sharded_config()).expect("sharded build");
+            let mut engine = ShardedEngine::try_build(&corpus, n, &EngineConfig::default())
+                .expect("sharded build");
             for ranking in [
                 Ranking::Sum,
                 Ranking::Max(BoundsMode::Global),
@@ -257,6 +245,64 @@ proptest! {
                     let got = engine.query(&q, ranking);
                     let label = format!("N={n} par={par} {ranking:?} budget");
                     assert_bitwise(&got, &want.users, &want.completeness, &label)?;
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    // The outcome's work tallies. With one shard the router does the
+    // monolithic engine's work, so it must report the monolithic counts —
+    // the ranking's page reads included. With four, the summed page reads
+    // must be exactly what the shard engines' storage counters moved by.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn sharded_stats_count_every_page_read(
+        raw in proptest::collection::vec(arb_post(), 5..45),
+        radius in 2.0f64..25.0,
+        k in 1usize..6,
+        kw_idx in proptest::collection::vec(0u8..WORDS.len() as u8, 1..3),
+    ) {
+        let corpus = materialize(&raw);
+        let config = EngineConfig::default();
+        let (mono, _) = TklusEngine::build(&corpus, &config);
+        let one = ShardedEngine::try_build(&corpus, 1, &config).expect("sharded build");
+        let mut four = ShardedEngine::try_build(&corpus, 4, &config).expect("sharded build");
+        let keywords: Vec<String> =
+            kw_idx.iter().map(|&i| WORDS[i as usize].to_string()).collect();
+
+        for semantics in [Semantics::Or, Semantics::And] {
+            let q = TklusQuery::new(
+                Point::new_unchecked(43.68, -79.38),
+                radius,
+                keywords.clone(),
+                k,
+                semantics,
+            ).unwrap();
+            for ranking in [Ranking::Sum, Ranking::Max(BoundsMode::HotKeywords)] {
+                let label = format!("{ranking:?} {semantics:?}");
+                let want = mono.try_query(&q, ranking).unwrap().stats;
+                let got = one.query(&q, ranking).stats;
+                prop_assert_eq!(got.cover_cells, want.cover_cells, "cover_cells: {}", label);
+                prop_assert_eq!(got.lists_fetched, want.lists_fetched, "lists_fetched: {}", label);
+                prop_assert_eq!(got.dfs_bytes, want.dfs_bytes, "dfs_bytes: {}", label);
+                prop_assert_eq!(got.candidates, want.candidates, "candidates: {}", label);
+                prop_assert_eq!(got.in_radius, want.in_radius, "in_radius: {}", label);
+                prop_assert_eq!(got.threads_built, want.threads_built, "threads_built: {}", label);
+                prop_assert_eq!(
+                    got.metadata_page_reads, want.metadata_page_reads,
+                    "metadata_page_reads: {}", label
+                );
+
+                let reads = "tklus_storage_page_reads_total";
+                for par in [1usize, 4] {
+                    four.set_scatter_parallelism(par);
+                    let before = four.metrics_snapshot().counter(reads).unwrap_or(0);
+                    let got = four.query(&q, ranking).stats;
+                    let moved = four.metrics_snapshot().counter(reads).unwrap_or(0) - before;
+                    prop_assert_eq!(got.metadata_page_reads, moved, "N=4 par={}: {}", par, label);
                 }
             }
         }

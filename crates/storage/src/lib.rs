@@ -17,10 +17,6 @@
 //!   so logical accesses and physical I/Os can be measured separately (the
 //!   paper's Section VI-B runs with "database caches … off"; the pool can
 //!   be sized to zero-effective caching for that configuration).
-//! * [`lru`] — the generic lock-striped LRU map the buffer pool's
-//!   discipline generalizes to: the query-cache hierarchy in `tklus-core`
-//!   (circle covers, decoded postings lists, thread popularities) stacks
-//!   instances of it above this crate's physical layers.
 //! * [`dfs`] — a simulated block-structured distributed file system
 //!   standing in for HDFS: named files striped over simulated data nodes,
 //!   with per-node read/write/seek counters that the index-size and
@@ -47,7 +43,6 @@ pub mod dfs;
 pub mod error;
 pub mod fault;
 pub mod iostats;
-pub mod lru;
 pub mod page;
 pub mod pager;
 pub mod retry;
@@ -59,7 +54,6 @@ pub use dfs::{Dfs, DfsConfig, DfsError, DfsFile};
 pub use error::{StorageError, StorageResult};
 pub use fault::{splitmix64, CrashVerdict, FaultConfig, FaultHandle, FaultPager};
 pub use iostats::{IoSnapshot, IoStats};
-pub use lru::{CacheLayerStats, ShardedLruCache};
 pub use page::{
     crc32, seal_page, verify_page, PageId, PAGE_FORMAT_VERSION, PAGE_HEADER_SIZE, PAGE_SIZE,
 };

@@ -18,8 +18,7 @@
 //! ```
 //!
 //! The engine's inverted index covers only *sealed* posts; its metadata
-//! database and thread cache cover *all* acked posts (each ingest inserts
-//! metadata and invalidates the staled thread-cache entries — see
+//! database covers *all* acked posts (each ingest inserts its row — see
 //! [`tklus_core::TklusEngine::try_insert_metadata`]). An engine is its
 //! index and its metadata, so building one at open, at every compaction
 //! round and at every rebuild pays for nothing else. A query of either
@@ -133,7 +132,8 @@ pub enum CompactionStrategy {
 /// Ingest store configuration.
 #[derive(Clone)]
 pub struct StoreConfig {
-    /// Engine build parameters (scoring, index, caches, metadata store).
+    /// Engine build parameters (scoring, index, buffer pool, metadata
+    /// store).
     pub engine: EngineConfig,
     /// WAL segment size and fsync policy.
     pub wal: WalConfig,
@@ -650,7 +650,7 @@ impl IngestStore {
         let live = Self::live_rows(&inner, q)?;
         let sealed = engine.try_partial_sum(q)?;
         let merged = merge_sum_rows([sealed.rows.as_slice(), live.as_slice()].into_iter());
-        Ok(engine.try_rank_rows(q, ranking, &merged)?)
+        Ok(engine.try_rank_rows(q, ranking, &merged)?.0)
     }
 
     /// The memtable's candidates for `q`, scored by the engine's own
