@@ -15,9 +15,7 @@ fn bench_build_scaling(c: &mut Criterion) {
             b.iter(|| build_index(corpus.posts(), config))
         });
     }
-    group.bench_function("centralized", |b| {
-        b.iter(|| build_centralized(corpus.posts(), 4, 64 * 1024))
-    });
+    group.bench_function("centralized", |b| b.iter(|| build_centralized(corpus.posts(), 4)));
     group.finish();
 }
 

@@ -4,7 +4,7 @@
 //! ("steady around 850 minutes"), and the MapReduce build handles an order
 //! of magnitude more tweets per unit time than the centralized
 //! state-of-the-art (I³, quoted numbers). Here both builders run on the
-//! same corpus: the distributed build ([`PAPER_NODES`] simulated nodes)
+//! same corpus: the distributed build ([`PAPER_NODES`] map/reduce tasks)
 //! should stay flat across lengths 1–4, tracking or beating the sequential
 //! centralized baseline, and both report identical logical index contents.
 
@@ -28,7 +28,7 @@ fn main() {
             ..IndexBuildConfig::default()
         };
         let (_, dist) = build_index(corpus.posts(), &config);
-        let (_, cent) = build_centralized(corpus.posts(), len, config.block_size);
+        let (_, cent) = build_centralized(corpus.posts(), len);
         assert_eq!(dist.keys, cent.keys, "both builders must agree on index contents");
         println!(
             "{:<8} {:>16.1} {:>16.1} {:>12} {:>12}",

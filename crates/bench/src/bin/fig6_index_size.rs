@@ -3,8 +3,8 @@
 //! Paper shape: the index occupies about the same space (≈3.5 GB for 514M
 //! tweets) regardless of the geohash configuration — postings dominate and
 //! their total count is invariant to how finely cells split them. The
-//! reproduction reports inverted-index bytes on the DFS plus the in-memory
-//! forward-index footprint per length.
+//! reproduction reports the inverted index's partition bytes plus the
+//! in-memory forward-index footprint per length.
 
 use tklus_bench::{banner, csv_row, parse_flags, standard_corpus, PAPER_NODES};
 use tklus_index::{build_index, IndexBuildConfig};

@@ -54,9 +54,9 @@ pub fn parse_flags() -> Flags {
 }
 
 /// The paper's cluster size (Section VI-A: three machines). The figure and
-/// table binaries build their indexes with this many simulated nodes —
-/// and so on this many threads — where the product's in-process default is
-/// one.
+/// table binaries build their indexes with this many nodes (map tasks,
+/// reduce tasks and partitions) — and so on this many threads — where the
+/// product's in-process default is one.
 pub const PAPER_NODES: usize = 3;
 
 /// The standard synthetic corpus for a flag set.

@@ -395,7 +395,7 @@ fn cmd_stats(raw: Vec<String>) -> Result<(), CliError> {
     println!("index: built in {:?}", report.total_time);
     println!("  <geohash, term> keys: {}", report.keys);
     println!("  postings:             {}", report.postings);
-    println!("  inverted bytes (DFS): {}", report.index_bytes);
+    println!("  inverted bytes:       {}", report.index_bytes);
     println!("  forward bytes (RAM):  {}", engine.index().forward().size_bytes());
     println!("  distinct terms:       {}", report.distinct_terms);
     println!("top-10 keywords:");

@@ -143,9 +143,9 @@ impl std::fmt::Debug for EngineConfig {
 /// assert_eq!(top[0].user, UserId(9));
 /// ```
 ///
-/// Queries take `&self`: every layer underneath (buffer pool, B⁺-trees,
-/// DFS) uses interior mutability, so one engine can serve many client
-/// threads at once.
+/// Queries take `&self`: the metadata layers (buffer pool, B⁺-trees) use
+/// interior mutability and the index is immutable, so one engine can
+/// serve many client threads at once.
 pub struct TklusEngine {
     index: HybridIndex,
     db: MetadataDb,

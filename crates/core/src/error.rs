@@ -2,7 +2,7 @@
 //!
 //! Every fallible engine operation reports an [`EngineError`] naming the
 //! subsystem that failed: the metadata database's storage stack or the
-//! inverted index's DFS/decode path. Both wrap the subsystem's own typed
+//! inverted index's postings read. Both wrap the subsystem's own typed
 //! error, so callers can match all the way down (e.g. to
 //! [`tklus_storage::StorageError::PageCorrupt`]) when they need to.
 
@@ -15,7 +15,8 @@ pub enum EngineError {
     /// The metadata database's storage stack failed (I/O, corruption, a
     /// malformed B⁺-tree node).
     Storage(StorageError),
-    /// The inverted index failed to serve postings (DFS read, decode).
+    /// The inverted index failed to serve postings (a range outside its
+    /// partition, undecodable bytes).
     Index(IndexError),
 }
 

@@ -179,7 +179,7 @@ impl CellBudget {
 
 /// Wall-clock breakdown of one query by pipeline stage (DESIGN.md §12).
 ///
-/// Stages follow Algorithms 4/5: circle cover, postings fetch (DFS reads),
+/// Stages follow Algorithms 4/5: circle cover, postings fetch (reads),
 /// candidate combination (union/intersection), thread construction,
 /// scoring, and top-k aggregation. All zero when the engine was built
 /// with `EngineConfig::metrics` off.
@@ -193,7 +193,7 @@ impl CellBudget {
 pub struct StageTimings {
     /// Circle-cover computation.
     pub cover: std::time::Duration,
-    /// Postings retrieval: DFS reads and decoding.
+    /// Postings retrieval: partition reads and decoding.
     pub fetch: std::time::Duration,
     /// AND/OR candidate combination (union/intersection).
     pub combine: std::time::Duration,
@@ -245,9 +245,10 @@ pub struct QueryStats {
     pub elapsed: std::time::Duration,
     /// Geohash cells in the circle cover.
     pub cover_cells: usize,
-    /// Postings lists fetched from the DFS.
+    /// Postings lists fetched from the index's partitions.
     pub lists_fetched: usize,
-    /// Bytes fetched from the DFS.
+    /// Encoded postings bytes fetched (named for the paper's HDFS, where
+    /// the partitions live).
     pub dfs_bytes: u64,
     /// Candidate tweets after AND/OR combination.
     pub candidates: usize,

@@ -4,8 +4,8 @@
 //! its caller's thread, and one engine behind `&self` serves many client
 //! threads at once. Tested without loom (plain OS threads): every client
 //! sees the same byte-identical answers (ids and the exact `f64` bit
-//! patterns of scores) as a lone caller, while the striped buffer pool,
-//! DFS counters and B⁺-trees are being hammered concurrently.
+//! patterns of scores) as a lone caller, while the striped buffer pool
+//! and B⁺-trees are being hammered concurrently.
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 

@@ -5,28 +5,21 @@
 //! published numbers (Section VI-A). Since we cannot run the authors'
 //! testbed, we provide an executable centralized comparator instead: the
 //! same logical index (identical forward/inverted structure and lookup
-//! semantics) built by a single sequential pass on a one-node DFS. The
+//! semantics) built by a single sequential pass into one partition. The
 //! Figure 5 harness measures this against the distributed build so the
 //! paper's "distributed construction scales better" claim is testable
 //! rather than quoted.
 
-use crate::build::IndexBuildReport;
-use crate::forward::{ForwardIndex, PostingsLocation};
+use crate::build::{lay_out, EncodedList, IndexBuildReport};
 use crate::inverted::HybridIndex;
-use crate::posting::PostingsList;
 use std::collections::BTreeMap;
 use std::time::Instant;
 use tklus_geo::{encode, Geohash};
 use tklus_model::Post;
-use tklus_storage::{Dfs, DfsConfig};
-use tklus_text::{TextPipeline, Vocab};
+use tklus_text::TextPipeline;
 
-/// Builds the same hybrid index sequentially on a single node.
-pub fn build_centralized(
-    posts: &[Post],
-    geohash_len: usize,
-    block_size: usize,
-) -> (HybridIndex, IndexBuildReport) {
+/// Builds the same hybrid index sequentially into a single partition.
+pub fn build_centralized(posts: &[Post], geohash_len: usize) -> (HybridIndex, IndexBuildReport) {
     let start = Instant::now();
     let pipeline = TextPipeline::new();
     // One sequential pass accumulating (key -> postings) in sorted order.
@@ -47,40 +40,22 @@ pub fn build_centralized(
     }
     let map_time = start.elapsed();
 
-    let dfs = Dfs::new(DfsConfig { nodes: 1, block_size, replication: 1 });
-    let mut vocab = Vocab::new();
-    let mut entries: Vec<((Geohash, tklus_text::TermId), PostingsLocation)> = Vec::new();
-    let mut file = Vec::new();
-    let mut postings_total = 0u64;
-    for ((gh, term), pairs) in &acc {
-        let list: PostingsList = pairs.iter().copied().collect();
-        let term_id = vocab.intern(term);
-        vocab.add_occurrences(term_id, list.postings().iter().map(|p| p.tf as u64).sum());
-        postings_total += list.len() as u64;
-        // Same encoding as the distributed build, so index sizes stay
-        // directly comparable.
-        let bytes = list.encode();
-        entries.push((
-            (*gh, term_id),
-            PostingsLocation { partition: 0, offset: file.len() as u64, len: bytes.len() as u32 },
-        ));
-        file.extend_from_slice(&bytes);
-    }
-    dfs.create_on(&HybridIndex::partition_file(0), file, 0).expect("fresh DFS");
-    entries.sort_by_key(|e| e.0);
-    let forward = ForwardIndex::from_sorted(entries);
-
+    // Same encoding and layout as the distributed build, so index sizes
+    // stay directly comparable.
+    let lists = acc
+        .iter()
+        .map(|((gh, term), pairs)| ((*gh, term.as_str()), EncodedList::new(pairs.iter().copied())))
+        .collect();
+    let (index, report) = lay_out(vec![lists], geohash_len);
+    let total_time = start.elapsed();
     let report = IndexBuildReport {
-        total_time: start.elapsed(),
+        total_time,
         map_time,
-        reduce_time: start.elapsed() - map_time,
+        reduce_time: total_time - map_time,
         posts: posts.len() as u64,
-        keys: forward.len() as u64,
-        postings: postings_total,
-        index_bytes: dfs.total_bytes(),
-        distinct_terms: vocab.len() as u64,
+        ..report
     };
-    (HybridIndex::new(forward, vocab, dfs, geohash_len), report)
+    (index, report)
 }
 
 #[cfg(test)]
@@ -111,11 +86,13 @@ mod tests {
     fn centralized_equals_distributed_logically() {
         let posts = posts();
         let (dist, _) = build_index(&posts, &IndexBuildConfig::default());
-        let (cent, _) = build_centralized(&posts, 4, 64 * 1024);
+        let (cent, _) = build_centralized(&posts, 4);
         // Same dictionary contents (ids may differ).
         assert_eq!(dist.vocab().len(), cent.vocab().len());
         // Same directory size.
         assert_eq!(dist.forward().len(), cent.forward().len());
+        // One partition each, laid out by the same routine: the same bytes.
+        assert_eq!(dist.partitions(), cent.partitions());
         // Same query answers.
         let center = Point::new_unchecked(43.68, -79.4);
         for kw in ["hotel", "pizza", "coffee", "game"] {
@@ -141,7 +118,7 @@ mod tests {
     fn report_totals_match() {
         let posts = posts();
         let (_, rd) = build_index(&posts, &IndexBuildConfig::default());
-        let (_, rc) = build_centralized(&posts, 4, 64 * 1024);
+        let (_, rc) = build_centralized(&posts, 4);
         assert_eq!(rd.keys, rc.keys);
         assert_eq!(rd.postings, rc.postings);
         assert_eq!(rd.distinct_terms, rc.distinct_terms);

@@ -1,16 +1,15 @@
 //! Index construction: the MapReduce job of Algorithms 2 and 3 plus the
-//! driver that lays partitions out on the DFS and builds the forward index.
+//! layout step that concatenates partitions and builds the forward index.
 
 use crate::forward::{ForwardIndex, PostingsLocation};
 use crate::inverted::HybridIndex;
-use crate::posting::{Posting, PostingsFormat, PostingsList};
+use crate::posting::{PostingsFormat, PostingsList};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tklus_geo::{encode, Geohash};
 use tklus_mapreduce::{run_job, JobConfig, Mapper, RangePartitioner, Reducer};
 use tklus_model::Post;
-use tklus_storage::{Dfs, DfsConfig};
 use tklus_text::{TextPipeline, Vocab};
 
 /// Configuration of an index build.
@@ -19,16 +18,12 @@ pub struct IndexBuildConfig {
     /// Geohash encoding length (the paper evaluates 1–4; default 4, the
     /// choice Section VI-B2 settles on).
     pub geohash_len: usize,
-    /// Simulated cluster size = map tasks = reduce partitions = DFS nodes.
+    /// Cluster size = map tasks = reduce partitions = partition files.
     /// The default is 1: an in-process engine (server, ingest store) builds
     /// on its caller's thread. The paper's cluster has 3 machines; the
     /// build CLI and the figure/table binaries ask for that by name, and
     /// `n` nodes build on `n` threads, the caller's included.
     pub nodes: usize,
-    /// DFS block size in bytes.
-    pub block_size: usize,
-    /// DFS replication factor for partition files (1 = no replicas).
-    pub replication: usize,
     /// The one postings layout. Nothing reads this field: it stays only
     /// because the frozen `benchmark/` prints it (ROADMAP open items).
     pub postings_format: PostingsFormat,
@@ -36,18 +31,12 @@ pub struct IndexBuildConfig {
 
 impl Default for IndexBuildConfig {
     fn default() -> Self {
-        Self {
-            geohash_len: 4,
-            nodes: 1,
-            block_size: 64 * 1024,
-            replication: 1,
-            postings_format: PostingsFormat::Flat,
-        }
+        Self { geohash_len: 4, nodes: 1, postings_format: PostingsFormat::Flat }
     }
 }
 
 /// Outcome statistics of a build, for the Figure 5/6 harnesses.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IndexBuildReport {
     /// Total wall time of the build.
     pub total_time: Duration,
@@ -61,7 +50,7 @@ pub struct IndexBuildReport {
     pub keys: u64,
     /// Postings across all lists.
     pub postings: u64,
-    /// Bytes of inverted-index data written to the DFS (Fig. 6's size).
+    /// Bytes of encoded postings across the partitions (Fig. 6's size).
     pub index_bytes: u64,
     /// Distinct terms in the dictionary.
     pub distinct_terms: u64,
@@ -98,8 +87,8 @@ impl Mapper for IndexMapper {
         terms.sort_unstable();
         // One lock per post, not per emission: map tasks of a parallel
         // build meet here only between posts. The set is valid after any
-        // panic (an insert completes or does not happen), so a retried
-        // task takes a poisoned lock as it is.
+        // panic (an insert completes or does not happen), so a task still
+        // running beside a panicked one takes a poisoned lock as it is.
         let mut interned = self.interned.lock().unwrap_or_else(PoisonError::into_inner);
         let mut i = 0;
         while i < terms.len() {
@@ -121,15 +110,24 @@ impl Mapper for IndexMapper {
     }
 }
 
-/// One key's reduce output: the postings list already in its on-disk
-/// encoding (a few bytes a posting where the decoded list takes sixteen —
-/// the reduce output of a whole partition waits in memory for the
-/// driver), with the two counts the driver's dictionary and report need.
-struct EncodedList {
+/// One key's postings list already in its on-disk encoding (a few bytes a
+/// posting where the decoded list takes sixteen — the reduce output of a
+/// whole partition waits in memory for the layout), with the two counts
+/// the layout's dictionary and report need.
+pub(crate) struct EncodedList {
     bytes: Vec<u8>,
     postings: u64,
     /// Σ tf over the list: the term's occurrences under this key.
     occurrences: u64,
+}
+
+impl EncodedList {
+    /// Sorts one key's `(tweet id, tf)` pairs by id and encodes them.
+    pub(crate) fn new(values: impl IntoIterator<Item = (u64, u32)>) -> Self {
+        let list: PostingsList = values.into_iter().collect();
+        let occurrences = list.postings().iter().map(|p| p.tf as u64).sum();
+        Self { bytes: list.encode(), postings: list.len() as u64, occurrences }
+    }
 }
 
 /// The reduce function of Algorithm 3: gather all postings of one key,
@@ -142,20 +140,13 @@ impl Reducer for IndexReducer {
     type Output = EncodedList;
 
     fn reduce(&self, _key: &Self::Key, values: Vec<(u64, u32)>, emit: &mut dyn FnMut(EncodedList)) {
-        let occurrences = values.iter().map(|&(_, tf)| tf as u64).sum();
-        let list = PostingsList::new(
-            values
-                .into_iter()
-                .map(|(id, tf)| Posting { id: tklus_model::TweetId(id), tf })
-                .collect(),
-        );
-        emit(EncodedList { bytes: list.encode(), postings: list.len() as u64, occurrences })
+        emit(EncodedList::new(values))
     }
 }
 
 /// Geohash-range split points giving each of `n` partitions an equal slice
-/// of the top-level geohash alphabet, so each spatial region lands on one
-/// node.
+/// of the top-level geohash alphabet, so each spatial region lands in one
+/// partition.
 fn geohash_splits(n: usize) -> Vec<IndexKey> {
     (1..n)
         .map(|i| {
@@ -190,61 +181,63 @@ pub fn build_index(posts: &[Post], config: &IndexBuildConfig) -> (HybridIndex, I
     };
     let partitioner = RangePartitioner::new(geohash_splits(config.nodes));
     let job = run_job(
-        JobConfig { map_tasks: config.nodes, reduce_tasks: config.nodes, ..JobConfig::default() },
+        JobConfig { map_tasks: config.nodes, reduce_tasks: config.nodes },
         posts,
         &mapper,
         &IndexReducer,
         &partitioner,
     );
-
-    // Driver: lay each partition out as one DFS file on its own node, in
-    // sorted key order, while building the dictionary and directory.
-    let dfs = Dfs::new(DfsConfig {
-        nodes: config.nodes,
-        block_size: config.block_size,
-        replication: config.replication,
-    });
-    let mut vocab = Vocab::new();
-    let mut entries: Vec<((Geohash, tklus_text::TermId), PostingsLocation)> = Vec::new();
-    let mut postings_total = 0u64;
-    for (part_idx, partition) in job.partitions.iter().enumerate() {
-        let mut file = Vec::new();
-        for ((gh, term), list) in partition {
-            let term_id = vocab.intern(term);
-            // Corpus frequency = total occurrences (Table II ranking).
-            vocab.add_occurrences(term_id, list.occurrences);
-            postings_total += list.postings;
-            let bytes = &list.bytes;
-            entries.push((
-                (*gh, term_id),
-                PostingsLocation {
-                    partition: part_idx as u32,
-                    offset: file.len() as u64,
-                    len: bytes.len() as u32,
-                },
-            ));
-            file.extend_from_slice(bytes);
-        }
-        dfs.create_on(&HybridIndex::partition_file(part_idx as u32), file, part_idx % config.nodes)
-            .expect("fresh DFS");
-    }
-    // Directory order is (geohash, term-id); term ids are assigned in
-    // first-encounter order, so re-sort before building the directory.
-    entries.sort_by_key(|e| e.0);
-    let forward = ForwardIndex::from_sorted(entries);
-
+    let (index, report) = lay_out(job.partitions, config.geohash_len);
     let report = IndexBuildReport {
         total_time: start.elapsed(),
         map_time: job.map_time,
         reduce_time: job.reduce_time,
         posts: job.counters.map_input_records,
-        keys: forward.len() as u64,
-        postings: postings_total,
-        index_bytes: dfs.total_bytes(),
-        distinct_terms: vocab.len() as u64,
+        ..report
     };
-    let index = HybridIndex::new(forward, vocab, dfs, config.geohash_len);
     (index, report)
+}
+
+/// The layout step both builders end in: partition `i`'s lists, in sorted key
+/// order, are concatenated into partition `i`'s bytes while the dictionary
+/// (term ids in first-encounter order) and the directory are built. The
+/// report carries the index's counts; the caller fills in the times and
+/// the post count.
+pub(crate) fn lay_out<T: AsRef<str>>(
+    partitions: Vec<Vec<((Geohash, T), EncodedList)>>,
+    geohash_len: usize,
+) -> (HybridIndex, IndexBuildReport) {
+    let mut vocab = Vocab::new();
+    let mut entries: Vec<((Geohash, tklus_text::TermId), PostingsLocation)> = Vec::new();
+    let mut report = IndexBuildReport::default();
+    let mut bytes = Vec::with_capacity(partitions.len());
+    for (part_idx, lists) in partitions.into_iter().enumerate() {
+        let mut part = Vec::with_capacity(lists.iter().map(|(_, list)| list.bytes.len()).sum());
+        for ((gh, term), list) in lists {
+            let term_id = vocab.intern(term.as_ref());
+            // Corpus frequency = total occurrences (Table II ranking).
+            vocab.add_occurrences(term_id, list.occurrences);
+            report.postings += list.postings;
+            entries.push((
+                (gh, term_id),
+                PostingsLocation {
+                    partition: part_idx as u32,
+                    offset: part.len() as u64,
+                    len: list.bytes.len() as u32,
+                },
+            ));
+            part.extend_from_slice(&list.bytes);
+        }
+        report.index_bytes += part.len() as u64;
+        bytes.push(part);
+    }
+    // Directory order is (geohash, term-id); term ids are assigned in
+    // first-encounter order, so re-sort before building the directory.
+    entries.sort_by_key(|e| e.0);
+    let forward = ForwardIndex::from_sorted(entries);
+    report.keys = forward.len() as u64;
+    report.distinct_terms = vocab.len() as u64;
+    (HybridIndex::new(forward, vocab, bytes, geohash_len), report)
 }
 
 #[cfg(test)]
@@ -337,11 +330,10 @@ mod tests {
         ];
         let (index, _) = build_index(
             &posts,
-            &IndexBuildConfig { geohash_len: 4, nodes: 3, block_size: 1024, ..Default::default() },
+            &IndexBuildConfig { geohash_len: 4, nodes: 3, ..Default::default() },
         );
-        // Three partition files exist (some may be empty but created).
-        let files = index.dfs().list();
-        assert_eq!(files.len(), 3, "{files:?}");
+        // Three partitions exist (some may be empty).
+        assert_eq!(index.partitions().len(), 3);
         // Keys for Brazil sort before Canada before Denmark, and partition
         // indexes are monotone in key range.
         let hotel = index.vocab().get("hotel").unwrap();
@@ -380,7 +372,7 @@ mod tests {
             index
                 .forward()
                 .iter()
-                .map(|(key, loc)| (*key, index.read_postings(*loc).0.encode()))
+                .map(|(key, loc)| (*key, index.try_read_postings(*loc).unwrap().0.encode()))
                 .collect()
         };
         assert!(base.forward().len() > 50);
@@ -397,7 +389,8 @@ mod tests {
         assert_eq!(report.keys as usize, index.forward().len());
         assert_eq!(report.distinct_terms as usize, index.vocab().len());
         assert!(report.postings >= report.keys, "every key has at least one posting");
-        assert_eq!(report.index_bytes, index.dfs().total_bytes());
+        let bytes: usize = index.partitions().iter().map(Vec::len).sum();
+        assert_eq!(report.index_bytes, bytes as u64);
     }
 
     #[test]
@@ -411,7 +404,7 @@ mod tests {
     fn geohash_length_one_still_works() {
         let (index, _) = build_index(
             &toronto_posts(),
-            &IndexBuildConfig { geohash_len: 1, nodes: 3, block_size: 1024, ..Default::default() },
+            &IndexBuildConfig { geohash_len: 1, nodes: 3, ..Default::default() },
         );
         let hotel = index.vocab().get("hotel").unwrap();
         let gh = encode(&Point::new_unchecked(43.670, -79.387), 1).unwrap();

@@ -2,7 +2,8 @@
 //!
 //! Figure 4: "Each entry in the forward index is in the format of
 //! `⟨ge_i, kw_i⟩` … the forward index associates each of its entries to a
-//! postings list in the inverted index that is stored in HDFS." Entries are
+//! postings list in the inverted index that is stored in HDFS." Here the
+//! inverted index's partitions are held by the index itself. Entries are
 //! kept sorted by key, so lookup is a binary search and the whole structure
 //! stays small enough to load at startup ("the system first loads the
 //! postings forward index into memory since it is always small").
@@ -10,12 +11,12 @@
 use tklus_geo::Geohash;
 use tklus_text::TermId;
 
-/// Where a postings list lives in the DFS.
+/// Where a postings list lives: a byte range of one partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PostingsLocation {
-    /// Partition index (names the partition file).
+    /// Partition index.
     pub partition: u32,
-    /// Byte offset within the partition file.
+    /// Byte offset within the partition.
     pub offset: u64,
     /// Encoded length in bytes.
     pub len: u32,
@@ -29,8 +30,9 @@ pub struct ForwardIndex {
 
 impl ForwardIndex {
     /// Builds from entries already sorted by key (the MapReduce output
-    /// order). Panics if unsorted or duplicated — partition files are
-    /// written in sorted key order, so a violation is a build bug.
+    /// order). Panics if unsorted or duplicated — the builders sort the
+    /// entries and the loader refuses an unsorted `forward.tsv`, so a
+    /// violation is a bug.
     pub fn from_sorted(entries: Vec<((Geohash, TermId), PostingsLocation)>) -> Self {
         assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0),

@@ -1,7 +1,7 @@
 //! The query-side face of the hybrid index.
 //!
 //! [`HybridIndex`] bundles the in-memory forward index, the term
-//! dictionary, and the DFS holding the partition files, and implements the
+//! dictionary, and the partition bytes, and implements the
 //! postings-retrieval phase of Algorithms 4 and 5 (lines 1–7): geohash
 //! circle cover, then one postings fetch per surviving `⟨cell, keyword⟩`
 //! pair. Fetches are issued in `(partition, offset)` order so reads within
@@ -12,7 +12,6 @@ use crate::forward::{ForwardIndex, PostingsLocation};
 use crate::posting::PostingsList;
 use std::sync::Arc;
 use tklus_geo::{circle_cover, DistanceMetric, Geohash, Point};
-use tklus_storage::{Dfs, DfsError};
 use tklus_text::{TermId, Vocab};
 
 /// A `⟨geohash, term⟩` key, as stored in the forward index.
@@ -21,20 +20,14 @@ pub type IndexKey = (Geohash, TermId);
 /// Errors from the inverted-index read path.
 #[derive(Debug)]
 pub enum IndexError {
-    /// The DFS could not serve a partition range the directory points at.
-    Dfs {
-        /// Partition file the read targeted.
-        file: String,
-        /// The underlying DFS failure.
-        source: DfsError,
-    },
-    /// Partition bytes at a directory location failed to decode.
+    /// A directory location names bytes the partition does not hold, or
+    /// bytes that fail to decode.
     CorruptPostings {
-        /// Partition file the bytes came from.
-        file: String,
-        /// Byte offset of the postings list within the file.
+        /// Partition the location names.
+        partition: u32,
+        /// Byte offset of the postings list within the partition.
         offset: u64,
-        /// What the decoder rejected.
+        /// What was wrong with the range or its bytes.
         detail: String,
     },
 }
@@ -42,11 +35,8 @@ pub enum IndexError {
 impl std::fmt::Display for IndexError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IndexError::Dfs { file, source } => {
-                write!(f, "dfs read of {file} failed: {source}")
-            }
-            IndexError::CorruptPostings { file, offset, detail } => {
-                write!(f, "corrupt postings in {file} at offset {offset}: {detail}")
+            IndexError::CorruptPostings { partition, offset, detail } => {
+                write!(f, "corrupt postings in partition {partition} at offset {offset}: {detail}")
             }
         }
     }
@@ -54,12 +44,14 @@ impl std::fmt::Display for IndexError {
 
 impl std::error::Error for IndexError {}
 
-/// The hybrid index: forward directory in memory, inverted partitions on
-/// the DFS.
+/// The hybrid index: forward directory, dictionary and inverted
+/// partitions, all in memory.
 pub struct HybridIndex {
     forward: ForwardIndex,
     vocab: Vocab,
-    dfs: Dfs,
+    /// `partitions[i]` is partition `i`'s encoded postings lists,
+    /// concatenated in key order.
+    partitions: Vec<Vec<u8>>,
     geohash_len: usize,
 }
 
@@ -74,20 +66,20 @@ pub struct QueryFetch {
     pub cells: usize,
     /// Number of postings lists fetched.
     pub lists: usize,
-    /// Encoded bytes fetched from the DFS.
+    /// Encoded postings bytes read.
     pub bytes: u64,
 }
 
 impl HybridIndex {
     /// Assembles an index from its parts (normally via
     /// [`crate::build::build_index`]).
-    pub fn new(forward: ForwardIndex, vocab: Vocab, dfs: Dfs, geohash_len: usize) -> Self {
-        Self { forward, vocab, dfs, geohash_len }
-    }
-
-    /// DFS file name of partition `i`.
-    pub fn partition_file(i: u32) -> String {
-        format!("inverted/part-{i:05}")
+    pub fn new(
+        forward: ForwardIndex,
+        vocab: Vocab,
+        partitions: Vec<Vec<u8>>,
+        geohash_len: usize,
+    ) -> Self {
+        Self { forward, vocab, partitions, geohash_len }
     }
 
     /// The forward index (directory).
@@ -100,9 +92,9 @@ impl HybridIndex {
         &self.vocab
     }
 
-    /// The DFS holding the partition files.
-    pub fn dfs(&self) -> &Dfs {
-        &self.dfs
+    /// The partition bytes: `partitions()[i]` is partition `i`.
+    pub fn partitions(&self) -> &[Vec<u8>] {
+        &self.partitions
     }
 
     /// The geohash encoding length the index was built with.
@@ -110,43 +102,43 @@ impl HybridIndex {
         self.geohash_len
     }
 
-    /// Fetches the postings list for one `⟨geohash, term⟩` key.
+    /// Fetches the postings list for one `⟨geohash, term⟩` key — a lookup
+    /// convenience over [`Self::try_read_postings`] that panics where it
+    /// returns an error.
     pub fn postings(&self, geohash: Geohash, term: TermId) -> Option<PostingsList> {
         let loc = self.forward.lookup(geohash, term)?;
-        Some(self.read_postings(loc).0)
-    }
-
-    /// Reads and decodes the postings list at a directory location,
-    /// returning the list and the number of encoded bytes read. Pure given
-    /// the immutable partition files, so safe from any thread.
-    ///
-    /// Panics if the directory points at an unreadable or undecodable
-    /// range; fault-tolerant callers use [`Self::try_read_postings`].
-    pub fn read_postings(&self, loc: PostingsLocation) -> (PostingsList, u64) {
         match self.try_read_postings(loc) {
-            Ok(out) => out,
-            Err(e) => panic!("directory points at valid partition range: {e}"),
+            Ok((list, _)) => Some(list),
+            Err(e) => panic!("directory points at a valid partition range: {e}"),
         }
     }
 
-    /// Fallible [`Self::read_postings`]: an unreadable partition range or
-    /// undecodable bytes surface as a typed [`IndexError`] instead of a
-    /// panic.
+    /// Decodes the postings list at a directory location in place,
+    /// returning the list and the number of encoded bytes read. A range
+    /// outside its partition, or bytes that do not decode, is a typed
+    /// [`IndexError`].
     pub fn try_read_postings(
         &self,
         loc: PostingsLocation,
     ) -> Result<(PostingsList, u64), IndexError> {
-        let file = Self::partition_file(loc.partition);
-        let raw = self
-            .dfs
-            .read_at(&file, loc.offset, loc.len as usize)
-            .map_err(|source| IndexError::Dfs { file: file.clone(), source })?;
-        let (list, _) = PostingsList::decode(&raw).map_err(|e| IndexError::CorruptPostings {
-            file,
+        let corrupt = |detail: String| IndexError::CorruptPostings {
+            partition: loc.partition,
             offset: loc.offset,
-            detail: e.to_string(),
-        })?;
+            detail,
+        };
+        let raw = self
+            .bytes_at(loc)
+            .ok_or_else(|| corrupt(format!("{} bytes lie outside the partition", loc.len)))?;
+        let (list, _) = PostingsList::decode(raw).map_err(|e| corrupt(e.to_string()))?;
         Ok((list, raw.len() as u64))
+    }
+
+    /// The bytes a location names, or `None` when its partition does not
+    /// exist or `offset + len` overflows or passes the partition's end.
+    pub(crate) fn bytes_at(&self, loc: PostingsLocation) -> Option<&[u8]> {
+        let start = usize::try_from(loc.offset).ok()?;
+        let end = start.checked_add(loc.len as usize)?;
+        self.partitions.get(loc.partition as usize)?.get(start..end)
     }
 
     /// The postings-retrieval phase of Algorithms 4/5: computes the geohash
@@ -287,10 +279,16 @@ mod tests {
             .map(|(k, v)| (k, v))
             .expect("hotel has a directory entry");
         let _ = gh;
-        // A read past the end of the partition is a DFS error.
-        let past_end = PostingsLocation { partition: loc.partition, offset: 1 << 40, len: 8 };
-        let err = idx.try_read_postings(past_end).unwrap_err();
-        assert!(matches!(err, IndexError::Dfs { .. }), "{err}");
+        // A range past the end of the partition, one whose end overflows,
+        // and a partition that does not exist are typed errors.
+        for bad in [
+            PostingsLocation { partition: loc.partition, offset: 1 << 40, len: 8 },
+            PostingsLocation { partition: loc.partition, offset: u64::MAX - 5, len: 8 },
+            PostingsLocation { partition: 7, offset: 0, len: 1 },
+        ] {
+            let err = idx.try_read_postings(bad).unwrap_err();
+            assert!(matches!(err, IndexError::CorruptPostings { .. }), "{err}");
+        }
         // A truncated range decodes to garbage: a typed corruption error.
         if loc.len > 1 {
             let truncated =
@@ -300,15 +298,5 @@ mod tests {
         }
         // The good location still reads fine.
         assert!(idx.try_read_postings(loc).is_ok());
-    }
-
-    #[test]
-    fn reads_hit_dfs_counters() {
-        let idx = index();
-        let hotel = idx.vocab().get("hotel").unwrap();
-        let before = idx.dfs().total_counters().blocks_read;
-        let center = Point::new_unchecked(43.6839128037, -79.37356590);
-        let _ = idx.fetch_for_query(&center, 10.0, &[hotel], DistanceMetric::Euclidean);
-        assert!(idx.dfs().total_counters().blocks_read > before);
     }
 }

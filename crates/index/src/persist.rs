@@ -4,29 +4,34 @@
 //! Layout (all text formats are line-oriented and human-inspectable):
 //!
 //! ```text
-//! <dir>/meta.tsv          format version, geohash_len, node count
+//! <dir>/meta.tsv          format version, geohash_len, partition count
 //! <dir>/vocab.tsv         term_id \t frequency \t term   (ascending ids)
 //! <dir>/forward.tsv       geohash \t term_id \t partition \t offset \t len
 //! <dir>/checksums.tsv     partition file \t crc32 (hex)
 //! <dir>/partitions/part-NNNNN    raw concatenated postings bytes
 //! ```
 //!
-//! Loading rebuilds the simulated DFS (same node placement: partition `i`
-//! on node `i % nodes`), the dictionary (ids are positions, so interning
-//! in file order reproduces them), and the forward directory. Every
-//! partition file is verified against its recorded CRC32 before it is
-//! trusted, the `format` line must match [`PERSIST_FORMAT_VERSION`], and
+//! The partition count is written as `nodes`, the paper's cluster size,
+//! which the build makes equal to it. Loading reads the partition bytes
+//! back (partition `i` from `part-i`), the dictionary (ids are positions,
+//! so interning in file order reproduces them), and the forward directory.
+//! Every partition file is verified against its recorded CRC32 before it
+//! is trusted, the `format` line must match [`PERSIST_FORMAT_VERSION`], and
 //! files in `partitions/` that are not partition files are skipped and
 //! reported rather than aborting the load (editor swap files, `.DS_Store`,
-//! and the like are not corruption).
+//! and the like are not corruption). `forward.tsv` carries no checksum, so
+//! the load checks what a query relies on: the directory is strictly
+//! sorted, every key has the meta's geohash length, and every location
+//! lies inside a loaded partition.
 
 use crate::forward::{ForwardIndex, PostingsLocation};
 use crate::inverted::HybridIndex;
 use crate::posting::PostingsFormat;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
-use tklus_geo::Geohash;
-use tklus_storage::{crc32, Dfs, DfsConfig};
+use tklus_geo::{Geohash, MAX_GEOHASH_LEN};
+use tklus_storage::crc32;
 use tklus_text::{TermId, Vocab};
 
 /// On-disk format version written to (and required from) `meta.tsv`.
@@ -127,6 +132,11 @@ fn corrupt(message: impl Into<String>) -> PersistError {
     PersistError::Corrupt(message.into())
 }
 
+/// The file name of partition `i` under `partitions/`.
+fn partition_file(i: usize) -> String {
+    format!("part-{i:05}")
+}
+
 /// What a load found beyond the index itself: partitions verified and any
 /// stray files skipped in `partitions/`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -148,7 +158,7 @@ pub fn save_dir(index: &HybridIndex, dir: &Path) -> Result<(), PersistError> {
     writeln!(meta, "format\t{PERSIST_FORMAT_VERSION}")?;
     writeln!(meta, "postings_format\t{}", postings_format_tag(PostingsFormat::Flat))?;
     writeln!(meta, "geohash_len\t{}", index.geohash_len())?;
-    writeln!(meta, "nodes\t{}", index.dfs().node_count())?;
+    writeln!(meta, "nodes\t{}", index.partitions().len())?;
     meta.flush()?;
 
     // vocab.tsv — ascending term id order.
@@ -168,12 +178,9 @@ pub fn save_dir(index: &HybridIndex, dir: &Path) -> Result<(), PersistError> {
 
     // Partition files, with a CRC32 per file recorded in checksums.tsv.
     let mut sums = BufWriter::new(std::fs::File::create(dir.join("checksums.tsv"))?);
-    let mut names = index.dfs().list();
-    names.sort();
-    for name in names {
-        let bytes = index.dfs().read_all(&name).map_err(|e| corrupt(e.to_string()))?;
-        let file = name.rsplit('/').next().expect("partition file name");
-        writeln!(sums, "{}\t{:08x}", file, crc32(&bytes))?;
+    for (i, bytes) in index.partitions().iter().enumerate() {
+        let file = partition_file(i);
+        writeln!(sums, "{file}\t{:08x}", crc32(bytes))?;
         std::fs::write(dir.join("partitions").join(file), bytes)?;
     }
     sums.flush()?;
@@ -215,6 +222,9 @@ pub fn load_dir_with_report(dir: &Path) -> Result<(HybridIndex, LoadReport), Per
         None => return Err(corrupt("missing postings_format")),
     }
     let geohash_len = geohash_len.ok_or_else(|| corrupt("missing geohash_len"))?;
+    if !(1..=MAX_GEOHASH_LEN).contains(&geohash_len) {
+        return Err(corrupt(format!("geohash_len {geohash_len}")));
+    }
     let nodes = nodes.ok_or_else(|| corrupt("missing nodes"))?;
 
     // vocab.tsv — ids must be dense and ascending.
@@ -238,8 +248,9 @@ pub fn load_dir_with_report(dir: &Path) -> Result<(HybridIndex, LoadReport), Per
         vocab.add_occurrences(assigned, freq);
     }
 
-    // forward.tsv
-    let mut entries = Vec::new();
+    // forward.tsv — strictly sorted by (geohash, term), every key at the
+    // meta's geohash length.
+    let mut entries: Vec<((Geohash, TermId), PostingsLocation)> = Vec::new();
     let reader = BufReader::new(std::fs::File::open(dir.join("forward.tsv"))?);
     for line in reader.lines() {
         let line = line?;
@@ -247,18 +258,24 @@ pub fn load_dir_with_report(dir: &Path) -> Result<(HybridIndex, LoadReport), Per
         if fields.len() != 5 {
             return Err(corrupt(format!("forward line {line:?}")));
         }
-        let gh = fields[0].parse().map_err(|_| corrupt("forward geohash"))?;
+        let gh: Geohash = fields[0].parse().map_err(|_| corrupt("forward geohash"))?;
         let term: u32 = fields[1].parse().map_err(|_| corrupt("forward term"))?;
         let partition: u32 = fields[2].parse().map_err(|_| corrupt("forward partition"))?;
         let offset: u64 = fields[3].parse().map_err(|_| corrupt("forward offset"))?;
         let len: u32 = fields[4].parse().map_err(|_| corrupt("forward len"))?;
-        entries.push(((gh, TermId(term)), PostingsLocation { partition, offset, len }));
+        let key = (gh, TermId(term));
+        if gh.len() != geohash_len {
+            return Err(corrupt(format!("forward line {line:?}: not a {geohash_len}-cell")));
+        }
+        if entries.last().is_some_and(|(prev, _)| *prev >= key) {
+            return Err(corrupt(format!("forward line {line:?}: not after its predecessor")));
+        }
+        entries.push((key, PostingsLocation { partition, offset, len }));
     }
-    let forward = ForwardIndex::from_sorted(entries);
 
     // checksums.tsv — the set of partition files we expect, and what their
     // bytes must hash to.
-    let mut expected: std::collections::BTreeMap<String, u32> = std::collections::BTreeMap::new();
+    let mut expected: BTreeMap<String, u32> = BTreeMap::new();
     let sums = std::fs::read_to_string(dir.join("checksums.tsv"))?;
     for line in sums.lines() {
         let (file, sum) =
@@ -268,15 +285,15 @@ pub fn load_dir_with_report(dir: &Path) -> Result<(HybridIndex, LoadReport), Per
         expected.insert(file.to_string(), sum);
     }
 
-    // Partition files back onto a fresh simulated DFS. Stray files are
-    // skipped and reported; recorded-but-absent files are an error.
+    // Partition files. Stray files are skipped and reported;
+    // recorded-but-absent files are an error.
     let mut report = LoadReport::default();
-    let dfs = Dfs::new(DfsConfig { nodes, ..DfsConfig::default() });
+    let mut partitions: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
     let mut names: Vec<String> = std::fs::read_dir(dir.join("partitions"))?
         .map(|e| Ok(e?.file_name().to_string_lossy().into_owned()))
         .collect::<Result<_, PersistError>>()?;
     names.sort();
-    let mut seen: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
+    let mut seen: BTreeSet<String> = BTreeSet::new();
     for name in names {
         let idx: u32 = match name.strip_prefix("part-").and_then(|s| s.parse().ok()) {
             Some(idx) => idx,
@@ -293,15 +310,37 @@ pub fn load_dir_with_report(dir: &Path) -> Result<(HybridIndex, LoadReport), Per
         if actual != recorded {
             return Err(PersistError::PartitionCorrupt { file: name, expected: recorded, actual });
         }
+        if partitions.insert(idx, bytes).is_some() {
+            return Err(corrupt(format!("two files hold partition {idx}")));
+        }
         seen.insert(name);
-        dfs.create_on(&HybridIndex::partition_file(idx), bytes, idx as usize % nodes)
-            .map_err(|e| corrupt(e.to_string()))?;
         report.partitions_loaded += 1;
     }
     if let Some(missing) = expected.keys().find(|file| !seen.contains(*file)) {
         return Err(PersistError::MissingPartition { file: missing.clone() });
     }
-    Ok((HybridIndex::new(forward, vocab, dfs, geohash_len), report))
+    if partitions.len() != nodes || partitions.keys().zip(0..).any(|(&idx, i)| idx != i) {
+        return Err(corrupt(format!(
+            "meta.tsv names {nodes} partitions, partitions/ holds {:?}",
+            partitions.keys()
+        )));
+    }
+
+    let index = HybridIndex::new(
+        ForwardIndex::from_sorted(entries),
+        vocab,
+        partitions.into_values().collect(),
+        geohash_len,
+    );
+    if let Some(((gh, term), loc)) =
+        index.forward().iter().find(|(_, loc)| index.bytes_at(*loc).is_none())
+    {
+        return Err(corrupt(format!(
+            "forward entry {gh} term {} names bytes [{}, +{}) outside partition {}",
+            term.0, loc.offset, loc.len, loc.partition
+        )));
+    }
+    Ok((index, report))
 }
 
 /// On-disk format version of a *sharded* index directory (`manifest.tsv`).
@@ -506,7 +545,9 @@ mod tests {
         assert_eq!(loaded.geohash_len(), index.geohash_len());
         assert_eq!(loaded.forward().len(), index.forward().len());
         assert_eq!(loaded.vocab().len(), index.vocab().len());
-        assert_eq!(loaded.dfs().total_bytes(), report.index_bytes);
+        assert_eq!(loaded.partitions(), index.partitions());
+        let bytes: usize = loaded.partitions().iter().map(Vec::len).sum();
+        assert_eq!(bytes as u64, report.index_bytes);
 
         // Same postings for every keyword over a query region.
         let center = Point::new_unchecked(43.68, -79.45);
@@ -702,6 +743,85 @@ mod tests {
         std::fs::write(&part, bytes).unwrap();
         let err = load_err(&dir);
         assert!(matches!(err, PersistError::PartitionCorrupt { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Rewrites `dir`'s `forward.tsv` through `edit` on its lines.
+    fn edit_forward(dir: &Path, edit: impl FnOnce(&mut Vec<String>)) {
+        let text = std::fs::read_to_string(dir.join("forward.tsv")).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        edit(&mut lines);
+        let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        std::fs::write(dir.join("forward.tsv"), text).unwrap();
+    }
+
+    /// `forward.tsv` with every line's offset field set to `offset`.
+    fn forward_with_offsets(dir: &Path, offset: &str) {
+        edit_forward(dir, |lines| {
+            for line in lines.iter_mut() {
+                let mut fields: Vec<&str> = line.split('\t').collect();
+                fields[3] = offset;
+                *line = fields.join("\t");
+            }
+        });
+    }
+
+    #[test]
+    fn unsorted_forward_directory_is_typed() {
+        // Two neighbouring lines swapped: the directory's binary search
+        // would miss keys, so the load refuses it.
+        let dir = saved_dir("forward-swapped");
+        edit_forward(&dir, |lines| lines.swap(1, 2));
+        let err = load_err(&dir);
+        assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+        // A duplicated line is not strictly sorted either.
+        let dir = saved_dir("forward-duplicated");
+        edit_forward(&dir, |lines| lines.insert(1, lines[1].clone()));
+        let err = load_err(&dir);
+        assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn location_past_its_partition_is_typed() {
+        let dir = saved_dir("forward-past-end");
+        forward_with_offsets(&dir, "99999999");
+        let err = load_err(&dir);
+        assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+        // A partition the directory does not hold.
+        let dir = saved_dir("forward-no-partition");
+        edit_forward(&dir, |lines| {
+            let fields: Vec<&str> = lines[0].split('\t').collect();
+            lines[0] = format!("{}\t{}\t7\t{}\t{}", fields[0], fields[1], fields[3], fields[4]);
+        });
+        let err = load_err(&dir);
+        assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn location_whose_end_overflows_is_typed() {
+        // offset + len wraps past u64::MAX: a range check without checked
+        // arithmetic passes it and the slice panics.
+        let dir = saved_dir("forward-overflow");
+        forward_with_offsets(&dir, "18446744073709551610");
+        let err = load_err(&dir);
+        assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn meta_must_agree_with_the_directory() {
+        // The partition count, and the cell length of every key.
+        let dir = saved_dir("meta-disagrees");
+        let meta = std::fs::read_to_string(dir.join("meta.tsv")).unwrap();
+        for wrong in [meta.replace("nodes\t1", "nodes\t2"), meta.replace("len\t4", "len\t5")] {
+            std::fs::write(dir.join("meta.tsv"), wrong).unwrap();
+            let err = load_err(&dir);
+            assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,7 +8,7 @@
 
 use tklus_model::TweetId;
 
-/// The layout of a postings list on the DFS and in the engine: the paper's flat id-sorted `⟨TID, TF⟩` list
+/// The layout of a postings list in a partition and in the engine: the paper's flat id-sorted `⟨TID, TF⟩` list
 /// ([`PostingsList::encode`]). One variant; the name survives as the tag
 /// `persist.rs` writes to, and requires from, `meta.tsv`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,7 +60,7 @@ impl PostingsList {
         self.postings.is_empty()
     }
 
-    /// Serializes to the on-DFS byte format: a varint count, then per
+    /// Serializes to the partition byte format: a varint count, then per
     /// posting a varint id-delta (first id is a delta from zero) and a
     /// varint term frequency.
     pub fn encode(&self) -> Vec<u8> {

@@ -10,7 +10,6 @@ pub struct JobCounters {
     reduce_groups: AtomicU64,
     reduce_output_records: AtomicU64,
     shuffled_records: AtomicU64,
-    task_retries: AtomicU64,
 }
 
 /// A read-only snapshot of [`JobCounters`].
@@ -26,8 +25,6 @@ pub struct CounterSnapshot {
     pub reduce_output_records: u64,
     /// Pairs crossing the shuffle (equals map output in this engine).
     pub shuffled_records: u64,
-    /// Task attempts that panicked and were retried.
-    pub task_retries: u64,
 }
 
 impl JobCounters {
@@ -45,10 +42,6 @@ impl JobCounters {
         self.reduce_output_records.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_task_retry(&self, n: u64) {
-        self.task_retries.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Snapshot of all counters.
     pub fn snapshot(&self) -> CounterSnapshot {
         CounterSnapshot {
@@ -57,7 +50,6 @@ impl JobCounters {
             reduce_groups: self.reduce_groups.load(Ordering::Relaxed),
             reduce_output_records: self.reduce_output_records.load(Ordering::Relaxed),
             shuffled_records: self.shuffled_records.load(Ordering::Relaxed),
-            task_retries: self.task_retries.load(Ordering::Relaxed),
         }
     }
 }

@@ -4,56 +4,32 @@
 use crate::counters::{CounterSnapshot, JobCounters};
 use crate::job::{Mapper, Reducer};
 use crate::partition::Partitioner;
-use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
 /// Job configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct JobConfig {
     /// Number of concurrent map tasks (one thread each, the first being
-    /// the caller's). Models the worker slots of the simulated cluster.
+    /// the caller's). Models the worker slots of the paper's cluster.
     pub map_tasks: usize,
     /// Number of reduce partitions (= output partition files).
     pub reduce_tasks: usize,
-    /// Attempts per task before the job fails — Hadoop-style task retry,
-    /// the fault-tolerance half of why the paper picks MapReduce. A task
-    /// that panics is re-executed from its input split (map) or its
-    /// shuffled bucket (reduce); user code must therefore be deterministic
-    /// or at least idempotent, as in Hadoop.
-    pub max_attempts: usize,
 }
 
 impl Default for JobConfig {
     fn default() -> Self {
-        Self { map_tasks: 3, reduce_tasks: 3, max_attempts: 3 }
+        Self { map_tasks: 3, reduce_tasks: 3 }
     }
-}
-
-/// Runs `task` up to `max_attempts` times, capturing panics; counts
-/// retries. Panics (ending the job) with the task's own payload only when
-/// every attempt failed.
-fn run_attempts<T>(max_attempts: usize, counters: &JobCounters, task: impl Fn() -> T) -> T {
-    for attempt in 1..=max_attempts {
-        match std::panic::catch_unwind(AssertUnwindSafe(&task)) {
-            Ok(out) => return out,
-            Err(payload) => {
-                if attempt == max_attempts {
-                    std::panic::resume_unwind(payload);
-                }
-                counters.add_task_retry(1);
-            }
-        }
-    }
-    unreachable!("loop either returns or resumes unwinding")
 }
 
 /// Runs one phase's tasks and returns their results in task order: the
 /// first task on the calling thread, every further task on a scoped
 /// thread of its own. A one-task phase therefore spawns nothing — the
 /// in-process engine builds on its caller's thread — and an `n`-task
-/// phase occupies `n` threads, the caller included. A task that
-/// exhausted its attempts ends the job with its own panic payload,
-/// whichever thread ran it.
+/// phase occupies `n` threads, the caller included. A task is a pure
+/// function of its input, so there is nothing to retry: a task that
+/// panics ends the job with its own panic payload, whichever thread ran
+/// it.
 fn run_tasks<T: Send>(tasks: Vec<impl FnOnce() -> T + Send>) -> Vec<T> {
     let mut tasks = tasks.into_iter();
     let Some(first) = tasks.next() else { return Vec::new() };
@@ -97,12 +73,10 @@ pub fn run_job<M, R, P>(
 ) -> JobOutput<M::Key, R::Output>
 where
     M: Mapper,
-    M::Value: Clone,
     R: Reducer<Key = M::Key, Value = M::Value>,
     P: Partitioner<M::Key>,
 {
     assert!(config.map_tasks > 0 && config.reduce_tasks > 0, "tasks must be positive");
-    assert!(config.max_attempts > 0, "at least one attempt per task");
     let counters = &JobCounters::default();
     let nred = config.reduce_tasks;
 
@@ -114,29 +88,22 @@ where
         .chunks(chunk)
         .map(|split| {
             move || {
-                run_attempts(config.max_attempts, counters, || {
-                    let mut local: Vec<Vec<(M::Key, M::Value)>> =
-                        (0..nred).map(|_| Vec::new()).collect();
-                    let mut inputs = 0u64;
-                    let mut outputs = 0u64;
-                    for record in split {
-                        inputs += 1;
-                        mapper.map(record, &mut |k, v| {
-                            let p = partitioner.partition(&k, nred);
-                            debug_assert!(
-                                p < nred,
-                                "partitioner returned {p} for {nred} partitions"
-                            );
-                            local[p].push((k, v));
-                            outputs += 1;
-                        });
-                    }
-                    // Counters commit only on task success, so a
-                    // retried task is not double-counted.
-                    counters.add_map_input(inputs);
-                    counters.add_map_output(outputs);
-                    local
-                })
+                let mut local: Vec<Vec<(M::Key, M::Value)>> =
+                    (0..nred).map(|_| Vec::new()).collect();
+                let mut inputs = 0u64;
+                let mut outputs = 0u64;
+                for record in split {
+                    inputs += 1;
+                    mapper.map(record, &mut |k, v| {
+                        let p = partitioner.partition(&k, nred);
+                        debug_assert!(p < nred, "partitioner returned {p} for {nred} partitions");
+                        local[p].push((k, v));
+                        outputs += 1;
+                    });
+                }
+                counters.add_map_input(inputs);
+                counters.add_map_output(outputs);
+                local
             }
         })
         .collect();
@@ -166,33 +133,26 @@ where
                 // a reducer sees each group's values in arbitrary order.
                 bucket.shrink_to_fit();
                 bucket.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                // Retry re-reads the sorted bucket, mirroring Hadoop
-                // re-reading spilled shuffle files; values are cloned
-                // per group for that reason.
-                run_attempts(config.max_attempts, counters, || {
-                    let mut out: Vec<(M::Key, R::Output)> = Vec::new();
-                    let mut groups = 0u64;
-                    let mut emitted = 0u64;
-                    let mut i = 0;
-                    while i < bucket.len() {
-                        let key = &bucket[i].0;
-                        let mut j = i + 1;
-                        while j < bucket.len() && bucket[j].0 == *key {
-                            j += 1;
-                        }
-                        let values: Vec<M::Value> =
-                            bucket[i..j].iter().map(|(_, v)| v.clone()).collect();
-                        groups += 1;
-                        reducer.reduce(key, values, &mut |o| {
-                            out.push((key.clone(), o));
-                            emitted += 1;
-                        });
-                        i = j;
-                    }
-                    counters.add_reduce_group(groups);
-                    counters.add_reduce_output(emitted);
-                    out
-                })
+                // Each group's values move out of the bucket into the
+                // reducer, in a vector sized to the group.
+                let mut out: Vec<(M::Key, R::Output)> = Vec::new();
+                let mut groups = 0u64;
+                let mut emitted = 0u64;
+                let mut pairs = bucket.into_iter();
+                while let Some((key, first)) = pairs.next() {
+                    let more = pairs.as_slice().iter().take_while(|(k, _)| *k == key).count();
+                    let mut values = Vec::with_capacity(1 + more);
+                    values.push(first);
+                    values.extend(pairs.by_ref().take(more).map(|(_, v)| v));
+                    groups += 1;
+                    reducer.reduce(&key, values, &mut |o| {
+                        out.push((key.clone(), o));
+                        emitted += 1;
+                    });
+                }
+                counters.add_reduce_group(groups);
+                counters.add_reduce_output(emitted);
+                out
             }
         })
         .collect();
@@ -264,7 +224,7 @@ mod tests {
         let inputs: Vec<String> =
             (0..200).map(|i| format!("w{:03} w{:03}", i % 50, (i * 7) % 50)).collect();
         let out = run_job(
-            JobConfig { map_tasks: 4, reduce_tasks: 5, ..JobConfig::default() },
+            JobConfig { map_tasks: 4, reduce_tasks: 5 },
             &inputs,
             &WcMap,
             &WcReduce,
@@ -281,7 +241,7 @@ mod tests {
         let inputs: Vec<String> =
             (0..100).map(|i| format!("k{} k{} k{}", i % 11, i % 7, i % 5)).collect();
         let base = collect_all(run_job(
-            JobConfig { map_tasks: 1, reduce_tasks: 1, ..JobConfig::default() },
+            JobConfig { map_tasks: 1, reduce_tasks: 1 },
             &inputs,
             &WcMap,
             &WcReduce,
@@ -289,7 +249,7 @@ mod tests {
         ));
         for (m, r) in [(2, 3), (4, 1), (3, 8), (7, 2)] {
             let got = collect_all(run_job(
-                JobConfig { map_tasks: m, reduce_tasks: r, ..JobConfig::default() },
+                JobConfig { map_tasks: m, reduce_tasks: r },
                 &inputs,
                 &WcMap,
                 &WcReduce,
@@ -330,7 +290,7 @@ mod tests {
         let inputs: Vec<String> = (0..30).map(|i| format!("k{} k{}", i % 7, i % 5)).collect();
         let job = WhereAmI::default();
         let out = run_job(
-            JobConfig { map_tasks: 1, reduce_tasks: 1, ..JobConfig::default() },
+            JobConfig { map_tasks: 1, reduce_tasks: 1 },
             &inputs,
             &job,
             &job,
@@ -352,7 +312,7 @@ mod tests {
         let inputs: Vec<String> = (0..30).map(|i| format!("k{} k{}", i % 7, i % 5)).collect();
         let job = WhereAmI::default();
         run_job(
-            JobConfig { map_tasks: 3, reduce_tasks: 3, ..JobConfig::default() },
+            JobConfig { map_tasks: 3, reduce_tasks: 3 },
             &inputs,
             &job,
             &job,
@@ -373,13 +333,8 @@ mod tests {
     fn range_partitioner_keeps_ranges_together() {
         let inputs = lines(&["apple grape mango zebra", "banana pear zulu"]);
         let p = RangePartitioner::new(vec!["h".to_string(), "q".to_string()]);
-        let out = run_job(
-            JobConfig { map_tasks: 2, reduce_tasks: 3, ..JobConfig::default() },
-            &inputs,
-            &WcMap,
-            &WcReduce,
-            &p,
-        );
+        let out =
+            run_job(JobConfig { map_tasks: 2, reduce_tasks: 3 }, &inputs, &WcMap, &WcReduce, &p);
         // Partition 0: keys < "h"; partition 1: "h".."q"; partition 2: >= "q".
         let part_keys: Vec<Vec<&String>> =
             out.partitions.iter().map(|p| p.iter().map(|(k, _)| k).collect()).collect();
@@ -409,9 +364,36 @@ mod tests {
     #[should_panic(expected = "tasks must be positive")]
     fn zero_tasks_rejected() {
         let _ = run_job(
-            JobConfig { map_tasks: 0, reduce_tasks: 1, ..JobConfig::default() },
+            JobConfig { map_tasks: 0, reduce_tasks: 1 },
             &Vec::<String>::new(),
             &WcMap,
+            &WcReduce,
+            &HashPartitioner,
+        );
+    }
+
+    /// Word count whose mapper panics on one record.
+    struct PanicOn(&'static str);
+    impl Mapper for PanicOn {
+        type Input = String;
+        type Key = String;
+        type Value = u64;
+        fn map(&self, input: &String, emit: &mut dyn FnMut(String, u64)) {
+            assert_ne!(input, self.0, "mapper rejects its input");
+            WcMap.map(input, emit);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mapper rejects its input")]
+    fn a_panicking_task_ends_the_job_with_its_payload() {
+        // The bad record is in the second split, so the panic crosses a
+        // spawned task's join.
+        let inputs = lines(&["a b", "c d", "bad", "e f"]);
+        let _ = run_job(
+            JobConfig { map_tasks: 2, reduce_tasks: 2 },
+            &inputs,
+            &PanicOn("bad"),
             &WcReduce,
             &HashPartitioner,
         );

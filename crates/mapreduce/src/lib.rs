@@ -3,12 +3,14 @@
 //! The paper builds its hybrid index "under Hadoop MapReduce" (Section
 //! IV-B2, Algorithms 2 and 3) for scalability and fault tolerance. This
 //! crate reproduces the *programming model and execution structure* of that
-//! pipeline in-process:
+//! pipeline in-process — not a cluster's failure model: a task is a pure
+//! function of its input, so a panicking task ends the job rather than
+//! being retried.
 //!
 //! * a [`Mapper`] maps each input record to `(key, value)` pairs;
 //! * the engine shuffles pairs to reduce partitions through a pluggable
 //!   [`Partitioner`] (hash by default; the index build uses a range
-//!   partitioner so one spatial key range lands on one simulated node,
+//!   partitioner so one spatial key range lands in one partition,
 //!   matching "all points for a given rectangular area in one computer");
 //! * within each partition, pairs are sorted by key and grouped — the
 //!   Hadoop guarantee the paper leans on ("the Hadoop MapReduce framework
@@ -17,7 +19,7 @@
 //!   key-sorted output plus [`JobCounters`].
 //!
 //! A phase's tasks run on one thread each — the worker count models the
-//! simulated cluster's nodes — and the first of them is the caller's: a
+//! paper's cluster nodes — and the first of them is the caller's: a
 //! job of `n` tasks per phase spawns `n − 1` scoped threads per phase, and
 //! a one-task job (the in-process index build's default) spawns none.
 

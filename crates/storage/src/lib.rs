@@ -2,9 +2,10 @@
 //!
 //! Section IV-A of the paper stores tweet metadata — the relation
 //! `(sid, uid, lat, lon, ruid, rsid)` — "in a centralized metadata database"
-//! with "a B⁺-tree" on `sid` and "another B⁺-tree … on attribute rsid",
-//! while the inverted index lives in HDFS. This crate provides both storage
-//! layers from scratch:
+//! with "a B⁺-tree" on `sid` and "another B⁺-tree … on attribute rsid".
+//! This crate implements that database's storage (the inverted index,
+//! which the paper keeps in HDFS, holds its own partition bytes in
+//! `tklus-index`):
 //!
 //! * [`page`] / [`pager`] — fixed-size pages over an in-memory store,
 //!   with I/O accounting ([`IoStats`]).
@@ -17,10 +18,6 @@
 //!   so logical accesses and physical I/Os can be measured separately (the
 //!   paper's Section VI-B runs with "database caches … off"; the pool can
 //!   be sized to zero-effective caching for that configuration).
-//! * [`dfs`] — a simulated block-structured distributed file system
-//!   standing in for HDFS: named files striped over simulated data nodes,
-//!   with per-node read/write/seek counters that the index-size and
-//!   query-cost experiments report.
 //!
 //! The fault-tolerance layer (DESIGN.md §10) lives here too:
 //!
@@ -39,7 +36,6 @@
 pub mod bptree;
 pub mod buffer;
 pub mod checked;
-pub mod dfs;
 pub mod error;
 pub mod fault;
 pub mod iostats;
@@ -50,7 +46,6 @@ pub mod retry;
 pub use bptree::{BPlusTree, Key, TreeReader};
 pub use buffer::BufferPool;
 pub use checked::CheckedPager;
-pub use dfs::{Dfs, DfsConfig, DfsError, DfsFile};
 pub use error::{StorageError, StorageResult};
 pub use fault::{splitmix64, CrashVerdict, FaultConfig, FaultHandle, FaultPager};
 pub use iostats::{IoSnapshot, IoStats};

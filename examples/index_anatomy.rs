@@ -35,23 +35,23 @@ fn main() {
     println!("\n## hybrid index build (Algorithms 2-3)");
     let corpus =
         generate_corpus(&GenConfig { original_posts: 3_000, users: 800, ..GenConfig::default() });
-    let (index, report) = build_index(corpus.posts(), &IndexBuildConfig::default());
+    let (index, report) =
+        build_index(corpus.posts(), &IndexBuildConfig { nodes: 3, ..IndexBuildConfig::default() });
     println!("  posts: {}", report.posts);
     println!("  <geohash, term> keys: {}", report.keys);
     println!("  postings: {}", report.postings);
     println!(
-        "  inverted index on DFS: {} bytes across {} partition files",
+        "  inverted index: {} bytes across {} partitions",
         report.index_bytes,
-        index.dfs().list().len()
+        index.partitions().len()
     );
     println!(
         "  forward index in RAM: {} entries, {} bytes",
         index.forward().len(),
         index.forward().size_bytes()
     );
-    for (node, file) in index.dfs().list().iter().enumerate().take(3) {
-        println!("  partition {file} lives on node {}", index.dfs().node_of(file).unwrap());
-        let _ = node;
+    for (i, part) in index.partitions().iter().enumerate() {
+        println!("  partition {i} (one geohash range): {} bytes", part.len());
     }
 
     // --- Layer 3: one postings list --------------------------------------

@@ -17,12 +17,12 @@ fn main() {
         generate_corpus(&GenConfig { original_posts: 5_000, users: 1_500, ..GenConfig::default() });
     println!("corpus: {} posts by {} users", corpus.len(), corpus.user_count());
 
-    // 2. Build the engine: MapReduce hybrid index (geohash + term keys over
-    //    a simulated 3-node DFS) and metadata database (B+-trees on sid,
-    //    rsid, uid).
+    // 2. Build the engine: MapReduce hybrid index (postings lists keyed by
+    //    geohash + term, held in memory) and metadata database (B+-trees on
+    //    sid, rsid, uid).
     let (engine, report) = TklusEngine::build(&corpus, &EngineConfig::default());
     println!(
-        "index: {} keys, {} postings, {} bytes on the simulated DFS (built in {:?})",
+        "index: {} keys, {} postings, {} postings bytes (built in {:?})",
         report.keys, report.postings, report.index_bytes, report.total_time
     );
 
