@@ -43,7 +43,6 @@
 //! exits `6`.
 
 mod args;
-mod serve;
 mod serve_http;
 
 use args::{ArgError, Args};
@@ -157,14 +156,6 @@ const USAGE: &str = "usage:
                     [--shards N] [--since T --until T] [--now T --half-life H]
                     [--timeout-ms MS] [--max-cells N] [--fail-on-degraded]
                     [--metrics]
-  tklus serve       [--corpus FILE.tsv] [--posts N] [--seed S]
-                    [--mode sim|threaded] [--requests N] [--load-seed S]
-                    [--mean-interarrival-ms MS] [--deadline-ms MS]
-                    [--mean-service-ms MS] [--workers N] [--queue-capacity N]
-                    [--est-service-ms MS] [--degrade-threshold N --degrade-cells N]
-                    [--drain-at-ms MS] [--drain-deadline-ms MS]
-                    [--stats-every MS] [--wal DIR]
-                    [--compact-threshold N] [--compact-interval-ms MS]
   tklus serve-http  [--corpus FILE.tsv] [--posts N] [--seed S]
                     [--addr HOST:PORT] [--wal DIR]
                     [--compact-threshold N] [--compact-interval-ms MS]
@@ -190,7 +181,6 @@ fn main() {
         "shard-split" => cmd_shard_split(rest),
         "stats" => cmd_stats(rest),
         "query" => cmd_query(rest),
-        "serve" => serve::cmd_serve(rest),
         "serve-http" => serve_http::cmd_serve_http(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");

@@ -26,7 +26,6 @@ pub(crate) struct EngineMetrics {
     lists_fetched: Counter,
     dfs_bytes: Counter,
     metadata_page_reads: Counter,
-    deadline_polls_saved: Counter,
     latency: Histogram,
     stage_cover: Histogram,
     stage_fetch: Histogram,
@@ -50,7 +49,6 @@ impl EngineMetrics {
             lists_fetched: registry.counter("tklus_query_lists_fetched_total"),
             dfs_bytes: registry.counter("tklus_query_dfs_bytes_total"),
             metadata_page_reads: registry.counter("tklus_query_metadata_page_reads_total"),
-            deadline_polls_saved: registry.counter("tklus_query_deadline_polls_saved_total"),
             latency: registry.histogram("tklus_query_latency_us"),
             stage_cover: registry.histogram("tklus_stage_cover_us"),
             stage_fetch: registry.histogram("tklus_stage_fetch_us"),
@@ -75,7 +73,6 @@ impl EngineMetrics {
         self.lists_fetched.add(stats.lists_fetched as u64);
         self.dfs_bytes.add(stats.dfs_bytes);
         self.metadata_page_reads.add(stats.metadata_page_reads);
-        self.deadline_polls_saved.add(stats.deadline_polls_saved);
         self.latency.record_duration_us(stats.elapsed);
         self.stage_cover.record_duration_us(stats.stages.cover);
         self.stage_fetch.record_duration_us(stats.stages.fetch);

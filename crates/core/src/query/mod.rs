@@ -16,9 +16,9 @@ use crate::metadata::{MetaReader, MetadataDb};
 use crate::score::user_distance_score;
 use std::sync::Arc;
 use std::time::Instant;
-use tklus_geo::{circle_cover, Geohash, Point};
+use tklus_geo::{circle_cover, Point};
 use tklus_graph::try_build_thread;
-use tklus_index::{intersect_sum, union_sum, HybridIndex, IndexError, PostingsList, QueryFetch};
+use tklus_index::{intersect_sum, union_sum, HybridIndex, PostingsList, QueryFetch};
 use tklus_model::{QueryBudget, ScoringConfig, Semantics, TklusQuery, TweetId, UserId};
 use tklus_text::TermId;
 
@@ -105,32 +105,11 @@ pub struct PartialSumOutcome {
 /// cover-cell granularity: a cell is either fully examined or not started,
 /// which is what keeps degraded results deterministic for a fixed
 /// `max_cells` and exact for whatever prefix a deadline admits.
-///
-/// The deadline check reads the clock only every
-/// [`DEADLINE_POLL_STRIDE`] cells: `Instant::now()` is a syscall-class
-/// operation, and polling it per cell dominated the budgeted fetch loop
-/// for small cells. Once a poll observes the deadline passed, the latch
-/// sticks — `allows` never flips back to true. The `max_cells` check is
-/// unaffected (it never reads the clock), so `max_cells`-budgeted and
-/// unbudgeted executions are byte-identical to the unbatched code, which
-/// the oracle suite asserts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct CellBudget {
     deadline: Option<Instant>,
     max_cells: Option<usize>,
-    /// Sticky "deadline passed" latch (single query thread; `Cell` keeps
-    /// `allows` a `&self` call like before).
-    expired: std::cell::Cell<bool>,
-    /// Calls since the last real clock poll (0 = never polled).
-    calls_since_poll: std::cell::Cell<u32>,
-    /// `Instant::now()` calls skipped by the stride, exported through
-    /// [`QueryStats::deadline_polls_saved`] and the metric registry.
-    polls_saved: std::cell::Cell<u64>,
 }
-
-/// Deadline checks between cover cells read the clock once per this many
-/// `allows` calls (DESIGN.md §12).
-pub(crate) const DEADLINE_POLL_STRIDE: u32 = 8;
 
 impl CellBudget {
     /// Resolves a query's budget; `None` when there is nothing to enforce.
@@ -142,38 +121,13 @@ impl CellBudget {
         Some(Self {
             deadline: budget.timeout_ms.map(|ms| start + std::time::Duration::from_millis(ms)),
             max_cells: budget.max_cells,
-            expired: std::cell::Cell::new(false),
-            calls_since_poll: std::cell::Cell::new(0),
-            polls_saved: std::cell::Cell::new(0),
         })
     }
 
     /// May another cover cell be started after `cells_done` finished ones?
     pub(crate) fn allows(&self, cells_done: usize) -> bool {
-        if self.max_cells.is_some_and(|m| cells_done >= m) {
-            return false;
-        }
-        let Some(deadline) = self.deadline else { return true };
-        if self.expired.get() {
-            return false;
-        }
-        let since = self.calls_since_poll.get();
-        if since > 0 && since < DEADLINE_POLL_STRIDE {
-            self.calls_since_poll.set(since + 1);
-            self.polls_saved.set(self.polls_saved.get() + 1);
-            return true;
-        }
-        self.calls_since_poll.set(1);
-        if Instant::now() >= deadline {
-            self.expired.set(true);
-            return false;
-        }
-        true
-    }
-
-    /// Clock polls the stride elided so far (see [`DEADLINE_POLL_STRIDE`]).
-    pub(crate) fn deadline_polls_saved(&self) -> u64 {
-        self.polls_saved.get()
+        self.max_cells.is_none_or(|m| cells_done < m)
+            && self.deadline.is_none_or(|d| Instant::now() < d)
     }
 }
 
@@ -261,9 +215,6 @@ pub struct QueryStats {
     pub threads_pruned: usize,
     /// Physical metadata-database page reads incurred.
     pub metadata_page_reads: u64,
-    /// Deadline clock polls elided by the strided budget check
-    /// (DESIGN.md §12); 0 for unbudgeted queries.
-    pub deadline_polls_saved: u64,
     /// Per-stage wall-clock breakdown (all zero with metrics disabled).
     pub stages: StageTimings,
 }
@@ -283,8 +234,8 @@ pub(crate) struct QueryContext<'a> {
 impl QueryContext<'_> {
     /// The postings-retrieval phase of Algorithms 4/5 (lines 1–7): the
     /// circle cover, then the index's one fetch
-    /// ([`HybridIndex::try_fetch_for_query`]) — or, under a budget
-    /// started at `start`, [`Self::try_fetch_budgeted`]. Fills `stats`'
+    /// ([`HybridIndex::try_fetch_for_query`]), which asks the query's
+    /// budget (started at `start`) before each cover cell. Fills `stats`'
     /// fetch counts and its `cover` and `fetch` stages (lapping `clock`),
     /// and returns the fetch with its completeness.
     pub(crate) fn try_fetch(
@@ -304,55 +255,19 @@ impl QueryContext<'_> {
         )
         .expect("index geohash length is valid");
         stats.stages.cover = clock.lap();
-        let fetch = match &budget {
-            None => self.index.try_fetch_for_query(&cover, terms)?,
-            Some(budget) => self.try_fetch_budgeted(&cover, terms, budget)?,
-        };
+        let fetch = self
+            .index
+            .try_fetch_for_query(&cover, terms, |done| budget.is_none_or(|b| b.allows(done)))?;
         stats.stages.fetch = clock.lap();
         stats.cover_cells = fetch.cells;
         stats.lists_fetched = fetch.lists;
         stats.dfs_bytes = fetch.bytes;
-        stats.deadline_polls_saved = budget.as_ref().map_or(0, CellBudget::deadline_polls_saved);
         let completeness = if fetch.cells < cover.len() {
             Completeness::Degraded { cells_processed: fetch.cells, cells_total: cover.len() }
         } else {
             Completeness::Complete
         };
         Ok((fetch, completeness))
-    }
-
-    /// The budgeted fetch: cover cells one at a time (cell-outer,
-    /// keyword-inner), each cell's lists read before the budget is asked
-    /// about the next, so the deadline poll between cells reflects real
-    /// work done. The lists land in cover order rather than storage order;
-    /// the union/intersection downstream is order-insensitive, so a budget
-    /// that admits the whole cover yields bitwise-identical results.
-    fn try_fetch_budgeted(
-        &self,
-        cover: &[Geohash],
-        terms: &[TermId],
-        budget: &CellBudget,
-    ) -> Result<QueryFetch, IndexError> {
-        let mut fetch = QueryFetch {
-            per_keyword: terms.iter().map(|_| Vec::new()).collect(),
-            cells: 0,
-            lists: 0,
-            bytes: 0,
-        };
-        for &cell in cover {
-            if !budget.allows(fetch.cells) {
-                break;
-            }
-            for (ki, &term) in terms.iter().enumerate() {
-                let Some(loc) = self.index.forward().lookup(cell, term) else { continue };
-                let (list, bytes) = self.index.try_read_postings(loc)?;
-                fetch.lists += 1;
-                fetch.bytes += bytes;
-                fetch.per_keyword[ki].push(Arc::new(list));
-            }
-            fetch.cells += 1;
-        }
-        Ok(fetch)
     }
 
     /// Definition 4's thread popularity φ(p) for the thread rooted at
@@ -495,32 +410,18 @@ mod tests {
     }
 
     #[test]
-    fn cell_budget_polls_deadline_with_stride() {
-        let budget = QueryBudget { timeout_ms: Some(10_000), max_cells: None };
-        let b = CellBudget::new(Some(&budget), Instant::now()).expect("budget enforced");
-        for i in 0..17 {
-            assert!(b.allows(i), "far deadline always allows");
-        }
-        // 17 calls with stride 8 poll the clock on calls 1, 9, and 17.
-        assert_eq!(b.deadline_polls_saved(), 14);
-    }
-
-    #[test]
-    fn cell_budget_expiry_latch_sticks() {
-        let budget = QueryBudget { timeout_ms: Some(0), max_cells: None };
-        let b = CellBudget::new(Some(&budget), Instant::now()).expect("budget enforced");
-        assert!(!b.allows(0), "deadline at start has already passed");
-        assert!(!b.allows(0), "latch sticks without re-polling");
-        assert_eq!(b.deadline_polls_saved(), 0, "latched checks are not elided polls");
-    }
-
-    #[test]
-    fn cell_budget_max_cells_never_touches_clock() {
-        let budget = QueryBudget { timeout_ms: None, max_cells: Some(3) };
-        let b = CellBudget::new(Some(&budget), Instant::now()).expect("budget enforced");
+    fn cell_budget_checks_cells_and_the_clock() {
+        let cells = QueryBudget { timeout_ms: None, max_cells: Some(3) };
+        let b = CellBudget::new(Some(&cells), Instant::now()).expect("budget enforced");
         assert!(b.allows(2));
         assert!(!b.allows(3));
-        assert_eq!(b.deadline_polls_saved(), 0);
+        let far = QueryBudget { timeout_ms: Some(10_000), max_cells: None };
+        let b = CellBudget::new(Some(&far), Instant::now()).expect("budget enforced");
+        assert!((0..17).all(|i| b.allows(i)), "far deadline always allows");
+        let passed = QueryBudget { timeout_ms: Some(0), max_cells: None };
+        let b = CellBudget::new(Some(&passed), Instant::now()).expect("budget enforced");
+        assert!(!b.allows(0), "deadline at start has already passed");
+        assert!(CellBudget::new(Some(&QueryBudget::default()), Instant::now()).is_none());
     }
 
     #[test]

@@ -98,7 +98,6 @@ struct Tally {
     candidates: u64,
     threads_built: u64,
     metadata_page_reads: u64,
-    polls_saved: u64,
 }
 
 impl Tally {
@@ -107,7 +106,6 @@ impl Tally {
         self.candidates += s.candidates as u64;
         self.threads_built += s.threads_built as u64;
         self.metadata_page_reads += s.metadata_page_reads;
-        self.polls_saved += s.deadline_polls_saved;
     }
 
     fn add(&mut self, other: &Tally) {
@@ -115,7 +113,6 @@ impl Tally {
         self.candidates += other.candidates;
         self.threads_built += other.threads_built;
         self.metadata_page_reads += other.metadata_page_reads;
-        self.polls_saved += other.polls_saved;
     }
 }
 
@@ -197,7 +194,6 @@ fn shared_engine_under_contention_matches_a_lone_caller() {
     assert_eq!(delta("tklus_query_candidates_total"), total.candidates);
     assert_eq!(delta("tklus_query_threads_built_total"), total.threads_built);
     assert_eq!(delta("tklus_query_metadata_page_reads_total"), total.metadata_page_reads);
-    assert_eq!(delta("tklus_query_deadline_polls_saved_total"), total.polls_saved);
     assert_eq!(delta("tklus_storage_page_reads_total"), total.metadata_page_reads);
     let latency = registry_after.histogram("tklus_query_latency_us").expect("latency histogram");
     assert_eq!(

@@ -16,8 +16,6 @@
 //! * [`cover`] — construction of the set of geohash prefixes that completely
 //!   covers a circular query region while minimising the area outside it
 //!   (Section IV-B1), the `GeoHashCircleQuery` primitive of Algorithms 4/5.
-//! * [`zorder`] — Z-order (Morton) interleaving utilities underlying the
-//!   geohash bit layout.
 //! * [`gazetteer`] — place-name → coordinate inference for tweets that
 //!   lack geo-tags but mention places in their text (the paper's Section
 //!   VIII future-work direction).
@@ -27,7 +25,6 @@ pub mod cover;
 pub mod gazetteer;
 pub mod geohash;
 pub mod point;
-pub mod zorder;
 
 pub use cell::Cell;
 pub use cover::{circle_cover, circle_cover_with_stats, CoverStats};

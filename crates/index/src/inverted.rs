@@ -4,9 +4,7 @@
 //! dictionary, and the partition bytes, and implements the
 //! postings-retrieval phase of Algorithms 4 and 5 (lines 1–7): geohash
 //! circle cover, then one postings fetch per surviving `⟨cell, keyword⟩`
-//! pair. Fetches are issued in `(partition, offset)` order so reads within
-//! a partition are as sequential as the key layout allows — the locality
-//! the paper's sorted `⟨geohash, term⟩` organization is designed to give.
+//! pair, cell by cell in cover order.
 
 use crate::forward::{ForwardIndex, PostingsLocation};
 use crate::posting::PostingsList;
@@ -157,40 +155,44 @@ impl HybridIndex {
     ) -> QueryFetch {
         let cover = circle_cover(center, radius_km, self.geohash_len, metric)
             .expect("index geohash length is valid");
-        match self.try_fetch_for_query(&cover, keywords) {
+        match self.try_fetch_for_query(&cover, keywords, |_| true) {
             Ok(fetch) => fetch,
             Err(e) => panic!("directory points at valid partition range: {e}"),
         }
     }
 
     /// Fetches the postings list of every `⟨cell, keyword⟩` pair of
-    /// `cover` present in the directory: the directory hits are sorted
-    /// into `(partition, offset)` order, read in that order, and filed per
-    /// keyword. An unreadable or undecodable range is a typed
-    /// [`IndexError`].
+    /// `cover` present in the directory, cell by cell in cover order and
+    /// filed per keyword. Before each cell it asks `more(cells_done)`; the
+    /// first `false` stops the fetch there, so a caller's budget decides
+    /// how much of the cover is read. An unreadable or undecodable range is
+    /// a typed [`IndexError`].
     pub fn try_fetch_for_query(
         &self,
         cover: &[Geohash],
         keywords: &[TermId],
+        mut more: impl FnMut(usize) -> bool,
     ) -> Result<QueryFetch, IndexError> {
-        let mut hits: Vec<(usize, PostingsLocation)> = Vec::new();
-        for (ki, &term) in keywords.iter().enumerate() {
-            for &cell in cover {
-                if let Some(loc) = self.forward.lookup(cell, term) {
-                    hits.push((ki, loc));
-                }
+        let mut fetch = QueryFetch {
+            per_keyword: keywords.iter().map(|_| Vec::new()).collect(),
+            cells: 0,
+            lists: 0,
+            bytes: 0,
+        };
+        for &cell in cover {
+            if !more(fetch.cells) {
+                break;
             }
+            for (ki, &term) in keywords.iter().enumerate() {
+                let Some(loc) = self.forward.lookup(cell, term) else { continue };
+                let (list, bytes) = self.try_read_postings(loc)?;
+                fetch.lists += 1;
+                fetch.bytes += bytes;
+                fetch.per_keyword[ki].push(Arc::new(list));
+            }
+            fetch.cells += 1;
         }
-        hits.sort_by_key(|(_, loc)| (loc.partition, loc.offset));
-        let mut per_keyword: Vec<Vec<Arc<PostingsList>>> =
-            keywords.iter().map(|_| Vec::new()).collect();
-        let mut bytes = 0u64;
-        for &(ki, loc) in &hits {
-            let (list, b) = self.try_read_postings(loc)?;
-            bytes += b;
-            per_keyword[ki].push(Arc::new(list));
-        }
-        Ok(QueryFetch { per_keyword, cells: cover.len(), lists: hits.len(), bytes })
+        Ok(fetch)
     }
 }
 

@@ -139,7 +139,7 @@ fn load_damaged(file: usize, line: usize, damage: &Damage) -> Result<(), TestCas
         Err(e) => prop_assert!(!e.to_string().is_empty(), "a load error must say what was wrong"),
         Ok((index, _)) => {
             for &((cell, term), _) in index.forward().iter() {
-                if let Err(e) = index.try_fetch_for_query(&[cell], &[term]) {
+                if let Err(e) = index.try_fetch_for_query(&[cell], &[term], |_| true) {
                     prop_assert!(!e.to_string().is_empty());
                 }
             }
@@ -177,6 +177,6 @@ fn the_pristine_directory_loads() {
     assert_eq!(report.partitions_loaded, 3);
     assert!(index.partitions().iter().filter(|p| !p.is_empty()).count() > 1);
     for &((cell, term), _) in index.forward().iter() {
-        assert_eq!(index.try_fetch_for_query(&[cell], &[term]).unwrap().lists, 1);
+        assert_eq!(index.try_fetch_for_query(&[cell], &[term], |_| true).unwrap().lists, 1);
     }
 }

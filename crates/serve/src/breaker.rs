@@ -316,13 +316,6 @@ pub struct ProbeGrant {
     pub index: bool,
 }
 
-impl ProbeGrant {
-    /// Whether any breaker is waiting on this request's outcome.
-    pub fn is_probe(&self) -> bool {
-        self.storage || self.index
-    }
-}
-
 /// The serving layer's pair of breakers, one per engine failure domain
 /// (PR 3's [`EngineError::Storage`] / [`EngineError::Index`] classes).
 ///
@@ -369,21 +362,15 @@ impl BreakerPanel {
     /// executing (evicted, expired in the queue, abandoned by a drain) —
     /// see [`CircuitBreaker::return_probe`]. Call exactly once per dead
     /// admission; grants from executed requests are settled by
-    /// [`Self::record`] instead.
-    pub fn release(&mut self, grant: ProbeGrant) {
+    /// [`Self::record`] instead. `None` is work that skipped the gate
+    /// (ingest).
+    pub fn release(&mut self, grant: Option<ProbeGrant>) {
+        let Some(grant) = grant else { return };
         if grant.storage {
             self.storage.return_probe();
         }
         if grant.index {
             self.index.return_probe();
-        }
-    }
-
-    /// [`Self::release`] for work that may not hold a grant at all (the
-    /// ingest lane skips the breaker gate entirely).
-    pub fn release_opt(&mut self, grant: Option<ProbeGrant>) {
-        if let Some(grant) = grant {
-            self.release(grant);
         }
     }
 
@@ -570,7 +557,7 @@ mod tests {
         };
         let mut panel = BreakerPanel::new(cfg);
         let grant = panel.check(0).expect("closed panel admits");
-        assert!(!grant.is_probe(), "closed-state passthrough holds no probes");
+        assert_eq!(grant, ProbeGrant::default(), "closed-state passthrough holds no probes");
         let storage_err = || {
             EngineError::Storage(tklus_storage::StorageError::Io {
                 op: "read",
@@ -586,7 +573,7 @@ mod tests {
         assert!(grant.storage && !grant.index, "only the half-open breaker spent a probe");
         assert!(panel.check(104).is_err(), "probe budget spent");
         // The probe dies unexecuted; releasing it un-wedges the panel.
-        panel.release(grant);
+        panel.release(Some(grant));
         let again = panel.check(105).expect("released probe re-granted");
         assert!(again.storage);
         panel.record(106, Ok(()));

@@ -22,14 +22,15 @@
 //!   in-flight work finish up to a drain deadline, and abandons the rest
 //!   *by name* — nothing admitted is ever silently lost.
 //!
-//! Every policy decision is made by pure state machines over
-//! caller-supplied millisecond timestamps, so the exact same code runs in
-//! two harnesses:
+//! One scheduler makes every one of those decisions: [`Scheduler`], a
+//! single-threaded core over caller-supplied millisecond timestamps. Two
+//! callers run it, each with its own clock:
 //!
-//! * [`TklusServer`] — real worker threads fed wall-clock time;
+//! * [`TklusServer`] — the scheduler behind a mutex, with real worker
+//!   threads fed wall-clock time;
 //! * [`sim`] — a seeded open-loop generator plus a virtual-time
-//!   discrete-event simulator whose every shed, trip, and drain decision
-//!   is reproducible bit-for-bit per seed (the CI overload matrix).
+//!   discrete-event loop whose every shed, trip, and drain decision is
+//!   reproducible bit-for-bit per seed (the CI overload matrix).
 
 #![warn(missing_docs)]
 
@@ -40,12 +41,14 @@ mod ingest;
 mod metrics;
 mod queue;
 mod reject;
+mod scheduler;
 mod server;
 pub mod sim;
 
-pub use breaker::{BreakerConfig, BreakerPanel, BreakerState, CircuitBreaker, ProbeGrant};
+pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use config::{DegradePolicy, ServeConfig};
 pub use ingest::{IngestFailure, IngestSink, SinkError, SinkHealth};
 pub use queue::{AdmissionCounters, AdmissionQueue, AdmitResult, Popped, QueuedEntry};
 pub use reject::{Rejected, ServeError};
+pub use scheduler::Scheduler;
 pub use server::{DrainReport, IngestTicket, Ticket, TklusServer};

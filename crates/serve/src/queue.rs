@@ -1,10 +1,10 @@
 //! The bounded, priority-aware admission queue (DESIGN.md §11).
 //!
 //! This is the deterministic heart of the serving layer: a pure state
-//! machine over explicit millisecond timestamps, shared verbatim by the
-//! threaded [`crate::server::TklusServer`] (which feeds it wall-clock
-//! time) and the virtual-time [`crate::sim`] harness (which feeds it
-//! simulated time). All admission policy lives here:
+//! machine over explicit millisecond timestamps, owned by the one
+//! [`crate::Scheduler`] that both the threaded server (wall-clock time)
+//! and the virtual-time [`crate::sim`] harness drive. All admission
+//! policy lives here:
 //!
 //! * **bounded queue** — at most `capacity` requests wait; arrivals
 //!   beyond that are shed typed, never silently dropped;

@@ -1,9 +1,10 @@
 //! The deterministic-load harness (DESIGN.md §11): a seeded open-loop
-//! generator plus a virtual-time discrete-event simulator that drives the
-//! *exact same* admission queue and breaker state machines as the
-//! threaded server — but with simulated timestamps and single-threaded
-//! execution, so every shed, evict, degrade, trip, and drain decision is
-//! a pure function of `(corpus, workload, seed, config)`.
+//! generator plus a virtual-time discrete-event loop around the threaded
+//! server's own [`Scheduler`] — with simulated timestamps and
+//! single-threaded execution, so every shed, evict, degrade, trip, and
+//! drain decision is a pure function of `(corpus, workload, seed,
+//! config)`. What is the simulator's own is the plan loop, the virtual
+//! worker-free times, the drain cutoff and the report.
 //!
 //! Two clocks coexist deliberately:
 //!
@@ -18,17 +19,18 @@
 //!   reproduce exactly per seed.
 //!
 //! A real wall-clock budget (`timeout_ms`) would reintroduce
-//! nondeterminism, so the simulator's degrade mode only ever tightens
-//! `max_cells` — which PR 3 made bitwise-deterministic.
+//! nondeterminism, so the simulator leaves the timeout alone (the server
+//! tightens it in its worker) and degrade only ever tightens `max_cells`,
+//! which is bitwise-deterministic.
 
-use crate::breaker::{BreakerPanel, BreakerState, ProbeGrant};
+use crate::breaker::BreakerState;
 use crate::config::ServeConfig;
-use crate::health::{build_report, Snapshot};
-use crate::queue::{AdmissionCounters, AdmissionQueue, AdmitResult, Popped};
+use crate::queue::AdmissionCounters;
 use crate::reject::Rejected;
+use crate::scheduler::Scheduler;
 use tklus_core::{Completeness, EngineError, RankedUser, Ranking, TklusEngine};
 use tklus_metrics::{HealthReport, RegistrySnapshot};
-use tklus_model::{Priority, QueryBudget, TklusQuery};
+use tklus_model::{Priority, TklusQuery};
 
 // ---- Seeded open-loop generation ---------------------------------------
 
@@ -333,13 +335,11 @@ impl SimReport {
     }
 }
 
-/// What the simulator queues per admitted request: the plan index plus
-/// the breaker probes the panel spent admitting it (refunded if the
-/// request dies without executing, exactly like the threaded server).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What the simulator queues per admitted request: the plan index and the
+/// query to run (the scheduler may tighten its cell budget at dispatch).
 struct SimJob {
     idx: usize,
-    grant: ProbeGrant,
+    query: TklusQuery,
 }
 
 fn failure_domain(e: &EngineError) -> &'static str {
@@ -359,191 +359,110 @@ pub fn run_sim(
 ) -> SimReport {
     assert!(!workload.is_empty(), "workload must not be empty");
     cfg.serve.validate().expect("valid serve config");
-    let serve = &cfg.serve;
-    let mut queue: AdmissionQueue<SimJob> =
-        AdmissionQueue::new(serve.queue_capacity, serve.workers, serve.est_service_ms);
-    let mut panel = BreakerPanel::new(serve.breaker);
-    let mut workers_free_at = vec![0u64; serve.workers];
+    let mut sched = Scheduler::new(&cfg.serve, |job: &mut SimJob| Some(&mut job.query));
+    let mut workers_free_at = vec![0u64; cfg.serve.workers];
     let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; plan.requests.len()];
-    let mut shed_circuit = 0u64;
-    let mut shed_shutdown = 0u64;
-    let mut degraded = 0u64;
-    let mut failed = 0u64;
     let cutoff = cfg.drain.map(|d| d.at_ms.saturating_add(d.deadline_ms));
+    let ticket_of = |outcomes: &[Option<RequestOutcome>], idx: usize| {
+        outcomes[idx].as_ref().and_then(|o| o.ticket)
+    };
 
     // Dispatches every queued entry whose start instant falls strictly
-    // before `limit` (and at or before the drain cutoff).
+    // before `limit` (and at or before the drain cutoff). The engine runs
+    // at the dispatch, and its breaker outcome is recorded at the virtual
+    // start.
     let dispatch_until = |limit: u64,
-                          queue: &mut AdmissionQueue<SimJob>,
-                          panel: &mut BreakerPanel,
+                          sched: &mut Scheduler<SimJob>,
                           workers_free_at: &mut [u64],
-                          outcomes: &mut [Option<RequestOutcome>],
-                          degraded: &mut u64,
-                          failed: &mut u64| {
-        loop {
-            if queue.depth() == 0 {
-                return;
-            }
+                          outcomes: &mut [Option<RequestOutcome>]| {
+        while sched.depth() > 0 {
             let (wi, free_at) = workers_free_at
                 .iter()
                 .copied()
                 .enumerate()
                 .min_by_key(|&(i, t)| (t, i))
                 .expect("at least one worker");
-            if free_at >= limit {
-                return;
+            if free_at >= limit || cutoff.is_some_and(|c| free_at > c) {
+                return; // past the cutoff, drain finalization abandons the rest
             }
-            if cutoff.is_some_and(|c| free_at > c) {
-                return; // drain finalization abandons the rest
-            }
-            match queue.pop_next(free_at) {
+            let entry = match sched.dispatch(free_at) {
                 None => return,
-                Some(Popped::Expired(entry)) => {
-                    // Never executed: refund any probes it was holding.
-                    panel.release(entry.payload.grant);
-                    let slot = &mut outcomes[entry.payload.idx];
-                    let ticket = slot.as_ref().and_then(|o| o.ticket);
-                    *slot =
+                Some(Err((job, _))) => {
+                    let ticket = ticket_of(outcomes, job.idx);
+                    outcomes[job.idx] =
                         Some(RequestOutcome { ticket, disposition: Disposition::ExpiredInQueue });
+                    continue;
                 }
-                Some(Popped::Ready(entry)) => {
-                    let req = &plan.requests[entry.payload.idx];
-                    // A worker idle since before the entry arrived starts
-                    // it at its arrival instant, not in the past.
-                    let start = free_at.max(entry.arrival_ms);
-                    let (query, ranking) = &workload[req.query_idx % workload.len()];
-                    let mut q = query.clone();
-                    if let Some(policy) = serve.degrade {
-                        // Pressure = backlog still queued behind this one.
-                        if queue.depth() >= policy.queue_threshold {
-                            q.budget
-                                .get_or_insert_with(QueryBudget::default)
-                                .tighten_max_cells(policy.max_cells);
-                        }
-                    }
-                    let result = engine.try_query(&q, *ranking);
-                    panel.record(start, result.as_ref().map(|_| ()));
-                    let sim_result = match result {
-                        Ok(outcome) => {
-                            if !outcome.completeness.is_complete() {
-                                *degraded += 1;
-                            }
-                            SimResult::Ranked {
-                                users: outcome.users,
-                                completeness: outcome.completeness,
-                            }
-                        }
-                        Err(e) => {
-                            *failed += 1;
-                            SimResult::Failed { domain: failure_domain(&e) }
-                        }
-                    };
-                    let end = start.saturating_add(req.service_ms.max(1));
-                    workers_free_at[wi] = end;
-                    let ticket = outcomes[entry.payload.idx].as_ref().and_then(|o| o.ticket);
-                    outcomes[entry.payload.idx] = Some(RequestOutcome {
-                        ticket,
-                        disposition: Disposition::Completed {
-                            start_ms: start,
-                            end_ms: end,
-                            result: sim_result,
-                        },
-                    });
+                Some(Ok(entry)) => entry,
+            };
+            let idx = entry.payload.idx;
+            let req = &plan.requests[idx];
+            // A worker idle since before the entry arrived starts it at
+            // its arrival instant, not in the past.
+            let start = free_at.max(entry.arrival_ms);
+            let ranking = workload[req.query_idx % workload.len()].1;
+            let result = engine.try_query(&entry.payload.query, ranking);
+            sched.complete(start, result.as_ref());
+            let result = match result {
+                Ok(outcome) => {
+                    SimResult::Ranked { users: outcome.users, completeness: outcome.completeness }
                 }
-            }
+                Err(e) => SimResult::Failed { domain: failure_domain(&e) },
+            };
+            let end = start.saturating_add(req.service_ms.max(1));
+            workers_free_at[wi] = end;
+            outcomes[idx] = Some(RequestOutcome {
+                ticket: ticket_of(outcomes, idx),
+                disposition: Disposition::Completed { start_ms: start, end_ms: end, result },
+            });
         }
     };
 
     for (idx, req) in plan.requests.iter().enumerate() {
         let now = req.arrival_ms;
-        dispatch_until(
-            now,
-            &mut queue,
-            &mut panel,
-            &mut workers_free_at,
-            &mut outcomes,
-            &mut degraded,
-            &mut failed,
-        );
+        dispatch_until(now, &mut sched, &mut workers_free_at, &mut outcomes);
         if cfg.drain.is_some_and(|d| now >= d.at_ms) {
-            shed_shutdown += 1;
-            outcomes[idx] = Some(RequestOutcome {
-                ticket: None,
-                disposition: Disposition::Shed(Rejected::ShuttingDown),
-            });
-            continue;
+            sched.begin_drain();
         }
-        let grant = match panel.check(now) {
-            Ok(grant) => grant,
-            Err(breaker) => {
-                shed_circuit += 1;
-                outcomes[idx] = Some(RequestOutcome {
-                    ticket: None,
-                    disposition: Disposition::Shed(Rejected::CircuitOpen { breaker }),
-                });
-                continue;
-            }
-        };
         let busy = workers_free_at.iter().filter(|&&t| t > now).count();
-        match queue.try_admit(now, req.priority, req.deadline_ms, SimJob { idx, grant }, busy) {
-            AdmitResult::Admitted { id, evicted } => {
-                outcomes[idx] = Some(RequestOutcome {
-                    ticket: Some(id),
-                    disposition: {
-                        // Placeholder until dispatch/drain decides; overwritten
-                        // later. AbandonedQueued is the only state that can
-                        // survive to the end untouched.
-                        Disposition::AbandonedQueued
-                    },
-                });
-                if let Some(victim) = evicted {
-                    // The victim never reaches the engine: refund its probes.
-                    panel.release(victim.payload.grant);
-                    let ticket = outcomes[victim.payload.idx].as_ref().and_then(|o| o.ticket);
-                    // Retry-After for the victim: the wait a retry at its own
-                    // priority would face in the post-eviction queue.
-                    let est = queue.estimated_wait_ms(victim.priority, busy);
-                    outcomes[victim.payload.idx] = Some(RequestOutcome {
-                        ticket,
-                        disposition: Disposition::Shed(Rejected::Evicted {
-                            by: req.priority,
-                            estimated_wait_ms: est,
-                        }),
-                    });
+        let query = workload[req.query_idx % workload.len()].0.clone();
+        let outcome =
+            match sched.admit(now, req.priority, req.deadline_ms, busy, SimJob { idx, query }) {
+                Ok((id, evicted)) => {
+                    if let Some((victim, reason)) = evicted {
+                        outcomes[victim.idx] = Some(RequestOutcome {
+                            ticket: ticket_of(&outcomes, victim.idx),
+                            disposition: Disposition::Shed(reason),
+                        });
+                    }
+                    // Placeholder until dispatch or the drain decides; it is
+                    // the only state that can survive to the end untouched.
+                    RequestOutcome { ticket: Some(id), disposition: Disposition::AbandonedQueued }
                 }
-            }
-            AdmitResult::Shed { reason, payload } => {
-                // Shed at enqueue after the breaker gate: probes come back.
-                panel.release(payload.grant);
-                outcomes[idx] =
-                    Some(RequestOutcome { ticket: None, disposition: Disposition::Shed(reason) });
-            }
-        }
+                Err(reason) => {
+                    RequestOutcome { ticket: None, disposition: Disposition::Shed(reason) }
+                }
+            };
+        outcomes[idx] = Some(outcome);
     }
 
     // Everything still queued after the last arrival runs to completion —
     // or up to the drain cutoff.
-    dispatch_until(
-        u64::MAX,
-        &mut queue,
-        &mut panel,
-        &mut workers_free_at,
-        &mut outcomes,
-        &mut degraded,
-        &mut failed,
-    );
+    dispatch_until(u64::MAX, &mut sched, &mut workers_free_at, &mut outcomes);
 
     // Drain finalization: queued leftovers are abandoned by name, and
     // anything whose completion lands past the cutoff was in flight at
     // the deadline — delivered as abandoned, never silently dropped.
-    let mut drain_report = cfg.drain.map(|_| DrainReport::default());
-    if let (Some(report), Some(cutoff)) = (drain_report.as_mut(), cutoff) {
-        for entry in queue.drain_all() {
-            panel.release(entry.payload.grant);
-            let slot = &mut outcomes[entry.payload.idx];
-            let ticket = slot.as_ref().and_then(|o| o.ticket);
+    let mut drain_report = None;
+    if let Some(cutoff) = cutoff {
+        sched.begin_drain();
+        let mut report = DrainReport::default();
+        for entry in sched.abandon_all() {
             report.abandoned_queued.push(entry.id);
-            *slot = Some(RequestOutcome { ticket, disposition: Disposition::AbandonedQueued });
+            outcomes[entry.payload.idx] = Some(RequestOutcome {
+                ticket: Some(entry.id),
+                disposition: Disposition::AbandonedQueued,
+            });
         }
         for slot in outcomes.iter_mut().flatten() {
             if let Disposition::Completed { start_ms, end_ms, .. } = slot.disposition {
@@ -557,6 +476,7 @@ pub fn run_sim(
         }
         report.abandoned_queued.sort_unstable();
         report.abandoned_in_flight.sort_unstable();
+        drain_report = Some(report);
     }
 
     let outcomes: Vec<RequestOutcome> =
@@ -572,45 +492,22 @@ pub fn run_sim(
         .collect();
 
     let end_ms = workers_free_at.iter().copied().max().unwrap_or(0);
-    let snapshot = Snapshot {
-        now_ms: end_ms,
-        depth: queue.depth(),
-        capacity: queue.capacity(),
-        busy: 0,
-        workers: serve.workers,
-        draining: cfg.drain.is_some(),
-        counters: queue.counters(),
-        shed_circuit,
-        shed_shutdown,
-        completed: latencies_ms.len() as u64,
-        failed,
-        degraded,
-        // The simulator models the query path only; ingest is exercised
-        // by the threaded harness and the HTTP end-to-end tests.
-        ingested: 0,
-        ingest_failed: 0,
-    };
-    let health = build_report(&snapshot, &panel);
-    let metrics = crate::metrics::inject_serve_rows(
-        engine.metrics_snapshot().unwrap_or_default(),
-        &snapshot,
-        &panel,
-    );
-
+    let snapshot = sched.snapshot(end_ms, 0);
+    let panel = sched.panel();
     SimReport {
         outcomes,
-        admission: queue.counters(),
-        shed_circuit,
-        shed_shutdown,
-        degraded,
-        failed,
+        admission: sched.counters(),
+        shed_circuit: snapshot.shed_circuit,
+        shed_shutdown: snapshot.shed_shutdown,
+        degraded: snapshot.degraded,
+        failed: snapshot.failed,
         latencies_ms,
         storage_transitions: panel.storage.transitions().to_vec(),
         index_transitions: panel.index.transitions().to_vec(),
         breaker_trips: panel.trip_count(),
         drain: drain_report,
-        health,
-        metrics,
+        health: sched.health(end_ms, 0),
+        metrics: sched.metrics(engine.metrics_snapshot().unwrap_or_default(), end_ms, 0),
     }
 }
 

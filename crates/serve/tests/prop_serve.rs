@@ -4,12 +4,22 @@
 //! through admission, queue expiry, breaker backoff, and plan generation
 //! without panicking — and, the subtler failure, without *misclassifying*
 //! a viable request as an instant shed because an addition wrapped.
+//!
+//! The last property drives the [`Scheduler`] alone, with no engine:
+//! whatever the interleaving of admissions, dispatches, completions and
+//! drains, every admitted ticket ends exactly once and every half-open
+//! probe the breakers granted is either recorded or refunded.
 
 use proptest::prelude::*;
-use tklus_model::Priority;
+use std::collections::BTreeMap;
+use tklus_core::{Completeness, EngineError, QueryOutcome, QueryStats};
+use tklus_geo::Point;
+use tklus_metrics::Health;
+use tklus_model::{Priority, Semantics, TklusQuery};
 use tklus_serve::sim::{generate_plan, LoadConfig};
 use tklus_serve::{
-    AdmissionQueue, AdmitResult, BreakerConfig, BreakerState, CircuitBreaker, Popped,
+    AdmissionQueue, AdmitResult, BreakerConfig, BreakerState, CircuitBreaker, DegradePolicy,
+    Popped, Rejected, Scheduler, ServeConfig,
 };
 
 /// Values dense near the overflow boundary, plus the ordinary range.
@@ -33,6 +43,77 @@ fn extreme_service_ms() -> impl Strategy<Value = u64> {
 
 fn priority() -> impl Strategy<Value = Priority> {
     prop_oneof![Just(Priority::Low), Just(Priority::Normal), Just(Priority::High)]
+}
+
+/// One step of a scheduler history.
+#[derive(Debug, Clone)]
+enum Op {
+    Admit {
+        priority: Priority,
+        deadline_in_ms: u64,
+    },
+    Dispatch,
+    /// Completes the oldest in-flight query, successfully or with a
+    /// storage failure.
+    Complete {
+        ok: bool,
+    },
+    AbandonAll,
+}
+
+/// A clock step (0–14 ms, so breaker backoffs elapse mid-history) and an
+/// op: admit 3 in 10, dispatch 3 in 10, complete 3 in 10, abandon-all 1
+/// in 10.
+fn step() -> impl Strategy<Value = (u64, Op)> {
+    (0u64..15, 0u8..10, priority(), 0u64..40, any::<bool>()).prop_map(
+        |(dt, pick, priority, deadline_in_ms, ok)| {
+            let op = match pick {
+                0..=2 => Op::Admit { priority, deadline_in_ms },
+                3..=5 => Op::Dispatch,
+                6..=8 => Op::Complete { ok },
+                _ => Op::AbandonAll,
+            };
+            (dt, op)
+        },
+    )
+}
+
+fn query() -> TklusQuery {
+    TklusQuery::new(
+        Point::new_unchecked(43.68, -79.37),
+        5.0,
+        vec!["hotel".into()],
+        5,
+        Semantics::Or,
+    )
+    .expect("valid query")
+}
+
+fn outcome(ok: bool) -> Result<QueryOutcome, EngineError> {
+    if ok {
+        Ok(QueryOutcome {
+            users: Vec::new(),
+            stats: QueryStats::default(),
+            completeness: Completeness::Complete,
+        })
+    } else {
+        Err(EngineError::Storage(tklus_storage::StorageError::Io {
+            op: "read",
+            page: None,
+            source: std::io::Error::other("injected"),
+        }))
+    }
+}
+
+/// Records that the request tagged `tag` ended `how`; a second end fails.
+fn end(
+    ended: &mut BTreeMap<usize, &'static str>,
+    tag: usize,
+    how: &'static str,
+) -> Result<(), TestCaseError> {
+    let before = ended.insert(tag, how);
+    prop_assert!(before.is_none(), "request {tag} ended twice: {before:?} then {how}");
+    Ok(())
 }
 
 proptest! {
@@ -176,6 +257,113 @@ proptest! {
             prop_assert!(r.service_ms >= 1);
             prop_assert!(r.deadline_ms >= r.arrival_ms);
             prop_assert_eq!(r.deadline_ms, r.arrival_ms.saturating_add(cfg.deadline_ms));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The scheduler conserves tickets and breaker probes. Over arbitrary
+    /// interleavings of admit, dispatch, complete (ok or failed) and
+    /// abandon-all, on a monotone clock with a breaker that trips and goes
+    /// half-open: once in-flight work completes and the rest is abandoned,
+    /// every admitted ticket ended exactly once (completed, expired,
+    /// evicted or abandoned), the counters agree, and no half-open breaker
+    /// sheds a new probe — a granted probe that was neither recorded nor
+    /// refunded would wedge it there.
+    #[test]
+    fn scheduler_conserves_tickets_and_probes(steps in proptest::collection::vec(step(), 1..120)) {
+        let cfg = ServeConfig {
+            workers: 2,
+            queue_capacity: 3,
+            default_deadline_ms: 20,
+            est_service_ms: 4,
+            degrade: Some(DegradePolicy { queue_threshold: 2, max_cells: 1 }),
+            breaker: BreakerConfig {
+                window: 4,
+                failure_threshold: 2,
+                base_backoff_ms: 5,
+                max_backoff_ms: 40,
+                half_open_probes: 2,
+            },
+        };
+        let mut sched: Scheduler<(usize, TklusQuery)> =
+            Scheduler::new(&cfg, |job| Some(&mut job.1));
+        let mut now = 0u64;
+        let mut tickets = BTreeMap::new();
+        let mut ended = BTreeMap::new();
+        let mut in_flight = std::collections::VecDeque::new();
+        for (tag, (dt, op)) in steps.into_iter().enumerate() {
+            now += dt;
+            match op {
+                Op::Admit { priority, deadline_in_ms } => {
+                    let job = (tag, query());
+                    let busy = in_flight.len();
+                    if let Ok((id, victim)) = sched.admit(now, priority, now + deadline_in_ms, busy, job) {
+                        tickets.insert(tag, id);
+                        if let Some(((victim, _), reason)) = victim {
+                            prop_assert!(matches!(reason, Rejected::Evicted { .. }), "{reason:?}");
+                            end(&mut ended, victim, "evicted")?;
+                        }
+                    }
+                }
+                Op::Dispatch => match sched.dispatch(now) {
+                    None => {}
+                    Some(Ok(entry)) => in_flight.push_back(entry.payload.0),
+                    Some(Err(((tag, _), reason))) => {
+                        prop_assert!(matches!(reason, Rejected::ExpiredInQueue { .. }), "{reason:?}");
+                        end(&mut ended, tag, "expired")?;
+                    }
+                },
+                Op::Complete { ok } => {
+                    if let Some(tag) = in_flight.pop_front() {
+                        sched.complete(now, outcome(ok).as_ref());
+                        end(&mut ended, tag, "completed")?;
+                    }
+                }
+                Op::AbandonAll => {
+                    for entry in sched.abandon_all() {
+                        end(&mut ended, entry.payload.0, "abandoned")?;
+                    }
+                }
+            }
+        }
+        for tag in in_flight.drain(..) {
+            sched.complete(now, outcome(true).as_ref());
+            end(&mut ended, tag, "completed")?;
+        }
+        for entry in sched.abandon_all() {
+            end(&mut ended, entry.payload.0, "abandoned")?;
+        }
+
+        prop_assert!(ended.keys().eq(tickets.keys()), "ended {ended:?} vs admitted {tickets:?}");
+        let ids: std::collections::BTreeSet<u64> = tickets.values().copied().collect();
+        prop_assert_eq!(ids.len(), tickets.len(), "ticket ids are unique");
+        let count = |how: &str| ended.values().filter(|&&h| h == how).count() as u64;
+        let c = sched.counters();
+        prop_assert_eq!(c.admitted, tickets.len() as u64);
+        prop_assert_eq!(c.shed_evicted, count("evicted"));
+        prop_assert_eq!(c.expired_at_dispatch, count("expired"));
+        let health = sched.health(now, 0);
+        prop_assert_eq!(health.gauge_value("completed"), Some(count("completed") as f64));
+        prop_assert_eq!(health.gauge_value("queue_depth"), Some(0.0));
+
+        if let Err(Rejected::CircuitOpen { breaker }) =
+            sched.admit(now, Priority::High, u64::MAX, 0, (usize::MAX, query()))
+        {
+            let probe = health
+                .probes
+                .iter()
+                .find(|p| p.name == format!("breaker:{breaker}"))
+                .expect("every breaker has a probe");
+            prop_assert_eq!(
+                probe.health,
+                Health::Unhealthy,
+                "the {} breaker is half-open with every probe spent: {}",
+                breaker,
+                &probe.detail
+            );
         }
     }
 }

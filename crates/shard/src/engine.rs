@@ -546,7 +546,6 @@ fn merge_stats(total: &mut QueryStats, s: &QueryStats) {
     total.threads_built += s.threads_built;
     total.threads_pruned += s.threads_pruned;
     total.metadata_page_reads += s.metadata_page_reads;
-    total.deadline_polls_saved += s.deadline_polls_saved;
     total.stages.cover += s.stages.cover;
     total.stages.fetch += s.stages.fetch;
     total.stages.combine += s.stages.combine;
