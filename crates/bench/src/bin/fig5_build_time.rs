@@ -3,13 +3,15 @@
 //! Paper shape: construction time is *insensitive* to the geohash length
 //! ("steady around 850 minutes"), and the MapReduce build handles an order
 //! of magnitude more tweets per unit time than the centralized
-//! state-of-the-art (I³, quoted numbers). Here both builders run on the
-//! same corpus: the distributed build ([`PAPER_NODES`] map/reduce tasks)
-//! should stay flat across lengths 1–4, tracking or beating the sequential
-//! centralized baseline, and both report identical logical index contents.
+//! state-of-the-art (I³, quoted numbers). Here two builders run on the
+//! same corpus: the MapReduce job ([`run_job`], [`PAPER_NODES`] map and
+//! reduce tasks) and, as the centralized column, the product's build — one
+//! sort on one thread into one partition. Both must lay out the same
+//! postings bytes.
 
+use tklus_bench::mapreduce::run_job;
 use tklus_bench::{banner, csv_row, ms, parse_flags, standard_corpus, PAPER_NODES};
-use tklus_index::{baseline::build_centralized, build_index, IndexBuildConfig};
+use tklus_index::{build_index, IndexBuildConfig};
 
 fn main() {
     let flags = parse_flags();
@@ -17,19 +19,20 @@ fn main() {
     let corpus = standard_corpus(&flags);
     println!("total posts (originals + responses): {}", corpus.len());
     println!("mapreduce build: {PAPER_NODES} nodes (map tasks = reduce tasks = threads)");
+    println!("centralized build: the product's, one sort on one thread");
     println!(
         "{:<8} {:>16} {:>16} {:>12} {:>12}",
         "length", "mapreduce ms", "centralized ms", "keys", "postings"
     );
     for len in 1..=4usize {
-        let config = IndexBuildConfig {
-            geohash_len: len,
-            nodes: PAPER_NODES,
-            ..IndexBuildConfig::default()
-        };
-        let (_, dist) = build_index(corpus.posts(), &config);
-        let (_, cent) = build_centralized(corpus.posts(), len);
-        assert_eq!(dist.keys, cent.keys, "both builders must agree on index contents");
+        let (dist_index, dist) = run_job(corpus.posts(), len, PAPER_NODES);
+        let config = IndexBuildConfig { geohash_len: len, ..IndexBuildConfig::default() };
+        let (cent_index, cent) = build_index(corpus.posts(), &config);
+        assert_eq!(
+            dist_index.partitions().concat(),
+            cent_index.partitions().concat(),
+            "both builders must lay out the same postings bytes"
+        );
         println!(
             "{:<8} {:>16.1} {:>16.1} {:>12} {:>12}",
             len,

@@ -13,6 +13,8 @@ use tklus_graph::SocialNetwork;
 use tklus_index::IndexBuildConfig;
 use tklus_model::{Corpus, Semantics, TklusQuery};
 
+pub mod mapreduce;
+
 /// Command-line flags shared by the figure binaries.
 #[derive(Debug, Clone)]
 pub struct Flags {
@@ -54,9 +56,10 @@ pub fn parse_flags() -> Flags {
 }
 
 /// The paper's cluster size (Section VI-A: three machines). The figure and
-/// table binaries build their indexes with this many nodes (map tasks,
-/// reduce tasks and partitions) — and so on this many threads — where the
-/// product's in-process default is one.
+/// table binaries build their indexes with this many partitions, where the
+/// product's in-process default is one; Fig. 5's MapReduce job
+/// ([`mapreduce::run_job`]) also runs this many map and reduce tasks, one
+/// thread each.
 pub const PAPER_NODES: usize = 3;
 
 /// The standard synthetic corpus for a flag set.

@@ -294,16 +294,30 @@ fn ingest_into_wal(corpus: &Corpus, dir: &str, compact: bool) -> Result<(), CliE
     Ok(())
 }
 
+/// `--geohash-len` (default 4) and `--nodes` (default 3, the paper's
+/// cluster), each checked against the range the index can lay out: a
+/// geohash of 1 to 12 characters, and at most one partition per top-level
+/// geohash character.
+fn index_build_config(args: &Args) -> Result<tklus_index::IndexBuildConfig, ArgError> {
+    let geohash_len: usize = args.get_or("geohash-len", 4)?;
+    if !(1..=tklus_geo::MAX_GEOHASH_LEN).contains(&geohash_len) {
+        let max = tklus_geo::MAX_GEOHASH_LEN;
+        return Err(ArgError(format!("--geohash-len must be in 1..={max}, got {geohash_len}")));
+    }
+    let nodes: usize = args.get_or("nodes", 3)?;
+    let max_nodes = tklus_geo::geohash::ALPHABET.len();
+    if !(1..=max_nodes).contains(&nodes) {
+        return Err(ArgError(format!("--nodes must be in 1..={max_nodes}, got {nodes}")));
+    }
+    Ok(tklus_index::IndexBuildConfig { geohash_len, nodes, ..Default::default() })
+}
+
 fn cmd_build_index(raw: Vec<String>) -> Result<(), CliError> {
     let args = Args::parse(raw)?;
     args.check_known(&["corpus", "posts", "seed", "out", "geohash-len", "nodes"])?;
     let out: String = args.require("out")?;
+    let config = index_build_config(&args)?;
     let corpus = corpus_from(&args)?;
-    let config = tklus_index::IndexBuildConfig {
-        geohash_len: args.get_or("geohash-len", 4)?,
-        nodes: args.get_or("nodes", 3)?,
-        ..tklus_index::IndexBuildConfig::default()
-    };
     let (index, report) = tklus_index::build_index(corpus.posts(), &config);
     tklus_index::save_dir(&index, &PathBuf::from(&out))?;
     println!(
@@ -325,12 +339,8 @@ fn cmd_shard_split(raw: Vec<String>) -> Result<(), CliError> {
     if n == 0 {
         return Err(ArgError("--shards must be at least 1".to_string()).into());
     }
+    let config = index_build_config(&args)?;
     let corpus = corpus_from(&args)?;
-    let config = tklus_index::IndexBuildConfig {
-        geohash_len: args.get_or("geohash-len", 4)?,
-        nodes: args.get_or("nodes", 3)?,
-        ..tklus_index::IndexBuildConfig::default()
-    };
     let plan = ShardedEngine::plan_for(&corpus, n, config.geohash_len);
     let mut shard_posts: Vec<Vec<Post>> = (0..plan.n_shards()).map(|_| Vec::new()).collect();
     for post in corpus.posts() {

@@ -1,6 +1,6 @@
 //! The end-to-end TkLUS engine: Figure 3's system in one object.
 //!
-//! An engine is its hybrid index (the MapReduce build of Algorithms 2/3)
+//! An engine is its hybrid index (Algorithms 2/3, built by one sort)
 //! and its metadata database, and nothing else. [`TklusEngine::query`]
 //! answers either ranking with one algorithm: Algorithm 4's scored rows,
 //! folded per user by `+=` (Sum) or `max` (Max). Algorithm 5, the
@@ -183,7 +183,7 @@ impl TklusEngine {
     }
 
     /// Assembles an engine from a pre-built (e.g. loaded-from-disk) hybrid
-    /// index plus the corpus it was built over. Skips the MapReduce build
+    /// index plus the corpus it was built over. Skips the index build
     /// and loads the metadata database — matching Figure 3's architecture
     /// where the index is periodically rebuilt offline while the query
     /// side just loads it.

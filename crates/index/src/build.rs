@@ -1,14 +1,18 @@
-//! Index construction: the MapReduce job of Algorithms 2 and 3 plus the
-//! layout step that concatenates partitions and builds the forward index.
+//! Index construction: Algorithms 2 and 3 as one sort. Every post's
+//! `⟨geohash, term, tweet id, tf⟩` emissions are sorted in place, cut into
+//! `nodes` geohash ranges ([`partition_of`]), and laid out ([`lay_out`]):
+//! each range's lists are concatenated into one partition while the
+//! dictionary and the forward index are built. The build runs on its
+//! caller's thread at any partition count.
 
 use crate::forward::{ForwardIndex, PostingsLocation};
 use crate::inverted::HybridIndex;
-use crate::posting::{PostingsFormat, PostingsList};
+use crate::posting::{encode_into, PostingsFormat};
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tklus_geo::geohash::ALPHABET;
 use tklus_geo::{encode, Geohash};
-use tklus_mapreduce::{run_job, JobConfig, Mapper, RangePartitioner, Reducer};
 use tklus_model::Post;
 use tklus_text::{TextPipeline, Vocab};
 
@@ -18,11 +22,11 @@ pub struct IndexBuildConfig {
     /// Geohash encoding length (the paper evaluates 1–4; default 4, the
     /// choice Section VI-B2 settles on).
     pub geohash_len: usize,
-    /// Cluster size = map tasks = reduce partitions = partition files.
-    /// The default is 1: an in-process engine (server, ingest store) builds
-    /// on its caller's thread. The paper's cluster has 3 machines; the
-    /// build CLI and the figure/table binaries ask for that by name, and
-    /// `n` nodes build on `n` threads, the caller's included.
+    /// Partition count: the key space is cut into this many geohash ranges,
+    /// one partition each, and `meta.tsv` writes it as the paper's cluster
+    /// size. The default is 1; the paper's cluster has 3 machines, which the
+    /// build CLI and the figure/table binaries ask for by name. It is not a
+    /// thread count: every build runs on its caller's thread.
     pub nodes: usize,
     /// The one postings layout. Nothing reads this field: it stays only
     /// because the frozen `benchmark/` prints it (ROADMAP open items).
@@ -40,10 +44,6 @@ impl Default for IndexBuildConfig {
 pub struct IndexBuildReport {
     /// Total wall time of the build.
     pub total_time: Duration,
-    /// Map+shuffle phase wall time.
-    pub map_time: Duration,
-    /// Reduce phase wall time.
-    pub reduce_time: Duration,
     /// Posts consumed.
     pub posts: u64,
     /// `⟨geohash, term⟩` keys produced (= forward index entries).
@@ -56,108 +56,24 @@ pub struct IndexBuildReport {
     pub distinct_terms: u64,
 }
 
-/// The intermediate key of Algorithms 2 and 3. The term is shared: every
-/// emission of one term holds the same allocation (see
-/// [`IndexMapper::interned`]); `Arc<str>` orders and hashes as the string
-/// it points to, so the shuffle sorts exactly as it did over `String`s.
-type IndexKey = (Geohash, Arc<str>);
+/// One emission of Algorithm 2's map function: a post's cell, one of its
+/// terms, the post's id and the term's frequency in it. Emissions sort by
+/// key, then by tweet id: the order a partition holds them in.
+type Emission = (Geohash, Arc<str>, u64, u32);
 
-/// The map function of Algorithm 2: tokenize + stem the post, count term
-/// frequencies, and emit `⟨(geohash, term), (timestamp, tf)⟩` per distinct
-/// term.
-struct IndexMapper {
-    pipeline: TextPipeline,
-    geohash_len: usize,
-    /// Every distinct term emitted so far. A corpus has a few thousand
-    /// distinct terms and a few hundred thousand emissions; interning
-    /// makes the map output one allocation per term instead of one per
-    /// emission.
-    interned: Mutex<HashSet<Arc<str>>>,
+/// The partition a cell's keys land in when the key space is cut into
+/// `nodes` geohash ranges. Partition `i` starts at top-level character
+/// `⌊i · 32 / nodes⌋`, so each partition takes an equal slice of the
+/// geohash alphabet, each spatial region lands in one partition, and
+/// partition numbers rise with the key. Past 32 partitions the extra ones
+/// stay empty.
+pub fn partition_of(cell: Geohash, nodes: usize) -> usize {
+    let top = (cell.low_bits() >> (cell.bit_len() - 5)) as usize;
+    (1..nodes).take_while(|i| i * ALPHABET.len() / nodes <= top).count()
 }
 
-impl Mapper for IndexMapper {
-    type Input = Post;
-    type Key = IndexKey;
-    type Value = (u64, u32);
-
-    fn map(&self, post: &Post, emit: &mut dyn FnMut(Self::Key, Self::Value)) {
-        let gh = encode(&post.location, self.geohash_len).expect("valid geohash length");
-        // Associative array H of Algorithm 2: term -> in-post frequency.
-        let mut terms = self.pipeline.terms(&post.text);
-        terms.sort_unstable();
-        // One lock per post, not per emission: map tasks of a parallel
-        // build meet here only between posts. The set is valid after any
-        // panic (an insert completes or does not happen), so a task still
-        // running beside a panicked one takes a poisoned lock as it is.
-        let mut interned = self.interned.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut i = 0;
-        while i < terms.len() {
-            let mut j = i + 1;
-            while j < terms.len() && terms[j] == terms[i] {
-                j += 1;
-            }
-            let term = match interned.get(terms[i].as_str()) {
-                Some(shared) => Arc::clone(shared),
-                None => {
-                    let shared: Arc<str> = Arc::from(terms[i].as_str());
-                    interned.insert(Arc::clone(&shared));
-                    shared
-                }
-            };
-            emit((gh, term), (post.id.0, (j - i) as u32));
-            i = j;
-        }
-    }
-}
-
-/// One key's postings list already in its on-disk encoding (a few bytes a
-/// posting where the decoded list takes sixteen — the reduce output of a
-/// whole partition waits in memory for the layout), with the two counts
-/// the layout's dictionary and report need.
-pub(crate) struct EncodedList {
-    bytes: Vec<u8>,
-    postings: u64,
-    /// Σ tf over the list: the term's occurrences under this key.
-    occurrences: u64,
-}
-
-impl EncodedList {
-    /// Sorts one key's `(tweet id, tf)` pairs by id and encodes them.
-    pub(crate) fn new(values: impl IntoIterator<Item = (u64, u32)>) -> Self {
-        let list: PostingsList = values.into_iter().collect();
-        let occurrences = list.postings().iter().map(|p| p.tf as u64).sum();
-        Self { bytes: list.encode(), postings: list.len() as u64, occurrences }
-    }
-}
-
-/// The reduce function of Algorithm 3: gather all postings of one key,
-/// sort them by timestamp and encode the list.
-struct IndexReducer;
-
-impl Reducer for IndexReducer {
-    type Key = IndexKey;
-    type Value = (u64, u32);
-    type Output = EncodedList;
-
-    fn reduce(&self, _key: &Self::Key, values: Vec<(u64, u32)>, emit: &mut dyn FnMut(EncodedList)) {
-        emit(EncodedList::new(values))
-    }
-}
-
-/// Geohash-range split points giving each of `n` partitions an equal slice
-/// of the top-level geohash alphabet, so each spatial region lands in one
-/// partition.
-fn geohash_splits(n: usize) -> Vec<IndexKey> {
-    (1..n)
-        .map(|i| {
-            let c = (i * 32 / n) as u64;
-            (Geohash::from_low_bits(c, 1).expect("root cell"), Arc::from(""))
-        })
-        .collect()
-}
-
-/// Builds the hybrid index over `posts` with the MapReduce pipeline and
-/// returns it together with a build report.
+/// Builds the hybrid index over `posts` and returns it together with a
+/// build report.
 ///
 /// ```
 /// use tklus_index::{build_index, IndexBuildConfig};
@@ -172,62 +88,80 @@ fn geohash_splits(n: usize) -> Vec<IndexKey> {
 /// assert!(index.vocab().get("hotel").is_some());
 /// ```
 pub fn build_index(posts: &[Post], config: &IndexBuildConfig) -> (HybridIndex, IndexBuildReport) {
-    assert!(config.nodes > 0, "at least one node");
+    assert!(config.nodes > 0, "at least one partition");
     let start = Instant::now();
-    let mapper = IndexMapper {
-        pipeline: TextPipeline::new(),
-        geohash_len: config.geohash_len,
-        interned: Mutex::new(HashSet::new()),
-    };
-    let partitioner = RangePartitioner::new(geohash_splits(config.nodes));
-    let job = run_job(
-        JobConfig { map_tasks: config.nodes, reduce_tasks: config.nodes },
-        posts,
-        &mapper,
-        &IndexReducer,
-        &partitioner,
-    );
-    let (index, report) = lay_out(job.partitions, config.geohash_len);
-    let report = IndexBuildReport {
-        total_time: start.elapsed(),
-        map_time: job.map_time,
-        reduce_time: job.reduce_time,
-        posts: job.counters.map_input_records,
-        ..report
-    };
-    (index, report)
+    let pipeline = TextPipeline::new();
+    // Every distinct term so far. A corpus has a few thousand distinct
+    // terms and a few hundred thousand emissions; interning makes the
+    // emissions share one allocation per term.
+    let mut interned: HashSet<Arc<str>> = HashSet::new();
+    let mut emissions: Vec<Emission> = Vec::new();
+    for post in posts {
+        let gh = encode(&post.location, config.geohash_len).expect("valid geohash length");
+        // Associative array H of Algorithm 2: term -> in-post frequency.
+        let mut terms = pipeline.terms(&post.text);
+        terms.sort_unstable();
+        for run in terms.chunk_by(|a, b| a == b) {
+            let term = match interned.get(run[0].as_str()) {
+                Some(shared) => Arc::clone(shared),
+                None => {
+                    let shared: Arc<str> = Arc::from(run[0].as_str());
+                    interned.insert(Arc::clone(&shared));
+                    shared
+                }
+            };
+            emissions.push((gh, term, post.id.0, run.len() as u32));
+        }
+    }
+    // One sort, in place: the emissions are the build's largest
+    // allocation, so give back the slack their growth left and take no
+    // scratch copy of them.
+    emissions.shrink_to_fit();
+    emissions.sort_unstable();
+    let cuts: Vec<usize> = (0..=config.nodes)
+        .map(|p| emissions.partition_point(|e| partition_of(e.0, config.nodes) < p))
+        .collect();
+    let partitions: Vec<&[Emission]> = cuts.windows(2).map(|w| &emissions[w[0]..w[1]]).collect();
+    let (index, report) = lay_out(&partitions, config.geohash_len);
+    (index, IndexBuildReport { total_time: start.elapsed(), posts: posts.len() as u64, ..report })
 }
 
-/// The layout step both builders end in: partition `i`'s lists, in sorted key
-/// order, are concatenated into partition `i`'s bytes while the dictionary
-/// (term ids in first-encounter order) and the directory are built. The
-/// report carries the index's counts; the caller fills in the times and
-/// the post count.
-pub(crate) fn lay_out<T: AsRef<str>>(
-    partitions: Vec<Vec<((Geohash, T), EncodedList)>>,
-    geohash_len: usize,
-) -> (HybridIndex, IndexBuildReport) {
+/// The layout step: partition `i`'s emissions, sorted by key and then tweet
+/// id, become partition `i`'s bytes, one postings list per key in key
+/// order, while the dictionary (term ids in first-encounter order) and the
+/// directory are built. The report carries the index's counts; the caller
+/// fills in the time and the post count.
+///
+/// Panics when a key holds one tweet twice (Algorithm 2 emits one posting
+/// per `⟨key, tweet⟩`).
+pub fn lay_out(partitions: &[&[Emission]], geohash_len: usize) -> (HybridIndex, IndexBuildReport) {
     let mut vocab = Vocab::new();
     let mut entries: Vec<((Geohash, tklus_text::TermId), PostingsLocation)> = Vec::new();
     let mut report = IndexBuildReport::default();
     let mut bytes = Vec::with_capacity(partitions.len());
-    for (part_idx, lists) in partitions.into_iter().enumerate() {
-        let mut part = Vec::with_capacity(lists.iter().map(|(_, list)| list.bytes.len()).sum());
-        for ((gh, term), list) in lists {
-            let term_id = vocab.intern(term.as_ref());
+    for (part_idx, emissions) in partitions.iter().enumerate() {
+        let mut part = Vec::new();
+        for list in emissions.chunk_by(|a, b| a.0 == b.0 && a.1 == b.1) {
+            assert!(
+                list.windows(2).all(|w| w[0].2 < w[1].2),
+                "duplicate tweet id in postings list"
+            );
+            let term_id = vocab.intern(&list[0].1);
             // Corpus frequency = total occurrences (Table II ranking).
-            vocab.add_occurrences(term_id, list.occurrences);
-            report.postings += list.postings;
+            vocab.add_occurrences(term_id, list.iter().map(|e| e.3 as u64).sum());
+            report.postings += list.len() as u64;
+            let offset = part.len();
+            encode_into(&mut part, list.iter().map(|e| (e.2, e.3)));
             entries.push((
-                (gh, term_id),
+                (list[0].0, term_id),
                 PostingsLocation {
                     partition: part_idx as u32,
-                    offset: part.len() as u64,
-                    len: list.bytes.len() as u32,
+                    offset: offset as u64,
+                    len: (part.len() - offset) as u32,
                 },
             ));
-            part.extend_from_slice(&list.bytes);
         }
+        part.shrink_to_fit();
         report.index_bytes += part.len() as u64;
         bytes.push(part);
     }
@@ -381,6 +315,22 @@ mod tests {
             assert_eq!(vocab(&other), vocab(&base), "{nodes} nodes: dictionary");
             assert_eq!(lists(&other), lists(&base), "{nodes} nodes: keys and postings bytes");
         }
+    }
+
+    #[test]
+    fn partitions_are_equal_alphabet_slices_rising_with_the_key() {
+        for nodes in 1..=32 {
+            let parts: Vec<usize> = (0..32u64)
+                .map(|c| partition_of(Geohash::from_low_bits(c << 15, 4).unwrap(), nodes))
+                .collect();
+            assert!(parts.windows(2).all(|w| w[0] <= w[1]), "{nodes}: {parts:?}");
+            let used: HashSet<usize> = parts.iter().copied().collect();
+            assert_eq!(used, (0..nodes).collect(), "{nodes}: every partition holds a slice");
+        }
+        // Three nodes split the alphabet before characters 10 ('b') and 21
+        // ('p'), as every index directory written so far was split.
+        let first = |c: u64| partition_of(Geohash::from_low_bits(c, 1).unwrap(), 3);
+        assert_eq!([9, 10, 20, 21, 31].map(first), [0, 1, 1, 2, 2]);
     }
 
     #[test]

@@ -29,9 +29,8 @@ pub struct ForwardIndex {
 }
 
 impl ForwardIndex {
-    /// Builds from entries already sorted by key (the MapReduce output
-    /// order). Panics if unsorted or duplicated — the builders sort the
-    /// entries and the loader refuses an unsorted `forward.tsv`, so a
+    /// Builds from entries already sorted by key. Panics if unsorted or
+    /// duplicated — the build sorts the entries and the loader refuses an unsorted `forward.tsv`, so a
     /// violation is a bug.
     pub fn from_sorted(entries: Vec<((Geohash, TermId), PostingsLocation)>) -> Self {
         assert!(

@@ -4,9 +4,10 @@
 //!
 //! * an **inverted index** keyed by `⟨geohash, term⟩` whose postings lists
 //!   of `⟨tweet-id, term-frequency⟩` pairs (sorted by tweet id = timestamp)
-//!   live in partitions — built by the MapReduce job of Algorithms 2 and 3
-//!   ([`build`]). The paper keeps the partitions in HDFS; here the index
-//!   holds their bytes, and [`persist`] writes them as one file each;
+//!   live in partitions — built by Algorithms 2 and 3, which the paper runs
+//!   as a MapReduce job and [`build`] runs as one sort. The paper keeps the
+//!   partitions in HDFS; here the index holds their bytes, and [`persist`]
+//!   writes them as one file each;
 //! * a **forward index** ([`forward::ForwardIndex`]) kept in main memory
 //!   ("less than 12 MB … therefore it is kept in the main memory") that
 //!   maps each `⟨geohash, term⟩` entry to its postings list's location:
@@ -16,12 +17,7 @@
 //! have all points for a given rectangular area in one computer", and each
 //! partition is written in sorted key order so postings of nearby cells
 //! with the same keyword sit in contiguous bytes.
-//!
-//! [`baseline::build_centralized`] builds the identical index single-threaded
-//! into one partition — the centralized comparison point for the Figure 5
-//! construction-scaling experiment.
 
-pub mod baseline;
 pub mod build;
 pub mod forward;
 pub mod inverted;

@@ -11,8 +11,9 @@
 //! <dir>/partitions/part-NNNNN    raw concatenated postings bytes
 //! ```
 //!
-//! The partition count is written as `nodes`, the paper's cluster size,
-//! which the build makes equal to it. Loading reads the partition bytes
+//! The partition count is written as `nodes`, the paper's cluster size:
+//! the build cuts the key space into that many geohash ranges
+//! (`IndexBuildConfig::nodes`), one partition each. Loading reads the partition bytes
 //! back (partition `i` from `part-i`), the dictionary (ids are positions,
 //! so interning in file order reproduces them), and the forward directory.
 //! Every partition file is verified against its recorded CRC32 before it

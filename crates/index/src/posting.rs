@@ -65,13 +65,7 @@ impl PostingsList {
     /// varint term frequency.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(2 + self.postings.len() * 3);
-        write_varint(&mut out, self.postings.len() as u64);
-        let mut prev = 0u64;
-        for p in &self.postings {
-            write_varint(&mut out, p.id.0 - prev);
-            write_varint(&mut out, p.tf as u64);
-            prev = p.id.0;
-        }
+        encode_into(&mut out, self.postings.iter().map(|p| (p.id.0, p.tf)));
         out
     }
 
@@ -121,6 +115,18 @@ impl std::fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+/// Appends id-sorted `(tweet id, tf)` pairs to `out` in the partition byte
+/// format of [`PostingsList::encode`].
+pub(crate) fn encode_into(out: &mut Vec<u8>, postings: impl ExactSizeIterator<Item = (u64, u32)>) {
+    write_varint(out, postings.len() as u64);
+    let mut prev = 0u64;
+    for (id, tf) in postings {
+        write_varint(out, id - prev);
+        write_varint(out, tf as u64);
+        prev = id;
+    }
+}
 
 fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {

@@ -2,8 +2,8 @@
 //!
 //! The paper's efficiency arguments are stated in I/Os ("every construction
 //! will cost several I/Os", Section V-B; "it does not necessarily lead to
-//! more I/Os", Section VI-B2). Counters are atomic so a pool of MapReduce
-//! workers can share one stats object.
+//! more I/Os", Section VI-B2). Counters are atomic so concurrent readers
+//! can share one stats object.
 //!
 //! Multi-counter reads go through [`IoStats::snapshot`], which loads each
 //! counter exactly once into an [`IoSnapshot`]; derived totals are then

@@ -1,6 +1,6 @@
 //! Crash-safe streaming ingest for the TkLUS engine (DESIGN.md §15).
 //!
-//! The paper's system is batch-built: the MapReduce pipeline produces an
+//! The paper's system is batch-built: a MapReduce pipeline produces an
 //! immutable hybrid index, and queries run against it. Real geo-tagged
 //! streams do not pause for index builds, so this crate adds the write
 //! path: a checksummed write-ahead log in front of a live delta index,

@@ -1,7 +1,7 @@
 //! Anatomy of the hybrid index: what Section IV actually builds.
 //!
 //! Walks through the stack bottom-up on a small corpus: geohash encoding
-//! and circle covers, the MapReduce build, the forward/inverted split, the
+//! and circle covers, the index build, the forward/inverted split, the
 //! postings wire format, and the metadata database's B+-tree access paths —
 //! printing what each layer sees.
 //!
@@ -31,7 +31,7 @@ fn main() {
         cover.iter().map(|g| g.to_string()).collect::<Vec<_>>().join(" ")
     );
 
-    // --- Layer 2: the MapReduce index build -----------------------------
+    // --- Layer 2: the index build (one sort, cut into 3 partitions) -----
     println!("\n## hybrid index build (Algorithms 2-3)");
     let corpus =
         generate_corpus(&GenConfig { original_posts: 3_000, users: 800, ..GenConfig::default() });

@@ -17,7 +17,7 @@ fn main() {
         generate_corpus(&GenConfig { original_posts: 5_000, users: 1_500, ..GenConfig::default() });
     println!("corpus: {} posts by {} users", corpus.len(), corpus.user_count());
 
-    // 2. Build the engine: MapReduce hybrid index (postings lists keyed by
+    // 2. Build the engine: hybrid index (postings lists keyed by
     //    geohash + term, held in memory) and metadata database (B+-trees on
     //    sid, rsid, uid).
     let (engine, report) = TklusEngine::build(&corpus, &EngineConfig::default());

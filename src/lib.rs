@@ -22,7 +22,6 @@ pub use tklus_geo as geo;
 pub use tklus_graph as graph;
 pub use tklus_http as http;
 pub use tklus_index as index;
-pub use tklus_mapreduce as mapreduce;
 pub use tklus_metrics as metrics;
 pub use tklus_model as model;
 pub use tklus_serve as serve;
