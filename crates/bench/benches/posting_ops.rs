@@ -3,6 +3,7 @@
 //! Algorithms 4/5.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use tklus_index::posting::REFINEMENT_CHARS;
 use tklus_index::{intersect_gallop, intersect_sum, union_sum, PostingsList};
 
 fn make_list(n: usize, stride: u64, offset: u64) -> PostingsList {
@@ -37,10 +38,11 @@ fn bench_intersect(c: &mut Criterion) {
 
 fn bench_codec(c: &mut Criterion) {
     let list = make_list(10_000, 2, 1_000_000);
-    let bytes = list.encode();
-    c.bench_function("postings_encode_10k", |b| b.iter(|| black_box(&list).encode()));
+    let refinement = REFINEMENT_CHARS;
+    let bytes = list.encode(refinement);
+    c.bench_function("postings_encode_10k", |b| b.iter(|| black_box(&list).encode(refinement)));
     c.bench_function("postings_decode_10k", |b| {
-        b.iter(|| PostingsList::decode(black_box(&bytes)).unwrap())
+        b.iter(|| PostingsList::decode(black_box(&bytes), refinement).unwrap())
     });
 }
 

@@ -19,15 +19,10 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
-use tklus_geo::{encode, Geohash};
-use tklus_index::build::{lay_out, partition_of};
+use tklus_index::build::{key_and_refinement, lay_out, partition_of, Emission};
 use tklus_index::{HybridIndex, IndexBuildReport};
 use tklus_model::Post;
 use tklus_text::TextPipeline;
-
-/// `⟨(geohash, term), (tweet id, tf)⟩`: one pair of Algorithm 2's map
-/// output, flattened so that sorting it sorts by key, then by tweet id.
-type Emission = (Geohash, Arc<str>, u64, u32);
 
 /// Runs one phase's tasks and returns their results in task order: the
 /// first task on the calling thread, every further task on a scoped
@@ -56,7 +51,7 @@ fn map_split(split: &[Post], geohash_len: usize, nodes: usize) -> Vec<Vec<Emissi
     let mut interned: HashSet<Arc<str>> = HashSet::new();
     let mut buckets: Vec<Vec<Emission>> = vec![Vec::new(); nodes];
     for post in split {
-        let gh = encode(&post.location, geohash_len).expect("valid geohash length");
+        let (gh, refinement) = key_and_refinement(&post.location, geohash_len);
         let mut terms = pipeline.terms(&post.text);
         terms.sort_unstable();
         for run in terms.chunk_by(|a, b| a == b) {
@@ -68,7 +63,8 @@ fn map_split(split: &[Post], geohash_len: usize, nodes: usize) -> Vec<Vec<Emissi
                     shared
                 }
             };
-            buckets[partition_of(gh, nodes)].push((gh, term, post.id.0, run.len() as u32));
+            let emission = (gh, term, post.id.0, run.len() as u32, refinement);
+            buckets[partition_of(gh, nodes)].push(emission);
         }
     }
     buckets

@@ -329,7 +329,7 @@ fn cmd_build_index(raw: Vec<String>) -> Result<(), CliError> {
 
 /// Builds per-shard indexes under a mass-balanced geohash-range plan and
 /// writes a sharded (format v3) index directory: `manifest.tsv` plus one
-/// `shard-NNN/` v2 index per range. `tklus query --index DIR` detects the
+/// `shard-NNN/` index directory per range. `tklus query --index DIR` detects the
 /// manifest and runs scatter-gather automatically.
 fn cmd_shard_split(raw: Vec<String>) -> Result<(), CliError> {
     let args = Args::parse(raw)?;

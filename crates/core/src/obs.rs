@@ -19,6 +19,7 @@ pub(crate) struct EngineMetrics {
     queries: Counter,
     query_errors: Counter,
     degraded: Counter,
+    refined_out: Counter,
     candidates: Counter,
     in_radius: Counter,
     threads_built: Counter,
@@ -42,6 +43,7 @@ impl EngineMetrics {
             queries: registry.counter("tklus_queries_total"),
             query_errors: registry.counter("tklus_query_errors_total"),
             degraded: registry.counter("tklus_queries_degraded_total"),
+            refined_out: registry.counter("tklus_query_refined_out_total"),
             candidates: registry.counter("tklus_query_candidates_total"),
             in_radius: registry.counter("tklus_query_in_radius_total"),
             threads_built: registry.counter("tklus_query_threads_built_total"),
@@ -66,6 +68,7 @@ impl EngineMetrics {
         if degraded {
             self.degraded.inc();
         }
+        self.refined_out.add(stats.refined_out as u64);
         self.candidates.add(stats.candidates as u64);
         self.in_radius.add(stats.in_radius as u64);
         self.threads_built.add(stats.threads_built as u64);

@@ -16,7 +16,7 @@ use crate::metadata::{MetaReader, MetadataDb};
 use crate::score::user_distance_score;
 use std::sync::Arc;
 use std::time::Instant;
-use tklus_geo::{circle_cover, Point};
+use tklus_geo::{circle_cover, Circle, Point};
 use tklus_graph::try_build_thread;
 use tklus_index::{intersect_sum, union_sum, HybridIndex, PostingsList, QueryFetch};
 use tklus_model::{QueryBudget, ScoringConfig, Semantics, TklusQuery, TweetId, UserId};
@@ -204,7 +204,11 @@ pub struct QueryStats {
     /// Encoded postings bytes fetched (named for the paper's HDFS, where
     /// the partitions live).
     pub dfs_bytes: u64,
-    /// Candidate tweets after AND/OR combination.
+    /// Postings the refinement dropped before the combination: their
+    /// refined cell cannot reach the query circle.
+    pub refined_out: usize,
+    /// Candidate tweets after the refinement and the AND/OR combination:
+    /// the tweets whose metadata row is looked up.
     pub candidates: usize,
     /// Candidates that passed the exact radius check.
     pub in_radius: usize,
@@ -234,10 +238,11 @@ pub(crate) struct QueryContext<'a> {
 impl QueryContext<'_> {
     /// The postings-retrieval phase of Algorithms 4/5 (lines 1–7): the
     /// circle cover, then the index's one fetch
-    /// ([`HybridIndex::try_fetch_for_query`]), which asks the query's
-    /// budget (started at `start`) before each cover cell. Fills `stats`'
-    /// fetch counts and its `cover` and `fetch` stages (lapping `clock`),
-    /// and returns the fetch with its completeness.
+    /// ([`HybridIndex::try_fetch_for_query`]), which drops the postings
+    /// whose refined cell cannot reach the query circle and asks the
+    /// query's budget (started at `start`) before each cover cell. Fills
+    /// `stats`' fetch counts and its `cover` and `fetch` stages (lapping
+    /// `clock`), and returns the fetch with its completeness.
     pub(crate) fn try_fetch(
         &self,
         query: &TklusQuery,
@@ -255,13 +260,19 @@ impl QueryContext<'_> {
         )
         .expect("index geohash length is valid");
         stats.stages.cover = clock.lap();
-        let fetch = self
-            .index
-            .try_fetch_for_query(&cover, terms, |done| budget.is_none_or(|b| b.allows(done)))?;
+        let circle = Circle {
+            center: query.location,
+            radius_km: query.radius_km,
+            metric: self.scoring.metric,
+        };
+        let fetch = self.index.try_fetch_for_query(&cover, &circle, terms, |done| {
+            budget.is_none_or(|b| b.allows(done))
+        })?;
         stats.stages.fetch = clock.lap();
         stats.cover_cells = fetch.cells;
         stats.lists_fetched = fetch.lists;
         stats.dfs_bytes = fetch.bytes;
+        stats.refined_out = fetch.refined_out;
         let completeness = if fetch.cells < cover.len() {
             Completeness::Degraded { cells_processed: fetch.cells, cells_total: cover.len() }
         } else {
@@ -352,7 +363,10 @@ mod tests {
                     .collect()
             })
             .collect();
-        candidates(&QueryFetch { per_keyword, cells: 0, lists: 0, bytes: 0 }, semantics)
+        candidates(
+            &QueryFetch { per_keyword, cells: 0, lists: 0, bytes: 0, refined_out: 0 },
+            semantics,
+        )
     }
 
     #[test]

@@ -67,16 +67,44 @@ fn arb_post() -> impl Strategy<Value = RawPost> {
         })
 }
 
+/// Where a corpus lies: its centre (also the query location), and the
+/// degrees of latitude and longitude one step of a [`RawPost`] offset
+/// spans.
+#[derive(Debug, Clone, Copy)]
+struct Place {
+    lat: f64,
+    lon: f64,
+    lat_step: f64,
+    lon_step: f64,
+}
+
+impl Place {
+    fn center(&self) -> Point {
+        Point::new_unchecked(self.lat, self.lon)
+    }
+}
+
+/// Toronto at city scale: posts within about 17 km of the centre.
+const TORONTO: Place = Place { lat: 43.68, lon: -79.38, lat_step: 0.0015, lon_step: 0.002 };
+
+/// Tromsø at regional scale: posts up to about 330 km from a centre at
+/// 69.65°N, where a degree of longitude is a third of one at the equator.
+const TROMSO: Place = Place { lat: 69.65, lon: 18.96, lat_step: 0.03, lon_step: 0.08 };
+
 fn materialize(raw: &[RawPost]) -> Corpus {
-    let base = Point::new_unchecked(43.68, -79.38);
+    materialize_at(raw, &TORONTO)
+}
+
+fn materialize_at(raw: &[RawPost], place: &Place) -> Corpus {
+    let base = place.center();
     let posts: Vec<Post> = raw
         .iter()
         .enumerate()
         .map(|(i, r)| {
             let id = TweetId(i as u64 + 1);
             let loc = Point::new_unchecked(
-                base.lat() + r.dlat as f64 * 0.0015,
-                base.lon() + r.dlon as f64 * 0.002,
+                base.lat() + r.dlat as f64 * place.lat_step,
+                base.lon() + r.dlon as f64 * place.lon_step,
             );
             let text: String =
                 r.words.iter().map(|&w| WORDS[w as usize]).collect::<Vec<_>>().join(" ");
@@ -261,65 +289,95 @@ proptest! {
         k in 1usize..6,
         kw_idx in proptest::collection::vec(0u8..WORDS.len() as u8, 1..3),
     ) {
-        let corpus = materialize(&raw);
-        let plain = EngineConfig::default();
-        let (engine, _) = TklusEngine::build(&corpus, &plain);
-        let table = bounds_for(&corpus, &engine);
-        let keywords: Vec<String> =
-            kw_idx.iter().map(|&i| WORDS[i as usize].to_string()).collect();
+        matches_oracle(&raw, &TORONTO, radius, k, &kw_idx)?;
+    }
+}
 
-        for semantics in [Semantics::Or, Semantics::And] {
-            let q = TklusQuery::new(
-                Point::new_unchecked(43.68, -79.38),
-                radius,
-                keywords.clone(),
-                k,
-                semantics,
-            ).unwrap();
-            for (ranking, use_max) in ARMS {
-                let (want, want_in_radius) = oracle_top_k(&corpus, &q, use_max, &plain.scoring);
-                let (got, stats) = engine.query(&q, ranking);
-                // A reader carries nothing between queries: the same query
-                // pays the same page reads every time.
-                let (_, again) = engine.query(&q, ranking);
+proptest! {
+    // 40 corpora × (2 semantics × 3 rankings) = 240 query cases at one
+    // wide radius in the far north: covers of long, narrow cells, and
+    // refined sub-cells whose nearest point is off the centre's latitude.
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn engine_matches_oracle_at_a_wide_radius_in_the_far_north(
+        raw in proptest::collection::vec(arb_post(), 5..45),
+        radius in 200.0f64..400.0,
+        k in 1usize..6,
+        kw_idx in proptest::collection::vec(0u8..WORDS.len() as u8, 1..3),
+    ) {
+        matches_oracle(&raw, &TROMSO, radius, k, &kw_idx)?;
+    }
+}
+
+/// The body of the oracle families: the corpus `raw` laid out at `place`,
+/// queried at its centre under both semantics and every ranking.
+fn matches_oracle(
+    raw: &[RawPost],
+    place: &Place,
+    radius: f64,
+    k: usize,
+    kw_idx: &[u8],
+) -> Result<(), TestCaseError> {
+    let corpus = materialize_at(raw, place);
+    let plain = EngineConfig::default();
+    let (engine, _) = TklusEngine::build(&corpus, &plain);
+    let table = bounds_for(&corpus, &engine);
+    let keywords: Vec<String> = kw_idx.iter().map(|&i| WORDS[i as usize].to_string()).collect();
+
+    for semantics in [Semantics::Or, Semantics::And] {
+        let q = TklusQuery::new(place.center(), radius, keywords.clone(), k, semantics).unwrap();
+        for (ranking, use_max) in ARMS {
+            let (want, want_in_radius) = oracle_top_k(&corpus, &q, use_max, &plain.scoring);
+            let (got, stats) = engine.query(&q, ranking);
+            // A reader carries nothing between queries: the same query
+            // pays the same page reads every time.
+            let (_, again) = engine.query(&q, ranking);
+            prop_assert_eq!(
+                again.metadata_page_reads,
+                stats.metadata_page_reads,
+                "{:?}/{:?}",
+                ranking,
+                semantics
+            );
+
+            // Counters: the radius filter admits exactly the oracle's
+            // qualifying posts and each one's thread is built: no
+            // engine query prunes.
+            prop_assert_eq!(stats.in_radius, want_in_radius, "{:?}/{:?}", ranking, semantics);
+            prop_assert_eq!(stats.threads_built, stats.in_radius, "{:?}/{:?}", ranking, semantics);
+            prop_assert_eq!(stats.threads_pruned, 0);
+
+            // Algorithm 5, the reference for Max: same users and score
+            // bits; each in-radius thread built or pruned.
+            if let Some(a5) = algorithm5(&engine, &table, &q, ranking) {
+                prop_assert_eq!(bits(&a5.users), bits(&got), "{:?}/{:?}", ranking, semantics);
+                prop_assert_eq!(a5.stats.in_radius, want_in_radius);
                 prop_assert_eq!(
-                    again.metadata_page_reads, stats.metadata_page_reads,
-                    "{:?}/{:?}", ranking, semantics
+                    a5.stats.threads_built + a5.stats.threads_pruned,
+                    a5.stats.in_radius,
+                    "{:?}/{:?}",
+                    ranking,
+                    semantics
                 );
+            }
 
-                // Counters: the radius filter admits exactly the oracle's
-                // qualifying posts and each one's thread is built: no
-                // engine query prunes.
-                prop_assert_eq!(stats.in_radius, want_in_radius, "{:?}/{:?}", ranking, semantics);
-                prop_assert_eq!(
-                    stats.threads_built, stats.in_radius,
-                    "{:?}/{:?}", ranking, semantics
+            // Engine vs oracle: same users, scores to 1e-9.
+            prop_assert_eq!(got.len(), want.len(), "{:?}/{:?}", ranking, semantics);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(g.user, w.0, "{:?}/{:?}", ranking, semantics);
+                prop_assert!(
+                    (g.score - w.1).abs() < 1e-9,
+                    "{} vs {} ({:?}/{:?})",
+                    g.score,
+                    w.1,
+                    ranking,
+                    semantics
                 );
-                prop_assert_eq!(stats.threads_pruned, 0);
-
-                // Algorithm 5, the reference for Max: same users and score
-                // bits; each in-radius thread built or pruned.
-                if let Some(a5) = algorithm5(&engine, &table, &q, ranking) {
-                    prop_assert_eq!(bits(&a5.users), bits(&got), "{:?}/{:?}", ranking, semantics);
-                    prop_assert_eq!(a5.stats.in_radius, want_in_radius);
-                    prop_assert_eq!(
-                        a5.stats.threads_built + a5.stats.threads_pruned, a5.stats.in_radius,
-                        "{:?}/{:?}", ranking, semantics
-                    );
-                }
-
-                // Engine vs oracle: same users, scores to 1e-9.
-                prop_assert_eq!(got.len(), want.len(), "{:?}/{:?}", ranking, semantics);
-                for (g, w) in got.iter().zip(&want) {
-                    prop_assert_eq!(g.user, w.0, "{:?}/{:?}", ranking, semantics);
-                    prop_assert!(
-                        (g.score - w.1).abs() < 1e-9,
-                        "{} vs {} ({:?}/{:?})", g.score, w.1, ranking, semantics
-                    );
-                }
             }
         }
     }
+    Ok(())
 }
 
 proptest! {

@@ -5,10 +5,72 @@
 //! query?" (keep/expand) and "is the whole cell within `r`?" (useful for
 //! cover statistics). Both reduce to point-to-rectangle minimum/maximum
 //! distance, implemented here on top of the crate's distance metrics.
+//!
+//! The minimum is one sound lower bound ([`Cell::min_distance_km`]), built
+//! from three minima over the rectangle: `|Δlat|`, `|Δlon|` the shorter way
+//! round, and the metric's cosine factor at the rectangle's latitude edges.
+//! The circle cover, the IR-tree prune and the index's per-posting
+//! refinement test ([`SubcellTest`]) all use it.
 
 use crate::geohash::{decode, Geohash};
-use crate::point::{DistanceMetric, Point};
+use crate::point::{DistanceMetric, Point, EARTH_RADIUS_KM};
 use serde::{Deserialize, Serialize};
+
+/// Kilometres per degree of latitude (and of longitude at the equator)
+/// under the Euclidean metric's projection.
+const KM_PER_DEGREE: f64 = EARTH_RADIUS_KM * std::f64::consts::PI / 180.0;
+
+/// Relative slack of [`SubcellTest`]'s squared reach. A coordinate
+/// difference is off by at most a few ulps of 180° (under 1e-10 km), so the
+/// filter and the exact check can disagree by that much on a point at the
+/// boundary. Widening the squared reach by 1e-6 widens the radius by 5e-7
+/// of itself: more than that error for every radius of 1 m and up, and
+/// 1 mm on a 2 km circle.
+const REACH_SLACK: f64 = 1e-6;
+
+/// `|Δlat|` from `lat` to the nearest latitude in `[lo, hi]`, in degrees.
+#[inline]
+fn lat_gap(lat: f64, lo: f64, hi: f64) -> f64 {
+    (lo - lat).max(lat - hi).max(0.0)
+}
+
+/// `|Δlon|` from `lon` to the nearest longitude in `[lo, hi]`, the shorter
+/// way round the globe, in degrees: zero inside, else the nearer edge
+/// (over an arc that misses `lon`, the distance along the circle is
+/// least at an end).
+#[inline]
+fn lon_gap(lon: f64, lo: f64, hi: f64) -> f64 {
+    if lo <= lon && lon <= hi {
+        return 0.0;
+    }
+    let around = |d: f64| {
+        let d = d.abs();
+        if d > 180.0 {
+            360.0 - d
+        } else {
+            d
+        }
+    };
+    around(lon - lo).min(around(lon - hi))
+}
+
+/// The least cosine factor the metric applies to `Δlon` between a point at
+/// latitude `lat` and any latitude in `[lo, hi]`. `cos` is concave on
+/// [−90°, 90°], so its least value over a band is at an edge.
+/// * Euclidean scales `Δlon` by `cos` of the mean latitude;
+/// * Haversine by `cos φ_c · cos φ`.
+fn lon_weight(lat: f64, lo: f64, hi: f64, metric: DistanceMetric) -> f64 {
+    match metric {
+        DistanceMetric::Euclidean => {
+            let c = |edge: f64| ((lat + edge) / 2.0).to_radians().cos();
+            c(lo).min(c(hi)).max(0.0)
+        }
+        DistanceMetric::Haversine => {
+            let c = |edge: f64| edge.to_radians().cos();
+            (lat.to_radians().cos() * c(lo).min(c(hi))).max(0.0)
+        }
+    }
+}
 
 /// The axis-aligned lat/lon rectangle of a geohash prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,17 +126,29 @@ impl Cell {
             && p.lon() < self.lon_hi
     }
 
-    /// The point of the cell closest to `p` (clamping on both axes).
-    pub fn closest_point_to(&self, p: &Point) -> Point {
-        let lat = p.lat().clamp(self.lat_lo, self.lat_hi);
-        let lon = p.lon().clamp(self.lon_lo, self.lon_hi);
-        Point::new_unchecked(lat, lon)
-    }
-
-    /// Minimum distance from `p` to any point of the cell, in km. Zero when
-    /// `p` is inside.
+    /// A lower bound on the distance from `p` to any point of the cell, in
+    /// km; zero when `p` is inside. Not the clamped point's distance: beside
+    /// the centre's latitude the nearest point of a meridian edge lies
+    /// further toward the pole, where a degree of longitude is shorter.
+    /// Instead the three minima over the cell — `|Δlat|`, `|Δlon|` and the
+    /// metric's `Δlon` factor — go into the metric's formula, which rises
+    /// in each:
+    /// * Euclidean: `R · √((Δlon · cos)² + Δlat²)`;
+    /// * Haversine: `2R · asin √(sin²(Δlat/2) + cos φ_c cos φ · sin²(Δlon/2))`.
     pub fn min_distance_km(&self, p: &Point, metric: DistanceMetric) -> f64 {
-        p.distance_km(&self.closest_point_to(p), metric)
+        let dlat = lat_gap(p.lat(), self.lat_lo, self.lat_hi);
+        let dlon = lon_gap(p.lon(), self.lon_lo, self.lon_hi);
+        let weight = lon_weight(p.lat(), self.lat_lo, self.lat_hi, metric);
+        match metric {
+            DistanceMetric::Euclidean => {
+                KM_PER_DEGREE * (dlat * dlat + weight * weight * dlon * dlon).sqrt()
+            }
+            DistanceMetric::Haversine => {
+                let half_sin = |d: f64| (d.to_radians() / 2.0).sin();
+                let a = half_sin(dlat).powi(2) + weight * half_sin(dlon).powi(2);
+                2.0 * EARTH_RADIUS_KM * a.min(1.0).sqrt().asin()
+            }
+        }
     }
 
     /// Maximum distance from `p` to any point of the cell, in km
@@ -115,6 +189,125 @@ impl Cell {
     }
 }
 
+/// A query circle: its centre, its radius and the metric that measures it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Circle {
+    /// The query location.
+    pub center: Point,
+    /// The query radius, in km.
+    pub radius_km: f64,
+    /// The metric the radius is measured in.
+    pub metric: DistanceMetric,
+}
+
+/// A query circle's test of the sub-cells `chars` geohash characters below
+/// one cover cell: can any point of the sub-cell named by these `5 · chars`
+/// path bits lie within the circle?
+///
+/// Built once per cover cell: the cell's bounds, the sub-cell size, the
+/// cell's least cosine factor and the squared reach. A test is then shifts
+/// and masks that split the bits into a longitude and a latitude index,
+/// and a squared lower bound compared with the reach — no trig, no decode
+/// and no allocation per sub-cell.
+///
+/// Sound for both metrics at every latitude and across the antimeridian:
+/// the bound is [`Cell::min_distance_km`]'s over the sub-cell, relaxed
+/// twice — the cosine factor is the whole cover cell's, and under
+/// Haversine `t − t³/6 ≤ sin t` stands in for `sin` — and the squared reach
+/// is widened by a relative 1e-6 for rounding.
+#[derive(Debug, Clone, Copy)]
+pub struct SubcellTest {
+    lat: f64,
+    lon: f64,
+    lat_lo: f64,
+    lon_lo: f64,
+    sub_lat: f64,
+    sub_lon: f64,
+    /// Bit parity of the longitude bits, counted from the low end.
+    lon_shift: u32,
+    /// Coefficient of the `Δlon` term: `cos²` (Euclidean) or `cos φ_c cos φ`
+    /// (Haversine), least over the cover cell.
+    weight: f64,
+    /// The largest bound still within the circle.
+    reach: f64,
+    metric: DistanceMetric,
+}
+
+impl SubcellTest {
+    /// The test of `cell`'s sub-cells `chars` characters finer (at most
+    /// three: the bits travel in a `u16`) against `circle`.
+    pub fn new(circle: &Circle, cell: &Geohash, chars: usize) -> Self {
+        debug_assert!(chars <= 3, "{chars} refinement characters do not fit 16 bits");
+        let bits = 5 * chars as u32;
+        // Path bits alternate longitude, latitude from a geohash's first
+        // bit, so counted from the low end of a refinement that follows
+        // `bit_len` key bits, the longitude bits sit at this parity.
+        let lon_shift = (cell.bit_len() + bits + 1) % 2;
+        let lon_bits = (bits + 1 - lon_shift) / 2;
+        let lat_bits = bits - lon_bits;
+        let ((lat_lo, lat_hi), (lon_lo, lon_hi)) = decode(cell);
+        let (lat, lon) = (circle.center.lat(), circle.center.lon());
+        let weight = lon_weight(lat, lat_lo, lat_hi, circle.metric);
+        let (weight, reach) = match circle.metric {
+            DistanceMetric::Euclidean => {
+                (weight * weight, (circle.radius_km / KM_PER_DEGREE).powi(2))
+            }
+            DistanceMetric::Haversine => {
+                let half =
+                    (circle.radius_km / (2.0 * EARTH_RADIUS_KM)).min(std::f64::consts::FRAC_PI_2);
+                (weight, half.sin().powi(2))
+            }
+        };
+        Self {
+            lat,
+            lon,
+            lat_lo,
+            lon_lo,
+            sub_lat: (lat_hi - lat_lo) / f64::from(1u32 << lat_bits),
+            sub_lon: (lon_hi - lon_lo) / f64::from(1u32 << lon_bits),
+            lon_shift,
+            weight,
+            reach: reach * (1.0 + REACH_SLACK),
+            metric: circle.metric,
+        }
+    }
+
+    /// Whether the sub-cell with path bits `sub` (low `5 · chars` bits, the
+    /// first path bit highest) may hold a point within the circle. `false`
+    /// is a proof that it holds none.
+    #[inline]
+    pub fn may_reach(&self, sub: u16) -> bool {
+        let sub = u32::from(sub);
+        let lat_lo = self.lat_lo + f64::from(even_bits(sub >> (self.lon_shift ^ 1))) * self.sub_lat;
+        let lon_lo = self.lon_lo + f64::from(even_bits(sub >> self.lon_shift)) * self.sub_lon;
+        let dlat = lat_gap(self.lat, lat_lo, lat_lo + self.sub_lat);
+        let dlon = lon_gap(self.lon, lon_lo, lon_lo + self.sub_lon);
+        let (y, x) = match self.metric {
+            DistanceMetric::Euclidean => (dlat, dlon),
+            DistanceMetric::Haversine => (half_sin_floor(dlat), half_sin_floor(dlon)),
+        };
+        y * y + self.weight * x * x <= self.reach
+    }
+}
+
+/// The bits at even positions of a 16-bit value, packed into its low byte
+/// in order: one axis's indices out of interleaved path bits.
+#[inline]
+fn even_bits(x: u32) -> u32 {
+    let x = x & 0x5555;
+    let x = (x | (x >> 1)) & 0x3333;
+    let x = (x | (x >> 2)) & 0x0F0F;
+    (x | (x >> 4)) & 0x00FF
+}
+
+/// A lower bound on `sin(d / 2)` for an angle `d` of 0–180 degrees:
+/// `t − t³/6` at `t = d / 2` in radians.
+#[inline]
+fn half_sin_floor(degrees: f64) -> f64 {
+    let t = degrees * (std::f64::consts::PI / 360.0);
+    t * (1.0 - t * t / 6.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,6 +343,80 @@ mod tests {
         let diag = p(2.0, 2.0);
         let to_corner = diag.euclidean_km(&p(1.0, 1.0));
         assert!((cell.min_distance_km(&diag, DistanceMetric::Euclidean) - to_corner).abs() < 1e-9);
+    }
+
+    /// The least distance from `center` to a dense sample of `cell`'s west
+    /// edge.
+    fn west_edge_min(cell: &Cell, center: &Point, metric: DistanceMetric) -> f64 {
+        let steps = 200_000;
+        (0..=steps)
+            .map(|i| {
+                let lat = cell.lat_lo() + (cell.lat_hi() - cell.lat_lo()) * i as f64 / steps as f64;
+                center.distance_km(&p(lat, cell.lon_lo()), metric)
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    #[test]
+    fn a_cell_due_east_at_60n_is_covered_when_its_west_edge_is_in_radius() {
+        // Beside the centre's latitude, the nearest point of a meridian
+        // edge lies poleward of it. A bound that clamps each axis measures
+        // the edge point at the centre's latitude instead, so with the
+        // radius between the two distances the cover used to drop the cell
+        // and every in-radius post in it.
+        let center = p(60.0, 10.0);
+        for metric in [DistanceMetric::Euclidean, DistanceMetric::Haversine] {
+            for (len, east) in [(4, 10.2), (3, 15.0)] {
+                let gh = encode(&p(60.0, east), len).unwrap();
+                let cell = Cell::from_geohash(&gh);
+                assert!(cell.lat_lo() < center.lat() && center.lat() < cell.lat_hi());
+                let clamped = center.distance_km(&p(center.lat(), cell.lon_lo()), metric);
+                let edge = west_edge_min(&cell, &center, metric);
+                assert!(edge < clamped, "{metric:?} len {len}: {edge} vs {clamped}");
+                assert!(cell.min_distance_km(&center, metric) <= edge, "{metric:?} len {len}");
+                let radius = (edge + clamped) / 2.0;
+                let cover = crate::circle_cover(&center, radius, len, metric).unwrap();
+                assert!(cover.contains(&gh), "{metric:?} len {len}: {gh} missing at r = {radius}");
+            }
+        }
+    }
+
+    #[test]
+    fn subcell_test_splits_refinement_bits_like_the_geohash() {
+        // For every key length and both parities, each sub-cell of a cell
+        // is accepted by a circle around its own centre and rejected by a
+        // small circle around the cell's opposite corner whenever the
+        // exact distance puts it out of reach.
+        let point = p(43.6839, -79.3736);
+        for len in 1..=9 {
+            let chars = 3;
+            let key = encode(&point, len).unwrap();
+            let cell = Cell::from_geohash(&key);
+            for sub in (0u16..1 << 15).step_by(97) {
+                let bits = (key.low_bits() << 15) | u64::from(sub);
+                let fine = Geohash::from_low_bits(bits, len + chars).unwrap();
+                let fine_cell = Cell::from_geohash(&fine);
+                assert!(cell.contains(&fine_cell.center()));
+                for metric in [DistanceMetric::Euclidean, DistanceMetric::Haversine] {
+                    let radius = fine_cell.max_distance_km(&fine_cell.center(), metric) / 4.0;
+                    let circle = Circle { center: fine_cell.center(), radius_km: radius, metric };
+                    let test = SubcellTest::new(&circle, &key, chars);
+                    assert!(test.may_reach(sub), "len {len} sub {sub:#x} {metric:?}");
+                    // The sub-cell diagonally opposite within the cell.
+                    let far = sub ^ 0x7FFF;
+                    let far_cell = Cell::from_geohash(
+                        &Geohash::from_low_bits(
+                            (key.low_bits() << 15) | u64::from(far),
+                            len + chars,
+                        )
+                        .unwrap(),
+                    );
+                    if far_cell.min_distance_km(&fine_cell.center(), metric) > 2.0 * radius {
+                        assert!(!test.may_reach(far), "len {len} far {far:#x} {metric:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -202,35 +202,55 @@ fn decode_char(ch: char) -> Result<u8, GeohashError> {
 /// (0 = west half, 1 = east half), the second splits latitude `[-90, 90]`
 /// (0 = south, 1 = north), alternating thereafter — the standard geohash
 /// layout, equivalent to the paper's per-level two-bit quadrant labels.
+/// A coordinate on a split goes to the upper half.
+///
+/// The bisection is not run step by step: an axis's bits are the index of
+/// its `2^bits` equal intervals that holds the coordinate, and the two
+/// indices are interleaved.
 pub fn encode(point: &Point, len: usize) -> Result<Geohash, GeohashError> {
     if len == 0 || len > MAX_GEOHASH_LEN {
         return Err(GeohashError::BadLength(len));
     }
     let nbits = 5 * len as u32;
-    let (mut lon_lo, mut lon_hi) = (-180.0f64, 180.0f64);
-    let (mut lat_lo, mut lat_hi) = (-90.0f64, 90.0f64);
-    let mut bits = 0u64;
-    for i in 0..nbits {
-        bits <<= 1;
-        if i % 2 == 0 {
-            let mid = (lon_lo + lon_hi) / 2.0;
-            if point.lon() >= mid {
-                bits |= 1;
-                lon_lo = mid;
-            } else {
-                lon_hi = mid;
-            }
-        } else {
-            let mid = (lat_lo + lat_hi) / 2.0;
-            if point.lat() >= mid {
-                bits |= 1;
-                lat_lo = mid;
-            } else {
-                lat_hi = mid;
-            }
-        }
+    let lon = interval_index(point.lon(), 180.0, nbits.div_ceil(2));
+    let lat = interval_index(point.lat(), 90.0, nbits / 2);
+    // Counted from the low end, the last path bit is longitude's when the
+    // bit count is odd.
+    let lon_shift = 1 - nbits % 2;
+    Geohash::from_low_bits(
+        (spread_bits(lon) << lon_shift) | (spread_bits(lat) << (1 - lon_shift)),
+        len,
+    )
+}
+
+/// Which of `[-half, half]`'s `2^bits` equal intervals holds `v`, with an
+/// interval's lower edge inside it and `half` in the last one: the
+/// outcome of `bits` bisection steps. Every edge is a dyadic fraction of
+/// `half`, so it is exact in `f64`; the float quotient lands within one of
+/// the answer, and the exact edges settle it.
+fn interval_index(v: f64, half: f64, bits: u32) -> u64 {
+    let count = 1u64 << bits;
+    let width = 2.0 * half / count as f64;
+    let edge = |k: u64| -half + k as f64 * width;
+    // `as` saturates: a quotient below zero is index 0.
+    let k = (((v + half) / width) as u64).min(count - 1);
+    if k > 0 && v < edge(k) {
+        k - 1
+    } else if k + 1 < count && v >= edge(k + 1) {
+        k + 1
+    } else {
+        k
     }
-    Geohash::from_low_bits(bits, len)
+}
+
+/// `x`'s low 32 bits moved to the even bit positions of a `u64`, in order.
+fn spread_bits(x: u64) -> u64 {
+    let x = x & 0xFFFF_FFFF;
+    let x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
+    let x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;
+    let x = (x | (x << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    let x = (x | (x << 2)) & 0x3333_3333_3333_3333;
+    (x | (x << 1)) & 0x5555_5555_5555_5555
 }
 
 /// Decodes a geohash into the lat/lon ranges of its cell; returned as
@@ -266,6 +286,88 @@ mod tests {
 
     fn p(lat: f64, lon: f64) -> Point {
         Point::new_unchecked(lat, lon)
+    }
+
+    /// The geohash bisection run step by step: the reference [`encode`]
+    /// must reproduce bit for bit.
+    fn bisect(point: &Point, len: usize) -> u64 {
+        let (mut lon_lo, mut lon_hi) = (-180.0f64, 180.0f64);
+        let (mut lat_lo, mut lat_hi) = (-90.0f64, 90.0f64);
+        let mut bits = 0u64;
+        for i in 0..5 * len {
+            let (v, lo, hi) = if i % 2 == 0 {
+                (point.lon(), &mut lon_lo, &mut lon_hi)
+            } else {
+                (point.lat(), &mut lat_lo, &mut lat_hi)
+            };
+            let mid = (*lo + *hi) / 2.0;
+            bits <<= 1;
+            if v >= mid {
+                bits |= 1;
+                *lo = mid;
+            } else {
+                *hi = mid;
+            }
+        }
+        bits
+    }
+
+    #[test]
+    fn encode_equals_the_bisection_on_edges_and_beside_them() {
+        // Every interval edge of every length, one ulp either side of it,
+        // the poles and the antimeridian: the float estimate is off by one
+        // exactly here, if anywhere.
+        let ulp = |v: f64, up: bool| {
+            if v == 0.0 {
+                if up {
+                    f64::from_bits(1)
+                } else {
+                    -f64::from_bits(1)
+                }
+            } else if (v > 0.0) == up {
+                f64::from_bits(v.to_bits() + 1)
+            } else {
+                f64::from_bits(v.to_bits() - 1)
+            }
+        };
+        let values = |half: f64| -> Vec<f64> {
+            let mut out = vec![-half, half, 0.0];
+            for bits in [1u32, 2, 3, 5, 8, 13, 17, 21, 30] {
+                let width = 2.0 * half / (1u64 << bits) as f64;
+                for k in [0u64, 1, 2, 3, (1 << bits) / 3, (1 << bits) / 2, (1 << bits) - 1] {
+                    let edge = -half + k as f64 * width;
+                    out.extend([edge, ulp(edge, true), ulp(edge, false)]);
+                }
+            }
+            out.retain(|v| (-half..=half).contains(v));
+            out
+        };
+        let (lats, lons) = (values(90.0), values(180.0));
+        for &lat in &lats {
+            for &lon in &lons {
+                let point = p(lat, lon);
+                for len in 1..=MAX_GEOHASH_LEN {
+                    let got = encode(&point, len).unwrap().low_bits();
+                    assert_eq!(got, bisect(&point, len), "({lat:e}, {lon:e}) at length {len}");
+                }
+            }
+        }
+        // And a spread of ordinary points.
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for _ in 0..20_000 {
+            let lat = unit() * 180.0 - 90.0;
+            let lon = unit() * 360.0 - 180.0;
+            let point = p(lat, lon);
+            for len in 1..=MAX_GEOHASH_LEN {
+                assert_eq!(encode(&point, len).unwrap().low_bits(), bisect(&point, len));
+            }
+        }
     }
 
     #[test]

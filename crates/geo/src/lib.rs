@@ -26,7 +26,7 @@ pub mod gazetteer;
 pub mod geohash;
 pub mod point;
 
-pub use cell::Cell;
+pub use cell::{Cell, Circle, SubcellTest};
 pub use cover::{circle_cover, circle_cover_with_stats, CoverStats};
 pub use gazetteer::{Gazetteer, Inference};
 pub use geohash::{decode, encode, Geohash, GeohashError, MAX_GEOHASH_LEN};

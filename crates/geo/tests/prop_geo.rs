@@ -93,3 +93,44 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn cell_bound_never_exceeds_the_distance_to_its_edges(
+        center in arb_point(),
+        dlat in -2.0f64..=2.0,
+        dlon in -4.0f64..=4.0,
+        len in 1usize..=8,
+        haversine in any::<bool>(),
+    ) {
+        let metric = if haversine { DistanceMetric::Haversine } else { DistanceMetric::Euclidean };
+        // A cell near the centre, across the antimeridian or a pole cap
+        // as the offset falls.
+        let mut lon = center.lon() + dlon;
+        if lon > 180.0 {
+            lon -= 360.0;
+        } else if lon < -180.0 {
+            lon += 360.0;
+        }
+        let p = Point::new_unchecked((center.lat() + dlat).clamp(-90.0, 90.0), lon);
+        let cell = Cell::from_geohash(&encode(&p, len).unwrap());
+        let bound = cell.min_distance_km(&center, metric);
+        let steps = 256;
+        for i in 0..=steps {
+            let f = i as f64 / steps as f64;
+            let lat = cell.lat_lo() + (cell.lat_hi() - cell.lat_lo()) * f;
+            let lon = cell.lon_lo() + (cell.lon_hi() - cell.lon_lo()) * f;
+            for edge in [
+                Point::new_unchecked(lat, cell.lon_lo()),
+                Point::new_unchecked(lat, cell.lon_hi()),
+                Point::new_unchecked(cell.lat_lo(), lon),
+                Point::new_unchecked(cell.lat_hi(), lon),
+            ] {
+                let d = center.distance_km(&edge, metric);
+                prop_assert!(bound <= d * (1.0 + 1e-12), "{metric:?}: bound {bound} > {d} to {edge}");
+            }
+        }
+    }
+}

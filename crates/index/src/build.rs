@@ -4,15 +4,19 @@
 //! each range's lists are concatenated into one partition while the
 //! dictionary and the forward index are built. The build runs on its
 //! caller's thread at any partition count.
+//!
+//! Each post's geohash is encoded once, [`refinement_len`] characters finer
+//! than the key ([`key_and_refinement`]): the key is its prefix, and the
+//! characters below travel in the post's postings.
 
 use crate::forward::{ForwardIndex, PostingsLocation};
 use crate::inverted::HybridIndex;
-use crate::posting::{encode_into, PostingsFormat};
+use crate::posting::{encode_into, refinement_len, PostingsFormat};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tklus_geo::geohash::ALPHABET;
-use tklus_geo::{encode, Geohash};
+use tklus_geo::{encode, Geohash, Point};
 use tklus_model::Post;
 use tklus_text::{TextPipeline, Vocab};
 
@@ -56,10 +60,22 @@ pub struct IndexBuildReport {
     pub distinct_terms: u64,
 }
 
-/// One emission of Algorithm 2's map function: a post's cell, one of its
-/// terms, the post's id and the term's frequency in it. Emissions sort by
-/// key, then by tweet id: the order a partition holds them in.
-type Emission = (Geohash, Arc<str>, u64, u32);
+/// One emission of Algorithm 2's map function: a post's key cell, one of
+/// its terms, the post's id, the term's frequency in it and the post's
+/// refinement bits below the key. Emissions sort by key, then by tweet id:
+/// the order a partition holds them in.
+pub type Emission = (Geohash, Arc<str>, u64, u32, u16);
+
+/// A location's key cell at `geohash_len` and its refinement bits: the
+/// low `5 · refinement_len(geohash_len)` path bits of one encode that many
+/// characters finer, whose prefix is the key.
+pub fn key_and_refinement(location: &Point, geohash_len: usize) -> (Geohash, u16) {
+    let refinement = refinement_len(geohash_len);
+    let fine = encode(location, geohash_len + refinement).expect("valid geohash length");
+    let key = fine.truncate(geohash_len).expect("a key is a prefix of its refined cell");
+    let bits = fine.low_bits() & ((1u64 << (5 * refinement)) - 1);
+    (key, bits as u16)
+}
 
 /// The partition a cell's keys land in when the key space is cut into
 /// `nodes` geohash ranges. Partition `i` starts at top-level character
@@ -97,7 +113,7 @@ pub fn build_index(posts: &[Post], config: &IndexBuildConfig) -> (HybridIndex, I
     let mut interned: HashSet<Arc<str>> = HashSet::new();
     let mut emissions: Vec<Emission> = Vec::new();
     for post in posts {
-        let gh = encode(&post.location, config.geohash_len).expect("valid geohash length");
+        let (gh, refinement) = key_and_refinement(&post.location, config.geohash_len);
         // Associative array H of Algorithm 2: term -> in-post frequency.
         let mut terms = pipeline.terms(&post.text);
         terms.sort_unstable();
@@ -110,7 +126,7 @@ pub fn build_index(posts: &[Post], config: &IndexBuildConfig) -> (HybridIndex, I
                     shared
                 }
             };
-            emissions.push((gh, term, post.id.0, run.len() as u32));
+            emissions.push((gh, term, post.id.0, run.len() as u32, refinement));
         }
     }
     // One sort, in place: the emissions are the build's largest
@@ -128,13 +144,15 @@ pub fn build_index(posts: &[Post], config: &IndexBuildConfig) -> (HybridIndex, I
 
 /// The layout step: partition `i`'s emissions, sorted by key and then tweet
 /// id, become partition `i`'s bytes, one postings list per key in key
-/// order, while the dictionary (term ids in first-encounter order) and the
-/// directory are built. The report carries the index's counts; the caller
-/// fills in the time and the post count.
+/// order, each posting with its refinement, while the dictionary (term ids
+/// in first-encounter order) and the directory are built. The report
+/// carries the index's counts; the caller fills in the time and the post
+/// count.
 ///
 /// Panics when a key holds one tweet twice (Algorithm 2 emits one posting
 /// per `⟨key, tweet⟩`).
 pub fn lay_out(partitions: &[&[Emission]], geohash_len: usize) -> (HybridIndex, IndexBuildReport) {
+    let refinement = refinement_len(geohash_len);
     let mut vocab = Vocab::new();
     let mut entries: Vec<((Geohash, tklus_text::TermId), PostingsLocation)> = Vec::new();
     let mut report = IndexBuildReport::default();
@@ -151,7 +169,7 @@ pub fn lay_out(partitions: &[&[Emission]], geohash_len: usize) -> (HybridIndex, 
             vocab.add_occurrences(term_id, list.iter().map(|e| e.3 as u64).sum());
             report.postings += list.len() as u64;
             let offset = part.len();
-            encode_into(&mut part, list.iter().map(|e| (e.2, e.3)));
+            encode_into(&mut part, refinement, list.iter().map(|e| (e.2, e.3, e.4)));
             entries.push((
                 (list[0].0, term_id),
                 PostingsLocation {
@@ -171,7 +189,7 @@ pub fn lay_out(partitions: &[&[Emission]], geohash_len: usize) -> (HybridIndex, 
     let forward = ForwardIndex::from_sorted(entries);
     report.keys = forward.len() as u64;
     report.distinct_terms = vocab.len() as u64;
-    (HybridIndex::new(forward, vocab, bytes, geohash_len), report)
+    (HybridIndex::new(forward, vocab, bytes, geohash_len, refinement), report)
 }
 
 #[cfg(test)]
@@ -306,7 +324,10 @@ mod tests {
             index
                 .forward()
                 .iter()
-                .map(|(key, loc)| (*key, index.try_read_postings(*loc).unwrap().0.encode()))
+                .map(|(key, loc)| {
+                    let (list, _) = index.try_read_postings(*loc).unwrap();
+                    (*key, list.encode(index.refinement()))
+                })
                 .collect()
         };
         assert!(base.forward().len() > 50);
@@ -314,6 +335,22 @@ mod tests {
             let other = build(nodes);
             assert_eq!(vocab(&other), vocab(&base), "{nodes} nodes: dictionary");
             assert_eq!(lists(&other), lists(&base), "{nodes} nodes: keys and postings bytes");
+        }
+    }
+
+    #[test]
+    fn every_list_decodes_and_re_encodes_to_its_partition_bytes() {
+        // The refinement included, at every key length: the one at 12
+        // carries none.
+        for geohash_len in [1, 4, 9, 10, 11, 12] {
+            let config = IndexBuildConfig { geohash_len, nodes: 2, ..Default::default() };
+            let (index, _) = build_index(&toronto_posts(), &config);
+            assert_eq!(index.refinement(), 3.min(12 - geohash_len));
+            for (_, loc) in index.forward().iter() {
+                let (list, _) = index.try_read_postings(*loc).unwrap();
+                let bytes = index.bytes_at(*loc).unwrap();
+                assert_eq!(list.encode(index.refinement()), bytes, "length {geohash_len}");
+            }
         }
     }
 

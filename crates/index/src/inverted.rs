@@ -4,12 +4,14 @@
 //! dictionary, and the partition bytes, and implements the
 //! postings-retrieval phase of Algorithms 4 and 5 (lines 1–7): geohash
 //! circle cover, then one postings fetch per surviving `⟨cell, keyword⟩`
-//! pair, cell by cell in cover order.
+//! pair, cell by cell in cover order. The fetch drops each posting whose
+//! refined cell cannot reach the query circle, so only candidates that may
+//! lie inside it go on to the metadata lookup.
 
 use crate::forward::{ForwardIndex, PostingsLocation};
 use crate::posting::PostingsList;
 use std::sync::Arc;
-use tklus_geo::{circle_cover, DistanceMetric, Geohash, Point};
+use tklus_geo::{circle_cover, Circle, DistanceMetric, Geohash, Point, SubcellTest};
 use tklus_text::{TermId, Vocab};
 
 /// A `⟨geohash, term⟩` key, as stored in the forward index.
@@ -42,6 +44,11 @@ impl std::fmt::Display for IndexError {
 
 impl std::error::Error for IndexError {}
 
+/// The typed error for the postings list at `loc`.
+fn corrupt(loc: PostingsLocation, detail: String) -> IndexError {
+    IndexError::CorruptPostings { partition: loc.partition, offset: loc.offset, detail }
+}
+
 /// The hybrid index: forward directory, dictionary and inverted
 /// partitions, all in memory.
 pub struct HybridIndex {
@@ -51,6 +58,10 @@ pub struct HybridIndex {
     /// concatenated in key order.
     partitions: Vec<Vec<u8>>,
     geohash_len: usize,
+    /// Geohash characters of refinement each posting carries:
+    /// [`crate::posting::refinement_len`] of `geohash_len`, or 0 for a
+    /// directory written before postings carried one.
+    refinement: usize,
 }
 
 /// Result of the postings-retrieval phase for one query.
@@ -66,18 +77,22 @@ pub struct QueryFetch {
     pub lists: usize,
     /// Encoded postings bytes read.
     pub bytes: u64,
+    /// Postings dropped because their refined cell cannot reach the query
+    /// circle.
+    pub refined_out: usize,
 }
 
 impl HybridIndex {
-    /// Assembles an index from its parts (normally via
-    /// [`crate::build::build_index`]).
-    pub fn new(
+    /// Assembles an index from its parts: the layout step and the
+    /// directory loader.
+    pub(crate) fn new(
         forward: ForwardIndex,
         vocab: Vocab,
         partitions: Vec<Vec<u8>>,
         geohash_len: usize,
+        refinement: usize,
     ) -> Self {
-        Self { forward, vocab, partitions, geohash_len }
+        Self { forward, vocab, partitions, geohash_len, refinement }
     }
 
     /// The forward index (directory).
@@ -100,6 +115,12 @@ impl HybridIndex {
         self.geohash_len
     }
 
+    /// Geohash characters of refinement each posting carries below its
+    /// key (0: none).
+    pub fn refinement(&self) -> usize {
+        self.refinement
+    }
+
     /// Fetches the postings list for one `⟨geohash, term⟩` key — a lookup
     /// convenience over [`Self::try_read_postings`] that panics where it
     /// returns an error.
@@ -119,16 +140,17 @@ impl HybridIndex {
         &self,
         loc: PostingsLocation,
     ) -> Result<(PostingsList, u64), IndexError> {
-        let corrupt = |detail: String| IndexError::CorruptPostings {
-            partition: loc.partition,
-            offset: loc.offset,
-            detail,
-        };
-        let raw = self
-            .bytes_at(loc)
-            .ok_or_else(|| corrupt(format!("{} bytes lie outside the partition", loc.len)))?;
-        let (list, _) = PostingsList::decode(raw).map_err(|e| corrupt(e.to_string()))?;
+        let raw = self.checked_bytes(loc)?;
+        let (list, _) =
+            PostingsList::decode(raw, self.refinement).map_err(|e| corrupt(loc, e.to_string()))?;
         Ok((list, raw.len() as u64))
+    }
+
+    /// [`Self::bytes_at`], or the typed error for a range outside its
+    /// partition.
+    fn checked_bytes(&self, loc: PostingsLocation) -> Result<&[u8], IndexError> {
+        self.bytes_at(loc)
+            .ok_or_else(|| corrupt(loc, format!("{} bytes lie outside the partition", loc.len)))
     }
 
     /// The bytes a location names, or `None` when its partition does not
@@ -141,7 +163,8 @@ impl HybridIndex {
 
     /// The postings-retrieval phase of Algorithms 4/5: computes the geohash
     /// circle cover of `(center, radius_km)` and fetches the postings list
-    /// of every `⟨cell, keyword⟩` pair present in the directory.
+    /// of every `⟨cell, keyword⟩` pair present in the directory, less the
+    /// postings whose refined cell cannot reach the circle.
     ///
     /// `keywords` are already-normalized term ids (the engine resolves
     /// strings through [`Self::vocab`] first). Panics where
@@ -155,7 +178,8 @@ impl HybridIndex {
     ) -> QueryFetch {
         let cover = circle_cover(center, radius_km, self.geohash_len, metric)
             .expect("index geohash length is valid");
-        match self.try_fetch_for_query(&cover, keywords, |_| true) {
+        let circle = Circle { center: *center, radius_km, metric };
+        match self.try_fetch_for_query(&cover, &circle, keywords, |_| true) {
             Ok(fetch) => fetch,
             Err(e) => panic!("directory points at valid partition range: {e}"),
         }
@@ -163,13 +187,17 @@ impl HybridIndex {
 
     /// Fetches the postings list of every `⟨cell, keyword⟩` pair of
     /// `cover` present in the directory, cell by cell in cover order and
-    /// filed per keyword. Before each cell it asks `more(cells_done)`; the
-    /// first `false` stops the fetch there, so a caller's budget decides
-    /// how much of the cover is read. An unreadable or undecodable range is
-    /// a typed [`IndexError`].
+    /// filed per keyword. Each list keeps only the postings whose refined
+    /// cell may reach `circle` ([`SubcellTest`], built once per cell that
+    /// has a list); the rest are counted in `refined_out`. The test is
+    /// sound, so every posting of a post within the circle survives. Before
+    /// each cell it asks `more(cells_done)`; the first `false` stops the
+    /// fetch there, so a caller's budget decides how much of the cover is
+    /// read. An unreadable or undecodable range is a typed [`IndexError`].
     pub fn try_fetch_for_query(
         &self,
         cover: &[Geohash],
+        circle: &Circle,
         keywords: &[TermId],
         mut more: impl FnMut(usize) -> bool,
     ) -> Result<QueryFetch, IndexError> {
@@ -178,16 +206,24 @@ impl HybridIndex {
             cells: 0,
             lists: 0,
             bytes: 0,
+            refined_out: 0,
         };
         for &cell in cover {
             if !more(fetch.cells) {
                 break;
             }
+            let mut test: Option<SubcellTest> = None;
             for (ki, &term) in keywords.iter().enumerate() {
                 let Some(loc) = self.forward.lookup(cell, term) else { continue };
-                let (list, bytes) = self.try_read_postings(loc)?;
+                let raw = self.checked_bytes(loc)?;
+                let test =
+                    *test.get_or_insert_with(|| SubcellTest::new(circle, &cell, self.refinement));
+                let (list, _, dropped) =
+                    PostingsList::decode_where(raw, self.refinement, |bits| test.may_reach(bits))
+                        .map_err(|e| corrupt(loc, e.to_string()))?;
                 fetch.lists += 1;
-                fetch.bytes += bytes;
+                fetch.bytes += raw.len() as u64;
+                fetch.refined_out += dropped;
                 fetch.per_keyword[ki].push(Arc::new(list));
             }
             fetch.cells += 1;

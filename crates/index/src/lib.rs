@@ -7,7 +7,10 @@
 //!   live in partitions — built by Algorithms 2 and 3, which the paper runs
 //!   as a MapReduce job and [`build`] runs as one sort. The paper keeps the
 //!   partitions in HDFS; here the index holds their bytes, and [`persist`]
-//!   writes them as one file each;
+//!   writes them as one file each. Beyond the paper, each posting carries
+//!   its post's cell three geohash characters finer than the key, so a
+//!   circle query drops the postings that cannot lie inside it before any
+//!   candidate is looked up;
 //! * a **forward index** ([`forward::ForwardIndex`]) kept in main memory
 //!   ("less than 12 MB … therefore it is kept in the main memory") that
 //!   maps each `⟨geohash, term⟩` entry to its postings list's location:

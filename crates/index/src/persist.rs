@@ -17,7 +17,8 @@
 //! back (partition `i` from `part-i`), the dictionary (ids are positions,
 //! so interning in file order reproduces them), and the forward directory.
 //! Every partition file is verified against its recorded CRC32 before it
-//! is trusted, the `format` line must match [`PERSIST_FORMAT_VERSION`], and
+//! is trusted, the `format` line must name [`PERSIST_FORMAT_VERSION`] or
+//! format 2 (postings without refinement, loaded as refinement 0), and
 //! files in `partitions/` that are not partition files are skipped and
 //! reported rather than aborting the load (editor swap files, `.DS_Store`,
 //! and the like are not corruption). `forward.tsv` carries no checksum, so
@@ -27,7 +28,7 @@
 
 use crate::forward::{ForwardIndex, PostingsLocation};
 use crate::inverted::HybridIndex;
-use crate::posting::PostingsFormat;
+use crate::posting::{refinement_len, PostingsFormat};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
@@ -43,8 +44,16 @@ use tklus_text::{TermId, Vocab};
 /// * **2** — adds the mandatory `postings_format` meta line. `flat` is the
 ///   one value this build writes and reads; a directory naming any other
 ///   layout (the retired `block` encoding) is refused as a
-///   [`PersistError::UnsupportedPostingsFormat`].
-pub const PERSIST_FORMAT_VERSION: u32 = 2;
+///   [`PersistError::UnsupportedPostingsFormat`]. Still loads: its
+///   postings carry no refinement, so it loads with refinement 0 and its
+///   queries drop nothing before the lookup.
+/// * **3** — every posting carries its refinement
+///   ([`crate::posting::refinement_len`] of `geohash_len` characters) as a
+///   little-endian `u16` after its tf. Same files and meta lines as 2.
+pub const PERSIST_FORMAT_VERSION: u32 = 3;
+
+/// The oldest `format` this build loads.
+const OLDEST_LOADED_FORMAT: u32 = 2;
 
 /// The `postings_format` value of `meta.tsv` for a layout.
 fn postings_format_tag(format: PostingsFormat) -> &'static str {
@@ -96,7 +105,8 @@ impl std::fmt::Display for PersistError {
             PersistError::Corrupt(m) => write!(f, "corrupt index directory: {m}"),
             PersistError::VersionMismatch { found, expected } => write!(
                 f,
-                "index format version mismatch: directory has {found}, this build reads {expected}"
+                "index format version mismatch: directory has {found}, this build reads \
+                 {OLDEST_LOADED_FORMAT} to {expected}"
             ),
             PersistError::UnsupportedPostingsFormat { found } => write!(
                 f,
@@ -208,15 +218,15 @@ pub fn load_dir_with_report(dir: &Path) -> Result<(HybridIndex, LoadReport), Per
             _ => return Err(corrupt(format!("meta line {line:?}"))),
         }
     }
-    match format {
-        Some(v) if v.parse::<u32>() == Ok(PERSIST_FORMAT_VERSION) => {}
-        found => {
+    let format = match format.as_deref().map(str::parse::<u32>) {
+        Some(Ok(v)) if (OLDEST_LOADED_FORMAT..=PERSIST_FORMAT_VERSION).contains(&v) => v,
+        _ => {
             return Err(PersistError::VersionMismatch {
-                found: found.unwrap_or_else(|| "no format line".to_string()),
+                found: format.unwrap_or_else(|| "no format line".to_string()),
                 expected: PERSIST_FORMAT_VERSION,
             })
         }
-    }
+    };
     match postings_format {
         Some(v) if v == postings_format_tag(PostingsFormat::Flat) => {}
         Some(found) => return Err(PersistError::UnsupportedPostingsFormat { found }),
@@ -227,6 +237,7 @@ pub fn load_dir_with_report(dir: &Path) -> Result<(HybridIndex, LoadReport), Per
         return Err(corrupt(format!("geohash_len {geohash_len}")));
     }
     let nodes = nodes.ok_or_else(|| corrupt("missing nodes"))?;
+    let refinement = if format == OLDEST_LOADED_FORMAT { 0 } else { refinement_len(geohash_len) };
 
     // vocab.tsv — ids must be dense and ascending.
     let mut vocab = Vocab::new();
@@ -332,6 +343,7 @@ pub fn load_dir_with_report(dir: &Path) -> Result<(HybridIndex, LoadReport), Per
         vocab,
         partitions.into_values().collect(),
         geohash_len,
+        refinement,
     );
     if let Some(((gh, term), loc)) =
         index.forward().iter().find(|(_, loc)| index.bytes_at(*loc).is_none())
@@ -349,8 +361,8 @@ pub fn load_dir_with_report(dir: &Path) -> Result<(HybridIndex, LoadReport), Per
 /// Version history continues from [`PERSIST_FORMAT_VERSION`]:
 /// * **3** — a sharded directory: `manifest.tsv` names the shard count and
 ///   the `N-1` geohash boundaries of the contiguous prefix ranges, and each
-///   shard's index lives in a `shard-NNN/` subdirectory in the v2
-///   monolithic layout. A v2 monolithic directory — no
+///   shard's index lives in a `shard-NNN/` subdirectory in the monolithic
+///   layout ([`PERSIST_FORMAT_VERSION`]). A monolithic directory — no
 ///   `manifest.tsv` — still loads via [`load_sharded_dir_with_report`] as a
 ///   single full-range shard.
 pub const SHARDED_FORMAT_VERSION: u32 = 3;
@@ -598,15 +610,15 @@ mod tests {
     fn version_mismatch_is_typed() {
         let dir = saved_dir("version");
         let meta = std::fs::read_to_string(dir.join("meta.tsv")).unwrap();
-        std::fs::write(dir.join("meta.tsv"), meta.replace("format\t2", "format\t99")).unwrap();
+        std::fs::write(dir.join("meta.tsv"), meta.replace("format\t3", "format\t99")).unwrap();
         let err = load_err(&dir);
         assert!(
-            matches!(&err, PersistError::VersionMismatch { found, expected: 2 } if found == "99"),
+            matches!(&err, PersistError::VersionMismatch { found, expected: 3 } if found == "99"),
             "{err}"
         );
         // A directory with no format line at all is also a version mismatch
         // (pre-versioning layout), not a parse error.
-        std::fs::write(dir.join("meta.tsv"), meta.replace("format\t2\n", "")).unwrap();
+        std::fs::write(dir.join("meta.tsv"), meta.replace("format\t3\n", "")).unwrap();
         let err = load_err(&dir);
         assert!(matches!(err, PersistError::VersionMismatch { .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -645,12 +657,12 @@ mod tests {
         let meta = std::fs::read_to_string(dir.join("meta.tsv")).unwrap();
         std::fs::write(
             dir.join("meta.tsv"),
-            meta.replace("format\t2", "format\t1").replace("postings_format\tflat\n", ""),
+            meta.replace("format\t3", "format\t1").replace("postings_format\tflat\n", ""),
         )
         .unwrap();
         let err = load_err(&dir);
         assert!(
-            matches!(&err, PersistError::VersionMismatch { found, expected: 2 } if found == "1"),
+            matches!(&err, PersistError::VersionMismatch { found, expected: 3 } if found == "1"),
             "{err}"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -719,6 +731,102 @@ mod tests {
         let list = index.postings(cell, hotel).unwrap();
         assert_eq!(list.len(), 12);
         assert_eq!(list.postings().iter().map(|p| p.tf as u64).sum::<u64>(), 18);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hand_assembled_format_3_directory_loads_and_answers_as_a_fresh_build() {
+        // Format 3 as `save_dir` writes it, every byte literal: "hotel"
+        // tweets 5 (tf 1, at 43.67, -79.39) and 7 (tf 2, at 43.68, -79.38)
+        // in Toronto cell dpz8, each posting followed by its three
+        // characters below the key as a little-endian u16.
+        let dir = tmp_dir("hand-v3");
+        std::fs::create_dir_all(dir.join("partitions")).unwrap();
+        std::fs::write(
+            dir.join("meta.tsv"),
+            "format\t3\npostings_format\tflat\ngeohash_len\t4\nnodes\t1\n",
+        )
+        .unwrap();
+        std::fs::write(dir.join("vocab.tsv"), "0\t3\thotel\n").unwrap();
+        std::fs::write(dir.join("forward.tsv"), "dpz8\t0\t0\t0\t9\n").unwrap();
+        // Count 2, then (id delta, tf, refinement): (5, 1, 0x0e7b), (2, 2, 0x0fb9).
+        let part = [2u8, 5, 1, 0x7b, 0x0e, 2, 2, 0xb9, 0x0f];
+        std::fs::write(dir.join("partitions").join("part-00000"), part).unwrap();
+        std::fs::write(dir.join("checksums.tsv"), "part-00000\tf4886e1e\n").unwrap();
+
+        let (index, report) = load_dir_with_report(&dir).unwrap();
+        assert_eq!(report.partitions_loaded, 1);
+        assert_eq!(index.refinement(), 3);
+        let posts = [
+            Post::original(TweetId(5), UserId(1), Point::new_unchecked(43.67, -79.39), "hotel"),
+            Post::original(
+                TweetId(7),
+                UserId(2),
+                Point::new_unchecked(43.68, -79.38),
+                "hotel hotel",
+            ),
+        ];
+        let (fresh, _) = build_index(&posts, &IndexBuildConfig::default());
+        assert_eq!(index.partitions(), fresh.partitions());
+        assert!(index.forward().iter().eq(fresh.forward().iter()));
+        assert!(index.vocab().iter().eq(fresh.vocab().iter()));
+        let hotel = index.vocab().get("hotel").unwrap();
+        // 0.5 km around tweet 5: tweet 7, 1.4 km away, is dropped from
+        // the list before any lookup; 5 km keeps both.
+        let center = Point::new_unchecked(43.67, -79.39);
+        for (radius, want) in [(0.5, vec![5]), (5.0, vec![5, 7])] {
+            let got = index.fetch_for_query(&center, radius, &[hotel], DistanceMetric::Euclidean);
+            let ids: Vec<u64> = got.per_keyword[0][0].postings().iter().map(|p| p.id.0).collect();
+            assert_eq!(ids, want, "{radius} km");
+            assert_eq!(got.refined_out, 2 - want.len());
+            let again = fresh.fetch_for_query(&center, radius, &[hotel], DistanceMetric::Euclidean);
+            assert_eq!(got.per_keyword, again.per_keyword);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn format_2_loads_with_no_refinement_and_answers_as_format_3() {
+        // A format-2 directory of the same index: the partition bytes
+        // without each posting's two refinement bytes.
+        let (index, _) = build_index(&posts(), &IndexBuildConfig::default());
+        let dir = saved_dir("as-format-2");
+        let mut forward = String::new();
+        let mut part = Vec::new();
+        for ((gh, term), loc) in index.forward().iter() {
+            let (list, _) = index.try_read_postings(*loc).unwrap();
+            let offset = part.len();
+            part.extend(list.encode(0));
+            forward.push_str(&format!("{gh}\t{}\t0\t{offset}\t{}\n", term.0, part.len() - offset));
+        }
+        let meta = std::fs::read_to_string(dir.join("meta.tsv")).unwrap();
+        std::fs::write(dir.join("meta.tsv"), meta.replace("format\t3", "format\t2")).unwrap();
+        std::fs::write(dir.join("forward.tsv"), forward).unwrap();
+        std::fs::write(dir.join("partitions").join("part-00000"), &part).unwrap();
+        std::fs::write(dir.join("checksums.tsv"), format!("part-00000\t{:08x}\n", crc32(&part)))
+            .unwrap();
+        let (old, _) = load_dir_with_report(&dir).unwrap();
+        assert_eq!(old.refinement(), 0);
+        let center = Point::new_unchecked(43.66, -79.44);
+        let ids = |index: &HybridIndex, t, radius| -> Vec<u64> {
+            let fetch = index.fetch_for_query(&center, radius, &[t], DistanceMetric::Haversine);
+            crate::union_sum(&fetch.per_keyword[0]).iter().map(|(id, _)| id.0).collect()
+        };
+        let hotel = index.vocab().get("hotel").unwrap();
+        let corpus = posts();
+        for radius in [0.5, 2.0, 30.0] {
+            let inside = |ids: Vec<u64>| -> Vec<u64> {
+                let at = |id: u64| corpus[id as usize - 1].location;
+                ids.into_iter().filter(|&id| center.haversine_km(&at(id)) <= radius).collect()
+            };
+            let (all, kept) = (ids(&old, hotel, radius), ids(&index, hotel, radius));
+            // The format-2 fetch drops nothing; what the refinement drops
+            // is outside the circle, so the in-radius posts are the same.
+            assert!(all.len() >= kept.len(), "{radius} km");
+            let want = inside(all);
+            assert!(!want.is_empty(), "{radius} km: the circle holds a hotel post");
+            assert_eq!(inside(kept), want, "{radius} km");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

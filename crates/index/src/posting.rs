@@ -5,8 +5,25 @@
 //! intersection operations on the sorted postings can be very efficient"
 //! (Section IV-B2). Lists are delta-varint encoded on disk; set operations
 //! are linear merges over the sorted ids.
+//!
+//! Each posting also carries its post's cell [`REFINEMENT_CHARS`] geohash
+//! characters finer than the list's key ([`refinement_len`]), so a query
+//! drops the postings whose fine cell cannot reach its circle before it
+//! looks a single candidate up.
 
+use tklus_geo::MAX_GEOHASH_LEN;
 use tklus_model::TweetId;
+
+/// Geohash characters of refinement a posting carries below its key: three
+/// characters are 15 bits, one `u16`, the same two bytes two would take.
+pub const REFINEMENT_CHARS: usize = 3;
+
+/// The refinement of an index keyed at `geohash_len`: [`REFINEMENT_CHARS`],
+/// capped so key and refinement stay within [`MAX_GEOHASH_LEN`]. Zero at
+/// length 12, where a posting stores no refinement field.
+pub fn refinement_len(geohash_len: usize) -> usize {
+    REFINEMENT_CHARS.min(MAX_GEOHASH_LEN.saturating_sub(geohash_len))
+}
 
 /// The layout of a postings list in a partition and in the engine: the paper's flat id-sorted `⟨TID, TF⟩` list
 /// ([`PostingsList::encode`]). One variant; the name survives as the tag
@@ -18,13 +35,18 @@ pub enum PostingsFormat {
     Flat,
 }
 
-/// One posting: a tweet and the query-relevant term's frequency in it.
+/// One posting: a tweet, the query-relevant term's frequency in it, and
+/// where under the key's cell the tweet lies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Posting {
     /// Tweet id (timestamp).
     pub id: TweetId,
     /// Term frequency of the key's term in that tweet.
     pub tf: u32,
+    /// The path bits of the tweet's geohash characters below the key — the
+    /// low `5 · refinement` bits, the first path bit highest; 0 when the
+    /// index carries no refinement.
+    pub refinement: u16,
 }
 
 /// A postings list, sorted by tweet id, no duplicate ids.
@@ -60,20 +82,41 @@ impl PostingsList {
         self.postings.is_empty()
     }
 
-    /// Serializes to the partition byte format: a varint count, then per
-    /// posting a varint id-delta (first id is a delta from zero) and a
-    /// varint term frequency.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(2 + self.postings.len() * 3);
-        encode_into(&mut out, self.postings.iter().map(|p| (p.id.0, p.tf)));
+    /// Serializes to the partition byte format of an index whose postings
+    /// carry `refinement` characters: a varint count, then per posting a
+    /// varint id-delta (first id is a delta from zero), a varint term
+    /// frequency and, when `refinement > 0`, the refinement bits as a
+    /// little-endian `u16`.
+    pub fn encode(&self, refinement: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(2 + self.postings.len() * 5);
+        encode_into(
+            &mut out,
+            refinement,
+            self.postings.iter().map(|p| (p.id.0, p.tf, p.refinement)),
+        );
         out
     }
 
-    /// Decodes a list previously produced by [`encode`](Self::encode).
-    /// Returns the list and the number of bytes consumed.
-    pub fn decode(bytes: &[u8]) -> Result<(Self, usize), DecodeError> {
+    /// Decodes a list previously produced by [`encode`](Self::encode) with
+    /// the same `refinement`. Returns the list and the number of bytes
+    /// consumed.
+    pub fn decode(bytes: &[u8], refinement: usize) -> Result<(Self, usize), DecodeError> {
+        let (list, consumed, _) = Self::decode_where(bytes, refinement, |_| true)?;
+        Ok((list, consumed))
+    }
+
+    /// [`decode`](Self::decode), keeping only the postings whose
+    /// refinement bits `keep` accepts. Returns the survivors, the bytes
+    /// consumed and the number of postings dropped. Every posting is
+    /// validated whether kept or not.
+    pub(crate) fn decode_where(
+        bytes: &[u8],
+        refinement: usize,
+        mut keep: impl FnMut(u16) -> bool,
+    ) -> Result<(Self, usize, usize), DecodeError> {
         let mut pos = 0usize;
         let count = read_varint(bytes, &mut pos)?;
+        let limit = 1u32 << (5 * refinement);
         // A posting is at least two bytes, so a count the input cannot
         // hold must not size the allocation.
         let mut postings = Vec::with_capacity((count as usize).min(bytes.len() / 2));
@@ -83,16 +126,33 @@ impl PostingsList {
             let tf = read_varint(bytes, &mut pos)?;
             let id = prev.checked_add(delta).ok_or(DecodeError::Overflow)?;
             let tf = u32::try_from(tf).map_err(|_| DecodeError::Overflow)?;
-            postings.push(Posting { id: TweetId(id), tf });
+            let bits = if refinement > 0 {
+                let field = bytes.get(pos..pos + 2).ok_or(DecodeError::Truncated)?;
+                pos += 2;
+                u16::from_le_bytes([field[0], field[1]])
+            } else {
+                0
+            };
+            if u32::from(bits) >= limit {
+                return Err(DecodeError::Overflow);
+            }
             prev = id;
+            if keep(bits) {
+                postings.push(Posting { id: TweetId(id), tf, refinement: bits });
+            }
         }
-        Ok((Self { postings }, pos))
+        let dropped = count as usize - postings.len();
+        Ok((Self { postings }, pos, dropped))
     }
 }
 
 impl FromIterator<(u64, u32)> for PostingsList {
     fn from_iter<I: IntoIterator<Item = (u64, u32)>>(iter: I) -> Self {
-        Self::new(iter.into_iter().map(|(id, tf)| Posting { id: TweetId(id), tf }).collect())
+        Self::new(
+            iter.into_iter()
+                .map(|(id, tf)| Posting { id: TweetId(id), tf, refinement: 0 })
+                .collect(),
+        )
     }
 }
 
@@ -101,7 +161,8 @@ impl FromIterator<(u64, u32)> for PostingsList {
 pub enum DecodeError {
     /// Input ended inside a varint or before a declared payload.
     Truncated,
-    /// A term frequency exceeded `u32`, or an id exceeded `u64`.
+    /// A term frequency exceeded `u32`, an id exceeded `u64`, or a
+    /// refinement set bits beyond its `5 · refinement`.
     Overflow,
 }
 
@@ -116,14 +177,21 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Appends id-sorted `(tweet id, tf)` pairs to `out` in the partition byte
-/// format of [`PostingsList::encode`].
-pub(crate) fn encode_into(out: &mut Vec<u8>, postings: impl ExactSizeIterator<Item = (u64, u32)>) {
+/// Appends id-sorted `(tweet id, tf, refinement bits)` postings to `out` in
+/// the partition byte format of [`PostingsList::encode`].
+pub(crate) fn encode_into(
+    out: &mut Vec<u8>,
+    refinement: usize,
+    postings: impl ExactSizeIterator<Item = (u64, u32, u16)>,
+) {
     write_varint(out, postings.len() as u64);
     let mut prev = 0u64;
-    for (id, tf) in postings {
+    for (id, tf, bits) in postings {
         write_varint(out, id - prev);
         write_varint(out, tf as u64);
+        if refinement > 0 {
+            out.extend_from_slice(&bits.to_le_bytes());
+        }
         prev = id;
     }
 }
@@ -281,8 +349,8 @@ mod tests {
     #[test]
     fn new_sorts_by_id() {
         let l = PostingsList::new(vec![
-            Posting { id: TweetId(5), tf: 1 },
-            Posting { id: TweetId(2), tf: 3 },
+            Posting { id: TweetId(5), tf: 1, refinement: 0 },
+            Posting { id: TweetId(2), tf: 3, refinement: 0 },
         ]);
         let ids: Vec<u64> = l.postings().iter().map(|p| p.id.0).collect();
         assert_eq!(ids, vec![2, 5]);
@@ -294,36 +362,84 @@ mod tests {
         let _ = list(&[(1, 1), (1, 2)]);
     }
 
+    /// A list whose postings carry refinement bits, in range for
+    /// `refinement` characters.
+    fn refined(triples: &[(u64, u32, u16)], refinement: usize) -> PostingsList {
+        let mask = (1u32 << (5 * refinement)) - 1;
+        PostingsList::new(
+            triples
+                .iter()
+                .map(|&(id, tf, bits)| Posting {
+                    id: TweetId(id),
+                    tf,
+                    refinement: (u32::from(bits) & mask) as u16,
+                })
+                .collect(),
+        )
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
-        for pairs in
-            [vec![], vec![(1u64, 1u32)], vec![(100, 2), (101, 1), (5000, 40), (u64::MAX / 2, 7)]]
-        {
-            let l = list(&pairs);
-            let bytes = l.encode();
-            let (back, consumed) = PostingsList::decode(&bytes).unwrap();
-            assert_eq!(back, l);
-            assert_eq!(consumed, bytes.len());
+        for triples in [
+            vec![],
+            vec![(1u64, 1u32, 0x7FFFu16)],
+            vec![(100, 2, 0x1234), (101, 1, 0), (5000, 40, 0x7ABC), (u64::MAX / 2, 7, 1)],
+        ] {
+            for refinement in 0..=REFINEMENT_CHARS {
+                let l = refined(&triples, refinement);
+                let bytes = l.encode(refinement);
+                let (back, consumed) = PostingsList::decode(&bytes, refinement).unwrap();
+                assert_eq!(back, l, "refinement {refinement}");
+                assert_eq!(consumed, bytes.len());
+                // Bytes in, the same bytes out: the refinement included.
+                assert_eq!(back.encode(refinement), bytes, "refinement {refinement}");
+            }
         }
+    }
+
+    #[test]
+    fn decode_where_drops_by_refinement_and_counts() {
+        let l = refined(&[(1, 1, 5), (2, 3, 9), (3, 1, 5), (4, 2, 7)], REFINEMENT_CHARS);
+        let bytes = l.encode(REFINEMENT_CHARS);
+        let (kept, consumed, dropped) =
+            PostingsList::decode_where(&bytes, REFINEMENT_CHARS, |bits| bits == 5).unwrap();
+        assert_eq!(kept.postings().iter().map(|p| p.id.0).collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!((consumed, dropped), (bytes.len(), 2));
+    }
+
+    #[test]
+    fn decode_rejects_refinement_bits_past_its_length() {
+        // One posting, id 1, tf 1, and a refinement with bit 15 set: three
+        // characters are 15 bits.
+        assert_eq!(PostingsList::decode(&[1, 1, 1, 0x00, 0x80], 3), Err(DecodeError::Overflow));
+        assert_eq!(PostingsList::decode(&[1, 1, 1, 0x00, 0x04], 2), Err(DecodeError::Overflow));
+        assert!(PostingsList::decode(&[1, 1, 1, 0xFF, 0x7F], 3).is_ok());
     }
 
     #[test]
     fn decode_leaves_trailing_bytes() {
         let l = list(&[(10, 1), (20, 2)]);
-        let mut bytes = l.encode();
-        let len = bytes.len();
-        bytes.extend_from_slice(&[0xFF, 0xFF]);
-        let (back, consumed) = PostingsList::decode(&bytes).unwrap();
-        assert_eq!(back, l);
-        assert_eq!(consumed, len);
+        for refinement in [0, REFINEMENT_CHARS] {
+            let mut bytes = l.encode(refinement);
+            let len = bytes.len();
+            bytes.extend_from_slice(&[0xFF, 0xFF]);
+            let (back, consumed) = PostingsList::decode(&bytes, refinement).unwrap();
+            assert_eq!(back, l);
+            assert_eq!(consumed, len);
+        }
     }
 
     #[test]
     fn decode_rejects_truncation() {
         let l = list(&[(1000, 1), (2000, 2)]);
-        let bytes = l.encode();
-        assert_eq!(PostingsList::decode(&bytes[..bytes.len() - 1]), Err(DecodeError::Truncated));
-        assert_eq!(PostingsList::decode(&[]), Err(DecodeError::Truncated));
+        for refinement in [0, REFINEMENT_CHARS] {
+            let bytes = l.encode(refinement);
+            assert_eq!(
+                PostingsList::decode(&bytes[..bytes.len() - 1], refinement),
+                Err(DecodeError::Truncated)
+            );
+            assert_eq!(PostingsList::decode(&[], refinement), Err(DecodeError::Truncated));
+        }
     }
 
     #[test]
@@ -333,7 +449,7 @@ mod tests {
         let mut bytes = Vec::new();
         write_varint(&mut bytes, u64::MAX);
         bytes.extend_from_slice(&[1, 1, 1]);
-        assert_eq!(PostingsList::decode(&bytes), Err(DecodeError::Truncated));
+        assert_eq!(PostingsList::decode(&bytes, 0), Err(DecodeError::Truncated));
         // Two postings whose id deltas sum past u64.
         let mut bytes = Vec::new();
         write_varint(&mut bytes, 2);
@@ -341,14 +457,17 @@ mod tests {
             write_varint(&mut bytes, delta);
             write_varint(&mut bytes, 1);
         }
-        assert_eq!(PostingsList::decode(&bytes), Err(DecodeError::Overflow));
+        assert_eq!(PostingsList::decode(&bytes, 0), Err(DecodeError::Overflow));
     }
 
     #[test]
     fn delta_encoding_is_compact() {
-        // Dense consecutive ids: ~2 bytes per posting.
+        // Dense consecutive ids: the id delta and tf take ~2 bytes per
+        // posting, and the refinement exactly 2 more.
         let l: PostingsList = (0..1000u64).map(|i| (1_000_000 + i, 1)).collect();
-        assert!(l.encode().len() < 1000 * 3 + 10, "encoded to {} bytes", l.encode().len());
+        let ids_and_tfs = l.encode(0).len();
+        assert!(ids_and_tfs < 1000 * 3 + 10, "encoded to {ids_and_tfs} bytes");
+        assert_eq!(l.encode(REFINEMENT_CHARS).len(), ids_and_tfs + 1000 * 2);
     }
 
     #[test]

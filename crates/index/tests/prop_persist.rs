@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use tklus_geo::Point;
+use tklus_geo::{Cell, Circle, DistanceMetric, Geohash, Point};
 use tklus_index::{build_index, load_dir_with_report, save_dir, IndexBuildConfig};
 use tklus_model::{Post, TweetId, UserId};
 
@@ -62,6 +62,13 @@ fn pristine() -> &'static [(PathBuf, Vec<u8>)] {
         std::fs::remove_dir_all(&dir).unwrap();
         files
     })
+}
+
+/// A circle around `cell` that reaches every point on the globe, so the
+/// refinement drops nothing.
+fn around(cell: Geohash) -> Circle {
+    let center = Cell::from_geohash(&cell).center();
+    Circle { center, radius_km: 25_000.0, metric: DistanceMetric::Haversine }
 }
 
 /// What happens to the chosen line.
@@ -139,7 +146,8 @@ fn load_damaged(file: usize, line: usize, damage: &Damage) -> Result<(), TestCas
         Err(e) => prop_assert!(!e.to_string().is_empty(), "a load error must say what was wrong"),
         Ok((index, _)) => {
             for &((cell, term), _) in index.forward().iter() {
-                if let Err(e) = index.try_fetch_for_query(&[cell], &[term], |_| true) {
+                if let Err(e) = index.try_fetch_for_query(&[cell], &around(cell), &[term], |_| true)
+                {
                     prop_assert!(!e.to_string().is_empty());
                 }
             }
@@ -177,6 +185,7 @@ fn the_pristine_directory_loads() {
     assert_eq!(report.partitions_loaded, 3);
     assert!(index.partitions().iter().filter(|p| !p.is_empty()).count() > 1);
     for &((cell, term), _) in index.forward().iter() {
-        assert_eq!(index.try_fetch_for_query(&[cell], &[term], |_| true).unwrap().lists, 1);
+        let fetch = index.try_fetch_for_query(&[cell], &around(cell), &[term], |_| true).unwrap();
+        assert_eq!((fetch.lists, fetch.refined_out), (1, 0));
     }
 }

@@ -541,6 +541,7 @@ fn merge_stats(total: &mut QueryStats, s: &QueryStats) {
     total.cover_cells = total.cover_cells.max(s.cover_cells);
     total.lists_fetched += s.lists_fetched;
     total.dfs_bytes += s.dfs_bytes;
+    total.refined_out += s.refined_out;
     total.candidates += s.candidates;
     total.in_radius += s.in_radius;
     total.threads_built += s.threads_built;

@@ -13,7 +13,7 @@
 //! ranking.
 //!
 //! Persistence uses the format v3 sharded manifest
-//! (`tklus_index::save_sharded_dir`); monolithic v2 directories load as a
+//! (`tklus_index::save_sharded_dir`); monolithic directories load as a
 //! single full-range shard.
 
 mod engine;

@@ -64,16 +64,44 @@ fn arb_post() -> impl Strategy<Value = RawPost> {
         })
 }
 
+/// Where a corpus lies: its centre (also the query location), and the
+/// degrees of latitude and longitude one step of a [`RawPost`] offset
+/// spans.
+#[derive(Debug, Clone, Copy)]
+struct Place {
+    lat: f64,
+    lon: f64,
+    lat_step: f64,
+    lon_step: f64,
+}
+
+impl Place {
+    fn center(&self) -> Point {
+        Point::new_unchecked(self.lat, self.lon)
+    }
+}
+
+/// Toronto at city scale: posts within about 17 km of the centre.
+const TORONTO: Place = Place { lat: 43.68, lon: -79.38, lat_step: 0.0015, lon_step: 0.002 };
+
+/// Tromsø at regional scale: posts up to about 330 km from a centre at
+/// 69.65°N, spread over several top-level geohash ranges.
+const TROMSO: Place = Place { lat: 69.65, lon: 18.96, lat_step: 0.03, lon_step: 0.08 };
+
 fn materialize(raw: &[RawPost]) -> Corpus {
-    let base = Point::new_unchecked(43.68, -79.38);
+    materialize_at(raw, &TORONTO)
+}
+
+fn materialize_at(raw: &[RawPost], place: &Place) -> Corpus {
+    let base = place.center();
     let posts: Vec<Post> = raw
         .iter()
         .enumerate()
         .map(|(i, r)| {
             let id = TweetId(i as u64 + 1);
             let loc = Point::new_unchecked(
-                base.lat() + r.dlat as f64 * 0.0015,
-                base.lon() + r.dlon as f64 * 0.002,
+                base.lat() + r.dlat as f64 * place.lat_step,
+                base.lon() + r.dlon as f64 * place.lon_step,
             );
             let text: String =
                 r.words.iter().map(|&w| WORDS[w as usize]).collect::<Vec<_>>().join(" ");
@@ -149,57 +177,88 @@ proptest! {
         k in 1usize..6,
         kw_idx in proptest::collection::vec(0u8..WORDS.len() as u8, 1..3),
     ) {
-        let corpus = materialize(&raw);
-        let (mono, _) = TklusEngine::build(&corpus, &EngineConfig::default());
-        let keywords: Vec<String> =
-            kw_idx.iter().map(|&i| WORDS[i as usize].to_string()).collect();
+        matches_monolithic(&raw, &TORONTO, radius, k, &kw_idx)?;
+    }
+}
 
-        let mut sharded: Vec<(usize, ShardedEngine)> = shard_counts()
-            .into_iter()
-            .map(|n| {
-                let engine = ShardedEngine::try_build(&corpus, n, &EngineConfig::default())
-                    .expect("sharded build");
-                (n, engine)
-            })
-            .collect();
+proptest! {
+    // 12 corpora at one wide radius in the far north, where the cover
+    // spans several shards' ranges and the refinement's sub-cells are far
+    // from square.
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
-        for semantics in [Semantics::Or, Semantics::And] {
-            let q = TklusQuery::new(
-                Point::new_unchecked(43.68, -79.38),
-                radius,
-                keywords.clone(),
-                k,
-                semantics,
-            ).unwrap();
-            for ranking in [
-                Ranking::Sum,
-                Ranking::Max(BoundsMode::Global),
-                Ranking::Max(BoundsMode::HotKeywords),
-            ] {
-                let want = mono.try_query(&q, ranking).unwrap();
-                for (n, engine) in &mut sharded {
-                    let n = *n;
-                    // Scatter-width invariance: the sequential loop
-                    // (width 1) and the scoped-thread scatter (width 4)
-                    // must both reproduce the monolithic answer bitwise.
-                    for par in [1usize, 4] {
-                        engine.set_scatter_parallelism(par);
-                        let got = engine.query(&q, ranking);
-                        let label = format!("N={n} par={par} {ranking:?} {semantics:?}");
-                        assert_bitwise(&got, &want.users, &want.completeness, &label)?;
-                        prop_assert_eq!(
-                            got.fanout, shards_under_cover(engine, &q),
-                            "fanout is every shard the cover intersects: {}", label
-                        );
-                        prop_assert!(
-                            got.skipped_by_bound.is_empty(),
-                            "no shard is skipped by score: {}", label
-                        );
-                    }
+    #[test]
+    fn sharded_matches_monolithic_at_a_wide_radius_in_the_far_north(
+        raw in proptest::collection::vec(arb_post(), 5..45),
+        radius in 200.0f64..400.0,
+        k in 1usize..6,
+        kw_idx in proptest::collection::vec(0u8..WORDS.len() as u8, 1..3),
+    ) {
+        matches_monolithic(&raw, &TROMSO, radius, k, &kw_idx)?;
+    }
+}
+
+/// The body of the bitwise families: the corpus `raw` laid out at
+/// `place`, queried at its centre under both semantics, every ranking,
+/// every shard count and both scatter widths.
+fn matches_monolithic(
+    raw: &[RawPost],
+    place: &Place,
+    radius: f64,
+    k: usize,
+    kw_idx: &[u8],
+) -> Result<(), TestCaseError> {
+    let corpus = materialize_at(raw, place);
+    let (mono, _) = TklusEngine::build(&corpus, &EngineConfig::default());
+    let keywords: Vec<String> = kw_idx.iter().map(|&i| WORDS[i as usize].to_string()).collect();
+
+    let mut sharded: Vec<(usize, ShardedEngine)> = shard_counts()
+        .into_iter()
+        .map(|n| {
+            let engine = ShardedEngine::try_build(&corpus, n, &EngineConfig::default())
+                .expect("sharded build");
+            (n, engine)
+        })
+        .collect();
+
+    for semantics in [Semantics::Or, Semantics::And] {
+        let q = TklusQuery::new(place.center(), radius, keywords.clone(), k, semantics).unwrap();
+        for ranking in
+            [Ranking::Sum, Ranking::Max(BoundsMode::Global), Ranking::Max(BoundsMode::HotKeywords)]
+        {
+            let want = mono.try_query(&q, ranking).unwrap();
+            for (n, engine) in &mut sharded {
+                let n = *n;
+                // Scatter-width invariance: the sequential loop
+                // (width 1) and the scoped-thread scatter (width 4)
+                // must both reproduce the monolithic answer bitwise.
+                for par in [1usize, 4] {
+                    engine.set_scatter_parallelism(par);
+                    let got = engine.query(&q, ranking);
+                    let label = format!("N={n} par={par} {ranking:?} {semantics:?}");
+                    assert_bitwise(&got, &want.users, &want.completeness, &label)?;
+                    prop_assert_eq!(
+                        got.stats.in_radius,
+                        want.stats.in_radius,
+                        "the shards' in-radius posts are the engine's: {}",
+                        label
+                    );
+                    prop_assert_eq!(
+                        got.fanout,
+                        shards_under_cover(engine, &q),
+                        "fanout is every shard the cover intersects: {}",
+                        label
+                    );
+                    prop_assert!(
+                        got.skipped_by_bound.is_empty(),
+                        "no shard is skipped by score: {}",
+                        label
+                    );
                 }
             }
         }
     }
+    Ok(())
 }
 
 proptest! {

@@ -67,12 +67,15 @@ fn main() {
         let list = index.postings(cell, term).unwrap();
         println!("  <{cell}, {stem:?}> -> {} postings (first 5):", list.len());
         for p in list.postings().iter().take(5) {
-            println!("    tweet {} tf {}", p.id, p.tf);
+            println!("    tweet {} tf {} refinement {:#06x}", p.id, p.tf, p.refinement);
         }
+        let encoded = list.encode(index.refinement()).len();
         println!(
-            "  encoded: {} bytes ({:.2} bytes/posting)",
-            list.encode().len(),
-            list.encode().len() as f64 / list.len() as f64
+            "  encoded: {} bytes ({:.2} bytes/posting, {} of them the {}-character refinement)",
+            encoded,
+            encoded as f64 / list.len() as f64,
+            if index.refinement() > 0 { 2 } else { 0 },
+            index.refinement()
         );
     }
 
