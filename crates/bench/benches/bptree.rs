@@ -1,5 +1,5 @@
-//! Ablation: B⁺-tree bulk load vs incremental insertion, and point-get /
-//! range-scan cost — the access paths behind the metadata database — and
+//! Ablation: B⁺-tree bulk-load, point-get and range-scan cost — the build
+//! and the access paths behind the metadata database — and
 //! what one checked page read under them costs: the product `crc32` over a
 //! page's 4 084 covered bytes beside a bit-at-a-time reference timed in the
 //! same run (the ratio is the machine-independent number).
@@ -24,15 +24,6 @@ fn bench_load(c: &mut Criterion) {
         let data = entries(n);
         group.bench_with_input(BenchmarkId::new("bulk", n), &data, |b, data| {
             b.iter(|| Tree::bulk_load(pool(256), black_box(data)).expect("bulk load"))
-        });
-        group.bench_with_input(BenchmarkId::new("incremental", n), &data, |b, data| {
-            b.iter(|| {
-                let mut t = Tree::new(pool(256)).expect("new tree");
-                for (k, v) in data {
-                    t.insert(*k, *v).expect("insert");
-                }
-                t
-            })
         });
     }
     group.finish();

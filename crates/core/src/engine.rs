@@ -17,7 +17,7 @@
 
 use crate::bounds::{BoundsMode, BoundsTable};
 use crate::error::EngineError;
-use crate::metadata::{MetadataDb, MetadataStoreFactory};
+use crate::metadata::{LiveMetadata, MetadataDb, MetadataStoreFactory};
 use crate::obs::EngineMetrics;
 use crate::query::{
     max,
@@ -28,7 +28,7 @@ use crate::query::{
 use std::time::Instant;
 use tklus_index::{build_index, HybridIndex, IndexBuildConfig, IndexBuildReport};
 use tklus_metrics::RegistrySnapshot;
-use tklus_model::{Corpus, Post, ScoringConfig, Semantics, TklusQuery, TweetId};
+use tklus_model::{Corpus, ScoringConfig, Semantics, TklusQuery, TweetId};
 use tklus_text::{TermId, TextPipeline};
 
 /// How users are ranked.
@@ -326,12 +326,21 @@ impl TklusEngine {
     /// order — a router that merges rows from engines over disjoint tweet
     /// sets by tweet id and folds them reproduces [`Self::try_query`]'s
     /// scores bit for bit. Same keyword contract as [`Self::try_query`].
-    pub fn try_partial_sum(&self, q: &TklusQuery) -> Result<PartialSumOutcome, EngineError> {
+    ///
+    /// `live` overlays the metadata of posts this engine's trees do not
+    /// hold (the ingest store's live posts; see [`MetadataDb::reader`]):
+    /// their replies count in a sealed candidate's thread. Every other
+    /// caller passes `None`.
+    pub fn try_partial_sum(
+        &self,
+        q: &TklusQuery,
+        live: Option<&LiveMetadata>,
+    ) -> Result<PartialSumOutcome, EngineError> {
         let (rows, stats, completeness) = self.try_answer(q, |ctx, terms| {
             let start = Instant::now();
             let mut clock = StageClock::new(ctx.timings, start);
             let (rows, mut stats, completeness) =
-                try_sum_rows(ctx, &mut self.db.reader(), q, terms, start, &mut clock)?;
+                try_sum_rows(ctx, &mut self.db.reader(live), q, terms, start, &mut clock)?;
             stats.elapsed = start.elapsed();
             Ok((rows, stats, completeness))
         })?;
@@ -386,7 +395,9 @@ impl TklusEngine {
     /// engine holds the full corpus metadata reproduces the monolithic
     /// answer bit for bit. Returns the ranked users with the cost of this
     /// half: its metadata page reads and its `scoring` and `topk` stages —
-    /// what a gatherer adds to its row sources' stats.
+    /// what a gatherer adds to its row sources' stats. `live` is
+    /// [`Self::try_partial_sum`]'s overlay: a user's `P_u` takes in their
+    /// live posts.
     ///
     /// [`merge_sum_rows`]: crate::merge_sum_rows
     pub fn try_rank_rows(
@@ -394,12 +405,13 @@ impl TklusEngine {
         q: &TklusQuery,
         ranking: Ranking,
         rows: &[SumRow],
+        live: Option<&LiveMetadata>,
     ) -> Result<(Vec<RankedUser>, QueryStats), EngineError> {
         let mut stats = QueryStats::default();
         let mut clock = StageClock::new(self.obs.is_some(), Instant::now());
         let users = try_rank_rows(
             &self.context(),
-            &mut self.db.reader(),
+            &mut self.db.reader(live),
             q,
             ranking,
             rows,
@@ -413,43 +425,25 @@ impl TklusEngine {
     /// come from this engine's index (the ingest store's memtable) — with
     /// the per-candidate body [`Self::try_partial_sum`] runs on its own:
     /// time window, metadata row, radius, thread popularity, keyword score
-    /// × recency, over this engine's metadata database. One body, so rows
+    /// × recency, over this engine's metadata database and `live`, the
+    /// overlay that holds those candidates' own rows. One body, so rows
     /// from the two sources merge into what a from-scratch engine computes.
     pub fn try_score_candidates(
         &self,
         q: &TklusQuery,
         cands: impl IntoIterator<Item = (TweetId, u32)>,
+        live: Option<&LiveMetadata>,
     ) -> Result<Vec<SumRow>, EngineError> {
         let mut untallied = QueryStats::default();
-        try_score_candidates(&self.context(), &mut self.db.reader(), q, cands, &mut untallied)
-    }
-
-    // ---- Streaming-ingest primitives (DESIGN.md §15) -------------------
-    //
-    // The engine's build-time state was immutable through PR 7; the
-    // `tklus-wal` write path relaxes that with one mutation:
-    // `try_insert_metadata`. The contract: after it returns for an ingested
-    // post, every *row* this engine scores is bitwise-identical to a
-    // from-scratch engine's whose metadata covers the same full post set.
-    // The inverted index is never mutated here — new posts' postings live
-    // in the caller's memtable until compaction.
-
-    /// Inserts `post` into the metadata database (primary row, reply
-    /// edge, user-location entry). Nothing else holds derived state, so a
-    /// reply's effect on its ancestors' φ is visible to the next query.
-    /// On error the caller must treat the engine as suspect and rebuild
-    /// from its durable log (see [`MetadataDb::try_insert_post`]).
-    pub fn try_insert_metadata(&mut self, post: &Post) -> Result<(), EngineError> {
-        Ok(self.db.try_insert_post(post)?)
+        try_score_candidates(&self.context(), &mut self.db.reader(live), q, cands, &mut untallied)
     }
 
     /// The thread popularity φ(p) of the thread rooted at `tid`, built
-    /// over the **current** metadata database by the query path's own
-    /// code — the number a query-time candidate sees. A one-call reader:
-    /// the `rsid = ?` scans of this one thread walk share a root-to-leaf
-    /// path.
+    /// over the metadata database by the query path's own code — the
+    /// number a query-time candidate sees. A one-call reader: the
+    /// `rsid = ?` scans of this one thread walk share a root-to-leaf path.
     pub fn try_thread_phi(&self, tid: TweetId) -> Result<f64, EngineError> {
-        self.context().try_popularity(&mut self.db.reader(), tid)
+        self.context().try_popularity(&mut self.db.reader(None), tid)
     }
 
     /// Normalizes one query keyword through this engine's text pipeline

@@ -40,7 +40,7 @@ pub mod score;
 pub use bounds::{BoundsMode, BoundsTable};
 pub use engine::{CacheConfig, EngineConfig, Ranking, TklusEngine};
 pub use error::EngineError;
-pub use metadata::{MetaReader, MetaRow, MetadataDb, MetadataStoreFactory};
+pub use metadata::{LiveMetadata, MetaReader, MetaRow, MetadataDb, MetadataStoreFactory};
 pub use query::{
     sum::merge_sum_rows, top_k, Completeness, PartialSumOutcome, QueryOutcome, QueryStats,
     RankedUser, StageTimings, SumRow,

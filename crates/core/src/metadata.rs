@@ -14,6 +14,10 @@
 //!   scores (Definition 9) average over all of a user's posts, which this
 //!   index retrieves without touching post text.
 //!
+//! The trees are bulk-loaded once and never written afterwards. Posts
+//! acked since (the ingest store's live posts) are read through a
+//! [`LiveMetadata`] overlay held beside them, not inserted.
+//!
 //! Every tree runs over a [`CheckedPager`] (DESIGN.md §10): pages are
 //! sealed with a magic/version/CRC32 header on write and verified on every
 //! physical read, so torn writes and bit flips in the page store below
@@ -29,6 +33,7 @@
 //! the life of the query — and the `&self` lookups here are one-call
 //! readers.
 
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use tklus_geo::Point;
 use tklus_graph::TryReplyProvider;
@@ -58,6 +63,18 @@ pub struct MetaRow {
     pub ruid: Option<UserId>,
     /// Reply target post, if any.
     pub rsid: Option<TweetId>,
+}
+
+impl MetaRow {
+    /// The row of `post`.
+    fn of(post: &Post) -> Self {
+        Self {
+            uid: post.user,
+            location: post.location,
+            ruid: post.in_reply_to.map(|r| r.target_user),
+            rsid: post.in_reply_to.map(|r| r.target),
+        }
+    }
 }
 
 const ROW_SIZE: usize = 40;
@@ -129,18 +146,8 @@ impl MetadataDb {
         let stats = IoStats::new();
         let per_tree = cache_pages / 3;
 
-        let mut primary_entries: Vec<((u64, u64), [u8; ROW_SIZE])> = posts
-            .iter()
-            .map(|p| {
-                let row = MetaRow {
-                    uid: p.user,
-                    location: p.location,
-                    ruid: p.in_reply_to.map(|r| r.target_user),
-                    rsid: p.in_reply_to.map(|r| r.target),
-                };
-                ((p.id.0, 0), encode_row(&row))
-            })
-            .collect();
+        let mut primary_entries: Vec<((u64, u64), [u8; ROW_SIZE])> =
+            posts.iter().map(|p| ((p.id.0, 0), encode_row(&MetaRow::of(p)))).collect();
         primary_entries.sort_by_key(|e| e.0);
 
         let mut reply_entries: Vec<((u64, u64), [u8; 0])> = posts
@@ -176,44 +183,6 @@ impl MetadataDb {
         })
     }
 
-    /// Inserts one post into all three trees — the streaming-ingest path
-    /// (bulk construction stays [`Self::try_from_posts`]).
-    ///
-    /// On a mid-insert storage failure the already-inserted keys are
-    /// rolled back best-effort so a clean failure leaves no half-applied
-    /// post behind. If the rollback *itself* fails the database may retain
-    /// a partial row; the returned error tells the caller that happened
-    /// only implicitly (any error ⇒ treat the database as suspect), so
-    /// fault-tolerant ingest layers rebuild from their durable log rather
-    /// than trust post-error state — exactly what `tklus-wal` does.
-    pub fn try_insert_post(&mut self, post: &Post) -> StorageResult<()> {
-        let row = MetaRow {
-            uid: post.user,
-            location: post.location,
-            ruid: post.in_reply_to.map(|r| r.target_user),
-            rsid: post.in_reply_to.map(|r| r.target),
-        };
-        self.primary.insert((post.id.0, 0), encode_row(&row))?;
-        if let Some(r) = post.in_reply_to {
-            if let Err(e) = self.reply_index.insert((r.target.0, post.id.0), []) {
-                let _ = self.primary.delete((post.id.0, 0));
-                return Err(e);
-            }
-        }
-        let mut loc = [0u8; LOC_SIZE];
-        loc[0..8].copy_from_slice(&post.location.lat().to_le_bytes());
-        loc[8..16].copy_from_slice(&post.location.lon().to_le_bytes());
-        if let Err(e) = self.user_index.insert((post.user.0, post.id.0), loc) {
-            let _ = self.primary.delete((post.id.0, 0));
-            if let Some(r) = post.in_reply_to {
-                let _ = self.reply_index.delete((r.target.0, post.id.0));
-            }
-            return Err(e);
-        }
-        self.rows += 1;
-        Ok(())
-    }
-
     /// Number of rows.
     pub fn len(&self) -> u64 {
         self.rows
@@ -231,11 +200,14 @@ impl MetadataDb {
 
     /// Opens a read session over the three trees (see [`MetaReader`]):
     /// one per query, so lookups in tweet-id order share their descents.
-    pub fn reader(&self) -> MetaReader<'_> {
+    /// `live` overlays the metadata of posts the trees do not hold (the
+    /// ingest store's live posts); `None` reads the trees alone.
+    pub fn reader<'a>(&'a self, live: Option<&'a LiveMetadata>) -> MetaReader<'a> {
         MetaReader {
             primary: self.primary.reader(),
             reply_index: self.reply_index.reader(),
             user_index: self.user_index.reader(),
+            live,
         }
     }
 
@@ -243,7 +215,7 @@ impl MetadataDb {
     /// location lookups of Algorithm 4 line 20 / Algorithm 5 line 22): a
     /// one-call [`MetaReader`].
     pub fn try_row(&self, sid: TweetId) -> StorageResult<Option<MetaRow>> {
-        self.reader().try_row(sid)
+        self.reader(None).try_row(sid)
     }
 
     /// `select sid where rsid = ?` on the reply index (Algorithm 1 line 7).
@@ -257,13 +229,65 @@ impl MetadataDb {
 
     /// Fallible [`Self::replies_to_ids`]: a one-call [`MetaReader`].
     pub fn try_replies_to_ids(&self, rsid: TweetId) -> StorageResult<Vec<TweetId>> {
-        self.reader().try_replies_to_ids(rsid)
+        self.reader(None).try_replies_to_ids(rsid)
     }
 
     /// All posts of a user, as `(sid, location)` — the `P_u` scan for
     /// Definition 9's user distance score: a one-call [`MetaReader`].
     pub fn try_posts_of_user(&self, uid: UserId) -> StorageResult<Vec<(TweetId, Point)>> {
-        self.reader().try_posts_of_user(uid)
+        self.reader(None).try_posts_of_user(uid)
+    }
+}
+
+/// The metadata of posts the trees do not hold: the ingest store's live
+/// posts, kept beside their memtable postings until a compaction builds
+/// new trees over them. The same three relations as the trees, under the
+/// trees' keys: row by `sid`, `(rsid, sid)` reply edges, and
+/// `(uid, sid)` → location.
+#[derive(Debug, Clone, Default)]
+pub struct LiveMetadata {
+    rows: HashMap<TweetId, MetaRow>,
+    replies: BTreeSet<(TweetId, TweetId)>,
+    users: BTreeMap<(UserId, TweetId), Point>,
+}
+
+impl LiveMetadata {
+    /// Adds `post`'s row, reply edge and author location. Posts may
+    /// arrive in any tweet-id order.
+    pub fn insert(&mut self, post: &Post) {
+        self.rows.insert(post.id, MetaRow::of(post));
+        if let Some(r) = post.in_reply_to {
+            self.replies.insert((r.target, post.id));
+        }
+        self.users.insert((post.user, post.id), post.location);
+    }
+
+    /// Number of posts.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when no post is held.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    fn row(&self, sid: TweetId) -> Option<MetaRow> {
+        self.rows.get(&sid).copied()
+    }
+
+    /// Merges the replies to `rsid` into the tid-sorted `sids`.
+    fn merge_replies(&self, rsid: TweetId, sids: &mut Vec<TweetId>) {
+        let range = (rsid, TweetId(0))..=(rsid, TweetId(u64::MAX));
+        sids.extend(self.replies.range(range).map(|&(_, sid)| sid));
+        sids.sort_unstable();
+    }
+
+    /// Merges the posts of `uid` into the tid-sorted `posts`.
+    fn merge_posts(&self, uid: UserId, posts: &mut Vec<(TweetId, Point)>) {
+        let range = (uid, TweetId(0))..=(uid, TweetId(u64::MAX));
+        posts.extend(self.users.range(range).map(|(&(_, sid), &loc)| (sid, loc)));
+        posts.sort_unstable_by_key(|e| e.0);
     }
 }
 
@@ -274,35 +298,49 @@ impl MetadataDb {
 /// reader already holds, so a query pays a page read where the path
 /// *changes*, not a full descent per candidate, thread node and user.
 ///
-/// The reader borrows the database, so no insert can run while it lives;
-/// it holds nothing beyond its own lifetime, and every page it reads is
+/// The trees are never written after they are built, so the reader holds
+/// nothing beyond its own lifetime, and every page it reads is
 /// checksum-verified and counted in [`MetadataDb::io`] as usual.
+///
+/// An optional [`LiveMetadata`] overlays posts the trees do not hold (the
+/// two sets are disjoint): a row lookup checks the live rows first, and
+/// the reply and `P_u` scans merge the live entries into the trees' by
+/// tweet id, so Definition 9's sum over `P_u` adds in the order a tree
+/// over both sets would.
 pub struct MetaReader<'a> {
     primary: TreeReader<'a, Pool, ROW_SIZE>,
     reply_index: TreeReader<'a, Pool, 0>,
     user_index: TreeReader<'a, Pool, LOC_SIZE>,
+    live: Option<&'a LiveMetadata>,
 }
 
 impl MetaReader<'_> {
     /// `select * where sid = ?` on the primary index.
     pub fn try_row(&mut self, sid: TweetId) -> StorageResult<Option<MetaRow>> {
+        if let Some(row) = self.live.and_then(|live| live.row(sid)) {
+            return Ok(Some(row));
+        }
         Ok(self.primary.get((sid.0, 0))?.map(|bytes| decode_row(&bytes)))
     }
 
     /// `select sid where rsid = ?` on the reply index (Algorithm 1 line 7).
     pub fn try_replies_to_ids(&mut self, rsid: TweetId) -> StorageResult<Vec<TweetId>> {
-        Ok(self
+        let mut sids: Vec<TweetId> = self
             .reply_index
             .scan_major(rsid.0)?
             .into_iter()
             .map(|((_, sid), _)| TweetId(sid))
-            .collect())
+            .collect();
+        if let Some(live) = self.live {
+            live.merge_replies(rsid, &mut sids);
+        }
+        Ok(sids)
     }
 
     /// All posts of a user, as `(sid, location)` — the `P_u` scan for
     /// Definition 9's user distance score.
     pub fn try_posts_of_user(&mut self, uid: UserId) -> StorageResult<Vec<(TweetId, Point)>> {
-        Ok(self
+        let mut posts: Vec<(TweetId, Point)> = self
             .user_index
             .scan_major(uid.0)?
             .into_iter()
@@ -311,21 +349,16 @@ impl MetaReader<'_> {
                 let lon = f64::from_le_bytes(field8(&loc[8..16]));
                 (TweetId(sid), Point::new_unchecked(lat, lon))
             })
-            .collect())
-    }
-}
-
-/// Owned-database provider: infallible interface for tools and benches
-/// that panic on storage failure (the blanket impl also makes this a
-/// `TryReplyProvider` with `Error = Infallible`).
-impl tklus_graph::ReplyProvider for MetadataDb {
-    fn replies_to(&mut self, id: TweetId) -> Vec<TweetId> {
-        self.replies_to_ids(id)
+            .collect();
+        if let Some(live) = self.live {
+            live.merge_posts(uid, &mut posts);
+        }
+        Ok(posts)
     }
 }
 
 /// The engine's provider: Algorithm 1's `rsid = ?` scans run through a
-/// reader (the query's one, or a one-call reader on the write path);
+/// reader (the query's one, or a one-call reader);
 /// storage failures propagate as typed errors instead of panics.
 impl TryReplyProvider for MetaReader<'_> {
     type Error = StorageError;
@@ -371,21 +404,26 @@ mod tests {
     }
 
     #[test]
-    fn incremental_insert_matches_bulk_load() {
+    fn live_overlay_reads_like_a_bulk_load_of_both_sets() {
         let all = posts();
         let bulk = MetadataDb::from_posts(&all, 0);
-        let mut grown = MetadataDb::from_posts(&all[..2], 0);
-        for p in &all[2..] {
-            grown.try_insert_post(p).unwrap();
+        // Live 2 then 1, sealed 3..=5: sealed replies target live 1, live
+        // reply 2 sorts before sealed reply 3, and users 10 and 11 each
+        // have a live post before a sealed one.
+        let sealed = MetadataDb::from_posts(&all[2..], 0);
+        let mut live = LiveMetadata::default();
+        for p in all[..2].iter().rev() {
+            live.insert(p);
         }
-        assert_eq!(grown.len(), bulk.len());
+        let (mut want, mut got) = (bulk.reader(None), sealed.reader(Some(&live)));
         for p in &all {
-            assert_eq!(grown.try_row(p.id).unwrap(), bulk.try_row(p.id).unwrap());
+            assert_eq!(got.try_row(p.id).unwrap(), want.try_row(p.id).unwrap());
+            let (g, w) = (got.try_replies_to_ids(p.id), want.try_replies_to_ids(p.id));
+            assert_eq!(g.unwrap(), w.unwrap());
         }
-        assert_eq!(grown.replies_to_ids(TweetId(1)), bulk.replies_to_ids(TweetId(1)));
-        assert_eq!(grown.replies_to_ids(TweetId(2)), bulk.replies_to_ids(TweetId(2)));
         for uid in [UserId(10), UserId(11), UserId(12)] {
-            assert_eq!(grown.try_posts_of_user(uid).unwrap(), bulk.try_posts_of_user(uid).unwrap());
+            let (g, w) = (got.try_posts_of_user(uid), want.try_posts_of_user(uid));
+            assert_eq!(g.unwrap(), w.unwrap());
         }
     }
 
@@ -426,7 +464,7 @@ mod tests {
     #[test]
     fn works_as_reply_provider_for_threads() {
         let db = MetadataDb::from_posts(&posts(), 0);
-        let t = try_build_thread(&mut db.reader(), TweetId(1), 5).unwrap();
+        let t = try_build_thread(&mut db.reader(None), TweetId(1), 5).unwrap();
         assert_eq!(t.level_sizes(), vec![1, 2, 1]);
     }
 

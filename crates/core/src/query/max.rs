@@ -125,7 +125,7 @@ pub(crate) fn try_query_max(
     terms: &[TermId],
 ) -> Result<(Vec<RankedUser>, QueryStats, Completeness), EngineError> {
     let start = Instant::now();
-    let mut meta = ctx.db.reader();
+    let mut meta = ctx.db.reader(None);
     let config = ctx.scoring;
     let center = &query.location;
     let radius_km = query.radius_km;

@@ -210,7 +210,7 @@ pub(crate) fn try_query_sum(
 ) -> Result<(Vec<RankedUser>, QueryStats, Completeness), EngineError> {
     let start = Instant::now();
     let mut clock = StageClock::new(ctx.timings, start);
-    let mut meta = ctx.db.reader();
+    let mut meta = ctx.db.reader(None);
     let (rows, mut stats, completeness) =
         try_sum_rows(ctx, &mut meta, query, terms, start, &mut clock)?;
     let top = try_rank_rows(ctx, &mut meta, query, ranking, &rows, &mut clock, &mut stats)?;

@@ -4,8 +4,8 @@
 //! The adapter is where the WAL's typed failure taxonomy crosses into
 //! HTTP: each [`WalError`] variant's *name* is carried verbatim as the
 //! stable `kind` in the 503/409 body, so a client (or an operator's
-//! alert rule) can tell a dead disk (`Io`) from a poisoned live index
-//! (`Poisoned`) without parsing prose. The store's compaction outcome
+//! alert rule) can tell a dead disk (`Io`) from a corrupt log
+//! (`Corrupt`) without parsing prose. The store's compaction outcome
 //! counters cross the same seam as [`SinkHealth`], so `/health` can say
 //! "the store has stopped sealing" without the serving layer knowing
 //! what a compaction is.
@@ -67,7 +67,6 @@ pub fn sink_error(e: WalError) -> SinkError {
         WalError::VersionMismatch { .. } => "VersionMismatch",
         WalError::Crashed => "Crashed",
         WalError::DuplicateTweet(_) => "DuplicateTweet",
-        WalError::Poisoned => "Poisoned",
         WalError::Engine(_) => "Engine",
     };
     SinkError { kind, message: e.to_string(), conflict: matches!(e, WalError::DuplicateTweet(_)) }
@@ -100,7 +99,6 @@ mod tests {
             (WalError::VersionMismatch { found: 9, expected: 1 }, "VersionMismatch", false),
             (WalError::Crashed, "Crashed", false),
             (WalError::DuplicateTweet(TweetId(7)), "DuplicateTweet", true),
-            (WalError::Poisoned, "Poisoned", false),
         ];
         for (err, kind, conflict) in cases {
             let display = err.to_string();

@@ -44,7 +44,7 @@ pub struct SinkHealth {
 
 /// A typed sink failure. `kind` is the stable error-class name (the WAL
 /// taxonomy's variant name, for the production sink) that the HTTP layer
-/// exposes verbatim so clients can distinguish `Io` from `Poisoned`.
+/// exposes verbatim so clients can distinguish `Io` from `Corrupt`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SinkError {
     /// Stable error-class name, e.g. `"Io"`, `"DuplicateTweet"`.

@@ -370,7 +370,7 @@ impl ShardedEngine {
                 break (Vec::new(), QueryStats::default());
             };
             let merged = merge_sum_rows(parts.healthy.iter().map(|(_, p)| p.rows.as_slice()));
-            match self.shards[rank_sid].engine.try_rank_rows(q, ranking, &merged) {
+            match self.shards[rank_sid].engine.try_rank_rows(q, ranking, &merged, None) {
                 Ok(ranked) => break ranked,
                 Err(_) => {
                     let (sid, _) = parts.healthy.remove(0);
@@ -414,7 +414,7 @@ impl ShardedEngine {
             return None;
         }
         let t0 = Instant::now();
-        let result = shard.engine.try_partial_sum(q);
+        let result = shard.engine.try_partial_sum(q, None);
         self.metrics.latency.record_duration_us(t0.elapsed());
         let mut breaker = shard.breaker.lock();
         match &result {

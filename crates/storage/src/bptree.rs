@@ -22,9 +22,10 @@
 //! (`CorruptNode`); programmer errors (unsorted bulk-load input) still
 //! assert.
 //!
-//! Supported operations: point get, upsert with node splitting, inclusive
-//! range scan, delete with sibling borrow/merge rebalancing (including
-//! root collapse), and sorted bulk loading.
+//! A tree is built once, by a sorted bulk load, and only read afterwards:
+//! point get, inclusive range scan, and the cursor of [`TreeReader`].
+//! There is no insert or delete. The metadata database is rebuilt, never
+//! edited in place, as the paper's index is (Section IV-A, Fig. 3).
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{zeroed_page, Page, PageId, PAGE_HEADER_SIZE, PAGE_SIZE};
@@ -49,11 +50,10 @@ const NO_NEXT: u64 = u64::MAX;
 /// use tklus_storage::{BPlusTree, MemPager, StorageError};
 ///
 /// # fn main() -> Result<(), StorageError> {
-/// let mut tree: BPlusTree<_, 8> = BPlusTree::new(MemPager::new())?;
-/// tree.insert((42, 0), 7u64.to_le_bytes())?;
+/// let entries = [((42, 0), 7u64.to_le_bytes()), ((42, 1), 8u64.to_le_bytes())];
+/// let tree: BPlusTree<_, 8> = BPlusTree::bulk_load(MemPager::new(), &entries)?;
 /// assert_eq!(tree.get((42, 0))?, Some(7u64.to_le_bytes()));
 /// // The secondary-index shape: range-scan all entries of one major key.
-/// tree.insert((42, 1), 8u64.to_le_bytes())?;
 /// assert_eq!(tree.scan_major(42)?.len(), 2);
 /// # Ok(())
 /// # }
@@ -191,14 +191,6 @@ fn upper_bound(keys: &[Key], k: Key) -> usize {
 }
 
 impl<S: PageStore, const V: usize> BPlusTree<S, V> {
-    /// Creates an empty tree owning `store`.
-    pub fn new(store: S) -> StorageResult<Self> {
-        let root = store.allocate()?;
-        let empty: Node<V> = Node::Leaf { keys: Vec::new(), vals: Vec::new(), next: None };
-        store.write(root, &empty.serialize())?;
-        Ok(Self { store, root, height: 0, len: 0 })
-    }
-
     /// Number of entries.
     pub fn len(&self) -> u64 {
         self.len
@@ -219,17 +211,8 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
         &self.store
     }
 
-    /// Consumes the tree, returning the store.
-    pub fn into_store(self) -> S {
-        self.store
-    }
-
     fn load(&self, id: PageId) -> StorageResult<Node<V>> {
         Node::parse(&self.store.read(id)?, id)
-    }
-
-    fn save(&mut self, id: PageId, node: &Node<V>) -> StorageResult<()> {
-        self.store.write(id, &node.serialize())
     }
 
     /// Opens a read session over this tree (see [`TreeReader`]).
@@ -240,288 +223,6 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
     /// Point lookup: a one-call [`TreeReader`].
     pub fn get(&self, key: Key) -> StorageResult<Option<[u8; V]>> {
         self.reader().get(key)
-    }
-
-    /// Inserts or updates; returns the previous value if the key existed.
-    pub fn insert(&mut self, key: Key, value: [u8; V]) -> StorageResult<Option<[u8; V]>> {
-        // Descend, recording the path of internal nodes and chosen indices.
-        let mut path: Vec<(PageId, usize)> = Vec::with_capacity(self.height);
-        let mut id = self.root;
-        loop {
-            match self.load(id)? {
-                Node::Internal { keys, children } => {
-                    let idx = upper_bound(&keys, key);
-                    path.push((id, idx));
-                    id = children[idx];
-                }
-                Node::Leaf { mut keys, mut vals, next } => match keys.binary_search(&key) {
-                    Ok(i) => {
-                        let old = vals[i];
-                        vals[i] = value;
-                        self.save(id, &Node::Leaf { keys, vals, next })?;
-                        return Ok(Some(old));
-                    }
-                    Err(i) => {
-                        keys.insert(i, key);
-                        vals.insert(i, value);
-                        self.len += 1;
-                        if keys.len() <= Node::<V>::leaf_capacity() {
-                            self.save(id, &Node::Leaf { keys, vals, next })?;
-                        } else {
-                            self.split_leaf(id, keys, vals, next, path)?;
-                        }
-                        return Ok(None);
-                    }
-                },
-            }
-        }
-    }
-
-    fn split_leaf(
-        &mut self,
-        id: PageId,
-        keys: Vec<Key>,
-        vals: Vec<[u8; V]>,
-        next: Option<PageId>,
-        path: Vec<(PageId, usize)>,
-    ) -> StorageResult<()> {
-        let mid = keys.len() / 2;
-        let right_keys: Vec<Key> = keys[mid..].to_vec();
-        let right_vals: Vec<[u8; V]> = vals[mid..].to_vec();
-        let sep = right_keys[0];
-        let right_id = self.store.allocate()?;
-        self.save(right_id, &Node::Leaf { keys: right_keys, vals: right_vals, next })?;
-        self.save(
-            id,
-            &Node::Leaf {
-                keys: keys[..mid].to_vec(),
-                vals: vals[..mid].to_vec(),
-                next: Some(right_id),
-            },
-        )?;
-        self.insert_separator(sep, right_id, path)
-    }
-
-    /// Propagates a separator/child pair up the recorded path, splitting
-    /// internal nodes (and growing a new root) as needed.
-    fn insert_separator(
-        &mut self,
-        mut sep: Key,
-        mut new_child: PageId,
-        mut path: Vec<(PageId, usize)>,
-    ) -> StorageResult<()> {
-        while let Some((id, idx)) = path.pop() {
-            let Node::Internal { mut keys, mut children } = self.load(id)? else {
-                unreachable!("path contains only internal nodes")
-            };
-            keys.insert(idx, sep);
-            children.insert(idx + 1, new_child);
-            if keys.len() <= Node::<V>::internal_capacity() {
-                self.save(id, &Node::Internal { keys, children })?;
-                return Ok(());
-            }
-            // Split: middle key moves up.
-            let mid = keys.len() / 2;
-            let up = keys[mid];
-            let right_keys = keys[mid + 1..].to_vec();
-            let right_children = children[mid + 1..].to_vec();
-            keys.truncate(mid);
-            children.truncate(mid + 1);
-            let right_id = self.store.allocate()?;
-            self.save(right_id, &Node::Internal { keys: right_keys, children: right_children })?;
-            self.save(id, &Node::Internal { keys, children })?;
-            sep = up;
-            new_child = right_id;
-        }
-        // Root split.
-        let old_root = self.root;
-        let new_root = self.store.allocate()?;
-        self.save(
-            new_root,
-            &Node::Internal { keys: vec![sep], children: vec![old_root, new_child] },
-        )?;
-        self.root = new_root;
-        self.height += 1;
-        Ok(())
-    }
-
-    /// Removes a key; returns its value if present. Underfull nodes are
-    /// rebalanced by borrowing from a sibling or merging with it, with the
-    /// usual upward propagation (the root collapses when an internal root
-    /// loses its last separator).
-    pub fn delete(&mut self, key: Key) -> StorageResult<Option<[u8; V]>> {
-        let mut path: Vec<(PageId, usize)> = Vec::with_capacity(self.height);
-        let mut id = self.root;
-        loop {
-            match self.load(id)? {
-                Node::Internal { keys, children } => {
-                    let idx = upper_bound(&keys, key);
-                    path.push((id, idx));
-                    id = children[idx];
-                }
-                Node::Leaf { mut keys, mut vals, next } => {
-                    let Ok(i) = keys.binary_search(&key) else { return Ok(None) };
-                    let old = vals.remove(i);
-                    keys.remove(i);
-                    self.len -= 1;
-                    let underfull = keys.len() < Self::leaf_min();
-                    self.save(id, &Node::Leaf { keys, vals, next })?;
-                    if underfull && !path.is_empty() {
-                        self.rebalance(id, path)?;
-                    }
-                    return Ok(Some(old));
-                }
-            }
-        }
-    }
-
-    /// Minimum entries in a non-root leaf.
-    fn leaf_min() -> usize {
-        Node::<V>::leaf_capacity() / 2
-    }
-
-    /// Minimum keys in a non-root internal node.
-    fn internal_min() -> usize {
-        Node::<V>::internal_capacity() / 2
-    }
-
-    /// Fixes an underfull node at `child_id`, walking `path` upward.
-    fn rebalance(
-        &mut self,
-        mut child_id: PageId,
-        mut path: Vec<(PageId, usize)>,
-    ) -> StorageResult<()> {
-        while let Some((parent_id, idx)) = path.pop() {
-            let Node::Internal { keys: mut pkeys, children: mut pchildren } =
-                self.load(parent_id)?
-            else {
-                unreachable!("path holds internal nodes")
-            };
-            debug_assert_eq!(pchildren[idx], child_id);
-            let fixed = self.fix_child(&mut pkeys, &mut pchildren, idx)?;
-            debug_assert!(fixed, "rebalance must resolve the underflow");
-            // Root collapse: an internal root left with zero separators
-            // hands the tree to its single child.
-            if path.is_empty() && pkeys.is_empty() {
-                self.root = pchildren[0];
-                self.height -= 1;
-                return Ok(());
-            }
-            let parent_underfull = pkeys.len() < Self::internal_min();
-            self.save(parent_id, &Node::Internal { keys: pkeys, children: pchildren })?;
-            if !parent_underfull || path.is_empty() {
-                return Ok(());
-            }
-            child_id = parent_id;
-        }
-        Ok(())
-    }
-
-    /// Repairs the underfull child at `idx` of a parent whose keys/children
-    /// are passed in (and mutated). Returns true when the underflow was
-    /// resolved (always, given a sibling exists).
-    fn fix_child(
-        &mut self,
-        pkeys: &mut Vec<Key>,
-        pchildren: &mut Vec<PageId>,
-        idx: usize,
-    ) -> StorageResult<bool> {
-        let child_id = pchildren[idx];
-        let child = self.load(child_id)?;
-        // Prefer borrowing (no structural change), then merging.
-        match child {
-            Node::Leaf { mut keys, mut vals, next } => {
-                if idx > 0 {
-                    let left_id = pchildren[idx - 1];
-                    let Node::Leaf { keys: mut lk, vals: mut lv, next: ln } = self.load(left_id)?
-                    else {
-                        unreachable!("siblings share node kind")
-                    };
-                    if lk.len() > Self::leaf_min() {
-                        keys.insert(0, lk.pop().expect("non-empty"));
-                        vals.insert(0, lv.pop().expect("non-empty"));
-                        pkeys[idx - 1] = keys[0];
-                        self.save(left_id, &Node::Leaf { keys: lk, vals: lv, next: ln })?;
-                        self.save(child_id, &Node::Leaf { keys, vals, next })?;
-                        return Ok(true);
-                    }
-                    // Merge child into the left sibling.
-                    lk.append(&mut keys);
-                    lv.append(&mut vals);
-                    self.save(left_id, &Node::Leaf { keys: lk, vals: lv, next })?;
-                    pkeys.remove(idx - 1);
-                    pchildren.remove(idx);
-                    return Ok(true);
-                }
-                // No left sibling: use the right one.
-                let right_id = pchildren[idx + 1];
-                let Node::Leaf { keys: mut rk, vals: mut rv, next: rn } = self.load(right_id)?
-                else {
-                    unreachable!("siblings share node kind")
-                };
-                if rk.len() > Self::leaf_min() {
-                    keys.push(rk.remove(0));
-                    vals.push(rv.remove(0));
-                    pkeys[idx] = rk[0];
-                    self.save(right_id, &Node::Leaf { keys: rk, vals: rv, next: rn })?;
-                    self.save(child_id, &Node::Leaf { keys, vals, next })?;
-                    return Ok(true);
-                }
-                // Merge the right sibling into the child.
-                keys.append(&mut rk);
-                vals.append(&mut rv);
-                self.save(child_id, &Node::Leaf { keys, vals, next: rn })?;
-                pkeys.remove(idx);
-                pchildren.remove(idx + 1);
-                Ok(true)
-            }
-            Node::Internal { mut keys, mut children } => {
-                if idx > 0 {
-                    let left_id = pchildren[idx - 1];
-                    let Node::Internal { keys: mut lk, children: mut lc } = self.load(left_id)?
-                    else {
-                        unreachable!("siblings share node kind")
-                    };
-                    if lk.len() > Self::internal_min() {
-                        // Rotate through the parent separator.
-                        keys.insert(0, pkeys[idx - 1]);
-                        pkeys[idx - 1] = lk.pop().expect("non-empty");
-                        children.insert(0, lc.pop().expect("non-empty"));
-                        self.save(left_id, &Node::Internal { keys: lk, children: lc })?;
-                        self.save(child_id, &Node::Internal { keys, children })?;
-                        return Ok(true);
-                    }
-                    // Merge: left + separator + child.
-                    lk.push(pkeys[idx - 1]);
-                    lk.append(&mut keys);
-                    lc.append(&mut children);
-                    self.save(left_id, &Node::Internal { keys: lk, children: lc })?;
-                    pkeys.remove(idx - 1);
-                    pchildren.remove(idx);
-                    return Ok(true);
-                }
-                let right_id = pchildren[idx + 1];
-                let Node::Internal { keys: mut rk, children: mut rc } = self.load(right_id)? else {
-                    unreachable!("siblings share node kind")
-                };
-                if rk.len() > Self::internal_min() {
-                    keys.push(pkeys[idx]);
-                    pkeys[idx] = rk.remove(0);
-                    children.push(rc.remove(0));
-                    self.save(right_id, &Node::Internal { keys: rk, children: rc })?;
-                    self.save(child_id, &Node::Internal { keys, children })?;
-                    return Ok(true);
-                }
-                // Merge: child + separator + right.
-                keys.push(pkeys[idx]);
-                keys.append(&mut rk);
-                children.append(&mut rc);
-                self.save(child_id, &Node::Internal { keys, children })?;
-                pkeys.remove(idx);
-                pchildren.remove(idx + 1);
-                Ok(true)
-            }
-        }
     }
 
     /// Inclusive range scan `lo ..= hi`, in key order: a one-call
@@ -537,12 +238,15 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
     }
 
     /// Bulk loads a tree from key-sorted entries (keys must be strictly
-    /// increasing). Much cheaper than repeated inserts: leaves are packed
-    /// left to right at full fill, then each internal level is built in one
-    /// pass. Panics if `entries` is unsorted or has duplicates.
+    /// increasing): leaves are packed left to right at full fill, then each
+    /// internal level is built in one pass. Panics if `entries` is unsorted
+    /// or has duplicates.
     pub fn bulk_load(store: S, entries: &[(Key, [u8; V])]) -> StorageResult<Self> {
         if entries.is_empty() {
-            return Self::new(store);
+            let root = store.allocate()?;
+            let empty: Node<V> = Node::Leaf { keys: Vec::new(), vals: Vec::new(), next: None };
+            store.write(root, &empty.serialize())?;
+            return Ok(Self { store, root, height: 0, len: 0 });
         }
         assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0),
@@ -595,9 +299,8 @@ type LeafView<'n, const V: usize> = (&'n [Key], &'n [[u8; V]], Option<PageId>);
 /// candidates in tweet-id order, the primary tree's key order) descend
 /// the tree once, not once per key.
 ///
-/// Reuse is safe because of the borrow: the reader holds `&BPlusTree`,
-/// every mutation needs `&mut BPlusTree`, so no page can change while a
-/// reader lives. Nothing outlives the reader — it is a cursor, not a
+/// Reuse is safe because a tree is never written after its bulk load, so
+/// no page can change while a reader lives. Nothing outlives the reader — it is a cursor, not a
 /// cache — and every page it does read goes through the store (and its
 /// checksum verification) exactly like a one-shot lookup. A failed read
 /// leaves the remembered path untouched, so the next call retries it.
@@ -696,59 +399,23 @@ mod tests {
         x.to_le_bytes()
     }
 
+    /// A tree over `keys` (sorted, distinct), each valued by its major.
+    fn tree_of(keys: impl IntoIterator<Item = Key>) -> Tree {
+        let entries: Vec<(Key, [u8; 8])> = keys.into_iter().map(|k| (k, v(k.0))).collect();
+        Tree::bulk_load(MemPager::new(), &entries).unwrap()
+    }
+
     #[test]
     fn empty_tree() {
-        let mut t = Tree::new(MemPager::new()).unwrap();
+        let t = tree_of([]);
         assert!(t.is_empty());
         assert_eq!(t.get((1, 0)).unwrap(), None);
         assert!(t.scan((0, 0), (100, 0)).unwrap().is_empty());
-        assert_eq!(t.delete((1, 0)).unwrap(), None);
-    }
-
-    #[test]
-    fn insert_get_small() {
-        let mut t = Tree::new(MemPager::new()).unwrap();
-        assert_eq!(t.insert((5, 0), v(50)).unwrap(), None);
-        assert_eq!(t.insert((3, 0), v(30)).unwrap(), None);
-        assert_eq!(t.insert((7, 0), v(70)).unwrap(), None);
-        assert_eq!(t.get((5, 0)).unwrap(), Some(v(50)));
-        assert_eq!(t.get((3, 0)).unwrap(), Some(v(30)));
-        assert_eq!(t.get((4, 0)).unwrap(), None);
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn upsert_returns_old() {
-        let mut t = Tree::new(MemPager::new()).unwrap();
-        assert_eq!(t.insert((1, 1), v(10)).unwrap(), None);
-        assert_eq!(t.insert((1, 1), v(20)).unwrap(), Some(v(10)));
-        assert_eq!(t.get((1, 1)).unwrap(), Some(v(20)));
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn many_inserts_split_and_stay_searchable() {
-        let mut t = Tree::new(MemPager::new()).unwrap();
-        let n = 5000u64;
-        // Insert in a scrambled order to exercise splits everywhere.
-        for i in 0..n {
-            let k = (i * 2654435761) % n;
-            t.insert((k, 0), v(k * 10)).unwrap();
-        }
-        assert_eq!(t.len(), n);
-        assert!(t.height() >= 1, "tree should have split");
-        for k in 0..n {
-            assert_eq!(t.get((k, 0)).unwrap(), Some(v(k * 10)), "key {k}");
-        }
-        assert_eq!(t.get((n, 0)).unwrap(), None);
     }
 
     #[test]
     fn scan_returns_sorted_inclusive_range() {
-        let mut t = Tree::new(MemPager::new()).unwrap();
-        for k in (0..1000u64).rev() {
-            t.insert((k, 0), v(k)).unwrap();
-        }
+        let t = tree_of((0..1000u64).map(|k| (k, 0)));
         let got = t.scan((100, 0), (110, 0)).unwrap();
         let keys: Vec<u64> = got.iter().map(|e| e.0 .0).collect();
         assert_eq!(keys, (100..=110).collect::<Vec<_>>());
@@ -760,13 +427,9 @@ mod tests {
 
     #[test]
     fn scan_major_finds_all_minors() {
-        let mut t = Tree::new(MemPager::new()).unwrap();
         // Secondary-index shape: (rsid, sid) pairs.
-        for sid in 0..50u64 {
-            t.insert((7, sid), v(sid)).unwrap();
-        }
-        t.insert((6, 999), v(0)).unwrap();
-        t.insert((8, 0), v(0)).unwrap();
+        let t =
+            tree_of([(6, 999)].into_iter().chain((0..50u64).map(|sid| (7, sid))).chain([(8, 0)]));
         let got = t.scan_major(7).unwrap();
         assert_eq!(got.len(), 50);
         assert!(got.iter().all(|e| e.0 .0 == 7));
@@ -776,35 +439,15 @@ mod tests {
 
     #[test]
     fn scan_spanning_many_leaves() {
-        let mut t = Tree::new(MemPager::new()).unwrap();
         let n = 3000u64;
-        for k in 0..n {
-            t.insert((k, 0), v(k)).unwrap();
-        }
+        let t = tree_of((0..n).map(|k| (k, 0)));
         let all = t.scan((0, 0), (n, 0)).unwrap();
         assert_eq!(all.len(), n as usize);
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]
-    fn delete_removes_and_reinserts() {
-        let mut t = Tree::new(MemPager::new()).unwrap();
-        for k in 0..500u64 {
-            t.insert((k, 0), v(k)).unwrap();
-        }
-        assert_eq!(t.delete((250, 0)).unwrap(), Some(v(250)));
-        assert_eq!(t.get((250, 0)).unwrap(), None);
-        assert_eq!(t.len(), 499);
-        assert_eq!(t.delete((250, 0)).unwrap(), None);
-        t.insert((250, 0), v(999)).unwrap();
-        assert_eq!(t.get((250, 0)).unwrap(), Some(v(999)));
-        // Neighbours unaffected.
-        assert_eq!(t.get((249, 0)).unwrap(), Some(v(249)));
-        assert_eq!(t.get((251, 0)).unwrap(), Some(v(251)));
-    }
-
-    #[test]
-    fn bulk_load_matches_inserts() {
+    fn bulk_load_is_searchable() {
         let n = 4000u64;
         let entries: Vec<((u64, u64), [u8; 8])> = (0..n).map(|k| ((k, 0), v(k * 3))).collect();
         let bulk = Tree::bulk_load(MemPager::new(), &entries).unwrap();
@@ -814,14 +457,6 @@ mod tests {
         }
         let scan = bulk.scan((0, 0), (n, u64::MAX)).unwrap();
         assert_eq!(scan.len(), n as usize);
-        // Bulk load writes far fewer pages than incremental insertion.
-        let bulk_writes = bulk.store().stats().page_writes();
-        let mut incr = Tree::new(MemPager::new()).unwrap();
-        for (k, val) in &entries {
-            incr.insert(*k, *val).unwrap();
-        }
-        let incr_writes = incr.store().stats().page_writes();
-        assert!(bulk_writes * 10 < incr_writes, "bulk {bulk_writes} vs incremental {incr_writes}");
     }
 
     #[test]
@@ -841,11 +476,7 @@ mod tests {
 
     #[test]
     fn corrupt_node_tag_is_a_typed_error() {
-        let t = Tree::bulk_load(
-            MemPager::new(),
-            &(0..10u64).map(|k| ((k, 0), v(k))).collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let t = tree_of((0..10u64).map(|k| (k, 0)));
         // Scribble an impossible tag over the root node.
         let mut raw = t.store().read(PageId(0)).unwrap();
         raw[NODE_BASE] = 9;
@@ -855,11 +486,7 @@ mod tests {
 
     #[test]
     fn impossible_count_is_a_typed_error() {
-        let t = Tree::bulk_load(
-            MemPager::new(),
-            &(0..10u64).map(|k| ((k, 0), v(k))).collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let t = tree_of((0..10u64).map(|k| (k, 0)));
         let mut raw = t.store().read(PageId(0)).unwrap();
         raw[NODE_BASE + 2..NODE_BASE + 4].copy_from_slice(&u16::MAX.to_le_bytes());
         t.store().write(PageId(0), &raw).unwrap();
@@ -868,10 +495,7 @@ mod tests {
 
     #[test]
     fn composite_key_ordering() {
-        let mut t = Tree::new(MemPager::new()).unwrap();
-        t.insert((1, 5), v(15)).unwrap();
-        t.insert((1, 2), v(12)).unwrap();
-        t.insert((2, 0), v(20)).unwrap();
+        let t = tree_of([(1, 2), (1, 5), (2, 0)]);
         let got = t.scan((1, 0), (1, u64::MAX)).unwrap();
         let keys: Vec<Key> = got.iter().map(|e| e.0).collect();
         assert_eq!(keys, vec![(1, 2), (1, 5)]);
@@ -879,10 +503,7 @@ mod tests {
 
     #[test]
     fn io_counts_grow_with_depth() {
-        let mut t = Tree::new(MemPager::new()).unwrap();
-        for k in 0..20000u64 {
-            t.insert((k, 0), v(k)).unwrap();
-        }
+        let t = tree_of((0..20000u64).map(|k| (k, 0)));
         let before = t.store().stats().page_reads();
         t.get((12345, 0)).unwrap();
         let after = t.store().stats().page_reads();
@@ -918,98 +539,5 @@ mod tests {
         let start = reads();
         t.get((7, 0)).unwrap();
         assert_eq!(reads() - start, 3);
-    }
-}
-
-#[cfg(test)]
-mod delete_rebalance_tests {
-    #![allow(clippy::unwrap_used)]
-    use super::*;
-    use crate::pager::MemPager;
-
-    type Tree = BPlusTree<MemPager, 8>;
-
-    fn v(x: u64) -> [u8; 8] {
-        x.to_le_bytes()
-    }
-
-    fn full_tree(n: u64) -> Tree {
-        let entries: Vec<((u64, u64), [u8; 8])> = (0..n).map(|k| ((k, 0), v(k))).collect();
-        Tree::bulk_load(MemPager::new(), &entries).unwrap()
-    }
-
-    #[test]
-    fn delete_everything_collapses_to_empty_root_leaf() {
-        // Leaf fanout is ~170, so 40k entries give a height-2 tree and the
-        // deletes exercise multi-level merges and the root collapse.
-        let n = 40_000u64;
-        let mut t = full_tree(n);
-        assert!(t.height() >= 2, "tall tree to exercise multi-level merges");
-        // Delete in an order that hits merges on both flanks.
-        for k in (0..n).step_by(2) {
-            assert_eq!(t.delete((k, 0)).unwrap(), Some(v(k)), "delete {k}");
-        }
-        let mut odds: Vec<u64> = (1..n).step_by(2).collect();
-        odds.reverse();
-        for k in odds {
-            assert_eq!(t.delete((k, 0)).unwrap(), Some(v(k)), "delete {k}");
-        }
-        assert_eq!(t.len(), 0);
-        assert_eq!(t.height(), 0, "root collapsed back to a leaf");
-        assert_eq!(t.get((0, 0)).unwrap(), None);
-        assert!(t.scan((0, 0), (n, 0)).unwrap().is_empty());
-    }
-
-    #[test]
-    fn interleaved_deletes_keep_scans_correct() {
-        let n = 10_000u64;
-        let mut t = full_tree(n);
-        // Remove every third key.
-        for k in (0..n).step_by(3) {
-            t.delete((k, 0)).unwrap();
-        }
-        let remaining = t.scan((0, 0), (n, 0)).unwrap();
-        let expect: Vec<u64> = (0..n).filter(|k| k % 3 != 0).collect();
-        assert_eq!(remaining.len(), expect.len());
-        for ((got, _), want) in remaining.iter().zip(&expect) {
-            assert_eq!(got.0, *want);
-        }
-        // Survivors still point-readable; victims gone.
-        assert_eq!(t.get((1, 0)).unwrap(), Some(v(1)));
-        assert_eq!(t.get((3, 0)).unwrap(), None);
-    }
-
-    #[test]
-    fn delete_then_reinsert_cycles() {
-        let mut t = full_tree(5_000);
-        for round in 0..3 {
-            for k in 1_000..2_000u64 {
-                assert!(t.delete((k, 0)).unwrap().is_some(), "round {round} delete {k}");
-            }
-            for k in 1_000..2_000u64 {
-                assert_eq!(t.insert((k, 0), v(k * 7)).unwrap(), None, "round {round} reinsert {k}");
-            }
-        }
-        assert_eq!(t.len(), 5_000);
-        assert_eq!(t.get((1_500, 0)).unwrap(), Some(v(1_500 * 7)));
-        assert_eq!(t.get((2_500, 0)).unwrap(), Some(v(2_500)));
-        let all = t.scan((0, 0), (u64::MAX, 0)).unwrap();
-        assert_eq!(all.len(), 5_000);
-        assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn height_shrinks_as_tree_empties() {
-        let mut t = full_tree(30_000);
-        let start_height = t.height();
-        assert!(start_height >= 2);
-        for k in 0..29_900u64 {
-            t.delete((k, 0)).unwrap();
-        }
-        assert!(t.height() < start_height, "{} -> {}", start_height, t.height());
-        // The last hundred keys are all still there.
-        for k in 29_900..30_000u64 {
-            assert_eq!(t.get((k, 0)).unwrap(), Some(v(k)));
-        }
     }
 }

@@ -328,10 +328,8 @@ mod tests {
         use crate::bptree::BPlusTree;
         let cached = {
             let pool = BufferPool::new(MemPager::new(), 256);
-            let mut t: BPlusTree<_, 8> = BPlusTree::new(pool).unwrap();
-            for k in 0..2000u64 {
-                t.insert((k, 0), k.to_le_bytes()).unwrap();
-            }
+            let entries: Vec<_> = (0..2000u64).map(|k| ((k, 0), k.to_le_bytes())).collect();
+            let t: BPlusTree<_, 8> = BPlusTree::bulk_load(pool, &entries).unwrap();
             t.store().stats().reset();
             for k in 0..2000u64 {
                 t.get((k, 0)).unwrap();
@@ -340,10 +338,8 @@ mod tests {
         };
         let uncached = {
             let pool = BufferPool::new(MemPager::new(), 0);
-            let mut t: BPlusTree<_, 8> = BPlusTree::new(pool).unwrap();
-            for k in 0..2000u64 {
-                t.insert((k, 0), k.to_le_bytes()).unwrap();
-            }
+            let entries: Vec<_> = (0..2000u64).map(|k| ((k, 0), k.to_le_bytes())).collect();
+            let t: BPlusTree<_, 8> = BPlusTree::bulk_load(pool, &entries).unwrap();
             t.store().stats().reset();
             for k in 0..2000u64 {
                 t.get((k, 0)).unwrap();

@@ -124,10 +124,9 @@ mod tests {
     #[test]
     fn works_under_a_bptree() {
         use crate::bptree::BPlusTree;
-        let mut t: BPlusTree<_, 8> = BPlusTree::new(CheckedPager::new(MemPager::new())).unwrap();
-        for k in 0..2000u64 {
-            t.insert((k, 0), k.to_le_bytes()).unwrap();
-        }
+        let entries: Vec<_> = (0..2000u64).map(|k| ((k, 0), k.to_le_bytes())).collect();
+        let t: BPlusTree<_, 8> =
+            BPlusTree::bulk_load(CheckedPager::new(MemPager::new()), &entries).unwrap();
         for k in (0..2000u64).step_by(17) {
             assert_eq!(t.get((k, 0)).unwrap(), Some(k.to_le_bytes()));
         }

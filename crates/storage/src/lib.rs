@@ -9,11 +9,11 @@
 //!
 //! * [`page`] / [`pager`] — fixed-size pages over an in-memory store,
 //!   with I/O accounting ([`IoStats`]).
-//! * [`bptree`] — a paged B⁺-tree with composite `(u64, u64)` keys,
-//!   fixed-size values, point lookups, range scans, inserts with node
-//!   splitting, and sorted bulk loading. The composite key serves both the
-//!   unique primary index (`(sid, 0)`) and the non-unique secondary index
-//!   (`(rsid, sid)`).
+//! * [`bptree`] — a paged B⁺-tree with composite `(u64, u64)` keys and
+//!   fixed-size values, built by one sorted bulk load and read-only
+//!   afterwards: point lookups and range scans. The composite key serves
+//!   both the unique primary index (`(sid, 0)`) and the non-unique
+//!   secondary index (`(rsid, sid)`).
 //! * [`buffer`] — an LRU buffer pool between B⁺-trees and the page store,
 //!   so logical accesses and physical I/Os can be measured separately (the
 //!   paper's Section VI-B runs with "database caches … off"; the pool can

@@ -1,24 +1,17 @@
-//! Property-based tests: the B⁺-tree agrees with a BTreeMap model, and the
-//! checksummed page format round-trips / detects corruption.
+//! Property-based tests: a bulk-loaded B⁺-tree agrees with a BTreeMap
+//! model, and the checksummed page format round-trips / detects
+//! corruption.
 
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use tklus_storage::{
-    crc32, seal_page, verify_page, BPlusTree, BufferPool, CheckedPager, FaultConfig, FaultHandle,
-    FaultPager, MemPager, PageId, PageStore, StorageError, PAGE_HEADER_SIZE, PAGE_SIZE,
+    crc32, seal_page, verify_page, BPlusTree, CheckedPager, FaultConfig, FaultHandle, FaultPager,
+    MemPager, PageId, PageStore, StorageError, PAGE_HEADER_SIZE, PAGE_SIZE,
 };
 
 type Key = (u64, u64);
-
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(Key, u64),
-    Delete(Key),
-    Get(Key),
-    Scan(Key, Key),
-}
 
 /// CRC-32 (IEEE 802.3, reflected) straight from the polynomial, one bit at
 /// a time: no table, so it shares nothing with the product kernel.
@@ -33,53 +26,8 @@ fn crc32_bitwise(bytes: &[u8]) -> u32 {
     !crc
 }
 
-fn arb_key() -> impl Strategy<Value = Key> {
-    // Small key space to force collisions and updates.
-    (0u64..64, 0u64..8)
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (arb_key(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
-        arb_key().prop_map(Op::Delete),
-        arb_key().prop_map(Op::Get),
-        (arb_key(), arb_key()).prop_map(|(a, b)| Op::Scan(a.min(b), a.max(b))),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn tree_matches_model(ops in proptest::collection::vec(arb_op(), 1..400)) {
-        // The tree runs over the full production stack: buffer pool over
-        // checksummed pages.
-        let mut tree: BPlusTree<_, 8> =
-            BPlusTree::new(BufferPool::new(CheckedPager::new(MemPager::new()), 8)).unwrap();
-        let mut model: BTreeMap<Key, u64> = BTreeMap::new();
-        for op in ops {
-            match op {
-                Op::Insert(k, v) => {
-                    let old = tree.insert(k, v.to_le_bytes()).unwrap();
-                    prop_assert_eq!(old.map(u64::from_le_bytes), model.insert(k, v));
-                }
-                Op::Delete(k) => {
-                    let old = tree.delete(k).unwrap();
-                    prop_assert_eq!(old.map(u64::from_le_bytes), model.remove(&k));
-                }
-                Op::Get(k) => {
-                    prop_assert_eq!(tree.get(k).unwrap().map(u64::from_le_bytes), model.get(&k).copied());
-                }
-                Op::Scan(lo, hi) => {
-                    let got: Vec<(Key, u64)> =
-                        tree.scan(lo, hi).unwrap().into_iter().map(|(k, v)| (k, u64::from_le_bytes(v))).collect();
-                    let want: Vec<(Key, u64)> = model.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
-                    prop_assert_eq!(got, want);
-                }
-            }
-            prop_assert_eq!(tree.len(), model.len() as u64);
-        }
-    }
 
     #[test]
     fn bulk_load_equals_model(mut keys in proptest::collection::btree_set((0u64..10_000, 0u64..4), 0..800)) {
@@ -168,49 +116,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Large-scale churn against the model: enough keys to span many
-    /// leaves, so deletes exercise borrow/merge rebalancing.
-    #[test]
-    fn churn_matches_model_across_leaves(seed in any::<u64>()) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut tree: BPlusTree<_, 8> =
-            BPlusTree::new(BufferPool::new(CheckedPager::new(MemPager::new()), 64)).unwrap();
-        let mut model: BTreeMap<Key, u64> = BTreeMap::new();
-        // Load 3000 keys, then randomly delete/insert/get 3000 times.
-        for _ in 0..3000 {
-            let k = (rng.gen_range(0u64..5000), 0u64);
-            let v: u64 = rng.gen();
-            tree.insert(k, v.to_le_bytes()).unwrap();
-            model.insert(k, v);
-        }
-        for _ in 0..3000 {
-            let k = (rng.gen_range(0u64..5000), 0u64);
-            match rng.gen_range(0..3) {
-                0 => {
-                    prop_assert_eq!(tree.delete(k).unwrap().map(u64::from_le_bytes), model.remove(&k));
-                }
-                1 => {
-                    let v: u64 = rng.gen();
-                    prop_assert_eq!(tree.insert(k, v.to_le_bytes()).unwrap().map(u64::from_le_bytes), model.insert(k, v));
-                }
-                _ => {
-                    prop_assert_eq!(tree.get(k).unwrap().map(u64::from_le_bytes), model.get(&k).copied());
-                }
-            }
-        }
-        // Final full scan agrees.
-        let got: Vec<(Key, u64)> =
-            tree.scan((0, 0), (u64::MAX, u64::MAX)).unwrap().into_iter().map(|(k, v)| (k, u64::from_le_bytes(v))).collect();
-        let want: Vec<(Key, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(tree.len(), model.len() as u64);
-    }
-}
-
 // ---- TreeReader ≡ one-shot lookups -------------------------------------
 
 /// A read through either surface: the reader under test or the one-shot
@@ -273,38 +178,17 @@ fn model_answer(model: &BTreeMap<Key, u64>, read: &Read) -> Vec<(Key, u64)> {
     model.range(lo..=hi).map(|(k, v)| (*k, *v)).collect()
 }
 
-/// A multi-leaf tree over `store` and its model: bulk-loaded, or grown by
-/// scrambled inserts and then thinned by deletes (`churn`), so readers
-/// meet packed leaves as well as split, borrowed-from and merged ones.
-fn build_tree<S: PageStore>(
-    store: S,
-    seed: u64,
-    churn: bool,
-) -> (BPlusTree<S, 8>, BTreeMap<Key, u64>) {
+/// A multi-leaf tree over `store` and its model, bulk-loaded: the only
+/// shape a tree has.
+fn build_tree<S: PageStore>(store: S, seed: u64) -> (BPlusTree<S, 8>, BTreeMap<Key, u64>) {
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut model: BTreeMap<Key, u64> = BTreeMap::new();
     for _ in 0..2_500 {
         model.insert((rng.gen_range(0..MAJORS), rng.gen_range(0u64..6)), rng.gen());
     }
-    if !churn {
-        let entries: Vec<(Key, [u8; 8])> =
-            model.iter().map(|(k, v)| (*k, v.to_le_bytes())).collect();
-        return (BPlusTree::bulk_load(store, &entries).unwrap(), model);
-    }
-    let mut tree = BPlusTree::new(store).unwrap();
-    let mut keys: Vec<Key> = model.keys().copied().collect();
-    for i in (1..keys.len()).rev() {
-        keys.swap(i, rng.gen_range(0..=i));
-    }
-    for k in &keys {
-        tree.insert(*k, model[k].to_le_bytes()).unwrap();
-    }
-    for k in keys.iter().step_by(3) {
-        tree.delete(*k).unwrap();
-        model.remove(k);
-    }
-    (tree, model)
+    let entries: Vec<(Key, [u8; 8])> = model.iter().map(|(k, v)| (*k, v.to_le_bytes())).collect();
+    (BPlusTree::bulk_load(store, &entries).unwrap(), model)
 }
 
 /// A store that logs the id of every page read (to count what a reader
@@ -342,10 +226,9 @@ proptest! {
     #[test]
     fn reader_equals_one_shot(
         seed in any::<u64>(),
-        churn in any::<bool>(),
         reads in proptest::collection::vec(arb_read(), 1..120),
     ) {
-        let (tree, model) = build_tree(MemPager::new(), seed, churn);
+        let (tree, model) = build_tree(MemPager::new(), seed);
         let io = tree.store().stats().clone();
         io.reset();
         let want: Vec<Answer> = reads.iter().map(|r| one_shot(&tree, r)).collect();
@@ -367,11 +250,10 @@ proptest! {
     #[test]
     fn ascending_sweep_reads_each_page_once(
         seed in any::<u64>(),
-        churn in any::<bool>(),
         keys in proptest::collection::btree_set((0u64..MAJORS + 10, 0u64..6), 1..300),
     ) {
         let store = RecordingPager { inner: MemPager::new(), log: std::sync::Mutex::new(Vec::new()) };
-        let (tree, _) = build_tree(store, seed, churn);
+        let (tree, _) = build_tree(store, seed);
         let levels = tree.height() + 1;
         let take_log = || std::mem::take(&mut *tree.store().log.lock().unwrap());
         take_log();
@@ -403,13 +285,12 @@ proptest! {
     #[test]
     fn reader_survives_transient_read_faults(
         seed in any::<u64>(),
-        churn in any::<bool>(),
         reads in proptest::collection::vec(arb_read(), 40..100),
     ) {
         let handle = FaultHandle::new();
         let cfg = FaultConfig { seed, transient_read_ppm: 500_000, ..FaultConfig::default() };
         let store = FaultPager::with_handle(MemPager::new(), cfg, std::sync::Arc::clone(&handle));
-        let (tree, model) = build_tree(store, seed, churn);
+        let (tree, model) = build_tree(store, seed);
         let mut reader = tree.reader();
         let mut failed = 0usize;
         for read in &reads {

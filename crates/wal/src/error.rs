@@ -49,11 +49,9 @@ pub enum WalError {
     Crashed,
     /// The ingested tweet id already exists in the store (sealed or live).
     DuplicateTweet(TweetId),
-    /// The live engine was lost: an apply failed *and* the rebuild from
-    /// the acked set failed too. Durable state is intact — closing and
-    /// reopening the store recovers; until then every operation fails.
-    Poisoned,
-    /// The engine under the snapshot query path failed.
+    /// The sealed engine failed: a metadata page fault under a query, or
+    /// in an engine build (at open or in a compaction). Nothing was
+    /// applied or installed.
     Engine(EngineError),
 }
 
@@ -69,9 +67,6 @@ impl std::fmt::Display for WalError {
             }
             WalError::Crashed => f.write_str("injected crash: the simulated process is dead"),
             WalError::DuplicateTweet(id) => write!(f, "tweet {} already ingested", id.0),
-            WalError::Poisoned => f.write_str(
-                "live ingest state lost (apply and rebuild both failed); reopen the store",
-            ),
             WalError::Engine(e) => write!(f, "{e}"),
         }
     }

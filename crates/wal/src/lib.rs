@@ -19,7 +19,9 @@
 //!   [`replay`], which truncates the final segment's torn tail and
 //!   refuses mid-log corruption with a typed error.
 //! * [`memtable`] — the live delta index ([`MemtableIndex`]): postings
-//!   for acked-but-unsealed posts, keyed by term string.
+//!   for acked-but-unsealed posts, keyed by term string, and their
+//!   metadata, the overlay queries read the read-only sealed engine
+//!   through.
 //! * [`store`] — [`IngestStore`], tying it together: WAL-acked ingest,
 //!   snapshot queries merging sealed and live candidates bitwise-equal
 //!   to a from-scratch engine, and atomic-manifest compaction.

@@ -1,7 +1,10 @@
-//! The live delta index: postings for acked-but-unsealed posts.
+//! The live delta index: postings and metadata for acked-but-unsealed
+//! posts.
 //!
-//! The sealed engine's inverted index is immutable; posts ingested since
-//! the last compaction live here instead, as an in-memory postings map
+//! The sealed engine is immutable; posts ingested since the last
+//! compaction live here instead: their metadata as a
+//! [`LiveMetadata`], the overlay a query reads the sealed trees through,
+//! and their postings as an in-memory map
 //! keyed term-first (⟨term *string*, geohash cell⟩). Term strings, not
 //! term ids: a live post can carry words the sealed vocabulary has never
 //! seen, and the whole point of the delta is to answer for them before
@@ -19,18 +22,19 @@
 //! bit for bit (the snapshot-equality oracle in `tests/` asserts this).
 
 use std::collections::BTreeMap;
+use tklus_core::LiveMetadata;
 use tklus_geo::Geohash;
-use tklus_model::{Semantics, TweetId, UserId};
+use tklus_model::{Post, Semantics, TweetId};
 
-/// In-memory postings over the live (unsealed) posts.
+/// In-memory postings and metadata over the live (unsealed) posts.
 #[derive(Debug, Clone, Default)]
 pub struct MemtableIndex {
     /// term → cell → id-sorted `(tweet, tf)` postings. Term-first keying:
     /// one `&str` lookup per term, then cheap per-cell probes over the
     /// cover — no per-cell key allocation.
     postings: BTreeMap<String, BTreeMap<Geohash, Vec<(TweetId, u32)>>>,
-    /// Live posts: tweet → author.
-    posts: BTreeMap<TweetId, UserId>,
+    /// The live posts' rows, reply edges and author locations.
+    meta: LiveMetadata,
 }
 
 impl MemtableIndex {
@@ -41,39 +45,29 @@ impl MemtableIndex {
 
     /// Number of live posts.
     pub fn len(&self) -> usize {
-        self.posts.len()
+        self.meta.len()
     }
 
     /// True when no posts are live.
     pub fn is_empty(&self) -> bool {
-        self.posts.is_empty()
+        self.meta.is_empty()
     }
 
-    /// The live tweet ids, ascending.
-    pub fn tweet_ids(&self) -> impl Iterator<Item = TweetId> + '_ {
-        self.posts.keys().copied()
+    /// The live posts' metadata: the overlay queries read the sealed
+    /// engine's trees through.
+    pub fn meta(&self) -> &LiveMetadata {
+        &self.meta
     }
 
-    /// True when `tid` is a live (unsealed) post.
-    pub fn contains(&self, tid: TweetId) -> bool {
-        self.posts.contains_key(&tid)
-    }
-
-    /// The distinct authors of live posts, ascending.
-    pub fn users(&self) -> Vec<UserId> {
-        let mut users: Vec<UserId> = self.posts.values().copied().collect();
-        users.sort();
-        users.dedup();
-        users
-    }
-
-    /// Absorbs one post: `cell` is its geohash at the sealed index's
-    /// encoding length, `terms` the pipeline's `(term, tf)` counts
+    /// Absorbs one post: its metadata, and its postings under `cell`, its
+    /// geohash at the sealed index's encoding length, with `terms` the
+    /// pipeline's `(term, tf)` counts
     /// ([`tklus_core::TklusEngine::term_counts`]). Posts may arrive in any
     /// tweet-id order (replay is sequence-ordered, not id-ordered);
     /// postings stay id-sorted by insertion position.
-    pub fn insert(&mut self, tid: TweetId, uid: UserId, cell: Geohash, terms: &[(String, u32)]) {
-        self.posts.insert(tid, uid);
+    pub fn insert(&mut self, post: &Post, cell: Geohash, terms: &[(String, u32)]) {
+        self.meta.insert(post);
+        let tid = post.id;
         for (term, tf) in terms {
             let list = self.postings.entry(term.clone()).or_default().entry(cell).or_default();
             match list.binary_search_by_key(&tid, |e| e.0) {
@@ -149,17 +143,22 @@ mod tests {
 
     use super::*;
     use tklus_geo::{encode, Point};
+    use tklus_model::UserId;
 
     fn cell(lat: f64, lon: f64) -> Geohash {
         encode(&Point::new_unchecked(lat, lon), 4).unwrap()
     }
 
+    fn post(id: u64, user: u64) -> Post {
+        Post::original(TweetId(id), UserId(user), Point::new_unchecked(43.70, -79.42), "")
+    }
+
     fn table() -> (MemtableIndex, Geohash) {
         let c = cell(43.70, -79.42);
         let mut m = MemtableIndex::new();
-        m.insert(TweetId(5), UserId(1), c, &[("hotel".into(), 2), ("coffe".into(), 1)]);
-        m.insert(TweetId(2), UserId(2), c, &[("hotel".into(), 1)]);
-        m.insert(TweetId(9), UserId(1), c, &[("coffe".into(), 3)]);
+        m.insert(&post(5, 1), c, &[("hotel".into(), 2), ("coffe".into(), 1)]);
+        m.insert(&post(2, 2), c, &[("hotel".into(), 1)]);
+        m.insert(&post(9, 1), c, &[("coffe".into(), 3)]);
         (m, c)
     }
 
@@ -189,7 +188,7 @@ mod tests {
     fn cover_filters_by_cell_and_duplicate_keywords_count_once() {
         let (mut m, c) = table();
         let far = cell(-33.87, 151.21);
-        m.insert(TweetId(11), UserId(3), far, &[("hotel".into(), 1)]);
+        m.insert(&post(11, 3), far, &[("hotel".into(), 1)]);
         let near = m.candidates(&[c], &[Some("hotel".into())], Semantics::Or);
         assert!(near.iter().all(|&(tid, _)| tid != TweetId(11)));
         let both_cells = m.candidates(&[c, far], &[Some("hotel".into())], Semantics::Or);
@@ -203,8 +202,7 @@ mod tests {
         let (m, _) = table();
         assert_eq!(m.len(), 3);
         assert!(!m.is_empty());
-        assert_eq!(m.users(), vec![UserId(1), UserId(2)]);
-        assert!(m.contains(TweetId(5)));
+        assert_eq!(m.meta().len(), 3);
         assert!(MemtableIndex::new().is_empty());
         assert!(m.candidates(&[], &[Some("hotel".into())], Semantics::Or).is_empty());
     }

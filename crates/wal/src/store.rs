@@ -6,10 +6,9 @@
 //!   ingest ──▶ WAL append (fsync) ──▶ apply to live state ──▶ ack
 //!                                        │
 //!              sealed engine             ▼
-//!              (immutable index     MemtableIndex (live postings)
-//!               over sealed posts,  + engine metadata
-//!               metadata over ALL     (inserted in place)
-//!               acked posts)
+//!              (read-only index     MemtableIndex (live postings
+//!               and metadata over    + live metadata)
+//!               sealed posts)
 //!                      ▲
 //!                      └── compaction: touched geohash partitions
 //!                          rewritten, untouched ones carried forward
@@ -17,19 +16,21 @@
 //!                          a seq-fenced swap under the write latch
 //! ```
 //!
-//! The engine's inverted index covers only *sealed* posts; its metadata
-//! database covers *all* acked posts (each ingest inserts its row — see
-//! [`tklus_core::TklusEngine::try_insert_metadata`]). An engine is its
-//! index and its metadata, so building one at open, at every compaction
-//! round and at every rebuild pays for nothing else. A query of either
-//! ranking is one gather, which reproduces a from-scratch engine's
-//! answers **bitwise** (the oracle suite asserts equality, not
-//! closeness): sealed [`TklusEngine::try_partial_sum`] rows and memtable
-//! rows (scored by the same per-candidate body,
-//! [`TklusEngine::try_score_candidates`]) merge by tweet id — the
-//! monolithic fold order — and [`TklusEngine::try_rank_rows`] folds them
-//! per user (`+=` for Sum, `max` for Max), blends and ranks with the
-//! engine's own code: the very fold a monolithic engine's query runs.
+//! The sealed engine — index and metadata — covers only *sealed* posts.
+//! It is built at open and at every compaction round and never written
+//! afterwards. A live post's postings and metadata (row, reply edge,
+//! author location) live in the memtable, so applying an acked record
+//! touches no page and cannot fail. A query of either ranking is one
+//! gather, which reproduces a from-scratch engine's answers **bitwise**
+//! (the oracle suite asserts equality, not closeness): sealed
+//! [`TklusEngine::try_partial_sum`] rows and memtable rows (scored by the
+//! same per-candidate body, [`TklusEngine::try_score_candidates`]) merge
+//! by tweet id — the monolithic fold order — and
+//! [`TklusEngine::try_rank_rows`] folds them per user (`+=` for Sum, `max`
+//! for Max), blends and ranks with the engine's own code: the very fold a
+//! monolithic engine's query runs. All three read the sealed trees through
+//! the memtable's [`tklus_core::LiveMetadata`] overlay, so live replies
+//! count in sealed threads and live posts in a user's `P_u`.
 //!
 //! # Incremental, off-latch compaction
 //!
@@ -51,11 +52,10 @@
 //!    ingest run concurrently throughout.
 //! 3. **Swap** (write lock): `MANIFEST.tmp → MANIFEST` is the atomic
 //!    commit point; then install the built engine, advance the sealed
-//!    prefix to the fence, and re-apply the records acked *during* the
-//!    build (their seqs are above the fence) onto a fresh memtable —
-//!    they stay live and are absorbed by the next round. The latch is
-//!    held only for the rename plus the suffix replay, never for the
-//!    O(corpus) build.
+//!    prefix to the fence, and refill a fresh memtable with the records
+//!    acked *during* the build (their seqs are above the fence) — they
+//!    stay live and are absorbed by the next round. The latch is held
+//!    only for the rename plus the refill, never for the O(corpus) build.
 //!
 //! # Crash safety
 //!
@@ -77,12 +77,14 @@
 //!
 //! # Failure containment
 //!
-//! If applying an acked record to the live state fails part-way (a
-//! metadata page fault mid-insert), the store rebuilds the whole live
-//! state from the acked set — the in-memory equivalent of a WAL redo. If
-//! *that* also fails the store latches [`WalError::Poisoned`]: every call
-//! fails fast, no query ever observes a half-applied tweet, and reopening
-//! recovers from durable state. Compaction failures are counted in
+//! An ingest fails only before anything is applied: at the duplicate
+//! check or the WAL append. The live apply is in-memory and infallible,
+//! so no query ever observes a half-applied tweet and no error leaves the
+//! live state suspect. A query can fail typed (a metadata page fault
+//! under the sealed trees) and leaves nothing behind. A compaction that
+//! fails — a seal-file write, or a metadata fault in the engine build —
+//! sweeps what it staged and installs nothing: the old engine and the
+//! memtable keep answering. Compaction failures are counted in
 //! [`IngestStore::compaction_stats`]; the background compactor backs off
 //! exponentially on repeated failure and the serving layer surfaces the
 //! persistent-failure flag through `/health`.
@@ -101,7 +103,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tklus_core::{merge_sum_rows, EngineConfig, RankedUser, Ranking, SumRow, TklusEngine};
+use tklus_core::{
+    merge_sum_rows, EngineConfig, LiveMetadata, RankedUser, Ranking, SumRow, TklusEngine,
+};
 use tklus_geo::{circle_cover, encode, Geohash};
 use tklus_model::{Corpus, Post, TklusQuery, TweetId};
 use tklus_storage::crc32;
@@ -289,7 +293,7 @@ struct Inner {
     memtable: MemtableIndex,
     wal: WalWriter,
     /// Every acked record, sequence order. `acked[..sealed_len]` is the
-    /// sealed prefix the engine's index covers.
+    /// sealed prefix the engine covers.
     acked: Vec<WalRecord>,
     /// Geohash partition (leading geohash character) per acked record,
     /// parallel to `acked`. Stable across reopen: the geohash length is
@@ -310,7 +314,6 @@ struct Inner {
     generation: u64,
     /// The manifest's current partition files: group → (name, records).
     seal_files: BTreeMap<char, (String, usize)>,
-    poisoned: bool,
 }
 
 /// Counters behind [`IngestStore::compaction_stats`].
@@ -471,7 +474,8 @@ impl IngestStore {
         )?;
 
         let engine = Self::build_engine(sealed.iter().map(|r| r.post.clone()), &config.engine)?;
-        let groups: Vec<char> = sealed.iter().map(|r| Self::post_group(&engine, &r.post)).collect();
+        let groups: Vec<char> =
+            sealed.iter().map(|r| Self::group(&Self::post_cell(&engine, &r.post))).collect();
         let mut inner = Inner {
             engine,
             memtable: MemtableIndex::new(),
@@ -486,11 +490,13 @@ impl IngestStore {
             sealed_seq: manifest.sealed_seq,
             generation: manifest.generation,
             seal_files,
-            poisoned: false,
         };
         inner.sealed_len = inner.acked.len();
         for (i, rec) in inner.acked.iter().enumerate() {
             inner.by_id.insert(rec.post.id, i);
+        }
+        for rec in live {
+            Self::admit(&mut inner, rec);
         }
         let store = Self {
             fs,
@@ -499,12 +505,6 @@ impl IngestStore {
             compact_gate: Mutex::new(()),
             stats: CompactionStats::default(),
         };
-        {
-            let mut inner = store.inner.write();
-            for rec in live {
-                store.admit(&mut inner, rec)?;
-            }
-        }
         Ok((store, report))
     }
 
@@ -517,92 +517,45 @@ impl IngestStore {
         Ok(engine)
     }
 
-    /// Appends `rec` to the acked set and applies it to the live state as
-    /// a one-record [`Self::replay_suffix`]; on apply failure falls back
-    /// to a full rebuild (see the module docs).
-    fn admit(&self, inner: &mut Inner, rec: WalRecord) -> Result<u64, WalError> {
-        let seq = rec.seq;
-        let at = inner.acked.len();
-        inner.by_id.insert(rec.post.id, at);
-        inner.groups.push(Self::post_group(&inner.engine, &rec.post));
+    /// Appends `rec` to the acked set and applies it to the live state.
+    fn admit(inner: &mut Inner, rec: WalRecord) {
+        let cell = Self::apply(&inner.engine, &mut inner.memtable, &rec.post);
+        inner.groups.push(Self::group(&cell));
+        inner.by_id.insert(rec.post.id, inner.acked.len());
+        inner.max_seq = inner.max_seq.max(rec.seq);
         inner.acked.push(rec);
-        inner.max_seq = inner.max_seq.max(seq);
-        match Self::replay_suffix(&mut inner.engine, &mut inner.memtable, &inner.acked, at) {
-            Ok(()) => Ok(seq),
-            Err(_) => match self.rebuild_live(inner) {
-                Ok(()) => Ok(seq),
-                Err(_) => {
-                    inner.poisoned = true;
-                    Err(WalError::Poisoned)
-                }
-            },
-        }
     }
 
-    /// Re-applies `acked[from..]` — metadata, then memtable postings —
-    /// onto an engine whose metadata covers exactly `acked[..from]`. The
-    /// one apply routine: ingest, the post-swap suffix replay and the
-    /// poison-recovery rebuild all run it.
-    fn replay_suffix(
-        engine: &mut TklusEngine,
-        memtable: &mut MemtableIndex,
-        acked: &[WalRecord],
-        from: usize,
-    ) -> Result<(), WalError> {
-        for rec in &acked[from..] {
-            let post = &rec.post;
-            engine.try_insert_metadata(post)?;
-            let cell = Self::post_cell(engine, post)?;
-            let terms = engine.term_counts(&post.text);
-            memtable.insert(post.id, post.user, cell, &terms);
-        }
-        Ok(())
+    /// Applies one acked post to the live state: one encode, the term
+    /// counts, and a memtable insert of its postings and metadata. The one
+    /// apply routine — ingest, the open-time replay and the compaction
+    /// swap's refill all run it — and infallible: nothing here reads or
+    /// writes a page. Returns the post's cell.
+    fn apply(engine: &TklusEngine, memtable: &mut MemtableIndex, post: &Post) -> Geohash {
+        let cell = Self::post_cell(engine, post);
+        memtable.insert(post, cell, &engine.term_counts(&post.text));
+        cell
     }
 
-    /// The in-memory WAL redo: throw the live state away and rebuild it
-    /// from the acked set. Restores the invariant "live state ≡ fold of
-    /// acked records" after a half-applied record.
-    fn rebuild_live(&self, inner: &mut Inner) -> Result<(), WalError> {
-        let sealed = &inner.acked[..inner.sealed_len];
-        let mut engine =
-            Self::build_engine(sealed.iter().map(|r| r.post.clone()), &self.config.engine)?;
-        let mut memtable = MemtableIndex::new();
-        Self::replay_suffix(&mut engine, &mut memtable, &inner.acked, inner.sealed_len)?;
-        inner.engine = engine;
-        inner.memtable = memtable;
-        inner.poisoned = false;
-        Ok(())
+    /// The post's cell at the sealed index's geohash length, which the
+    /// index checked when it was built.
+    fn post_cell(engine: &TklusEngine, post: &Post) -> Geohash {
+        encode(&post.location, engine.index().geohash_len()).expect("index geohash length is valid")
     }
 
-    fn post_cell(engine: &TklusEngine, post: &Post) -> Result<Geohash, WalError> {
-        encode(&post.location, engine.index().geohash_len()).map_err(|e| WalError::Corrupt {
-            path: String::new(),
-            offset: 0,
-            detail: format!("post location failed to encode: {e:?}"),
-        })
-    }
-
-    /// The post's seal partition: its geohash's leading character.
-    /// Infallible so `groups` stays parallel to `acked` on every path;
-    /// the `'0'` fallback is unreachable in practice because
-    /// [`Self::replay_suffix`] refuses posts whose location will not encode.
-    fn post_group(engine: &TklusEngine, post: &Post) -> char {
-        encode(&post.location, engine.index().geohash_len())
-            .ok()
-            .and_then(|cell| cell.to_string().chars().next())
-            .unwrap_or('0')
+    /// A seal partition: the cell's leading geohash character.
+    fn group(cell: &Geohash) -> char {
+        cell.to_string().chars().next().expect("a geohash has at least one character")
     }
 
     /// Ingests one post: duplicate check, durable WAL append, live apply.
-    /// Returns the record's sequence number. When this returns `Ok` under
-    /// [`FsyncPolicy::Always`], the post survives any crash.
+    /// Returns the record's sequence number. Only the first two can fail,
+    /// and both run before anything is applied. When this returns `Ok`
+    /// under [`FsyncPolicy::Always`], the post survives any crash.
     ///
     /// [`FsyncPolicy::Always`]: crate::log::FsyncPolicy::Always
     pub fn ingest(&self, post: Post) -> Result<u64, WalError> {
         let mut inner = self.inner.write();
-        if inner.poisoned {
-            return Err(WalError::Poisoned);
-        }
         if inner.by_id.contains_key(&post.id) {
             return Err(WalError::DuplicateTweet(post.id));
         }
@@ -620,7 +573,9 @@ impl IngestStore {
         let ordinal = inner.wal.current_ordinal();
         let entry = inner.segment_max_seq.entry(ordinal).or_insert(rec.seq);
         *entry = (*entry).max(rec.seq);
-        self.admit(&mut inner, rec)
+        let seq = rec.seq;
+        Self::admit(&mut inner, rec);
+        Ok(seq)
     }
 
     /// Answers a query over the consistent snapshot "sealed ∪ live",
@@ -639,25 +594,28 @@ impl IngestStore {
         };
         let q = q.as_ref();
         let inner = self.inner.read();
-        if inner.poisoned {
-            return Err(WalError::Poisoned);
-        }
         let engine = &inner.engine;
         // The sealed and live sets are disjoint (a tweet is sealed or
         // live, never both) and both streams are id-sorted: merged by
         // tweet id they are the monolithic fold order, so the engine's own
         // fold, blend and ranking reproduce a from-scratch engine's floats.
-        let live = Self::live_rows(&inner, q)?;
-        let sealed = engine.try_partial_sum(q)?;
-        let merged = merge_sum_rows([sealed.rows.as_slice(), live.as_slice()].into_iter());
-        Ok(engine.try_rank_rows(q, ranking, &merged)?.0)
+        // Every half reads the sealed trees through the live overlay.
+        let live = Some(inner.memtable.meta()).filter(|m| !m.is_empty());
+        let live_rows = Self::live_rows(&inner, q, live)?;
+        let sealed = engine.try_partial_sum(q, live)?;
+        let merged = merge_sum_rows([sealed.rows.as_slice(), live_rows.as_slice()].into_iter());
+        Ok(engine.try_rank_rows(q, ranking, &merged, live)?.0)
     }
 
     /// The memtable's candidates for `q`, scored by the engine's own
-    /// per-candidate body. Returns id-sorted rows.
-    fn live_rows(inner: &Inner, q: &TklusQuery) -> Result<Vec<SumRow>, WalError> {
+    /// per-candidate body over the overlay `live`. Returns id-sorted rows.
+    fn live_rows(
+        inner: &Inner,
+        q: &TklusQuery,
+        live: Option<&LiveMetadata>,
+    ) -> Result<Vec<SumRow>, WalError> {
         let engine = &inner.engine;
-        if inner.memtable.is_empty() {
+        if live.is_none() {
             return Ok(Vec::new());
         }
         let cover = circle_cover(
@@ -670,7 +628,7 @@ impl IngestStore {
         let keywords: Vec<Option<String>> =
             q.keywords.iter().map(|kw| engine.normalize_keyword(kw)).collect();
         let cands = inner.memtable.candidates(&cover, &keywords, q.semantics);
-        Ok(engine.try_score_candidates(q, cands)?)
+        Ok(engine.try_score_candidates(q, cands, live)?)
     }
 
     /// Runs one compaction round, recording the outcome for
@@ -708,7 +666,7 @@ impl IngestStore {
 
     /// The off-latch incremental round (module docs, "Incremental,
     /// off-latch compaction"). The write latch is held only for the
-    /// manifest rename and the replay of records acked during the build.
+    /// manifest rename and the refill with records acked during the build.
     fn compact_incremental(&self) -> Result<bool, WalError> {
         // Phase 1 — snapshot under the read lock: the fence, the acked
         // set, and which partitions the live records touch. Untouched
@@ -717,9 +675,6 @@ impl IngestStore {
         // partition is in `touched` by construction).
         let (snapshot, snapshot_groups, touched, carried, generation, fence) = {
             let inner = self.inner.read();
-            if inner.poisoned {
-                return Err(WalError::Poisoned);
-            }
             if inner.memtable.is_empty() {
                 return Ok(false);
             }
@@ -774,11 +729,6 @@ impl IngestStore {
 
         // Phase 3 — seq-fenced validate-and-swap under the write latch.
         let mut inner = self.inner.write();
-        if inner.poisoned {
-            drop(inner);
-            self.remove_aborted(&created);
-            return Err(WalError::Poisoned);
-        }
         debug_assert_eq!(inner.generation + 1, generation, "compaction rounds are serialized");
         if let Err(e) = self.fs.rename(MANIFEST_TMP, MANIFEST) {
             drop(inner);
@@ -794,23 +744,12 @@ impl IngestStore {
         inner.sealed_seq = fence;
         inner.generation = generation;
         inner.seal_files = files;
-        inner.engine = engine;
         let mut memtable = MemtableIndex::new();
-        let replayed = {
-            let inner = &mut *inner;
-            Self::replay_suffix(&mut inner.engine, &mut memtable, &inner.acked, sealed_len)
-        };
-        match replayed {
-            Ok(()) => inner.memtable = memtable,
-            Err(_) => {
-                // Same containment as `admit`: redo from the acked set,
-                // poison on a second failure.
-                if self.rebuild_live(&mut inner).is_err() {
-                    inner.poisoned = true;
-                    return Err(WalError::Poisoned);
-                }
-            }
+        for rec in &inner.acked[sealed_len..] {
+            Self::apply(&engine, &mut memtable, &rec.post);
         }
+        inner.engine = engine;
+        inner.memtable = memtable;
         inner.wal.rotate()?;
         self.trim_absorbed(&mut inner)?;
         Ok(true)
@@ -926,11 +865,6 @@ impl IngestStore {
     /// Highest sequence number compaction has absorbed.
     pub fn sealed_seq(&self) -> u64 {
         self.inner.read().sealed_seq
-    }
-
-    /// True when the live state was lost and the store is failing fast.
-    pub fn is_poisoned(&self) -> bool {
-        self.inner.read().poisoned
     }
 
     /// Starts the background compactor: polls every

@@ -1,27 +1,27 @@
-//! Concurrent ingest/query chaos storm (ISSUE satellite, DESIGN.md §15).
+//! Concurrent ingest/query/compaction chaos storm (DESIGN.md §15).
 //!
 //! Eight threads hammer one [`IngestStore`]: four writers stream whole
 //! reply threads (grouped by root so every reply lands after its target,
-//! as a timestamp-ordered stream guarantees), four readers issue top-k
-//! queries the whole time. The engine's metadata page store is a seeded
-//! [`FaultPager`], so both the query path and the live-apply path see
-//! injected storage faults mid-storm.
+//! as a timestamp-ordered stream guarantees) and the writer whose ack is
+//! a multiple of [`COMPACT_EVERY`] runs a compaction round; four readers
+//! run top-k queries the whole time. The engine's metadata page store
+//! is a seeded [`FaultPager`], so the query path and every compaction's
+//! engine build see injected storage faults mid-storm.
 //!
 //! Invariants:
 //!
-//! * **No panics, typed errors only** — every operation returns `Ok` or a
-//!   typed [`WalError`]; a panic in any thread fails the test.
-//! * **No half-applied tweets** — ingest holds the store's write latch
-//!   across "WAL append + live apply", so a reader never observes a post
-//!   whose metadata landed but whose postings did not. After the storm
-//!   (faults disarmed) every query is bitwise-equal to a from-scratch
-//!   engine over the acked set, which could not hold if any admitted
-//!   record were half-applied.
-//! * **Poisoned fails fast** — when an unmasked fault storm defeats the
-//!   rebuild fallback, every subsequent operation reports
-//!   [`WalError::Poisoned`] instead of computing over a broken snapshot,
-//!   and a fault-free reopen still recovers every acked ingest from the
-//!   WAL (durability survives in-memory poisoning).
+//! * **Ingest never touches a page** — the sealed engine is read-only and
+//!   a live post's metadata lives in the memtable, so even the unmasked
+//!   storm acks every post.
+//! * **No panics, typed errors only** — queries and compaction rounds
+//!   return `Ok` or [`WalError::Engine`]; a panic in any thread fails the
+//!   test. A failed round is counted in
+//!   [`IngestStore::compaction_stats`] and installs nothing: the old
+//!   engine and the memtable keep answering.
+//! * **No half-applied tweets** — after the storm (faults disarmed) every
+//!   query is bitwise-equal to a from-scratch engine over the acked set,
+//!   before and after one more compaction, and a fault-free reopen
+//!   recovers every acked ingest from the WAL.
 //!
 //! `TKLUS_CHAOS_SEED` narrows the seed list to one (the CI matrix knob).
 
@@ -40,6 +40,9 @@ use tklus_wal::{IngestStore, SimFs, StoreConfig, WalError, WalFs};
 
 const WRITERS: usize = 4;
 const READERS: usize = 4;
+/// A compaction round runs after every this many acks (all writers
+/// together).
+const COMPACT_EVERY: usize = 64;
 /// Reader queries (all readers together) after which a storm that has
 /// still injected nothing gives up and is reported as vacuous. The fault
 /// schedule is a function of the page-op ordinal alone; at 400 ppm the
@@ -133,12 +136,14 @@ struct StormOutcome {
     acked: Vec<TweetId>,
     reader_oks: usize,
     reader_typed_errors: usize,
-    saw_poisoned: bool,
+    rounds_ok: u64,
+    rounds_failed: u64,
 }
 
-/// Runs the 8-thread storm. Writer errors other than `Poisoned` panic the
-/// writer thread (readers additionally tolerate `Engine` faults), and any
-/// panic propagates out of the join and fails the test.
+/// Runs the 8-thread storm. A writer panics on any ingest error and on a
+/// compaction error other than `Engine`; readers panic on any error other
+/// than `Engine`. Any panic propagates out of the join and fails the
+/// test.
 ///
 /// How many page operations the readers get in beside the writers depends
 /// on thread timing, and the seeded schedule fires at fixed operation
@@ -155,45 +160,36 @@ fn run_storm(
     let done = Arc::new(AtomicBool::new(false));
     let oks = Arc::new(AtomicUsize::new(0));
     let typed = Arc::new(AtomicUsize::new(0));
+    let acks = AtomicUsize::new(0);
+    let rounds_ok = AtomicUsize::new(0);
+    let rounds_failed = AtomicUsize::new(0);
     let exposed = || {
         faults.transient_injected() > 0
             || oks.load(Ordering::Relaxed) + typed.load(Ordering::Relaxed) >= READER_QUERY_CEILING
     };
-    let poisoned_seen = Arc::new(AtomicBool::new(false));
 
     let mut acked = Vec::new();
     std::thread::scope(|scope| {
         let mut writer_handles = Vec::new();
         for stream in streams {
             let store = Arc::clone(store);
-            let poisoned_seen = Arc::clone(&poisoned_seen);
+            let (acks, rounds_ok, rounds_failed) = (&acks, &rounds_ok, &rounds_failed);
             writer_handles.push(scope.spawn(move || {
                 let mut mine = Vec::new();
                 for post in stream {
                     let id = post.id;
                     match store.ingest(post) {
                         Ok(_) => mine.push(id),
-                        Err(WalError::Poisoned) => {
-                            poisoned_seen.store(true, Ordering::SeqCst);
-                            // Fail-fast contract: once poisoned, always
-                            // poisoned (until a reopen).
-                            assert!(matches!(
-                                store.try_query(
-                                    &TklusQuery::new(
-                                        tklus_geo::Point::new(0.0, 0.0).unwrap(),
-                                        10.0,
-                                        vec!["storm".into()],
-                                        3,
-                                        Semantics::Or,
-                                    )
-                                    .unwrap(),
-                                    Ranking::Sum,
-                                ),
-                                Err(WalError::Poisoned)
-                            ));
-                        }
-                        Err(other) => panic!("writer: unexpected ingest error: {other}"),
+                        Err(e) => panic!("writer: ingest failed: {e}"),
                     }
+                    if (acks.fetch_add(1, Ordering::Relaxed) + 1) % COMPACT_EVERY != 0 {
+                        continue;
+                    }
+                    match store.compact() {
+                        Ok(_) => rounds_ok.fetch_add(1, Ordering::Relaxed),
+                        Err(WalError::Engine(_)) => rounds_failed.fetch_add(1, Ordering::Relaxed),
+                        Err(other) => panic!("writer: untyped compaction failure: {other}"),
+                    };
                 }
                 mine
             }));
@@ -217,7 +213,7 @@ fn run_storm(
                                 }
                                 oks.fetch_add(1, Ordering::Relaxed);
                             }
-                            Err(WalError::Engine(_)) | Err(WalError::Poisoned) => {
+                            Err(WalError::Engine(_)) => {
                                 typed.fetch_add(1, Ordering::Relaxed);
                             }
                             Err(other) => panic!("reader: untyped failure: {other}"),
@@ -236,12 +232,39 @@ fn run_storm(
         acked,
         reader_oks: oks.load(Ordering::Relaxed),
         reader_typed_errors: typed.load(Ordering::Relaxed),
-        saw_poisoned: poisoned_seen.load(Ordering::SeqCst),
+        rounds_ok: rounds_ok.load(Ordering::Relaxed) as u64,
+        rounds_failed: rounds_failed.load(Ordering::Relaxed) as u64,
     }
 }
 
-/// Retry-masked faults: the storm must ack every post, never poison, and
-/// once the dust settles every query is bitwise the from-scratch answer.
+/// Every query of `qs` on `store` equals a from-scratch engine over
+/// `posts`, bit for bit.
+fn assert_oracle(store: &IngestStore, posts: Vec<Post>, qs: &[(TklusQuery, Ranking)], what: &str) {
+    let corpus = Corpus::new(posts).unwrap();
+    let (reference, _) = TklusEngine::try_build(&corpus, &engine_config(None)).unwrap();
+    for (q, ranking) in qs {
+        let got = store.try_query(q, *ranking).unwrap();
+        let want = reference.try_query(q, *ranking).unwrap().users;
+        assert_eq!(got, want, "{what}: query {q:?} {ranking:?} diverged from oracle");
+    }
+}
+
+/// The storm's bookkeeping agrees with the store's: every post acked,
+/// every round counted where it happened.
+fn assert_storm_accounting(store: &IngestStore, posts: &[Post], outcome: &StormOutcome, seed: u64) {
+    assert_eq!(outcome.acked.len(), posts.len(), "seed {seed}: the storm dropped acks");
+    assert!(
+        outcome.rounds_ok + outcome.rounds_failed >= (posts.len() / COMPACT_EVERY) as u64,
+        "seed {seed}: compaction rounds went missing"
+    );
+    let stats = store.compaction_stats();
+    assert_eq!(stats.successes_total, outcome.rounds_ok, "seed {seed}");
+    assert_eq!(stats.failures_total, outcome.rounds_failed, "seed {seed}");
+}
+
+/// Retry-masked faults: the storm must ack every post and seal every
+/// round, and once the dust settles every query is bitwise the
+/// from-scratch answer.
 #[test]
 fn eight_thread_storm_with_masked_faults_converges_to_oracle() {
     for seed in chaos_seeds() {
@@ -270,34 +293,26 @@ fn eight_thread_storm_with_masked_faults_converges_to_oracle() {
         let outcome = run_storm(&store, &posts, &qs, &handle);
         handle.arm(false);
 
-        assert!(
-            !outcome.saw_poisoned && !store.is_poisoned(),
-            "seed {seed}: masked storm poisoned"
-        );
-        assert_eq!(outcome.acked.len(), posts.len(), "seed {seed}: masked storm dropped acks");
+        assert_storm_accounting(&store, &posts, &outcome, seed);
+        assert_eq!(outcome.rounds_failed, 0, "seed {seed}: a masked round failed");
         assert!(outcome.reader_oks > 0, "seed {seed}: readers never got a result — vacuous");
         assert!(
             handle.transient_injected() > 0,
             "seed {seed}: no fault ever fired — the storm was vacuous"
         );
 
-        // Oracle: bitwise equality with a from-scratch build.
-        let corpus = Corpus::new(posts.clone()).unwrap();
-        let (reference, _) = TklusEngine::try_build(&corpus, &engine_config(None)).unwrap();
-        for (q, ranking) in &qs {
-            let got = store.try_query(q, *ranking).unwrap();
-            let want = reference.try_query(q, *ranking).unwrap().users;
-            assert_eq!(got, want, "seed {seed}: post-storm query diverged from oracle");
-        }
+        assert_oracle(&store, posts.clone(), &qs, &format!("seed {seed}, post-storm"));
+        store.compact().unwrap();
+        assert_oracle(&store, posts, &qs, &format!("seed {seed}, post-compaction"));
     }
 }
 
-/// Unmasked faults: operations fail typed (possibly poisoning the store),
-/// never panic and never lose an acked ingest — a fault-free reopen
-/// recovers every acked post from the WAL and answers match a
-/// from-scratch engine over the recovered set.
+/// Unmasked faults: every ingest acks, queries and compaction rounds fail
+/// typed and never panic, a failed round leaves the store answering, and
+/// once the faults are disarmed one round seals everything and every
+/// answer is the from-scratch engine's — after a fault-free reopen too.
 #[test]
-fn unmasked_fault_storm_fails_typed_and_loses_nothing_acked() {
+fn unmasked_fault_storm_acks_everything_and_fails_only_typed() {
     for seed in chaos_seeds() {
         let posts = storm_posts(seed);
         let qs = storm_queries(&posts);
@@ -329,12 +344,11 @@ fn unmasked_fault_storm_fails_typed_and_loses_nothing_acked() {
             outcome.reader_oks + outcome.reader_typed_errors > 0,
             "seed {seed}: readers never ran"
         );
-        if store.is_poisoned() {
-            // Fail-fast: a poisoned store refuses everything, including
-            // compaction (which must not seal a broken snapshot).
-            assert!(outcome.saw_poisoned, "seed {seed}: poisoned without any writer seeing it");
-            assert!(matches!(store.compact(), Err(WalError::Poisoned)));
-        }
+        assert_storm_accounting(&store, &posts, &outcome, seed);
+        assert_oracle(&store, posts.clone(), &qs, &format!("seed {seed}, post-storm"));
+        store.compact().unwrap();
+        assert_eq!(store.live_posts(), 0, "seed {seed}: the fault-free round sealed everything");
+        assert_oracle(&store, posts.clone(), &qs, &format!("seed {seed}, post-compaction"));
         drop(store);
 
         // Durability does not depend on the in-memory state: reopen
@@ -345,13 +359,62 @@ fn unmasked_fault_storm_fails_typed_and_loses_nothing_acked() {
         for id in &outcome.acked {
             assert!(store.contains_post(*id), "seed {seed}: acked tweet {} lost", id.0);
         }
-        let recovered = store.posts();
-        let corpus = Corpus::new(recovered).unwrap();
-        let (reference, _) = TklusEngine::try_build(&corpus, &engine_config(None)).unwrap();
-        for (q, ranking) in &qs {
-            let got = store.try_query(q, *ranking).unwrap();
-            let want = reference.try_query(q, *ranking).unwrap().users;
-            assert_eq!(got, want, "seed {seed}: post-reopen query diverged from oracle");
+        assert_oracle(&store, store.posts(), &qs, &format!("seed {seed}, post-reopen"));
+    }
+}
+
+/// A store whose metadata pages all fail still acks every ingest — a
+/// reply into a sealed thread included — because an ingest writes no
+/// page. Queries and a compaction round fail typed meanwhile, and once
+/// the pages heal the store answers exactly.
+#[test]
+fn ingest_acks_while_every_metadata_page_operation_fails() {
+    let posts = storm_posts(7);
+    let (sealed, live) = posts.split_at(posts.len() / 2);
+    let live = &live[..50];
+    assert!(
+        live.iter().any(|p| p.in_reply_to.is_some_and(|r| sealed.iter().any(|s| s.id == r.target))),
+        "the ingests must reply into sealed threads"
+    );
+    let qs = storm_queries(&posts);
+
+    let handle = FaultHandle::new();
+    let cfg = FaultConfig {
+        seed: 7,
+        transient_read_ppm: 1_000_000,
+        transient_write_ppm: 1_000_000,
+        ..FaultConfig::default()
+    };
+    let factory = faulty_store(cfg, Arc::clone(&handle), None);
+    let (fs, _) = SimFs::new(0xDEAD);
+    let config = StoreConfig { engine: engine_config(Some(factory)), ..StoreConfig::default() };
+    let (store, _) = IngestStore::open(fs as Arc<dyn WalFs>, config).unwrap();
+    for p in sealed {
+        store.ingest(p.clone()).unwrap();
+    }
+    assert!(store.compact().unwrap());
+
+    handle.arm(true);
+    for p in live {
+        store.ingest(p.clone()).unwrap();
+    }
+    for (q, ranking) in &qs {
+        match store.try_query(q, *ranking) {
+            Ok(_) | Err(WalError::Engine(_)) => {}
+            Err(other) => panic!("untyped query failure: {other}"),
         }
     }
+    assert!(
+        qs.iter().any(|(q, r)| store.try_query(q, *r).is_err()),
+        "a query that reads a sealed page fails"
+    );
+    assert!(matches!(store.compact(), Err(WalError::Engine(_))));
+    handle.arm(false);
+
+    assert_eq!(store.compaction_stats().failures_total, 1);
+    assert_eq!(store.live_posts(), live.len(), "the failed round installed nothing");
+    let acked: Vec<Post> = sealed.iter().chain(live).cloned().collect();
+    assert_oracle(&store, acked.clone(), &qs, "healed");
+    assert!(store.compact().unwrap());
+    assert_oracle(&store, acked, &qs, "healed and sealed");
 }

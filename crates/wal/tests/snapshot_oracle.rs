@@ -162,3 +162,55 @@ fn compaction_preserves_answers_at_every_boundary() {
         }
     }
 }
+
+#[test]
+fn shuffled_ingest_with_a_sealed_half_matches_from_scratch_engine_bitwise() {
+    // Every other case ingests in tweet-id order, so a live tid always
+    // exceeds every sealed one and no reply lands before its target. Here
+    // a seeded shuffle is ingested: half of it sealed, the rest live. So a
+    // user's live posts interleave their sealed ones by tid — the `P_u`
+    // overlay must merge them by tid, or Definition 9's float sum changes
+    // — and a sealed reply can target a live post.
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    use std::collections::{HashMap, HashSet};
+    for seed in [3u64, 11, 42] {
+        let corpus = corpus(seed);
+        let mut posts = corpus.posts().to_vec();
+        posts.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        let split = posts.len() / 2;
+        let store = store_with_split(&posts, split);
+        let (sealed, live) = posts.split_at(split);
+
+        let mut max_sealed: HashMap<tklus_model::UserId, u64> = HashMap::new();
+        for p in sealed {
+            let at = max_sealed.entry(p.user).or_insert(0);
+            *at = (*at).max(p.id.0);
+        }
+        let interleaved: HashSet<_> = live
+            .iter()
+            .filter(|p| max_sealed.get(&p.user).is_some_and(|&m| p.id.0 < m))
+            .map(|p| p.user)
+            .collect();
+        let live_ids: HashSet<_> = live.iter().map(|p| p.id).collect();
+        let replies_to_live = sealed
+            .iter()
+            .filter(|p| p.in_reply_to.is_some_and(|r| live_ids.contains(&r.target)))
+            .count();
+        assert!(!interleaved.is_empty(), "seed {seed}: no user's live posts interleave");
+        assert!(replies_to_live > 0, "seed {seed}: no sealed reply targets a live post");
+
+        let (reference, _) = TklusEngine::try_build(&corpus, &engine_config()).unwrap();
+        let mut nonempty = 0;
+        for (q, ranking) in queries(&corpus) {
+            let got = store.try_query(&q, ranking).unwrap();
+            let want = reference.try_query(&q, ranking).unwrap().users;
+            let bits = |users: &[tklus_core::RankedUser]| -> Vec<(u64, u64)> {
+                users.iter().map(|u| (u.user.0, u.score.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "seed {seed}: {q:?} {ranking:?} diverged");
+            nonempty += usize::from(!want.is_empty());
+        }
+        assert!(nonempty > 0, "seed {seed}: every query came back empty");
+    }
+}

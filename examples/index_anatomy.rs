@@ -10,7 +10,7 @@
 use tklus::core::MetadataDb;
 use tklus::gen::{generate_corpus, GenConfig};
 use tklus::geo::{circle_cover, cover::circle_cover_with_stats, encode, DistanceMetric, Point};
-use tklus::graph::build_thread;
+use tklus::graph::try_build_thread;
 use tklus::index::{build_index, IndexBuildConfig};
 use tklus::text::TextPipeline;
 
@@ -81,7 +81,7 @@ fn main() {
 
     // --- Layer 4: the metadata database ---------------------------------
     println!("\n## metadata database (Section IV-A)");
-    let mut db = MetadataDb::from_posts(corpus.posts(), 0);
+    let db = MetadataDb::from_posts(corpus.posts(), 0);
     // Find the most replied-to tweet and build its thread, counting I/O.
     let busiest = corpus
         .posts()
@@ -90,7 +90,7 @@ fn main() {
         .max_by_key(|p| db.replies_to_ids(p.id).len())
         .expect("non-empty corpus");
     db.io().reset();
-    let thread = build_thread(&mut db, busiest.id, 6);
+    let thread = try_build_thread(&mut db.reader(None), busiest.id, 6).expect("in-memory metadata");
     println!("  busiest root {}: thread levels {:?}", busiest.id, thread.level_sizes());
     println!("  popularity (Definition 4, eps=0.1): {:.3}", thread.popularity(0.1));
     println!(

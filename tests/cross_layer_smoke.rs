@@ -2,8 +2,9 @@
 //! engine and the socket front-end, each answer held bit-equal to a fresh
 //! `TklusEngine::build` over the store's posts.
 //!
-//! corpus → `IngestStore` (ingest, compact, ingest a live tail with
-//! replies, reopen) → for Sum and Max × AND/OR: the store's sealed ∪ live
+//! corpus → `IngestStore` (ingest two posts in three, compact, ingest the
+//! rest live — interleaved with the sealed set by tweet id, replies into
+//! it included — reopen) → for Sum and Max × AND/OR: the store's sealed ∪ live
 //! answer, a 4-shard `ShardedEngine`'s, and `POST /query` over a loopback
 //! `tklus_http::serve` fronting the rebuilt engine. A seam that breaks —
 //! index build, WAL replay, compaction, the Sum gather, shard routing,
@@ -14,13 +15,14 @@
 //! shared engine, the store and the socket, and every answer must still be
 //! the sequential one.
 
+use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use tklus::core::{BoundsMode, EngineConfig, RankedUser, Ranking, TklusEngine};
 use tklus::gen::{generate_corpus, generate_queries, GenConfig, QueryConfig};
 use tklus::http::{serve, HttpConfig};
-use tklus::model::{Corpus, Semantics, TklusQuery};
+use tklus::model::{Corpus, Post, Semantics, TklusQuery, TweetId};
 use tklus::serve::{ServeConfig, TklusServer};
 use tklus::shard::ShardedEngine;
 use tklus::wal::{IngestStore, SimFs, StoreConfig, WalFs};
@@ -63,13 +65,21 @@ fn store_shards_and_http_agree_with_a_fresh_engine() {
         seed: 0xC405,
         ..GenConfig::default()
     });
+    // Seal two posts in three; every third stays live. Not a tid prefix:
+    // live posts interleave the sealed ones by tid, so a user's `P_u`
+    // mixes the two sets, and a live reply can land in a sealed thread.
     let posts = corpus.posts();
-    let sealed = posts.len() * 2 / 3;
+    let live: Vec<&Post> = posts.iter().skip(2).step_by(3).collect();
+    let sealed: Vec<&Post> =
+        posts.iter().enumerate().filter(|(i, _)| i % 3 != 2).map(|(_, p)| p).collect();
+    let sealed_ids: HashSet<TweetId> = sealed.iter().map(|p| p.id).collect();
     assert!(
-        posts[sealed..]
-            .iter()
-            .any(|p| p.in_reply_to.is_some_and(|r| r.target.0 <= posts[sealed - 1].id.0)),
-        "the live tail must reply into the sealed prefix"
+        live.iter().any(|p| p.in_reply_to.is_some_and(|r| sealed_ids.contains(&r.target))),
+        "the live tail must reply into the sealed set"
+    );
+    assert!(
+        live.iter().any(|l| sealed.iter().any(|s| s.user == l.user && s.id > l.id)),
+        "a user's live posts must interleave their sealed ones by tid"
     );
 
     // Write path: ingest, seal, ingest a live tail, reopen from the WAL.
@@ -79,16 +89,16 @@ fn store_shards_and_http_agree_with_a_fresh_engine() {
             .expect("store opens")
     };
     let (store, _) = open();
-    for post in &posts[..sealed] {
-        store.ingest(post.clone()).expect("ingest");
+    for post in &sealed {
+        store.ingest((*post).clone()).expect("ingest");
     }
     assert!(store.compact().expect("compaction"));
-    for post in &posts[sealed..] {
-        store.ingest(post.clone()).expect("ingest");
+    for post in &live {
+        store.ingest((*post).clone()).expect("ingest");
     }
     drop(store);
     let (store, report) = open();
-    assert_eq!((report.sealed_posts, report.live_posts), (sealed, posts.len() - sealed));
+    assert_eq!((report.sealed_posts, report.live_posts), (sealed.len(), live.len()));
     assert_eq!(report.generation, 1);
 
     // The reference every layer is held to, and the layers around it.
