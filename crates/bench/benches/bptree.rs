@@ -1,20 +1,33 @@
-//! Ablation: B⁺-tree bulk-load, point-get and range-scan cost — the build
-//! and the access paths behind the metadata database — and
-//! what one checked page read under them costs: the product `crc32` over a
-//! page's 4 084 covered bytes beside a bit-at-a-time reference timed in the
-//! same run (the ratio is the machine-independent number).
+//! Ablation: B⁺-tree bulk-load, point-get and range-scan cost over the
+//! metadata database's stack (a buffer pool over a checksumming pager,
+//! 40-byte rows like the primary tree's) — and what one checked page read
+//! under them costs: the product `crc32` over a page's 4 084 covered bytes
+//! beside its portable slicing-by-8 path and a bit-at-a-time reference,
+//! all timed in the same run (the ratios are the machine-independent
+//! numbers).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use tklus_storage::{crc32, BPlusTree, BufferPool, CheckedPager, MemPager, PageStore};
+use tklus_storage::{
+    crc32, crc32_slicing_by_8, BPlusTree, BufferPool, CheckedPager, MemPager, PageStore,
+};
 
-type Tree = BPlusTree<BufferPool<MemPager>, 8>;
+/// The metadata database's value width for a row.
+const ROW: usize = 40;
 
-fn entries(n: u64) -> Vec<((u64, u64), [u8; 8])> {
-    (0..n).map(|k| ((k, 0), k.to_le_bytes())).collect()
+type Tree = BPlusTree<BufferPool<CheckedPager<MemPager>>, ROW>;
+
+fn entries(n: u64) -> Vec<((u64, u64), [u8; ROW])> {
+    (0..n)
+        .map(|k| {
+            let mut row = [0u8; ROW];
+            row[..8].copy_from_slice(&k.to_le_bytes());
+            ((k, 0), row)
+        })
+        .collect()
 }
 
-fn pool(cache: usize) -> BufferPool<MemPager> {
-    BufferPool::new(MemPager::new(), cache)
+fn pool(cache: usize) -> BufferPool<CheckedPager<MemPager>> {
+    BufferPool::new(CheckedPager::new(MemPager::new()), cache)
 }
 
 fn bench_load(c: &mut Criterion) {
@@ -68,8 +81,12 @@ fn crc32_bitwise(bytes: &[u8]) -> u32 {
 fn bench_checked_page(c: &mut Criterion) {
     let covered: Vec<u8> = (0..4084u32).map(|i| (i * 7 + 3) as u8).collect();
     assert_eq!(crc32(&covered), crc32_bitwise(&covered));
+    assert_eq!(crc32_slicing_by_8(&covered), crc32_bitwise(&covered));
     let mut group = c.benchmark_group("checked_page");
     group.bench_function("crc32_4084B", |b| b.iter(|| crc32(black_box(&covered))));
+    group.bench_function("slicing_by_8_4084B", |b| {
+        b.iter(|| crc32_slicing_by_8(black_box(&covered)))
+    });
     group.bench_function("bitwise_reference_4084B", |b| {
         b.iter(|| crc32_bitwise(black_box(&covered)))
     });

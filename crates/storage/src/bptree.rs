@@ -40,6 +40,8 @@ const NODE_INTERNAL: u8 = 2;
 const NODE_BASE: usize = PAGE_HEADER_SIZE;
 /// Node-local header: tag, entry count, leaf `next` pointer.
 const HEADER: usize = 16;
+/// Where a leaf keeps its right sibling's page id.
+const NEXT: usize = NODE_BASE + 8;
 const KEY_SIZE: usize = 16;
 const CHILD_SIZE: usize = 8;
 const NO_NEXT: u64 = u64::MAX;
@@ -65,109 +67,49 @@ pub struct BPlusTree<S: PageStore, const V: usize> {
     len: u64,
 }
 
-/// Parsed in-memory form of a node page.
-enum Node<const V: usize> {
-    Leaf { keys: Vec<Key>, vals: Vec<[u8; V]>, next: Option<PageId> },
-    Internal { keys: Vec<Key>, children: Vec<PageId> },
+// Node layout, after the verified page header: a 16-byte node header
+// (tag at 0, entry count at 2, leaf `next` pointer at 8), then the
+// entries. A leaf packs `(key, value)` pairs; an internal node packs one
+// child pointer, then `(key, child)` pairs. The helpers below are the only
+// place the layout is written down: `BPlusTree::bulk_load` writes through
+// them and `NodePage` reads through them.
+
+/// Where a node's entries begin.
+const ENTRIES: usize = NODE_BASE + HEADER;
+
+const fn leaf_capacity<const V: usize>() -> usize {
+    (PAGE_SIZE - ENTRIES) / (KEY_SIZE + V)
 }
 
-impl<const V: usize> Node<V> {
-    fn leaf_capacity() -> usize {
-        (PAGE_SIZE - NODE_BASE - HEADER) / (KEY_SIZE + V)
-    }
+const fn internal_capacity() -> usize {
+    (PAGE_SIZE - ENTRIES - CHILD_SIZE) / (KEY_SIZE + CHILD_SIZE)
+}
 
-    fn internal_capacity() -> usize {
-        // One leading child pointer, then (key, child) pairs.
-        (PAGE_SIZE - NODE_BASE - HEADER - CHILD_SIZE) / (KEY_SIZE + CHILD_SIZE)
+/// Offset of key `i`: in a leaf, or (`V` ignored) an internal node.
+const fn key_at<const V: usize>(leaf: bool, i: usize) -> usize {
+    if leaf {
+        ENTRIES + i * (KEY_SIZE + V)
+    } else {
+        ENTRIES + CHILD_SIZE + i * (KEY_SIZE + CHILD_SIZE)
     }
+}
 
-    fn parse(page: &Page, id: PageId) -> StorageResult<Self> {
-        let corrupt = |detail: String| StorageError::CorruptNode { page_id: id, detail };
-        let count = u16::from_le_bytes([page[NODE_BASE + 2], page[NODE_BASE + 3]]) as usize;
-        match page[NODE_BASE] {
-            NODE_LEAF => {
-                if count > Self::leaf_capacity() {
-                    return Err(corrupt(format!(
-                        "leaf count {count} exceeds capacity {}",
-                        Self::leaf_capacity()
-                    )));
-                }
-                let next_raw = read_u64(page, NODE_BASE + 8);
-                let next = (next_raw != NO_NEXT).then_some(PageId(next_raw));
-                let mut keys = Vec::with_capacity(count);
-                let mut vals = Vec::with_capacity(count);
-                let mut off = NODE_BASE + HEADER;
-                for _ in 0..count {
-                    keys.push(read_key(page, off));
-                    off += KEY_SIZE;
-                    let mut v = [0u8; V];
-                    v.copy_from_slice(&page[off..off + V]);
-                    vals.push(v);
-                    off += V;
-                }
-                Ok(Node::Leaf { keys, vals, next })
-            }
-            NODE_INTERNAL => {
-                if count > Self::internal_capacity() {
-                    return Err(corrupt(format!(
-                        "internal count {count} exceeds capacity {}",
-                        Self::internal_capacity()
-                    )));
-                }
-                let mut off = NODE_BASE + HEADER;
-                let mut children = Vec::with_capacity(count + 1);
-                children.push(PageId(read_u64(page, off)));
-                off += CHILD_SIZE;
-                let mut keys = Vec::with_capacity(count);
-                for _ in 0..count {
-                    keys.push(read_key(page, off));
-                    off += KEY_SIZE;
-                    children.push(PageId(read_u64(page, off)));
-                    off += CHILD_SIZE;
-                }
-                Ok(Node::Internal { keys, children })
-            }
-            t => Err(corrupt(format!("unknown node tag {t}"))),
-        }
-    }
+/// Offset of leaf value `i`.
+const fn value_at<const V: usize>(i: usize) -> usize {
+    key_at::<V>(true, i) + KEY_SIZE
+}
 
-    fn serialize(&self) -> Page {
-        let mut page = zeroed_page();
-        match self {
-            Node::Leaf { keys, vals, next } => {
-                assert!(keys.len() <= Self::leaf_capacity(), "leaf overflow");
-                page[NODE_BASE] = NODE_LEAF;
-                page[NODE_BASE + 2..NODE_BASE + 4]
-                    .copy_from_slice(&(keys.len() as u16).to_le_bytes());
-                page[NODE_BASE + 8..NODE_BASE + 16]
-                    .copy_from_slice(&next.map_or(NO_NEXT, |p| p.0).to_le_bytes());
-                let mut off = NODE_BASE + HEADER;
-                for (k, v) in keys.iter().zip(vals) {
-                    write_key(&mut page, off, *k);
-                    off += KEY_SIZE;
-                    page[off..off + V].copy_from_slice(v);
-                    off += V;
-                }
-            }
-            Node::Internal { keys, children } => {
-                assert!(keys.len() <= Self::internal_capacity(), "internal overflow");
-                assert_eq!(children.len(), keys.len() + 1, "internal arity");
-                page[NODE_BASE] = NODE_INTERNAL;
-                page[NODE_BASE + 2..NODE_BASE + 4]
-                    .copy_from_slice(&(keys.len() as u16).to_le_bytes());
-                let mut off = NODE_BASE + HEADER;
-                page[off..off + 8].copy_from_slice(&children[0].0.to_le_bytes());
-                off += CHILD_SIZE;
-                for (k, c) in keys.iter().zip(&children[1..]) {
-                    write_key(&mut page, off, *k);
-                    off += KEY_SIZE;
-                    page[off..off + 8].copy_from_slice(&c.0.to_le_bytes());
-                    off += CHILD_SIZE;
-                }
-            }
-        }
-        page
-    }
+/// Offset of internal child pointer `i` (`0 ..= count`).
+const fn child_at(i: usize) -> usize {
+    ENTRIES + i * (KEY_SIZE + CHILD_SIZE)
+}
+
+/// A fresh node page with its tag and count written.
+fn node_page(tag: u8, count: usize) -> Page {
+    let mut page = zeroed_page();
+    page[NODE_BASE] = tag;
+    page[NODE_BASE + 2..NODE_BASE + 4].copy_from_slice(&(count as u16).to_le_bytes());
+    page
 }
 
 fn read_u64(page: &Page, off: usize) -> u64 {
@@ -176,18 +118,76 @@ fn read_u64(page: &Page, off: usize) -> u64 {
     u64::from_le_bytes(b)
 }
 
-fn read_key(page: &Page, off: usize) -> Key {
-    (read_u64(page, off), read_u64(page, off + 8))
+fn write_u64(page: &mut Page, off: usize, x: u64) {
+    page[off..off + 8].copy_from_slice(&x.to_le_bytes());
 }
 
 fn write_key(page: &mut Page, off: usize, k: Key) {
-    page[off..off + 8].copy_from_slice(&k.0.to_le_bytes());
-    page[off + 8..off + 16].copy_from_slice(&k.1.to_le_bytes());
+    write_u64(page, off, k.0);
+    write_u64(page, off + 8, k.1);
 }
 
-/// Number of keys `<= k` (upper-bound index for descent).
-fn upper_bound(keys: &[Key], k: Key) -> usize {
-    keys.partition_point(|&x| x <= k)
+/// A node as read: the verified page, searched in place. [`Self::new`]
+/// checks the tag and that the count fits the page, so every entry offset
+/// below `count` lies inside it.
+struct NodePage<const V: usize> {
+    page: Page,
+    leaf: bool,
+    count: usize,
+}
+
+impl<const V: usize> NodePage<V> {
+    fn new(page: Page, id: PageId) -> StorageResult<Self> {
+        let corrupt = |detail: String| StorageError::CorruptNode { page_id: id, detail };
+        let count = u16::from_le_bytes([page[NODE_BASE + 2], page[NODE_BASE + 3]]) as usize;
+        let leaf = match page[NODE_BASE] {
+            NODE_LEAF => true,
+            NODE_INTERNAL => false,
+            t => return Err(corrupt(format!("unknown node tag {t}"))),
+        };
+        let (kind, capacity) =
+            if leaf { ("leaf", leaf_capacity::<V>()) } else { ("internal", internal_capacity()) };
+        if count > capacity {
+            return Err(corrupt(format!("{kind} count {count} exceeds capacity {capacity}")));
+        }
+        Ok(Self { page, leaf, count })
+    }
+
+    fn key(&self, i: usize) -> Key {
+        let off = key_at::<V>(self.leaf, i);
+        (read_u64(&self.page, off), read_u64(&self.page, off + 8))
+    }
+
+    fn value(&self, i: usize) -> [u8; V] {
+        let off = value_at::<V>(i);
+        let mut v = [0u8; V];
+        v.copy_from_slice(&self.page[off..off + V]);
+        v
+    }
+
+    fn child(&self, i: usize) -> PageId {
+        PageId(read_u64(&self.page, child_at(i)))
+    }
+
+    fn next(&self) -> Option<PageId> {
+        let raw = read_u64(&self.page, NEXT);
+        (raw != NO_NEXT).then_some(PageId(raw))
+    }
+
+    /// Number of keys for which `before` holds, `before` being true on a
+    /// prefix of the (sorted) keys.
+    fn partition_point(&self, before: impl Fn(Key) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if before(self.key(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
 }
 
 impl<S: PageStore, const V: usize> BPlusTree<S, V> {
@@ -209,10 +209,6 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
     /// The underlying store (for stats inspection).
     pub fn store(&self) -> &S {
         &self.store
-    }
-
-    fn load(&self, id: PageId) -> StorageResult<Node<V>> {
-        Node::parse(&self.store.read(id)?, id)
     }
 
     /// Opens a read session over this tree (see [`TreeReader`]).
@@ -244,42 +240,45 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
     pub fn bulk_load(store: S, entries: &[(Key, [u8; V])]) -> StorageResult<Self> {
         if entries.is_empty() {
             let root = store.allocate()?;
-            let empty: Node<V> = Node::Leaf { keys: Vec::new(), vals: Vec::new(), next: None };
-            store.write(root, &empty.serialize())?;
+            let mut empty = node_page(NODE_LEAF, 0);
+            write_u64(&mut empty, NEXT, NO_NEXT);
+            store.write(root, &empty)?;
             return Ok(Self { store, root, height: 0, len: 0 });
         }
         assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0),
             "bulk_load requires strictly sorted keys"
         );
-        let leaf_cap = Node::<V>::leaf_capacity();
         // Build leaves.
         let mut level: Vec<(Key, PageId)> = Vec::new(); // (first key, page)
-        let chunks: Vec<&[(Key, [u8; V])]> = entries.chunks(leaf_cap).collect();
+        let chunks: Vec<&[(Key, [u8; V])]> = entries.chunks(leaf_capacity::<V>()).collect();
         let mut ids: Vec<PageId> = Vec::with_capacity(chunks.len());
         for _ in &chunks {
             ids.push(store.allocate()?);
         }
         for (i, chunk) in chunks.iter().enumerate() {
-            let node: Node<V> = Node::Leaf {
-                keys: chunk.iter().map(|e| e.0).collect(),
-                vals: chunk.iter().map(|e| e.1).collect(),
-                next: ids.get(i + 1).copied(),
-            };
-            store.write(ids[i], &node.serialize())?;
+            let mut page = node_page(NODE_LEAF, chunk.len());
+            write_u64(&mut page, NEXT, ids.get(i + 1).map_or(NO_NEXT, |p| p.0));
+            for (j, (k, v)) in chunk.iter().enumerate() {
+                write_key(&mut page, key_at::<V>(true, j), *k);
+                page[value_at::<V>(j)..value_at::<V>(j) + V].copy_from_slice(v);
+            }
+            store.write(ids[i], &page)?;
             level.push((chunk[0].0, ids[i]));
         }
         // Build internal levels until a single root remains.
         let mut height = 0;
-        let internal_fanout = Node::<V>::internal_capacity() + 1;
         while level.len() > 1 {
             let mut next_level = Vec::new();
-            for group in level.chunks(internal_fanout) {
+            for group in level.chunks(internal_capacity() + 1) {
                 let id = store.allocate()?;
-                let keys: Vec<Key> = group[1..].iter().map(|e| e.0).collect();
-                let children: Vec<PageId> = group.iter().map(|e| e.1).collect();
-                let node: Node<V> = Node::Internal { keys, children };
-                store.write(id, &node.serialize())?;
+                let mut page = node_page(NODE_INTERNAL, group.len() - 1);
+                write_u64(&mut page, child_at(0), group[0].1 .0);
+                for (j, (k, child)) in group[1..].iter().enumerate() {
+                    write_key(&mut page, key_at::<V>(false, j), *k);
+                    write_u64(&mut page, child_at(j + 1), child.0);
+                }
+                store.write(id, &page)?;
                 next_level.push((group[0].0, id));
             }
             level = next_level;
@@ -289,15 +288,14 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
     }
 }
 
-/// A leaf's keys, values and right sibling.
-type LeafView<'n, const V: usize> = (&'n [Key], &'n [[u8; V]], Option<PageId>);
-
 /// A read session over one tree: a cursor that keeps its root-to-leaf
-/// path. Per depth it remembers the last node it read, verified and
-/// parsed, and reads a level again only when the page it needs there is a
-/// different one — so lookups in key order (Algorithms 4/5 visit
-/// candidates in tweet-id order, the primary tree's key order) descend
-/// the tree once, not once per key.
+/// path. Per depth it keeps the last page it read there, verified by the
+/// store and its node header checked, and searches its keys in place;
+/// a value is copied out only when it is returned. It reads a level
+/// again only when the page it needs there is a different one — so
+/// lookups in key order (Algorithms 4/5 visit candidates in tweet-id
+/// order, the primary tree's key order) descend the tree once, not once
+/// per key.
 ///
 /// Reuse is safe because a tree is never written after its bulk load, so
 /// no page can change while a reader lives. Nothing outlives the reader — it is a cursor, not a
@@ -311,15 +309,15 @@ type LeafView<'n, const V: usize> = (&'n [Key], &'n [[u8; V]], Option<PageId>);
 pub struct TreeReader<'a, S: PageStore, const V: usize> {
     tree: &'a BPlusTree<S, V>,
     /// `path[d]` is the last node read at depth `d` (0 = the root).
-    path: Vec<(PageId, Node<V>)>,
+    path: Vec<(PageId, NodePage<V>)>,
 }
 
 impl<S: PageStore, const V: usize> TreeReader<'_, S, V> {
     /// The node `id` at `depth`: the remembered one when it is the same
     /// page, otherwise read from the store and remembered in its place.
-    fn node(&mut self, depth: usize, id: PageId) -> StorageResult<&Node<V>> {
+    fn node(&mut self, depth: usize, id: PageId) -> StorageResult<&NodePage<V>> {
         if self.path.get(depth).map(|(held, _)| *held) != Some(id) {
-            let node = self.tree.load(id)?;
+            let node = NodePage::new(self.tree.store.read(id)?, id)?;
             self.path.truncate(depth);
             self.path.push((id, node));
         }
@@ -330,18 +328,21 @@ impl<S: PageStore, const V: usize> TreeReader<'_, S, V> {
     /// depth and page id.
     fn seek(&mut self, key: Key) -> StorageResult<(usize, PageId)> {
         let (mut depth, mut id) = (0, self.tree.root);
-        while let Node::Internal { keys, children } = self.node(depth, id)? {
-            id = children[upper_bound(keys, key)];
+        loop {
+            let node = self.node(depth, id)?;
+            if node.leaf {
+                return Ok((depth, id));
+            }
+            id = node.child(node.partition_point(|k| k <= key));
             depth += 1;
         }
-        Ok((depth, id))
     }
 
     /// The leaf `id` at `depth`; a non-leaf there is a corrupt tree.
-    fn leaf(&mut self, depth: usize, id: PageId) -> StorageResult<LeafView<'_, V>> {
+    fn leaf(&mut self, depth: usize, id: PageId) -> StorageResult<&NodePage<V>> {
         match self.node(depth, id)? {
-            Node::Leaf { keys, vals, next } => Ok((keys, vals, *next)),
-            Node::Internal { .. } => Err(StorageError::CorruptNode {
+            node if node.leaf => Ok(node),
+            _ => Err(StorageError::CorruptNode {
                 page_id: id,
                 detail: "leaf chain reaches an internal node".to_string(),
             }),
@@ -351,8 +352,9 @@ impl<S: PageStore, const V: usize> TreeReader<'_, S, V> {
     /// Point lookup.
     pub fn get(&mut self, key: Key) -> StorageResult<Option<[u8; V]>> {
         let (depth, id) = self.seek(key)?;
-        let (keys, vals, _) = self.leaf(depth, id)?;
-        Ok(keys.binary_search(&key).ok().map(|i| vals[i]))
+        let leaf = self.leaf(depth, id)?;
+        let i = leaf.partition_point(|k| k < key);
+        Ok((i < leaf.count && leaf.key(i) == key).then(|| leaf.value(i)))
     }
 
     /// Inclusive range scan `lo ..= hi`, in key order.
@@ -364,16 +366,15 @@ impl<S: PageStore, const V: usize> TreeReader<'_, S, V> {
         // Start at the leaf covering lo, then walk the leaf chain.
         let (depth, mut id) = self.seek(lo)?;
         loop {
-            let (keys, vals, next) = self.leaf(depth, id)?;
-            for (k, v) in keys.iter().zip(vals) {
-                if *k > hi {
+            let leaf = self.leaf(depth, id)?;
+            for i in leaf.partition_point(|k| k < lo)..leaf.count {
+                let k = leaf.key(i);
+                if k > hi {
                     return Ok(out);
                 }
-                if *k >= lo {
-                    out.push((*k, *v));
-                }
+                out.push((k, leaf.value(i)));
             }
-            match next {
+            match leaf.next() {
                 Some(n) => id = n,
                 None => return Ok(out),
             }

@@ -5,7 +5,7 @@
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use tklus_storage::{
     crc32, seal_page, verify_page, BPlusTree, CheckedPager, FaultConfig, FaultHandle, FaultPager,
     MemPager, PageId, PageStore, StorageError, PAGE_HEADER_SIZE, PAGE_SIZE,
@@ -128,7 +128,7 @@ enum Read {
 }
 
 /// Keys `(major, minor)` with `major < MAJORS`: enough of them span many
-/// leaves (169 entries per leaf at `V = 8`).
+/// leaves (72 entries per leaf at `V = 40`, 254 at `V = 0`).
 const MAJORS: u64 = 600;
 
 fn arb_read() -> impl Strategy<Value = Read> {
@@ -142,31 +142,38 @@ fn arb_read() -> impl Strategy<Value = Read> {
 }
 
 /// What a read returns, over either surface.
-type Answer = Result<Vec<(Key, u64)>, StorageError>;
+type Answer = Result<Vec<(Key, Vec<u8>)>, StorageError>;
 
-fn rows(found: Vec<(Key, [u8; 8])>) -> Vec<(Key, u64)> {
-    found.into_iter().map(|(k, v)| (k, u64::from_le_bytes(v))).collect()
+/// The `V`-byte value the trees store for model value `x`: its
+/// little-endian bytes, repeated (none at all when `V = 0`).
+fn widen<const V: usize>(x: u64) -> [u8; V] {
+    std::array::from_fn(|i| x.to_le_bytes()[i % 8])
 }
 
-fn one_shot<S: PageStore>(tree: &BPlusTree<S, 8>, read: &Read) -> Answer {
+fn rows<const V: usize>(found: Vec<(Key, [u8; V])>) -> Vec<(Key, Vec<u8>)> {
+    found.into_iter().map(|(k, v)| (k, v.to_vec())).collect()
+}
+
+fn one_shot<S: PageStore, const V: usize>(tree: &BPlusTree<S, V>, read: &Read) -> Answer {
     match *read {
-        Read::Get(k) => Ok(tree.get(k)?.map(|v| (k, u64::from_le_bytes(v))).into_iter().collect()),
+        Read::Get(k) => Ok(tree.get(k)?.map(|v| (k, v.to_vec())).into_iter().collect()),
         Read::Scan(lo, hi) => tree.scan(lo, hi).map(rows),
         Read::ScanMajor(m) => tree.scan_major(m).map(rows),
     }
 }
 
-fn through<S: PageStore>(reader: &mut tklus_storage::TreeReader<'_, S, 8>, read: &Read) -> Answer {
+fn through<S: PageStore, const V: usize>(
+    reader: &mut tklus_storage::TreeReader<'_, S, V>,
+    read: &Read,
+) -> Answer {
     match *read {
-        Read::Get(k) => {
-            Ok(reader.get(k)?.map(|v| (k, u64::from_le_bytes(v))).into_iter().collect())
-        }
+        Read::Get(k) => Ok(reader.get(k)?.map(|v| (k, v.to_vec())).into_iter().collect()),
         Read::Scan(lo, hi) => reader.scan(lo, hi).map(rows),
         Read::ScanMajor(m) => reader.scan_major(m).map(rows),
     }
 }
 
-fn model_answer(model: &BTreeMap<Key, u64>, read: &Read) -> Vec<(Key, u64)> {
+fn model_answer<const V: usize>(model: &BTreeMap<Key, u64>, read: &Read) -> Vec<(Key, Vec<u8>)> {
     let (lo, hi) = match *read {
         Read::Get(k) => (k, k),
         Read::Scan(lo, hi) => (lo, hi),
@@ -175,20 +182,83 @@ fn model_answer(model: &BTreeMap<Key, u64>, read: &Read) -> Vec<(Key, u64)> {
     if lo > hi {
         return Vec::new();
     }
-    model.range(lo..=hi).map(|(k, v)| (*k, *v)).collect()
+    model.range(lo..=hi).map(|(k, v)| (*k, widen::<V>(*v).to_vec())).collect()
 }
 
 /// A multi-leaf tree over `store` and its model, bulk-loaded: the only
 /// shape a tree has.
-fn build_tree<S: PageStore>(store: S, seed: u64) -> (BPlusTree<S, 8>, BTreeMap<Key, u64>) {
+fn build_tree<S: PageStore, const V: usize>(
+    store: S,
+    seed: u64,
+) -> (BPlusTree<S, V>, BTreeMap<Key, u64>) {
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut model: BTreeMap<Key, u64> = BTreeMap::new();
     for _ in 0..2_500 {
         model.insert((rng.gen_range(0..MAJORS), rng.gen_range(0u64..6)), rng.gen());
     }
-    let entries: Vec<(Key, [u8; 8])> = model.iter().map(|(k, v)| (*k, v.to_le_bytes())).collect();
+    let entries: Vec<(Key, [u8; V])> = model.iter().map(|(k, v)| (*k, widen(*v))).collect();
     (BPlusTree::bulk_load(store, &entries).unwrap(), model)
+}
+
+/// [`reader_equals_one_shot`] for one value width.
+fn reader_equals_one_shot_at<const V: usize>(
+    seed: u64,
+    reads: &[Read],
+) -> Result<(), TestCaseError> {
+    let (tree, model) = build_tree::<_, V>(MemPager::new(), seed);
+    let io = tree.store().stats().clone();
+    io.reset();
+    let want: Vec<Answer> = reads.iter().map(|r| one_shot(&tree, r)).collect();
+    let one_shot_reads = io.page_reads();
+    io.reset();
+    let mut reader = tree.reader();
+    for (read, want) in reads.iter().zip(&want) {
+        let got = through(&mut reader, read);
+        prop_assert_eq!(got.as_ref().ok(), want.as_ref().ok(), "V = {}: {:?}", V, read);
+        prop_assert_eq!(got.ok(), Some(model_answer::<V>(&model, read)), "V = {}: {:?}", V, read);
+    }
+    prop_assert!(
+        io.page_reads() <= one_shot_reads,
+        "V = {}: {} > {}",
+        V,
+        io.page_reads(),
+        one_shot_reads
+    );
+    Ok(())
+}
+
+/// [`ascending_sweep_reads_each_page_once`] for one value width.
+fn ascending_sweep_at<const V: usize>(
+    seed: u64,
+    keys: &BTreeSet<Key>,
+) -> Result<(), TestCaseError> {
+    let store = RecordingPager { inner: MemPager::new(), log: std::sync::Mutex::new(Vec::new()) };
+    let (tree, _) = build_tree::<_, V>(store, seed);
+    let levels = tree.height() + 1;
+    let take_log = || std::mem::take(&mut *tree.store().log.lock().unwrap());
+    take_log();
+    for &k in keys {
+        tree.get(k).unwrap();
+    }
+    // One-shot lookups read one root-to-leaf path per key.
+    let paths = take_log();
+    prop_assert_eq!(paths.len(), keys.len() * levels, "V = {}", V);
+    let changes: usize = paths
+        .chunks(levels)
+        .zip(paths.chunks(levels).skip(1))
+        .map(|(prev, next)| prev.iter().zip(next).filter(|(a, b)| a != b).count())
+        .sum();
+    let mut reader = tree.reader();
+    for &k in keys {
+        reader.get(k).unwrap();
+    }
+    let mut read = take_log();
+    prop_assert_eq!(read.len(), levels + changes, "V = {}", V);
+    read.sort();
+    read.dedup();
+    prop_assert_eq!(read.len(), levels + changes, "V = {}: a page was read twice", V);
+    Ok(())
 }
 
 /// A store that logs the id of every page read (to count what a reader
@@ -222,61 +292,33 @@ proptest! {
 
     /// Any sequence of reads, in any key order, through *one* reader
     /// answers exactly like the one-shot calls — and never reads more
-    /// pages than they do.
+    /// pages than they do. Run at each value width the metadata database
+    /// stores (0: the reply index, 16: `P_u`, 40: rows) and at 8: the
+    /// reader finds keys and values at offsets that depend on it.
     #[test]
     fn reader_equals_one_shot(
         seed in any::<u64>(),
         reads in proptest::collection::vec(arb_read(), 1..120),
     ) {
-        let (tree, model) = build_tree(MemPager::new(), seed);
-        let io = tree.store().stats().clone();
-        io.reset();
-        let want: Vec<Answer> = reads.iter().map(|r| one_shot(&tree, r)).collect();
-        let one_shot_reads = io.page_reads();
-        io.reset();
-        let mut reader = tree.reader();
-        for (read, want) in reads.iter().zip(&want) {
-            let got = through(&mut reader, read);
-            prop_assert_eq!(got.as_ref().ok(), want.as_ref().ok(), "{:?}", read);
-            prop_assert_eq!(got.ok(), Some(model_answer(&model, read)), "{:?}", read);
-        }
-        prop_assert!(io.page_reads() <= one_shot_reads, "{} > {}", io.page_reads(), one_shot_reads);
+        reader_equals_one_shot_at::<0>(seed, &reads)?;
+        reader_equals_one_shot_at::<8>(seed, &reads)?;
+        reader_equals_one_shot_at::<16>(seed, &reads)?;
+        reader_equals_one_shot_at::<40>(seed, &reads)?;
     }
 
     /// An ascending sweep of point lookups descends the tree once: the
     /// reader reads `height + 1` pages for the first key and afterwards
     /// exactly one page per change of leaf (or of an internal node above
-    /// it) — every page at most once.
+    /// it) — every page at most once. At each value width, as above.
     #[test]
     fn ascending_sweep_reads_each_page_once(
         seed in any::<u64>(),
         keys in proptest::collection::btree_set((0u64..MAJORS + 10, 0u64..6), 1..300),
     ) {
-        let store = RecordingPager { inner: MemPager::new(), log: std::sync::Mutex::new(Vec::new()) };
-        let (tree, _) = build_tree(store, seed);
-        let levels = tree.height() + 1;
-        let take_log = || std::mem::take(&mut *tree.store().log.lock().unwrap());
-        take_log();
-        for &k in &keys {
-            tree.get(k).unwrap();
-        }
-        // One-shot lookups read one root-to-leaf path per key.
-        let paths = take_log();
-        prop_assert_eq!(paths.len(), keys.len() * levels);
-        let changes: usize = paths
-            .chunks(levels)
-            .zip(paths.chunks(levels).skip(1))
-            .map(|(prev, next)| prev.iter().zip(next).filter(|(a, b)| a != b).count())
-            .sum();
-        let mut reader = tree.reader();
-        for &k in &keys {
-            reader.get(k).unwrap();
-        }
-        let mut read = take_log();
-        prop_assert_eq!(read.len(), levels + changes);
-        read.sort();
-        read.dedup();
-        prop_assert_eq!(read.len(), levels + changes, "a page was read twice");
+        ascending_sweep_at::<0>(seed, &keys)?;
+        ascending_sweep_at::<8>(seed, &keys)?;
+        ascending_sweep_at::<16>(seed, &keys)?;
+        ascending_sweep_at::<40>(seed, &keys)?;
     }
 
     /// Transient read faults under a live reader: the failing call returns
@@ -290,7 +332,7 @@ proptest! {
         let handle = FaultHandle::new();
         let cfg = FaultConfig { seed, transient_read_ppm: 500_000, ..FaultConfig::default() };
         let store = FaultPager::with_handle(MemPager::new(), cfg, std::sync::Arc::clone(&handle));
-        let (tree, model) = build_tree(store, seed);
+        let (tree, model) = build_tree::<_, 8>(store, seed);
         let mut reader = tree.reader();
         let mut failed = 0usize;
         for read in &reads {
@@ -305,7 +347,7 @@ proptest! {
                     through(&mut reader, read).unwrap()
                 }
             };
-            prop_assert_eq!(answer, model_answer(&model, read), "{:?}", read);
+            prop_assert_eq!(answer, model_answer::<8>(&model, read), "{:?}", read);
         }
         prop_assert_eq!(failed as u64, handle.transient_injected());
         prop_assert!(failed > 0, "no read ever faulted — vacuous case");
