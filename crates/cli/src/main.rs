@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! tklus generate    --posts 20000 --seed 123 --out corpus.tsv
-//! tklus build-index --corpus corpus.tsv --out index_dir/
+//! tklus build-index --corpus corpus.tsv --out index_dir/ --nodes 4
 //! tklus stats       [--corpus corpus.tsv | --posts 20000 --seed 123]
 //! tklus query       --lat 43.6839 --lon -79.3736 --radius 10 \
 //!                   --keywords hotel,spa --k 5 --ranking max --semantics or \
@@ -13,8 +13,8 @@
 //!
 //! Corpora travel between invocations as TSV files (`tklus generate --out`)
 //! or are regenerated deterministically from `--posts`/`--seed`; indexes
-//! can be built once (`build-index`) and reloaded for querying
-//! (`query --index`).
+//! can be built once (`build-index`, its key space cut into `--nodes`
+//! geohash-range partitions) and reloaded for querying (`query --index`).
 //!
 //! # Exit codes
 //!
@@ -24,7 +24,8 @@
 //! * `1` — general failure (corpus file I/O, ETL);
 //! * `2` — usage error (bad flags, invalid query parameters);
 //! * `3` — index directory persistence failure (save/load, corruption,
-//!   format-version mismatch);
+//!   format-version mismatch, or the sharded `manifest.tsv` layout earlier
+//!   builds wrote);
 //! * `4` — metadata storage failure during engine build or query;
 //! * `5` — inverted-index failure during query;
 //! * `6` — degraded (budget-truncated) result under `--fail-on-degraded`;
@@ -50,8 +51,7 @@ use std::path::PathBuf;
 use tklus_core::{BoundsMode, Completeness, EngineConfig, EngineError, Ranking, TklusEngine};
 use tklus_gen::{generate_corpus, load_tsv, save_tsv, GenConfig};
 use tklus_geo::Point;
-use tklus_model::{Corpus, Post, Semantics, TklusQuery};
-use tklus_shard::{ShardCompleteness, ShardError, ShardedEngine, ShardedOutcome};
+use tklus_model::{Corpus, Semantics, TklusQuery};
 
 /// A CLI failure, carrying the class that decides the process exit code.
 #[derive(Debug)]
@@ -130,30 +130,18 @@ impl From<EngineError> for CliError {
     }
 }
 
-impl From<ShardError> for CliError {
-    fn from(e: ShardError) -> Self {
-        match e {
-            ShardError::Persist(p) => CliError::Persist(p),
-            ShardError::Engine(en) => CliError::Engine(en),
-            ShardError::Plan(msg) => CliError::General(msg),
-        }
-    }
-}
-
 const USAGE: &str = "usage:
   tklus generate    --posts N [--seed S] --out FILE.tsv
   tklus ingest      --json FILE.jsonl [--out FILE.tsv] [--wal DIR]
                     [--compact]
   tklus build-index [--corpus FILE.tsv | --posts N --seed S]
                     --out DIR [--geohash-len 4] [--nodes 3]
-  tklus shard-split [--corpus FILE.tsv | --posts N --seed S]
-                    --out DIR [--shards 4] [--geohash-len 4] [--nodes 3]
   tklus stats       [--corpus FILE.tsv] [--posts N] [--seed S]
                     [--metrics] [--format prometheus|json]
   tklus query       --lat L --lon L --radius KM --keywords a,b[,c]
                     [--k K] [--ranking sum|max|max-global] [--semantics and|or]
                     [--corpus FILE.tsv] [--posts N] [--seed S] [--index DIR]
-                    [--shards N] [--since T --until T] [--now T --half-life H]
+                    [--since T --until T] [--now T --half-life H]
                     [--timeout-ms MS] [--max-cells N] [--fail-on-degraded]
                     [--metrics]
   tklus serve-http  [--corpus FILE.tsv] [--posts N] [--seed S]
@@ -178,7 +166,6 @@ fn main() {
         "generate" => cmd_generate(rest),
         "ingest" => cmd_ingest(rest),
         "build-index" => cmd_build_index(rest),
-        "shard-split" => cmd_shard_split(rest),
         "stats" => cmd_stats(rest),
         "query" => cmd_query(rest),
         "serve-http" => serve_http::cmd_serve_http(rest),
@@ -327,45 +314,6 @@ fn cmd_build_index(raw: Vec<String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Builds per-shard indexes under a mass-balanced geohash-range plan and
-/// writes a sharded (format v3) index directory: `manifest.tsv` plus one
-/// `shard-NNN/` index directory per range. `tklus query --index DIR` detects the
-/// manifest and runs scatter-gather automatically.
-fn cmd_shard_split(raw: Vec<String>) -> Result<(), CliError> {
-    let args = Args::parse(raw)?;
-    args.check_known(&["corpus", "posts", "seed", "out", "shards", "geohash-len", "nodes"])?;
-    let out: String = args.require("out")?;
-    let n: usize = args.get_or("shards", 4)?;
-    if n == 0 {
-        return Err(ArgError("--shards must be at least 1".to_string()).into());
-    }
-    let config = index_build_config(&args)?;
-    let corpus = corpus_from(&args)?;
-    let plan = ShardedEngine::plan_for(&corpus, n, config.geohash_len);
-    let mut shard_posts: Vec<Vec<Post>> = (0..plan.n_shards()).map(|_| Vec::new()).collect();
-    for post in corpus.posts() {
-        let sid = tklus_geo::encode(&post.location, config.geohash_len)
-            .map(|cell| plan.shard_of(cell).0)
-            .unwrap_or(0);
-        shard_posts[sid].push(post.clone());
-    }
-    let indexes: Vec<tklus_index::HybridIndex> =
-        shard_posts.iter().map(|posts| tklus_index::build_index(posts, &config).0).collect();
-    tklus_index::save_sharded_dir(&indexes, plan.boundaries(), &PathBuf::from(&out))?;
-    println!("split {} posts into {} shards -> {out}", corpus.len(), plan.n_shards());
-    for (i, posts) in shard_posts.iter().enumerate() {
-        let range_end =
-            plan.boundaries().get(i).map(|b| format!("< {b}")).unwrap_or_else(|| "..".to_string());
-        println!(
-            "  {} {:>8} posts  range {}",
-            tklus_index::shard_dir_name(i),
-            posts.len(),
-            range_end
-        );
-    }
-    Ok(())
-}
-
 fn cmd_stats(raw: Vec<String>) -> Result<(), CliError> {
     let args = Args::parse(raw)?;
     args.check_known(&["corpus", "posts", "seed", "metrics", "format"])?;
@@ -423,7 +371,6 @@ fn cmd_query(raw: Vec<String>) -> Result<(), CliError> {
         "posts",
         "seed",
         "index",
-        "shards",
         "since",
         "until",
         "now",
@@ -485,35 +432,6 @@ fn cmd_query(raw: Vec<String>) -> Result<(), CliError> {
 
     let corpus = corpus_from(&args)?;
     let engine_config = EngineConfig::default();
-    // Scatter-gather path: `--shards N` over a freshly built corpus, or a
-    // `--index` directory carrying a sharded (format v3) manifest.
-    let shards_flag = args.get::<usize>("shards")?;
-    let index_dir = args.get_str("index").map(PathBuf::from);
-    let is_sharded_dir = index_dir.as_ref().is_some_and(|d| d.join("manifest.tsv").exists());
-    if shards_flag.is_some() || is_sharded_dir {
-        if shards_flag.is_some() && index_dir.is_some() {
-            return Err(ArgError(
-                "--shards conflicts with --index: an index directory's shard count comes \
-                 from its manifest (build one with `tklus shard-split`)"
-                    .to_string(),
-            )
-            .into());
-        }
-        let sharded = match index_dir {
-            Some(dir) => {
-                eprintln!("loading sharded index from {} ...", dir.display());
-                ShardedEngine::try_load_dir(&dir, &corpus, &engine_config)?
-            }
-            None => {
-                let n = shards_flag.unwrap_or(1).max(1);
-                eprintln!("building {n}-shard engine over {} posts ...", corpus.len());
-                ShardedEngine::try_build(&corpus, n, &engine_config)?
-            }
-        };
-        let outcome = sharded.query(&query, ranking);
-        return print_sharded_outcome(&args, &query, &sharded, outcome, lat, lon, radius, k);
-    }
-
     let engine = match args.get_str("index") {
         Some(dir) => {
             eprintln!("loading index from {dir} ...");
@@ -580,68 +498,6 @@ fn cmd_query(raw: Vec<String>) -> Result<(), CliError> {
     }
     // The result (printed above) stands either way; the flag only decides
     // whether scripts see a partial answer as exit 6 instead of 0.
-    match degraded {
-        Some(e) if args.get_flag("fail-on-degraded")? => Err(e),
-        _ => Ok(()),
-    }
-}
-
-/// Prints a scatter-gather answer in the same shape as the monolithic
-/// output, plus a `shards:` summary line (total, fanout) and failures.
-#[allow(clippy::too_many_arguments)]
-fn print_sharded_outcome(
-    args: &Args,
-    query: &TklusQuery,
-    engine: &ShardedEngine,
-    outcome: ShardedOutcome,
-    lat: f64,
-    lon: f64,
-    radius: f64,
-    k: usize,
-) -> Result<(), CliError> {
-    println!(
-        "top-{k} local users for {:?} within {radius} km of ({lat}, {lon}) [{}]:",
-        query.keywords, query.semantics
-    );
-    if outcome.users.is_empty() {
-        println!("  (no qualifying users)");
-    }
-    for (rank, r) in outcome.users.iter().enumerate() {
-        println!("  #{:<3} {:<12} score {:.4}", rank + 1, r.user.to_string(), r.score);
-    }
-    println!("shards: {} total, fanout {}", engine.n_shards(), outcome.fanout);
-    let mut degraded = None;
-    if let ShardCompleteness::Degraded { ref failed_shards, cells_processed, cells_total } =
-        outcome.completeness
-    {
-        if failed_shards.is_empty() {
-            println!(
-                "note: degraded result — budget expired after {cells_processed}/{cells_total} \
-                 cover cells; the ranking is exact over the cells processed"
-            );
-        } else {
-            let names: Vec<String> = failed_shards.iter().map(|s| s.to_string()).collect();
-            println!(
-                "note: degraded result — shard(s) {} failed; the ranking is exact over the \
-                 healthy shards' data",
-                names.join(", ")
-            );
-        }
-        degraded = Some(CliError::Degraded { cells_processed, cells_total });
-    }
-    let stats = &outcome.stats;
-    println!(
-        "stats: {} candidates, {} in radius, {} threads built, {} pruned, {} metadata page reads, {:.2} ms",
-        stats.candidates,
-        stats.in_radius,
-        stats.threads_built,
-        stats.threads_pruned,
-        stats.metadata_page_reads,
-        stats.elapsed.as_secs_f64() * 1e3
-    );
-    if args.get_flag("metrics")? {
-        print!("-- metrics --\n{}", engine.metrics_snapshot().render_prometheus());
-    }
     match degraded {
         Some(e) if args.get_flag("fail-on-degraded")? => Err(e),
         _ => Ok(()),

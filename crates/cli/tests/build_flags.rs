@@ -1,6 +1,6 @@
-//! `build-index` and `shard-split` reject an out-of-range `--nodes` or
-//! `--geohash-len` as a usage error (exit 2, with a message), before they
-//! build or write anything.
+//! `build-index` rejects an out-of-range `--nodes` or `--geohash-len` as a
+//! usage error (exit 2, with a message), before it builds or writes
+//! anything.
 
 use std::process::Command;
 
@@ -13,14 +13,12 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
 fn out_of_range_build_flags_are_usage_errors() {
     let dir = std::env::temp_dir().join(format!("tklus-build-flags-{}", std::process::id()));
     let out = dir.to_str().expect("utf-8 temp dir");
-    for command in ["build-index", "shard-split"] {
-        for (flag, value) in
-            [("--nodes", "0"), ("--nodes", "40"), ("--geohash-len", "0"), ("--geohash-len", "13")]
-        {
-            let (code, stderr) = run(&[command, "--posts", "200", "--out", out, flag, value]);
-            assert_eq!(code, Some(2), "{command} {flag} {value}: {stderr}");
-            assert!(stderr.contains(flag) && stderr.contains(value), "{command}: {stderr}");
-        }
+    for (flag, value) in
+        [("--nodes", "0"), ("--nodes", "40"), ("--geohash-len", "0"), ("--geohash-len", "13")]
+    {
+        let (code, stderr) = run(&["build-index", "--posts", "200", "--out", out, flag, value]);
+        assert_eq!(code, Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(flag) && stderr.contains(value), "{stderr}");
     }
     assert!(!dir.exists(), "a rejected build wrote {out}");
 }

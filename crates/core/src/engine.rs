@@ -319,12 +319,12 @@ impl TklusEngine {
         Ok(QueryOutcome { users, stats, completeness })
     }
 
-    /// The row-producing half of Algorithm 4 for scatter-gather execution
-    /// of **either** ranking: cover, fetch, combine, and per-candidate
+    /// The row-producing half of Algorithm 4 for a gathered answer under
+    /// **either** ranking: cover, fetch, combine, and per-candidate
     /// relevance scoring, with the per-user fold and distance blend left to
     /// [`Self::try_rank_rows`]. Rows come back in candidate (tweet-id)
-    /// order — a router that merges rows from engines over disjoint tweet
-    /// sets by tweet id and folds them reproduces [`Self::try_query`]'s
+    /// order — a gatherer that merges them with rows over a disjoint tweet
+    /// set by tweet id and folds them reproduces [`Self::try_query`]'s
     /// scores bit for bit. Same keyword contract as [`Self::try_query`].
     ///
     /// `live` overlays the metadata of posts this engine's trees do not

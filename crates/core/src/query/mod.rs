@@ -72,10 +72,10 @@ pub struct QueryOutcome {
 /// relevance ρ (thread popularity × keyword score × recency). Named for
 /// Algorithm 4, whose front half produces it; a gatherer folds the same
 /// rows by `max` for the Maximum-score ranking. Rows come out in
-/// candidate (tweet-id) order, which is exactly the order the monolithic
-/// engine folds them in — a scatter-gather router that merges rows from
-/// disjoint shards by tweet id and folds sequentially reproduces the
-/// monolithic Sum scores bit for bit (a Max fold is order-free).
+/// candidate (tweet-id) order, which is exactly the order the engine
+/// folds them in — a gatherer that merges rows from disjoint sources by
+/// tweet id and folds sequentially reproduces the engine's Sum scores
+/// bit for bit (a Max fold is order-free).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SumRow {
     /// The candidate tweet.

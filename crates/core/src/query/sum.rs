@@ -15,11 +15,11 @@
 //! folds them per user — by `+=` (Definition 7) or by `max`
 //! (Definition 8) — blends with distance and ranks. [`try_query_sum`]
 //! runs the two back to back for [`crate::TklusEngine::try_query`], under
-//! either ranking. The split is what serves the gatherers — the sharded router
-//! over disjoint shard engines, the ingest store over sealed ∪ live: they
-//! merge row streams by tweet id ([`merge_sum_rows`]) and run the same
-//! fold through [`crate::TklusEngine::try_rank_rows`], reproducing the
-//! monolithic result bit for bit. For Max that is also Algorithm 5's
+//! either ranking. The split is what serves the ingest store's gather over
+//! sealed ∪ live: it merges the two row streams by tweet id
+//! ([`merge_sum_rows`]) and runs the same fold through
+//! [`crate::TklusEngine::try_rank_rows`], reproducing a rebuilt engine's
+//! result bit for bit. For Max that is also Algorithm 5's
 //! answer (`query/max.rs`): its prune only ever skips rows that cannot
 //! change the top-k. The per-candidate scoring body has one home,
 //! [`try_score_candidates`]: the engine feeds it its postings
@@ -116,9 +116,8 @@ pub(crate) fn try_score_candidates(
 
 /// K-way merges row slices (each sorted by tweet id ascending) into one
 /// tid-ascending stream, keeping the **first** row of any duplicated tweet
-/// id. Disjoint sources never duplicate a tweet; the dedup guards
-/// hand-built overlapping shard sets (and any future plan bug) from
-/// double-counting a tweet's score into its user's sum.
+/// id. Disjoint sources never duplicate a tweet; the dedup keeps a tweet
+/// that reached two sources from counting twice into its user's sum.
 pub fn merge_sum_rows<'a>(lists: impl Iterator<Item = &'a [SumRow]>) -> Vec<SumRow> {
     let lists: Vec<&[SumRow]> = lists.collect();
     let mut idx = vec![0usize; lists.len()];

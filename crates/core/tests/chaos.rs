@@ -514,143 +514,6 @@ fn generous_timeout_is_complete_and_identical_to_unbudgeted() {
     assert_same_users(&outcome.users, &full, "generous timeout");
 }
 
-// ---- Sharded scatter-gather under per-shard faults (DESIGN.md §14) ----
-
-/// One shard of a 4-shard router runs on a seeded `FaultPager`; every
-/// query must come back either bitwise-equal to the fault-free sharded
-/// answer (`Complete`) or as a typed degraded partial *naming the faulted
-/// shard* — never a panic, never a silently truncated `Complete`.
-#[test]
-fn faulted_shard_yields_typed_degraded_partials_never_lies() {
-    use tklus_shard::{ShardCompleteness, ShardId, ShardedEngine};
-
-    let corpus = corpus();
-    let n_shards = 4;
-    let reference =
-        ShardedEngine::try_build(&corpus, n_shards, &base_config()).expect("fault-free build");
-    let plan = reference.plan().clone();
-    let workload = queries(&corpus);
-    let expected: Vec<_> = workload.iter().map(|(q, r)| reference.query(q, *r)).collect();
-    let faulted = 1usize; // a middle shard, so covers straddle it
-
-    for seed in chaos_seeds() {
-        let handle = FaultHandle::new();
-        let cfg = FaultConfig { seed, transient_read_ppm: 60_000, ..FaultConfig::default() };
-        let store = faulty_store(cfg, Arc::clone(&handle), None);
-        let engine = ShardedEngine::try_build_with(&corpus, plan.clone(), &|i| {
-            if i == faulted {
-                EngineConfig { metadata_store: Some(Arc::clone(&store)), ..base_config() }
-            } else {
-                base_config()
-            }
-        })
-        .expect("disarmed build is clean");
-        handle.arm(true);
-
-        let mut clean = 0usize;
-        let mut degraded = 0usize;
-        sweep_until(
-            || handle.transient_injected() > 0,
-            || {
-                for (i, (q, ranking)) in workload.iter().enumerate() {
-                    // `query` is infallible by contract: a shard fault must
-                    // become a typed partial, so any panic here fails the test.
-                    let got = engine.query(q, *ranking);
-                    match got.completeness {
-                        ShardCompleteness::Complete => {
-                            assert_same_users(
-                                &got.users,
-                                &expected[i].users,
-                                &format!(
-                                    "seed {seed} q{i}: complete answers must match fault-free"
-                                ),
-                            );
-                            clean += 1;
-                        }
-                        ShardCompleteness::Degraded { ref failed_shards, .. } => {
-                            assert_eq!(
-                                failed_shards.as_slice(),
-                                &[ShardId(faulted)],
-                                "seed {seed} q{i}: only the faulted shard may be named"
-                            );
-                            degraded += 1;
-                        }
-                    }
-                }
-            },
-        );
-        assert!(
-            handle.transient_injected() > 0,
-            "seed {seed}: schedule never fired — the run was vacuous"
-        );
-        assert!(degraded > 0, "seed {seed}: no query ever observed the faulted shard");
-        assert!(clean > 0, "seed {seed}: every query degraded — healthy path unproven");
-    }
-}
-
-/// A shard whose store *always* faults trips its circuit breaker: after
-/// the failure threshold, dispatches are refused outright (state `Open`),
-/// and the router keeps serving typed partials that name the dead shard.
-#[test]
-fn dead_shard_trips_its_breaker_and_stays_typed() {
-    use tklus_shard::{BreakerConfig, BreakerState, ShardCompleteness, ShardId, ShardedEngine};
-
-    let corpus = corpus();
-    let reference = ShardedEngine::try_build(&corpus, 4, &base_config()).expect("fault-free build");
-    let plan = reference.plan().clone();
-    let workload = queries(&corpus);
-    let expected: Vec<_> = workload.iter().map(|(q, r)| reference.query(q, *r)).collect();
-    let dead = 1usize;
-
-    let handle = FaultHandle::new();
-    // Every read faults: the shard is effectively down. (A query only
-    // touches a shard's metadata when the shard holds candidates for it,
-    // so the breaker is tuned to trip on the few dispatches that do.)
-    let cfg = FaultConfig { seed: 7, transient_read_ppm: 1_000_000, ..FaultConfig::default() };
-    let store = faulty_store(cfg, Arc::clone(&handle), None);
-    let engine = ShardedEngine::try_build_with(&corpus, plan, &|i| {
-        if i == dead {
-            EngineConfig { metadata_store: Some(Arc::clone(&store)), ..base_config() }
-        } else {
-            base_config()
-        }
-    })
-    .expect("disarmed build is clean")
-    .with_breaker_config(BreakerConfig { failure_threshold: 2, ..BreakerConfig::default() });
-    handle.arm(true);
-
-    // Several passes over the workload: enough failing dispatches to cross
-    // the breaker's threshold even though only some queries touch the
-    // dead shard's data.
-    let mut degraded = 0usize;
-    for pass in 0..4 {
-        for (i, (q, ranking)) in workload.iter().enumerate() {
-            let got = engine.query(q, *ranking);
-            match got.completeness {
-                ShardCompleteness::Complete => assert_same_users(
-                    &got.users,
-                    &expected[i].users,
-                    &format!("pass {pass} q{i}: the cover avoided the dead shard"),
-                ),
-                ShardCompleteness::Degraded { ref failed_shards, .. } => {
-                    assert_eq!(failed_shards.as_slice(), &[ShardId(dead)], "pass {pass} q{i}");
-                    degraded += 1;
-                }
-            }
-        }
-    }
-    assert!(handle.transient_injected() > 0, "no fault ever fired — vacuous");
-    assert!(degraded >= 2, "too few degraded outcomes ({degraded}) to trip the breaker");
-    assert_eq!(
-        engine.breaker_state(dead),
-        BreakerState::Open,
-        "a persistently failing shard must trip its breaker"
-    );
-    for sid in [0usize, 2, 3] {
-        assert_eq!(engine.breaker_state(sid), BreakerState::Closed, "healthy shard {sid}");
-    }
-}
-
 /// The degraded prefix is itself exact: ranking only the tweets found in
 /// the first `m` cover cells of the *reference* engine's fetch order.
 #[test]

@@ -371,6 +371,37 @@ mod tests {
     }
 
     #[test]
+    fn every_forward_entry_lies_in_its_partitions_alphabet_slice() {
+        // One post in each of the 32 top-level cells (45° of latitude by
+        // 45° of longitude), so every slice boundary has a key on it.
+        let posts: Vec<Post> = (0..32u64)
+            .map(|i| {
+                let (lat, lon) = (-67.5 + 45.0 * (i / 8) as f64, -157.5 + 45.0 * (i % 8) as f64);
+                post(i + 1, i, lat, lon, "hotel pizza")
+            })
+            .collect();
+        for nodes in [1, 2, 3, 4, 7, 16, 32] {
+            let config = IndexBuildConfig { nodes, ..Default::default() };
+            let (index, _) = build_index(&posts, &config);
+            assert_eq!(index.partitions().len(), nodes);
+            // Partition `i` holds the keys whose first character is at
+            // alphabet position ⌊i · 32 / nodes⌋ up to, not including,
+            // that of partition `i + 1`.
+            let start = |i: usize| i * 32 / nodes;
+            let mut used = HashSet::new();
+            for ((key, _), loc) in index.forward().iter() {
+                let first = key.to_string().as_bytes()[0];
+                let top = ALPHABET.iter().position(|&c| c == first).unwrap();
+                let p = loc.partition as usize;
+                assert!(start(p) <= top && top < start(p + 1), "{nodes}: {key} in {p}");
+                assert_eq!(partition_of(*key, nodes), p, "{nodes}: {key}");
+                used.insert(p);
+            }
+            assert_eq!(used, (0..nodes).collect(), "{nodes}: every partition holds keys");
+        }
+    }
+
+    #[test]
     fn report_counts_are_consistent() {
         let (index, report) = build_index(&toronto_posts(), &IndexBuildConfig::default());
         assert_eq!(report.keys as usize, index.forward().len());

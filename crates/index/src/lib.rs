@@ -33,9 +33,7 @@ pub use forward::{ForwardIndex, PostingsLocation};
 pub use inverted::{HybridIndex, IndexError, IndexKey, QueryFetch};
 pub use irtree::{IrSearchStats, IrTree};
 pub use persist::{
-    load_dir_with_report, load_sharded_dir_with_report, save_dir, save_sharded_dir,
-    save_sharded_dir_refs, shard_dir_name, LoadReport, PersistError, PERSIST_FORMAT_VERSION,
-    SHARDED_FORMAT_VERSION,
+    load_dir_with_report, save_dir, LoadReport, PersistError, PERSIST_FORMAT_VERSION,
 };
 pub use posting::{
     intersect_gallop, intersect_sum, union_sum, DecodeError, Posting, PostingsFormat, PostingsList,

@@ -24,7 +24,9 @@
 //! and the like are not corruption). `forward.tsv` carries no checksum, so
 //! the load checks what a query relies on: the directory is strictly
 //! sorted, every key has the meta's geohash length, and every location
-//! lies inside a loaded partition.
+//! lies inside a loaded partition. A directory holding a `manifest.tsv` —
+//! the sharded layout earlier builds wrote, one index directory per
+//! `shard-NNN/` — is refused with a typed error naming the rebuild.
 
 use crate::forward::{ForwardIndex, PostingsLocation};
 use crate::inverted::HybridIndex;
@@ -96,6 +98,11 @@ pub enum PersistError {
         /// The missing partition file name.
         file: String,
     },
+    /// The directory is the sharded layout earlier builds wrote
+    /// (`manifest.tsv` over `shard-NNN/` index directories). One index's
+    /// partitions do that job now: rebuild it with
+    /// `tklus build-index --nodes N`.
+    ShardedLayout,
 }
 
 impl std::fmt::Display for PersistError {
@@ -120,6 +127,11 @@ impl std::fmt::Display for PersistError {
             PersistError::MissingPartition { file } => {
                 write!(f, "partition {file} is recorded in checksums.tsv but missing on disk")
             }
+            PersistError::ShardedLayout => f.write_str(
+                "the directory holds a manifest.tsv over shard-NNN/ indexes, a sharded layout \
+                 this build no longer reads; rebuild it as one partitioned index with \
+                 `tklus build-index --nodes N`",
+            ),
         }
     }
 }
@@ -199,8 +211,12 @@ pub fn save_dir(index: &HybridIndex, dir: &Path) -> Result<(), PersistError> {
 }
 
 /// Loads an index previously written by [`save_dir`], reporting what was
-/// verified and what was skipped.
+/// verified and what was skipped. A sharded directory (`manifest.tsv`) is
+/// refused as [`PersistError::ShardedLayout`].
 pub fn load_dir_with_report(dir: &Path) -> Result<(HybridIndex, LoadReport), PersistError> {
+    if dir.join("manifest.tsv").exists() {
+        return Err(PersistError::ShardedLayout);
+    }
     // meta.tsv — the format line gates everything else.
     let meta = std::fs::read_to_string(dir.join("meta.tsv"))?;
     let mut format: Option<String> = None;
@@ -354,139 +370,6 @@ pub fn load_dir_with_report(dir: &Path) -> Result<(HybridIndex, LoadReport), Per
         )));
     }
     Ok((index, report))
-}
-
-/// On-disk format version of a *sharded* index directory (`manifest.tsv`).
-///
-/// Version history continues from [`PERSIST_FORMAT_VERSION`]:
-/// * **3** — a sharded directory: `manifest.tsv` names the shard count and
-///   the `N-1` geohash boundaries of the contiguous prefix ranges, and each
-///   shard's index lives in a `shard-NNN/` subdirectory in the monolithic
-///   layout ([`PERSIST_FORMAT_VERSION`]). A monolithic directory — no
-///   `manifest.tsv` — still loads via [`load_sharded_dir_with_report`] as a
-///   single full-range shard.
-pub const SHARDED_FORMAT_VERSION: u32 = 3;
-
-/// The `shard-NNN` subdirectory name for shard `i`.
-pub fn shard_dir_name(i: usize) -> String {
-    format!("shard-{i:03}")
-}
-
-/// Writes a sharded index directory (format v3): `manifest.tsv` plus one
-/// v2 subdirectory per shard. `boundaries` are the `shards.len() - 1`
-/// geohash range boundaries, sorted ascending; boundary `i` is the first
-/// cell of shard `i + 1`'s half-open range.
-pub fn save_sharded_dir(
-    shards: &[HybridIndex],
-    boundaries: &[Geohash],
-    dir: &Path,
-) -> Result<(), PersistError> {
-    let refs: Vec<&HybridIndex> = shards.iter().collect();
-    save_sharded_dir_refs(&refs, boundaries, dir)
-}
-
-/// [`save_sharded_dir`] over borrowed indexes — the entry point for
-/// callers whose indexes live inside engines (the sharded engine's own
-/// save path).
-pub fn save_sharded_dir_refs(
-    shards: &[&HybridIndex],
-    boundaries: &[Geohash],
-    dir: &Path,
-) -> Result<(), PersistError> {
-    if boundaries.len() + 1 != shards.len() {
-        return Err(corrupt(format!(
-            "{} shards need {} boundaries, got {}",
-            shards.len(),
-            shards.len().saturating_sub(1),
-            boundaries.len()
-        )));
-    }
-    std::fs::create_dir_all(dir)?;
-    let mut manifest = BufWriter::new(std::fs::File::create(dir.join("manifest.tsv"))?);
-    writeln!(manifest, "format\t{SHARDED_FORMAT_VERSION}")?;
-    writeln!(manifest, "shards\t{}", shards.len())?;
-    for b in boundaries {
-        writeln!(manifest, "boundary\t{b}")?;
-    }
-    manifest.flush()?;
-    for (i, shard) in shards.iter().enumerate() {
-        save_dir(shard, &dir.join(shard_dir_name(i)))?;
-    }
-    Ok(())
-}
-
-/// Loads a sharded (v3) *or* monolithic (v2) index directory as a list
-/// of shard indexes plus their range boundaries. A monolithic directory
-/// loads as one shard covering the whole keyspace (no boundaries) — the
-/// forward-compat path that lets every pre-sharding index keep working.
-/// Per-shard [`LoadReport`]s are merged; skipped-file names are prefixed
-/// with their shard subdirectory.
-pub fn load_sharded_dir_with_report(
-    dir: &Path,
-) -> Result<(Vec<HybridIndex>, Vec<Geohash>, LoadReport), PersistError> {
-    let manifest_path = dir.join("manifest.tsv");
-    if !manifest_path.exists() {
-        // Monolithic v2 directory: one full-range shard.
-        let (index, report) = load_dir_with_report(dir)?;
-        return Ok((vec![index], Vec::new(), report));
-    }
-    let manifest = std::fs::read_to_string(&manifest_path)?;
-    let mut format: Option<String> = None;
-    let mut shard_count: Option<usize> = None;
-    let mut boundaries: Vec<Geohash> = Vec::new();
-    for line in manifest.lines() {
-        match line.split_once('\t') {
-            Some(("format", v)) => format = Some(v.to_string()),
-            Some(("shards", v)) => {
-                shard_count = Some(v.parse().map_err(|_| corrupt("manifest shards"))?)
-            }
-            Some(("boundary", v)) => {
-                boundaries.push(v.parse().map_err(|_| corrupt("manifest boundary"))?)
-            }
-            _ => return Err(corrupt(format!("manifest line {line:?}"))),
-        }
-    }
-    match format {
-        Some(v) if v.parse::<u32>() == Ok(SHARDED_FORMAT_VERSION) => {}
-        Some(v) => {
-            return Err(PersistError::VersionMismatch {
-                found: v,
-                expected: SHARDED_FORMAT_VERSION,
-            })
-        }
-        None => {
-            return Err(PersistError::VersionMismatch {
-                found: "no format line".to_string(),
-                expected: SHARDED_FORMAT_VERSION,
-            })
-        }
-    }
-    let shard_count = shard_count.ok_or_else(|| corrupt("missing shards line"))?;
-    if shard_count == 0 {
-        return Err(corrupt("sharded directory with zero shards"));
-    }
-    if boundaries.len() + 1 != shard_count {
-        return Err(corrupt(format!(
-            "{shard_count} shards need {} boundaries, manifest has {}",
-            shard_count - 1,
-            boundaries.len()
-        )));
-    }
-    if boundaries.windows(2).any(|w| w[0] > w[1]) {
-        return Err(corrupt("manifest boundaries are not sorted"));
-    }
-    let mut shards = Vec::with_capacity(shard_count);
-    let mut report = LoadReport::default();
-    for i in 0..shard_count {
-        let name = shard_dir_name(i);
-        let (index, shard_report) = load_dir_with_report(&dir.join(&name))?;
-        report.partitions_loaded += shard_report.partitions_loaded;
-        report
-            .skipped_files
-            .extend(shard_report.skipped_files.into_iter().map(|f| format!("{name}/{f}")));
-        shards.push(index);
-    }
-    Ok((shards, boundaries, report))
 }
 
 #[cfg(test)]
@@ -668,13 +551,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn hand_assembled_flat_v2_directory_loads_and_answers() {
-        // Every byte below is format 2 as `save_dir` has written it for a
-        // flat index since that format appeared — two "hotel" tweets (ids
-        // 5 and 7, tf 1 and 2) in Toronto cell dpz8. No call into this
-        // build's writer, so a change to the on-disk layout fails here.
-        let dir = tmp_dir("hand-v2");
+    /// Writes format 2 as `save_dir` has written it for a flat index since
+    /// that format appeared — two "hotel" tweets (ids 5 and 7, tf 1 and 2)
+    /// in Toronto cell dpz8. No call into this build's writer, so a change
+    /// to the on-disk layout fails the tests that read it.
+    fn write_hand_assembled_v2(dir: &Path) {
         std::fs::create_dir_all(dir.join("partitions")).unwrap();
         std::fs::write(
             dir.join("meta.tsv"),
@@ -686,6 +567,28 @@ mod tests {
         // varint count 2, then (id delta, tf) pairs: (5, 1), (2, 2).
         std::fs::write(dir.join("partitions").join("part-00000"), [2u8, 5, 1, 2, 2]).unwrap();
         std::fs::write(dir.join("checksums.tsv"), "part-00000\t56c63dd6\n").unwrap();
+    }
+
+    #[test]
+    fn sharded_directory_is_refused_with_a_typed_error() {
+        // What `tklus shard-split` wrote: a manifest over one index
+        // directory per shard. The shard itself is a sound index; the
+        // layout around it is what this build no longer reads.
+        let dir = tmp_dir("sharded");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("manifest.tsv"), "format\t3\nshards\t1\n").unwrap();
+        write_hand_assembled_v2(&dir.join("shard-000"));
+        assert!(load_dir_with_report(&dir.join("shard-000")).is_ok());
+        let err = load_err(&dir);
+        assert!(matches!(err, PersistError::ShardedLayout), "{err}");
+        assert!(err.to_string().contains("tklus build-index --nodes N"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hand_assembled_flat_v2_directory_loads_and_answers() {
+        let dir = tmp_dir("hand-v2");
+        write_hand_assembled_v2(&dir);
 
         let (index, report) = load_dir_with_report(&dir).unwrap();
         assert_eq!(report.partitions_loaded, 1);
@@ -942,72 +845,6 @@ mod tests {
         std::fs::remove_file(&part).unwrap();
         let err = load_err(&dir);
         assert!(matches!(&err, PersistError::MissingPartition { file } if *file == name), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sharded_roundtrip_preserves_each_shard() {
-        let all = posts();
-        let mid = all.len() / 2;
-        let (left, _) = build_index(&all[..mid], &IndexBuildConfig::default());
-        let (right, _) = build_index(&all[mid..], &IndexBuildConfig::default());
-        let boundary = tklus_geo::encode(&Point::new_unchecked(43.68, -79.45), 4).unwrap();
-        let dir = tmp_dir("sharded-roundtrip");
-        save_sharded_dir(&[left, right], &[boundary], &dir).unwrap();
-        let (shards, boundaries, report) = load_sharded_dir_with_report(&dir).unwrap();
-        assert_eq!(shards.len(), 2);
-        assert_eq!(boundaries, vec![boundary]);
-        assert!(report.partitions_loaded > 0);
-        // Each shard answers identically to a fresh build over its slice.
-        let (fresh, _) = build_index(&all[..mid], &IndexBuildConfig::default());
-        let center = Point::new_unchecked(43.68, -79.45);
-        let hotel = fresh.vocab().get("hotel").unwrap();
-        let f1 = fresh.fetch_for_query(&center, 30.0, &[hotel], DistanceMetric::Euclidean);
-        let f2 = shards[0].fetch_for_query(&center, 30.0, &[hotel], DistanceMetric::Euclidean);
-        assert_eq!(f1.per_keyword, f2.per_keyword);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn monolithic_dir_loads_as_single_shard() {
-        let dir = saved_dir("mono-as-shard");
-        let (shards, boundaries, report) = load_sharded_dir_with_report(&dir).unwrap();
-        assert_eq!(shards.len(), 1);
-        assert!(boundaries.is_empty());
-        assert!(report.partitions_loaded > 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sharded_manifest_errors_are_typed() {
-        let (index, _) = build_index(&posts(), &IndexBuildConfig::default());
-        let boundary = tklus_geo::encode(&Point::new_unchecked(43.68, -79.45), 4).unwrap();
-        // Boundary count must match the shard count.
-        let dir = tmp_dir("sharded-bad-save");
-        let err = save_sharded_dir(&[index], &[boundary], &dir).unwrap_err();
-        assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // A wrong manifest format version is a typed mismatch.
-        let (a, _) = build_index(&posts(), &IndexBuildConfig::default());
-        let dir = tmp_dir("sharded-bad-version");
-        save_sharded_dir(&[a], &[], &dir).unwrap();
-        let load_sharded_err = |dir: &Path| match load_sharded_dir_with_report(dir) {
-            Err(e) => e,
-            Ok(_) => panic!("load of a damaged sharded directory must fail"),
-        };
-        let manifest = std::fs::read_to_string(dir.join("manifest.tsv")).unwrap();
-        std::fs::write(dir.join("manifest.tsv"), manifest.replace("format\t3", "format\t9"))
-            .unwrap();
-        let err = load_sharded_err(&dir);
-        assert!(
-            matches!(&err, PersistError::VersionMismatch { found, expected: 3 } if found == "9"),
-            "{err}"
-        );
-        // A manifest claiming more shards than it has boundaries for.
-        std::fs::write(dir.join("manifest.tsv"), "format\t3\nshards\t2\n").unwrap();
-        let err = load_sharded_err(&dir);
-        assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -13,7 +13,7 @@
 //!   overload-resilient serving layer reports through (DESIGN.md §11).
 //! * [`registry`] — the operational telemetry registry (DESIGN.md §12):
 //!   lock-free named counters and power-of-two-bucket latency histograms
-//!   with mergeable snapshots and stable Prometheus/JSON renderings.
+//!   with point-in-time snapshots and stable Prometheus/JSON renderings.
 
 pub mod health;
 pub mod kendall;

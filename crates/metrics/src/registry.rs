@@ -12,9 +12,6 @@
 //!   the value 0; bucket *i* (1 ≤ *i* ≤ 63) holds values in
 //!   `[2^(i-1), 2^i)`, with bucket 63 also absorbing everything above.
 //!   Bucket index is one `leading_zeros` — no float math, no search.
-//! * **Mergeable snapshots.** [`HistogramSnapshot`] and
-//!   [`RegistrySnapshot`] merge bucket-wise / counter-wise, so per-shard
-//!   or per-engine registries can be combined for fleet-level views.
 //! * **Stable renderings.** [`RegistrySnapshot::render_prometheus`] and
 //!   [`RegistrySnapshot::render_json`] emit names in sorted order with a
 //!   format pinned by golden tests (the CI metrics smoke job).
@@ -143,7 +140,7 @@ impl Histogram {
     }
 }
 
-/// Point-in-time copy of a [`Histogram`], mergeable bucket-wise.
+/// Point-in-time copy of a [`Histogram`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts (see [`bucket_index`] for the layout).
@@ -163,16 +160,6 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Folds `other` into `self` bucket-wise.
-    pub fn merge(&mut self, other: &Self) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b = b.saturating_add(*o);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
     /// Value at quantile `q` in `[0, 1]`: the upper bound of the bucket
     /// holding the ⌈q·count⌉-th sample, capped at the observed max.
     /// Returns 0 when empty.
@@ -293,17 +280,6 @@ impl RegistrySnapshot {
     /// Iterates `(name, snapshot)` over all histograms in sorted order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &HistogramSnapshot)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Folds `other` into `self`: counters add, histograms merge.
-    pub fn merge(&mut self, other: &Self) {
-        for (name, &v) in &other.counters {
-            let slot = self.counters.entry(name.clone()).or_insert(0);
-            *slot = slot.saturating_add(v);
-        }
-        for (name, h) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(h);
-        }
     }
 
     /// Prometheus text exposition: counters as `# TYPE … counter` plus a
@@ -431,32 +407,6 @@ mod tests {
         assert_eq!(s.quantile(1.0), 100);
         let empty = HistogramSnapshot::default();
         assert_eq!(empty.p50(), 0);
-    }
-
-    #[test]
-    fn snapshots_merge_bucket_wise() {
-        let a = Histogram::default();
-        let b = Histogram::default();
-        a.record(3);
-        a.record(5);
-        b.record(5);
-        b.record(900);
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        assert_eq!(m.count, 4);
-        assert_eq!(m.sum, 913);
-        assert_eq!(m.max, 900);
-        assert_eq!(m.buckets[bucket_index(5)], 2);
-
-        let reg_a = MetricRegistry::new();
-        reg_a.counter("x").add(2);
-        let reg_b = MetricRegistry::new();
-        reg_b.counter("x").add(3);
-        reg_b.counter("y").inc();
-        let mut snap = reg_a.snapshot();
-        snap.merge(&reg_b.snapshot());
-        assert_eq!(snap.counter("x"), Some(5));
-        assert_eq!(snap.counter("y"), Some(1));
     }
 
     #[test]

@@ -124,9 +124,7 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A closed breaker named for the failure domain it guards. The name
-    /// is owned so callers can mint breakers for dynamic domains (e.g.
-    /// one per query-engine shard) as well as the static panel pair.
+    /// A closed breaker named for the failure domain it guards.
     pub fn new(name: impl Into<String>, cfg: BreakerConfig) -> Self {
         Self {
             name: name.into(),
@@ -143,8 +141,7 @@ impl CircuitBreaker {
         }
     }
 
-    /// The guarded failure domain's name (e.g. `"storage"` / `"index"`,
-    /// or a per-shard domain like `"shard-003"`).
+    /// The guarded failure domain's name (`"storage"` or `"index"`).
     pub fn name(&self) -> &str {
         &self.name
     }

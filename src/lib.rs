@@ -25,7 +25,6 @@ pub use tklus_index as index;
 pub use tklus_metrics as metrics;
 pub use tklus_model as model;
 pub use tklus_serve as serve;
-pub use tklus_shard as shard;
 pub use tklus_storage as storage;
 pub use tklus_text as text;
 pub use tklus_wal as wal;

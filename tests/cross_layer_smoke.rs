@@ -5,10 +5,11 @@
 //! corpus → `IngestStore` (ingest two posts in three, compact, ingest the
 //! rest live — interleaved with the sealed set by tweet id, replies into
 //! it included — reopen) → for Sum and Max × AND/OR: the store's sealed ∪ live
-//! answer, a 4-shard `ShardedEngine`'s, and `POST /query` over a loopback
-//! `tklus_http::serve` fronting the rebuilt engine. A seam that breaks —
-//! index build, WAL replay, compaction, the Sum gather, shard routing,
-//! admission, JSON — fails here, in the default `cargo test`.
+//! answer, the answer of an engine whose index has 4 partitions (how the
+//! system shards), and `POST /query` over a loopback `tklus_http::serve`
+//! fronting the rebuilt engine. A seam that breaks — index build, WAL
+//! replay, compaction, the Sum gather, partitioning, admission, JSON —
+//! fails here, in the default `cargo test`.
 //!
 //! Then the one concurrency model (DESIGN.md §8: requests are the unit of
 //! parallelism): four threads replay the same cases at once against the
@@ -24,7 +25,6 @@ use tklus::gen::{generate_corpus, generate_queries, GenConfig, QueryConfig};
 use tklus::http::{serve, HttpConfig};
 use tklus::model::{Corpus, Post, Semantics, TklusQuery, TweetId};
 use tklus::serve::{ServeConfig, TklusServer};
-use tklus::shard::ShardedEngine;
 use tklus::wal::{IngestStore, SimFs, StoreConfig, WalFs};
 
 /// `(user id, score bits)`: equality is bit equality.
@@ -106,7 +106,9 @@ fn store_shards_and_http_agree_with_a_fresh_engine() {
     assert_eq!(rebuilt.len(), posts.len());
     let config = EngineConfig::default();
     let reference = Arc::new(TklusEngine::build(&rebuilt, &config).0);
-    let sharded = ShardedEngine::try_build(&rebuilt, 4, &config).expect("sharded build");
+    let mut four = config.clone();
+    four.index.nodes = 4;
+    let partitioned = TklusEngine::build(&rebuilt, &four).0;
     let server =
         TklusServer::start(Arc::clone(&reference), ServeConfig::default()).expect("server starts");
     let front = serve(server, HttpConfig::default()).expect("front-end binds");
@@ -128,9 +130,9 @@ fn store_shards_and_http_agree_with_a_fresh_engine() {
                 let got = store.try_query(&q, ranking).expect("store query");
                 assert_eq!(bits(&got), want, "store: {label}");
 
-                let got = sharded.query(&q, ranking);
-                assert!(got.completeness.is_complete(), "shards: {label}");
-                assert_eq!(bits(&got.users), want, "shards: {label}");
+                let got = partitioned.try_query(&q, ranking).expect("partitioned query");
+                assert!(got.completeness.is_complete(), "4 partitions: {label}");
+                assert_eq!(bits(&got.users), want, "4 partitions: {label}");
 
                 let body = format!(
                     "{{\"lat\":{},\"lon\":{},\"radius_km\":20,\"keywords\":[{}],\"k\":5,\

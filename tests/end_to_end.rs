@@ -6,16 +6,41 @@ use std::collections::HashMap;
 use tklus::core::{BoundsMode, BoundsTable, EngineConfig, RankedUser, Ranking, TklusEngine};
 use tklus::gen::{generate_corpus, generate_queries, GenConfig, QueryConfig};
 use tklus::geo::Point;
-use tklus::graph::{build_thread, SocialNetwork};
-use tklus::model::{Corpus, ScoringConfig, Semantics, TklusQuery, UserId};
+use tklus::graph::SocialNetwork;
+use tklus::model::{Corpus, ScoringConfig, Semantics, TklusQuery, TweetId, UserId};
 use tklus::text::TextPipeline;
 
 fn small_corpus(seed: u64) -> Corpus {
     generate_corpus(&GenConfig { original_posts: 1_500, users: 400, seed, ..GenConfig::default() })
 }
 
+/// Definition 4 from the reply links alone: the level sizes of the thread
+/// rooted at `root`, the root being level 1 and at most `depth` levels,
+/// then φ = Σ_{i≥2} |T_i| / i — or ε for a thread with no replies.
+fn reference_popularity(
+    children: &HashMap<TweetId, Vec<TweetId>>,
+    root: TweetId,
+    depth: usize,
+    epsilon: f64,
+) -> f64 {
+    let mut sizes = Vec::new();
+    let mut level = vec![root];
+    while sizes.len() + 1 < depth {
+        level = level.iter().filter_map(|id| children.get(id)).flatten().copied().collect();
+        if level.is_empty() {
+            break;
+        }
+        sizes.push(level.len());
+    }
+    if sizes.is_empty() {
+        return epsilon;
+    }
+    sizes.iter().enumerate().map(|(i, &size)| size as f64 / (i + 2) as f64).sum()
+}
+
 /// Brute-force reference: score every user directly from the corpus by
-/// Definitions 4–10, with no index, no pruning, no database.
+/// Definitions 4–10, with no index, no pruning, no database, and none of
+/// the engine's thread code.
 fn reference_topk(
     corpus: &Corpus,
     q: &TklusQuery,
@@ -23,7 +48,13 @@ fn reference_topk(
     config: &ScoringConfig,
 ) -> Vec<(UserId, f64)> {
     let pipeline = TextPipeline::new();
-    let network = SocialNetwork::from_corpus(corpus);
+    // A reply or a forward makes its post a child of its target.
+    let mut children: HashMap<TweetId, Vec<TweetId>> = HashMap::new();
+    for post in corpus.posts() {
+        if let Some(target) = post.in_reply_to.map(|r| r.target) {
+            children.entry(target).or_default().push(post.id);
+        }
+    }
     let stems: Vec<String> =
         q.keywords.iter().filter_map(|k| pipeline.normalize_keyword(k)).collect();
     let mut per_user: HashMap<UserId, f64> = HashMap::new();
@@ -42,9 +73,7 @@ fn reference_topk(
         if !qualifies {
             continue;
         }
-        let mut provider = &network;
-        let phi =
-            build_thread(&mut provider, post.id, config.thread_depth).popularity(config.epsilon);
+        let phi = reference_popularity(&children, post.id, config.thread_depth, config.epsilon);
         let rho = occurrences as f64 / config.keyword_norm * phi;
         let entry = per_user.entry(post.user).or_insert(0.0);
         if use_max {
