@@ -385,9 +385,9 @@ impl TklusEngine {
     }
 
     /// The gather half of a query (Algorithm 4 lines 23–27 and the final
-    /// ranking) over rows gathered from one or more
-    /// [`Self::try_partial_sum`]-shaped sources and merged into tweet-id
-    /// order ([`merge_sum_rows`]): the per-user fold — `+=` in row order
+    /// ranking) over tweet-id-ordered rows — the ingest store's sealed
+    /// [`Self::try_partial_sum`] rows and its live rows, merged by
+    /// [`merge_sum_rows`]: the per-user fold — `+=` in row order
     /// for [`Ranking::Sum`], `max` for [`Ranking::Max`], whose bounds mode
     /// is irrelevant here — the distance blend over this engine's metadata
     /// database, and the top-`q.k` ranking. It is the very code

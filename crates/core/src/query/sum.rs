@@ -114,35 +114,21 @@ pub(crate) fn try_score_candidates(
     Ok(rows)
 }
 
-/// K-way merges row slices (each sorted by tweet id ascending) into one
-/// tid-ascending stream, keeping the **first** row of any duplicated tweet
-/// id. Disjoint sources never duplicate a tweet; the dedup keeps a tweet
-/// that reached two sources from counting twice into its user's sum.
-pub fn merge_sum_rows<'a>(lists: impl Iterator<Item = &'a [SumRow]>) -> Vec<SumRow> {
-    let lists: Vec<&[SumRow]> = lists.collect();
-    let mut idx = vec![0usize; lists.len()];
-    let mut merged: Vec<SumRow> = Vec::with_capacity(lists.iter().map(|l| l.len()).sum());
-    loop {
-        let mut next: Option<usize> = None;
-        for (li, list) in lists.iter().enumerate() {
-            if let Some(row) = list.get(idx[li]) {
-                let beats = match next {
-                    None => true,
-                    Some(best_li) => row.tweet < lists[best_li][idx[best_li]].tweet,
-                };
-                if beats {
-                    next = Some(li);
-                }
-            }
-        }
-        let Some(li) = next else { break };
-        let row = lists[li][idx[li]];
-        idx[li] += 1;
-        if merged.last().is_some_and(|last| last.tweet == row.tweet) {
-            continue; // duplicate tweet across sources: count it once
-        }
-        merged.push(row);
+/// Merges the sealed and the live rows (each sorted by tweet id
+/// ascending) into one tid-ascending stream. A tweet is sealed or live,
+/// never both — the ingest store's duplicate check keeps the two lists
+/// disjoint — so the merge has no duplicate to skip.
+pub fn merge_sum_rows(sealed: &[SumRow], live: &[SumRow]) -> Vec<SumRow> {
+    let mut merged: Vec<SumRow> = Vec::with_capacity(sealed.len() + live.len());
+    let (mut sealed, mut live) = (sealed.iter().peekable(), live.iter().peekable());
+    while let (Some(s), Some(l)) = (sealed.peek(), live.peek()) {
+        merged.extend(if s.tweet < l.tweet { sealed.next() } else { live.next() });
     }
+    merged.extend(sealed.chain(live));
+    debug_assert!(
+        merged.windows(2).all(|w| w[0].tweet < w[1].tweet),
+        "sealed and live rows are id-sorted and disjoint"
+    );
     merged
 }
 

@@ -19,7 +19,7 @@
 //! Shutdown is a drain, not a detonation: [`HttpHandle::shutdown`] stops
 //! accepting, closes admission (`begin_drain` → every new submission
 //! answers 503 `ShuttingDown`), lets connection threads finish answering
-//! — every ticket already admitted is answered by the worker pool or
+//! — every ticket already admitted is run by a waiting thread or
 //! typed-abandoned — then drains the serving layer for the final
 //! accounting and returns a [`ShutdownReport`].
 
@@ -163,7 +163,7 @@ impl HttpServer {
     }
 
     /// Stops accepting, drains, joins every thread, and reports. Every
-    /// in-flight request is answered (by the worker pool, or typed
+    /// in-flight request is answered (run by a waiting thread, or typed
     /// `Abandoned`/`ShuttingDown`) before this returns.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.shutdown.store(true, Ordering::Release);
@@ -220,20 +220,20 @@ fn accept_loop(listener: TcpListener, app: Arc<App>) -> ShutdownReport {
     drop(listener);
     let connections_at_shutdown = active.load(Ordering::Acquire);
     // Close admission: from here every submit answers `ShuttingDown`,
-    // while workers keep answering what was already admitted.
+    // while waiting threads keep running what was already admitted.
     app.server.begin_drain();
     // Connection threads block on their tickets, so every ticket must be
-    // answered within the drain budget — completed by a worker, or
-    // typed-abandoned — before the joins below can be expected to
-    // return. Without this bounded phase a slow queue would stall
-    // shutdown indefinitely.
+    // answered within the drain budget — run by a waiter (the drain
+    // runs queued work too) or typed-abandoned — before the joins below
+    // can be expected to return. Without this bounded phase a slow queue
+    // would stall shutdown indefinitely.
     let abandoned = app.server.drain_queued(Duration::from_millis(app.cfg.drain_timeout_ms));
     for handle in conns.drain(..) {
         let _ = handle.join();
     }
     // All connection threads are gone; this is the only `App` reference
     // left, so the serving layer can be consumed for the final
-    // accounting (the queue is already empty; workers are joined here).
+    // accounting (the queue is already empty).
     let mut drain = match Arc::try_unwrap(app) {
         Ok(app) => app.server.drain(Duration::from_millis(app.cfg.drain_timeout_ms)),
         Err(_) => DrainReport::default(), // unreachable: conns were joined
@@ -438,7 +438,9 @@ fn route(req: &Request, app: &App) -> Response {
             Ok(specs) => {
                 // Submit everything first — the whole batch contends for
                 // admission at once, exactly like concurrent clients —
-                // then collect the answers in order.
+                // then collect the answers in order. Each wait runs queued
+                // work in the scheduler's order, so the items run one at a
+                // time on this thread, save those another waiter takes.
                 let tickets: Vec<Result<Ticket, Rejected>> = specs
                     .into_iter()
                     .map(|s| app.server.submit(s.query, s.ranking, s.priority, s.deadline))

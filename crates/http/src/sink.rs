@@ -17,7 +17,7 @@ use tklus_wal::{IngestStore, WalError};
 
 /// The production sink: a crash-safe [`IngestStore`] behind the serve
 /// crate's trait. The store is internally synchronized (`ingest` takes
-/// `&self`), so worker threads call straight through. Shared as an
+/// `&self`), so the threads that run admitted writes call straight through. Shared as an
 /// `Arc` so the serving path's background compactor can hold the same
 /// store.
 pub struct WalSink {

@@ -1,7 +1,7 @@
 //! Real-socket end-to-end suite (ISSUE acceptance, DESIGN.md §16).
 //!
 //! Every test drives the full stack — TCP connect, byte-level HTTP,
-//! admission queue, worker pool, engine/sink — and asserts the typed
+//! admission queue, run slots, engine/sink — and asserts the typed
 //! contract at the wire: truthful status codes, `Retry-After` on
 //! retryable sheds, slow-client defenses, and a drain that answers every
 //! in-flight request before the process lets go of the port.

@@ -109,7 +109,7 @@ impl std::fmt::Display for BreakerState {
 /// probing, and bounded exponential backoff.
 #[derive(Debug)]
 pub struct CircuitBreaker {
-    name: String,
+    name: &'static str,
     cfg: BreakerConfig,
     state: BreakerState,
     /// Rolling outcome window, `true` = failure. Only fed while closed.
@@ -125,9 +125,9 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker named for the failure domain it guards.
-    pub fn new(name: impl Into<String>, cfg: BreakerConfig) -> Self {
+    pub fn new(name: &'static str, cfg: BreakerConfig) -> Self {
         Self {
-            name: name.into(),
+            name,
             cfg,
             state: BreakerState::Closed,
             window: std::collections::VecDeque::with_capacity(cfg.window),
@@ -143,7 +143,7 @@ impl CircuitBreaker {
 
     /// The guarded failure domain's name (`"storage"` or `"index"`).
     pub fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
     /// Current state (without advancing the clock — an open breaker past

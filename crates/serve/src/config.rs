@@ -20,7 +20,8 @@ pub struct DegradePolicy {
 /// Configuration of the overload-resilient serving layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Worker threads executing queries (the concurrency limit).
+    /// Run slots (the concurrency limit): at most this many admitted
+    /// requests execute at once, each on a thread that waits on a ticket.
     pub workers: usize,
     /// Bounded admission-queue capacity; arrivals beyond it are shed.
     pub queue_capacity: usize,

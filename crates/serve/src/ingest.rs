@@ -11,7 +11,7 @@ use crate::reject::Rejected;
 use tklus_model::Post;
 
 /// A durable destination for ingested posts. Implementations are called
-/// from worker threads with no serve lock held; they must be internally
+/// from the threads that wait on tickets, with no serve lock held; they must be internally
 /// synchronized. Returns the record's sequence number on success.
 pub trait IngestSink: Send + Sync {
     /// Durably ingest one post.

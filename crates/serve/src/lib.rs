@@ -26,8 +26,8 @@
 //! single-threaded core over caller-supplied millisecond timestamps. Two
 //! callers run it, each with its own clock:
 //!
-//! * [`TklusServer`] — the scheduler behind a mutex, with real worker
-//!   threads fed wall-clock time;
+//! * [`TklusServer`] — the scheduler behind a mutex, fed wall-clock time
+//!   and run by the threads that wait on its tickets;
 //! * [`sim`] — a seeded open-loop generator plus a virtual-time
 //!   discrete-event loop whose every shed, trip, and drain decision is
 //!   reproducible bit-for-bit per seed (the CI overload matrix).

@@ -8,10 +8,11 @@
 //! it virtual ones. Neither re-implements a decision, so the seeded load
 //! harness tests the scheduling that serves.
 //!
-//! What stays with a caller is what only that caller has: worker threads,
-//! channels and the per-query timeout (wall time) in the server; the
-//! virtual worker-free times and the drain cutoff in the simulator. The
-//! count of busy workers is one of those, so the calls that estimate a
+//! What stays with a caller is what only that caller has: the run loop,
+//! the answer channels and the per-query timeout (wall time) in the
+//! server, whose waiting threads run its entries in `workers` run slots;
+//! the virtual worker-free times and the drain cutoff in the simulator.
+//! The count of busy slots is one of those, so the calls that estimate a
 //! wait take it as an argument.
 
 use crate::breaker::{BreakerPanel, ProbeGrant};

@@ -1,35 +1,31 @@
 //! The threaded overload-resilient server (DESIGN.md §11).
 //!
-//! [`TklusServer`] is the one [`Scheduler`] behind a mutex, plus a bounded
-//! worker pool, the response channels and the wall clock. It makes *no
-//! decision of its own*: every shed, evict, degrade, trip and drain goes
-//! through the scheduler the virtual-time simulator drives. What stays
-//! here is wall time: the per-query timeout, tightened in the worker to
-//! what is left of the request's deadline.
+//! [`TklusServer`] is the one [`Scheduler`] behind a mutex, plus the
+//! answer channels and the wall clock. It makes *no decision of its own*:
+//! every shed, evict, degrade, trip and drain goes through the scheduler
+//! the virtual-time simulator drives. What stays here is wall time: the
+//! per-query timeout, tightened at dispatch to what is left of the
+//! request's deadline.
 //!
-//! Concurrency shape: one `Mutex<State>` guards the scheduler; workers
-//! block on a condvar for work and *release the lock while executing the
-//! engine query* — a query runs on its worker's thread, so holding the
-//! admission lock across it would serialize the whole server.
+//! It starts no thread: a ticket's wait and a drain each turn the one run
+//! loop, which runs entries in dispatch order, whoever submitted them, in
+//! at most `workers` run slots and *outside* the lock. A caller that
+//! submits into an idle server runs its own request, with no hand-off.
 
 use crate::config::ServeConfig;
 use crate::ingest::{IngestFailure, IngestSink, SinkError};
-use crate::queue::AdmissionCounters;
+use crate::queue::{AdmissionCounters, QueuedEntry};
 use crate::reject::{Rejected, ServeError};
 use crate::scheduler::Scheduler;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tklus_core::{QueryOutcome, Ranking, TklusEngine};
 use tklus_metrics::HealthReport;
 use tklus_model::{Post, Priority, QueryBudget, TklusQuery};
 
-/// Clamp for drain timeouts: `Instant + Duration` panics on overflow,
-/// and a caller passing `Duration::MAX` means "wait forever" anyway.
-const DRAIN_TIMEOUT_CAP: Duration = Duration::from_secs(365 * 24 * 60 * 60);
-
 /// One queued unit of work plus the channel its answer goes back on.
-/// Dropping a sender wakes the waiter with the typed `Abandoned` error.
+/// A sender dropped unanswered reads as the typed `Abandoned` error.
 /// Queries and durable writes share the same bounded slots (DESIGN.md
 /// §16), so overload sheds both with one typed taxonomy instead of
 /// buffering writes unboundedly.
@@ -52,28 +48,18 @@ impl Job {
         }
     }
 
-    /// Answers a shed after admission (evicted, expired) on whichever
-    /// channel the job carries. The waiter may have given up (receiver
-    /// dropped) — that is its right, not an error.
-    fn reject(self, reason: Rejected) {
+    /// Answers a job that will not run on whichever channel it carries:
+    /// shed after admission (`Some`: evicted, expired) or abandoned by a
+    /// drain (`None`). The waiter may have given up (receiver dropped) —
+    /// that is its right, not an error.
+    fn reject(self, reason: Option<Rejected>) {
         match self {
             Job::Query { resp, .. } => {
-                let _ = resp.send(Err(ServeError::Rejected(reason)));
+                let _ = resp.send(Err(reason.map_or(ServeError::Abandoned, ServeError::Rejected)));
             }
             Job::Ingest { resp, .. } => {
-                let _ = resp.send(Err(IngestFailure::Rejected(reason)));
-            }
-        }
-    }
-
-    /// Answers a drain abandonment on whichever channel the job carries.
-    fn abandon(self) {
-        match self {
-            Job::Query { resp, .. } => {
-                let _ = resp.send(Err(ServeError::Abandoned));
-            }
-            Job::Ingest { resp, .. } => {
-                let _ = resp.send(Err(IngestFailure::Abandoned));
+                let failure = reason.map_or(IngestFailure::Abandoned, IngestFailure::Rejected);
+                let _ = resp.send(Err(failure));
             }
         }
     }
@@ -82,9 +68,8 @@ impl Job {
 /// Mutable server state, guarded by one mutex.
 struct State {
     sched: Scheduler<Job>,
-    /// Workers currently executing a job.
+    /// Run slots taken: entries executing now, at most `cfg.workers`.
     busy: usize,
-    stopped: bool,
 }
 
 struct Shared {
@@ -94,10 +79,10 @@ struct Shared {
     /// answered with a typed `NotConfigured` sink error.
     sink: Option<Arc<dyn IngestSink>>,
     state: Mutex<State>,
-    /// Signalled when work arrives or the server stops.
-    work_cv: Condvar,
-    /// Signalled when a worker goes idle (drain waits on this).
-    idle_cv: Condvar,
+    /// Signalled by every answer and reject (each sent under the lock),
+    /// the only events that end a wait or free a run slot. An admission
+    /// signals nothing: its submitter runs it, or waits for a slot.
+    cv: Condvar,
     started: Instant,
 }
 
@@ -106,8 +91,107 @@ impl Shared {
         self.started.elapsed().as_millis() as u64
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
+    fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().expect("serve lock poisoned")
+    }
+
+    /// The run loop. Until `done` holds (checked under the lock, so no
+    /// wake-up is lost) or `deadline` passes, it runs the next entry in a
+    /// free slot, or answers it if it expired in the queue, or sleeps.
+    /// Returns with the lock held.
+    fn run_until(
+        &self,
+        deadline: Option<Instant>,
+        mut done: impl FnMut(&State) -> bool,
+    ) -> MutexGuard<'_, State> {
+        let mut state = self.lock();
+        while !done(&state) && deadline.is_none_or(|d| Instant::now() < d) {
+            let now_ms = self.now_ms();
+            let popped =
+                if state.busy < self.cfg.workers { state.sched.dispatch(now_ms) } else { None };
+            match popped {
+                None => {
+                    let wait = deadline
+                        .map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
+                    state = self.cv.wait_timeout(state, wait).expect("serve lock poisoned").0;
+                }
+                Some(Err((job, reason))) => {
+                    job.reject(Some(reason));
+                    self.cv.notify_all();
+                }
+                Some(Ok(entry)) => {
+                    state.busy += 1;
+                    drop(state); // run the entry WITHOUT the lock
+                    let _slot = RunSlot(self);
+                    state = self.run(entry, now_ms);
+                    state.busy -= 1;
+                    self.cv.notify_all();
+                }
+            }
+        }
+        state
+    }
+
+    /// Runs an entry dispatched at `now_ms`, then records its outcome and
+    /// answers its owner under the lock, which it returns held.
+    fn run(&self, entry: QueuedEntry<Job>, now_ms: u64) -> MutexGuard<'_, State> {
+        match entry.payload {
+            Job::Query { mut query, ranking, resp } => {
+                // Fit the execution into the time left before the arrival
+                // deadline — queueing already consumed part of it.
+                let remaining = entry.deadline_ms.saturating_sub(now_ms).max(1);
+                query.budget.get_or_insert_with(QueryBudget::default).tighten_timeout_ms(remaining);
+                let result = self.engine.try_query(&query, ranking);
+                let end_ms = self.now_ms();
+                let mut state = self.lock();
+                state.sched.complete(end_ms, result.as_ref());
+                let _ = resp.send(result.map_err(ServeError::Engine));
+                state
+            }
+            Job::Ingest { post, resp } => {
+                let result = match &self.sink {
+                    Some(sink) => sink.ingest(post).map_err(IngestFailure::Sink),
+                    None => Err(IngestFailure::Sink(SinkError {
+                        kind: "NotConfigured",
+                        message: "no ingest sink configured".to_string(),
+                        conflict: false,
+                    })),
+                };
+                let mut state = self.lock();
+                state.sched.complete_ingest(result.is_ok());
+                let _ = resp.send(result);
+                state
+            }
+        }
+    }
+
+    /// Runs the loop until `rx` holds an answer; `None` if it never will.
+    fn answer<T>(&self, rx: &mpsc::Receiver<T>) -> Option<T> {
+        let mut answer = None;
+        drop(self.run_until(None, |_| match rx.try_recv() {
+            Err(mpsc::TryRecvError::Empty) => false,
+            got => {
+                answer = got.ok();
+                true
+            }
+        }));
+        answer
+    }
+}
+
+/// Held while an entry runs: a run that panics still frees its slot and
+/// wakes the sleepers, so the entry's owner reads `Abandoned`.
+struct RunSlot<'a>(&'a Shared);
+
+impl Drop for RunSlot<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // Taken during the unwind, the lock is not poisoned by it.
+            if let Ok(mut state) = self.0.state.lock() {
+                state.busy -= 1;
+            }
+            self.0.cv.notify_all();
+        }
     }
 }
 
@@ -117,15 +201,14 @@ pub struct Ticket {
     /// The admission ticket id (matches drain-report accounting).
     pub id: u64,
     rx: mpsc::Receiver<Result<QueryOutcome, ServeError>>,
+    shared: Arc<Shared>,
 }
 
 impl Ticket {
-    /// Blocks until the query completes, is shed post-admission (evicted
-    /// or expired), fails, or is abandoned by a drain.
+    /// Runs admitted work until the query completes, is shed
+    /// post-admission (evicted or expired), fails, or is abandoned.
     pub fn wait(self) -> Result<QueryOutcome, ServeError> {
-        // A dropped sender (worker pool torn down without answering) is an
-        // abandonment, never a panic.
-        self.rx.recv().unwrap_or(Err(ServeError::Abandoned))
+        self.shared.answer(&self.rx).unwrap_or(Err(ServeError::Abandoned))
     }
 }
 
@@ -135,13 +218,14 @@ pub struct IngestTicket {
     /// The admission ticket id (matches drain-report accounting).
     pub id: u64,
     rx: mpsc::Receiver<Result<u64, IngestFailure>>,
+    shared: Arc<Shared>,
 }
 
 impl IngestTicket {
-    /// Blocks until the write is durably acknowledged (its WAL sequence
-    /// number), fails typed, is shed post-admission, or is abandoned.
+    /// Runs admitted work until the write is durably acknowledged (its
+    /// WAL sequence number), fails typed, is shed, or is abandoned.
     pub fn wait(self) -> Result<u64, IngestFailure> {
-        self.rx.recv().unwrap_or(Err(IngestFailure::Abandoned))
+        self.shared.answer(&self.rx).unwrap_or(Err(IngestFailure::Abandoned))
     }
 }
 
@@ -154,20 +238,19 @@ pub struct DrainReport {
     /// Ticket ids abandoned while still queued; each waiter received
     /// [`ServeError::Abandoned`].
     pub abandoned_queued: Vec<u64>,
-    /// Workers still mid-query at the drain deadline. Their waiters
-    /// receive [`ServeError::Abandoned`] when the channel drops.
+    /// Entries still running at the drain deadline, on other waiters'
+    /// threads; their owners get the answers when the runs end.
     pub in_flight_at_deadline: usize,
 }
 
 /// The overload-resilient serving layer around a [`TklusEngine`].
 pub struct TklusServer {
     shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl TklusServer {
-    /// Starts `cfg.workers` worker threads over the engine, with no ingest
-    /// sink (writes answered `NotConfigured`).
+    /// Starts the server over the engine, with no ingest sink (writes
+    /// answered `NotConfigured`).
     pub fn start(engine: Arc<TklusEngine>, cfg: ServeConfig) -> Result<Self, String> {
         Self::start_with_sink(engine, cfg, None)
     }
@@ -180,26 +263,10 @@ impl TklusServer {
         sink: Option<Arc<dyn IngestSink>>,
     ) -> Result<Self, String> {
         cfg.validate()?;
-        let shared = Arc::new(Shared {
-            engine,
-            sink,
-            state: Mutex::new(State {
-                sched: Scheduler::new(&cfg, Job::query),
-                busy: 0,
-                stopped: false,
-            }),
-            work_cv: Condvar::new(),
-            idle_cv: Condvar::new(),
-            started: Instant::now(),
-            cfg,
-        });
-        let workers = (0..shared.cfg.workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        Ok(Self { shared, workers })
+        let state = Mutex::new(State { sched: Scheduler::new(&cfg, Job::query), busy: 0 });
+        let started = Instant::now();
+        let shared = Shared { engine, cfg, sink, state, cv: Condvar::new(), started };
+        Ok(Self { shared: Arc::new(shared) })
     }
 
     /// Submits a query. Returns a [`Ticket`] when admitted, or the typed
@@ -216,7 +283,7 @@ impl TklusServer {
     ) -> Result<Ticket, Rejected> {
         let (tx, rx) = mpsc::sync_channel(1);
         let id = self.admit(priority, deadline, Job::Query { query, ranking, resp: tx })?;
-        Ok(Ticket { id, rx })
+        Ok(Ticket { id, rx, shared: Arc::clone(&self.shared) })
     }
 
     /// Submits a durable write. Writes ride the high-priority lane of the
@@ -232,7 +299,7 @@ impl TklusServer {
     ) -> Result<IngestTicket, Rejected> {
         let (tx, rx) = mpsc::sync_channel(1);
         let id = self.admit(Priority::High, deadline, Job::Ingest { post, resp: tx })?;
-        Ok(IngestTicket { id, rx })
+        Ok(IngestTicket { id, rx, shared: Arc::clone(&self.shared) })
     }
 
     /// Admits `job` at the wall-clock now; an evicted victim is answered
@@ -253,11 +320,10 @@ impl TklusServer {
         let mut state = self.shared.lock();
         let busy = state.busy;
         let (id, evicted) = state.sched.admit(now_ms, priority, deadline_ms, busy, job)?;
-        drop(state);
         if let Some((victim, reason)) = evicted {
-            victim.reject(reason);
+            victim.reject(Some(reason));
+            self.shared.cv.notify_all();
         }
-        self.shared.work_cv.notify_one();
         Ok(id)
     }
 
@@ -318,59 +384,46 @@ impl TklusServer {
 
     /// Closes admission *without* consuming the server: every subsequent
     /// `submit`/`submit_ingest` answers [`Rejected::ShuttingDown`], while
-    /// workers keep running and answer everything already admitted. The
+    /// waiters keep running everything already admitted. The
     /// HTTP front-end calls this at SIGTERM so keep-alive connections see
     /// typed 503s immediately, finishes its connection threads, and only
     /// then calls [`TklusServer::drain`] for the final accounting.
     pub fn begin_drain(&self) {
         self.shared.lock().sched.begin_drain();
-        self.shared.work_cv.notify_all();
     }
 
     /// Bounded-wait drain phase that does *not* consume the server:
-    /// closes admission, waits up to `timeout` for queued and in-flight
-    /// work to finish, then abandons whatever still queues — answering
-    /// every abandoned waiter — and returns the abandoned ticket ids
-    /// (sorted). In-flight work keeps running and is answered by its
-    /// worker.
+    /// closes admission, runs queued work beside the other waiters until
+    /// nothing queues or runs or `timeout` passes, then abandons what
+    /// still queues, answering each waiter, and returns those ticket ids
+    /// (sorted).
     ///
     /// The HTTP front-end calls this *before* joining its connection
     /// threads: those threads block on tickets, so every ticket must be
     /// answered (completed or abandoned) within the drain budget or
     /// shutdown would stall behind a slow queue. [`TklusServer::drain`]
-    /// afterwards joins the workers and produces the final report.
+    /// afterwards produces the final report.
     pub fn drain_queued(&self, timeout: Duration) -> Vec<u64> {
-        let deadline = Instant::now() + timeout.min(DRAIN_TIMEOUT_CAP);
-        let mut state = self.shared.lock();
-        state.sched.begin_drain();
-        self.shared.work_cv.notify_all();
-        while (state.sched.depth() > 0 || state.busy > 0) && Instant::now() < deadline {
-            let wait = deadline.saturating_duration_since(Instant::now());
-            let (next, timed_out) =
-                self.shared.idle_cv.wait_timeout(state, wait).expect("serve lock poisoned");
-            state = next;
-            if timed_out.timed_out() {
-                break;
-            }
+        // A timeout past the clock's range (`Duration::MAX`) waits forever.
+        let deadline = Instant::now().checked_add(timeout);
+        self.begin_drain();
+        let mut state = self.shared.run_until(deadline, |s| s.sched.depth() == 0 && s.busy == 0);
+        let mut ids = Vec::new();
+        for entry in state.sched.abandon_all() {
+            entry.payload.reject(None);
+            ids.push(entry.id);
         }
-        let abandoned = state.sched.abandon_all();
         drop(state);
-        let mut ids: Vec<u64> = abandoned
-            .into_iter()
-            .map(|entry| {
-                entry.payload.abandon();
-                entry.id
-            })
-            .collect();
+        self.shared.cv.notify_all();
         ids.sort_unstable();
         ids
     }
 
-    /// Gracefully drains: closes admission immediately, lets queued and
-    /// in-flight work finish for up to `timeout`, then abandons the rest
-    /// *by name* — every admitted ticket is accounted for either in
-    /// `completed`, as an answered eviction/expiry, or in the report's
-    /// abandoned lists. Consumes the server; workers are joined.
+    /// Gracefully drains: closes admission immediately, runs queued work
+    /// for up to `timeout`, then abandons the rest *by name* — every
+    /// admitted ticket is accounted for either in `completed`, as an
+    /// answered eviction/expiry, or in the report's abandoned lists.
+    /// Consumes the server.
     pub fn drain(self, timeout: Duration) -> DrainReport {
         let abandoned_queued = self.drain_queued(timeout);
         let state = self.shared.lock();
@@ -379,77 +432,76 @@ impl TklusServer {
             abandoned_queued,
             in_flight_at_deadline: state.busy,
         }
-        // Dropping `self` stops and joins the workers.
     }
 }
 
 impl Drop for TklusServer {
     fn drop(&mut self) {
-        // An un-drained server still shuts down cleanly: abandon what
-        // queues, stop, wake, join.
+        // An un-drained server still shuts down cleanly: whatever queues
+        // is answered `Abandoned`.
         self.drain_queued(Duration::ZERO);
-        self.shared.lock().stopped = true;
-        self.shared.work_cv.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
-fn worker_loop(shared: &Shared) {
-    let mut state = shared.lock();
-    loop {
-        // Sleep until there is work or the server stops.
-        while !state.stopped && state.sched.depth() == 0 {
-            state = shared.work_cv.wait(state).expect("serve lock poisoned");
-        }
-        if state.stopped {
-            return;
-        }
-        let now_ms = shared.now_ms();
-        let entry = match state.sched.dispatch(now_ms) {
-            None => continue, // raced with another worker
-            Some(Err((job, reason))) => {
-                job.reject(reason);
-                // An expired pop can be the last thing draining waits on.
-                if state.sched.depth() == 0 && state.busy == 0 {
-                    shared.idle_cv.notify_all();
-                }
-                continue;
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used)]
+    use super::*;
+    use tklus_core::EngineConfig;
+    use tklus_gen::{generate_corpus, GenConfig};
+    use tklus_model::{TweetId, UserId};
+
+    /// Panics on tweet 1, 50 ms after telling `started`; acks the rest.
+    struct PanickySink {
+        started: Mutex<mpsc::Sender<()>>,
+    }
+
+    impl IngestSink for PanickySink {
+        fn ingest(&self, post: Post) -> Result<u64, SinkError> {
+            if post.id == TweetId(1) {
+                self.started.lock().unwrap().send(()).unwrap();
+                std::thread::sleep(Duration::from_millis(50));
+                panic!("sink failure under test");
             }
-            Some(Ok(entry)) => entry,
+            Ok(post.id.0)
+        }
+    }
+
+    #[test]
+    fn a_panicking_run_frees_its_slot_and_abandons_its_entry() {
+        let corpus = generate_corpus(&GenConfig {
+            original_posts: 50,
+            users: 10,
+            vocab_size: 50,
+            ..GenConfig::default()
+        });
+        let loc = corpus.posts()[0].location;
+        let engine = Arc::new(TklusEngine::build(&corpus, &EngineConfig::default()).0);
+        let (started_tx, started_rx) = mpsc::channel();
+        let sink = Arc::new(PanickySink { started: Mutex::new(started_tx) });
+        let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
+        let server = Arc::new(TklusServer::start_with_sink(engine, cfg, Some(sink)).unwrap());
+        let post = move |id| Post::original(TweetId(id), UserId(1), loc, "hi");
+        let (ticket_tx, ticket_rx) = mpsc::channel();
+        let runner = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || {
+                // Tweet 1 queues first, so waiting on tweet 2 runs it here.
+                ticket_tx.send(server.submit_ingest(post(1), None).unwrap()).unwrap();
+                server.submit_ingest(post(2), None).unwrap().wait()
+            })
         };
-        state.busy += 1;
-        drop(state); // run the job WITHOUT the admission lock
-        match entry.payload {
-            Job::Query { mut query, ranking, resp } => {
-                // Fit the execution into the time left before the arrival
-                // deadline — queueing already consumed part of it.
-                let remaining = entry.deadline_ms.saturating_sub(now_ms).max(1);
-                query.budget.get_or_insert_with(QueryBudget::default).tighten_timeout_ms(remaining);
-                let result = shared.engine.try_query(&query, ranking);
-                let end_ms = shared.now_ms();
-                state = shared.lock();
-                state.sched.complete(end_ms, result.as_ref());
-                let _ = resp.send(result.map_err(ServeError::Engine));
-            }
-            Job::Ingest { post, resp } => {
-                let result = match &shared.sink {
-                    Some(sink) => sink.ingest(post).map_err(IngestFailure::Sink),
-                    None => Err(IngestFailure::Sink(SinkError {
-                        kind: "NotConfigured",
-                        message: "no ingest sink configured".to_string(),
-                        conflict: false,
-                    })),
-                };
-                state = shared.lock();
-                state.sched.complete_ingest(result.is_ok());
-                let _ = resp.send(result);
-            }
-        }
-        state.busy -= 1;
-        if state.sched.depth() == 0 && state.busy == 0 {
-            shared.idle_cv.notify_all();
-        }
+        let orphan = ticket_rx.recv().unwrap();
+        started_rx.recv().unwrap();
+        // The only slot is taken: this wait sleeps until the panicking run
+        // wakes it. A lost wake-up fails the timeout instead of hanging.
+        let (answer_tx, answer_rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || answer_tx.send(orphan.wait()).unwrap());
+        let answer = answer_rx.recv_timeout(Duration::from_secs(20)).unwrap();
+        waiter.join().unwrap();
+        assert!(matches!(answer, Err(IngestFailure::Abandoned)));
+        assert!(runner.join().is_err(), "the run panicked on the runner's thread");
+        // The slot is free again: tweet 2, still queued, runs here first.
+        assert_eq!(server.submit_ingest(post(3), None).unwrap().wait().unwrap(), 3);
     }
 }

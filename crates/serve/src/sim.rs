@@ -4,7 +4,7 @@
 //! single-threaded execution, so every shed, evict, degrade, trip, and
 //! drain decision is a pure function of `(corpus, workload, seed,
 //! config)`. What is the simulator's own is the plan loop, the virtual
-//! worker-free times, the drain cutoff and the report.
+//! worker-free times (one per run slot), the drain cutoff and the report.
 //!
 //! Two clocks coexist deliberately:
 //!
@@ -20,7 +20,7 @@
 //!
 //! A real wall-clock budget (`timeout_ms`) would reintroduce
 //! nondeterminism, so the simulator leaves the timeout alone (the server
-//! tightens it in its worker) and degrade only ever tightens `max_cells`,
+//! tightens it at dispatch) and degrade only ever tightens `max_cells`,
 //! which is bitwise-deterministic.
 
 use crate::breaker::BreakerState;

@@ -603,7 +603,7 @@ impl IngestStore {
         let live = Some(inner.memtable.meta()).filter(|m| !m.is_empty());
         let live_rows = Self::live_rows(&inner, q, live)?;
         let sealed = engine.try_partial_sum(q, live)?;
-        let merged = merge_sum_rows([sealed.rows.as_slice(), live_rows.as_slice()].into_iter());
+        let merged = merge_sum_rows(&sealed.rows, &live_rows);
         Ok(engine.try_rank_rows(q, ranking, &merged, live)?.0)
     }
 
