@@ -1,5 +1,5 @@
 //! Ablation: B⁺-tree bulk-load, point-get and range-scan cost over the
-//! metadata database's stack (a buffer pool over a checksumming pager,
+//! metadata database's stack (a checksumming pager over an in-memory one,
 //! 40-byte rows like the primary tree's) — and what one checked page read
 //! under them costs: the product `crc32` over a page's 4 084 covered bytes
 //! beside its portable slicing-by-8 path and a bit-at-a-time reference,
@@ -7,14 +7,12 @@
 //! numbers).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use tklus_storage::{
-    crc32, crc32_slicing_by_8, BPlusTree, BufferPool, CheckedPager, MemPager, PageStore,
-};
+use tklus_storage::{crc32, crc32_slicing_by_8, BPlusTree, CheckedPager, MemPager, PageStore};
 
 /// The metadata database's value width for a row.
 const ROW: usize = 40;
 
-type Tree = BPlusTree<BufferPool<CheckedPager<MemPager>>, ROW>;
+type Tree = BPlusTree<CheckedPager<MemPager>, ROW>;
 
 fn entries(n: u64) -> Vec<((u64, u64), [u8; ROW])> {
     (0..n)
@@ -26,8 +24,8 @@ fn entries(n: u64) -> Vec<((u64, u64), [u8; ROW])> {
         .collect()
 }
 
-fn pool(cache: usize) -> BufferPool<CheckedPager<MemPager>> {
-    BufferPool::new(CheckedPager::new(MemPager::new()), cache)
+fn pages() -> CheckedPager<MemPager> {
+    CheckedPager::new(MemPager::new())
 }
 
 fn bench_load(c: &mut Criterion) {
@@ -36,7 +34,7 @@ fn bench_load(c: &mut Criterion) {
     for &n in &[10_000u64, 50_000] {
         let data = entries(n);
         group.bench_with_input(BenchmarkId::new("bulk", n), &data, |b, data| {
-            b.iter(|| Tree::bulk_load(pool(256), black_box(data)).expect("bulk load"))
+            b.iter(|| Tree::bulk_load(pages(), black_box(data)).expect("bulk load"))
         });
     }
     group.finish();
@@ -45,23 +43,21 @@ fn bench_load(c: &mut Criterion) {
 fn bench_access(c: &mut Criterion) {
     let data = entries(100_000);
     let mut group = c.benchmark_group("bptree_access");
-    for &cache in &[0usize, 1024] {
-        let tree = Tree::bulk_load(pool(cache), &data).expect("bulk load");
-        group.bench_function(BenchmarkId::new("get", cache), |b| {
-            let mut k = 0u64;
-            b.iter(|| {
-                k = (k + 9973) % 100_000;
-                black_box(tree.get((k, 0)).expect("get"))
-            })
-        });
-        group.bench_function(BenchmarkId::new("scan100", cache), |b| {
-            let mut k = 0u64;
-            b.iter(|| {
-                k = (k + 9973) % 99_900;
-                black_box(tree.scan((k, 0), (k + 99, 0)).expect("scan"))
-            })
-        });
-    }
+    let tree = Tree::bulk_load(pages(), &data).expect("bulk load");
+    group.bench_function("get", |b| {
+        let mut k = 0u64;
+        b.iter(|| {
+            k = (k + 9973) % 100_000;
+            black_box(tree.get((k, 0)).expect("get"))
+        })
+    });
+    group.bench_function("scan100", |b| {
+        let mut k = 0u64;
+        b.iter(|| {
+            k = (k + 9973) % 99_900;
+            black_box(tree.scan((k, 0), (k + 99, 0)).expect("scan"))
+        })
+    });
     group.finish();
 }
 

@@ -10,7 +10,7 @@ use tklus_model::TweetId;
 fn bench_thread_build(c: &mut Criterion) {
     let corpus = standard_corpus(&Flags { posts: 10_000, seed: 0x7B1D5, queries: 1 });
     // Roots with the largest reply fan-out make the most expensive threads.
-    let db = MetadataDb::from_posts(corpus.posts(), 0);
+    let db = MetadataDb::try_from_posts(corpus.posts(), 0, None).expect("in-memory metadata");
     let build = |root, depth| {
         try_build_thread(&mut db.reader(None), root, depth).expect("in-memory metadata")
     };
@@ -18,7 +18,7 @@ fn bench_thread_build(c: &mut Criterion) {
         .posts()
         .iter()
         .filter(|p| !p.is_reply())
-        .map(|p| (db.replies_to_ids(p.id).len(), p.id))
+        .map(|p| (db.try_replies_to_ids(p.id).expect("in-memory metadata").len(), p.id))
         .collect();
     roots.sort_by_key(|(n, _)| std::cmp::Reverse(*n));
     let busy = roots[0].1;

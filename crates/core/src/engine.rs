@@ -49,9 +49,8 @@ pub enum Ranking {
 type Answer<T> = (T, QueryStats, Completeness);
 
 /// Entry budgets of the deleted query-memo layers. Never read: the
-/// engine's only cache is the metadata buffer pool
-/// ([`EngineConfig::cache_pages`], DESIGN.md §9). The fields survive only
-/// because the frozen `benchmark/` harness prints them.
+/// engine has no cache (DESIGN.md §9). The fields survive only because
+/// the frozen `benchmark/` harness prints them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Never read.
@@ -69,7 +68,10 @@ pub struct EngineConfig {
     pub index: IndexBuildConfig,
     /// Scoring parameters (α, ε, N, thread depth, metric).
     pub scoring: ScoringConfig,
-    /// Metadata buffer-pool pages (0 = caches off, the paper's setting).
+    /// Never read: the metadata trees read every page from their store,
+    /// with "database caches … set off" as in the paper (DESIGN.md §9).
+    /// The field survives only because the frozen `benchmark/` harness
+    /// prints it and passes it on.
     pub cache_pages: usize,
     /// Number of hot keywords a caller of [`BoundsTable::precompute`]
     /// builds Section VI-B5 bounds for (the paper uses the top-10 of
@@ -143,9 +145,9 @@ impl std::fmt::Debug for EngineConfig {
 /// assert_eq!(top[0].user, UserId(9));
 /// ```
 ///
-/// Queries take `&self`: the metadata layers (buffer pool, B⁺-trees) use
-/// interior mutability and the index is immutable, so one engine can
-/// serve many client threads at once.
+/// Queries take `&self`: the metadata B⁺-trees and the index are never
+/// written after the build, so one engine can serve many client threads
+/// at once.
 pub struct TklusEngine {
     index: HybridIndex,
     db: MetadataDb,
@@ -201,11 +203,7 @@ impl TklusEngine {
         corpus: &Corpus,
         config: &EngineConfig,
     ) -> Result<Self, EngineError> {
-        let db = MetadataDb::try_from_posts(
-            corpus.posts(),
-            config.cache_pages,
-            config.metadata_store.as_ref(),
-        )?;
+        let db = MetadataDb::try_from_posts(corpus.posts(), 0, config.metadata_store.as_ref())?;
         Ok(Self {
             index,
             db,
@@ -220,8 +218,7 @@ impl TklusEngine {
         &self.index
     }
 
-    /// The metadata database. Lookups take `&self` — buffer-pool state is
-    /// behind interior mutability.
+    /// The metadata database. Lookups take `&self`.
     pub fn db(&self) -> &MetadataDb {
         &self.db
     }

@@ -4,8 +4,8 @@
 //!
 //! * [`metadata`] — the centralized tweet-metadata database of Section IV-A:
 //!   the relation `(sid, uid, lat, lon, ruid, rsid)` over from-scratch
-//!   B⁺-trees on `sid`, `rsid`, and (for user distance scores) `uid`, with
-//!   buffer-pool-accounted I/O. The buffer pool is the engine's only cache.
+//!   B⁺-trees on `sid`, `rsid`, and (for user distance scores) `uid`, every
+//!   page read counted. The engine has no cache (DESIGN.md §9).
 //! * [`score`] — the scoring functions: tweet distance score (Def. 5),
 //!   keyword relevance (Def. 6), Sum/Maximum user keyword scores
 //!   (Defs. 7/8), user distance score (Def. 9), combined user score

@@ -5,7 +5,7 @@
 //! metadata database … attribute sid is the primary key for which we build
 //! a B⁺-tree. Another B⁺-tree is built on attribute rsid."
 //!
-//! Three B⁺-trees over one buffer pool:
+//! Three B⁺-trees, each over its own checksummed page store:
 //!
 //! * primary — key `(sid, 0)`, value = the 40-byte row remainder;
 //! * reply index — key `(rsid, sid)`, empty value; `replies_to` is a range
@@ -27,8 +27,9 @@
 //! a [`tklus_storage::FaultPager`] stack.
 //!
 //! Every logical operation's physical cost is visible through
-//! [`MetadataDb::io`]; the experiments run with a zero-capacity pool
-//! ("database caches are set off"). A query reads through one
+//! [`MetadataDb::io`]. There is no page cache: the paper runs with
+//! "database caches … set off" (Section VI-B1), and every page a tree
+//! reads is a counted physical read. A query reads through one
 //! [`MetaReader`] — a cursor per tree that keeps its root-to-leaf path for
 //! the life of the query — and the `&self` lookups here are one-call
 //! readers.
@@ -39,8 +40,7 @@ use tklus_geo::Point;
 use tklus_graph::TryReplyProvider;
 use tklus_model::{Post, TweetId, UserId};
 use tklus_storage::{
-    BPlusTree, BufferPool, CheckedPager, IoStats, MemPager, PageStore, StorageError, StorageResult,
-    TreeReader,
+    BPlusTree, CheckedPager, IoStats, MemPager, PageStore, StorageError, StorageResult, TreeReader,
 };
 
 /// Sentinel for "no reply target" in the `ruid`/`rsid` columns.
@@ -109,42 +109,30 @@ fn decode_row(bytes: &[u8; ROW_SIZE]) -> MetaRow {
     }
 }
 
-type Pool = BufferPool<CheckedPager<Box<dyn PageStore>>>;
+/// The page stack under each tree: a checksum layer over the store the
+/// [`MetadataStoreFactory`] built.
+type Pages = CheckedPager<Box<dyn PageStore>>;
 
 /// The metadata database.
 pub struct MetadataDb {
-    primary: BPlusTree<Pool, ROW_SIZE>,
-    reply_index: BPlusTree<Pool, 0>,
-    user_index: BPlusTree<Pool, LOC_SIZE>,
+    primary: BPlusTree<Pages, ROW_SIZE>,
+    reply_index: BPlusTree<Pages, 0>,
+    user_index: BPlusTree<Pages, LOC_SIZE>,
     stats: IoStats,
     rows: u64,
 }
 
 impl MetadataDb {
-    /// Bulk loads the database from posts over the default in-memory page
-    /// store. `cache_pages` sizes the shared buffer-pool budget (0 = caches
-    /// off, the paper's experimental setting); the budget is split across
-    /// the three trees.
-    ///
-    /// Panics on storage failure, which the in-memory store never produces;
-    /// fault-tolerant callers use [`Self::try_from_posts`].
-    pub fn from_posts(posts: &[Post], cache_pages: usize) -> Self {
-        match Self::try_from_posts(posts, cache_pages, None) {
-            Ok(db) => db,
-            Err(e) => panic!("metadata bulk load failed: {e}"),
-        }
-    }
-
-    /// Fallible [`Self::from_posts`] over a caller-chosen page store
+    /// Bulk loads the database from posts over a caller-chosen page store
     /// (`None` = the default in-memory pager). Bulk-load I/O errors surface
-    /// as typed [`StorageError`]s.
+    /// as typed [`StorageError`]s. `_cache_pages` is never read: there is
+    /// no page cache (it stays while `benchmark/` still passes it).
     pub fn try_from_posts(
         posts: &[Post],
-        cache_pages: usize,
+        _cache_pages: usize,
         store: Option<&MetadataStoreFactory>,
     ) -> StorageResult<Self> {
         let stats = IoStats::new();
-        let per_tree = cache_pages / 3;
 
         let mut primary_entries: Vec<((u64, u64), [u8; ROW_SIZE])> =
             posts.iter().map(|p| ((p.id.0, 0), encode_row(&MetaRow::of(p)))).collect();
@@ -167,17 +155,16 @@ impl MetadataDb {
             .collect();
         user_entries.sort_by_key(|e| e.0);
 
-        let pool = |s: &IoStats| -> Pool {
-            let inner: Box<dyn PageStore> = match store {
-                Some(factory) => factory(s.clone()),
-                None => Box::new(MemPager::with_stats(s.clone())),
-            };
-            BufferPool::new(CheckedPager::new(inner), per_tree)
+        let pages = || -> Pages {
+            CheckedPager::new(match store {
+                Some(factory) => factory(stats.clone()),
+                None => Box::new(MemPager::with_stats(stats.clone())),
+            })
         };
         Ok(Self {
-            primary: BPlusTree::bulk_load(pool(&stats), &primary_entries)?,
-            reply_index: BPlusTree::bulk_load(pool(&stats), &reply_entries)?,
-            user_index: BPlusTree::bulk_load(pool(&stats), &user_entries)?,
+            primary: BPlusTree::bulk_load(pages(), &primary_entries)?,
+            reply_index: BPlusTree::bulk_load(pages(), &reply_entries)?,
+            user_index: BPlusTree::bulk_load(pages(), &user_entries)?,
             stats,
             rows: posts.len() as u64,
         })
@@ -218,16 +205,8 @@ impl MetadataDb {
         self.reader(None).try_row(sid)
     }
 
-    /// `select sid where rsid = ?` on the reply index (Algorithm 1 line 7).
-    /// Panics on storage failure; see [`Self::try_replies_to_ids`].
-    pub fn replies_to_ids(&self, rsid: TweetId) -> Vec<TweetId> {
-        match self.try_replies_to_ids(rsid) {
-            Ok(ids) => ids,
-            Err(e) => panic!("metadata reply scan failed: {e}"),
-        }
-    }
-
-    /// Fallible [`Self::replies_to_ids`]: a one-call [`MetaReader`].
+    /// `select sid where rsid = ?` on the reply index (Algorithm 1 line 7):
+    /// a one-call [`MetaReader`].
     pub fn try_replies_to_ids(&self, rsid: TweetId) -> StorageResult<Vec<TweetId>> {
         self.reader(None).try_replies_to_ids(rsid)
     }
@@ -308,9 +287,9 @@ impl LiveMetadata {
 /// tweet id, so Definition 9's sum over `P_u` adds in the order a tree
 /// over both sets would.
 pub struct MetaReader<'a> {
-    primary: TreeReader<'a, Pool, ROW_SIZE>,
-    reply_index: TreeReader<'a, Pool, 0>,
-    user_index: TreeReader<'a, Pool, LOC_SIZE>,
+    primary: TreeReader<'a, Pages, ROW_SIZE>,
+    reply_index: TreeReader<'a, Pages, 0>,
+    user_index: TreeReader<'a, Pages, LOC_SIZE>,
     live: Option<&'a LiveMetadata>,
 }
 
@@ -379,6 +358,10 @@ mod tests {
         Point::new_unchecked(lat, lon)
     }
 
+    fn db(posts: &[Post]) -> MetadataDb {
+        MetadataDb::try_from_posts(posts, 0, None).unwrap()
+    }
+
     fn posts() -> Vec<Post> {
         vec![
             Post::original(TweetId(1), UserId(10), pt(43.7, -79.4), "root tweet"),
@@ -406,11 +389,11 @@ mod tests {
     #[test]
     fn live_overlay_reads_like_a_bulk_load_of_both_sets() {
         let all = posts();
-        let bulk = MetadataDb::from_posts(&all, 0);
+        let bulk = db(&all);
         // Live 2 then 1, sealed 3..=5: sealed replies target live 1, live
         // reply 2 sorts before sealed reply 3, and users 10 and 11 each
         // have a live post before a sealed one.
-        let sealed = MetadataDb::from_posts(&all[2..], 0);
+        let sealed = db(&all[2..]);
         let mut live = LiveMetadata::default();
         for p in all[..2].iter().rev() {
             live.insert(p);
@@ -429,7 +412,7 @@ mod tests {
 
     #[test]
     fn primary_lookups() {
-        let db = MetadataDb::from_posts(&posts(), 0);
+        let db = db(&posts());
         assert_eq!(db.len(), 5);
         let row = db.try_row(TweetId(2)).unwrap().unwrap();
         assert_eq!(row.uid, UserId(11));
@@ -444,15 +427,15 @@ mod tests {
 
     #[test]
     fn reply_index_scans() {
-        let db = MetadataDb::from_posts(&posts(), 0);
-        assert_eq!(db.replies_to_ids(TweetId(1)), vec![TweetId(2), TweetId(3)]);
-        assert_eq!(db.replies_to_ids(TweetId(2)), vec![TweetId(4)]);
-        assert!(db.replies_to_ids(TweetId(5)).is_empty());
+        let db = db(&posts());
+        assert_eq!(db.try_replies_to_ids(TweetId(1)).unwrap(), vec![TweetId(2), TweetId(3)]);
+        assert_eq!(db.try_replies_to_ids(TweetId(2)).unwrap(), vec![TweetId(4)]);
+        assert!(db.try_replies_to_ids(TweetId(5)).unwrap().is_empty());
     }
 
     #[test]
     fn user_index_scans() {
-        let db = MetadataDb::from_posts(&posts(), 0);
+        let db = db(&posts());
         let u10 = db.try_posts_of_user(UserId(10)).unwrap();
         assert_eq!(u10.len(), 2);
         assert_eq!(u10[0].0, TweetId(1));
@@ -463,37 +446,32 @@ mod tests {
 
     #[test]
     fn works_as_reply_provider_for_threads() {
-        let db = MetadataDb::from_posts(&posts(), 0);
+        let db = db(&posts());
         let t = try_build_thread(&mut db.reader(None), TweetId(1), 5).unwrap();
         assert_eq!(t.level_sizes(), vec![1, 2, 1]);
     }
 
+    /// No page cache, whatever `cache_pages` says: identical lookups each
+    /// pay the same physical reads.
     #[test]
-    fn io_counted_with_caches_off() {
-        let db = MetadataDb::from_posts(&posts(), 0);
-        db.io().reset();
-        db.try_row(TweetId(1)).unwrap();
-        let first = db.io().page_reads();
-        assert!(first > 0, "caches off: lookups cost physical reads");
-        db.try_row(TweetId(1)).unwrap();
-        assert_eq!(db.io().page_reads(), first * 2, "no caching between identical lookups");
-    }
-
-    #[test]
-    fn caching_reduces_io() {
-        let db = MetadataDb::from_posts(&posts(), 300);
-        db.io().reset();
-        db.try_row(TweetId(1)).unwrap();
-        db.try_row(TweetId(1)).unwrap();
-        db.try_row(TweetId(1)).unwrap();
-        assert!(db.io().cache_hits() > 0);
+    fn every_lookup_pays_its_page_reads() {
+        for cache_pages in [0, 300] {
+            let db = MetadataDb::try_from_posts(&posts(), cache_pages, None).unwrap();
+            db.io().reset();
+            db.try_row(TweetId(1)).unwrap();
+            let one = db.io().page_reads();
+            assert!(one > 0, "a lookup costs physical reads");
+            db.try_row(TweetId(1)).unwrap();
+            db.try_row(TweetId(1)).unwrap();
+            assert_eq!(db.io().page_reads(), 3 * one, "cache_pages {cache_pages}");
+        }
     }
 
     #[test]
     fn location_roundtrip_precision() {
         let original = pt(43.6839128037, -79.37356590);
         let p = vec![Post::original(TweetId(7), UserId(1), original, "x")];
-        let db = MetadataDb::from_posts(&p, 0);
+        let db = db(&p);
         let loc = db.try_row(TweetId(7)).unwrap().unwrap().location;
         assert_eq!(loc.lat(), original.lat());
         assert_eq!(loc.lon(), original.lon());
@@ -522,11 +500,5 @@ mod tests {
         };
         assert!(err.is_transient(), "{err}");
         assert!(handle.transient_injected() > 0);
-    }
-
-    #[test]
-    fn try_reply_scan_matches_the_panicking_twin() {
-        let db = MetadataDb::from_posts(&posts(), 0);
-        assert_eq!(db.try_replies_to_ids(TweetId(1)).unwrap(), db.replies_to_ids(TweetId(1)));
     }
 }

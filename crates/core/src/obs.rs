@@ -98,8 +98,6 @@ impl EngineMetrics {
         let mut snap = self.registry.snapshot();
         snap.set_counter("tklus_storage_page_reads_total", io.page_reads);
         snap.set_counter("tklus_storage_page_writes_total", io.page_writes);
-        snap.set_counter("tklus_storage_buffer_hits_total", io.cache_hits);
-        snap.set_counter("tklus_storage_buffer_misses_total", io.cache_misses);
         snap
     }
 }

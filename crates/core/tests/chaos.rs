@@ -2,8 +2,8 @@
 //!
 //! Every test builds two engines over the same generated corpus: a
 //! fault-free reference, and an engine whose metadata page store is a
-//! seeded [`FaultPager`] (optionally fronted by a [`RetryPager`]). Faults
-//! are armed per phase, and every query outcome must be one of:
+//! seeded [`FaultPager`]. Faults are armed per phase, and every query
+//! outcome must be one of:
 //!
 //! * `Ok` with exactly the reference's ranked users (never silently
 //!   wrong), or
@@ -15,10 +15,9 @@
 //! [`FaultHandle`] counters that faults actually fired, so a green run is
 //! never vacuous.
 //!
-//! The suite pins `cache_pages: 0`: every lookup is a physical page read,
-//! so the buffer pool cannot mask corruption. A query runs on the calling
-//! thread, so the deterministic fault schedule meets a deterministic
-//! operation order.
+//! There is no page cache, so every lookup is a physical page read and
+//! meets the fault schedule. A query runs on the calling thread, so the
+//! deterministic fault schedule meets a deterministic operation order.
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
@@ -29,10 +28,7 @@ use tklus_core::{
 };
 use tklus_gen::{generate_corpus, generate_queries, GenConfig, QueryConfig};
 use tklus_model::{Corpus, Semantics, TklusQuery};
-use tklus_storage::{
-    FaultConfig, FaultHandle, FaultPager, MemPager, PageStore, RetryPager, RetryPolicy,
-    StorageError,
-};
+use tklus_storage::{FaultConfig, FaultHandle, FaultPager, MemPager, StorageError};
 
 /// Seeds each scenario runs under; `TKLUS_CHAOS_SEED` (the CI matrix
 /// variable) replaces the whole list with one seed.
@@ -68,28 +64,16 @@ fn queries(corpus: &Corpus) -> Vec<(TklusQuery, Ranking)> {
         .collect()
 }
 
-fn base_config() -> EngineConfig {
-    EngineConfig { cache_pages: 0, ..EngineConfig::default() }
-}
-
-/// A metadata store factory stacking `MemPager` → `FaultPager` (shared
-/// `handle`) → optional `RetryPager`.
-fn faulty_store(
-    cfg: FaultConfig,
-    handle: Arc<FaultHandle>,
-    retry: Option<RetryPolicy>,
-) -> MetadataStoreFactory {
+/// A metadata store factory stacking `FaultPager` (shared `handle`) over
+/// `MemPager`.
+fn faulty_store(cfg: FaultConfig, handle: Arc<FaultHandle>) -> MetadataStoreFactory {
     Arc::new(move |stats| {
-        let faulty = FaultPager::with_handle(MemPager::with_stats(stats), cfg, Arc::clone(&handle));
-        match retry {
-            Some(policy) => Box::new(RetryPager::new(faulty, policy)) as Box<dyn PageStore>,
-            None => Box::new(faulty),
-        }
+        Box::new(FaultPager::with_handle(MemPager::with_stats(stats), cfg, Arc::clone(&handle)))
     })
 }
 
 fn build_reference(corpus: &Corpus) -> (TklusEngine, Vec<Vec<RankedUser>>) {
-    let (engine, _) = TklusEngine::build(corpus, &base_config());
+    let (engine, _) = TklusEngine::build(corpus, &EngineConfig::default());
     let expected = queries(corpus).iter().map(|(q, ranking)| engine.query(q, *ranking).0).collect();
     (engine, expected)
 }
@@ -130,8 +114,8 @@ fn transient_read_faults_never_corrupt_results() {
         let handle = FaultHandle::new();
         let cfg = FaultConfig { seed, transient_read_ppm: 20_000, ..FaultConfig::default() };
         let config = EngineConfig {
-            metadata_store: Some(faulty_store(cfg, Arc::clone(&handle), None)),
-            ..base_config()
+            metadata_store: Some(faulty_store(cfg, Arc::clone(&handle))),
+            ..EngineConfig::default()
         };
         let (engine, _) =
             TklusEngine::try_build(&corpus, &config).expect("disarmed build is clean");
@@ -182,8 +166,8 @@ fn read_bit_flips_surface_as_page_corruption() {
         let handle = FaultHandle::new();
         let cfg = FaultConfig { seed, bit_flip_read_ppm: 15_000, ..FaultConfig::default() };
         let config = EngineConfig {
-            metadata_store: Some(faulty_store(cfg, Arc::clone(&handle), None)),
-            ..base_config()
+            metadata_store: Some(faulty_store(cfg, Arc::clone(&handle))),
+            ..EngineConfig::default()
         };
         let (engine, _) =
             TklusEngine::try_build(&corpus, &config).expect("disarmed build is clean");
@@ -231,8 +215,8 @@ fn write_faults_during_build_are_caught_at_read_time() {
             ..FaultConfig::default()
         };
         let config = EngineConfig {
-            metadata_store: Some(faulty_store(cfg, Arc::clone(&handle), None)),
-            ..base_config()
+            metadata_store: Some(faulty_store(cfg, Arc::clone(&handle))),
+            ..EngineConfig::default()
         };
         handle.arm(true); // faults live through the whole bulk load
         let engine = match TklusEngine::try_build(&corpus, &config) {
@@ -278,34 +262,6 @@ fn write_faults_during_build_are_caught_at_read_time() {
     }
 }
 
-/// Bounded retry masks transient faults completely: with enough attempts,
-/// every query succeeds and matches the reference, while the handle proves
-/// faults really were injected (and retried through).
-#[test]
-fn retry_layer_masks_transient_faults() {
-    let corpus = corpus();
-    let (_, expected) = build_reference(&corpus);
-    for seed in chaos_seeds() {
-        let handle = FaultHandle::new();
-        let cfg = FaultConfig { seed, transient_read_ppm: 100_000, ..FaultConfig::default() };
-        let policy = RetryPolicy { max_attempts: 8, base_backoff: std::time::Duration::ZERO };
-        let config = EngineConfig {
-            metadata_store: Some(faulty_store(cfg, Arc::clone(&handle), Some(policy))),
-            ..base_config()
-        };
-        let (engine, _) =
-            TklusEngine::try_build(&corpus, &config).expect("disarmed build is clean");
-        handle.arm(true);
-        for (i, (q, ranking)) in queries(&corpus).iter().enumerate() {
-            let outcome = engine
-                .try_query(q, *ranking)
-                .unwrap_or_else(|e| panic!("seed {seed} q{i}: retry must mask transients: {e}"));
-            assert_same_users(&outcome.users, &expected[i], &format!("seed {seed} q{i}"));
-        }
-        assert!(handle.transient_injected() > 0, "seed {seed}: nothing was ever retried");
-    }
-}
-
 /// All fault classes at once, armed through build *and* queries: whatever
 /// happens must be an `Ok`-and-correct or a typed error — this test's
 /// assertion is mostly that nothing panics and nothing is silently wrong.
@@ -323,10 +279,9 @@ fn combined_fault_storm_never_panics_or_lies() {
             bit_flip_read_ppm: 5_000,
             bit_flip_write_ppm: 2_000,
         };
-        let policy = RetryPolicy { max_attempts: 3, base_backoff: std::time::Duration::ZERO };
         let config = EngineConfig {
-            metadata_store: Some(faulty_store(cfg, Arc::clone(&handle), Some(policy))),
-            ..base_config()
+            metadata_store: Some(faulty_store(cfg, Arc::clone(&handle))),
+            ..EngineConfig::default()
         };
         handle.arm(true);
         let engine = match TklusEngine::try_build(&corpus, &config) {
@@ -376,8 +331,7 @@ fn fault_budget_concurrency_storm_stays_typed() {
         // outcome taxonomy is asserted, which is exactly the point of
         // this storm.
         let config = EngineConfig {
-            cache_pages: 0,
-            metadata_store: Some(faulty_store(cfg, Arc::clone(&handle), None)),
+            metadata_store: Some(faulty_store(cfg, Arc::clone(&handle))),
             ..EngineConfig::default()
         };
         let (engine, _) =
@@ -523,7 +477,7 @@ fn degraded_results_are_a_prefix_ranking_not_garbage() {
     let (q, ranking, total) = wide_query(&corpus, &engine);
     // Build a second, independent engine: the degraded answer for a given
     // max_cells must agree across engines (pure function of corpus+query).
-    let (engine2, _) = TklusEngine::build(&corpus, &base_config());
+    let (engine2, _) = TklusEngine::build(&corpus, &EngineConfig::default());
     for m in [1, total / 2, total.saturating_sub(1)] {
         let budgeted = q.clone().with_max_cells(m);
         let a = engine.try_query(&budgeted, ranking).expect("fault-free");

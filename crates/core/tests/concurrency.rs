@@ -4,8 +4,8 @@
 //! its caller's thread, and one engine behind `&self` serves many client
 //! threads at once. Tested without loom (plain OS threads): every client
 //! sees the same byte-identical answers (ids and the exact `f64` bit
-//! patterns of scores) as a lone caller, while the striped buffer pool
-//! and B⁺-trees are being hammered concurrently.
+//! patterns of scores) as a lone caller, while the B⁺-trees and their
+//! page stores are being hammered concurrently.
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
@@ -86,8 +86,7 @@ fn queries() -> Vec<(TklusQuery, Ranking)> {
 }
 
 fn build_engine(corpus: &Corpus) -> TklusEngine {
-    let config = EngineConfig { cache_pages: 96, ..EngineConfig::default() };
-    TklusEngine::build(corpus, &config).0
+    TklusEngine::build(corpus, &EngineConfig::default()).0
 }
 
 /// The query-path counters, accumulated from per-query [`QueryStats`]
@@ -117,13 +116,12 @@ impl Tally {
 }
 
 /// 8 client threads replay a mixed repeated/unique query log against ONE
-/// engine whose buffer pool is sized small enough to evict, and every
-/// answer must be bit-identical to a lone caller's on a twin engine. On
-/// top of the value check, the registry must close the books once the
-/// storm settles: its counter deltas equal the sum of every query's own
-/// tallies, and its page-read family equals the global I/O counter's
-/// movement (nothing double- or under-counted while threads race on the
-/// same pool).
+/// engine, and every answer must be bit-identical to a lone caller's on a
+/// twin engine. On top of the value check, the registry must close the
+/// books once the storm settles: its counter deltas equal the sum of
+/// every query's own tallies, and its page-read family equals the global
+/// I/O counter's movement (nothing double- or under-counted while threads
+/// race on the same page stores).
 #[test]
 fn shared_engine_under_contention_matches_a_lone_caller() {
     let corpus = corpus();
@@ -222,9 +220,6 @@ fn run(
 #[test]
 fn eight_threads_hammer_one_shared_engine() {
     let corpus = corpus();
-    // Small cache so the stress run constantly inserts/evicts in the
-    // striped buffer pool rather than settling into an all-hit steady
-    // state.
     let engine = build_engine(&corpus);
     let hot_n = EngineConfig::default().hot_keywords;
     let network = SocialNetwork::from_corpus(&corpus);

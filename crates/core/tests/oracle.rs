@@ -322,6 +322,8 @@ fn matches_oracle(
     let corpus = materialize_at(raw, place);
     let plain = EngineConfig::default();
     let (engine, _) = TklusEngine::build(&corpus, &plain);
+    let cached = EngineConfig { cache_pages: 300, ..EngineConfig::default() };
+    let (cached, _) = TklusEngine::build(&corpus, &cached);
     let table = bounds_for(&corpus, &engine);
     let keywords: Vec<String> = kw_idx.iter().map(|&i| WORDS[i as usize].to_string()).collect();
 
@@ -330,16 +332,21 @@ fn matches_oracle(
         for (ranking, use_max) in ARMS {
             let (want, want_in_radius) = oracle_top_k(&corpus, &q, use_max, &plain.scoring);
             let (got, stats) = engine.query(&q, ranking);
-            // A reader carries nothing between queries: the same query
-            // pays the same page reads every time.
+            // A reader carries nothing between queries, and `cache_pages`
+            // turns on no cache: the same query pays the same page reads
+            // every time, on either engine.
             let (_, again) = engine.query(&q, ranking);
-            prop_assert_eq!(
-                again.metadata_page_reads,
-                stats.metadata_page_reads,
-                "{:?}/{:?}",
-                ranking,
-                semantics
-            );
+            let (_, cached_first) = cached.query(&q, ranking);
+            let (_, cached_again) = cached.query(&q, ranking);
+            for s in [again, cached_first, cached_again] {
+                prop_assert_eq!(
+                    s.metadata_page_reads,
+                    stats.metadata_page_reads,
+                    "{:?}/{:?}",
+                    ranking,
+                    semantics
+                );
+            }
 
             // Counters: the radius filter admits exactly the oracle's
             // qualifying posts and each one's thread is built: no

@@ -97,9 +97,9 @@ fn partitions_touched(q: &TklusQuery, nodes: usize) -> usize {
     cover(q).into_iter().map(|cell| partition_of(cell, nodes)).collect::<BTreeSet<_>>().len()
 }
 
-/// Each engine is fresh and runs `workload` in the same order, so its
-/// buffer pool sees the same reads and the page-read tallies compare
-/// exactly.
+/// Every answer of `workload` on `engine`, in order. A query's page reads
+/// depend only on the query and the trees (there is no page cache), so
+/// the tallies compare exactly across engines.
 fn run(engine: &TklusEngine, workload: &[TklusQuery]) -> Vec<Answer> {
     let mut out = Vec::new();
     for q in workload {

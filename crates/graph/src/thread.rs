@@ -13,8 +13,8 @@ use tklus_model::TweetId;
 
 /// Source of "which tweets reply to / forward `id`?" lookups.
 ///
-/// `&mut self` because database-backed providers mutate buffer-pool state
-/// and I/O counters on every lookup.
+/// `&mut self` because database-backed providers move a cursor (a
+/// B⁺-tree reader's root-to-leaf path) on every lookup.
 pub trait ReplyProvider {
     /// The ids of tweets whose `rsid` equals `id`.
     fn replies_to(&mut self, id: TweetId) -> Vec<TweetId>;

@@ -74,13 +74,8 @@ fn workload(corpus: &Corpus) -> Vec<(TklusQuery, Ranking)> {
         .collect()
 }
 
-/// `cache_pages: 0` keeps the buffer pool from masking injected faults.
-fn engine_config() -> EngineConfig {
-    EngineConfig { cache_pages: 0, ..EngineConfig::default() }
-}
-
 fn clean_engine(corpus: &Corpus) -> TklusEngine {
-    TklusEngine::build(corpus, &engine_config()).0
+    TklusEngine::build(corpus, &EngineConfig::default()).0
 }
 
 fn faulty_store(cfg: FaultConfig, handle: Arc<FaultHandle>) -> MetadataStoreFactory {
@@ -250,7 +245,7 @@ fn breaker_trips_and_recovers_under_storage_faults() {
         let fault = FaultConfig { seed, transient_read_ppm: 9_000, ..FaultConfig::default() };
         let config = EngineConfig {
             metadata_store: Some(faulty_store(fault, Arc::clone(&handle))),
-            ..engine_config()
+            ..EngineConfig::default()
         };
         let engine = TklusEngine::try_build(&corpus, &config).expect("disarmed build is clean").0;
         handle.arm(true);

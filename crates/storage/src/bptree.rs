@@ -10,12 +10,12 @@
 //!   lookup "select all where rsid equals Id" (Algorithm 1, line 7) becomes
 //!   the range scan `(rsid, 0) ..= (rsid, u64::MAX)`.
 //!
-//! Nodes live in fixed-size pages behind a [`PageStore`] (usually a
-//! [`crate::BufferPool`] over a [`crate::CheckedPager`]), so every logical
-//! operation's physical I/O cost is observable — the quantity the paper's
-//! Maximum-score pruning (Section V-B) is designed to save. Node content
-//! starts at [`PAGE_HEADER_SIZE`], leaving the verified page header (magic,
-//! format version, CRC32) to the checksum layer.
+//! Nodes live in fixed-size pages behind a [`PageStore`] (in the product a
+//! [`crate::CheckedPager`]), so every logical operation's physical I/O
+//! cost is observable — the quantity the paper's Maximum-score pruning
+//! (Section V-B) is designed to save. Node content starts at
+//! [`PAGE_HEADER_SIZE`], leaving the verified page header (magic, format
+//! version, CRC32) to the checksum layer.
 //!
 //! Every operation returns a [`StorageError`] instead of panicking when the
 //! store fails or a page decodes to a structurally impossible node

@@ -32,10 +32,6 @@ pub struct IoSnapshot {
     pub page_reads: u64,
     /// Physical page writes.
     pub page_writes: u64,
-    /// Buffer-pool hits.
-    pub cache_hits: u64,
-    /// Buffer-pool misses.
-    pub cache_misses: u64,
 }
 
 impl IoSnapshot {
@@ -51,8 +47,6 @@ impl IoSnapshot {
         IoSnapshot {
             page_reads: self.page_reads.saturating_sub(earlier.page_reads),
             page_writes: self.page_writes.saturating_sub(earlier.page_writes),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
         }
     }
 }
@@ -67,8 +61,6 @@ pub struct IoStats {
 struct Counters {
     page_reads: AtomicU64,
     page_writes: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
 }
 
 impl IoStats {
@@ -88,16 +80,6 @@ impl IoStats {
         self.inner.page_writes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a buffer-pool hit.
-    pub fn record_hit(&self) {
-        self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a buffer-pool miss.
-    pub fn record_miss(&self) {
-        self.inner.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Physical page reads so far.
     pub fn page_reads(&self) -> u64 {
         self.inner.page_reads.load(Ordering::Relaxed)
@@ -108,25 +90,24 @@ impl IoStats {
         self.inner.page_writes.load(Ordering::Relaxed)
     }
 
-    /// Buffer-pool hits so far.
+    /// Always 0: there is no page cache, so nothing hits one. Kept only
+    /// because the frozen benchmark still reads it.
     pub fn cache_hits(&self) -> u64 {
-        self.inner.cache_hits.load(Ordering::Relaxed)
+        0
     }
 
-    /// Buffer-pool misses so far.
+    /// Always 0; see [`Self::cache_hits`].
     pub fn cache_misses(&self) -> u64 {
-        self.inner.cache_misses.load(Ordering::Relaxed)
+        0
     }
 
-    /// Coherent copy of all four counters: each atomic is loaded exactly
+    /// Coherent copy of both counters: each atomic is loaded exactly
     /// once, and every derived figure (e.g. [`IoSnapshot::total_io`]) is
     /// computed from the copy. Use this wherever stats are exported.
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
             page_reads: self.inner.page_reads.load(Ordering::Relaxed),
             page_writes: self.inner.page_writes.load(Ordering::Relaxed),
-            cache_hits: self.inner.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.inner.cache_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -143,8 +124,6 @@ impl IoStats {
         IoSnapshot {
             page_reads: self.inner.page_reads.swap(0, Ordering::Relaxed),
             page_writes: self.inner.page_writes.swap(0, Ordering::Relaxed),
-            cache_hits: self.inner.cache_hits.swap(0, Ordering::Relaxed),
-            cache_misses: self.inner.cache_misses.swap(0, Ordering::Relaxed),
         }
     }
 
@@ -173,18 +152,12 @@ mod tests {
         s.record_read();
         s.record_read();
         s.record_write();
-        s.record_hit();
-        s.record_miss();
         assert_eq!(s.page_reads(), 2);
         assert_eq!(s.page_writes(), 1);
-        assert_eq!(s.cache_hits(), 1);
-        assert_eq!(s.cache_misses(), 1);
+        assert_eq!((s.cache_hits(), s.cache_misses()), (0, 0), "no page cache");
         assert_eq!(s.total_io(), 3);
         let snap = s.snapshot();
-        assert_eq!(
-            snap,
-            IoSnapshot { page_reads: 2, page_writes: 1, cache_hits: 1, cache_misses: 1 }
-        );
+        assert_eq!(snap, IoSnapshot { page_reads: 2, page_writes: 1 });
         assert_eq!(snap.total_io(), 3);
     }
 
@@ -205,10 +178,9 @@ mod tests {
         assert_eq!(drained.page_reads, 1);
         assert_eq!(drained.page_writes, 1);
         assert_eq!(s.snapshot(), IoSnapshot::default());
-        s.record_hit();
+        s.record_read();
         s.reset();
         assert_eq!(s.total_io(), 0);
-        assert_eq!(s.cache_hits(), 0);
     }
 
     #[test]
@@ -217,12 +189,9 @@ mod tests {
         s.record_read();
         let before = s.snapshot();
         s.record_read();
-        s.record_miss();
+        s.record_write();
         let delta = s.snapshot().delta_since(&before);
-        assert_eq!(
-            delta,
-            IoSnapshot { page_reads: 1, page_writes: 0, cache_hits: 0, cache_misses: 1 }
-        );
+        assert_eq!(delta, IoSnapshot { page_reads: 1, page_writes: 1 });
     }
 
     #[test]
@@ -246,7 +215,7 @@ mod tests {
         assert_eq!(s.page_reads(), 3);
     }
 
-    /// Concurrent stress for the tear/reset bug: recorders hammer all four
+    /// Concurrent stress for the tear/reset bug: recorders hammer both
     /// counters while a drainer repeatedly `take`s. Swap-based draining
     /// must conserve every increment: the sum of everything drained plus
     /// the final snapshot equals exactly what was recorded.
@@ -262,8 +231,6 @@ mod tests {
                     for _ in 0..per_thread {
                         s.record_read();
                         s.record_write();
-                        s.record_hit();
-                        s.record_miss();
                     }
                 });
             }
@@ -275,8 +242,6 @@ mod tests {
                         let t = s.take();
                         acc.page_reads += t.page_reads;
                         acc.page_writes += t.page_writes;
-                        acc.cache_hits += t.cache_hits;
-                        acc.cache_misses += t.cache_misses;
                         std::thread::yield_now();
                     }
                     acc
@@ -288,7 +253,5 @@ mod tests {
         let total = n_recorders as u64 * per_thread;
         assert_eq!(drained.page_reads + rest.page_reads, total);
         assert_eq!(drained.page_writes + rest.page_writes, total);
-        assert_eq!(drained.cache_hits + rest.cache_hits, total);
-        assert_eq!(drained.cache_misses + rest.cache_misses, total);
     }
 }

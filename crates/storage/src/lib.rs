@@ -18,37 +18,32 @@
 //!   keys in the verified page bytes and copy out only the values they
 //!   return. The composite key serves both the unique primary index
 //!   (`(sid, 0)`) and the non-unique secondary index (`(rsid, sid)`).
-//! * [`buffer`] — an LRU buffer pool between B⁺-trees and the page store,
-//!   so logical accesses and physical I/Os can be measured separately (the
-//!   paper's Section VI-B runs with "database caches … off"; the pool can
-//!   be sized to zero-effective caching for that configuration).
+//!
+//! There is no page cache: the paper's Section VI-B runs with "database
+//! caches … set off", and so does every tree here — each page a tree
+//! reads is a counted physical read, verified on the way in.
 //!
 //! The fault-tolerance layer (DESIGN.md §10) lives here too:
 //!
 //! * [`error`] — the [`StorageError`] taxonomy every fallible operation
 //!   reports instead of panicking; [`StorageError::is_transient`] marks
-//!   faults worth retrying.
+//!   faults a caller may retry.
 //! * [`checked`] — [`CheckedPager`] seals each written page with a
 //!   magic/version/CRC32 header and verifies it on every read, turning
 //!   torn writes and bit flips into typed `PageCorrupt`/`BadPageHeader`
 //!   errors.
-//! * [`retry`] — [`RetryPager`] absorbs transient faults with bounded
-//!   exponential backoff.
 //! * [`fault`] — [`FaultPager`] injects a deterministic, seeded schedule
 //!   of transient errors, torn writes, and bit flips for chaos testing.
 
 pub mod bptree;
-pub mod buffer;
 pub mod checked;
 pub mod error;
 pub mod fault;
 pub mod iostats;
 pub mod page;
 pub mod pager;
-pub mod retry;
 
 pub use bptree::{BPlusTree, Key, TreeReader};
-pub use buffer::BufferPool;
 pub use checked::CheckedPager;
 pub use error::{StorageError, StorageResult};
 pub use fault::{splitmix64, CrashVerdict, FaultConfig, FaultHandle, FaultPager};
@@ -58,4 +53,3 @@ pub use page::{
     PAGE_HEADER_SIZE, PAGE_SIZE,
 };
 pub use pager::{MemPager, PageStore};
-pub use retry::{RetryPager, RetryPolicy};

@@ -11,8 +11,8 @@
 //!
 //! Every operation that can fail returns a [`StorageError`] instead of
 //! panicking: an unallocated page id, a short read, or a failed syscall is
-//! reported to the caller, which decides whether to retry
-//! ([`crate::RetryPager`]), surface the fault, or degrade.
+//! reported to the caller, which decides whether to retry, surface the
+//! fault, or degrade.
 
 use crate::error::{StorageError, StorageResult};
 use crate::iostats::IoStats;

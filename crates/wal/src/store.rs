@@ -136,8 +136,7 @@ pub enum CompactionStrategy {
 /// Ingest store configuration.
 #[derive(Clone)]
 pub struct StoreConfig {
-    /// Engine build parameters (scoring, index, buffer pool, metadata
-    /// store).
+    /// Engine build parameters (scoring, index, metadata store).
     pub engine: EngineConfig,
     /// WAL segment size and fsync policy.
     pub wal: WalConfig,

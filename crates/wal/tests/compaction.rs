@@ -45,13 +45,9 @@ fn chaos_seeds() -> Vec<u64> {
     }
 }
 
-fn engine_config() -> EngineConfig {
-    EngineConfig { cache_pages: 0, ..EngineConfig::default() }
-}
-
 fn store_config() -> StoreConfig {
     StoreConfig {
-        engine: engine_config(),
+        engine: EngineConfig::default(),
         // Tiny segments force rotations mid-workload so the fenced trim
         // has real segment boundaries to reason about.
         wal: WalConfig { segment_bytes: 256, fsync: FsyncPolicy::Always },
@@ -104,7 +100,7 @@ fn queries() -> Vec<(TklusQuery, Ranking)> {
 /// built over exactly `posts` — the suite's fidelity oracle.
 fn assert_answers_match(store: &IngestStore, posts: &[Post], ctx: &str) {
     let corpus = Corpus::new(posts.to_vec()).unwrap();
-    let (reference, _) = TklusEngine::try_build(&corpus, &engine_config()).unwrap();
+    let (reference, _) = TklusEngine::try_build(&corpus, &EngineConfig::default()).unwrap();
     for (q, ranking) in queries() {
         let got = store.try_query(&q, ranking).unwrap();
         let want = reference.try_query(&q, ranking).unwrap().users;
@@ -371,7 +367,7 @@ fn compaction_io_is_proportional_to_touched_partitions() {
     // Toronto; round 2's live delta touches Toronto alone.
     let (sim, handle) = SimFs::new(77);
     let walfs: Arc<dyn WalFs> = Arc::clone(&sim) as Arc<dyn WalFs>;
-    let cfg = StoreConfig { engine: engine_config(), ..StoreConfig::default() };
+    let cfg = StoreConfig { engine: EngineConfig::default(), ..StoreConfig::default() };
     let (store, _) = IngestStore::open(walfs, cfg).unwrap();
     let seal_files = || -> BTreeSet<String> {
         let names = WalFs::list(sim.as_ref()).unwrap();

@@ -42,13 +42,9 @@ fn chaos_seeds() -> Vec<u64> {
     }
 }
 
-fn engine_config() -> EngineConfig {
-    EngineConfig { cache_pages: 0, ..EngineConfig::default() }
-}
-
 fn store_config() -> StoreConfig {
     StoreConfig {
-        engine: engine_config(),
+        engine: EngineConfig::default(),
         // Tiny segments force rotations mid-workload, so the sweep hits
         // rotate-time crash points, not just appends.
         wal: WalConfig { segment_bytes: 256, fsync: FsyncPolicy::Always },
@@ -153,7 +149,7 @@ fn crash_at(seed: u64, n: u64, posts: &[Post], qs: &[(TklusQuery, Ranking)]) {
     let recovered_ids: HashSet<TweetId> = recovered.iter().map(|p| p.id).collect();
     assert!(acked.iter().all(|id| recovered_ids.contains(id)));
     let corpus = Corpus::new(recovered).unwrap();
-    let (reference, _) = TklusEngine::try_build(&corpus, &engine_config()).unwrap();
+    let (reference, _) = TklusEngine::try_build(&corpus, &EngineConfig::default()).unwrap();
     for (q, ranking) in qs {
         let got = store.try_query(q, *ranking).unwrap();
         let want = reference.try_query(q, *ranking).unwrap().users;
@@ -218,7 +214,7 @@ fn unscheduled_power_cut_mid_ingest_is_survivable_at_any_prefix() {
             let (store, _) = IngestStore::open(walfs, store_config()).unwrap();
             assert_eq!(store.acked_posts(), cut, "seed {seed}: power cut at {cut} lost acks");
             let corpus = Corpus::new(posts[..cut].to_vec()).unwrap();
-            let (reference, _) = TklusEngine::try_build(&corpus, &engine_config()).unwrap();
+            let (reference, _) = TklusEngine::try_build(&corpus, &EngineConfig::default()).unwrap();
             for (q, ranking) in &qs {
                 let got = store.try_query(q, *ranking).unwrap();
                 let want = reference.try_query(q, *ranking).unwrap().users;

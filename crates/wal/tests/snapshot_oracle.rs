@@ -20,10 +20,6 @@ use tklus_gen::{generate_corpus, generate_queries, GenConfig, QueryConfig};
 use tklus_model::{Corpus, Post, Semantics, TklusQuery};
 use tklus_wal::{IngestStore, SimFs, StoreConfig, WalFs};
 
-fn engine_config() -> EngineConfig {
-    EngineConfig { cache_pages: 0, ..EngineConfig::default() }
-}
-
 fn corpus(seed: u64) -> Corpus {
     generate_corpus(&GenConfig {
         original_posts: 220,
@@ -58,7 +54,7 @@ fn queries(corpus: &Corpus) -> Vec<(TklusQuery, Ranking)> {
 fn store_with_split(posts: &[Post], split: usize) -> IngestStore {
     let (fs, _) = SimFs::new(0x0AC1E);
     let fs: Arc<dyn WalFs> = fs as Arc<dyn WalFs>;
-    let config = StoreConfig { engine: engine_config(), ..StoreConfig::default() };
+    let config = StoreConfig { engine: EngineConfig::default(), ..StoreConfig::default() };
     let (store, _) = IngestStore::open(fs, config).unwrap();
     for p in &posts[..split] {
         store.ingest(p.clone()).unwrap();
@@ -103,7 +99,7 @@ fn merged_snapshot_queries_match_from_scratch_engine_bitwise() {
     let split = posts.len() * 3 / 5;
     let store = store_with_split(&posts, split);
 
-    let (reference, _) = TklusEngine::try_build(&corpus, &engine_config()).unwrap();
+    let (reference, _) = TklusEngine::try_build(&corpus, &EngineConfig::default()).unwrap();
     let qs = queries(&corpus);
     assert!(qs.len() >= 9, "query workload must exercise every ranking arm");
     let mut nonempty = 0;
@@ -132,7 +128,7 @@ fn live_replies_into_sealed_threads_stay_exact() {
     let targets: Vec<&Post> = replies.chain(originals).collect();
     assert_eq!(targets.len(), 24, "corpus must hold 12 replies and 12 originals");
     let full = ingest_replies_to(&store, &posts, targets);
-    let (reference, _) = TklusEngine::try_build(&full, &engine_config()).unwrap();
+    let (reference, _) = TklusEngine::try_build(&full, &EngineConfig::default()).unwrap();
     let mut nonempty = 0;
     for (q, ranking) in queries(&full) {
         let got = store.try_query(&q, ranking).unwrap();
@@ -151,7 +147,7 @@ fn compaction_preserves_answers_at_every_boundary() {
     let corpus = corpus(9);
     let posts: Vec<Post> = corpus.posts().iter().take(120).cloned().collect();
     let full = Corpus::new(posts.clone()).unwrap();
-    let (reference, _) = TklusEngine::try_build(&full, &engine_config()).unwrap();
+    let (reference, _) = TklusEngine::try_build(&full, &EngineConfig::default()).unwrap();
     let qs: Vec<(TklusQuery, Ranking)> = queries(&full).into_iter().take(6).collect();
     for split in [0, posts.len() / 4, posts.len() / 2, posts.len()] {
         let store = store_with_split(&posts, split);
@@ -200,7 +196,7 @@ fn shuffled_ingest_with_a_sealed_half_matches_from_scratch_engine_bitwise() {
         assert!(!interleaved.is_empty(), "seed {seed}: no user's live posts interleave");
         assert!(replies_to_live > 0, "seed {seed}: no sealed reply targets a live post");
 
-        let (reference, _) = TklusEngine::try_build(&corpus, &engine_config()).unwrap();
+        let (reference, _) = TklusEngine::try_build(&corpus, &EngineConfig::default()).unwrap();
         let mut nonempty = 0;
         for (q, ranking) in queries(&corpus) {
             let got = store.try_query(&q, ranking).unwrap();

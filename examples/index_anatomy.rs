@@ -81,13 +81,13 @@ fn main() {
 
     // --- Layer 4: the metadata database ---------------------------------
     println!("\n## metadata database (Section IV-A)");
-    let db = MetadataDb::from_posts(corpus.posts(), 0);
+    let db = MetadataDb::try_from_posts(corpus.posts(), 0, None).expect("in-memory metadata");
     // Find the most replied-to tweet and build its thread, counting I/O.
     let busiest = corpus
         .posts()
         .iter()
         .filter(|p| !p.is_reply())
-        .max_by_key(|p| db.replies_to_ids(p.id).len())
+        .max_by_key(|p| db.try_replies_to_ids(p.id).expect("in-memory metadata").len())
         .expect("non-empty corpus");
     db.io().reset();
     let thread = try_build_thread(&mut db.reader(None), busiest.id, 6).expect("in-memory metadata");

@@ -20,12 +20,17 @@ use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 use tklus::core::{BoundsMode, EngineConfig, RankedUser, Ranking, TklusEngine};
 use tklus::gen::{generate_corpus, generate_queries, GenConfig, QueryConfig};
 use tklus::http::{serve, HttpConfig};
 use tklus::model::{Corpus, Post, Semantics, TklusQuery, TweetId};
 use tklus::serve::{ServeConfig, TklusServer};
 use tklus::wal::{IngestStore, SimFs, StoreConfig, WalFs};
+
+/// Long enough for any answer on a loaded host; a serving hang (a lost
+/// wake-up) hits it and fails the read instead of blocking the suite.
+const PATIENCE: Duration = Duration::from_secs(20);
 
 /// `(user id, score bits)`: equality is bit equality.
 fn bits(users: &[RankedUser]) -> Vec<(u64, u64)> {
@@ -37,13 +42,17 @@ fn bits(users: &[RankedUser]) -> Vec<(u64, u64)> {
 /// parsing them back is exact.
 fn post_query(addr: std::net::SocketAddr, body: &str) -> Vec<(u64, u64)> {
     let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(PATIENCE)).expect("read timeout");
+    stream.set_write_timeout(Some(PATIENCE)).expect("write timeout");
     let request = format!(
         "POST /query HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     );
     stream.write_all(request.as_bytes()).expect("write request");
     let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
+    if let Err(e) = stream.read_to_string(&mut response) {
+        panic!("no answer within {PATIENCE:?} (a serving hang?): {e}");
+    }
     assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
     let (_, json) = response.split_once("\r\n\r\n").expect("header terminator");
     assert!(json.contains("\"completeness\":\"complete\""), "{json}");
