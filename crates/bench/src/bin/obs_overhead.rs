@@ -9,6 +9,14 @@
 //! series equally), and verifying every instrumented answer bit-identical
 //! to the baseline's before any number is reported.
 //!
+//! Two estimators are reported. `overhead_pct` compares the two series'
+//! medians; host slowdowns lasting 0.1–3 s shift whichever series they
+//! land on, so it swings by more than the budget run to run.
+//! `paired_overhead_pct` is the median over queries of (metrics-on time ÷
+//! metrics-off time) for each back-to-back pair: a swing longer than a
+//! query hits both halves of a pair alike. The budget is enforced on the
+//! paired estimator.
+//!
 //! Emits `results/BENCH_obs.json`. With `TKLUS_OBS_ENFORCE=1` in the
 //! environment (the CI metrics-smoke job), the process exits nonzero if
 //! the measured overhead exceeds the budget or the instrumented engine's
@@ -107,12 +115,16 @@ fn main() {
             base_lat.push(timed(&baseline, q, *r, want, "metrics-off"));
         }
     }
+    let ratios: Vec<f64> =
+        inst_lat.iter().zip(&base_lat).map(|(on, off)| on / off.max(1e-9)).collect();
 
     let (base_p50, base_p90, base_total) = summarize(base_lat);
     let (inst_p50, inst_p90, inst_total) = summarize(inst_lat);
+    let (ratio_p50, _, _) = summarize(ratios);
     let overhead_pct = (inst_p50 - base_p50) / base_p50.max(1e-9) * 100.0;
+    let paired_overhead_pct = (ratio_p50 - 1.0) * 100.0;
     let total_overhead_pct = (inst_total - base_total) / base_total.max(1e-9) * 100.0;
-    let within_budget = overhead_pct <= BUDGET_PCT;
+    let within_budget = paired_overhead_pct <= BUDGET_PCT;
 
     println!("{:<12} {:>10} {:>10} {:>12}", "pass", "p50 ms", "p90 ms", "total ms");
     for (name, p50, p90, total) in [
@@ -123,7 +135,8 @@ fn main() {
         csv_row(&[name.into(), format!("{p50:.3}"), format!("{p90:.3}"), format!("{total:.1}")]);
     }
     println!(
-        "median overhead: {overhead_pct:+.2}% (budget {BUDGET_PCT}%), total {total_overhead_pct:+.2}%"
+        "paired median overhead: {paired_overhead_pct:+.2}% (budget {BUDGET_PCT}%), \
+         median overhead {overhead_pct:+.2}%, total {total_overhead_pct:+.2}%"
     );
 
     // Registry sanity: the instrumented engine counted every answered
@@ -151,6 +164,7 @@ fn main() {
     json.push_str(&format!("  \"instrumented_p50_ms\": {inst_p50:.4},\n"));
     json.push_str(&format!("  \"instrumented_p90_ms\": {inst_p90:.4},\n"));
     json.push_str(&format!("  \"overhead_pct\": {overhead_pct:.3},\n"));
+    json.push_str(&format!("  \"paired_overhead_pct\": {paired_overhead_pct:.3},\n"));
     json.push_str(&format!("  \"total_overhead_pct\": {total_overhead_pct:.3},\n"));
     json.push_str(&format!("  \"budget_pct\": {BUDGET_PCT},\n"));
     json.push_str(&format!("  \"within_budget\": {within_budget},\n"));
@@ -164,7 +178,8 @@ fn main() {
 
     if std::env::var("TKLUS_OBS_ENFORCE").is_ok_and(|v| v == "1") && !within_budget {
         eprintln!(
-            "FAIL: instrumentation overhead {overhead_pct:+.2}% exceeds the {BUDGET_PCT}% budget"
+            "FAIL: paired instrumentation overhead {paired_overhead_pct:+.2}% exceeds the \
+             {BUDGET_PCT}% budget"
         );
         std::process::exit(1);
     }

@@ -502,7 +502,6 @@ fn main() {
         default_deadline_ms: deadline_ms,
         est_service_ms: (service_ms.ceil() as u64).max(1),
         degrade: None,
-        breaker: Default::default(),
     };
     let http_cfg = HttpConfig {
         addr: "127.0.0.1:0".to_string(),

@@ -75,7 +75,6 @@ fn parse_serve_config(args: &Args) -> Result<ServeConfig, CliError> {
         default_deadline_ms: args.get_or("deadline-ms", defaults.default_deadline_ms)?,
         est_service_ms: args.get_or("est-service-ms", defaults.est_service_ms)?,
         degrade,
-        breaker: Default::default(),
     };
     cfg.validate().map_err(CliError::Usage)?;
     Ok(cfg)

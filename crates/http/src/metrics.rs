@@ -1,6 +1,6 @@
 //! Connection- and request-level counters (DESIGN.md §16).
 //!
-//! The serving layer already counts admissions, sheds, and breaker trips
+//! The serving layer already counts admissions, sheds and failed queries
 //! under `tklus_serve_*`; this module counts what only the socket layer
 //! can see — connections, parse failures, slow-client timeouts, torn
 //! uploads — under `tklus_http_*`. One row list drives the exposition,

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use tklus_metrics::Health;
 use tklus_serve::{DrainReport, Rejected, ServeError, Ticket, TklusServer};
 
-/// Socket-layer knobs. The admission/queue/breaker knobs live in
+/// Socket-layer knobs. The admission and queue knobs live in
 /// [`tklus_serve::ServeConfig`]; these only shape connections and bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpConfig {

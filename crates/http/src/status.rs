@@ -10,8 +10,7 @@
 //!   becomes the `Retry-After` header (seconds, rounded up) plus a
 //!   precise `retry_after_ms` field in the JSON body;
 //! * **503** for conditions that heal on the server's own clock
-//!   (`CircuitOpen`, `ShuttingDown`, drain abandonment, non-conflict
-//!   sink failures) — retrying immediately is pointless, so no
+//!   (`ShuttingDown`, drain abandonment, non-conflict sink failures) — retrying immediately is pointless, so no
 //!   `Retry-After` is offered;
 //! * **504** for `ExpiredInQueue`: the request was admitted but its own
 //!   deadline lapsed while queued — the budget was spent, not refused;
@@ -41,7 +40,6 @@ pub fn rejected_kind(r: &Rejected) -> &'static str {
     match r {
         Rejected::QueueFull { .. } => "QueueFull",
         Rejected::DeadlineHopeless { .. } => "DeadlineHopeless",
-        Rejected::CircuitOpen { .. } => "CircuitOpen",
         Rejected::Evicted { .. } => "Evicted",
         Rejected::ExpiredInQueue { .. } => "ExpiredInQueue",
         Rejected::ShuttingDown => "ShuttingDown",
@@ -54,7 +52,7 @@ pub fn rejected_status(r: &Rejected) -> u16 {
         Rejected::QueueFull { .. }
         | Rejected::DeadlineHopeless { .. }
         | Rejected::Evicted { .. } => 429,
-        Rejected::CircuitOpen { .. } | Rejected::ShuttingDown => 503,
+        Rejected::ShuttingDown => 503,
         Rejected::ExpiredInQueue { .. } => 504,
     }
 }
@@ -137,7 +135,6 @@ mod tests {
                 "DeadlineHopeless",
                 Some("4"),
             ),
-            (Rejected::CircuitOpen { breaker: "storage" }, 503, "CircuitOpen", None),
             (Rejected::ShuttingDown, 503, "ShuttingDown", None),
             (Rejected::ExpiredInQueue { waited_ms: 80 }, 504, "ExpiredInQueue", None),
         ];

@@ -1,7 +1,7 @@
 //! Health and readiness probes (DESIGN.md §11).
 //!
 //! The serving layer reports its operational state — admission-queue
-//! pressure, circuit-breaker states, shed counters — as a
+//! pressure, the ingest sink's compaction state, shed counters — as a
 //! [`HealthReport`]: a set of named [`Probe`]s each carrying a
 //! [`Health`] verdict, plus free-form numeric gauges. The report is plain
 //! data with a stable text rendering, so it serves equally as a CLI
@@ -13,7 +13,7 @@
 //! * **ready** — the component accepts new work. A draining server is
 //!   alive but not ready.
 //! * overall [`Health`] — the worst verdict across probes: one `Unhealthy`
-//!   probe (say, an open circuit breaker) makes the whole report
+//!   probe (say, a compaction that keeps failing) makes the whole report
 //!   `Unhealthy` even while other subsystems hum along.
 
 /// One probe's verdict, ordered best-to-worst so `max` picks the worst.
@@ -21,10 +21,10 @@
 pub enum Health {
     /// Operating normally.
     Healthy,
-    /// Operating with reduced quality (e.g. shedding load, probing a
-    /// half-open breaker) — answers may be partial or delayed.
+    /// Operating with reduced quality (e.g. a full queue shedding load,
+    /// or a drain) — answers may be partial or delayed.
     Degraded,
-    /// Not operating (e.g. an open breaker failing fast).
+    /// Not operating (e.g. a compaction failing persistently).
     Unhealthy,
 }
 
@@ -41,7 +41,7 @@ impl std::fmt::Display for Health {
 /// One named component's health plus a human-readable detail line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Probe {
-    /// Component name (e.g. `"admission"`, `"breaker:storage"`).
+    /// Component name (e.g. `"admission"`, `"sink:compaction"`).
     pub name: String,
     /// The verdict.
     pub health: Health,
@@ -100,8 +100,8 @@ impl HealthReport {
     ///
     /// ```text
     /// status: healthy (ready)
-    ///   admission        healthy    queue 0/64, 0 in flight
-    ///   breaker:storage  healthy    closed
+    ///   admission        healthy    queue 0/64, 0/4 workers busy
+    ///   sink:compaction  healthy    3 compactions sealed
     /// gauges: queue_depth=0 shed_total=0
     /// ```
     pub fn render(&self) -> String {
@@ -145,7 +145,7 @@ mod tests {
         r.probe(Probe::new("a", Health::Healthy, "ok"));
         r.probe(Probe::new("b", Health::Degraded, "shedding"));
         assert_eq!(r.overall(), Health::Degraded);
-        r.probe(Probe::new("c", Health::Unhealthy, "breaker open"));
+        r.probe(Probe::new("c", Health::Unhealthy, "compaction failing"));
         assert_eq!(r.overall(), Health::Unhealthy);
     }
 

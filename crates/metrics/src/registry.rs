@@ -16,7 +16,7 @@
 //!   [`RegistrySnapshot::render_json`] emit names in sorted order with a
 //!   format pinned by golden tests (the CI metrics smoke job).
 //! * **Re-export, don't duplicate.** External counter families
-//!   (`IoStats`, the serve-layer shed/breaker tallies) are injected into
+//!   (`IoStats`, the serve-layer shed tallies) are injected into
 //!   snapshots via [`RegistrySnapshot::set_counter`] at snapshot time
 //!   instead of being double-counted at record time.
 

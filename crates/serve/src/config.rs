@@ -1,7 +1,5 @@
 //! Serving-layer configuration (DESIGN.md §11).
 
-use crate::breaker::BreakerConfig;
-
 /// When (and how) the server trades completeness for latency instead of
 /// rejecting outright: once the admission queue holds at least
 /// `queue_threshold` entries, every query dispatched while the pressure
@@ -35,9 +33,6 @@ pub struct ServeConfig {
     pub est_service_ms: u64,
     /// Optional degrade-instead-of-reject policy under saturation.
     pub degrade: Option<DegradePolicy>,
-    /// Circuit-breaker tuning, one breaker per engine error class
-    /// (storage, index).
-    pub breaker: BreakerConfig,
 }
 
 impl Default for ServeConfig {
@@ -48,7 +43,6 @@ impl Default for ServeConfig {
             default_deadline_ms: 1_000,
             est_service_ms: 5,
             degrade: None,
-            breaker: BreakerConfig::default(),
         }
     }
 }
@@ -66,7 +60,7 @@ impl ServeConfig {
         if self.est_service_ms == 0 {
             return Err("estimated service time must be at least 1 ms".into());
         }
-        self.breaker.validate()
+        Ok(())
     }
 }
 

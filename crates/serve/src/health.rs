@@ -4,21 +4,18 @@
 //! simulator's end-of-run state, so probes and gauge names can never
 //! drift between them.
 
-use crate::breaker::{BreakerPanel, BreakerState, CircuitBreaker};
 use crate::queue::AdmissionCounters;
 use tklus_metrics::{Health, HealthReport, Probe};
 
 /// Everything the probes summarize, captured under the caller's lock.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Snapshot {
-    pub now_ms: u64,
     pub depth: usize,
     pub capacity: usize,
     pub busy: usize,
     pub workers: usize,
     pub draining: bool,
     pub counters: AdmissionCounters,
-    pub shed_circuit: u64,
     pub shed_shutdown: u64,
     pub completed: u64,
     pub failed: u64,
@@ -27,19 +24,8 @@ pub(crate) struct Snapshot {
     pub ingest_failed: u64,
 }
 
-fn breaker_probe(b: &CircuitBreaker, now_ms: u64) -> Probe {
-    let (health, detail) = match b.state() {
-        BreakerState::Closed => (Health::Healthy, "closed".to_string()),
-        BreakerState::HalfOpen => (Health::Degraded, "half-open, probing recovery".to_string()),
-        BreakerState::Open => {
-            (Health::Unhealthy, format!("open, next probe in {} ms", b.retry_in_ms(now_ms)))
-        }
-    };
-    Probe::new(format!("breaker:{}", b.name()), health, detail)
-}
-
-/// Renders the snapshot plus breaker states into a [`HealthReport`].
-pub(crate) fn build_report(snap: &Snapshot, panel: &BreakerPanel) -> HealthReport {
+/// Renders the snapshot into a [`HealthReport`].
+pub(crate) fn build_report(snap: &Snapshot) -> HealthReport {
     let mut report = HealthReport::ready();
     report.ready = !snap.draining;
     let admission_health = if snap.draining || snap.depth >= snap.capacity {
@@ -56,12 +42,10 @@ pub(crate) fn build_report(snap: &Snapshot, panel: &BreakerPanel) -> HealthRepor
         )
     };
     report.probe(Probe::new("admission", admission_health, admission_detail));
-    report.probe(breaker_probe(&panel.storage, snap.now_ms));
-    report.probe(breaker_probe(&panel.index, snap.now_ms));
 
     // One row list feeds both the health gauges and the `tklus_serve_*`
     // registry export (crate::metrics), so the surfaces cannot drift.
-    for (name, value) in crate::metrics::gauge_rows(snap, panel) {
+    for (name, value) in crate::metrics::gauge_rows(snap) {
         report.gauge(name, value as f64);
     }
     report
@@ -70,18 +54,15 @@ pub(crate) fn build_report(snap: &Snapshot, panel: &BreakerPanel) -> HealthRepor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breaker::BreakerConfig;
 
     fn snap() -> Snapshot {
         Snapshot {
-            now_ms: 0,
             depth: 0,
             capacity: 8,
             busy: 1,
             workers: 2,
             draining: false,
             counters: AdmissionCounters::default(),
-            shed_circuit: 0,
             shed_shutdown: 0,
             completed: 5,
             failed: 0,
@@ -93,8 +74,7 @@ mod tests {
 
     #[test]
     fn healthy_idle_server_reports_healthy_and_ready() {
-        let panel = BreakerPanel::new(BreakerConfig::default());
-        let report = build_report(&snap(), &panel);
+        let report = build_report(&snap());
         assert!(report.ready);
         assert_eq!(report.overall(), Health::Healthy);
         assert_eq!(report.gauge_value("completed"), Some(5.0));
@@ -102,31 +82,15 @@ mod tests {
     }
 
     #[test]
-    fn open_breaker_makes_report_unhealthy() {
-        let cfg = BreakerConfig { failure_threshold: 1, window: 4, ..BreakerConfig::default() };
-        let mut panel = BreakerPanel::new(cfg);
-        panel.storage.record_failure(10);
-        let report = build_report(&snap(), &panel);
-        assert_eq!(report.overall(), Health::Unhealthy);
-        let probe = report.probes.iter().find(|p| p.name == "breaker:storage").expect("probe");
-        assert_eq!(probe.health, Health::Unhealthy);
-        assert_eq!(report.gauge_value("breaker_trips"), Some(1.0));
-    }
-
-    #[test]
     fn draining_is_not_ready() {
-        let panel = BreakerPanel::new(BreakerConfig::default());
-        let s = Snapshot { draining: true, ..snap() };
-        let report = build_report(&s, &panel);
+        let report = build_report(&Snapshot { draining: true, ..snap() });
         assert!(!report.ready);
         assert_eq!(report.overall(), Health::Degraded);
     }
 
     #[test]
     fn full_queue_degrades_admission() {
-        let panel = BreakerPanel::new(BreakerConfig::default());
-        let s = Snapshot { depth: 8, ..snap() };
-        let report = build_report(&s, &panel);
+        let report = build_report(&Snapshot { depth: 8, ..snap() });
         let probe = report.probes.iter().find(|p| p.name == "admission").expect("probe");
         assert_eq!(probe.health, Health::Degraded);
     }

@@ -15,9 +15,9 @@
 //!   an optional [`DegradePolicy`] trades completeness for latency by
 //!   tightening `QueryBudget::max_cells` so the engine returns typed
 //!   `Completeness::Degraded` exact prefixes;
-//! * **circuit breakers** — one [`CircuitBreaker`] per engine failure
-//!   domain (`EngineError::Storage` / `EngineError::Index`) with a rolling
-//!   failure window, half-open probing, and bounded exponential backoff;
+//! * **typed failures** — a query the engine fails is answered as its own
+//!   `ServeError::Engine`; a failure changes no admission decision for
+//!   any other request, and nothing retries it;
 //! * **graceful drain** — [`TklusServer::drain`] closes admission, lets
 //!   in-flight work finish up to a drain deadline, and abandons the rest
 //!   *by name* — nothing admitted is ever silently lost.
@@ -29,12 +29,11 @@
 //! * [`TklusServer`] — the scheduler behind a mutex, fed wall-clock time
 //!   and run by the threads that wait on its tickets;
 //! * [`sim`] — a seeded open-loop generator plus a virtual-time
-//!   discrete-event loop whose every shed, trip, and drain decision is
+//!   discrete-event loop whose every shed, degrade and drain decision is
 //!   reproducible bit-for-bit per seed (the CI overload matrix).
 
 #![warn(missing_docs)]
 
-mod breaker;
 mod config;
 mod health;
 mod ingest;
@@ -45,7 +44,6 @@ mod scheduler;
 mod server;
 pub mod sim;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use config::{DegradePolicy, ServeConfig};
 pub use ingest::{IngestFailure, IngestSink, SinkError, SinkHealth};
 pub use queue::{AdmissionCounters, AdmissionQueue, AdmitResult, Popped, QueuedEntry};

@@ -1,12 +1,11 @@
 //! Serving-layer registry export (DESIGN.md §12).
 //!
-//! The admission/shed/breaker counters already live in the server's
+//! The admission/shed counters already live in the server's
 //! [`Snapshot`] and feed the [`crate::health`] gauges; this module
 //! re-exports the same numbers into a [`RegistrySnapshot`] under
 //! `tklus_serve_*` counter names. One row list drives both surfaces, so
 //! the health report and the metrics exposition can never disagree.
 
-use crate::breaker::BreakerPanel;
 use crate::health::Snapshot;
 use tklus_metrics::RegistrySnapshot;
 
@@ -14,7 +13,7 @@ use tklus_metrics::RegistrySnapshot;
 /// renders them. Every value is a non-negative integral count, so the
 /// registry export keeps them as `u64` counters while the health report
 /// widens to `f64` gauges.
-pub(crate) fn gauge_rows(snap: &Snapshot, panel: &BreakerPanel) -> Vec<(&'static str, u64)> {
+pub(crate) fn gauge_rows(snap: &Snapshot) -> Vec<(&'static str, u64)> {
     vec![
         ("queue_depth", snap.depth as u64),
         ("queue_capacity", snap.capacity as u64),
@@ -29,27 +28,15 @@ pub(crate) fn gauge_rows(snap: &Snapshot, panel: &BreakerPanel) -> Vec<(&'static
         ("shed_deadline", snap.counters.shed_deadline),
         ("shed_evicted", snap.counters.shed_evicted),
         ("shed_expired", snap.counters.expired_at_dispatch),
-        ("shed_circuit", snap.shed_circuit),
         ("shed_shutdown", snap.shed_shutdown),
-        (
-            "shed_total",
-            snap.counters
-                .shed_total()
-                .saturating_add(snap.shed_circuit)
-                .saturating_add(snap.shed_shutdown),
-        ),
-        ("breaker_trips", panel.trip_count()),
+        ("shed_total", snap.counters.shed_total().saturating_add(snap.shed_shutdown)),
     ]
 }
 
 /// Injects the serve rows into `base` (typically the engine's registry
 /// snapshot) as `tklus_serve_<row>` counters and returns it.
-pub(crate) fn inject_serve_rows(
-    mut base: RegistrySnapshot,
-    snap: &Snapshot,
-    panel: &BreakerPanel,
-) -> RegistrySnapshot {
-    for (name, value) in gauge_rows(snap, panel) {
+pub(crate) fn inject_serve_rows(mut base: RegistrySnapshot, snap: &Snapshot) -> RegistrySnapshot {
+    for (name, value) in gauge_rows(snap) {
         base.set_counter(&format!("tklus_serve_{name}"), value);
     }
     base
@@ -58,13 +45,11 @@ pub(crate) fn inject_serve_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breaker::BreakerConfig;
     use crate::health::build_report;
     use crate::queue::AdmissionCounters;
 
     fn snap() -> Snapshot {
         Snapshot {
-            now_ms: 7,
             depth: 3,
             capacity: 8,
             busy: 2,
@@ -77,7 +62,6 @@ mod tests {
                 shed_evicted: 2,
                 expired_at_dispatch: 1,
             },
-            shed_circuit: 5,
             shed_shutdown: 6,
             completed: 30,
             failed: 2,
@@ -89,10 +73,9 @@ mod tests {
 
     #[test]
     fn registry_rows_mirror_health_gauges_exactly() {
-        let panel = BreakerPanel::new(BreakerConfig::default());
         let s = snap();
-        let report = build_report(&s, &panel);
-        let rows = gauge_rows(&s, &panel);
+        let report = build_report(&s);
+        let rows = gauge_rows(&s);
         assert_eq!(rows.len(), report.gauges.len());
         for ((name, value), gauge) in rows.iter().zip(&report.gauges) {
             assert_eq!(*name, gauge.0, "gauge order drifted");
@@ -102,13 +85,11 @@ mod tests {
 
     #[test]
     fn injected_snapshot_prefixes_and_sums_sheds() {
-        let panel = BreakerPanel::new(BreakerConfig::default());
-        let s = snap();
-        let out = inject_serve_rows(RegistrySnapshot::default(), &s, &panel);
+        let out = inject_serve_rows(RegistrySnapshot::default(), &snap());
         assert_eq!(out.counter("tklus_serve_admitted"), Some(40));
         assert_eq!(out.counter("tklus_serve_queue_depth"), Some(3));
-        // 4+3+2+1 counter sheds, +5 circuit, +6 shutdown.
-        assert_eq!(out.counter("tklus_serve_shed_total"), Some(21));
-        assert!(out.render_prometheus().contains("tklus_serve_breaker_trips 0"));
+        // 4+3+2+1 counter sheds, +6 shutdown.
+        assert_eq!(out.counter("tklus_serve_shed_total"), Some(16));
+        assert!(out.render_prometheus().contains("tklus_serve_shed_shutdown 6"));
     }
 }

@@ -27,13 +27,6 @@ pub enum Rejected {
         /// The (deterministic) wait estimate that exceeded it.
         estimated_wait_ms: u64,
     },
-    /// A circuit breaker guarding the engine's failure domain is open:
-    /// the layer fails fast instead of queueing work that is expected to
-    /// error.
-    CircuitOpen {
-        /// Which breaker (`"storage"` / `"index"`).
-        breaker: &'static str,
-    },
     /// The request was queued but a later, higher-priority arrival took
     /// its slot when the queue was full (shed-lowest-first).
     Evicted {
@@ -58,17 +51,14 @@ pub enum Rejected {
 impl Rejected {
     /// For sheds a client can sensibly retry after a backoff, the
     /// deterministic queue-wait estimate (ms) at decision time; `None` for
-    /// sheds where "try again soon" is the wrong advice (open breakers and
-    /// shutdowns heal on their own clock, expiry means the deadline was
-    /// already spent). The HTTP front-end renders this as `Retry-After`.
+    /// sheds where "try again soon" is the wrong advice (a shutdown heals
+    /// on its own clock, expiry means the deadline was already spent). The HTTP front-end renders this as `Retry-After`.
     pub fn retry_after_ms(&self) -> Option<u64> {
         match self {
             Rejected::QueueFull { estimated_wait_ms, .. }
             | Rejected::Evicted { estimated_wait_ms, .. }
             | Rejected::DeadlineHopeless { estimated_wait_ms, .. } => Some(*estimated_wait_ms),
-            Rejected::CircuitOpen { .. }
-            | Rejected::ExpiredInQueue { .. }
-            | Rejected::ShuttingDown => None,
+            Rejected::ExpiredInQueue { .. } | Rejected::ShuttingDown => None,
         }
     }
 }
@@ -83,7 +73,6 @@ impl std::fmt::Display for Rejected {
                 f,
                 "deadline hopeless: {deadline_in_ms} ms left, estimated wait {estimated_wait_ms} ms"
             ),
-            Rejected::CircuitOpen { breaker } => write!(f, "{breaker} circuit breaker open"),
             Rejected::Evicted { by, estimated_wait_ms } => write!(
                 f,
                 "evicted from queue by a {by}-priority arrival (~{estimated_wait_ms} ms to retry)"
@@ -145,7 +134,6 @@ mod tests {
         assert!(full.to_string().contains("~35 ms"));
         let hopeless = Rejected::DeadlineHopeless { deadline_in_ms: 3, estimated_wait_ms: 40 };
         assert!(hopeless.to_string().contains("estimated wait 40"));
-        assert!(Rejected::CircuitOpen { breaker: "storage" }.to_string().contains("storage"));
         let evicted = Rejected::Evicted { by: Priority::High, estimated_wait_ms: 12 };
         assert!(evicted.to_string().contains("high"));
         assert!(Rejected::ExpiredInQueue { waited_ms: 75 }.to_string().contains("75 ms in queue"));
@@ -168,7 +156,6 @@ mod tests {
                 .retry_after_ms(),
             Some(u64::MAX)
         );
-        assert_eq!(Rejected::CircuitOpen { breaker: "index" }.retry_after_ms(), None);
         assert_eq!(Rejected::ExpiredInQueue { waited_ms: 3 }.retry_after_ms(), None);
         assert_eq!(Rejected::ShuttingDown.retry_after_ms(), None);
     }

@@ -2,7 +2,7 @@
 //!
 //! [`TklusServer`] is the one [`Scheduler`] behind a mutex, plus the
 //! answer channels and the wall clock. It makes *no decision of its own*:
-//! every shed, evict, degrade, trip and drain goes through the scheduler
+//! every shed, evict, degrade and drain goes through the scheduler
 //! the virtual-time simulator drives. What stays here is wall time: the
 //! per-query timeout, tightened at dispatch to what is left of the
 //! request's deadline.
@@ -35,8 +35,7 @@ enum Job {
         ranking: Ranking,
         resp: mpsc::SyncSender<Result<QueryOutcome, ServeError>>,
     },
-    /// Writes skip the query breaker gate: the WAL is its own failure
-    /// domain and reports failures typed per request.
+    /// The WAL reports a write's failure typed on its own ticket.
     Ingest { post: Post, resp: mpsc::SyncSender<Result<u64, IngestFailure>> },
 }
 
@@ -142,9 +141,8 @@ impl Shared {
                 let remaining = entry.deadline_ms.saturating_sub(now_ms).max(1);
                 query.budget.get_or_insert_with(QueryBudget::default).tighten_timeout_ms(remaining);
                 let result = self.engine.try_query(&query, ranking);
-                let end_ms = self.now_ms();
                 let mut state = self.lock();
-                state.sched.complete(end_ms, result.as_ref());
+                state.sched.complete(result.as_ref());
                 let _ = resp.send(result.map_err(ServeError::Engine));
                 state
             }
@@ -290,8 +288,7 @@ impl TklusServer {
     /// *same* bounded admission queue as queries — a firehose burst and a
     /// query storm contend for the same slots, so overload sheds writes
     /// with the same typed taxonomy instead of buffering them unboundedly.
-    /// Writes skip the query breaker gate (the WAL is its own failure
-    /// domain; sink failures come back typed on the ticket).
+    /// Sink failures come back typed on the ticket.
     pub fn submit_ingest(
         &self,
         post: Post,
@@ -343,10 +340,9 @@ impl TklusServer {
     /// `sink:compaction` probe is appended — persistent maintenance
     /// failure renders the whole report unhealthy.
     pub fn health(&self) -> HealthReport {
-        let now_ms = self.shared.now_ms();
         let sink_health = self.shared.sink.as_ref().and_then(|s| s.health());
         let state = self.shared.lock();
-        let mut report = state.sched.health(now_ms, state.busy);
+        let mut report = state.sched.health(state.busy);
         drop(state);
         if let Some(sink) = sink_health {
             let health = if sink.persistent_failure {
@@ -365,11 +361,10 @@ impl TklusServer {
     /// reports health also contributes
     /// `tklus_wal_compaction_failures_total`.
     pub fn metrics_snapshot(&self) -> tklus_metrics::RegistrySnapshot {
-        let now_ms = self.shared.now_ms();
         let sink_health = self.shared.sink.as_ref().and_then(|s| s.health());
         let state = self.shared.lock();
         let base = self.shared.engine.metrics_snapshot().unwrap_or_default();
-        let mut snap = state.sched.metrics(base, now_ms, state.busy);
+        let mut snap = state.sched.metrics(base, state.busy);
         drop(state);
         if let Some(sink) = sink_health {
             snap.set_counter("tklus_wal_compaction_failures_total", sink.maintenance_failures);
@@ -428,7 +423,7 @@ impl TklusServer {
         let abandoned_queued = self.drain_queued(timeout);
         let state = self.shared.lock();
         DrainReport {
-            completed: state.sched.snapshot(0, state.busy).completed,
+            completed: state.sched.snapshot(state.busy).completed,
             abandoned_queued,
             in_flight_at_deadline: state.busy,
         }

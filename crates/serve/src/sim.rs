@@ -1,16 +1,16 @@
 //! The deterministic-load harness (DESIGN.md §11): a seeded open-loop
 //! generator plus a virtual-time discrete-event loop around the threaded
 //! server's own [`Scheduler`] — with simulated timestamps and
-//! single-threaded execution, so every shed, evict, degrade, trip, and
-//! drain decision is a pure function of `(corpus, workload, seed,
-//! config)`. What is the simulator's own is the plan loop, the virtual
-//! worker-free times (one per run slot), the drain cutoff and the report.
+//! single-threaded execution, so every shed, evict, degrade and drain
+//! decision is a pure function of `(corpus, workload, seed, config)`.
+//! What is the simulator's own is the plan loop, the virtual worker-free
+//! times (one per run slot), the drain cutoff and the report.
 //!
 //! Two clocks coexist deliberately:
 //!
 //! * **virtual time** decides scheduling — arrivals, queue waits,
-//!   synthetic per-request service durations, breaker backoffs, the drain
-//!   deadline. It never reads the wall clock.
+//!   synthetic per-request service durations, the drain deadline. It
+//!   never reads the wall clock.
 //! * **the engine runs for real** — each admitted request executes
 //!   `try_query` against the actual [`TklusEngine`] (possibly
 //!   `FaultPager`-backed) at its virtual dispatch instant, in dispatch
@@ -23,7 +23,6 @@
 //! tightens it at dispatch) and degrade only ever tightens `max_cells`,
 //! which is bitwise-deterministic.
 
-use crate::breaker::BreakerState;
 use crate::config::ServeConfig;
 use crate::queue::AdmissionCounters;
 use crate::reject::Rejected;
@@ -176,7 +175,7 @@ pub enum SimResult {
         /// Exact or degraded-prefix.
         completeness: Completeness,
     },
-    /// The engine failed typed; `domain` names the breaker it fed.
+    /// The engine failed typed; `domain` names the error class.
     Failed {
         /// `"storage"` or `"index"`.
         domain: &'static str,
@@ -235,8 +234,6 @@ pub struct SimReport {
     pub outcomes: Vec<RequestOutcome>,
     /// Admission-queue counters.
     pub admission: AdmissionCounters,
-    /// Arrivals shed because a breaker was open.
-    pub shed_circuit: u64,
     /// Arrivals shed because the server was draining.
     pub shed_shutdown: u64,
     /// Completed answers that were typed-degraded (budget-tightened).
@@ -245,12 +242,6 @@ pub struct SimReport {
     pub failed: u64,
     /// Completion latencies (virtual ms, completion − arrival).
     pub latencies_ms: Vec<u64>,
-    /// The storage breaker's `(t, state)` trajectory.
-    pub storage_transitions: Vec<(u64, BreakerState)>,
-    /// The index breaker's `(t, state)` trajectory.
-    pub index_transitions: Vec<(u64, BreakerState)>,
-    /// Total breaker trips.
-    pub breaker_trips: u64,
     /// Drain accounting, when a drain was configured.
     pub drain: Option<DrainReport>,
     /// End-of-run health snapshot.
@@ -290,7 +281,6 @@ impl SimReport {
                         Rejected::DeadlineHopeless { estimated_wait_ms, .. } => {
                             1000 + estimated_wait_ms
                         }
-                        Rejected::CircuitOpen { breaker } => 2000 + breaker.len() as u64,
                         Rejected::Evicted { by, estimated_wait_ms } => {
                             3000 + by.index() as u64 + estimated_wait_ms.wrapping_mul(31)
                         }
@@ -369,8 +359,8 @@ pub fn run_sim(
 
     // Dispatches every queued entry whose start instant falls strictly
     // before `limit` (and at or before the drain cutoff). The engine runs
-    // at the dispatch, and its breaker outcome is recorded at the virtual
-    // start.
+    // at the dispatch; the worker is charged the plan's service time
+    // whatever the engine answered, so a fault changes no schedule.
     let dispatch_until = |limit: u64,
                           sched: &mut Scheduler<SimJob>,
                           workers_free_at: &mut [u64],
@@ -402,7 +392,7 @@ pub fn run_sim(
             let start = free_at.max(entry.arrival_ms);
             let ranking = workload[req.query_idx % workload.len()].1;
             let result = engine.try_query(&entry.payload.query, ranking);
-            sched.complete(start, result.as_ref());
+            sched.complete(result.as_ref());
             let result = match result {
                 Ok(outcome) => {
                     SimResult::Ranked { users: outcome.users, completeness: outcome.completeness }
@@ -491,23 +481,17 @@ pub fn run_sim(
         })
         .collect();
 
-    let end_ms = workers_free_at.iter().copied().max().unwrap_or(0);
-    let snapshot = sched.snapshot(end_ms, 0);
-    let panel = sched.panel();
+    let snapshot = sched.snapshot(0);
     SimReport {
         outcomes,
         admission: sched.counters(),
-        shed_circuit: snapshot.shed_circuit,
         shed_shutdown: snapshot.shed_shutdown,
         degraded: snapshot.degraded,
         failed: snapshot.failed,
         latencies_ms,
-        storage_transitions: panel.storage.transitions().to_vec(),
-        index_transitions: panel.index.transitions().to_vec(),
-        breaker_trips: panel.trip_count(),
         drain: drain_report,
-        health: sched.health(end_ms, 0),
-        metrics: sched.metrics(engine.metrics_snapshot().unwrap_or_default(), end_ms, 0),
+        health: sched.health(0),
+        metrics: sched.metrics(engine.metrics_snapshot().unwrap_or_default(), 0),
     }
 }
 

@@ -19,9 +19,7 @@ use std::time::Duration;
 use tklus::core::{EngineConfig, Ranking, TklusEngine};
 use tklus::gen::{generate_corpus, generate_queries, GenConfig, QueryConfig};
 use tklus::model::{Corpus, Post, Priority, Semantics, TklusQuery, TweetId, UserId};
-use tklus::serve::{
-    BreakerConfig, IngestSink, Rejected, ServeConfig, ServeError, SinkError, TklusServer,
-};
+use tklus::serve::{IngestSink, Rejected, ServeConfig, ServeError, SinkError, TklusServer};
 
 /// Long enough for any run below on a loaded host; a hang hits it.
 const PATIENCE: Duration = Duration::from_secs(20);
@@ -55,7 +53,6 @@ fn config(workers: usize, queue_capacity: usize, est_service_ms: u64) -> ServeCo
         default_deadline_ms: 60_000,
         est_service_ms,
         degrade: None,
-        breaker: BreakerConfig::default(),
     }
 }
 
