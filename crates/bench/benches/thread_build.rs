@@ -1,5 +1,9 @@
 //! Ablation: tweet-thread construction cost over the metadata database —
 //! the per-candidate I/O bottleneck that Section V-B's pruning targets.
+//! Algorithm 1 (`try_build_thread`, every level collected into a `Vec`)
+//! beside the query path's counting walk
+//! (`MetaReader::try_thread_popularity`, the same page reads, levels
+//! counted in two reused buffers), each over a fresh reader per call.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tklus_bench::{standard_corpus, Flags};
@@ -24,14 +28,21 @@ fn bench_thread_build(c: &mut Criterion) {
     let busy = roots[0].1;
     let quiet = roots.last().expect("non-empty corpus").1;
 
+    let walk = |root, depth| {
+        db.reader(None).try_thread_popularity(root, depth, 0.1).expect("in-memory metadata")
+    };
+
     let mut group = c.benchmark_group("thread_build");
     for &depth in &[2usize, 4, 6] {
-        group.bench_with_input(BenchmarkId::new("busy_root", depth), &depth, |b, &depth| {
-            b.iter(|| build(black_box(busy), depth))
-        });
-        group.bench_with_input(BenchmarkId::new("quiet_root", depth), &depth, |b, &depth| {
-            b.iter(|| build(black_box(quiet), depth))
-        });
+        for (name, root) in [("busy_root", busy), ("quiet_root", quiet)] {
+            group.bench_with_input(BenchmarkId::new(name, depth), &depth, |b, &depth| {
+                b.iter(|| build(black_box(root), depth))
+            });
+            let counted = format!("{name}_counted");
+            group.bench_with_input(BenchmarkId::new(counted, depth), &depth, |b, &depth| {
+                b.iter(|| walk(black_box(root), depth))
+            });
+        }
     }
     group.finish();
 

@@ -32,13 +32,17 @@
 //! reads is a counted physical read. A query reads through one
 //! [`MetaReader`] — a cursor per tree that keeps its root-to-leaf path for
 //! the life of the query — and the `&self` lookups here are one-call
-//! readers.
+//! readers. The query path reads scans in place: Algorithm 1's levels are
+//! counted and Definition 9's mean is folded over the entries where they
+//! sit in the verified pages; the `Vec`-returning lookups collect the
+//! same visits for callers that want the ids.
 
+use crate::score::tweet_distance_score;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use tklus_geo::Point;
-use tklus_graph::TryReplyProvider;
-use tklus_model::{Post, TweetId, UserId};
+use tklus_graph::{popularity, TryReplyProvider};
+use tklus_model::{Post, ScoringConfig, TweetId, UserId};
 use tklus_storage::{
     BPlusTree, CheckedPager, IoStats, MemPager, PageStore, StorageError, StorageResult, TreeReader,
 };
@@ -195,6 +199,9 @@ impl MetadataDb {
             reply_index: self.reply_index.reader(),
             user_index: self.user_index.reader(),
             live,
+            frontier: Vec::new(),
+            next: Vec::new(),
+            level_sizes: Vec::new(),
         }
     }
 
@@ -255,18 +262,16 @@ impl LiveMetadata {
         self.rows.get(&sid).copied()
     }
 
-    /// Merges the replies to `rsid` into the tid-sorted `sids`.
-    fn merge_replies(&self, rsid: TweetId, sids: &mut Vec<TweetId>) {
+    /// The live replies to `rsid`, in tweet-id order.
+    fn replies_to(&self, rsid: TweetId) -> impl Iterator<Item = TweetId> + '_ {
         let range = (rsid, TweetId(0))..=(rsid, TweetId(u64::MAX));
-        sids.extend(self.replies.range(range).map(|&(_, sid)| sid));
-        sids.sort_unstable();
+        self.replies.range(range).map(|&(_, sid)| sid)
     }
 
-    /// Merges the posts of `uid` into the tid-sorted `posts`.
-    fn merge_posts(&self, uid: UserId, posts: &mut Vec<(TweetId, Point)>) {
+    /// The live posts of `uid`, in tweet-id order.
+    fn posts_of(&self, uid: UserId) -> impl Iterator<Item = (TweetId, Point)> + '_ {
         let range = (uid, TweetId(0))..=(uid, TweetId(u64::MAX));
-        posts.extend(self.users.range(range).map(|(&(_, sid), &loc)| (sid, loc)));
-        posts.sort_unstable_by_key(|e| e.0);
+        self.users.range(range).map(|(&(_, sid), &loc)| (sid, loc))
     }
 }
 
@@ -284,13 +289,19 @@ impl LiveMetadata {
 /// An optional [`LiveMetadata`] overlays posts the trees do not hold (the
 /// two sets are disjoint): a row lookup checks the live rows first, and
 /// the reply and `P_u` scans merge the live entries into the trees' by
-/// tweet id, so Definition 9's sum over `P_u` adds in the order a tree
-/// over both sets would.
+/// tweet id, so Algorithm 1 looks its levels up, and Definition 9's sum
+/// over `P_u` adds, in the order a tree over both sets would.
 pub struct MetaReader<'a> {
     primary: TreeReader<'a, Pages, ROW_SIZE>,
     reply_index: TreeReader<'a, Pages, 0>,
     user_index: TreeReader<'a, Pages, LOC_SIZE>,
     live: Option<&'a LiveMetadata>,
+    /// Algorithm 1's level being expanded and the level it finds: two
+    /// buffers every thread walk of the query reuses.
+    frontier: Vec<TweetId>,
+    next: Vec<TweetId>,
+    /// The walked thread's level sizes, root level first.
+    level_sizes: Vec<usize>,
 }
 
 impl MetaReader<'_> {
@@ -302,38 +313,128 @@ impl MetaReader<'_> {
         Ok(self.primary.get((sid.0, 0))?.map(|bytes| decode_row(&bytes)))
     }
 
-    /// `select sid where rsid = ?` on the reply index (Algorithm 1 line 7).
+    /// `select sid where rsid = ?` on the reply index (Algorithm 1 line 7),
+    /// the live replies merged in by tweet id.
     pub fn try_replies_to_ids(&mut self, rsid: TweetId) -> StorageResult<Vec<TweetId>> {
-        let mut sids: Vec<TweetId> = self
-            .reply_index
-            .scan_major(rsid.0)?
-            .into_iter()
-            .map(|((_, sid), _)| TweetId(sid))
-            .collect();
-        if let Some(live) = self.live {
-            live.merge_replies(rsid, &mut sids);
-        }
+        let mut sids = Vec::new();
+        visit_replies(&mut self.reply_index, self.live, rsid, |sid| sids.push(sid))?;
         Ok(sids)
     }
 
-    /// All posts of a user, as `(sid, location)` — the `P_u` scan for
-    /// Definition 9's user distance score.
+    /// All posts of a user — the `P_u` scan for Definition 9's user
+    /// distance score: calls `f` on each `(sid, location)` in tweet-id
+    /// order, the live ones merged in, without collecting them.
+    fn try_visit_posts_of_user(
+        &mut self,
+        uid: UserId,
+        mut f: impl FnMut(TweetId, Point),
+    ) -> StorageResult<()> {
+        let mut live = self.live.into_iter().flat_map(|live| live.posts_of(uid)).peekable();
+        self.user_index.visit((uid.0, 0), (uid.0, u64::MAX), |(_, sid), loc| {
+            let sid = TweetId(sid);
+            while let Some((before, at)) = live.next_if(|&(l, _)| l < sid) {
+                f(before, at);
+            }
+            let lat = f64::from_le_bytes(field8(&loc[0..8]));
+            let lon = f64::from_le_bytes(field8(&loc[8..16]));
+            f(sid, Point::new_unchecked(lat, lon));
+        })?;
+        live.for_each(|(sid, at)| f(sid, at));
+        Ok(())
+    }
+
+    /// All posts of a user, as `(sid, location)` in tweet-id order, the
+    /// live ones merged in.
     pub fn try_posts_of_user(&mut self, uid: UserId) -> StorageResult<Vec<(TweetId, Point)>> {
-        let mut posts: Vec<(TweetId, Point)> = self
-            .user_index
-            .scan_major(uid.0)?
-            .into_iter()
-            .map(|((_, sid), loc)| {
-                let lat = f64::from_le_bytes(field8(&loc[0..8]));
-                let lon = f64::from_le_bytes(field8(&loc[8..16]));
-                (TweetId(sid), Point::new_unchecked(lat, lon))
-            })
-            .collect();
-        if let Some(live) = self.live {
-            live.merge_posts(uid, &mut posts);
-        }
+        let mut posts = Vec::new();
+        self.try_visit_posts_of_user(uid, |sid, at| posts.push((sid, at)))?;
         Ok(posts)
     }
+
+    /// Definition 9's user distance score δ(u, q): the mean of the tweet
+    /// distance scores over `P_u`, folded over the user index's entries
+    /// where they sit. It adds in `P_u`'s tweet-id order, as
+    /// [`user_distance_score`] adds over the collected `P_u`, so the two
+    /// agree bit for bit.
+    ///
+    /// [`user_distance_score`]: crate::score::user_distance_score
+    pub fn try_user_distance(
+        &mut self,
+        uid: UserId,
+        center: &Point,
+        radius_km: f64,
+        config: &ScoringConfig,
+    ) -> StorageResult<f64> {
+        let (mut sum, mut posts) = (0.0, 0usize);
+        self.try_visit_posts_of_user(uid, |_, at| {
+            sum += tweet_distance_score(center, radius_km, &at, config);
+            posts += 1;
+        })?;
+        Ok(if posts == 0 { 0.0 } else { sum / posts as f64 })
+    }
+
+    /// Definition 4's φ of the thread rooted at `root`, at most `depth`
+    /// levels deep: Algorithm 1's walk, counting each level instead of
+    /// building it. Every level's tweets are looked up in the order
+    /// Algorithm 1 ([`tklus_graph::try_build_thread`] over this reader)
+    /// looks them up, so it reads the same pages in the same order, and φ
+    /// comes from the same level sizes, bit for bit. Only the tweets of a
+    /// level that is expanded in turn are kept, in the reader's two
+    /// frontier buffers; the last level is only counted.
+    pub fn try_thread_popularity(
+        &mut self,
+        root: TweetId,
+        depth: usize,
+        epsilon: f64,
+    ) -> StorageResult<f64> {
+        assert!(depth >= 1, "thread depth must be at least 1");
+        let Self { reply_index, live, frontier, next, level_sizes, .. } = self;
+        frontier.clear();
+        frontier.push(root);
+        level_sizes.clear();
+        level_sizes.push(1);
+        while level_sizes.len() < depth {
+            let last = level_sizes.len() + 1 == depth;
+            next.clear();
+            let mut size = 0;
+            for &id in frontier.iter() {
+                visit_replies(reply_index, *live, id, |sid| {
+                    size += 1;
+                    if !last {
+                        next.push(sid);
+                    }
+                })?;
+            }
+            if size == 0 {
+                break;
+            }
+            level_sizes.push(size);
+            std::mem::swap(frontier, next);
+        }
+        Ok(popularity(level_sizes, epsilon))
+    }
+}
+
+/// Calls `f` on the id of each reply to `rsid` in tweet-id order, the
+/// replies in `live` merged in, without collecting them. It takes the
+/// reply-index cursor and the overlay rather than the [`MetaReader`], so
+/// the thread walk can borrow its frontier buffers beside them.
+fn visit_replies(
+    reply_index: &mut TreeReader<'_, Pages, 0>,
+    live: Option<&LiveMetadata>,
+    rsid: TweetId,
+    mut f: impl FnMut(TweetId),
+) -> StorageResult<()> {
+    let mut live = live.into_iter().flat_map(|live| live.replies_to(rsid)).peekable();
+    reply_index.visit((rsid.0, 0), (rsid.0, u64::MAX), |(_, sid), _| {
+        let sid = TweetId(sid);
+        while let Some(before) = live.next_if(|&l| l < sid) {
+            f(before);
+        }
+        f(sid);
+    })?;
+    live.for_each(f);
+    Ok(())
 }
 
 /// The engine's provider: Algorithm 1's `rsid = ?` scans run through a

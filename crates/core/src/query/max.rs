@@ -114,9 +114,18 @@ impl TopK {
 ///
 /// The temporal extension (Section VIII) composes with the prune: the
 /// time window filters candidates before any I/O, and the recency factor —
-/// known from the candidate's timestamp alone — *tightens* the upper bound
-/// (an old tweet's best possible score shrinks by its decay factor), so
-/// recency-biased queries prune more, not less.
+/// known from the candidate's timestamp alone — scales the upper bound's
+/// keyword part (an old tweet's best possible score shrinks by its decay
+/// factor). Recency-biased queries still prune *less*, not more
+/// (`ext_temporal`: 2 080 threads pruned without a bias, 1 427 at a
+/// half-life of the whole span, 0 at a quarter of it). Candidates are
+/// visited in tweet-id order, oldest first, so the running k-th score is
+/// set by the most decayed rows, while the newer tweets after them keep
+/// bounds near the unbiased ones; visiting newest first instead pruned
+/// more than no bias at those two half-lives. At short half-lives every
+/// keyword part decays toward 0, scores are almost all distance, and no
+/// k-th user's distance score reaches the bound's 1, so nothing is
+/// pruned in either order.
 pub(crate) fn try_query_max(
     ctx: &QueryContext<'_>,
     bounds: &BoundsTable,

@@ -13,11 +13,9 @@ pub mod sum;
 
 use crate::error::EngineError;
 use crate::metadata::{MetaReader, MetadataDb};
-use crate::score::user_distance_score;
 use std::sync::Arc;
 use std::time::Instant;
 use tklus_geo::{circle_cover, Circle, Point};
-use tklus_graph::try_build_thread;
 use tklus_index::{intersect_sum, union_sum, HybridIndex, PostingsList, QueryFetch};
 use tklus_model::{QueryBudget, ScoringConfig, Semantics, TklusQuery, TweetId, UserId};
 use tklus_text::TermId;
@@ -282,8 +280,9 @@ impl QueryContext<'_> {
     }
 
     /// Definition 4's thread popularity φ(p) for the thread rooted at
-    /// `tid`, built by Algorithm 1. A metadata storage failure during the
-    /// thread walk surfaces as a typed error.
+    /// `tid`: Algorithm 1's level walk, counted in place
+    /// ([`MetaReader::try_thread_popularity`]). A metadata storage failure
+    /// during the thread walk surfaces as a typed error.
     ///
     /// `replies` answers Algorithm 1's `rsid = ?` scans: the query's
     /// reader on the read path, a one-call reader otherwise.
@@ -292,12 +291,12 @@ impl QueryContext<'_> {
         replies: &mut MetaReader<'_>,
         tid: TweetId,
     ) -> Result<f64, EngineError> {
-        Ok(try_build_thread(replies, tid, self.scoring.thread_depth)
-            .map_err(EngineError::Storage)?
-            .popularity(self.scoring.epsilon))
+        let (depth, epsilon) = (self.scoring.thread_depth, self.scoring.epsilon);
+        Ok(replies.try_thread_popularity(tid, depth, epsilon)?)
     }
 
-    /// Definition 9's user distance score δ(u, q) over `P_u`.
+    /// Definition 9's user distance score δ(u, q) over `P_u`, folded in
+    /// place ([`MetaReader::try_user_distance`]).
     pub(crate) fn try_user_distance(
         &self,
         meta: &mut MetaReader<'_>,
@@ -305,9 +304,7 @@ impl QueryContext<'_> {
         radius_km: f64,
         uid: UserId,
     ) -> Result<f64, EngineError> {
-        let locations: Vec<Point> =
-            meta.try_posts_of_user(uid)?.into_iter().map(|(_, l)| l).collect();
-        Ok(user_distance_score(center, radius_km, &locations, self.scoring))
+        Ok(meta.try_user_distance(uid, center, radius_km, self.scoring)?)
     }
 }
 

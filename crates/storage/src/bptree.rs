@@ -23,13 +23,15 @@
 //! assert.
 //!
 //! A tree is built once, by a sorted bulk load, and only read afterwards:
-//! point get, inclusive range scan, and the cursor of [`TreeReader`].
+//! point get, inclusive range visit and scan, and the cursor of
+//! [`TreeReader`].
 //! There is no insert or delete. The metadata database is rebuilt, never
 //! edited in place, as the paper's index is (Section IV-A, Fig. 3).
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{zeroed_page, Page, PageId, PAGE_HEADER_SIZE, PAGE_SIZE};
 use crate::pager::PageStore;
+use std::sync::Arc;
 
 /// Composite key: `(major, minor)` ordered lexicographically.
 pub type Key = (u64, u64);
@@ -107,29 +109,30 @@ const fn child_at(i: usize) -> usize {
 /// A fresh node page with its tag and count written.
 fn node_page(tag: u8, count: usize) -> Page {
     let mut page = zeroed_page();
-    page[NODE_BASE] = tag;
-    page[NODE_BASE + 2..NODE_BASE + 4].copy_from_slice(&(count as u16).to_le_bytes());
+    let bytes = Arc::make_mut(&mut page);
+    bytes[NODE_BASE] = tag;
+    bytes[NODE_BASE + 2..NODE_BASE + 4].copy_from_slice(&(count as u16).to_le_bytes());
     page
 }
 
-fn read_u64(page: &Page, off: usize) -> u64 {
+fn read_u64(page: &[u8; PAGE_SIZE], off: usize) -> u64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(&page[off..off + 8]);
     u64::from_le_bytes(b)
 }
 
-fn write_u64(page: &mut Page, off: usize, x: u64) {
+fn write_u64(page: &mut [u8; PAGE_SIZE], off: usize, x: u64) {
     page[off..off + 8].copy_from_slice(&x.to_le_bytes());
 }
 
-fn write_key(page: &mut Page, off: usize, k: Key) {
+fn write_key(page: &mut [u8; PAGE_SIZE], off: usize, k: Key) {
     write_u64(page, off, k.0);
     write_u64(page, off + 8, k.1);
 }
 
-/// A node as read: the verified page, searched in place. [`Self::new`]
-/// checks the tag and that the count fits the page, so every entry offset
-/// below `count` lies inside it.
+/// A node as read: the verified page, shared with the store and searched
+/// in place. [`Self::new`] checks the tag and that the count fits the
+/// page, so every entry offset below `count` lies inside it.
 struct NodePage<const V: usize> {
     page: Page,
     leaf: bool,
@@ -158,11 +161,9 @@ impl<const V: usize> NodePage<V> {
         (read_u64(&self.page, off), read_u64(&self.page, off + 8))
     }
 
-    fn value(&self, i: usize) -> [u8; V] {
+    fn value(&self, i: usize) -> &[u8; V] {
         let off = value_at::<V>(i);
-        let mut v = [0u8; V];
-        v.copy_from_slice(&self.page[off..off + V]);
-        v
+        self.page[off..off + V].try_into().expect("a value is V bytes")
     }
 
     fn child(&self, i: usize) -> PageId {
@@ -213,7 +214,7 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
 
     /// Opens a read session over this tree (see [`TreeReader`]).
     pub fn reader(&self) -> TreeReader<'_, S, V> {
-        TreeReader { tree: self, path: Vec::new() }
+        TreeReader { tree: self, path: Vec::new(), finger: None }
     }
 
     /// Point lookup: a one-call [`TreeReader`].
@@ -241,8 +242,8 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
         if entries.is_empty() {
             let root = store.allocate()?;
             let mut empty = node_page(NODE_LEAF, 0);
-            write_u64(&mut empty, NEXT, NO_NEXT);
-            store.write(root, &empty)?;
+            write_u64(Arc::make_mut(&mut empty), NEXT, NO_NEXT);
+            store.write(root, empty)?;
             return Ok(Self { store, root, height: 0, len: 0 });
         }
         assert!(
@@ -258,12 +259,13 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
         }
         for (i, chunk) in chunks.iter().enumerate() {
             let mut page = node_page(NODE_LEAF, chunk.len());
-            write_u64(&mut page, NEXT, ids.get(i + 1).map_or(NO_NEXT, |p| p.0));
+            let bytes = Arc::make_mut(&mut page);
+            write_u64(bytes, NEXT, ids.get(i + 1).map_or(NO_NEXT, |p| p.0));
             for (j, (k, v)) in chunk.iter().enumerate() {
-                write_key(&mut page, key_at::<V>(true, j), *k);
-                page[value_at::<V>(j)..value_at::<V>(j) + V].copy_from_slice(v);
+                write_key(bytes, key_at::<V>(true, j), *k);
+                bytes[value_at::<V>(j)..value_at::<V>(j) + V].copy_from_slice(v);
             }
-            store.write(ids[i], &page)?;
+            store.write(ids[i], page)?;
             level.push((chunk[0].0, ids[i]));
         }
         // Build internal levels until a single root remains.
@@ -273,12 +275,13 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
             for group in level.chunks(internal_capacity() + 1) {
                 let id = store.allocate()?;
                 let mut page = node_page(NODE_INTERNAL, group.len() - 1);
-                write_u64(&mut page, child_at(0), group[0].1 .0);
+                let bytes = Arc::make_mut(&mut page);
+                write_u64(bytes, child_at(0), group[0].1 .0);
                 for (j, (k, child)) in group[1..].iter().enumerate() {
-                    write_key(&mut page, key_at::<V>(false, j), *k);
-                    write_u64(&mut page, child_at(j + 1), child.0);
+                    write_key(bytes, key_at::<V>(false, j), *k);
+                    write_u64(bytes, child_at(j + 1), child.0);
                 }
-                store.write(id, &page)?;
+                store.write(id, page)?;
                 next_level.push((group[0].0, id));
             }
             level = next_level;
@@ -289,19 +292,29 @@ impl<S: PageStore, const V: usize> BPlusTree<S, V> {
 }
 
 /// A read session over one tree: a cursor that keeps its root-to-leaf
-/// path. Per depth it keeps the last page it read there, verified by the
-/// store and its node header checked, and searches its keys in place;
-/// a value is copied out only when it is returned. It reads a level
-/// again only when the page it needs there is a different one — so
+/// path. Per depth it keeps the last page it read there — the store's
+/// shared page, verified by the store and its node header checked — and
+/// searches its keys in place; [`Self::visit`] hands values out where they
+/// sit, and only [`Self::get`] and the collectors copy one out. It reads a
+/// level again only when the page it needs there is a different one — so
 /// lookups in key order (Algorithms 4/5 visit candidates in tweet-id
 /// order, the primary tree's key order) descend the tree once, not once
 /// per key.
 ///
+/// A descent also records the key range `[lo, hi)` its leaf covers: the
+/// separators it passed on the way down. While the path is still that
+/// descent, a key inside the range is answered from the held leaf without
+/// searching the levels above it again — those searches would pick the
+/// pages already held and read nothing. A walk along the leaf chain (a
+/// range running past its first leaf) holds a leaf the path did not
+/// descend to, so it drops the range and the next lookup descends.
+///
 /// Reuse is safe because a tree is never written after its bulk load, so
-/// no page can change while a reader lives. Nothing outlives the reader — it is a cursor, not a
-/// cache — and every page it does read goes through the store (and its
-/// checksum verification) exactly like a one-shot lookup. A failed read
-/// leaves the remembered path untouched, so the next call retries it.
+/// no page can change while a reader lives. Nothing outlives the reader —
+/// it is a cursor, not a cache — and every page it does read goes through
+/// the store (and its checksum verification) exactly like a one-shot
+/// lookup. A failed read leaves the remembered path untouched, so the
+/// next call retries it.
 ///
 /// All lookup and scan descent lives here; [`BPlusTree::get`],
 /// [`BPlusTree::scan`] and [`BPlusTree::scan_major`] open a reader for
@@ -310,6 +323,9 @@ pub struct TreeReader<'a, S: PageStore, const V: usize> {
     tree: &'a BPlusTree<S, V>,
     /// `path[d]` is the last node read at depth `d` (0 = the root).
     path: Vec<(PageId, NodePage<V>)>,
+    /// The keys `[lo, hi)` (`None`: no upper bound) the last leaf of
+    /// `path` covers, while `path` is the descent that reached it.
+    finger: Option<(Key, Option<Key>)>,
 }
 
 impl<S: PageStore, const V: usize> TreeReader<'_, S, V> {
@@ -320,22 +336,39 @@ impl<S: PageStore, const V: usize> TreeReader<'_, S, V> {
             let node = NodePage::new(self.tree.store.read(id)?, id)?;
             self.path.truncate(depth);
             self.path.push((id, node));
+            self.finger = None;
         }
         Ok(&self.path[depth].1)
     }
 
-    /// Descends to the leaf whose key range covers `key`; returns its
-    /// depth and page id.
+    /// The leaf whose key range covers `key`: the held one when `key` is
+    /// inside its finger range, otherwise found by a descent from the
+    /// root. Returns its depth and page id.
     fn seek(&mut self, key: Key) -> StorageResult<(usize, PageId)> {
+        if let (Some((lo, hi)), Some((id, _))) = (self.finger, self.path.last()) {
+            if lo <= key && hi.is_none_or(|hi| key < hi) {
+                return Ok((self.path.len() - 1, *id));
+            }
+        }
         let (mut depth, mut id) = (0, self.tree.root);
+        let (mut lo, mut hi) = ((0, 0), None);
         loop {
             let node = self.node(depth, id)?;
             if node.leaf {
-                return Ok((depth, id));
+                break;
             }
-            id = node.child(node.partition_point(|k| k <= key));
+            let i = node.partition_point(|k| k <= key);
+            if i > 0 {
+                lo = node.key(i - 1);
+            }
+            if i < node.count {
+                hi = Some(node.key(i));
+            }
+            id = node.child(i);
             depth += 1;
         }
+        self.finger = Some((lo, hi));
+        Ok((depth, id))
     }
 
     /// The leaf `id` at `depth`; a non-leaf there is a corrupt tree.
@@ -354,14 +387,20 @@ impl<S: PageStore, const V: usize> TreeReader<'_, S, V> {
         let (depth, id) = self.seek(key)?;
         let leaf = self.leaf(depth, id)?;
         let i = leaf.partition_point(|k| k < key);
-        Ok((i < leaf.count && leaf.key(i) == key).then(|| leaf.value(i)))
+        Ok((i < leaf.count && leaf.key(i) == key).then(|| *leaf.value(i)))
     }
 
-    /// Inclusive range scan `lo ..= hi`, in key order.
-    pub fn scan(&mut self, lo: Key, hi: Key) -> StorageResult<Vec<(Key, [u8; V])>> {
-        let mut out = Vec::new();
+    /// Calls `f` on each entry `lo ..= hi`, in key order, with its value
+    /// where it sits in the verified page: nothing is copied or collected.
+    /// On an error, `f` has seen the entries before the failed read.
+    pub fn visit(
+        &mut self,
+        lo: Key,
+        hi: Key,
+        mut f: impl FnMut(Key, &[u8; V]),
+    ) -> StorageResult<()> {
         if lo > hi {
-            return Ok(out);
+            return Ok(());
         }
         // Start at the leaf covering lo, then walk the leaf chain.
         let (depth, mut id) = self.seek(lo)?;
@@ -370,15 +409,23 @@ impl<S: PageStore, const V: usize> TreeReader<'_, S, V> {
             for i in leaf.partition_point(|k| k < lo)..leaf.count {
                 let k = leaf.key(i);
                 if k > hi {
-                    return Ok(out);
+                    return Ok(());
                 }
-                out.push((k, leaf.value(i)));
+                f(k, leaf.value(i));
             }
             match leaf.next() {
                 Some(n) => id = n,
-                None => return Ok(out),
+                None => return Ok(()),
             }
         }
+    }
+
+    /// Inclusive range scan `lo ..= hi`, in key order: [`Self::visit`],
+    /// collected.
+    pub fn scan(&mut self, lo: Key, hi: Key) -> StorageResult<Vec<(Key, [u8; V])>> {
+        let mut out = Vec::new();
+        self.visit(lo, hi, |k, v| out.push((k, *v)))?;
+        Ok(out)
     }
 
     /// Range scan over all keys with the given major component — the
@@ -480,8 +527,8 @@ mod tests {
         let t = tree_of((0..10u64).map(|k| (k, 0)));
         // Scribble an impossible tag over the root node.
         let mut raw = t.store().read(PageId(0)).unwrap();
-        raw[NODE_BASE] = 9;
-        t.store().write(PageId(0), &raw).unwrap();
+        Arc::make_mut(&mut raw)[NODE_BASE] = 9;
+        t.store().write(PageId(0), raw).unwrap();
         assert!(matches!(t.get((0, 0)), Err(StorageError::CorruptNode { .. })));
     }
 
@@ -489,8 +536,9 @@ mod tests {
     fn impossible_count_is_a_typed_error() {
         let t = tree_of((0..10u64).map(|k| (k, 0)));
         let mut raw = t.store().read(PageId(0)).unwrap();
-        raw[NODE_BASE + 2..NODE_BASE + 4].copy_from_slice(&u16::MAX.to_le_bytes());
-        t.store().write(PageId(0), &raw).unwrap();
+        Arc::make_mut(&mut raw)[NODE_BASE + 2..NODE_BASE + 4]
+            .copy_from_slice(&u16::MAX.to_le_bytes());
+        t.store().write(PageId(0), raw).unwrap();
         assert!(matches!(t.get((0, 0)), Err(StorageError::CorruptNode { .. })));
     }
 

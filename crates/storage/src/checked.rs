@@ -1,6 +1,8 @@
 //! Checksummed page store: seals every written page with the verified
 //! header ([`crate::page::seal_page`]) and validates magic, format
-//! version, reserved bytes, and CRC32 on every read.
+//! version, reserved bytes, and CRC32 on every read — in place, on the
+//! shared page the store below handed out, which is then passed up
+//! uncopied.
 //!
 //! The layer sits *above* whatever physical (or fault-injecting) store
 //! holds the bytes, so any corruption introduced below it — a torn write, a
@@ -14,6 +16,7 @@ use crate::error::StorageResult;
 use crate::iostats::IoStats;
 use crate::page::{seal_page, verify_page, zeroed_page, Page, PageId};
 use crate::pager::PageStore;
+use std::sync::{Arc, OnceLock};
 
 /// Page store adapter that checksums writes and verifies reads.
 #[derive(Debug)]
@@ -36,12 +39,17 @@ impl<S: PageStore> CheckedPager<S> {
 
 impl<S: PageStore> PageStore for CheckedPager<S> {
     fn allocate(&self) -> StorageResult<PageId> {
+        static SEALED_ZERO: OnceLock<Page> = OnceLock::new();
         let id = self.inner.allocate()?;
         // Physical stores hand out raw zero pages; seal immediately so a
-        // read-before-first-write still verifies.
-        let mut page = zeroed_page();
-        seal_page(&mut page);
-        self.inner.write(id, &page)?;
+        // read-before-first-write still verifies. Every fresh page is the
+        // same sealed zero page.
+        let sealed = SEALED_ZERO.get_or_init(|| {
+            let mut page = zeroed_page();
+            seal_page(Arc::make_mut(&mut page));
+            page
+        });
+        self.inner.write(id, Arc::clone(sealed))?;
         Ok(id)
     }
 
@@ -51,10 +59,11 @@ impl<S: PageStore> PageStore for CheckedPager<S> {
         Ok(page)
     }
 
-    fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
-        let mut sealed = page.clone();
-        seal_page(&mut sealed);
-        self.inner.write(id, &sealed)
+    /// Seals `page` and writes it: in place when the caller handed over
+    /// its only reference (a bulk load does), on a copy otherwise.
+    fn write(&self, id: PageId, mut page: Page) -> StorageResult<()> {
+        seal_page(Arc::make_mut(&mut page));
+        self.inner.write(id, page)
     }
 
     fn page_count(&self) -> u64 {
@@ -81,8 +90,8 @@ mod tests {
         // Fresh page readable right away (allocate seals it).
         assert!(store.read(id).unwrap()[PAGE_HEADER_SIZE..].iter().all(|&b| b == 0));
         let mut page = zeroed_page();
-        page[PAGE_HEADER_SIZE] = 0x42;
-        store.write(id, &page).unwrap();
+        Arc::make_mut(&mut page)[PAGE_HEADER_SIZE] = 0x42;
+        store.write(id, page.clone()).unwrap();
         assert_eq!(store.read(id).unwrap()[PAGE_HEADER_SIZE], 0x42);
     }
 
@@ -91,12 +100,12 @@ mod tests {
         let store = CheckedPager::new(MemPager::new());
         let id = store.allocate().unwrap();
         let mut page = zeroed_page();
-        page[100] = 7;
-        store.write(id, &page).unwrap();
+        Arc::make_mut(&mut page)[100] = 7;
+        store.write(id, page.clone()).unwrap();
         // Flip a payload bit behind the checked layer's back.
         let mut raw = store.inner().read(id).unwrap();
-        raw[2048] ^= 0x10;
-        store.inner().write(id, &raw).unwrap();
+        Arc::make_mut(&mut raw)[2048] ^= 0x10;
+        store.inner().write(id, raw).unwrap();
         assert!(
             matches!(store.read(id), Err(StorageError::PageCorrupt { page_id, .. }) if page_id == id)
         );
@@ -107,9 +116,24 @@ mod tests {
         let store = CheckedPager::new(MemPager::new());
         let id = store.allocate().unwrap();
         let mut raw = store.inner().read(id).unwrap();
-        raw[4] = 0xFF; // version byte
-        store.inner().write(id, &raw).unwrap();
+        Arc::make_mut(&mut raw)[4] = 0xFF; // version byte
+        store.inner().write(id, raw).unwrap();
         assert!(matches!(store.read(id), Err(StorageError::BadPageHeader { .. })));
+    }
+
+    #[test]
+    fn a_read_page_keeps_its_bytes_across_a_rewrite() {
+        let store = CheckedPager::new(MemPager::new());
+        let id = store.allocate().unwrap();
+        let mut page = zeroed_page();
+        Arc::make_mut(&mut page)[PAGE_HEADER_SIZE] = 1;
+        store.write(id, page.clone()).unwrap();
+        let held = store.read(id).unwrap();
+        Arc::make_mut(&mut page)[PAGE_HEADER_SIZE] = 2;
+        store.write(id, page.clone()).unwrap();
+        assert_eq!(held[PAGE_HEADER_SIZE], 1, "a held page is never written through");
+        assert_eq!(store.read(id).unwrap()[PAGE_HEADER_SIZE], 2);
+        verify_page(&held, id).unwrap();
     }
 
     #[test]
@@ -117,7 +141,7 @@ mod tests {
         let store = CheckedPager::new(MemPager::new());
         let id = store.allocate().unwrap();
         let page = zeroed_page();
-        store.write(id, &page).unwrap();
+        store.write(id, page.clone()).unwrap();
         assert!(page.iter().all(|&b| b == 0), "caller's buffer must stay untouched");
     }
 

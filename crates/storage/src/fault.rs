@@ -242,7 +242,7 @@ impl<S: PageStore> FaultPager<S> {
         }
     }
 
-    fn flip_one_bit(&self, page: &mut Page, op: u64) {
+    fn flip_one_bit(&self, page: &mut [u8; PAGE_SIZE], op: u64) {
         let bit = (self.draw(op, 7) % (PAGE_SIZE as u64 * 8)) as usize;
         page[bit / 8] ^= 1 << (bit % 8);
         self.handle.flipped.fetch_add(1, Ordering::Relaxed);
@@ -256,6 +256,8 @@ impl<S: PageStore> PageStore for FaultPager<S> {
         self.inner.allocate()
     }
 
+    /// A flipped bit lands in a copy of the page: the store's own bytes
+    /// stay as written.
     fn read(&self, id: PageId) -> StorageResult<Page> {
         // Reads do not advance the crash schedule (the channel kills the
         // *write* path at the Nth write), but a dead process reads nothing.
@@ -272,12 +274,12 @@ impl<S: PageStore> PageStore for FaultPager<S> {
         }
         let mut page = self.inner.read(id)?;
         if self.fires(op, 2, self.cfg.bit_flip_read_ppm) {
-            self.flip_one_bit(&mut page, op);
+            self.flip_one_bit(Arc::make_mut(&mut page), op);
         }
         Ok(page)
     }
 
-    fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
+    fn write(&self, id: PageId, page: Page) -> StorageResult<()> {
         match self.handle.crash_verdict() {
             CrashVerdict::Proceed => {}
             CrashVerdict::Dead => return Err(Self::crashed("write", id)),
@@ -290,10 +292,9 @@ impl<S: PageStore> PageStore for FaultPager<S> {
                 // prefix having landed and it having been lost.
                 let split = (self.draw(op, 8) % (PAGE_SIZE as u64 + 1)) as usize;
                 if split > 0 {
-                    let old = self.inner.read(id).unwrap_or_else(|_| zeroed_page());
-                    let mut torn = old;
-                    torn[..split].copy_from_slice(&page[..split]);
-                    let _ = self.inner.write(id, &torn);
+                    let mut torn = self.inner.read(id).unwrap_or_else(|_| zeroed_page());
+                    Arc::make_mut(&mut torn)[..split].copy_from_slice(&page[..split]);
+                    let _ = self.inner.write(id, torn);
                 }
                 return Err(Self::crashed("write", id));
             }
@@ -309,18 +310,17 @@ impl<S: PageStore> PageStore for FaultPager<S> {
         if self.fires(op, 4, self.cfg.torn_write_ppm) {
             // Persist only a prefix; the tail keeps the old content. The
             // caller is told the write succeeded.
-            let old = self.inner.read(id).unwrap_or_else(|_| zeroed_page());
+            let mut torn = self.inner.read(id).unwrap_or_else(|_| zeroed_page());
             let split = 1 + (self.draw(op, 5) % (PAGE_SIZE as u64 - 1)) as usize;
-            let mut torn = old;
-            torn[..split].copy_from_slice(&page[..split]);
-            self.inner.write(id, &torn)?;
+            Arc::make_mut(&mut torn)[..split].copy_from_slice(&page[..split]);
+            self.inner.write(id, torn)?;
             self.handle.torn.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
         if self.fires(op, 6, self.cfg.bit_flip_write_ppm) {
-            let mut flipped = page.clone();
-            self.flip_one_bit(&mut flipped, op);
-            return self.inner.write(id, &flipped);
+            let mut flipped = page;
+            self.flip_one_bit(Arc::make_mut(&mut flipped), op);
+            return self.inner.write(id, flipped);
         }
         self.inner.write(id, page)
     }
@@ -378,10 +378,10 @@ mod tests {
         let id = store.allocate().unwrap();
         handle.arm(true);
         let mut page = zeroed_page();
-        for b in page.iter_mut() {
+        for b in Arc::make_mut(&mut page).iter_mut() {
             *b = 0xA5;
         }
-        store.write(id, &page).unwrap(); // lies: only a prefix landed
+        store.write(id, page.clone()).unwrap(); // lies: only a prefix landed
         assert!(handle.torn_injected() >= 1);
         handle.arm(false);
         // The checksum layer catches it on read.
@@ -395,8 +395,8 @@ mod tests {
             let store = FaultPager::new(MemPager::new(), cfg);
             let id = store.allocate().unwrap();
             let mut page = zeroed_page();
-            page[100] = 1;
-            store.write(id, &page).unwrap();
+            Arc::make_mut(&mut page)[100] = 1;
+            store.write(id, page.clone()).unwrap();
             store.handle().arm(true);
             (0..20).map(|_| crate::page::crc32(&store.read(id).unwrap()[..])).collect()
         };
@@ -410,19 +410,19 @@ mod tests {
         let handle = store.handle();
         let id = store.allocate().unwrap();
         let mut page = zeroed_page();
-        for b in page.iter_mut() {
+        for b in Arc::make_mut(&mut page).iter_mut() {
             *b = 0xEE;
         }
         // Crash at the 3rd write: two writes land, the third dies.
         handle.arm_crash_at(3);
-        store.write(id, &page).unwrap();
-        store.write(id, &page).unwrap();
-        let err = store.write(id, &page).unwrap_err();
+        store.write(id, page.clone()).unwrap();
+        store.write(id, page.clone()).unwrap();
+        let err = store.write(id, page.clone()).unwrap_err();
         assert!(!err.is_transient(), "a crash is not retryable: {err}");
         assert!(handle.is_crashed());
         // Dead process: reads and writes both fail from now on.
         assert!(store.read(id).is_err());
-        assert!(store.write(id, &page).is_err());
+        assert!(store.write(id, page.clone()).is_err());
         // Only pre-death operations count against the schedule; the
         // post-crash attempts short-circuit at the latch.
         assert_eq!(handle.crash_ops_seen(), 3);
@@ -438,11 +438,11 @@ mod tests {
                 FaultPager::new(MemPager::new(), FaultConfig { seed, ..Default::default() });
             let id = store.allocate().unwrap();
             let mut page = zeroed_page();
-            for b in page.iter_mut() {
+            for b in Arc::make_mut(&mut page).iter_mut() {
                 *b = 0xA7;
             }
             store.handle().arm_crash_at(1);
-            let _ = store.write(id, &page);
+            let _ = store.write(id, page.clone());
             store.handle().arm_crash_at(0);
             crate::page::crc32(&store.read(id).unwrap()[..])
         };
@@ -455,7 +455,7 @@ mod tests {
         let store = FaultPager::new(MemPager::new(), cfg);
         let id = store.allocate().unwrap();
         store.handle().arm(true);
-        store.write(id, &zeroed_page()).unwrap();
+        store.write(id, zeroed_page()).unwrap();
         assert_eq!(store.handle().flips_injected(), 1);
         // Exactly one bit differs from zero.
         store.handle().arm(false);

@@ -7,16 +7,18 @@
 //! which the paper keeps in HDFS, holds its own partition bytes in
 //! `tklus-index`):
 //!
-//! * [`page`] / [`pager`] — fixed-size pages over an in-memory store,
+//! * [`page`] / [`pager`] — fixed-size pages over an in-memory store
+//!   that keeps and hands out shared pages, never copies ([`Page`]),
 //!   with I/O accounting ([`IoStats`]), and [`crc32`], the page checksum:
 //!   a carry-less-multiply kernel on x86_64 CPUs that have one (detected
 //!   at run time, inputs of 64 bytes or more), slicing-by-8 otherwise,
 //!   the same value either way. The kernel is this crate's only `unsafe`.
 //! * [`bptree`] — a paged B⁺-tree with composite `(u64, u64)` keys and
 //!   fixed-size values, built by one sorted bulk load and read-only
-//!   afterwards: point lookups and range scans, which binary-search the
-//!   keys in the verified page bytes and copy out only the values they
-//!   return. The composite key serves both the unique primary index
+//!   afterwards: point lookups and range visits, which binary-search the
+//!   keys in the verified page bytes and hand values out where they sit
+//!   (a point get copies out the one value it returns). The composite key
+//!   serves both the unique primary index
 //!   (`(sid, 0)`) and the non-unique secondary index (`(rsid, sid)`).
 //!
 //! There is no page cache: the paper's Section VI-B runs with "database
@@ -49,7 +51,7 @@ pub use error::{StorageError, StorageResult};
 pub use fault::{splitmix64, CrashVerdict, FaultConfig, FaultHandle, FaultPager};
 pub use iostats::{IoSnapshot, IoStats};
 pub use page::{
-    crc32, crc32_slicing_by_8, seal_page, verify_page, PageId, PAGE_FORMAT_VERSION,
+    crc32, crc32_slicing_by_8, seal_page, verify_page, Page, PageId, PAGE_FORMAT_VERSION,
     PAGE_HEADER_SIZE, PAGE_SIZE,
 };
 pub use pager::{MemPager, PageStore};

@@ -20,6 +20,7 @@
 
 use crate::error::StorageError;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Page size in bytes. 4 KiB, the classic database page size.
 pub const PAGE_SIZE: usize = 4096;
@@ -47,12 +48,20 @@ impl fmt::Display for PageId {
     }
 }
 
-/// An owned page buffer.
-pub type Page = Box<[u8; PAGE_SIZE]>;
+/// A page: 4 KiB shared, never copied, between whoever holds it. A store
+/// keeps the page it was given and hands the same bytes out on every read,
+/// so a read costs a reference count and never a 4 KiB copy. A holder that
+/// wants different bytes writes through [`Arc::make_mut`], which copies a
+/// page someone else holds first: a page a reader holds, or one a store
+/// keeps, never changes under it, and a reader sees exactly the bytes that
+/// were verified.
+pub type Page = Arc<[u8; PAGE_SIZE]>;
 
-/// Allocates a zeroed page.
+/// A zeroed page: one zero page shared by every caller, so nothing is
+/// allocated until a writer changes it.
 pub fn zeroed_page() -> Page {
-    vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().expect("PAGE_SIZE slice")
+    static ZERO: OnceLock<Page> = OnceLock::new();
+    Arc::clone(ZERO.get_or_init(|| Arc::new([0; PAGE_SIZE])))
 }
 
 /// CRC32 (IEEE 802.3, reflected) over `bytes`.
@@ -128,7 +137,7 @@ mod clmul;
 
 /// Writes the verified header into `page`: magic, current format version,
 /// zeroed reserved bytes, and the CRC32 of the payload region.
-pub fn seal_page(page: &mut Page) {
+pub fn seal_page(page: &mut [u8; PAGE_SIZE]) {
     page[0..4].copy_from_slice(&PAGE_MAGIC);
     page[4..6].copy_from_slice(&PAGE_FORMAT_VERSION.to_le_bytes());
     page[6..8].copy_from_slice(&[0, 0]);
@@ -138,7 +147,7 @@ pub fn seal_page(page: &mut Page) {
 
 /// Validates the header written by [`seal_page`]: magic, format version,
 /// reserved bytes, and the payload checksum.
-pub fn verify_page(page: &Page, id: PageId) -> Result<(), StorageError> {
+pub fn verify_page(page: &[u8; PAGE_SIZE], id: PageId) -> Result<(), StorageError> {
     if page[0..4] != PAGE_MAGIC {
         return Err(StorageError::BadPageHeader {
             page_id: id,
@@ -247,22 +256,22 @@ mod tests {
         // The 16 header bytes are what `seal_page` wrote for this payload
         // in the last build with the byte-at-a-time CRC; no call into this
         // build's sealer.
-        let mut p = zeroed_page();
+        let mut p = [0u8; PAGE_SIZE];
         p[..PAGE_HEADER_SIZE].copy_from_slice(&[
             b'T', b'K', b'P', b'G', 1, 0, 0, 0, 0x75, 0x8d, 0x65, 0x3b, 0, 0, 0, 0,
         ]);
-        for i in PAGE_HEADER_SIZE..PAGE_SIZE {
-            p[i] = (i * 7 + 3) as u8;
+        for (i, byte) in p.iter_mut().enumerate().skip(PAGE_HEADER_SIZE) {
+            *byte = (i * 7 + 3) as u8;
         }
         verify_page(&p, PageId(0)).unwrap();
-        let mut resealed = p.clone();
+        let mut resealed = p;
         seal_page(&mut resealed);
         assert_eq!(resealed[..], p[..], "this build seals the same bytes");
     }
 
     #[test]
     fn seal_verify_roundtrip() {
-        let mut p = zeroed_page();
+        let mut p = [0u8; PAGE_SIZE];
         p[100] = 0xAB;
         p[PAGE_SIZE - 1] = 0xCD;
         seal_page(&mut p);
@@ -271,12 +280,12 @@ mod tests {
 
     #[test]
     fn any_payload_bit_flip_is_detected() {
-        let mut p = zeroed_page();
+        let mut p = [0u8; PAGE_SIZE];
         p[200] = 0x55;
         seal_page(&mut p);
         // Flip one bit in a sample of positions across the whole page.
         for pos in [12, 13, 100, PAGE_HEADER_SIZE, 2048, PAGE_SIZE - 1] {
-            let mut bad = p.clone();
+            let mut bad = p;
             bad[pos] ^= 0x01;
             assert!(verify_page(&bad, PageId(1)).is_err(), "flip at {pos} undetected");
         }
@@ -284,31 +293,31 @@ mod tests {
 
     #[test]
     fn header_field_corruption_is_typed() {
-        let mut p = zeroed_page();
+        let mut p = [0u8; PAGE_SIZE];
         seal_page(&mut p);
 
-        let mut bad_magic = p.clone();
+        let mut bad_magic = p;
         bad_magic[0] = b'X';
         assert!(matches!(
             verify_page(&bad_magic, PageId(2)),
             Err(StorageError::BadPageHeader { .. })
         ));
 
-        let mut bad_version = p.clone();
+        let mut bad_version = p;
         bad_version[4] = 99;
         assert!(matches!(
             verify_page(&bad_version, PageId(2)),
             Err(StorageError::BadPageHeader { .. })
         ));
 
-        let mut bad_reserved = p.clone();
+        let mut bad_reserved = p;
         bad_reserved[6] = 1;
         assert!(matches!(
             verify_page(&bad_reserved, PageId(2)),
             Err(StorageError::BadPageHeader { .. })
         ));
 
-        let mut bad_crc = p.clone();
+        let mut bad_crc = p;
         bad_crc[9] ^= 0xFF;
         assert!(matches!(
             verify_page(&bad_crc, PageId(2)),

@@ -3,7 +3,9 @@
 //! [`MemPager`] implements the [`PageStore`] trait by keeping pages in
 //! memory (deterministic, fast: *counted* I/Os rather than real disk
 //! latency drive the results, matching how the paper reasons about costs),
-//! counting physical reads and writes through an [`IoStats`].
+//! counting physical reads and writes through an [`IoStats`]. A write
+//! keeps the writer's [`Page`] and a read hands the same page out, shared:
+//! neither copies it, and a page a reader holds never changes under it.
 //!
 //! All operations take `&self`: stores use interior mutability so that a
 //! read-only query path can run concurrently from many threads over one
@@ -18,6 +20,7 @@ use crate::error::{StorageError, StorageResult};
 use crate::iostats::IoStats;
 use crate::page::{zeroed_page, Page, PageId};
 use parking_lot::RwLock;
+use std::sync::Arc;
 
 /// A store of fixed-size pages addressed by [`PageId`].
 ///
@@ -26,11 +29,13 @@ use parking_lot::RwLock;
 pub trait PageStore: Send + Sync {
     /// Allocates a fresh zeroed page and returns its id.
     fn allocate(&self) -> StorageResult<PageId>;
-    /// Reads a page. Fails with [`StorageError::UnallocatedPage`] if the id
-    /// was never allocated.
+    /// Reads a page: the stored bytes, shared. Fails with
+    /// [`StorageError::UnallocatedPage`] if the id was never allocated.
     fn read(&self, id: PageId) -> StorageResult<Page>;
-    /// Writes a page.
-    fn write(&self, id: PageId, page: &Page) -> StorageResult<()>;
+    /// Writes a page. The store keeps `page` itself; a layer that changes
+    /// the bytes on the way down changes them in place when it holds the
+    /// only reference, and copies the page first otherwise.
+    fn write(&self, id: PageId, page: Page) -> StorageResult<()>;
     /// Number of allocated pages.
     fn page_count(&self) -> u64;
     /// The store's I/O counters.
@@ -49,7 +54,7 @@ impl PageStore for Box<dyn PageStore> {
         (**self).read(id)
     }
 
-    fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
+    fn write(&self, id: PageId, page: Page) -> StorageResult<()> {
         (**self).write(id, page)
     }
 
@@ -65,9 +70,10 @@ impl PageStore for Box<dyn PageStore> {
 /// In-memory page store.
 #[derive(Debug)]
 pub struct MemPager {
-    /// Readers take the shared lock; `allocate` (growth) takes the
-    /// exclusive lock. Individual page writes also take the exclusive
-    /// lock — page payloads are inline in the Vec.
+    /// Readers take the shared lock and clone a page's `Arc`; `allocate`
+    /// (growth) and page writes take the exclusive lock. A write installs
+    /// the written `Arc` in place of the old one, so pages already handed
+    /// out keep their bytes.
     pages: RwLock<Vec<Page>>,
     stats: IoStats,
 }
@@ -91,6 +97,8 @@ impl Default for MemPager {
 }
 
 impl PageStore for MemPager {
+    /// A fresh page is the shared zero page: nothing is allocated until
+    /// the page is written.
     fn allocate(&self) -> StorageResult<PageId> {
         let mut pages = self.pages.write();
         let id = PageId(pages.len() as u64);
@@ -104,17 +112,17 @@ impl PageStore for MemPager {
             .get(id.0 as usize)
             .ok_or(StorageError::UnallocatedPage { page_id: id, page_count: pages.len() as u64 })?;
         self.stats.record_read();
-        Ok(page.clone())
+        Ok(Arc::clone(page))
     }
 
-    fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
+    fn write(&self, id: PageId, page: Page) -> StorageResult<()> {
         let mut pages = self.pages.write();
         let count = pages.len() as u64;
         let slot = pages
             .get_mut(id.0 as usize)
             .ok_or(StorageError::UnallocatedPage { page_id: id, page_count: count })?;
         self.stats.record_write();
-        *slot = page.clone();
+        *slot = page;
         Ok(())
     }
 
@@ -133,14 +141,21 @@ mod tests {
     use super::*;
     use crate::page::PAGE_SIZE;
 
+    /// A page with `bytes` set at their offsets.
+    fn page_with(bytes: &[(usize, u8)]) -> Page {
+        let mut page = zeroed_page();
+        for &(at, b) in bytes {
+            Arc::make_mut(&mut page)[at] = b;
+        }
+        page
+    }
+
     fn roundtrip(store: &dyn PageStore) {
         let a = store.allocate().unwrap();
         let b = store.allocate().unwrap();
         assert_ne!(a, b);
-        let mut page = zeroed_page();
-        page[0] = 0xAB;
-        page[PAGE_SIZE - 1] = 0xCD;
-        store.write(a, &page).unwrap();
+        let page = page_with(&[(0, 0xAB), (PAGE_SIZE - 1, 0xCD)]);
+        store.write(a, page.clone()).unwrap();
         let got = store.read(a).unwrap();
         assert_eq!(got[0], 0xAB);
         assert_eq!(got[PAGE_SIZE - 1], 0xCD);
@@ -158,11 +173,22 @@ mod tests {
     }
 
     #[test]
+    fn a_writer_changing_its_page_leaves_the_store_alone() {
+        let p = MemPager::new();
+        let a = p.allocate().unwrap();
+        let mut page = page_with(&[(3, 1)]);
+        p.write(a, page.clone()).unwrap();
+        Arc::make_mut(&mut page)[3] = 2;
+        assert_eq!(p.read(a).unwrap()[3], 1, "the store keeps the bytes it was given");
+        assert!(zeroed_page().iter().all(|&b| b == 0), "the shared zero page stays zero");
+    }
+
+    #[test]
     fn unallocated_access_is_a_typed_error() {
         let m = MemPager::new();
         assert!(matches!(m.read(PageId(0)), Err(StorageError::UnallocatedPage { .. })));
         assert!(matches!(
-            m.write(PageId(0), &zeroed_page()),
+            m.write(PageId(0), zeroed_page()),
             Err(StorageError::UnallocatedPage { .. })
         ));
     }
@@ -171,9 +197,7 @@ mod tests {
     fn boxed_store_forwards() {
         let boxed: Box<dyn PageStore> = Box::new(MemPager::new());
         let a = boxed.allocate().unwrap();
-        let mut page = zeroed_page();
-        page[1] = 0x11;
-        boxed.write(a, &page).unwrap();
+        boxed.write(a, page_with(&[(1, 0x11)])).unwrap();
         assert_eq!(boxed.read(a).unwrap()[1], 0x11);
         assert_eq!(boxed.page_count(), 1);
     }
@@ -182,9 +206,7 @@ mod tests {
     fn mem_pager_concurrent_reads_and_allocates() {
         let p = MemPager::new();
         let a = p.allocate().unwrap();
-        let mut page = zeroed_page();
-        page[7] = 0x77;
-        p.write(a, &page).unwrap();
+        p.write(a, page_with(&[(7, 0x77)])).unwrap();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {

@@ -70,7 +70,7 @@ proptest! {
         offsets in proptest::collection::vec(0usize..PAGE_SIZE, 8),
         bit in 0u8..8,
     ) {
-        let mut page = tklus_storage::page::zeroed_page();
+        let mut page = [0u8; PAGE_SIZE];
         // Scatter the payload across the payload area deterministically.
         for (i, b) in payload.iter().enumerate() {
             let pos = PAGE_HEADER_SIZE + (i * 61) % (PAGE_SIZE - PAGE_HEADER_SIZE);
@@ -79,7 +79,7 @@ proptest! {
         seal_page(&mut page);
         prop_assert!(verify_page(&page, PageId(0)).is_ok());
         for &off in &offsets {
-            let mut bad = page.clone();
+            let mut bad = page;
             bad[off] ^= 1 << bit;
             let verdict = verify_page(&bad, PageId(3));
             prop_assert!(
@@ -109,8 +109,9 @@ proptest! {
         let store = CheckedPager::new(MemPager::new());
         let id = store.allocate().unwrap();
         let mut page = tklus_storage::page::zeroed_page();
-        page[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + payload.len()].copy_from_slice(&payload);
-        store.write(id, &page).unwrap();
+        std::sync::Arc::make_mut(&mut page)[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + payload.len()]
+            .copy_from_slice(&payload);
+        store.write(id, page).unwrap();
         let got = store.read(id).unwrap();
         prop_assert_eq!(&got[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + payload.len()], &payload[..]);
     }
@@ -276,7 +277,7 @@ impl PageStore for RecordingPager {
         self.log.lock().unwrap().push(id);
         self.inner.read(id)
     }
-    fn write(&self, id: PageId, page: &tklus_storage::page::Page) -> Result<(), StorageError> {
+    fn write(&self, id: PageId, page: tklus_storage::page::Page) -> Result<(), StorageError> {
         self.inner.write(id, page)
     }
     fn page_count(&self) -> u64 {
