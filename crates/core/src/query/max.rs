@@ -32,12 +32,11 @@
 
 use crate::bounds::{BoundsMode, BoundsTable};
 use crate::error::EngineError;
-use crate::query::{
-    candidates, top_k, Completeness, QueryContext, QueryStats, RankedUser, StageClock,
-};
+use crate::query::{top_k, Completeness, QueryContext, QueryStats, RankedUser, StageClock};
 use crate::score::{tweet_keyword_score, upper_bound_user_score, user_score};
 use std::collections::HashMap;
 use std::time::Instant;
+use tklus_index::candidates;
 use tklus_model::{ScoringConfig, TklusQuery, UserId};
 use tklus_storage::IoStats;
 use tklus_text::TermId;
@@ -145,7 +144,7 @@ pub(crate) fn try_query_max(
     // if the budget expires.
     let mut stats = QueryStats::default();
     let (fetch, completeness) = ctx.try_fetch(query, terms, start, &mut clock, &mut stats)?;
-    let cands = candidates(&fetch, query.semantics);
+    let cands = candidates(fetch.per_keyword, query.semantics);
     stats.candidates = cands.len();
     stats.stages.combine = clock.lap();
 

@@ -13,11 +13,10 @@ pub mod sum;
 
 use crate::error::EngineError;
 use crate::metadata::{MetaReader, MetadataDb};
-use std::sync::Arc;
 use std::time::Instant;
 use tklus_geo::{circle_cover, Circle, Point};
-use tklus_index::{intersect_sum, union_sum, HybridIndex, PostingsList, QueryFetch};
-use tklus_model::{QueryBudget, ScoringConfig, Semantics, TklusQuery, TweetId, UserId};
+use tklus_index::{CandidateFetch, HybridIndex};
+use tklus_model::{QueryBudget, ScoringConfig, TklusQuery, TweetId, UserId};
 use tklus_text::TermId;
 
 /// One result row: a user and their score.
@@ -145,9 +144,11 @@ impl CellBudget {
 pub struct StageTimings {
     /// Circle-cover computation.
     pub cover: std::time::Duration,
-    /// Postings retrieval: partition reads and decoding.
+    /// Postings retrieval: partition reads, decoding and the refinement
+    /// test, into one buffer per keyword.
     pub fetch: std::time::Duration,
-    /// AND/OR candidate combination (union/intersection).
+    /// AND/OR candidate combination: sorting the keyword buffers, summing
+    /// a tweet's tfs, and intersecting under AND.
     pub combine: std::time::Duration,
     /// Candidate row lookups and thread construction (Algorithm 1 runs).
     pub threads: std::time::Duration,
@@ -236,11 +237,13 @@ pub(crate) struct QueryContext<'a> {
 impl QueryContext<'_> {
     /// The postings-retrieval phase of Algorithms 4/5 (lines 1–7): the
     /// circle cover, then the index's one fetch
-    /// ([`HybridIndex::try_fetch_for_query`]), which drops the postings
-    /// whose refined cell cannot reach the query circle and asks the
-    /// query's budget (started at `start`) before each cover cell. Fills
-    /// `stats`' fetch counts and its `cover` and `fetch` stages (lapping
-    /// `clock`), and returns the fetch with its completeness.
+    /// ([`HybridIndex::try_fetch_candidates`]), which decodes each
+    /// keyword's surviving postings into one `(tweet, tf)` buffer, drops
+    /// the postings whose refined cell cannot reach the query circle and
+    /// asks the query's budget (started at `start`) before each cover
+    /// cell. Fills `stats`' fetch counts and its `cover` and `fetch` stages
+    /// (lapping `clock`), and returns the fetch with its completeness;
+    /// [`tklus_index::candidates`] combines its buffers.
     pub(crate) fn try_fetch(
         &self,
         query: &TklusQuery,
@@ -248,7 +251,7 @@ impl QueryContext<'_> {
         start: Instant,
         clock: &mut StageClock,
         stats: &mut QueryStats,
-    ) -> Result<(QueryFetch, Completeness), EngineError> {
+    ) -> Result<(CandidateFetch, Completeness), EngineError> {
         let budget = CellBudget::new(query.budget.as_ref(), start);
         let cover = circle_cover(
             &query.location,
@@ -263,7 +266,7 @@ impl QueryContext<'_> {
             radius_km: query.radius_km,
             metric: self.scoring.metric,
         };
-        let fetch = self.index.try_fetch_for_query(&cover, &circle, terms, |done| {
+        let fetch = self.index.try_fetch_candidates(&cover, &circle, terms, |done| {
             budget.is_none_or(|b| b.allows(done))
         })?;
         stats.stages.fetch = clock.lap();
@@ -308,31 +311,6 @@ impl QueryContext<'_> {
     }
 }
 
-/// Lines 8–14 of Algorithms 4/5: combine the fetched postings lists into
-/// the candidate list `P` of `(tweet, keyword-occurrence-count)` pairs.
-///
-/// * OR — union of every list; a tweet's count sums over all keywords.
-/// * AND — per-keyword union across cover cells, then intersection across
-///   keywords (a tweet must contain every keyword), counts summed.
-pub(crate) fn candidates(fetch: &QueryFetch, semantics: Semantics) -> Vec<(TweetId, u32)> {
-    match semantics {
-        Semantics::Or => {
-            let all: Vec<&PostingsList> =
-                fetch.per_keyword.iter().flatten().map(Arc::as_ref).collect();
-            union_sum(&all)
-        }
-        Semantics::And => {
-            let groups: Vec<Vec<(TweetId, u32)>> =
-                fetch.per_keyword.iter().map(|lists| union_sum(lists)).collect();
-            if groups.iter().any(Vec::is_empty) {
-                Vec::new()
-            } else {
-                intersect_sum(&groups)
-            }
-        }
-    }
-}
-
 /// Sorts users by score descending (ties broken by user id for
 /// determinism) and truncates to `k`.
 ///
@@ -349,76 +327,6 @@ pub fn top_k(mut users: Vec<RankedUser>, k: usize) -> Vec<RankedUser> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cands(per_keyword: Vec<Vec<Vec<(u64, u32)>>>, semantics: Semantics) -> Vec<(TweetId, u32)> {
-        let per_keyword = per_keyword
-            .into_iter()
-            .map(|lists| {
-                lists
-                    .into_iter()
-                    .map(|l| Arc::new(l.into_iter().collect::<PostingsList>()))
-                    .collect()
-            })
-            .collect();
-        candidates(
-            &QueryFetch { per_keyword, cells: 0, lists: 0, bytes: 0, refined_out: 0 },
-            semantics,
-        )
-    }
-
-    #[test]
-    fn or_unions_across_keywords() {
-        let got =
-            cands(vec![vec![vec![(1, 1), (2, 1)]], vec![vec![(2, 2), (3, 1)]]], Semantics::Or);
-        assert_eq!(got, vec![(TweetId(1), 1), (TweetId(2), 3), (TweetId(3), 1)]);
-    }
-
-    #[test]
-    fn and_intersects_across_keywords() {
-        let got =
-            cands(vec![vec![vec![(1, 1), (2, 1)]], vec![vec![(2, 2), (3, 1)]]], Semantics::And);
-        assert_eq!(got, vec![(TweetId(2), 3)]);
-    }
-
-    #[test]
-    fn and_with_missing_keyword_is_empty() {
-        let lists = vec![vec![vec![(1, 1)]], vec![]];
-        assert!(cands(lists.clone(), Semantics::And).is_empty());
-        // OR still returns the present keyword's candidates.
-        assert_eq!(cands(lists, Semantics::Or), vec![(TweetId(1), 1)]);
-    }
-
-    #[test]
-    fn and_merges_per_keyword_cells_first() {
-        // Keyword 0 spread over two cells; tweet 5 only matches keyword 0
-        // in cell B and keyword 1 in its own cell.
-        let got = cands(vec![vec![vec![(1, 1)], vec![(5, 2)]], vec![vec![(5, 1)]]], Semantics::And);
-        assert_eq!(got, vec![(TweetId(5), 3)]);
-    }
-
-    #[test]
-    fn and_seeds_from_smallest_keyword_without_changing_counts() {
-        // Keyword 1 is far smaller than keyword 0, so the intersection
-        // starts from it and gallops through keyword 0; counts must still
-        // sum over *all* keywords regardless of that order.
-        let big: Vec<(u64, u32)> = (0..400).map(|i| (i, 1)).collect();
-        let got = cands(vec![vec![big], vec![vec![(7, 5), (399, 2)]]], Semantics::And);
-        assert_eq!(got, vec![(TweetId(7), 6), (TweetId(399), 3)]);
-    }
-
-    #[test]
-    fn three_long_keywords_intersect_on_a_sparse_stride() {
-        let k0: Vec<(u64, u32)> = (0..1000).map(|i| (i * 2, 1)).collect();
-        let k1: Vec<(u64, u32)> = (0..700).map(|i| (i * 3, 2)).collect();
-        let k2: Vec<(u64, u32)> = (0..500).map(|i| (i * 4, 3)).collect();
-        let lists = vec![vec![k0], vec![k1], vec![k2]];
-        let and = cands(lists.clone(), Semantics::And);
-        // Multiples of lcm(2,3,4)=12 below min(2000, 2100, 2000).
-        assert_eq!(and.len(), 1998 / 12 + 1);
-        assert!(and.iter().all(|&(_, tf)| tf == 6));
-        let or = cands(lists, Semantics::Or);
-        assert!(or.len() > 1000);
-    }
 
     #[test]
     fn cell_budget_checks_cells_and_the_clock() {

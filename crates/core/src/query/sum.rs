@@ -42,12 +42,11 @@
 use crate::engine::Ranking;
 use crate::error::EngineError;
 use crate::metadata::MetaReader;
-use crate::query::{
-    candidates, top_k, Completeness, QueryContext, QueryStats, RankedUser, StageClock, SumRow,
-};
+use crate::query::{top_k, Completeness, QueryContext, QueryStats, RankedUser, StageClock, SumRow};
 use crate::score::{tweet_keyword_score, user_score};
 use std::collections::HashMap;
 use std::time::Instant;
+use tklus_index::candidates;
 use tklus_model::{TklusQuery, TweetId, UserId};
 use tklus_storage::IoStats;
 use tklus_text::TermId;
@@ -69,7 +68,7 @@ pub(crate) fn try_sum_rows(
     // cells if the budget expires.
     let mut stats = QueryStats::default();
     let (fetch, completeness) = ctx.try_fetch(query, terms, start, clock, &mut stats)?;
-    let cands = candidates(&fetch, query.semantics);
+    let cands = candidates(fetch.per_keyword, query.semantics);
     stats.candidates = cands.len();
     stats.stages.combine = clock.lap();
 

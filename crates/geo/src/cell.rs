@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 /// Kilometres per degree of latitude (and of longitude at the equator)
 /// under the Euclidean metric's projection.
-const KM_PER_DEGREE: f64 = EARTH_RADIUS_KM * std::f64::consts::PI / 180.0;
+pub(crate) const KM_PER_DEGREE: f64 = EARTH_RADIUS_KM * std::f64::consts::PI / 180.0;
 
 /// Relative slack of [`SubcellTest`]'s squared reach. A coordinate
 /// difference is off by at most a few ulps of 180° (under 1e-10 km), so the
@@ -59,7 +59,7 @@ fn lon_gap(lon: f64, lo: f64, hi: f64) -> f64 {
 /// [−90°, 90°], so its least value over a band is at an edge.
 /// * Euclidean scales `Δlon` by `cos` of the mean latitude;
 /// * Haversine by `cos φ_c · cos φ`.
-fn lon_weight(lat: f64, lo: f64, hi: f64, metric: DistanceMetric) -> f64 {
+pub(crate) fn lon_weight(lat: f64, lo: f64, hi: f64, metric: DistanceMetric) -> f64 {
     match metric {
         DistanceMetric::Euclidean => {
             let c = |edge: f64| ((lat + edge) / 2.0).to_radians().cos();

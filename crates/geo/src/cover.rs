@@ -2,18 +2,21 @@
 //!
 //! "To answer a circle query, a set of prefixes need to be constructed which
 //! completely covers the circle region while minimizing the area outside the
-//! query region" (Section IV-B1). We descend the implicit geohash quadtree
-//! (32-way at the character level) from the 32 root cells, pruning every
-//! prefix whose cell lies entirely outside the circle, and emit the
-//! surviving prefixes at the requested encoding length.
+//! query region" (Section IV-B1). The prefixes are the cells of the
+//! requested length that can hold a point within the circle. They are not
+//! found by descending the 32-way quadtree: the length-`len` cells form a
+//! grid of rows (latitude intervals) and columns (longitude intervals), so
+//! the cover enumerates the grid cells of the circle's lat/lon bounding box
+//! by index arithmetic and keeps those that pass
+//! [`Cell::intersects_circle`].
 //!
 //! The result is sorted in geohash (= Z-order) order, matching the sorted
 //! `⟨geohash, term⟩` key layout of the inverted index so postings for a
 //! cover are fetched in contiguous key ranges.
 
-use crate::cell::Cell;
-use crate::geohash::{Geohash, GeohashError, ALPHABET, MAX_GEOHASH_LEN};
-use crate::point::{DistanceMetric, Point};
+use crate::cell::{lon_weight, Cell, KM_PER_DEGREE};
+use crate::geohash::{interval_index, spread_bits, Geohash, GeohashError, MAX_GEOHASH_LEN};
+use crate::point::{DistanceMetric, Point, EARTH_RADIUS_KM};
 
 /// Quality statistics for a computed cover, used by the cover ablation bench
 /// (how much area outside the circle does a given encoding length admit?).
@@ -58,6 +61,24 @@ impl CoverStats {
 ///   outside the circle.
 /// * The result is sorted and free of duplicates.
 ///
+/// The cells are exactly those that pass [`Cell::intersects_circle`], the
+/// test a descent of the quadtree from the 32 root cells applies at every
+/// level. The descent emits no other cells: [`Cell::min_distance_km`] can
+/// only fall from a cell to its parent, because its three inputs (`|Δlat|`,
+/// `|Δlon|` and the metric's cosine factor, each a least value over the
+/// cell) all fall on the larger cell. So every ancestor of a passing cell
+/// passes too, and the descent reaches it.
+///
+/// The grid cells tested are those of a bounding box:
+/// * **rows** within `radius_km / KM_PER_DEGREE` degrees of the centre's
+///   latitude, since both metrics measure at least `KM_PER_DEGREE · |Δlat|`,
+///   plus one row of margin on each side for rounding;
+/// * **columns** within the widest `|Δlon|` a cell in those rows can pass
+///   at, given the least cosine factor over the rows' band, plus one
+///   column of margin on each side, wrapped across the antimeridian. Every
+///   column of the rows when that width reaches 180° (near a pole, or for
+///   a circle of continental size).
+///
 /// `radius_km` must be positive and finite; `len` must be in
 /// `1..=MAX_GEOHASH_LEN`.
 pub fn circle_cover(
@@ -71,26 +92,79 @@ pub fn circle_cover(
     }
     assert!(radius_km.is_finite() && radius_km > 0.0, "radius must be positive and finite");
 
-    let mut out = Vec::new();
-    // Depth-first descent keeps the output in Z-order without a final sort:
-    // children() yields cells in Base32 order and we expand in order.
-    let mut stack: Vec<Geohash> = root_cells().collect();
-    stack.reverse();
-    while let Some(gh) = stack.pop() {
-        let cell = Cell::from_geohash(&gh);
-        if !cell.intersects_circle(center, radius_km, metric) {
-            continue;
+    let nbits = 5 * len as u32;
+    let (lon_bits, lat_bits) = (nbits.div_ceil(2), nbits / 2);
+    // Counted from the low end, the last path bit is longitude's when the
+    // bit count is odd (as in `encode`).
+    let lon_shift = 1 - nbits % 2;
+
+    let rows = 1u64 << lat_bits;
+    let reach = radius_km / KM_PER_DEGREE;
+    let row_lo = interval_index(center.lat() - reach, 90.0, lat_bits).saturating_sub(1);
+    let row_hi = (interval_index(center.lat() + reach, 90.0, lat_bits) + 1).min(rows - 1);
+    let row_height = 180.0 / rows as f64;
+    let band = (-90.0 + row_lo as f64 * row_height, -90.0 + (row_hi + 1) as f64 * row_height);
+
+    let cols = 1u64 << lon_bits;
+    let (col_lo, col_count) = match lon_reach(center, radius_km, band, metric) {
+        Some(dlon) => {
+            let col_width = 360.0 / cols as f64;
+            let col = |lon: f64| ((lon + 180.0) / col_width).floor() as i64;
+            let lo = col(center.lon() - dlon) - 1;
+            let count = (col(center.lon() + dlon) + 1 - lo + 1) as u64;
+            if count < cols {
+                (lo, count)
+            } else {
+                (0, cols)
+            }
         }
-        if gh.len() == len {
-            out.push(gh);
-        } else {
-            let mut kids = gh.children();
-            kids.reverse();
-            stack.extend(kids);
+        None => (0, cols),
+    };
+
+    let mut out = Vec::new();
+    for row in row_lo..=row_hi {
+        let row_bits = spread_bits(row) << (1 - lon_shift);
+        for c in col_lo..col_lo + col_count as i64 {
+            let col = c.rem_euclid(cols as i64) as u64;
+            let gh = Geohash::from_low_bits((spread_bits(col) << lon_shift) | row_bits, len)?;
+            if Cell::from_geohash(&gh).intersects_circle(center, radius_km, metric) {
+                out.push(gh);
+            }
         }
     }
-    debug_assert!(out.windows(2).all(|w| w[0] < w[1]));
+    out.sort_unstable();
     Ok(out)
+}
+
+/// The widest `|Δlon|`, in degrees, at which a cell lying within the
+/// latitude band `(lo, hi)` can still pass [`Cell::intersects_circle`];
+/// `None` when that is 180° or more, so that every longitude can. A cell's
+/// cosine factor is at least the band's (`lon_weight` of a sub-band is no
+/// smaller), and its distance bound rises in `|Δlon|`:
+/// * Euclidean: `KM_PER_DEGREE · weight · |Δlon| ≤ r`;
+/// * Haversine: `weight · sin²(|Δlon|/2) ≤ sin²(r / 2R)`.
+fn lon_reach(
+    center: &Point,
+    radius_km: f64,
+    (lo, hi): (f64, f64),
+    metric: DistanceMetric,
+) -> Option<f64> {
+    let weight = lon_weight(center.lat(), lo, hi, metric);
+    if weight <= 0.0 {
+        return None;
+    }
+    let dlon = match metric {
+        DistanceMetric::Euclidean => radius_km / KM_PER_DEGREE / weight,
+        DistanceMetric::Haversine => {
+            let half = (radius_km / (2.0 * EARTH_RADIUS_KM)).min(std::f64::consts::FRAC_PI_2);
+            let sin = half.sin() / weight.sqrt();
+            if sin >= 1.0 {
+                return None;
+            }
+            2.0 * sin.asin().to_degrees()
+        }
+    };
+    (dlon < 180.0).then_some(dlon)
 }
 
 /// Computes a cover plus its quality statistics.
@@ -108,11 +182,6 @@ pub fn circle_cover_with_stats(
         circle_area_km2: std::f64::consts::PI * radius_km * radius_km,
     };
     Ok((cover, stats))
-}
-
-/// The 32 length-1 geohash cells tiling the globe.
-fn root_cells() -> impl Iterator<Item = Geohash> {
-    (0..ALPHABET.len() as u64).map(|i| Geohash::from_low_bits(i, 1).expect("root cell"))
 }
 
 #[cfg(test)]

@@ -228,7 +228,7 @@ pub fn encode(point: &Point, len: usize) -> Result<Geohash, GeohashError> {
 /// outcome of `bits` bisection steps. Every edge is a dyadic fraction of
 /// `half`, so it is exact in `f64`; the float quotient lands within one of
 /// the answer, and the exact edges settle it.
-fn interval_index(v: f64, half: f64, bits: u32) -> u64 {
+pub(crate) fn interval_index(v: f64, half: f64, bits: u32) -> u64 {
     let count = 1u64 << bits;
     let width = 2.0 * half / count as f64;
     let edge = |k: u64| -half + k as f64 * width;
@@ -244,7 +244,7 @@ fn interval_index(v: f64, half: f64, bits: u32) -> u64 {
 }
 
 /// `x`'s low 32 bits moved to the even bit positions of a `u64`, in order.
-fn spread_bits(x: u64) -> u64 {
+pub(crate) fn spread_bits(x: u64) -> u64 {
     let x = x & 0xFFFF_FFFF;
     let x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
     let x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;

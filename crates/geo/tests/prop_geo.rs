@@ -1,7 +1,9 @@
 //! Property-based tests for the geospatial substrate.
 
 use proptest::prelude::*;
-use tklus_geo::{circle_cover, encode, Cell, DistanceMetric, Geohash, Point};
+use tklus_geo::{
+    circle_cover, encode, Cell, DistanceMetric, Geohash, Point, EARTH_RADIUS_KM, MAX_GEOHASH_LEN,
+};
 
 fn arb_point() -> impl Strategy<Value = Point> {
     (-90.0f64..=90.0, -180.0f64..=180.0).prop_map(|(lat, lon)| Point::new_unchecked(lat, lon))
@@ -132,5 +134,94 @@ proptest! {
                 prop_assert!(bound <= d * (1.0 + 1e-12), "{metric:?}: bound {bound} > {d} to {edge}");
             }
         }
+    }
+}
+
+/// The reference cover: a descent of the 32-way quadtree from the 32 root
+/// cells, keeping every prefix whose cell passes the circle test and
+/// emitting the survivors at `len`. `circle_cover` enumerates a bounding
+/// box instead and must return exactly these cells.
+fn descent_cover(
+    center: &Point,
+    radius_km: f64,
+    len: usize,
+    metric: DistanceMetric,
+) -> Vec<Geohash> {
+    let mut out = Vec::new();
+    let mut stack: Vec<Geohash> =
+        (0..32u64).rev().map(|i| Geohash::from_low_bits(i, 1).unwrap()).collect();
+    while let Some(gh) = stack.pop() {
+        if !Cell::from_geohash(&gh).intersects_circle(center, radius_km, metric) {
+            continue;
+        }
+        if gh.len() == len {
+            out.push(gh);
+        } else {
+            stack.extend(gh.children().into_iter().rev());
+        }
+    }
+    out
+}
+
+/// An upper estimate of a cover's cell count, from the grid cells of the
+/// circle's lat/lon bounding box: how the radius is capped so that the
+/// reference descent stays near 10⁴ cell tests.
+fn bounding_box_cells(center: &Point, radius_km: f64, len: usize) -> f64 {
+    let nbits = 5 * len as i32;
+    let (lon_bits, lat_bits) = ((nbits + 1) / 2, nbits / 2);
+    let (row_height, col_width) = (180.0 / 2f64.powi(lat_bits), 360.0 / 2f64.powi(lon_bits));
+    let dlat = radius_km / 111.0;
+    let rows = 2.0 * dlat / row_height + 3.0;
+    let top = (center.lat().abs() + dlat + row_height).min(90.0);
+    let all = 2f64.powi(lon_bits);
+    let cos = top.to_radians().cos();
+    let cols = if cos < 1e-9 { all } else { (2.0 * dlat / cos / col_width + 3.0).min(all) };
+    rows * cols
+}
+
+/// A centre within 1° of a pole, beside the antimeridian, or anywhere.
+fn arb_cover_center() -> impl Strategy<Value = Point> {
+    let lat = prop_oneof![89.0f64..=90.0, -90.0f64..=-89.0, -90.0f64..=90.0];
+    let lon = prop_oneof![179.0f64..=180.0, -180.0f64..=-179.0, -180.0f64..=180.0];
+    (lat, lon).prop_map(|(lat, lon)| Point::new_unchecked(lat, lon))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The bounding-box cover is the quadtree descent's, cell for cell, at
+    /// every length, for both metrics, at the poles and across the
+    /// antimeridian. Radii run from 25 m to 3 000 km, halved until the
+    /// bounding box holds at most 5 000 cells. Half the circles are moved
+    /// to end on a row edge, where the row beyond sits at the bound's
+    /// distance and only the box's one-row margin finds it.
+    #[test]
+    fn cover_equals_the_quadtree_descent(
+        mut center in arb_cover_center(),
+        log_radius in (0.025f64).ln()..=(3000.0f64).ln(),
+        len in 1usize..=MAX_GEOHASH_LEN,
+        haversine in any::<bool>(),
+        on_an_edge in any::<bool>(),
+    ) {
+        let metric = if haversine { DistanceMetric::Haversine } else { DistanceMetric::Euclidean };
+        let mut radius_km = log_radius.exp();
+        while radius_km > 1e-3 && bounding_box_cells(&center, radius_km, len) > 5000.0 {
+            radius_km /= 2.0;
+        }
+        if on_an_edge {
+            let row = 180.0 / 2f64.powi(5 * len as i32 / 2);
+            let gap = radius_km / (EARTH_RADIUS_KM * std::f64::consts::PI / 180.0);
+            let edge = ((center.lat() + 90.0) / row).round() * row - 90.0;
+            let lat = if edge + gap <= 90.0 { edge + gap } else { edge - gap };
+            prop_assume!(lat >= -90.0);
+            center = Point::new_unchecked(lat, center.lon());
+        }
+        prop_assume!(bounding_box_cells(&center, radius_km, len) <= 5000.0);
+        let cover = circle_cover(&center, radius_km, len, metric).unwrap();
+        let reference = descent_cover(&center, radius_km, len, metric);
+        prop_assert_eq!(
+            &cover, &reference,
+            "{:?} len {} r {} km at {}", metric, len, radius_km, center
+        );
     }
 }

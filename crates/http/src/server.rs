@@ -132,7 +132,6 @@ pub fn serve(server: TklusServer, cfg: HttpConfig) -> std::io::Result<HttpHandle
     cfg.validate().map_err(std::io::Error::other)?;
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let metrics = Arc::new(HttpMetrics::default());
     let app = Arc::new(App {
@@ -156,17 +155,18 @@ impl HttpServer {
         &self.metrics
     }
 
-    /// Requests shutdown without blocking (safe to call from a signal
-    /// watcher); follow with [`HttpHandle::shutdown`] to join.
+    /// Requests shutdown without waiting for it (safe to call from a
+    /// signal watcher); follow with [`HttpHandle::shutdown`] to join.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
+        wake_accept(self.addr);
     }
 
     /// Stops accepting, drains, joins every thread, and reports. Every
     /// in-flight request is answered (run by a waiting thread, or typed
     /// `Abandoned`/`ShuttingDown`) before this returns.
     pub fn shutdown(mut self) -> ShutdownReport {
-        self.shutdown.store(true, Ordering::Release);
+        self.request_shutdown();
         match self.accept.take() {
             Some(handle) => handle.join().unwrap_or_default(),
             None => ShutdownReport::default(),
@@ -176,25 +176,51 @@ impl HttpServer {
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
         if let Some(handle) = self.accept.take() {
+            self.request_shutdown();
             let _ = handle.join();
         }
     }
 }
 
-/// Accept-poll interval; also bounds how stale the shutdown check in a
-/// blocked read can be.
+/// How stale the shutdown check in a blocked read can be.
 const POLL: Duration = Duration::from_millis(25);
+
+/// The pause after a failed accept (say, out of file descriptors), so the
+/// loop does not spin while the cause lasts.
+const ACCEPT_RETRY: Duration = Duration::from_millis(1);
+
+/// How long a shutdown's wake-up connection may take. Its connect only
+/// stalls when the listen backlog is full, and then `accept` is not
+/// blocked and sees the shutdown flag anyway.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Wakes the accept loop, blocked in `accept`, with one connection to the
+/// listener's own address; the loop sees the shutdown flag and closes it.
+/// A listener bound to the unspecified address is reached on loopback.
+fn wake_accept(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, WAKE_TIMEOUT);
+}
 
 fn accept_loop(listener: TcpListener, app: Arc<App>) -> ShutdownReport {
     let active = Arc::new(AtomicUsize::new(0));
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !app.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        // Blocks until a client connects or shutdown wakes it.
+        let accepted = listener.accept();
+        if app.shutdown.load(Ordering::Acquire) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 conns.retain(|h| !h.is_finished());
-                let _ = stream.set_nonblocking(false);
                 let _ = stream.set_nodelay(true);
                 if active.load(Ordering::Acquire) >= app.cfg.max_connections {
                     // Over the cap: answer 503 and close without a slot.
@@ -211,8 +237,7 @@ fn accept_loop(listener: TcpListener, app: Arc<App>) -> ShutdownReport {
                     active.fetch_sub(1, Ordering::AcqRel);
                 }));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
+            Err(_) => std::thread::sleep(ACCEPT_RETRY),
         }
     }
     // Stop accepting *before* draining, so no connection slips in after

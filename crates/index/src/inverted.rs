@@ -9,9 +9,10 @@
 //! lie inside it go on to the metadata lookup.
 
 use crate::forward::{ForwardIndex, PostingsLocation};
-use crate::posting::PostingsList;
+use crate::posting::{decode_each, KeywordPostings, PostingsList};
 use std::sync::Arc;
 use tklus_geo::{circle_cover, Circle, DistanceMetric, Geohash, Point, SubcellTest};
+use tklus_model::TweetId;
 use tklus_text::{TermId, Vocab};
 
 /// A `⟨geohash, term⟩` key, as stored in the forward index.
@@ -65,11 +66,16 @@ pub struct HybridIndex {
 }
 
 /// Result of the postings-retrieval phase for one query.
+///
+/// `K` is what one keyword's postings are held in: by default one list per
+/// examined cover cell that had an entry
+/// ([`HybridIndex::try_fetch_for_query`]); for the query itself, one
+/// `(tweet, tf)` buffer with every list's surviving postings appended
+/// ([`HybridIndex::try_fetch_candidates`]).
 #[derive(Debug)]
-pub struct QueryFetch {
-    /// `per_keyword[i]` holds the postings lists found for keyword `i`,
-    /// one per examined cover cell that had an entry.
-    pub per_keyword: Vec<Vec<Arc<PostingsList>>>,
+pub struct QueryFetch<K = Vec<Arc<PostingsList>>> {
+    /// `per_keyword[i]` holds the postings found for keyword `i`.
+    pub per_keyword: Vec<K>,
     /// Number of cover cells examined (a query budget may stop short of
     /// the whole cover).
     pub cells: usize,
@@ -81,6 +87,10 @@ pub struct QueryFetch {
     /// circle.
     pub refined_out: usize,
 }
+
+/// The query's fetch: each keyword's surviving `(tweet, tf)` postings in
+/// one buffer, every list's appended in cover order.
+pub type CandidateFetch = QueryFetch<Vec<(TweetId, u32)>>;
 
 impl HybridIndex {
     /// Assembles an index from its parts: the layout step and the
@@ -186,23 +196,53 @@ impl HybridIndex {
     }
 
     /// Fetches the postings list of every `⟨cell, keyword⟩` pair of
-    /// `cover` present in the directory, cell by cell in cover order and
-    /// filed per keyword. Each list keeps only the postings whose refined
-    /// cell may reach `circle` ([`SubcellTest`], built once per cell that
-    /// has a list); the rest are counted in `refined_out`. The test is
-    /// sound, so every posting of a post within the circle survives. Before
-    /// each cell it asks `more(cells_done)`; the first `false` stops the
-    /// fetch there, so a caller's budget decides how much of the cover is
-    /// read. An unreadable or undecodable range is a typed [`IndexError`].
+    /// `cover` present in the directory, filed per keyword: the fetch of
+    /// [`Self::try_fetch_candidates`] — the same loop, refinement, budget
+    /// and counts — with each pair's surviving postings kept as a list of
+    /// their own.
     pub fn try_fetch_for_query(
         &self,
         cover: &[Geohash],
         circle: &Circle,
         keywords: &[TermId],
-        mut more: impl FnMut(usize) -> bool,
+        more: impl FnMut(usize) -> bool,
     ) -> Result<QueryFetch, IndexError> {
+        self.try_fetch_into(cover, circle, keywords, more)
+    }
+
+    /// The fetch of lines 1–7 of Algorithms 4/5: the surviving postings of
+    /// every `⟨cell, keyword⟩` pair of `cover` present in the directory,
+    /// decoded straight into one `(tweet, tf)` buffer per keyword, cell by
+    /// cell in cover order. [`crate::candidates`] combines the buffers.
+    ///
+    /// A posting survives when its refined cell may reach `circle`
+    /// ([`SubcellTest`], built once per cell that has a list); the rest are
+    /// counted in `refined_out`. The test is sound, so every posting of a
+    /// post within the circle survives. Before each cell it asks
+    /// `more(cells_done)`; the first `false` stops the fetch there, so a
+    /// caller's budget decides how much of the cover is read. An unreadable
+    /// or undecodable range is a typed [`IndexError`].
+    pub fn try_fetch_candidates(
+        &self,
+        cover: &[Geohash],
+        circle: &Circle,
+        keywords: &[TermId],
+        more: impl FnMut(usize) -> bool,
+    ) -> Result<CandidateFetch, IndexError> {
+        self.try_fetch_into(cover, circle, keywords, more)
+    }
+
+    /// The one fetch loop, filing each keyword's surviving postings in a
+    /// `K`.
+    fn try_fetch_into<K: KeywordPostings>(
+        &self,
+        cover: &[Geohash],
+        circle: &Circle,
+        keywords: &[TermId],
+        mut more: impl FnMut(usize) -> bool,
+    ) -> Result<QueryFetch<K>, IndexError> {
         let mut fetch = QueryFetch {
-            per_keyword: keywords.iter().map(|_| Vec::new()).collect(),
+            per_keyword: keywords.iter().map(|_| K::default()).collect(),
             cells: 0,
             lists: 0,
             bytes: 0,
@@ -213,18 +253,22 @@ impl HybridIndex {
                 break;
             }
             let mut test: Option<SubcellTest> = None;
-            for (ki, &term) in keywords.iter().enumerate() {
+            for (&term, sink) in keywords.iter().zip(&mut fetch.per_keyword) {
                 let Some(loc) = self.forward.lookup(cell, term) else { continue };
                 let raw = self.checked_bytes(loc)?;
                 let test =
                     *test.get_or_insert_with(|| SubcellTest::new(circle, &cell, self.refinement));
-                let (list, _, dropped) =
-                    PostingsList::decode_where(raw, self.refinement, |bits| test.may_reach(bits))
-                        .map_err(|e| corrupt(loc, e.to_string()))?;
+                sink.start_list();
+                let (_, dropped) = decode_each(
+                    raw,
+                    self.refinement,
+                    |bits| test.may_reach(bits),
+                    |posting| sink.posting(posting),
+                )
+                .map_err(|e| corrupt(loc, e.to_string()))?;
                 fetch.lists += 1;
                 fetch.bytes += raw.len() as u64;
                 fetch.refined_out += dropped;
-                fetch.per_keyword[ki].push(Arc::new(list));
             }
             fetch.cells += 1;
         }

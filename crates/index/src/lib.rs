@@ -30,11 +30,12 @@ pub mod posting;
 
 pub use build::{build_index, IndexBuildConfig, IndexBuildReport};
 pub use forward::{ForwardIndex, PostingsLocation};
-pub use inverted::{HybridIndex, IndexError, IndexKey, QueryFetch};
+pub use inverted::{CandidateFetch, HybridIndex, IndexError, IndexKey, QueryFetch};
 pub use irtree::{IrSearchStats, IrTree};
 pub use persist::{
     load_dir_with_report, save_dir, LoadReport, PersistError, PERSIST_FORMAT_VERSION,
 };
 pub use posting::{
-    intersect_gallop, intersect_sum, union_sum, DecodeError, Posting, PostingsFormat, PostingsList,
+    candidates, intersect_gallop, intersect_sum, union_sum, DecodeError, Posting, PostingsFormat,
+    PostingsList,
 };

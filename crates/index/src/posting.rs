@@ -11,8 +11,9 @@
 //! drops the postings whose fine cell cannot reach its circle before it
 //! looks a single candidate up.
 
+use std::sync::Arc;
 use tklus_geo::MAX_GEOHASH_LEN;
-use tklus_model::TweetId;
+use tklus_model::{Semantics, TweetId};
 
 /// Geohash characters of refinement a posting carries below its key: three
 /// characters are 15 bits, one `u16`, the same two bytes two would take.
@@ -101,48 +102,82 @@ impl PostingsList {
     /// the same `refinement`. Returns the list and the number of bytes
     /// consumed.
     pub fn decode(bytes: &[u8], refinement: usize) -> Result<(Self, usize), DecodeError> {
-        let (list, consumed, _) = Self::decode_where(bytes, refinement, |_| true)?;
+        let mut list = Self::default();
+        let (consumed, _) = decode_each(bytes, refinement, |_| true, |p| list.postings.push(p))?;
         Ok((list, consumed))
     }
+}
 
-    /// [`decode`](Self::decode), keeping only the postings whose
-    /// refinement bits `keep` accepts. Returns the survivors, the bytes
-    /// consumed and the number of postings dropped. Every posting is
-    /// validated whether kept or not.
-    pub(crate) fn decode_where(
-        bytes: &[u8],
-        refinement: usize,
-        mut keep: impl FnMut(u16) -> bool,
-    ) -> Result<(Self, usize, usize), DecodeError> {
-        let mut pos = 0usize;
-        let count = read_varint(bytes, &mut pos)?;
-        let limit = 1u32 << (5 * refinement);
-        // A posting is at least two bytes, so a count the input cannot
-        // hold must not size the allocation.
-        let mut postings = Vec::with_capacity((count as usize).min(bytes.len() / 2));
-        let mut prev = 0u64;
-        for _ in 0..count {
-            let delta = read_varint(bytes, &mut pos)?;
-            let tf = read_varint(bytes, &mut pos)?;
-            let id = prev.checked_add(delta).ok_or(DecodeError::Overflow)?;
-            let tf = u32::try_from(tf).map_err(|_| DecodeError::Overflow)?;
-            let bits = if refinement > 0 {
-                let field = bytes.get(pos..pos + 2).ok_or(DecodeError::Truncated)?;
-                pos += 2;
-                u16::from_le_bytes([field[0], field[1]])
-            } else {
-                0
-            };
-            if u32::from(bits) >= limit {
-                return Err(DecodeError::Overflow);
-            }
-            prev = id;
-            if keep(bits) {
-                postings.push(Posting { id: TweetId(id), tf, refinement: bits });
-            }
+/// The one postings decode loop: walks a list in the partition byte format
+/// of [`PostingsList::encode`] with `refinement` characters and hands each
+/// posting whose refinement bits `keep` accepts to `emit`, in id order.
+/// Returns the bytes consumed and the number of postings dropped. Every
+/// posting is validated whether kept or not; on an error `emit` has seen
+/// the postings before it.
+pub(crate) fn decode_each(
+    bytes: &[u8],
+    refinement: usize,
+    mut keep: impl FnMut(u16) -> bool,
+    mut emit: impl FnMut(Posting),
+) -> Result<(usize, usize), DecodeError> {
+    let mut pos = 0usize;
+    let count = read_varint(bytes, &mut pos)?;
+    let limit = 1u32 << (5 * refinement);
+    let mut prev = 0u64;
+    let mut dropped = 0usize;
+    for _ in 0..count {
+        let delta = read_varint(bytes, &mut pos)?;
+        let tf = read_varint(bytes, &mut pos)?;
+        let id = prev.checked_add(delta).ok_or(DecodeError::Overflow)?;
+        let tf = u32::try_from(tf).map_err(|_| DecodeError::Overflow)?;
+        let bits = if refinement > 0 {
+            let field = bytes.get(pos..pos + 2).ok_or(DecodeError::Truncated)?;
+            pos += 2;
+            u16::from_le_bytes([field[0], field[1]])
+        } else {
+            0
+        };
+        if u32::from(bits) >= limit {
+            return Err(DecodeError::Overflow);
         }
-        let dropped = count as usize - postings.len();
-        Ok((Self { postings }, pos, dropped))
+        prev = id;
+        if keep(bits) {
+            emit(Posting { id: TweetId(id), tf, refinement: bits });
+        } else {
+            dropped += 1;
+        }
+    }
+    Ok((pos, dropped))
+}
+
+/// Where the query fetch puts one keyword's surviving postings, list by
+/// list in cover order ([`crate::HybridIndex::try_fetch_candidates`]).
+pub(crate) trait KeywordPostings: Default {
+    /// A `⟨cell, keyword⟩` list starts; its surviving postings follow.
+    fn start_list(&mut self) {}
+    /// One surviving posting of the current list.
+    fn posting(&mut self, posting: Posting);
+}
+
+/// One list per `⟨cell, keyword⟩` pair, as fetched. The fetch holds the
+/// only reference to the list it fills.
+impl KeywordPostings for Vec<Arc<PostingsList>> {
+    fn start_list(&mut self) {
+        self.push(Arc::default());
+    }
+
+    fn posting(&mut self, posting: Posting) {
+        if let Some(list) = self.last_mut().and_then(Arc::get_mut) {
+            list.postings.push(posting);
+        }
+    }
+}
+
+/// One candidate buffer per keyword: every list's `(tweet, tf)` pairs,
+/// appended.
+impl KeywordPostings for Vec<(TweetId, u32)> {
+    fn posting(&mut self, posting: Posting) {
+        self.push((posting.id, posting.tf));
     }
 }
 
@@ -235,25 +270,62 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
 /// `&[Arc<PostingsList>]`, …) so a fetch's lists merge without cloning
 /// their postings.
 pub fn union_sum<L: std::borrow::Borrow<PostingsList>>(lists: &[L]) -> Vec<(TweetId, u32)> {
+    let pairs = lists.iter().flat_map(|l| l.borrow().postings.iter().map(|p| (p.id, p.tf)));
     match lists.len() {
-        0 => Vec::new(),
-        1 => lists[0].borrow().postings.iter().map(|p| (p.id, p.tf)).collect(),
-        _ => {
-            // k-way merge via a flattened sort: lists are typically short
-            // and few; the simple approach beats a heap in practice here.
-            let mut all: Vec<(TweetId, u32)> = lists
-                .iter()
-                .flat_map(|l| l.borrow().postings.iter().map(|p| (p.id, p.tf)))
-                .collect();
-            all.sort_by_key(|e| e.0);
-            let mut out: Vec<(TweetId, u32)> = Vec::with_capacity(all.len());
-            for (id, tf) in all {
-                match out.last_mut() {
-                    Some((last, total)) if *last == id => *total += tf,
-                    _ => out.push((id, tf)),
-                }
+        0 | 1 => pairs.collect(),
+        _ => sum_by_tweet(pairs.collect()),
+    }
+}
+
+/// Sorts `(tweet, tf)` pairs by tweet and folds each tweet's pairs into
+/// one, its tfs summed: the k-way merge of several id-sorted lists as one
+/// sort, which beats a heap on the few short lists of a query.
+fn sum_by_tweet(mut pairs: Vec<(TweetId, u32)>) -> Vec<(TweetId, u32)> {
+    pairs.sort_unstable_by_key(|e| e.0);
+    pairs.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    pairs
+}
+
+/// Lines 8–14 of Algorithms 4/5: combines each keyword's fetched `(tweet,
+/// tf)` pairs (`per_keyword[i]`, keyword `i`'s lists appended in cover
+/// order, as [`crate::HybridIndex::try_fetch_candidates`] leaves them) into
+/// the candidate list `P`, sorted by tweet, of `(tweet,
+/// keyword-occurrence-count)` pairs. Equal to [`union_sum`] /
+/// [`intersect_sum`] over the same postings held as lists.
+///
+/// * OR — every keyword's pairs in one sort; a tweet's count sums over all
+///   keywords.
+/// * AND — each keyword's pairs sorted and summed, then intersected across
+///   keywords (a tweet must contain every keyword), counts summed.
+pub fn candidates(
+    per_keyword: Vec<Vec<(TweetId, u32)>>,
+    semantics: Semantics,
+) -> Vec<(TweetId, u32)> {
+    match semantics {
+        Semantics::Or => {
+            let mut keywords = per_keyword.into_iter();
+            let mut all = keywords.next().unwrap_or_default();
+            for mut pairs in keywords {
+                all.append(&mut pairs);
             }
-            out
+            sum_by_tweet(all)
+        }
+        Semantics::And => {
+            let mut groups: Vec<Vec<(TweetId, u32)>> =
+                per_keyword.into_iter().map(sum_by_tweet).collect();
+            if groups.iter().any(Vec::is_empty) {
+                Vec::new()
+            } else if groups.len() == 1 {
+                groups.swap_remove(0)
+            } else {
+                intersect_sum(&groups)
+            }
         }
     }
 }
@@ -398,12 +470,13 @@ mod tests {
     }
 
     #[test]
-    fn decode_where_drops_by_refinement_and_counts() {
+    fn decode_each_drops_by_refinement_and_counts() {
         let l = refined(&[(1, 1, 5), (2, 3, 9), (3, 1, 5), (4, 2, 7)], REFINEMENT_CHARS);
         let bytes = l.encode(REFINEMENT_CHARS);
-        let (kept, consumed, dropped) =
-            PostingsList::decode_where(&bytes, REFINEMENT_CHARS, |bits| bits == 5).unwrap();
-        assert_eq!(kept.postings().iter().map(|p| p.id.0).collect::<Vec<_>>(), vec![1, 3]);
+        let mut kept = Vec::new();
+        let (consumed, dropped) =
+            decode_each(&bytes, REFINEMENT_CHARS, |bits| bits == 5, |p| kept.push(p.id.0)).unwrap();
+        assert_eq!(kept, vec![1, 3]);
         assert_eq!((consumed, dropped), (bytes.len(), 2));
     }
 
@@ -607,5 +680,87 @@ mod tests {
             union_sum(&[la, lb])
         };
         assert_eq!(or, vec![(TweetId(1), 1), (TweetId(3), 5), (TweetId(5), 3)]);
+    }
+
+    /// [`candidates`] over `per_keyword[i]`'s lists appended, as the fetch
+    /// leaves them, held equal to [`union_sum`] / [`intersect_sum`] over
+    /// the same lists.
+    fn cands(per_keyword: Vec<Vec<Vec<(u64, u32)>>>, semantics: Semantics) -> Vec<(TweetId, u32)> {
+        let lists: Vec<Vec<PostingsList>> = per_keyword
+            .iter()
+            .map(|lists| lists.iter().map(|l| l.iter().copied().collect()).collect())
+            .collect();
+        let reference = match semantics {
+            Semantics::Or => union_sum(&lists.iter().flatten().collect::<Vec<_>>()),
+            Semantics::And => {
+                let groups: Vec<_> = lists.iter().map(|l| union_sum(l)).collect();
+                if groups.iter().any(Vec::is_empty) {
+                    Vec::new()
+                } else {
+                    intersect_sum(&groups)
+                }
+            }
+        };
+        let buffers = per_keyword
+            .into_iter()
+            .map(|lists| lists.into_iter().flatten().map(|(id, tf)| (TweetId(id), tf)).collect())
+            .collect();
+        let got = candidates(buffers, semantics);
+        assert_eq!(got, reference);
+        got
+    }
+
+    #[test]
+    fn or_unions_across_keywords() {
+        let got =
+            cands(vec![vec![vec![(1, 1), (2, 1)]], vec![vec![(2, 2), (3, 1)]]], Semantics::Or);
+        assert_eq!(got, vec![(TweetId(1), 1), (TweetId(2), 3), (TweetId(3), 1)]);
+    }
+
+    #[test]
+    fn and_intersects_across_keywords() {
+        let got =
+            cands(vec![vec![vec![(1, 1), (2, 1)]], vec![vec![(2, 2), (3, 1)]]], Semantics::And);
+        assert_eq!(got, vec![(TweetId(2), 3)]);
+    }
+
+    #[test]
+    fn and_with_missing_keyword_is_empty() {
+        let lists = vec![vec![vec![(1, 1)]], vec![]];
+        assert!(cands(lists.clone(), Semantics::And).is_empty());
+        // OR still returns the present keyword's candidates.
+        assert_eq!(cands(lists, Semantics::Or), vec![(TweetId(1), 1)]);
+    }
+
+    #[test]
+    fn and_merges_per_keyword_cells_first() {
+        // Keyword 0 spread over two cells; tweet 5 only matches keyword 0
+        // in cell B and keyword 1 in its own cell.
+        let got = cands(vec![vec![vec![(1, 1)], vec![(5, 2)]], vec![vec![(5, 1)]]], Semantics::And);
+        assert_eq!(got, vec![(TweetId(5), 3)]);
+    }
+
+    #[test]
+    fn and_seeds_from_smallest_keyword_without_changing_counts() {
+        // Keyword 1 is far smaller than keyword 0, so the intersection
+        // starts from it and gallops through keyword 0; counts must still
+        // sum over *all* keywords regardless of that order.
+        let big: Vec<(u64, u32)> = (0..400).map(|i| (i, 1)).collect();
+        let got = cands(vec![vec![big], vec![vec![(7, 5), (399, 2)]]], Semantics::And);
+        assert_eq!(got, vec![(TweetId(7), 6), (TweetId(399), 3)]);
+    }
+
+    #[test]
+    fn three_long_keywords_intersect_on_a_sparse_stride() {
+        let k0: Vec<(u64, u32)> = (0..1000).map(|i| (i * 2, 1)).collect();
+        let k1: Vec<(u64, u32)> = (0..700).map(|i| (i * 3, 2)).collect();
+        let k2: Vec<(u64, u32)> = (0..500).map(|i| (i * 4, 3)).collect();
+        let lists = vec![vec![k0], vec![k1], vec![k2]];
+        let and = cands(lists.clone(), Semantics::And);
+        // Multiples of lcm(2,3,4)=12 below min(2000, 2100, 2000).
+        assert_eq!(and.len(), 1998 / 12 + 1);
+        assert!(and.iter().all(|&(_, tf)| tf == 6));
+        let or = cands(lists, Semantics::Or);
+        assert!(or.len() > 1000);
     }
 }

@@ -8,8 +8,9 @@
 //!
 //! * **the load never panics** — it returns the index or a typed
 //!   [`PersistError`] that says what was wrong;
-//! * **a loaded index never panics** — `try_fetch_for_query` over every
-//!   directory cell and term returns lists or a typed `IndexError`.
+//! * **a loaded index never panics** — `try_fetch_for_query` and the
+//!   query's own `try_fetch_candidates` over every directory cell and term
+//!   return postings or a typed `IndexError`.
 
 #![allow(clippy::unwrap_used)] // test code: panics are the failure report
 
@@ -148,6 +149,10 @@ fn load_damaged(file: usize, line: usize, damage: &Damage) -> Result<(), TestCas
             for &((cell, term), _) in index.forward().iter() {
                 if let Err(e) = index.try_fetch_for_query(&[cell], &around(cell), &[term], |_| true)
                 {
+                    prop_assert!(!e.to_string().is_empty());
+                }
+                let fetch = index.try_fetch_candidates(&[cell], &around(cell), &[term], |_| true);
+                if let Err(e) = fetch {
                     prop_assert!(!e.to_string().is_empty());
                 }
             }
