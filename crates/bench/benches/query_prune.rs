@@ -1,6 +1,7 @@
-//! Ablation: the upper-bound prune of Algorithm 5 — Sum (no pruning) vs
-//! Algorithm 5 (`try_query_max`) with the global bound vs with hot-keyword
-//! bounds, on the same queries.
+//! Ablation: the upper-bound prune of Algorithm 5 — Sum by Algorithm 4
+//! (`try_query_algorithm4`: no pruning, every thread built) vs Algorithm 5
+//! (`try_query_max`) with the global bound vs with hot-keyword bounds, on
+//! the same queries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tklus_bench::{build_engine, query_workload, standard_corpus, to_query, Flags};
@@ -34,7 +35,7 @@ fn bench_query_prune(c: &mut Criterion) {
                         for q in queries {
                             match mode {
                                 None => {
-                                    let _ = engine.query(q, Ranking::Sum);
+                                    let _ = engine.try_query_algorithm4(q, Ranking::Sum);
                                 }
                                 Some(mode) => {
                                     let _ = engine.try_query_max(q, &bounds, mode);

@@ -6,7 +6,8 @@
 //!
 //! * window selectivity: query cost as the time window narrows (the window
 //!   filter runs before any metadata I/O, so cost should fall with
-//!   selectivity);
+//!   selectivity), timed through Algorithm 4 as the paper states it
+//!   (`TklusEngine::try_query_algorithm4`: every thread built);
 //! * recency's effect on Algorithm 5's pruning, beside the same queries
 //!   without a bias, timed through `TklusEngine::try_query_max` over the
 //!   harness's bounds. The decay factor tightens each tweet's upper bound,
@@ -49,7 +50,8 @@ fn main() {
             let q = to_query(spec, 50.0, 5, Semantics::Or)
                 .with_time_range(lo, hi)
                 .expect("valid window");
-            let (_, stats) = engine.query(&q, Ranking::Sum);
+            let stats =
+                engine.try_query_algorithm4(&q, Ranking::Sum).expect("in-memory query").stats;
             times.push(ms(stats.elapsed));
             threads += stats.threads_built as u64;
             reads += stats.metadata_page_reads;

@@ -5,8 +5,10 @@
 //! queries; under AND the intersection filters candidates so more keywords
 //! run *faster*. The Maximum ranking beats Sum most visibly under OR at
 //! large radii (the union leaves more room for pruning), while AND leaves
-//! little to prune. "max ms" is Algorithm 5
-//! (`TklusEngine::try_query_max`, hot-keyword bounds).
+//! little to prune. "sum ms" is Algorithm 4 as the paper states it
+//! (`TklusEngine::try_query_algorithm4`: every thread built, every user
+//! blended); "max ms" is Algorithm 5 (`TklusEngine::try_query_max`,
+//! hot-keyword bounds).
 
 use tklus_bench::{
     banner, build_engine, csv_row, ms, parse_flags, query_workload, standard_corpus, to_query,
@@ -35,7 +37,10 @@ fn main() {
                 let mut cands = Vec::new();
                 for spec in bucket.iter().take(flags.queries) {
                     let q = to_query(spec, radius, 5, semantics);
-                    let (_, s_sum) = engine.query(&q, Ranking::Sum);
+                    let s_sum = engine
+                        .try_query_algorithm4(&q, Ranking::Sum)
+                        .expect("in-memory query")
+                        .stats;
                     let s_max = engine
                         .try_query_max(&q, &bounds, BoundsMode::HotKeywords)
                         .expect("in-memory query")

@@ -6,12 +6,16 @@
 //! candidates that cannot reach the top-k — and pruning has more to prune
 //! when the range holds more candidates.
 //!
-//! "max ms" is the paper's Algorithm 5 ([`TklusEngine::try_query_max`],
-//! hot-keyword bounds), whose threads and pruned counts the last two
-//! columns report. "max fold ms" is the product's Maximum ranking
-//! (`try_query`): Algorithm 4's unpruned rows folded by `max`, the same
-//! answer.
+//! "sum ms" is the paper's Algorithm 4
+//! ([`TklusEngine::try_query_algorithm4`]: every thread built, every user
+//! blended). "max ms" is the paper's Algorithm 5
+//! ([`TklusEngine::try_query_max`], hot-keyword bounds), whose threads and
+//! pruned counts the last two columns report. "max fold ms" is the
+//! product's Maximum ranking (`try_query`): Algorithm 4's unpruned rows
+//! folded by `max`, φ read from the engine's column and the blend bounded,
+//! the same answer.
 //!
+//! [`TklusEngine::try_query_algorithm4`]: tklus_core::TklusEngine::try_query_algorithm4
 //! [`TklusEngine::try_query_max`]: tklus_core::TklusEngine::try_query_max
 
 use tklus_bench::{
@@ -41,7 +45,8 @@ fn main() {
         let mut pruned = 0u64;
         for spec in specs.iter().take(flags.queries) {
             let q = to_query(spec, radius, 5, Semantics::Or);
-            let (_, s_sum) = engine.query(&q, Ranking::Sum);
+            let s_sum =
+                engine.try_query_algorithm4(&q, Ranking::Sum).expect("in-memory query").stats;
             let s_max = engine
                 .try_query_max(&q, &bounds, BoundsMode::HotKeywords)
                 .expect("in-memory query")

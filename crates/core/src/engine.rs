@@ -1,13 +1,18 @@
 //! The end-to-end TkLUS engine: Figure 3's system in one object.
 //!
-//! An engine is its hybrid index (Algorithms 2/3, built by one sort)
-//! and its metadata database, and nothing else. [`TklusEngine::query`]
-//! answers either ranking with one algorithm: Algorithm 4's scored rows,
-//! folded per user by `+=` (Sum) or `max` (Max). Algorithm 5, the
+//! An engine is its hybrid index (Algorithms 2/3, built by one sort),
+//! its metadata database and the φ column computed from the same posts,
+//! and nothing else. [`TklusEngine::query`] answers either ranking with
+//! one algorithm: Algorithm 4's scored rows, folded per user by `+=` (Sum)
+//! or `max` (Max), φ read from the column and the distance blend stopped
+//! once no further user can reach the top-k. The paper's two query
+//! algorithms run beside it at their published cost, for the figures and
+//! the tests; no product path calls either. Algorithm 4 as Section V
+//! states it — every thread built by Algorithm 1, every candidate user
+//! blended — is [`TklusEngine::try_query_algorithm4`]. Algorithm 5, the
 //! paper's pruned Max, is [`TklusEngine::try_query_max`]: the caller
 //! passes the Section V-B bounds it precomputed with
-//! [`BoundsTable::precompute`]. The figure harness and the tests call it;
-//! no product path does.
+//! [`BoundsTable::precompute`].
 //!
 //! `build` and `query` come in two flavours (DESIGN.md §10): a `try_*`
 //! method that threads typed [`EngineError`]s up from the storage and
@@ -17,11 +22,11 @@
 
 use crate::bounds::{BoundsMode, BoundsTable};
 use crate::error::EngineError;
-use crate::metadata::{LiveMetadata, MetadataDb, MetadataStoreFactory};
+use crate::metadata::{LiveMetadata, MetadataDb, MetadataStoreFactory, PhiColumn};
 use crate::obs::EngineMetrics;
 use crate::query::{
     max,
-    sum::{try_query_sum, try_rank_rows, try_score_candidates, try_sum_rows},
+    sum::{try_query_sum, try_rank_rows, try_score_candidates, try_sum_rows, Blend},
     Completeness, PartialSumOutcome, QueryContext, QueryOutcome, QueryStats, RankedUser,
     StageClock, SumRow,
 };
@@ -151,6 +156,8 @@ impl std::fmt::Debug for EngineConfig {
 pub struct TklusEngine {
     index: HybridIndex,
     db: MetadataDb,
+    /// φ of every post the trees hold, under `scoring`'s depth and ε.
+    phi: PhiColumn,
     pipeline: TextPipeline,
     scoring: ScoringConfig,
     /// `Some` when built with `EngineConfig::metrics` (the default).
@@ -204,9 +211,11 @@ impl TklusEngine {
         config: &EngineConfig,
     ) -> Result<Self, EngineError> {
         let db = MetadataDb::try_from_posts(corpus.posts(), 0, config.metadata_store.as_ref())?;
+        let ScoringConfig { thread_depth, epsilon, .. } = config.scoring;
         Ok(Self {
             index,
             db,
+            phi: PhiColumn::build(corpus, thread_depth, epsilon),
             pipeline: TextPipeline::new(),
             scoring: config.scoring,
             obs: config.metrics.then(EngineMetrics::new),
@@ -221,6 +230,12 @@ impl TklusEngine {
     /// The metadata database. Lookups take `&self`.
     pub fn db(&self) -> &MetadataDb {
         &self.db
+    }
+
+    /// Definition 4's φ of every post this engine holds, computed when it
+    /// was assembled: what [`Self::try_query`] reads for a candidate.
+    pub fn phi_column(&self) -> &PhiColumn {
+        &self.phi
     }
 
     /// The scoring configuration.
@@ -280,10 +295,14 @@ impl TklusEngine {
     /// exact top-k over the cover-cell prefix the budget admitted.
     ///
     /// Both rankings run one algorithm: Algorithm 4's rows, folded per
-    /// user by `+=` or `max`, blended with distance and ranked. Nothing is
-    /// pruned, so `threads_pruned` is 0; for Max this is Algorithm 5's
-    /// answer bit for bit ([`Self::try_query_max`]), because its prune
-    /// skips only rows that cannot enter the top-k.
+    /// user by `+=` or `max`, blended with distance and ranked. φ is read
+    /// from the engine's column, so no thread is built (`threads_built` is
+    /// 0), and a user's `P_u` is scanned only while their Definition 10
+    /// bound at δ = 1 can still reach the k-th exact score. The answer is
+    /// [`Self::try_query_algorithm4`]'s bit for bit. No row is pruned, so
+    /// `threads_pruned` is 0; for Max this is Algorithm 5's answer bit for
+    /// bit ([`Self::try_query_max`]), because its prune skips only rows
+    /// that cannot enter the top-k.
     ///
     /// The keyword contract: under AND, a keyword no tweet contains
     /// empties the result; under OR, unknown keywords are simply dropped.
@@ -292,8 +311,27 @@ impl TklusEngine {
     /// if other keywords repeat. A query whose keywords all resolve away is
     /// empty too, and a trivially empty result is complete.
     pub fn try_query(&self, q: &TklusQuery, ranking: Ranking) -> Result<QueryOutcome, EngineError> {
-        let (users, stats, completeness) =
-            self.try_answer(q, |ctx, terms| try_query_sum(ctx, q, terms, ranking))?;
+        let (users, stats, completeness) = self.try_answer(q, |ctx, terms| {
+            try_query_sum(ctx, q, terms, ranking, Some(&self.phi), Blend::Bounded)
+        })?;
+        Ok(QueryOutcome { users, stats, completeness })
+    }
+
+    /// Algorithm 4 as Section V states it, at its published cost: every
+    /// in-radius candidate's thread built by Algorithm 1 over the metadata
+    /// database (one `threads_built` each) and every candidate user's
+    /// `P_u` scanned. It returns [`Self::try_query`]'s answer bit for bit.
+    /// The paper figures (Figs. 8 and 10, the temporal extension) time it
+    /// and the tests hold it as a reference; no product path calls it.
+    /// Same keyword contract as [`Self::try_query`].
+    pub fn try_query_algorithm4(
+        &self,
+        q: &TklusQuery,
+        ranking: Ranking,
+    ) -> Result<QueryOutcome, EngineError> {
+        let (users, stats, completeness) = self.try_answer(q, |ctx, terms| {
+            try_query_sum(ctx, q, terms, ranking, None, Blend::Every)
+        })?;
         Ok(QueryOutcome { users, stats, completeness })
     }
 
@@ -326,8 +364,10 @@ impl TklusEngine {
     ///
     /// `live` overlays the metadata of posts this engine's trees do not
     /// hold (the ingest store's live posts; see [`MetadataDb::reader`]):
-    /// their replies count in a sealed candidate's thread. Every other
-    /// caller passes `None`.
+    /// their replies count in a sealed candidate's thread, so with an
+    /// overlay φ comes from Algorithm 1's walk over the trees and the
+    /// overlay; with `None` it is read from the engine's column. Every
+    /// other caller passes `None`.
     pub fn try_partial_sum(
         &self,
         q: &TklusQuery,
@@ -336,16 +376,18 @@ impl TklusEngine {
         let (rows, stats, completeness) = self.try_answer(q, |ctx, terms| {
             let start = Instant::now();
             let mut clock = StageClock::new(ctx.timings, start);
+            let phi = live.is_none().then_some(&self.phi);
             let (rows, mut stats, completeness) =
-                try_sum_rows(ctx, &mut self.db.reader(live), q, terms, start, &mut clock)?;
+                try_sum_rows(ctx, &mut self.db.reader(live), phi, q, terms, start, &mut clock)?;
             stats.elapsed = start.elapsed();
             Ok((rows, stats, completeness))
         })?;
         Ok(PartialSumOutcome { rows, stats, completeness })
     }
 
-    /// The one body behind [`Self::try_query`], [`Self::try_query_max`]
-    /// and [`Self::try_partial_sum`]: the keyword contract (documented on
+    /// The one body behind [`Self::try_query`],
+    /// [`Self::try_query_algorithm4`], [`Self::try_query_max`] and
+    /// [`Self::try_partial_sum`]: the keyword contract (documented on
     /// [`Self::try_query`]), `run` over the resolved terms, and the
     /// registry accounting — every answered query counts, trivially empty
     /// ones included.
@@ -387,7 +429,8 @@ impl TklusEngine {
     /// [`merge_sum_rows`]: the per-user fold — `+=` in row order
     /// for [`Ranking::Sum`], `max` for [`Ranking::Max`], whose bounds mode
     /// is irrelevant here — the distance blend over this engine's metadata
-    /// database, and the top-`q.k` ranking. It is the very code
+    /// database, bounded as [`Self::try_query`]'s is, and the top-`q.k`
+    /// ranking. It is the very code
     /// [`Self::try_query`] runs for either ranking, so a gatherer whose
     /// engine holds the full corpus metadata reproduces the monolithic
     /// answer bit for bit. Returns the ranked users with the cost of this
@@ -412,6 +455,7 @@ impl TklusEngine {
             q,
             ranking,
             rows,
+            Blend::Bounded,
             &mut clock,
             &mut stats,
         )?;
@@ -421,10 +465,11 @@ impl TklusEngine {
     /// Scores `cands` — `(tweet, tf)` pairs in tweet-id order that did not
     /// come from this engine's index (the ingest store's memtable) — with
     /// the per-candidate body [`Self::try_partial_sum`] runs on its own:
-    /// time window, metadata row, radius, thread popularity, keyword score
-    /// × recency, over this engine's metadata database and `live`, the
-    /// overlay that holds those candidates' own rows. One body, so rows
-    /// from the two sources merge into what a from-scratch engine computes.
+    /// time window, metadata row, radius, thread popularity (Algorithm 1's
+    /// walk: these posts are not in the column), keyword score × recency,
+    /// over this engine's metadata database and `live`, the overlay that
+    /// holds those candidates' own rows. One body, so rows from the two
+    /// sources merge into what a from-scratch engine computes.
     pub fn try_score_candidates(
         &self,
         q: &TklusQuery,
@@ -432,12 +477,14 @@ impl TklusEngine {
         live: Option<&LiveMetadata>,
     ) -> Result<Vec<SumRow>, EngineError> {
         let mut untallied = QueryStats::default();
-        try_score_candidates(&self.context(), &mut self.db.reader(live), q, cands, &mut untallied)
+        let mut meta = self.db.reader(live);
+        try_score_candidates(&self.context(), &mut meta, None, q, cands, &mut untallied)
     }
 
     /// The thread popularity φ(p) of the thread rooted at `tid`, built
-    /// over the metadata database by the query path's own code — the
-    /// number a query-time candidate sees. A one-call reader: the
+    /// over the metadata database by Algorithm 1's walk — the number
+    /// [`Self::try_query_algorithm4`] and an overlaid query see, and the
+    /// reference [`Self::phi_column`] equals. A one-call reader: the
     /// `rsid = ?` scans of this one thread walk share a root-to-leaf path.
     pub fn try_thread_phi(&self, tid: TweetId) -> Result<f64, EngineError> {
         self.context().try_popularity(&mut self.db.reader(None), tid)

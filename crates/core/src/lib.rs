@@ -5,7 +5,9 @@
 //! * [`metadata`] — the centralized tweet-metadata database of Section IV-A:
 //!   the relation `(sid, uid, lat, lon, ruid, rsid)` over from-scratch
 //!   B⁺-trees on `sid`, `rsid`, and (for user distance scores) `uid`, every
-//!   page read counted. The engine has no cache (DESIGN.md §9).
+//!   page read counted, and the φ column every engine computes from the
+//!   same posts when it is assembled. The engine has no cache (DESIGN.md
+//!   §9).
 //! * [`score`] — the scoring functions: tweet distance score (Def. 5),
 //!   keyword relevance (Def. 6), Sum/Maximum user keyword scores
 //!   (Defs. 7/8), user distance score (Def. 9), combined user score
@@ -40,7 +42,9 @@ pub mod score;
 pub use bounds::{BoundsMode, BoundsTable};
 pub use engine::{CacheConfig, EngineConfig, Ranking, TklusEngine};
 pub use error::EngineError;
-pub use metadata::{LiveMetadata, MetaReader, MetaRow, MetadataDb, MetadataStoreFactory};
+pub use metadata::{
+    LiveMetadata, MetaReader, MetaRow, MetadataDb, MetadataStoreFactory, PhiColumn, PhiCursor,
+};
 pub use query::{
     sum::merge_sum_rows, top_k, Completeness, PartialSumOutcome, QueryOutcome, QueryStats,
     RankedUser, StageTimings, SumRow,

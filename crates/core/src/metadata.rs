@@ -42,7 +42,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use tklus_geo::Point;
 use tklus_graph::{popularity, TryReplyProvider};
-use tklus_model::{Post, ScoringConfig, TweetId, UserId};
+use tklus_model::{Corpus, Post, ScoringConfig, TweetId, UserId};
 use tklus_storage::{
     BPlusTree, CheckedPager, IoStats, MemPager, PageStore, StorageError, StorageResult, TreeReader,
 };
@@ -199,9 +199,7 @@ impl MetadataDb {
             reply_index: self.reply_index.reader(),
             user_index: self.user_index.reader(),
             live,
-            frontier: Vec::new(),
-            next: Vec::new(),
-            level_sizes: Vec::new(),
+            walk: LevelWalk::default(),
         }
     }
 
@@ -296,12 +294,8 @@ pub struct MetaReader<'a> {
     reply_index: TreeReader<'a, Pages, 0>,
     user_index: TreeReader<'a, Pages, LOC_SIZE>,
     live: Option<&'a LiveMetadata>,
-    /// Algorithm 1's level being expanded and the level it finds: two
-    /// buffers every thread walk of the query reuses.
-    frontier: Vec<TweetId>,
-    next: Vec<TweetId>,
-    /// The walked thread's level sizes, root level first.
-    level_sizes: Vec<usize>,
+    /// The buffers every thread walk of the query reuses.
+    walk: LevelWalk,
 }
 
 impl MetaReader<'_> {
@@ -374,21 +368,89 @@ impl MetaReader<'_> {
     }
 
     /// Definition 4's φ of the thread rooted at `root`, at most `depth`
-    /// levels deep: Algorithm 1's walk, counting each level instead of
-    /// building it. Every level's tweets are looked up in the order
-    /// Algorithm 1 ([`tklus_graph::try_build_thread`] over this reader)
-    /// looks them up, so it reads the same pages in the same order, and φ
-    /// comes from the same level sizes, bit for bit. Only the tweets of a
-    /// level that is expanded in turn are kept, in the reader's two
-    /// frontier buffers; the last level is only counted.
+    /// levels deep: Algorithm 1's walk ([`LevelWalk`]) over the reply
+    /// index and the live replies. Every level's tweets are looked up in
+    /// the order Algorithm 1 ([`tklus_graph::try_build_thread`] over this
+    /// reader) looks them up, so it reads the same pages in the same
+    /// order, and φ comes from the same level sizes, bit for bit.
     pub fn try_thread_popularity(
         &mut self,
         root: TweetId,
         depth: usize,
         epsilon: f64,
     ) -> StorageResult<f64> {
+        let Self { reply_index, live, walk, .. } = self;
+        walk.popularity(&mut TreeReplies { index: reply_index, live: *live }, root, depth, epsilon)
+    }
+}
+
+/// Algorithm 1's `select sid where rsid = ?`, as the level walk asks it:
+/// calls `f` on the id of each reply to `rsid`.
+trait ReplyScan {
+    type Error;
+    fn scan(&mut self, rsid: TweetId, f: impl FnMut(TweetId)) -> Result<(), Self::Error>;
+}
+
+/// The query's reply scans: the reply-index cursor with the live replies
+/// merged in.
+struct TreeReplies<'r, 'a> {
+    index: &'r mut TreeReader<'a, Pages, 0>,
+    live: Option<&'a LiveMetadata>,
+}
+
+impl ReplyScan for TreeReplies<'_, '_> {
+    type Error = StorageError;
+
+    fn scan(&mut self, rsid: TweetId, f: impl FnMut(TweetId)) -> StorageResult<()> {
+        visit_replies(self.index, self.live, rsid, f)
+    }
+}
+
+/// Every reply edge of a post set in memory, as `(rsid, sid)` sorted: the
+/// scans [`PhiColumn::build`] walks.
+struct ReplyEdges(Vec<(TweetId, TweetId)>);
+
+impl ReplyScan for ReplyEdges {
+    type Error = std::convert::Infallible;
+
+    fn scan(&mut self, rsid: TweetId, mut f: impl FnMut(TweetId)) -> Result<(), Self::Error> {
+        let from = self.0.partition_point(|&(target, _)| target < rsid);
+        self.0[from..]
+            .iter()
+            .take_while(|&&(target, _)| target == rsid)
+            .for_each(|&(_, sid)| f(sid));
+        Ok(())
+    }
+}
+
+/// Algorithm 1's level walk, counting each level instead of building it:
+/// the one walk behind the query-time φ and the [`PhiColumn`]. Only the
+/// tweets of a level that is expanded in turn are kept, in two frontier
+/// buffers reused from walk to walk; the last level is only counted. The
+/// walk stops at `depth` levels and at the first empty one, so a self or
+/// cyclic reply is counted at every level it comes round to, down to
+/// `depth`, as Algorithm 1 counts it.
+#[derive(Default)]
+struct LevelWalk {
+    /// The level being expanded and the level it finds.
+    frontier: Vec<TweetId>,
+    next: Vec<TweetId>,
+    /// The walked thread's level sizes, root level first.
+    level_sizes: Vec<usize>,
+}
+
+impl LevelWalk {
+    /// Definition 4's φ of the thread rooted at `root`, at most `depth`
+    /// levels deep, its levels found by `replies`.
+    fn popularity<R: ReplyScan>(
+        &mut self,
+        replies: &mut R,
+        root: TweetId,
+        depth: usize,
+        epsilon: f64,
+    ) -> Result<f64, R::Error> {
         assert!(depth >= 1, "thread depth must be at least 1");
-        let Self { reply_index, live, frontier, next, level_sizes, .. } = self;
+        let Self { frontier, next, level_sizes } = self;
         frontier.clear();
         frontier.push(root);
         level_sizes.clear();
@@ -398,7 +460,7 @@ impl MetaReader<'_> {
             next.clear();
             let mut size = 0;
             for &id in frontier.iter() {
-                visit_replies(reply_index, *live, id, |sid| {
+                replies.scan(id, |sid| {
                     size += 1;
                     if !last {
                         next.push(sid);
@@ -412,6 +474,69 @@ impl MetaReader<'_> {
             std::mem::swap(frontier, next);
         }
         Ok(popularity(level_sizes, epsilon))
+    }
+}
+
+/// Definition 4's φ of every post of a set, computed once when an engine
+/// is assembled: `(tid, φ)` sorted by tid, 16 bytes a post. φ depends only
+/// on a post's reply subtree, the thread depth and ε, never on the query,
+/// so a query over posts that take no live replies reads it here instead
+/// of walking its thread ([`PhiCursor`]). Each entry comes from the same
+/// [`LevelWalk`] the query-time walk runs, over the set's reply edges in
+/// memory, so it equals [`MetaReader::try_thread_popularity`] over trees of
+/// the same posts bit for bit.
+#[derive(Debug)]
+pub struct PhiColumn {
+    phi: Vec<(TweetId, f64)>,
+}
+
+impl PhiColumn {
+    /// φ of every post in `corpus`, threads cut at `depth` levels, a
+    /// thread without replies scoring `epsilon`. Costs O(posts × depth)
+    /// scans of the sorted reply edges.
+    pub fn build(corpus: &Corpus, depth: usize, epsilon: f64) -> Self {
+        let posts = corpus.posts();
+        let mut edges: Vec<(TweetId, TweetId)> =
+            posts.iter().filter_map(|p| p.in_reply_to.map(|r| (r.target, p.id))).collect();
+        edges.sort_unstable();
+        let mut edges = ReplyEdges(edges);
+        let mut walk = LevelWalk::default();
+        let phi = posts
+            .iter()
+            .map(|p| match walk.popularity(&mut edges, p.id, depth, epsilon) {
+                Ok(phi) => (p.id, phi),
+                Err(never) => match never {},
+            })
+            .collect();
+        Self { phi }
+    }
+
+    /// A reader for lookups in ascending tweet-id order.
+    pub fn cursor(&self) -> PhiCursor<'_> {
+        PhiCursor { rest: &self.phi }
+    }
+}
+
+/// Reads a [`PhiColumn`] for tweet ids that only ascend, as a query's
+/// candidates do: each lookup gallops forward from the last, so a query
+/// pays for the distance between its candidates, not for the column.
+pub struct PhiCursor<'a> {
+    /// The entries at and after the last lookup.
+    rest: &'a [(TweetId, f64)],
+}
+
+impl PhiCursor<'_> {
+    /// φ of `tid`, or `None` when the column does not hold it. `tid` must
+    /// not be below the previous lookup's.
+    pub fn get(&mut self, tid: TweetId) -> Option<f64> {
+        let mut end = 1;
+        while end < self.rest.len() && self.rest[end - 1].0 < tid {
+            end *= 2;
+        }
+        let end = end.min(self.rest.len());
+        let at = self.rest[..end].partition_point(|&(id, _)| id < tid);
+        self.rest = &self.rest[at..];
+        self.rest.first().filter(|&&(id, _)| id == tid).map(|&(_, phi)| phi)
     }
 }
 

@@ -150,7 +150,8 @@ pub struct StageTimings {
     /// AND/OR candidate combination: sorting the keyword buffers, summing
     /// a tweet's tfs, and intersecting under AND.
     pub combine: std::time::Duration,
-    /// Candidate row lookups and thread construction (Algorithm 1 runs).
+    /// Candidate row lookups and φ: a read of the engine's φ column, or
+    /// Algorithm 1's thread walk where the query takes one.
     pub threads: std::time::Duration,
     /// Per-user scoring (distance blend; 0 under Algorithm 5).
     pub scoring: std::time::Duration,
@@ -211,11 +212,17 @@ pub struct QueryStats {
     pub candidates: usize,
     /// Candidates that passed the exact radius check.
     pub in_radius: usize,
-    /// Tweet threads actually constructed (Algorithm 1 runs).
+    /// Tweet threads actually constructed (Algorithm 1 runs): 0 where φ
+    /// is read from the engine's column.
     pub threads_built: usize,
     /// Thread constructions skipped by Algorithm 5's upper-bound prune
     /// (0 on every path but [`crate::TklusEngine::try_query_max`]).
     pub threads_pruned: usize,
+    /// Candidate users whose `P_u` the blend did not scan: their
+    /// Definition 10 bound at δ = 1 could no longer reach the k-th exact
+    /// score (0 under [`crate::TklusEngine::try_query_algorithm4`] and
+    /// Algorithm 5).
+    pub distance_scans_skipped: usize,
     /// Physical metadata-database page reads incurred.
     pub metadata_page_reads: u64,
     /// Per-stage wall-clock breakdown (all zero with metrics disabled).

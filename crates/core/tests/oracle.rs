@@ -11,8 +11,11 @@
 //! cases through the full engine and requires every run to return the
 //! oracle's ranked users with scores within 1e-9. The counters Figs. 8/12
 //! plot are held too: `in_radius` equals the oracle's count of qualifying
-//! posts, every in-radius candidate's thread is built (nothing is pruned:
-//! every engine ranks both Sum and Max by folding unpruned rows), and the
+//! posts; the product reads every φ from the engine's column and builds
+//! no thread, while Algorithm 4 as the paper states it
+//! (`try_query_algorithm4`) builds every in-radius candidate's thread and
+//! returns the product's users and score bits (nothing is pruned: every
+//! engine ranks both Sum and Max by folding unpruned rows); and the
 //! engine pays the same `metadata_page_reads` for the same query twice in
 //! a row.
 //!
@@ -349,11 +352,23 @@ fn matches_oracle(
             }
 
             // Counters: the radius filter admits exactly the oracle's
-            // qualifying posts and each one's thread is built: no
-            // engine query prunes.
+            // qualifying posts. The product reads each one's φ from the
+            // column; Algorithm 4 builds each one's thread, and gives the
+            // product's answer bit for bit. No engine query prunes.
             prop_assert_eq!(stats.in_radius, want_in_radius, "{:?}/{:?}", ranking, semantics);
-            prop_assert_eq!(stats.threads_built, stats.in_radius, "{:?}/{:?}", ranking, semantics);
+            prop_assert_eq!(stats.threads_built, 0, "{:?}/{:?}", ranking, semantics);
             prop_assert_eq!(stats.threads_pruned, 0);
+            let a4 = engine.try_query_algorithm4(&q, ranking).unwrap();
+            prop_assert_eq!(bits(&a4.users), bits(&got), "{:?}/{:?}", ranking, semantics);
+            prop_assert_eq!(a4.stats.in_radius, want_in_radius, "{:?}/{:?}", ranking, semantics);
+            prop_assert_eq!(
+                a4.stats.threads_built,
+                a4.stats.in_radius,
+                "{:?}/{:?}",
+                ranking,
+                semantics
+            );
+            prop_assert_eq!(a4.stats.threads_pruned + a4.stats.distance_scans_skipped, 0);
 
             // Algorithm 5, the reference for Max: same users and score
             // bits; each in-radius thread built or pruned.

@@ -105,8 +105,11 @@ fn sum_ranking_favours_u1() {
     let (top, stats) = e.query(&hotel_query(1), Ranking::Sum);
     assert_eq!(top.len(), 1);
     assert_eq!(top[0].user, UserId(1), "top = {top:?}");
-    assert!(stats.threads_built >= 7, "all candidates get threads under Sum");
+    assert_eq!(stats.threads_built, 0, "the product reads every φ from the column");
     assert_eq!(stats.threads_pruned, 0);
+    let paper = e.try_query_algorithm4(&hotel_query(1), Ranking::Sum).unwrap();
+    assert_eq!(paper.users, top);
+    assert!(paper.stats.threads_built >= 7, "all candidates get threads under Algorithm 4");
 }
 
 #[test]

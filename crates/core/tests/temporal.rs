@@ -99,6 +99,11 @@ fn window_filter_skips_io_before_metadata_lookups() {
     let filtered_q = base_query(5).with_time_range(800, 1000).unwrap();
     let filtered = e.query(&filtered_q, Ranking::Sum).1;
     assert!(filtered.metadata_page_reads < unfiltered.metadata_page_reads);
+    // The product reads φ from the engine's column; Algorithm 4 as the
+    // paper states it builds the threads the window lets through.
+    let algorithm4 = |q: &TklusQuery| e.try_query_algorithm4(q, Ranking::Sum).unwrap().stats;
+    let (unfiltered, filtered) = (algorithm4(&base_query(5)), algorithm4(&filtered_q));
+    assert!(filtered.metadata_page_reads < unfiltered.metadata_page_reads);
     assert!(filtered.threads_built < unfiltered.threads_built);
 }
 

@@ -30,7 +30,8 @@
 //! for Max), blends and ranks with the engine's own code: the very fold a
 //! monolithic engine's query runs. All three read the sealed trees through
 //! the memtable's [`tklus_core::LiveMetadata`] overlay, so live replies
-//! count in sealed threads and live posts in a user's `P_u`.
+//! count in sealed threads (φ is walked over trees and overlay, not read
+//! from the sealed engine's column) and live posts in a user's `P_u`.
 //!
 //! # Incremental, off-latch compaction
 //!
@@ -1077,6 +1078,39 @@ mod tests {
             store2.try_query(&query(), Ranking::Max(BoundsMode::HotKeywords)).unwrap(),
             after
         );
+    }
+
+    #[test]
+    fn a_seal_file_cut_at_a_frame_boundary_fails_the_open_by_name() {
+        // Every frame left in a seal file cut at a frame boundary
+        // verifies, so only the manifest's record count shows that acked
+        // posts are missing. Replay skips the WAL records at or below
+        // `sealed_seq`, so without the count they would be gone with no
+        // error.
+        let (fs, _) = SimFs::new(13);
+        let (store, _) = open(&fs);
+        for i in 1..=3 {
+            store.ingest(post(i, i, 43.70 + i as f64 * 1e-3, -79.42, "hotel by the lake")).unwrap();
+        }
+        assert!(store.compact().unwrap());
+        drop(store);
+        let name = seal_name(1, 'd');
+        let bytes = fs.read(&name).unwrap();
+        let mut end = 0;
+        for _ in 0..2 {
+            match crate::frame::decode_step(&bytes, end) {
+                crate::frame::FrameStep::Frame { next, .. } => end = next,
+                other => panic!("{name}: {other:?} where a frame was written"),
+            }
+        }
+        assert!(end < bytes.len(), "{name} holds a third frame");
+        fs.truncate(&name, end as u64).unwrap();
+        let fs: Arc<dyn WalFs> = fs;
+        match IngestStore::open(fs, StoreConfig::default()) {
+            Err(WalError::Corrupt { path, .. }) => assert_eq!(path, name),
+            Err(other) => panic!("{name} cut short failed as {other}, not as corruption"),
+            Ok(_) => panic!("{name} cut short opened: its acked posts are gone"),
+        }
     }
 
     #[test]

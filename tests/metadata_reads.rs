@@ -4,10 +4,13 @@
 //!
 //! The totals are exact counts (no cache, DESIGN.md §9), so any change to
 //! the order or number of page reads a query makes — a cursor that skips
-//! a read it must make or makes one it need not — moves them. They were
-//! measured on the read path that copied every page out of the store and
-//! collected every scan into a vector; the path that reads pages in place
-//! must reproduce them read for read.
+//! a read it must make or makes one it need not — moves them. Algorithm 4's
+//! and Algorithm 5's were measured on the read path that copied every page
+//! out of the store and collected every scan into a vector; the path that
+//! reads pages in place must reproduce them read for read. The product's
+//! are lower: it reads φ from the engine's column instead of walking
+//! threads, and scans `P_u` only for users whose bound can still reach the
+//! top-k.
 
 use tklus::core::{
     BoundsMode, BoundsTable, EngineConfig, LiveMetadata, RankedUser, Ranking, TklusEngine,
@@ -18,13 +21,16 @@ use tklus::model::{Corpus, Post, Semantics, TklusQuery, TweetId, UserId};
 
 /// Metadata page reads of every query in [`queries`] through
 /// `try_query`, Sum then Max, over the whole corpus.
-const PRODUCT_READS: u64 = 9_386;
+const PRODUCT_READS: u64 = 7_053;
+/// The same queries, Sum then Max, through Algorithm 4 as the paper states
+/// it (`try_query_algorithm4`: every thread walked, every user blended).
+const ALGORITHM_4_READS: u64 = 9_386;
 /// The same queries through Algorithm 5 (`try_query_max`, hot-keyword
 /// bounds).
 const ALGORITHM_5_READS: u64 = 5_037;
 /// The row half and the fold of every query over the sealed trees of the
 /// older posts with the newer ones as a live overlay.
-const OVERLAY_READS: u64 = 5_073;
+const OVERLAY_READS: u64 = 4_952;
 
 fn corpus() -> Corpus {
     generate_corpus(&GenConfig {
@@ -70,22 +76,25 @@ fn metadata_page_reads_are_pinned() {
         config.hot_keywords,
         &config.scoring,
     );
-    let (mut product, mut algorithm_5, mut answered) = (0, 0, 0);
+    let (mut product, mut algorithm_4, mut algorithm_5, mut answered) = (0, 0, 0, 0);
     for q in queries(&corpus) {
         let max = Ranking::Max(BoundsMode::HotKeywords);
         for ranking in [Ranking::Sum, max] {
             let out = engine.try_query(&q, ranking).expect("fault-free query");
             product += out.stats.metadata_page_reads;
             answered += usize::from(!out.users.is_empty());
+            let paper = engine.try_query_algorithm4(&q, ranking).expect("fault-free query");
+            assert_eq!(bits(&paper.users), bits(&out.users), "{ranking:?} {:?}", q.keywords);
+            algorithm_4 += paper.stats.metadata_page_reads;
         }
         let out = engine.try_query_max(&q, &table, BoundsMode::HotKeywords).expect("fault-free");
         algorithm_5 += out.stats.metadata_page_reads;
     }
     assert!(answered > 50, "only {answered} answers: the pin is vacuous");
     assert_eq!(
-        (product, algorithm_5),
-        (PRODUCT_READS, ALGORITHM_5_READS),
-        "metadata page reads (product, Algorithm 5) moved"
+        (product, algorithm_4, algorithm_5),
+        (PRODUCT_READS, ALGORITHM_4_READS, ALGORITHM_5_READS),
+        "metadata page reads (product, Algorithm 4, Algorithm 5) moved"
     );
 }
 
